@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -104,12 +103,10 @@ def cmd_estimate(args) -> int:
         if args.theta is None:
             raise ConfigurationError("spectrum estimates need --theta")
         est = dimensions.assouad_spectrum_estimate(
-            family, E, theta=args.theta, sample_budget=args.budget, seed=args.seed,
-            threads=args.threads)
+            family, E, theta=args.theta, sample_budget=args.budget, seed=args.seed)
     elif kind == "assouad":
         est = dimensions.assouad_dim_estimate(
-            family, E, sample_budget=args.budget, seed=args.seed,
-            threads=args.threads)
+            family, E, sample_budget=args.budget, seed=args.seed)
     else:
         raise ConfigurationError(f"unknown estimate kind {kind!r}")
     if family.best_effort and "best-effort-family" not in est.flags:
@@ -136,8 +133,7 @@ def cmd_verify(args) -> int:
     failures = 0
     rows = []
     for system in family.systems:
-        checks = verify_system(system)
-        for name, c in checks.items():
+        for name, c in system.report.checks.items():
             state = "n/a" if not c.applicable else ("pass" if c.ok else "FAIL")
             if c.applicable and not c.ok:
                 failures += 1
@@ -216,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--C0", type=float, default=1.0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=256)
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("CUBEDIM_THREADS", "1")))
 
     b = sub.add_parser("build", help="build an adjacent family of cube systems")
     common(b, cubes=False)

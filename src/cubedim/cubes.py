@@ -59,10 +59,6 @@ class BuildReport:
     warnings: list = field(default_factory=list)
     checks: dict = field(default_factory=dict)
 
-    @property
-    def all_ok(self):
-        return all(c.ok for c in self.checks.values() if c.applicable)
-
 
 def default_max_level(space: MetricSpace, delta: float) -> int:
     """Deepest level whose scale stays at or above the smallest point gap."""
@@ -98,11 +94,10 @@ class CubeSystem:
             raise InvalidArgumentError(f"level {k} out of range 0..{self.max_level}")
         if self._cubes[k] is None:
             centers = self.levels[k].centers
-            order = np.argsort(self.labels[k], kind="stable")
-            bounds = np.searchsorted(self.labels[k][order], np.arange(centers.size + 1))
+            order, bounds = _group_by_label(self.labels[k], centers.size)
             cubes = []
             for i, center in enumerate(centers):
-                members = np.sort(order[bounds[i]:bounds[i + 1]])
+                members = order[bounds[i]:bounds[i + 1]]
                 diam = self.space.diameter(members) if members.size else 0.0
                 parent = None
                 if k > 0:
@@ -133,13 +128,6 @@ class CubeSystem:
             raise InvalidArgumentError(f"level {k} out of range 0..{self.max_level}")
         return self.cubes_at(k)[int(self.labels[k][x])]
 
-    def children_of(self, cube: DyadicCube) -> list:
-        if cube.k >= self.max_level:
-            return []
-        nxt = self.cubes_at(cube.k + 1)
-        pidx = self.parent_idx[cube.k + 1]
-        return [nxt[i] for i in np.flatnonzero(pidx == cube.index)]
-
     def descendants_at(self, cube: DyadicCube, m: int) -> list:
         """Level-(cube.k + m) cubes inside the cube; they partition its members."""
         if m < 0:
@@ -155,16 +143,6 @@ class CubeSystem:
         level_cubes = self.cubes_at(target)
         return [level_cubes[i] for i in idx]
 
-    def descendant_count(self, cube: DyadicCube, m: int, subset=None) -> int:
-        """Number of level-(cube.k+m) cubes meeting ``subset`` (default: all members)."""
-        target = cube.k + m
-        if target > self.max_level:
-            raise ScaleExhaustedError(
-                f"level {target} exceeds max level {self.max_level}",
-                deepest_available=self.max_level - cube.k)
-        ids = cube.members if subset is None else subset
-        return int(np.unique(self.labels[target][ids]).size)
-
     def level_sums(self, E, s) -> list:
         """Per level: sum of |Q|^s over cubes meeting E (the minimal level cover)."""
         out = []
@@ -177,13 +155,34 @@ class CubeSystem:
         return out
 
 
+def _group_by_label(labels: np.ndarray, n_cubes: int):
+    """Point ids ordered by cube, and each cube's slice bounds in that order.
+
+    Cube i holds ``order[bounds[i]:bounds[i + 1]]``; the stable sort keeps
+    those ids ascending.
+    """
+    order = np.argsort(labels, kind="stable")
+    return order, np.searchsorted(labels[order], np.arange(n_cubes + 1))
+
+
+def _derive_labels(space: MetricSpace, levels: list, parent_idx: list) -> list:
+    """Per-level cube labels: nearest deepest center, then the parent chains."""
+    assign, _ = nearest_center(space, levels[-1].centers)
+    labels = [None] * len(levels)
+    labels[-1] = assign.astype(np.int64)
+    for k in range(len(levels) - 2, -1, -1):
+        labels[k] = parent_idx[k + 1][labels[k + 1]]
+    return labels
+
+
 def build_system(space: MetricSpace, params: NetParams, seed: int = 0,
                  max_level: int | None = None, system_id: int = 0,
                  pre_normalized: bool = False) -> CubeSystem:
     """Build one cube system. The space is diameter-normalized first.
 
-    Verifies the ball sandwich and ball monotonicity during the build; the
-    results land in ``system.report``.
+    Nesting and partition hold by construction; the build does not check the
+    ball sandwich or ball monotonicity. Call ``verify_system`` for that; its
+    result is also left on ``system.report.checks``.
     """
     params.validate()
     norm = space if pre_normalized else space.normalized(
@@ -205,26 +204,12 @@ def build_system(space: MetricSpace, params: NetParams, seed: int = 0,
 
     levels = [build_net(norm, k, params, seed) for k in range(max_level + 1)]
 
-    # deepest-level assignment, then parent chains
-    deepest = levels[-1].centers
-    assign_L, dist_L = nearest_center(norm, deepest)
     parent_idx = [None]
     for k in range(1, max_level + 1):
-        child_centers = levels[k].centers
-        pidx, _ = nearest_center(norm, levels[k - 1].centers, query_ids=child_centers)
+        pidx, _ = nearest_center(norm, levels[k - 1].centers, query_ids=levels[k].centers)
         parent_idx.append(pidx)
-
-    labels = [None] * (max_level + 1)
-    labels[max_level] = assign_L.astype(np.int64)
-    for k in range(max_level - 1, -1, -1):
-        labels[k] = parent_idx[k + 1][labels[k + 1]]
-
-    system = CubeSystem(system_id, norm, params, seed, levels, labels, parent_idx,
-                        report)
-    report.checks["iii_inner"] = _check_inner_balls(system)
-    report.checks["iii_outer"] = _check_outer_balls(system)
-    report.checks["iv_ball_monotone"] = _check_ball_monotone(system)
-    return system
+    labels = _derive_labels(norm, levels, parent_idx)
+    return CubeSystem(system_id, norm, params, seed, levels, labels, parent_idx, report)
 
 
 def _check_inner_balls(system: CubeSystem) -> PropertyCheck:
@@ -255,8 +240,7 @@ def _check_outer_balls(system: CubeSystem) -> PropertyCheck:
     for k in range(system.max_level + 1):
         outer = 2.0 * system.params.covering(k)
         centers = system.levels[k].centers
-        order = np.argsort(system.labels[k], kind="stable")
-        bounds = np.searchsorted(system.labels[k][order], np.arange(centers.size + 1))
+        order, bounds = _group_by_label(system.labels[k], centers.size)
         for cube_i, center in enumerate(centers):
             members = order[bounds[cube_i]:bounds[cube_i + 1]]
             if members.size <= 1:
@@ -298,7 +282,11 @@ def _check_ball_monotone(system: CubeSystem) -> PropertyCheck:
 
 
 def verify_system(system: CubeSystem) -> dict:
-    """Exhaustive re-check of all four structural properties."""
+    """Exhaustive re-check of all four structural properties.
+
+    Recomputes every check from the system's current labels and parents on
+    each call, and also leaves the result on ``system.report.checks``.
+    """
     checks = {}
 
     # (i) nesting across consecutive level pairs via label/parent consistency
@@ -334,6 +322,7 @@ def verify_system(system: CubeSystem) -> dict:
     checks["iii_inner"] = _check_inner_balls(system)
     checks["iii_outer"] = _check_outer_balls(system)
     checks["iv_ball_monotone"] = _check_ball_monotone(system)
+    system.report.checks = checks
     return checks
 
 
@@ -575,7 +564,9 @@ def save_family(family: AdjacentFamily, path, points_hash: str = "") -> None:
 
 def load_family(path, space: MetricSpace, points_hash: str | None = None) -> AdjacentFamily:
     """Rebuild a family from file; member lists are reconstructed and the
-    partition/sandwich properties re-verified. Refuses mismatched or broken files."""
+    partition/sandwich properties re-verified. Refuses mismatched or broken files.
+
+    Each system's checks are left on ``system.report.checks``."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if points_hash is not None and doc.get("points_hash") not in ("", points_hash):
@@ -620,11 +611,6 @@ def _system_from_json(sdoc, norm, params, system_id) -> CubeSystem:
             if int(child) != int(levels[k].centers[ci]):
                 raise StaleCubesError("parent list does not match level centers")
             parent_idx[k][ci] = center_pos[k - 1][int(parent)]
-    assign, _ = nearest_center(norm, levels[max_level].centers)
-    labels = [None] * (max_level + 1)
-    labels[max_level] = assign.astype(np.int64)
-    for k in range(max_level - 1, -1, -1):
-        labels[k] = parent_idx[k + 1][labels[k + 1]]
-    report = BuildReport()
+    labels = _derive_labels(norm, levels, parent_idx)
     return CubeSystem(system_id, norm, params, sdoc["seed"], levels, labels,
-                      parent_idx, report)
+                      parent_idx, BuildReport())

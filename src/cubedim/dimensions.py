@@ -335,13 +335,12 @@ def _windows_for_point(family, E, x, radii, seen):
 
 
 def local_windows(family: AdjacentFamily, E, sample_budget: int = 512,
-                  seed: int = 0, radii=None, threads: int = 1) -> list:
+                  seed: int = 0, radii=None) -> list:
     """Precompute per-(x, R) dyadic counts and cube diameters for the sweeps.
 
     The same table serves every theta and the Assouad sweep; admissibility
-    filters are applied afterwards. With threads > 1 the per-point work runs
-    in a pool, but results are collected in x order so the output (and every
-    downstream max-reduction) is independent of the thread count.
+    filters are applied afterwards. Sampled points are visited in ascending
+    id order, and a ball whose member set was already seen adds no window.
     """
     E = np.asarray(E, dtype=np.int64)
     space = family.space
@@ -354,15 +353,6 @@ def local_windows(family: AdjacentFamily, E, sample_budget: int = 512,
         # which pins the small-theta end of the spectrum to the global counts
         radii.insert(0, 1.0 - 1e-10)
     xs = sample_points(space, E, sample_budget, seed)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # per-x dedupe only: duplicate balls across points carry identical
-        # counts, so every max/fit downstream is unchanged by thread count
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_x = list(pool.map(
-                lambda x: _windows_for_point(family, E, x, radii, set()), xs))
-        return [w for batch in per_x for w in batch]
     windows = []
     seen = set()
     for x in xs:
@@ -424,7 +414,7 @@ def _sweep_max_slope(family, windows, bound_fn, kind, theta, seed):
 
 def assouad_spectrum_estimate(family: AdjacentFamily, E, theta: float,
                               sample_budget: int = 512, seed: int = 0,
-                              windows=None, threads: int = 1) -> DimensionEstimate:
+                              windows=None) -> DimensionEstimate:
     """Max over (x, R) of the fitted local slope over theta-admissible levels.
 
     A level m is admissible for (x, R) when every counted cube at that level
@@ -434,7 +424,7 @@ def assouad_spectrum_estimate(family: AdjacentFamily, E, theta: float,
     if not (0.0 < theta < 1.0):
         raise InvalidArgumentError("theta must be in (0, 1)")
     if windows is None:
-        windows = local_windows(family, E, sample_budget, seed, threads=threads)
+        windows = local_windows(family, E, sample_budget, seed)
     est = _sweep_max_slope(family, windows,
                            lambda w: w.R_eff ** (1.0 / theta),
                            "assouad_theta", theta, seed)
@@ -442,10 +432,9 @@ def assouad_spectrum_estimate(family: AdjacentFamily, E, theta: float,
 
 
 def assouad_dim_estimate(family: AdjacentFamily, E, sample_budget: int = 512,
-                         seed: int = 0, windows=None,
-                         threads: int = 1) -> DimensionEstimate:
+                         seed: int = 0, windows=None) -> DimensionEstimate:
     """Same sweep with the zoom constraint relaxed to diameters <= R_eff."""
     if windows is None:
-        windows = local_windows(family, E, sample_budget, seed, threads=threads)
+        windows = local_windows(family, E, sample_budget, seed)
     return _sweep_max_slope(family, windows, lambda w: w.R_eff,
                             "assouad", None, seed)

@@ -186,11 +186,6 @@ class MetricSpace:
             return dmat
         return self._dmat
 
-    def _ensure_cache(self):
-        if self._dmat is None and self.n <= self.cache_limit:
-            self.distance_matrix()
-        return self._dmat
-
     def distance(self, p, q) -> float:
         """d(p, q) per the descriptor; symmetric, zero iff the stored points coincide."""
         self._check_id(p)
@@ -269,18 +264,19 @@ class MetricSpace:
         pts = self._coords[ids]
         if pts.shape[1] == 1:
             return float(pts.max() - pts.min())
-        if ids.size <= 2048:
-            d2 = 0.0
-            for start in range(0, ids.size, 512):
-                block = pts[start:start + 512]
-                diff = block[:, None, :] - pts[None, :, :]
-                d2 = max(d2, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
-            return float(np.sqrt(d2))
-        from scipy.spatial import ConvexHull
+        if ids.size > 2048:
+            from scipy.spatial import ConvexHull, QhullError
 
-        hull = pts[ConvexHull(pts).vertices]
-        diff = hull[:, None, :] - hull[None, :, :]
-        return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+            try:
+                pts = pts[ConvexHull(pts).vertices]
+            except QhullError:
+                pass  # affinely degenerate (e.g. collinear): no hull, scan all points
+        d2 = 0.0
+        for start in range(0, len(pts), 512):
+            block = pts[start:start + 512]
+            diff = block[:, None, :] - pts[None, :, :]
+            d2 = max(d2, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
+        return float(np.sqrt(d2))
 
     def min_positive_distance(self) -> float:
         """Smallest nonzero pairwise distance; inf for a singleton space."""

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from cubedim import cli, cubes
+
 BASE = [sys.executable, "-m", "cubedim"]
 
 
@@ -190,3 +192,35 @@ class TestEdgeSurfaces:
                 "--cubes", "one_cubes.json", cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout)["value"] == 0.0
+
+
+class TestSingleCheckPass:
+    def test_build_and_verify_check_each_system_once(self, tmp_path, monkeypatch,
+                                                     capsys):
+        calls = []
+        check = cubes._check_inner_balls
+
+        def counted(system):
+            calls.append(system.system_id)
+            return check(system)
+
+        monkeypatch.setattr(cubes, "_check_inner_balls", counted)
+        pts, cubes_file = str(tmp_path / "pts.json"), str(tmp_path / "cubes.json")
+        assert cli.main(["gen", "ultrametric_cantor", "--arity", "2", "--base", "0.0625",
+                         "--depth", "5", "--out", pts]) == 0
+        # an unreachable target ratio makes the family take all K_max systems
+        assert cli.main(["build", "--points", pts, "--out", cubes_file, "--seed", "3",
+                         "--systems", "3", "--budget", "120",
+                         "--target-ratio", "4"]) == 0
+        K = len(json.loads((tmp_path / "cubes.json").read_text())["systems"])
+        assert K == 3
+        assert sorted(calls) == list(range(K))
+
+        calls.clear()
+        capsys.readouterr()
+        assert cli.main(["verify", "--points", pts, "--cubes", cubes_file,
+                         "--budget", "30"]) == 0
+        assert sorted(calls) == list(range(K))
+        out = capsys.readouterr().out
+        for sid in range(K):
+            assert f"system-{sid} | iii_inner | pass" in out

@@ -109,6 +109,12 @@ class TestDiameter:
                     for i in range(50) for j in range(i + 1, 50))
         assert sp.diameter(ids) == pytest.approx(brute, rel=1e-12)
 
+    def test_collinear_2d_above_hull_threshold(self):
+        # more than 2048 points on the line y = x have no 2-D convex hull
+        t = np.linspace(0.0, 1.0, 3000)
+        sp = euclid(np.column_stack([t, t]))
+        assert sp.diameter() == sp.distance(0, 2999)
+
 
 class TestTransforms:
     @given(st.floats(min_value=0.1, max_value=1.0))
