@@ -44,9 +44,6 @@ class CoverReport:
                 f"{self.r_effective:.12g},{ratio}")
 
 
-CSV_HEADER = "x_id,R,m,D,N_greedy,N_exact,r_effective,ratio"
-
-
 def dyadic_cover_count(family: AdjacentFamily, E, x: int, R: float, m: int) -> CoverReport:
     """Number of level-(L_R + m) cubes of the circumscribed cube meeting E inside B(x,R)."""
     if m < 0:

@@ -17,7 +17,9 @@ import numpy as np
 from . import kernels
 from .errors import InvalidArgumentError, PointsFileError
 
-DEFAULT_CACHE_LIMIT = 4096
+# spaces up to this many points cache their dense distance matrix; larger
+# coordinate spaces answer ball queries from a cKDTree
+CACHE_LIMIT = 4096
 
 _KINDS = ("euclidean", "matrix", "snowflake", "ultrametric")
 
@@ -73,10 +75,8 @@ class DoublingEstimate:
 class MetricSpace:
     """Immutable finite metric space with id-indexed points."""
 
-    def __init__(self, descriptor, coords=None, strings=None, matrix=None,
-                 cache_limit=DEFAULT_CACHE_LIMIT):
+    def __init__(self, descriptor, coords=None, strings=None, matrix=None):
         self.descriptor = descriptor
-        self.cache_limit = cache_limit
         self._coords = None
         self._codes = None
         self.strings = None
@@ -170,7 +170,7 @@ class MetricSpace:
         return self._transform(self._base_row(p))
 
     def distance_matrix(self) -> np.ndarray:
-        """Dense distance matrix, cached when n <= cache_limit."""
+        """Dense distance matrix, cached when n <= CACHE_LIMIT."""
         if self._dmat is None:
             kind = self.descriptor.kind
             if kind in ("euclidean", "snowflake"):
@@ -181,7 +181,7 @@ class MetricSpace:
                 base = np.vstack([self._base_row(i) for i in range(self.n)])
             dmat = self._transform(base.astype(np.float64, copy=True))
             np.fill_diagonal(dmat, 0.0)
-            if self.n <= self.cache_limit:
+            if self.n <= CACHE_LIMIT:
                 self._dmat = dmat
             return dmat
         return self._dmat
@@ -204,7 +204,7 @@ class MetricSpace:
         if r <= 0:
             raise InvalidArgumentError("ball radius must be positive")
         kind = self.descriptor.kind
-        if kind in ("euclidean", "snowflake") and self.n > self.cache_limit:
+        if kind in ("euclidean", "snowflake") and self.n > CACHE_LIMIT:
             tree = self._get_tree()
             base_r = self._invert_radius(r)
             cand = np.asarray(tree.query_ball_point(self._coords[x], base_r * (1 + 1e-12)),
@@ -287,10 +287,7 @@ class MetricSpace:
             return self._min_gap
         kind = self.descriptor.kind
         if kind in ("euclidean", "snowflake"):
-            from scipy.spatial import cKDTree
-
-            tree = self._get_tree() if self.n > self.cache_limit else cKDTree(self._coords)
-            d, _ = tree.query(self._coords, k=2)
+            d, _ = self._get_tree().query(self._coords, k=2)
             base = float(d[:, 1].min())
         elif kind == "ultrametric":
             order = np.lexsort(self._codes.T[::-1])
@@ -338,10 +335,10 @@ class MetricSpace:
 
     def _clone(self, desc) -> "MetricSpace":
         if desc.kind in ("euclidean", "snowflake"):
-            return MetricSpace(desc, coords=self._coords, cache_limit=self.cache_limit)
+            return MetricSpace(desc, coords=self._coords)
         if desc.kind == "ultrametric":
-            return MetricSpace(desc, strings=self.strings, cache_limit=self.cache_limit)
-        return MetricSpace(desc, matrix=self._matrix, cache_limit=self.cache_limit)
+            return MetricSpace(desc, strings=self.strings)
+        return MetricSpace(desc, matrix=self._matrix)
 
     # -- doubling ------------------------------------------------------------
 
@@ -391,17 +388,17 @@ class MetricSpace:
 # -- points files --------------------------------------------------------
 
 
-def load_points(path, cache_limit=DEFAULT_CACHE_LIMIT) -> MetricSpace:
+def load_points(path) -> MetricSpace:
     """Read a points JSON document and validate it into a MetricSpace."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise PointsFileError(f"cannot parse points file {path}: {exc}") from exc
-    return space_from_json(doc, cache_limit=cache_limit)
+    return space_from_json(doc)
 
 
-def space_from_json(doc, cache_limit=DEFAULT_CACHE_LIMIT) -> MetricSpace:
+def space_from_json(doc) -> MetricSpace:
     if not isinstance(doc, dict) or "metric" not in doc:
         raise PointsFileError("points document must be an object with a 'metric' field")
     m = doc["metric"]
@@ -413,22 +410,21 @@ def space_from_json(doc, cache_limit=DEFAULT_CACHE_LIMIT) -> MetricSpace:
                 raise PointsFileError("field 'points': empty or missing")
             desc = MetricDescriptor(kind, epsilon=float(m.get("epsilon", 1.0)),
                                     scale=float(m.get("scale", 1.0)))
-            return MetricSpace(desc, coords=np.asarray(pts, dtype=np.float64),
-                               cache_limit=cache_limit)
+            return MetricSpace(desc, coords=np.asarray(pts, dtype=np.float64))
         if kind == "ultrametric":
             pts = doc.get("points")
             if not pts:
                 raise PointsFileError("field 'points': empty or missing")
             desc = MetricDescriptor(kind, arity=int(m["arity"]), base=float(m["base"]),
                                     scale=float(m.get("scale", 1.0)))
-            return MetricSpace(desc, strings=[str(s) for s in pts], cache_limit=cache_limit)
+            return MetricSpace(desc, strings=[str(s) for s in pts])
         if kind == "matrix":
             tri = m.get("matrix")
             if tri is None:
                 raise PointsFileError("field 'metric.matrix': missing for matrix kind")
             full = _matrix_from_lower_triangular(tri)
             desc = MetricDescriptor(kind, scale=float(m.get("scale", 1.0)))
-            space = MetricSpace(desc, matrix=full, cache_limit=cache_limit)
+            space = MetricSpace(desc, matrix=full)
             _spot_check_triangle(space)
             return space
     except KeyError as exc:

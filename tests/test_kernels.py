@@ -1,24 +1,31 @@
-"""Cross-checks between the compiled kernels and the NumPy reference.
+"""Contracts of the NumPy kernels in ``cubedim.kernels``.
 
 Dyadic-rational inputs make every distance comparison exact in float64, so
-both backends must produce identical structures there, not just close ones.
+separation and maximality can be checked exactly there, with no tolerance.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubedim import kernels
-from cubedim import _reference as ref
-
-compiled = pytest.mark.skipif(kernels.impl_compiled is None,
-                              reason="compiled kernels not built")
 
 
 def dyadic_coords(n, dim, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 257, size=(n, dim)).astype(np.float64) / 256.0
+
+
+def assert_separated_and_maximal(coords, order, net, thr):
+    pts = coords[net]
+    diff = pts[:, None, :] - pts[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    d[np.diag_indices_from(d)] = np.inf
+    assert d.min() >= thr
+    rest = np.setdiff1d(order, net)
+    diff = coords[rest][:, None, :] - pts[None, :, :]
+    dr = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    assert dr.min(axis=1).max() < thr
 
 
 class TestPairwise:
@@ -28,60 +35,17 @@ class TestPairwise:
         assert np.array_equal(m, m.T)
         assert np.all(np.diag(m) == 0.0)
 
-    @compiled
-    def test_matches_reference_exactly(self):
-        coords = dyadic_coords(60, 3, 1)
-        assert np.array_equal(kernels.impl_compiled.pairwise_distances(coords),
-                              ref.pairwise_distances(coords))
 
-
-@compiled
-class TestGreedyNetAgreement:
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_identical_nets_on_dyadic_grids(self, dim):
-        coords = dyadic_coords(300, dim, 2)
-        order = np.arange(300, dtype=np.int64)[::-1].copy()
-        for thr in (1 / 16, 1 / 4, 0.4):
-            a = kernels.impl_compiled.greedy_net_coords(coords, order, thr)
-            b = ref.greedy_net_coords(coords, order, thr)
-            assert np.array_equal(a, b)
-
-    def test_identical_nets_matrix(self):
-        coords = dyadic_coords(100, 1, 3)
-        dmat = ref.pairwise_distances(coords)
-        order = np.arange(100, dtype=np.int64)
-        a = kernels.impl_compiled.greedy_net_matrix(dmat, order, 1 / 8)
-        b = ref.greedy_net_matrix(dmat, order, 1 / 8)
-        assert np.array_equal(a, b)
-
-    @given(st.integers(min_value=0, max_value=10 ** 6))
-    @settings(max_examples=15, deadline=None)
-    def test_identical_on_random_rotations(self, seed):
-        coords = dyadic_coords(120, 1, 4)
-        offset = seed % 120
-        order = np.concatenate([np.arange(offset, 120), np.arange(offset)]).astype(np.int64)
-        a = kernels.impl_compiled.greedy_net_coords(coords, order, 1 / 16)
-        b = ref.greedy_net_coords(coords, order, 1 / 16)
-        assert np.array_equal(a, b)
-
-
-@compiled
-class TestNearestAgreement:
-    def test_identical_assignments(self):
-        coords = dyadic_coords(200, 2, 5)
-        centers = np.sort(np.random.default_rng(6).choice(200, size=20, replace=False))
-        ia, da = kernels.impl_compiled.nearest_center_coords(coords, coords[centers])
-        ib, db = ref.nearest_center_coords(coords, coords[centers])
-        assert np.array_equal(ia, ib)
-        assert np.array_equal(da, db)
-
+class TestNearest:
     def test_tie_break_prefers_earlier_center(self):
         coords = np.array([[0.0], [1.0], [0.5]])
-        centers = coords[[0, 1]]
-        idx, _ = kernels.impl_compiled.nearest_center_coords(coords, centers)
+        idx, _ = kernels.nearest_center_coords(coords, coords[[0, 1]])
         assert idx[2] == 0
-        idx_ref, _ = ref.nearest_center_coords(coords, centers)
-        assert idx_ref[2] == 0
+        idx, _ = kernels.nearest_center_coords(coords, coords[[1, 0]])
+        assert idx[2] == 0
+        dmat = kernels.pairwise_distances(coords)
+        idx, _ = kernels.nearest_center_matrix(dmat, np.arange(3), np.array([1, 0]))
+        assert idx[2] == 0
 
 
 class TestNetProperties:
@@ -90,12 +54,14 @@ class TestNetProperties:
         order = np.arange(250, dtype=np.int64)
         thr = 0.2
         net = kernels.greedy_net_coords(coords, order, thr)
-        pts = coords[net]
-        diff = pts[:, None, :] - pts[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        d[np.diag_indices_from(d)] = np.inf
-        assert d.min() >= thr
-        rest = np.setdiff1d(order, net)
-        diff = coords[rest][:, None, :] - pts[None, :, :]
-        dr = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        assert dr.min(axis=1).max() < thr
+        assert_separated_and_maximal(coords, order, net, thr)
+
+    @given(st.integers(min_value=0, max_value=119), st.integers(min_value=1, max_value=2))
+    @settings(max_examples=15, deadline=None)
+    def test_separated_and_maximal_on_random_rotations(self, offset, dim):
+        coords = dyadic_coords(120, dim, 4)
+        order = np.concatenate([np.arange(offset, 120), np.arange(offset)]).astype(np.int64)
+        net = kernels.greedy_net_coords(coords, order, 1 / 16)
+        assert_separated_and_maximal(coords, order, net, 1 / 16)
+        dmat = kernels.pairwise_distances(coords)
+        assert np.array_equal(kernels.greedy_net_matrix(dmat, order, 1 / 16), net)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubedim import (InvalidArgumentError, MetricDescriptor, MetricSpace,
-                     PointsFileError, load_points, save_points)
+                     PointsFileError, load_points, metric, save_points)
 
 
 def euclid(coords):
@@ -70,14 +70,15 @@ class TestBallMembers:
                 assert prev <= cur
                 prev = cur
 
-    def test_tree_path_matches_row_path(self):
+    def test_tree_path_matches_row_path(self, monkeypatch):
         rng = np.random.default_rng(2)
-        coords = rng.uniform(size=(300, 2))
-        small = MetricSpace(MetricDescriptor("euclidean"), coords=coords)
-        treed = MetricSpace(MetricDescriptor("euclidean"), coords=coords, cache_limit=10)
-        for x in (0, 17, 255):
-            for r in (0.05, 0.3, 0.9):
-                assert np.array_equal(small.ball_members(x, r), treed.ball_members(x, r))
+        sp = euclid(rng.uniform(size=(300, 2)))
+        queries = [(x, r) for x in (0, 17, 255) for r in (0.05, 0.3, 0.9)]
+        by_row = [sp.ball_members(x, r) for x, r in queries]
+        monkeypatch.setattr(metric, "CACHE_LIMIT", 10)
+        by_tree = [sp.ball_members(x, r) for x, r in queries]
+        for row_members, tree_members in zip(by_row, by_tree):
+            assert np.array_equal(row_members, tree_members)
 
 
 class TestDiameter:
