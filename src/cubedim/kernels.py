@@ -1,8 +1,10 @@
-"""The NumPy kernels behind nets and nearest-center assignment.
+"""The kernels behind nets and nearest-center assignment.
 
 Pairwise distances, greedy net selection and nearest-center assignment, for
-coordinate spaces and for spaces given by a dense distance matrix. All
-functions are deterministic given their inputs.
+coordinate spaces and for spaces given by a dense distance matrix. All are
+NumPy code except nearest-center on coordinates, which queries a SciPy
+cKDTree over the centers and re-checks near-ties exactly. All functions are
+deterministic given their inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ import numpy as np
 BACKEND = "pure"
 
 CHUNK = 512
+# relative gap between the two nearest tree distances below which
+# nearest_center_coords re-decides a query by squared distances; the tree's
+# distances and those differ by a few ulps, far less than this
+TIE_RTOL = 1e-7
 
 
 def pairwise_distances(coords: np.ndarray) -> np.ndarray:
@@ -72,21 +78,39 @@ def nearest_center_coords(query_coords: np.ndarray,
                           center_coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the nearest center (row of ``center_coords``) per query row.
 
-    Ties go to the earlier center row; callers order centers by point id to
-    get the ascending-id tie-break. Returns (indices, distances).
+    A cKDTree over the centers answers each query. Where the second-nearest
+    center lies within a relative TIE_RTOL of the nearest, the tree's own
+    rounding may not decide the winner, so that row is re-decided exactly:
+    every center within that radius is compared by squared distance. Ties go
+    to the earlier center row; callers order centers by point id to get the
+    ascending-id tie-break. Returns (indices, distances), each distance the
+    square root of the winner's squared distance.
     """
     q = np.asarray(query_coords, dtype=np.float64)
     cc = np.asarray(center_coords, dtype=np.float64)
-    n = q.shape[0]
-    best_idx = np.empty(n, dtype=np.int64)
-    best_d = np.empty(n, dtype=np.float64)
-    for start in range(0, n, CHUNK):
-        stop = min(start + CHUNK, n)
-        diff = q[start:stop, None, :] - cc[None, :, :]
-        dsq = np.einsum("ijk,ijk->ij", diff, diff)
-        best_idx[start:stop] = np.argmin(dsq, axis=1)
-        best_d[start:stop] = np.sqrt(dsq[np.arange(stop - start), best_idx[start:stop]])
-    return best_idx, best_d
+    best_idx = np.zeros(q.shape[0], dtype=np.int64)
+    if q.shape[0] and cc.shape[0] > 1:
+        from scipy.spatial import cKDTree  # on first use: slow to import
+
+        tree = cKDTree(cc)
+        d, nearest = tree.query(q, k=2)
+        best_idx[:] = nearest[:, 0]
+        close = np.flatnonzero(d[:, 1] <= d[:, 0] * (1.0 + TIE_RTOL))
+        if close.size:
+            cand = tree.query_ball_point(q[close], d[close, 0] * (1.0 + TIE_RTOL))
+            counts = np.fromiter(map(len, cand), dtype=np.int64, count=close.size)
+            cols = np.concatenate(cand).astype(np.int64)
+            starts = np.cumsum(counts) - counts
+            dsq = _squared_distances(q[np.repeat(close, counts)], cc[cols])
+            tied = dsq == np.repeat(np.minimum.reduceat(dsq, starts), counts)
+            best_idx[close] = np.minimum.reduceat(np.where(tied, cols, cc.shape[0]), starts)
+    return best_idx, np.sqrt(_squared_distances(q, cc[best_idx]))
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance between paired rows of ``a`` and ``b``."""
+    diff = a - b
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 def nearest_center_matrix(dmat: np.ndarray, query_ids: np.ndarray,

@@ -147,27 +147,38 @@ class MetricSpace:
             base = base * d.scale
         return base
 
-    def _base_row(self, p):
-        """Untransformed distances from p to all points."""
+    def _base_distances(self, a, b):
+        """Untransformed d(a, b), elementwise over ids or id arrays ``a`` and ``b``.
+
+        ``b`` may also be ``slice(None)``, giving the row of ``a`` to every point.
+        """
         kind = self.descriptor.kind
         if kind in ("euclidean", "snowflake"):
-            diff = self._coords - self._coords[p]
+            diff = self._coords[b] - self._coords[a]
             return np.sqrt(np.einsum("ij,ij->i", diff, diff))
         if kind == "ultrametric":
-            neq = self._codes != self._codes[p]
+            neq = self._codes[b] != self._codes[a]
             length = self._codes.shape[1]
             lcp = np.where(neq.any(axis=1), np.argmax(neq, axis=1), length)
-            row = np.power(self.descriptor.base, lcp.astype(np.float64))
-            row[lcp == length] = 0.0
-            return row
-        return self._matrix[p].copy()
+            base = np.power(self.descriptor.base, lcp.astype(np.float64))
+            base[lcp == length] = 0.0
+            return base
+        return self._matrix[a, b].copy()
 
     def row(self, p) -> np.ndarray:
         """Distances from p to every point, as a length-n vector."""
         self._check_id(p)
         if self._dmat is not None:
             return self._dmat[p]
-        return self._transform(self._base_row(p))
+        return self._transform(self._base_distances(p, slice(None)))
+
+    def pair_distances(self, a, b) -> np.ndarray:
+        """d(a[i], b[i]) for paired id arrays; elementwise equal to ``distance``."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self._dmat is not None:
+            return self._dmat[a, b]
+        return self._transform(self._base_distances(a, b))
 
     def distance_matrix(self) -> np.ndarray:
         """Dense distance matrix, cached when n <= CACHE_LIMIT."""
@@ -178,7 +189,8 @@ class MetricSpace:
             elif kind == "matrix":
                 base = self._matrix
             else:
-                base = np.vstack([self._base_row(i) for i in range(self.n)])
+                base = np.vstack([self._base_distances(i, slice(None))
+                                  for i in range(self.n)])
             dmat = self._transform(base.astype(np.float64, copy=True))
             np.fill_diagonal(dmat, 0.0)
             if self.n <= CACHE_LIMIT:
@@ -192,9 +204,7 @@ class MetricSpace:
         self._check_id(q)
         if p == q:
             return 0.0
-        if self._dmat is not None:
-            return float(self._dmat[p, q])
-        return float(self.row(p)[q])
+        return float(self.pair_distances([p], [q])[0])
 
     # -- balls and diameters --------------------------------------------------
 

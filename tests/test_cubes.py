@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cubedim import (DegenerateBallError, InvalidArgumentError, MetricDescriptor,
-                     MetricSpace, ScaleExhaustedError, StaleCubesError)
-from cubedim.cubes import (build_adjacent_family, build_system, circumscribed_cube,
-                           default_max_level, load_family, save_family, verify_system)
+                     MetricSpace, ScaleExhaustedError, StaleCubesError, metric)
+from cubedim.cubes import (_check_ball_monotone, _check_outer_balls, build_adjacent_family,
+                           build_system, circumscribed_cube, default_max_level,
+                           load_family, save_family, verify_system)
 from cubedim.nets import NetParams
 
 
@@ -88,6 +89,93 @@ class TestVerifySystem:
         system = build_system(sp, NetParams(), seed=0, max_level=0)
         checks = verify_system(system)
         assert not checks["i_nesting"].applicable
+
+
+def reference_outer_balls(system):
+    """(worst, witness) of the outer-ball check, one ``row`` per cube."""
+    worst, witness = 0.0, None
+    for k in range(system.max_level + 1):
+        outer = 2.0 * system.params.covering(k)
+        for cube_i, center in enumerate(system.levels[k].centers):
+            members = np.flatnonzero(system.labels[k] == cube_i)
+            if members.size <= 1:
+                continue
+            d = system.space.row(int(center))[members]
+            ratio = float(d.max()) / outer
+            if ratio > worst:
+                worst = ratio
+                if ratio > 1.0 + 1e-9:
+                    witness = {"level": k, "center": int(center),
+                               "point": int(members[int(np.argmax(d))])}
+    return worst, witness
+
+
+def reference_ball_monotone(system):
+    """(worst, witness) of the ball-monotonicity check, one ``distance`` per child."""
+    worst, witness = 0.0, None
+    for k in range(1, system.max_level + 1):
+        parents = system.levels[k - 1].centers[system.parent_idx[k]]
+        for c, p in zip(system.levels[k].centers, parents):
+            lhs = system.space.distance(int(c), int(p)) + 2.0 * system.params.covering(k)
+            ratio = lhs / (2.0 * system.params.covering(k - 1))
+            if ratio > worst:
+                worst = ratio
+                if ratio > 1.0 + 1e-9:
+                    witness = {"level": k, "child_center": int(c), "parent_center": int(p)}
+    return worst, witness
+
+
+class TestCheckEquivalence:
+    """The vectorized outer-ball and ball-monotone checks against per-cube loops,
+    on a coordinate space too large for the dense distance cache."""
+
+    @pytest.fixture(params=[1, 2])
+    def system(self, request, monkeypatch):
+        monkeypatch.setattr(metric, "CACHE_LIMIT", 50)
+        coords = np.random.default_rng(request.param).uniform(size=(400, request.param))
+        sp = MetricSpace(MetricDescriptor("euclidean"), coords=coords)
+        system = build_system(sp, NetParams(), seed=3, max_level=2)
+        assert system.space._dmat is None
+        return system
+
+    def test_untampered_worst_is_bit_identical(self, system):
+        outer = _check_outer_balls(system)
+        mono = _check_ball_monotone(system)
+        assert outer.ok and mono.ok
+        assert (outer.worst, outer.witness) == reference_outer_balls(system)
+        assert (mono.worst, mono.witness) == reference_ball_monotone(system)
+        assert outer.worst > 0.0 and mono.worst > 0.0
+        assert system.space._dmat is None
+
+    def test_tampered_label_fails_outer_ball(self, system):
+        k = 1
+        centers = system.levels[k].centers
+        space = system.space
+        labels = system.labels[k].copy()
+        # move a non-center point into the cube whose center is farthest from it
+        victim = int(np.setdiff1d(space.ids, centers)[17])
+        labels[victim] = int(np.argmax(space.row(victim)[centers]))
+        system.labels[k] = labels
+        check = _check_outer_balls(system)
+        worst, witness = reference_outer_balls(system)
+        assert not check.ok and check.worst > 1.0
+        assert check.worst == worst and check.witness == witness
+        assert witness == {"level": k, "center": int(centers[labels[victim]]),
+                           "point": victim}
+        assert verify_system(system)["iii_outer"].witness == witness
+
+    def test_tampered_parent_fails_ball_monotone(self, system):
+        k = 2
+        pidx = system.parent_idx[k].copy()
+        child = system.levels[k].centers[5]
+        # reparent one level-2 center to the level-1 center farthest from it
+        pidx[5] = int(np.argmax(system.space.row(int(child))[system.levels[k - 1].centers]))
+        system.parent_idx[k] = pidx
+        check = _check_ball_monotone(system)
+        worst, witness = reference_ball_monotone(system)
+        assert not check.ok and check.worst > 1.0
+        assert check.worst == worst and check.witness == witness
+        assert witness["level"] == k and witness["child_center"] == int(child)
 
 
 class TestCubeQueries:

@@ -1,11 +1,15 @@
-"""Contracts of the NumPy kernels in ``cubedim.kernels``.
+"""Contracts of the kernels in ``cubedim.kernels``.
 
+Pairwise distances and greedy nets are NumPy loops. Nearest-center search
+uses a cKDTree over the centers and re-decides near-ties exactly; it is
+checked bit for bit against a brute-force scan kept here as the oracle.
 Dyadic-rational inputs make every distance comparison exact in float64, so
-separation and maximality can be checked exactly there, with no tolerance.
+separation, maximality and ties can be checked exactly there, with no
+tolerance.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubedim import kernels
@@ -14,6 +18,55 @@ from cubedim import kernels
 def dyadic_coords(n, dim, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 257, size=(n, dim)).astype(np.float64) / 256.0
+
+
+def brute_force_nearest(query_coords, center_coords, chunk=512):
+    """Nearest center per query by a full scan; ties go to the earlier center row."""
+    q = np.asarray(query_coords, dtype=np.float64)
+    cc = np.asarray(center_coords, dtype=np.float64)
+    n = q.shape[0]
+    best_idx = np.empty(n, dtype=np.int64)
+    best_d = np.empty(n, dtype=np.float64)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        diff = q[start:stop, None, :] - cc[None, :, :]
+        dsq = np.einsum("ijk,ijk->ij", diff, diff)
+        best_idx[start:stop] = np.argmin(dsq, axis=1)
+        best_d[start:stop] = np.sqrt(dsq[np.arange(stop - start), best_idx[start:stop]])
+    return best_idx, best_d
+
+
+@st.composite
+def nearest_inputs(draw):
+    """(query coords, center coords) over random floats or a dyadic lattice.
+
+    On the lattice the centers sit on the even sublattice, so a query at odd
+    coordinates is equidistant from 2 (1-D) up to 4 (2-D) or 8 (3-D) centers.
+    Queries are any subset of the points, with repeats, possibly empty.
+    """
+    dim = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    if draw(st.booleans()):
+        side = 9 if dim < 3 else 5
+        axes = np.meshgrid(*[np.arange(side)] * dim, indexing="ij")
+        ticks = np.column_stack([a.ravel() for a in axes])
+        coords = ticks / (side - 1.0)
+        even = np.flatnonzero(np.all(ticks % 2 == 0, axis=1))
+        size = draw(st.integers(min_value=1, max_value=even.size))
+        centers = rng.permutation(even)[:size]
+    else:
+        n = draw(st.integers(min_value=1, max_value=120))
+        coords = rng.uniform(-1.0, 1.0, size=(n, dim)) * 10.0 ** draw(
+            st.integers(min_value=-6, max_value=6))
+        size = draw(st.integers(min_value=1, max_value=n))
+        centers = rng.choice(n, size=size, replace=draw(st.booleans()))
+    n = coords.shape[0]
+    if draw(st.booleans()):
+        queries = np.arange(n)
+    else:
+        queries = np.asarray(draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                           max_size=60)), dtype=np.int64)
+    return coords[queries].reshape(-1, dim), coords[centers]
 
 
 def assert_separated_and_maximal(coords, order, net, thr):
@@ -37,6 +90,35 @@ class TestPairwise:
 
 
 class TestNearest:
+    @given(nearest_inputs())
+    @example((dyadic_coords(30, 2, 1), dyadic_coords(1, 2, 2)))  # one center
+    @example((dyadic_coords(0, 2, 1), dyadic_coords(2, 2, 2)))  # zero queries
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_bitwise(self, inputs):
+        query, centers = inputs
+        idx, dist = kernels.nearest_center_coords(query, centers)
+        want_idx, want_dist = brute_force_nearest(query, centers)
+        assert idx.dtype == np.int64 and np.array_equal(idx, want_idx)
+        assert dist.dtype == np.float64 and dist.tobytes() == want_dist.tobytes()
+
+    def test_lattice_ties_go_to_the_earliest_center_row(self):
+        # each query sits at the middle of a lattice cell, equidistant from its
+        # four corners; the answer is the corner listed first, in any order
+        ticks = np.arange(9) / 8.0
+        lattice = np.array([[x, y] for x in ticks for y in ticks])
+        mids = lattice[np.all(lattice < 1.0, axis=1)] + 1.0 / 16.0
+        for seed in range(3):
+            centers = lattice[np.random.default_rng(seed).permutation(len(lattice))]
+            idx, dist = kernels.nearest_center_coords(mids, centers)
+            for m, i in zip(mids, idx):
+                corners = np.flatnonzero(np.all(np.abs(centers - m) == 1.0 / 16.0, axis=1))
+                assert corners.size == 4 and i == corners.min()
+            assert np.all(dist == np.sqrt(2.0) / 16.0)
+        # duplicated center rows: the first copy wins; 0.5 ties with all three
+        idx, _ = kernels.nearest_center_coords(np.array([[0.0], [0.5]]),
+                                               np.array([[1.0], [0.0], [0.0]]))
+        assert list(idx) == [1, 0]
+
     def test_tie_break_prefers_earlier_center(self):
         coords = np.array([[0.0], [1.0], [0.5]])
         idx, _ = kernels.nearest_center_coords(coords, coords[[0, 1]])

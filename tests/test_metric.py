@@ -42,6 +42,47 @@ class TestDistance:
             assert sp.distance(int(p), int(q)) == sp.distance(int(q), int(p))
 
 
+def paired_spaces():
+    """One small space of each metric kind, each with a non-trivial transform."""
+    from cubedim import GeneratorSpec, generate
+
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(size=(40, 2))
+    diff = pts[:, None, :] - pts[None, :, :]
+    matrix = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    ultra = generate(GeneratorSpec(kind="ultrametric_cantor", arity=2, base=1 / 16, depth=5))
+    return {
+        "euclidean": euclid(rng.uniform(size=(40, 3))).rescaled(1.7),
+        "snowflake": euclid(rng.uniform(size=(40, 1))).snowflaked(0.6).rescaled(3.0),
+        "ultrametric": ultra.snowflaked(0.5).rescaled(0.9),
+        "matrix": MetricSpace(MetricDescriptor("matrix"), matrix=matrix).rescaled(1.3),
+    }
+
+
+class TestPairDistances:
+    @pytest.mark.parametrize("kind", ["euclidean", "snowflake", "ultrametric", "matrix"])
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_bitwise_equal_to_distance(self, kind, cached, monkeypatch):
+        if not cached:
+            monkeypatch.setattr(metric, "CACHE_LIMIT", 4)
+        sp = paired_spaces()[kind]
+        assert sp.descriptor.kind == kind
+        dense = sp.distance_matrix()
+        assert (sp._dmat is not None) == cached
+        rng = np.random.default_rng(9)
+        a = rng.integers(sp.n, size=300)
+        b = rng.integers(sp.n, size=300)
+        b[:30] = a[:30]  # include a == b
+        got = sp.pair_distances(a, b)
+        assert got.dtype == np.float64 and got.shape == (300,)
+        one_by_one = np.array([sp.distance(int(p), int(q)) for p, q in zip(a, b)])
+        by_row = np.array([sp.row(int(p))[q] for p, q in zip(a, b)])
+        assert got.tobytes() == one_by_one.tobytes()
+        assert got.tobytes() == by_row.tobytes()
+        assert got.tobytes() == dense[a, b].tobytes()
+        assert np.all(got[:30] == 0.0)
+
+
 class TestBallMembers:
     def test_whole_space_for_large_radius(self):
         sp = euclid([[0.0], [0.3], [0.9]])
