@@ -2,9 +2,9 @@
 
 from .covering import (CoverReport, dyadic_cover_count, exact_cover_count,
                        greedy_cover_count, sandwich_check)
-from .cubes import (AdjacentFamily, CircumscribedCube, CubeSystem, DyadicCube,
-                    build_adjacent_family, build_system, circumscribed_cube,
-                    load_family, save_family, verify_system)
+from .cubes import (AdjacentFamily, CircumscribedCube, CubeSystem, build_adjacent_family,
+                    build_system, circumscribed_cube, load_family, save_family,
+                    verify_system)
 from .dimensions import (DimensionEstimate, MeasureValue, assouad_dim_estimate,
                          assouad_spectrum_estimate, box_dim_estimate, cubic_measure,
                          h_greedy_sum, hausdorff_dim_estimate, local_windows)
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjacentFamily", "CircumscribedCube", "ConfigurationError", "CoverReport",
     "CubeSystem", "CubedimError", "DegenerateBallError", "DimensionEstimate",
-    "DoublingEstimate", "DyadicCube", "GeneratorSpec", "InsufficientScalesError",
+    "DoublingEstimate", "GeneratorSpec", "InsufficientScalesError",
     "InvalidArgumentError", "MeasureValue", "MetricDescriptor", "MetricSpace",
     "NetLevel", "NetParams", "PointsFileError", "ScaleExhaustedError",
     "SizeCapError", "StaleCubesError", "assouad_dim_estimate",

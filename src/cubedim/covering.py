@@ -49,9 +49,9 @@ def dyadic_cover_count(family: AdjacentFamily, E, x: int, R: float, m: int) -> C
     if m < 0:
         raise InvalidArgumentError("m must be >= 0")
     E = np.asarray(E, dtype=np.int64)
-    cc = circumscribed_cube(family, x, R)
-    system = family.systems[cc.system_id]
     members = family.space.ball_members(x, R)
+    cc = circumscribed_cube(family, x, R, members=members)
+    system = family.systems[cc.system_id]
     target = np.intersect1d(E, members, assume_unique=False)
     level = cc.level + m
     if level > system.max_level:
@@ -60,14 +60,12 @@ def dyadic_cover_count(family: AdjacentFamily, E, x: int, R: float, m: int) -> C
             deepest_available=system.max_level - cc.level)
     if target.size == 0:
         raise InvalidArgumentError("E does not meet the ball")
-    idx = np.unique(system.labels[level][target])
-    cubes = system.cubes_at(level)
-    max_diam = float(max(cubes[i].diameter for i in idx))
+    idx = system.cubes_meeting(level, target)
     return CoverReport(
         D=int(idx.size), m=m, x=x, R=R, R_eff=cc.R_eff,
         system_id=cc.system_id, level=cc.level,
-        max_cube_diameter=max_diam,
-        witnesses={"cube_centers": [int(cubes[i].center) for i in idx]},
+        max_cube_diameter=float(system.diams_at(level)[idx].max()),
+        witnesses={"cube_centers": [int(c) for c in system.levels[level].centers[idx]]},
         flags=list(cc.flags))
 
 
@@ -155,9 +153,7 @@ def exact_cover_count(space: MetricSpace, E, r: float,
         return 1
 
     n = E.size
-    dm = np.empty((n, n))
-    for i, p in enumerate(E):
-        dm[i] = space.row(int(p))[E]
+    dm = space.pair_distances(np.repeat(E, n), np.tile(E, n)).reshape(n, n)
     adj = dm <= r
     np.fill_diagonal(adj, False)
 
@@ -233,7 +229,7 @@ def local_cover_diagnostics(system, x: int, m: int) -> dict:
     if not (0 <= m < system.max_level):
         raise InvalidArgumentError(f"m must be within 0..{system.max_level - 1}")
     members = system.space.ball_members(x, 4.0 * p.C0 * p.delta ** m)
-    idx = np.unique(system.labels[m][members])
+    idx = system.cubes_meeting(m, members)
     children = np.bincount(system.parent_idx[m + 1],
                            minlength=system.levels[m].centers.size)
     return {

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigurationError, DegenerateBallError, InvalidArgumentError,
-                     ScaleExhaustedError, StaleCubesError)
+                     StaleCubesError)
 from .metric import MetricSpace
 from .nets import NetLevel, NetParams, build_net, nearest_center
 
@@ -28,21 +28,6 @@ MAX_LEVEL_CAP = 12   # default depth cap for resolution-derived levels
 HARD_LEVEL_CAP = 24  # explicit requests beyond this are configuration errors
 NORMALIZED_DIAMETER = 1.0 - 1e-9
 DIAMETER_SLACK = 1.0 + 1e-6
-
-
-@dataclass
-class DyadicCube:
-    system_id: int
-    k: int
-    index: int
-    center: int
-    parent: "DyadicCube | None"
-    members: np.ndarray
-    diameter: float
-
-    def __repr__(self):
-        return (f"DyadicCube(sys={self.system_id}, k={self.k}, i={self.index}, "
-                f"center={self.center}, n={self.members.size})")
 
 
 @dataclass
@@ -70,7 +55,14 @@ def default_max_level(space: MetricSpace, delta: float) -> int:
 
 
 class CubeSystem:
-    """One delta-dyadic hierarchy over a diameter-normalized space."""
+    """One delta-dyadic hierarchy over a diameter-normalized space.
+
+    ``labels[k][x]`` is the index of the level-k cube holding point x and
+    ``parent_idx[k][i]`` the level-(k-1) parent of level-k cube i. ``order``
+    sorts the points by their label chains (labels[0], ..., labels[L]), a
+    depth-first order in which every cube at every level is one contiguous
+    run; ``rank`` is its inverse.
+    """
 
     def __init__(self, system_id, space, params, seed, levels, labels, parent_idx,
                  report):
@@ -83,76 +75,51 @@ class CubeSystem:
         self.parent_idx = parent_idx
         self.report = report
         self.max_level = len(levels) - 1
-        self._cubes = [None] * len(levels)
-        self._diams = [None] * len(levels)
-        self._contiguous = [None] * len(levels)
+        self.order = np.lexsort(labels[::-1])
+        self.rank = np.empty_like(self.order)
+        self.rank[self.order] = np.arange(self.order.size)
+        self._diams = {}
 
     # -- cube access ----------------------------------------------------------
 
     def cubes_at(self, k) -> list:
+        """Member ids of each level-k cube, ascending, indexed like the centers."""
         if not (0 <= k <= self.max_level):
             raise InvalidArgumentError(f"level {k} out of range 0..{self.max_level}")
-        if self._cubes[k] is None:
-            centers = self.levels[k].centers
-            order, bounds = _group_by_label(self.labels[k], centers.size)
-            cubes = []
-            for i, center in enumerate(centers):
-                members = order[bounds[i]:bounds[i + 1]]
-                diam = self.space.diameter(members) if members.size else 0.0
-                parent = None
-                if k > 0:
-                    parent = self.cubes_at(k - 1)[self.parent_idx[k][i]]
-                cubes.append(DyadicCube(self.system_id, k, i, int(center), parent,
-                                        members, diam))
-            self._cubes[k] = cubes
-        return self._cubes[k]
+        order, bounds = _group_by_label(self.labels[k], self.levels[k].centers.size)
+        return np.split(order, bounds[1:-1])
 
     def diams_at(self, k) -> np.ndarray:
         """Cube diameters at level k, indexed like the level's center list."""
-        if self._diams[k] is None:
-            self._diams[k] = np.array([c.diameter for c in self.cubes_at(k)])
+        if k not in self._diams:
+            self._diams[k] = np.array([self.space.diameter(m) if m.size else 0.0
+                                       for m in self.cubes_at(k)])
         return self._diams[k]
 
-    def contiguous_at(self, k) -> bool:
-        """True when the level's cubes are contiguous id ranges (sorted payloads)."""
-        if self._contiguous[k] is None:
-            changes = int(np.count_nonzero(np.diff(self.labels[k]))) + 1
-            self._contiguous[k] = changes == self.levels[k].centers.size
-        return self._contiguous[k]
+    def dfs_sorted(self, ids) -> np.ndarray:
+        """``ids`` in depth-first order: the ids of each cube form one run."""
+        return self.order[np.sort(self.rank[ids])]
 
-    def cube_of(self, x, k) -> DyadicCube:
-        """The unique level-k cube containing point x."""
-        if not (0 <= x < self.space.n):
-            raise InvalidArgumentError(f"unknown point id {x}")
-        if not (0 <= k <= self.max_level):
-            raise InvalidArgumentError(f"level {k} out of range 0..{self.max_level}")
-        return self.cubes_at(k)[int(self.labels[k][x])]
-
-    def descendants_at(self, cube: DyadicCube, m: int) -> list:
-        """Level-(cube.k + m) cubes inside the cube; they partition its members."""
-        if m < 0:
-            raise InvalidArgumentError("descendant offset m must be >= 0")
-        target = cube.k + m
-        if target > self.max_level:
-            raise ScaleExhaustedError(
-                f"level {target} exceeds max level {self.max_level}",
-                deepest_available=self.max_level - cube.k)
-        if m == 0:
-            return [cube]
-        idx = np.unique(self.labels[target][cube.members])
-        level_cubes = self.cubes_at(target)
-        return [level_cubes[i] for i in idx]
+    def cubes_meeting(self, k, ids) -> np.ndarray:
+        """Ascending indices of the level-k cubes that hold some of ``ids``."""
+        hit = np.bincount(self.labels[k][ids], minlength=self.levels[k].centers.size)
+        return np.flatnonzero(hit)
 
     def level_sums(self, E, s) -> list:
         """Per level: sum of |Q|^s over cubes meeting E (the minimal level cover)."""
         out = []
         for k in range(self.max_level + 1):
-            idx = np.unique(self.labels[k][E])
+            idx = self.cubes_meeting(k, E)
             if s == 0.0:
                 out.append(float(idx.size))
             else:
                 out.append(float(np.sum(self.diams_at(k)[idx] ** s)))
         return out
+
+
+def count_runs(labels: np.ndarray) -> int:
+    """Cubes met by a depth-first-sorted id list, given its labels: 1 + label changes."""
+    return 1 + int(np.count_nonzero(labels[1:] != labels[:-1]))
 
 
 def _group_by_label(labels: np.ndarray, n_cubes: int):
@@ -333,8 +300,9 @@ def verify_system(system: CubeSystem) -> dict:
 @dataclass
 class CircumscribedCube:
     system_id: int
-    cube: DyadicCube
     level: int
+    index: int
+    diameter: float
     ratio: float
     R_eff: float
     cert: float
@@ -382,24 +350,20 @@ def _cert_terms(params, R_eff, level, diam):
     return max(up, down, lvl_up, lvl_down)
 
 
-def _circumscribed_in_system(system: CubeSystem, x: int, members: np.ndarray):
-    """Deepest ancestor cube of x containing every member id, or None.
+def _circumscribed_in_system(system: CubeSystem, members: np.ndarray):
+    """(level, index) of the deepest cube containing every member id, or None.
 
-    Cubes containing x form a single ancestor chain, so scanning deep to
-    shallow returns the minimal containing cube of this system. On levels
-    where cubes are contiguous id ranges the containment test is O(1).
+    Cubes are contiguous runs of the depth-first order, so a cube holds all
+    members once it holds the two of least and greatest rank. Nested cubes
+    that hold both at level k hold both at every shallower level.
     """
-    first = int(members[0])
-    last = int(members[-1])
+    ranks = system.rank[members]
+    first = system.order[ranks.min()]
+    last = system.order[ranks.max()]
     for k in range(system.max_level, -1, -1):
         labels = system.labels[k]
-        idx = labels[x]
-        if system.contiguous_at(k):
-            if labels[first] == idx and labels[last] == idx:
-                return system.cube_of(x, k)
-        elif labels[first] == idx and labels[last] == idx and \
-                np.all(labels[members] == idx):
-            return system.cube_of(x, k)
+        if labels[first] == labels[last]:
+            return k, int(labels[first])
     return None
 
 
@@ -421,21 +385,22 @@ def circumscribed_cube(family: AdjacentFamily, x: int, R: float,
 
     best = None
     for system in family.systems:
-        cube = _circumscribed_in_system(system, x, members)
-        if cube is None:
+        found = _circumscribed_in_system(system, members)
+        if found is None:
             continue
-        key = (cube.diameter, system.system_id)
-        if best is None or key < (best[0].diameter, best[1]):
-            best = (cube, system.system_id)
+        level, index = found
+        diam = float(system.diams_at(level)[index])
+        if best is None or diam < best[0]:
+            best = (diam, system.system_id, level, index)
     if best is None:
         raise InvalidArgumentError("no system has a containing cube (missing root?)")
-    cube, sys_id = best
-    cert = _cert_terms(family.params, R_eff, cube.k, cube.diameter)
+    diam, sys_id, level, index = best
+    cert = _cert_terms(family.params, R_eff, level, diam)
     flags = []
     if cert > family.C_delta_hat * (1 + 1e-9):
         flags.append("ratio-above-certificate")
-    ratio = cube.diameter / R_eff if R_eff > 0 else float("inf")
-    return CircumscribedCube(sys_id, cube, cube.k, ratio, R_eff, cert, flags)
+    ratio = diam / R_eff if R_eff > 0 else float("inf")
+    return CircumscribedCube(sys_id, level, index, diam, ratio, R_eff, cert, flags)
 
 
 def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
@@ -488,12 +453,14 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
             if entry is None:
                 continue
             members, R_eff = entry
-            cube = _circumscribed_in_system(system, x, members)
-            if cube is None:
+            found = _circumscribed_in_system(system, members)
+            if found is None:
                 continue
-            if cube.diameter < best_diam[qi]:
-                best_diam[qi] = cube.diameter
-                best_cert[qi] = _cert_terms(params, R_eff, cube.k, cube.diameter)
+            level, index = found
+            diam = system.diams_at(level)[index]
+            if diam < best_diam[qi]:
+                best_diam[qi] = diam
+                best_cert[qi] = _cert_terms(params, R_eff, level, diam)
 
     eval_system(probe)
     while float(np.max(best_cert, initial=1.0)) > target_ratio and len(systems) < K_max:
@@ -566,56 +533,65 @@ def save_family(family: AdjacentFamily, path, points_hash: str = "") -> None:
 def load_family(path, space: MetricSpace, points_hash: str | None = None) -> AdjacentFamily:
     """Rebuild a family from file, refusing mismatched or broken files.
 
-    Labels are re-derived from the stored nets and parents, and every system's
-    four structural checks are recomputed; a system that fails partition, the
+    An unreadable or malformed file raises ``StaleCubesError``. Labels are
+    re-derived from the stored nets and parents, and every system's four
+    structural checks are recomputed; a system that fails partition, the
     inner ball or the outer ball check makes the file stale. Ball
     monotonicity is recorded but does not refuse the file, and the sandwich
     inequality is not checked here (``cubedim verify`` samples it). Each
     system's checks are left on ``system.report.checks``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if points_hash is not None and doc.get("points_hash") not in ("", points_hash):
-        raise StaleCubesError("cubes file was built from a different points file")
-    p = doc["params"]
-    params = NetParams(delta=p["delta"], c0=p["c0"], C0=p["C0"])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise StaleCubesError(f"cannot read cubes file: {exc}") from exc
+    try:
+        if points_hash is not None and doc.get("points_hash") not in ("", points_hash):
+            raise StaleCubesError("cubes file was built from a different points file")
+        p = doc["params"]
+        params = NetParams(delta=p["delta"], c0=p["c0"], C0=p["C0"]).validate()
+        nets = [_nets_from_json(sdoc, space.n, params) for sdoc in doc["systems"]]
+        constants = (doc["C_delta_hat"], doc["C_tilde"], doc["best_effort"],
+                     p.get("target_ratio", 0.0), p.get("query_budget", 0), p.get("seed", 0))
+        scale = doc.get("scale", 1.0)
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise StaleCubesError(f"malformed cubes file: {exc!r}") from exc
+    if not nets:
+        raise StaleCubesError("cubes file holds no cube systems")
     norm = space.normalized(NORMALIZED_DIAMETER * min(1.0, params.c0))
     systems = []
-    for sid, sdoc in enumerate(doc["systems"]):
-        system = _system_from_json(sdoc, norm, params, sid)
+    for sid, (seed, levels, parent_idx) in enumerate(nets):
+        system = CubeSystem(sid, norm, params, seed, levels,
+                            _derive_labels(norm, levels, parent_idx), parent_idx,
+                            BuildReport())
         checks = verify_system(system)
         for name in ("ii_partition", "iii_inner", "iii_outer"):
             if checks[name].applicable and not checks[name].ok:
                 raise StaleCubesError(
                     f"cubes file fails property {name} on reload: {checks[name].witness}")
         systems.append(system)
-    family = AdjacentFamily(norm, params, systems, doc["C_delta_hat"], doc["C_tilde"],
-                            doc["best_effort"], p.get("target_ratio", 0.0),
-                            p.get("query_budget", 0), p.get("seed", 0), [],
-                            doc.get("scale", 1.0))
-    return family
+    return AdjacentFamily(norm, params, systems, *constants, [], scale)
 
 
-def _system_from_json(sdoc, norm, params, system_id) -> CubeSystem:
-    levels = []
-    for lv in sdoc["levels"]:
-        centers = np.asarray(lv["centers"], dtype=np.int64)
-        levels.append(NetLevel(k=lv["k"], centers=centers, params=params,
-                               seed=sdoc["seed"]))
-    max_level = len(levels) - 1
-    center_pos = [
-        {int(c): i for i, c in enumerate(lv.centers)} for lv in levels
-    ]
-    parent_idx = [None] + [np.zeros(levels[k].centers.size, dtype=np.int64)
-                           for k in range(1, max_level + 1)]
-    cursor = 0
-    pairs = sdoc["parents"]
-    for k in range(1, max_level + 1):
-        for ci in range(levels[k].centers.size):
-            child, parent = pairs[cursor]
-            cursor += 1
-            if int(child) != int(levels[k].centers[ci]):
-                raise StaleCubesError("parent list does not match level centers")
-            parent_idx[k][ci] = center_pos[k - 1][int(parent)]
-    labels = _derive_labels(norm, levels, parent_idx)
-    return CubeSystem(system_id, norm, params, sdoc["seed"], levels, labels,
-                      parent_idx, BuildReport())
+def _nets_from_json(sdoc, n, params):
+    """(seed, levels, parent_idx) of one stored system, with ids checked against n."""
+    levels = [NetLevel(k=lv["k"], centers=np.asarray(lv["centers"], dtype=np.int64),
+                       params=params, seed=sdoc["seed"]) for lv in sdoc["levels"]]
+    centers = np.concatenate([lv.centers for lv in levels])
+    # (child, parent) pairs, level by level from level 1
+    pairs = np.asarray(sdoc["parents"], dtype=np.int64).reshape(-1, 2)
+    if np.any((centers < 0) | (centers >= n)) or np.any((pairs < 0) | (pairs >= n)):
+        raise StaleCubesError(f"cubes file names point ids outside 0..{n - 1}")
+    if not np.array_equal(pairs[:, 0], centers[levels[0].centers.size:]):
+        raise StaleCubesError("parent list does not match level centers")
+    parent_idx = [None]
+    start = 0
+    for k in range(1, len(levels)):
+        stop = start + levels[k].centers.size
+        position = np.full(n, -1, dtype=np.int64)
+        position[levels[k - 1].centers] = np.arange(levels[k - 1].centers.size)
+        parent_idx.append(position[pairs[start:stop, 1]])
+        if np.any(parent_idx[k] < 0):
+            raise StaleCubesError(f"a level-{k} parent is not a level-{k - 1} center")
+        start = stop
+    return sdoc["seed"], levels, parent_idx

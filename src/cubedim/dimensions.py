@@ -8,6 +8,7 @@ admissible zoom windows. All estimators are deterministic given seeds.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .covering import greedy_cover_count
 from .cubes import (DIAMETER_SLACK, AdjacentFamily, CubeSystem, circumscribed_cube,
-                    r_grid)
+                    count_runs, r_grid)
 from .errors import (DegenerateBallError, InsufficientScalesError,
                      InvalidArgumentError, ScaleExhaustedError)
 
@@ -212,7 +213,7 @@ def box_dim_estimate(family: AdjacentFamily, E, x: int | None = None,
     if np.setdiff1d(E, members).size:
         raise InvalidArgumentError("E is not contained in the ball B(x, R)")
 
-    cc = circumscribed_cube(family, x, R)
+    cc = circumscribed_cube(family, x, R, members=members)
     system = family.systems[cc.system_id]
     depth = system.max_level - cc.level
     diam_E = space.diameter(E)
@@ -227,10 +228,8 @@ def box_dim_estimate(family: AdjacentFamily, E, x: int | None = None,
             f"(m_E={m_E}, depth={depth})")
 
     target = np.intersect1d(E, members)
-    counts = []
-    for m in m_window:
-        level = cc.level + m
-        counts.append(int(np.unique(system.labels[level][target]).size))
+    dfs = system.dfs_sorted(target)
+    counts = [count_runs(system.labels[cc.level + m][dfs]) for m in m_window]
     log_inv_delta = math.log(1.0 / family.params.delta)
     xs = [m * log_inv_delta for m in m_window]
     ys = [math.log(c) for c in counts]
@@ -303,9 +302,9 @@ def _windows_for_point(family, E, x, radii, seen):
         if members.size < 2:
             continue
         # the minimal containing cube depends only on the member set
-        # (cube families are laminar), so identical balls are one window
-        key = (int(members[0]), int(members[-1]), int(members.size),
-               int(members.sum()))
+        # (cube families are laminar), so identical balls are one window; a
+        # digest of the member ids keys the set without holding every array
+        key = (int(members.size), hashlib.sha256(members.tobytes()).digest())
         if key in seen:
             continue
         seen.add(key)
@@ -320,13 +319,12 @@ def _windows_for_point(family, E, x, radii, seen):
         depth = system.max_level - cc.level
         if depth < 2:
             continue
+        dfs = system.dfs_sorted(target)
         counts, max_diams = [], []
-        for m in range(1, depth + 1):
-            level = cc.level + m
-            idx = np.unique(system.labels[level][target])
-            diams = system.diams_at(level)
-            counts.append(int(idx.size))
-            max_diams.append(float(diams[idx].max()))
+        for level in range(cc.level + 1, system.max_level + 1):
+            labels = system.labels[level][dfs]
+            counts.append(count_runs(labels))
+            max_diams.append(float(system.diams_at(level)[labels].max()))
         out.append(LocalWindow(
             x=int(x), R=float(R), R_eff=cc.R_eff, level=cc.level,
             system_id=cc.system_id, depth=depth, counts=counts,

@@ -148,6 +148,57 @@ class TestVerify:
         assert "fails property" in r.stderr
 
 
+def _drop_key(doc):
+    del doc["C_tilde"]
+
+
+def _truncate_parents(doc):
+    doc["systems"][0]["parents"].pop()
+
+
+def _unknown_parent(doc):
+    system = doc["systems"][0]
+    shallower = set(system["levels"][-2]["centers"])
+    system["parents"][-1][1] = min(set(range(64)) - shallower)
+
+
+def _center_out_of_range(doc):
+    system = doc["systems"][0]
+    deepest = system["levels"][-1]["centers"]
+    # the space has 32 points; the deepest level's first center's pair is
+    # the first of the deepest level's pairs
+    system["parents"][len(system["parents"]) - len(deepest)][0] = deepest[0] = 32
+
+
+# how a cubes file is damaged: None leaves no file, a string replaces the text,
+# a function edits the parsed document of a good file
+DAMAGES = {
+    "missing-file": None,
+    "invalid-json": '{"systems": [',
+    "missing-key": _drop_key,
+    "truncated-parents": _truncate_parents,
+    "unknown-parent": _unknown_parent,
+    "center-out-of-range": _center_out_of_range,
+}
+
+
+class TestDamagedCubesFile:
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_verify_exit2_without_traceback(self, run, workspace, damage):
+        how = DAMAGES[damage]
+        path = workspace / f"damaged-{damage}.json"
+        if isinstance(how, str):
+            path.write_text(how)
+        elif how is not None:
+            doc = json.loads((workspace / "cubes.json").read_text())
+            how(doc)
+            path.write_text(json.dumps(doc))
+        r = run("verify", "--points", "pts.json", "--cubes", path.name, cwd=workspace)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error:"), r.stderr
+        assert "Traceback" not in r.stderr
+
+
 class TestDoubling:
     def test_doubling_report(self, run, workspace):
         r = run("doubling", "--points", "pts.json", "--budget", "16", cwd=workspace)

@@ -164,14 +164,16 @@ class TestDyadicCount:
         E = np.arange(0, space.n, 3)
         rep = dyadic_cover_count(ultra6_family, E, 0, 0.9999999999, 2)
         system = ultra6_family.systems[rep.system_id]
-        root = system.cube_of(0, rep.level)
-        cubes = system.descendants_at(root, 2)
+        # the level-(L_R + 2) cubes inside the circumscribed cube of point 0
+        root = system.labels[rep.level][0]
+        cubes = [members for members in system.cubes_at(rep.level + 2)
+                 if system.labels[rep.level][members[0]] == root]
         assert len(cubes) <= 20
         universe = frozenset(int(e) for e in E)
         best = None
         for count in range(1, len(cubes) + 1):
             for chosen in combinations(cubes, count):
-                merged = frozenset().union(*(set(int(v) for v in c.members) for c in chosen))
+                merged = frozenset().union(*(set(int(v) for v in c) for c in chosen))
                 if universe <= merged:
                     best = count
                     break

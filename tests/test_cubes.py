@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cubedim import (DegenerateBallError, InvalidArgumentError, MetricDescriptor,
-                     MetricSpace, ScaleExhaustedError, StaleCubesError, metric)
+                     MetricSpace, ScaleExhaustedError, StaleCubesError,
+                     dyadic_cover_count, metric)
 from cubedim.cubes import (_check_ball_monotone, _check_outer_balls, build_adjacent_family,
                            build_system, circumscribed_cube, default_max_level,
                            load_family, save_family, verify_system)
@@ -17,7 +18,7 @@ class TestBuildSystem:
         system = build_system(sp, NetParams(), seed=0, max_level=3)
         for k in range(4):
             cubes = system.cubes_at(k)
-            assert len(cubes) == 1 and list(cubes[0].members) == [0]
+            assert len(cubes) == 1 and list(cubes[0]) == [0]
 
     def test_ultrametric_levels_are_cylinders(self, ultra6_system):
         system = ultra6_system
@@ -25,20 +26,20 @@ class TestBuildSystem:
         for k in range(system.max_level + 1):
             cubes = system.cubes_at(k)
             assert len(cubes) == 2 ** k
-            for cube in cubes:
-                prefixes = {strings[m][:k] for m in cube.members}
+            for members in cubes:
+                prefixes = {strings[m][:k] for m in members}
                 assert len(prefixes) == 1
 
     def test_grid_level1_cubes_contiguous(self, grid257, params):
         system = build_system(grid257, params, seed=0)
-        for cube in system.cubes_at(1):
-            members = np.sort(cube.members)
+        for members in system.cubes_at(1):
             assert np.array_equal(members, np.arange(members[0], members[-1] + 1))
 
     def test_center_belongs_to_own_cube(self, ultra6_system):
         for k in range(ultra6_system.max_level + 1):
-            for cube in ultra6_system.cubes_at(k):
-                assert cube.center in cube.members
+            centers = ultra6_system.levels[k].centers
+            for center, members in zip(centers, ultra6_system.cubes_at(k)):
+                assert center in members
 
     def test_default_max_level_tracks_resolution(self, grid257, params):
         # smallest gap 1/256 resolves levels with delta^L >= 1/256 (delta = 1/16)
@@ -64,7 +65,6 @@ class TestVerifySystem:
         victim = int(system.levels[k].centers[0])
         labels[victim] = (labels[victim] + 1) % system.levels[k].centers.size
         system.labels[k] = labels
-        system._cubes = [None] * (system.max_level + 1)
         checks = verify_system(system)
         assert not checks["iii_inner"].ok
         assert checks["iii_inner"].witness is not None
@@ -80,7 +80,6 @@ class TestVerifySystem:
         system.parent_idx[k] = pidx
         for lvl in range(k - 1, -1, -1):
             system.labels[lvl] = system.parent_idx[lvl + 1][system.labels[lvl + 1]]
-        system._cubes = [None] * (system.max_level + 1)
         checks = verify_system(system)
         assert not checks["iv_ball_monotone"].ok
 
@@ -179,46 +178,65 @@ class TestCheckEquivalence:
 
 
 class TestCubeQueries:
+    """Cubes as arrays: ``labels[k][x]`` is the level-k cube of x, ``cubes_at(k)``
+    its members and ``order`` the depth-first order the cubes are runs of."""
+
     def test_cube_of_root(self, ultra6_system):
-        root = ultra6_system.cube_of(5, 0)
-        assert root.k == 0 and root.members.size == ultra6_system.space.n
+        root = int(ultra6_system.labels[0][5])
+        assert root == 0 and ultra6_system.cubes_at(0)[root].size == ultra6_system.space.n
 
     def test_cube_of_prefix(self, ultra6_system):
         x = ultra6_system.space.strings.index("011000")
-        cube = ultra6_system.cube_of(x, 2)
-        assert {ultra6_system.space.strings[m][:2] for m in cube.members} == {"01"}
+        members = ultra6_system.cubes_at(2)[ultra6_system.labels[2][x]]
+        assert x in members
+        assert {ultra6_system.space.strings[m][:2] for m in members} == {"01"}
 
     def test_parent_consistency(self, ultra6_system):
+        system = ultra6_system
         for x in (0, 17, 40):
-            for k in range(ultra6_system.max_level):
-                child = ultra6_system.cube_of(x, k + 1)
-                assert child.parent is ultra6_system.cube_of(x, k)
+            for k in range(system.max_level):
+                child = system.labels[k + 1][x]
+                parent = system.labels[k][x]
+                assert system.parent_idx[k + 1][child] == parent
+                assert np.setdiff1d(system.cubes_at(k + 1)[child],
+                                    system.cubes_at(k)[parent]).size == 0
 
     def test_level_out_of_range(self, ultra6_system):
         with pytest.raises(InvalidArgumentError):
-            ultra6_system.cube_of(0, ultra6_system.max_level + 1)
+            ultra6_system.cubes_at(ultra6_system.max_level + 1)
+        ultra6_system.diams_at(ultra6_system.max_level)
+        with pytest.raises(InvalidArgumentError):
+            ultra6_system.diams_at(-1)
 
     def test_descendants_identity(self, ultra6_system):
-        root = ultra6_system.cube_of(0, 0)
-        assert ultra6_system.descendants_at(root, 0) == [root]
+        # every cube at every level is one contiguous run of the depth-first order
+        system = ultra6_system
+        assert np.array_equal(np.sort(system.order), system.space.ids)
+        assert np.array_equal(system.order[system.rank], system.space.ids)
+        for k in range(system.max_level + 1):
+            for members in system.cubes_at(k):
+                ranks = np.sort(system.rank[members])
+                assert np.array_equal(ranks, np.arange(ranks[0], ranks[-1] + 1))
 
     def test_descendants_cylinder_count(self, ultra6_system):
-        root = ultra6_system.cube_of(0, 0)
-        assert len(ultra6_system.descendants_at(root, 3)) == 8
+        root_members = ultra6_system.cubes_at(0)[0]
+        assert ultra6_system.cubes_meeting(3, root_members).size == 8
 
     def test_descendants_partition_members(self, ultra6_system):
-        cube = ultra6_system.cube_of(0, 1)
-        desc = ultra6_system.descendants_at(cube, 2)
-        merged = np.sort(np.concatenate([d.members for d in desc]))
-        assert np.array_equal(merged, np.sort(cube.members))
-        sizes = sum(d.members.size for d in desc)
-        assert sizes == cube.members.size
+        system = ultra6_system
+        cube = system.cubes_at(1)[system.labels[1][0]]
+        desc = [system.cubes_at(3)[i] for i in system.cubes_meeting(3, cube)]
+        merged = np.sort(np.concatenate(desc))
+        assert np.array_equal(merged, cube)
+        assert sum(d.size for d in desc) == cube.size
 
-    def test_descendants_depth_overflow(self, ultra6_system):
-        cube = ultra6_system.cube_of(0, 2)
+    def test_descendants_depth_overflow(self, ultra6_family):
+        E = ultra6_family.space.ids
+        cc = circumscribed_cube(ultra6_family, 0, 0.05)
         with pytest.raises(ScaleExhaustedError) as err:
-            ultra6_system.descendants_at(cube, 20)
-        assert err.value.deepest_available == ultra6_system.max_level - 2
+            dyadic_cover_count(ultra6_family, E, 0, 0.05, 20)
+        system = ultra6_family.systems[cc.system_id]
+        assert err.value.deepest_available == system.max_level - cc.level
 
 
 class TestAdjacentFamily:
@@ -259,8 +277,10 @@ class TestAdjacentFamily:
 class TestCircumscribed:
     def test_whole_space_ball_is_root(self, ultra6_family):
         cc = circumscribed_cube(ultra6_family, 0, 0.9999999999)
-        assert cc.level == 0
-        assert cc.cube.members.size == ultra6_family.space.n
+        assert cc.level == 0 and cc.index == 0
+        system = ultra6_family.systems[cc.system_id]
+        assert system.cubes_at(0)[cc.index].size == ultra6_family.space.n
+        assert cc.diameter == system.diams_at(0)[0] == ultra6_family.space.diameter()
 
     def test_cylinder_balls(self, ultra6_family):
         space = ultra6_family.space
@@ -269,7 +289,8 @@ class TestCircumscribed:
             cc = circumscribed_cube(ultra6_family, x, 1.5 * 16.0 ** -j)
             assert cc.level == j
             prefix = space.strings[x][:j]
-            assert {space.strings[m][:j] for m in cc.cube.members} == {prefix}
+            members = ultra6_family.systems[cc.system_id].cubes_at(j)[cc.index]
+            assert {space.strings[m][:j] for m in members} == {prefix}
 
     def test_ball_contained_in_cube(self, cantor10_family):
         space = cantor10_family.space
@@ -282,7 +303,16 @@ class TestCircumscribed:
             except DegenerateBallError:
                 continue
             members = space.ball_members(x, R)
-            assert np.setdiff1d(members, cc.cube.members).size == 0
+            system = cantor10_family.systems[cc.system_id]
+            cube = system.cubes_at(cc.level)[cc.index]
+            assert np.setdiff1d(members, cube).size == 0
+            assert cc.diameter == space.diameter(cube)
+            # no system has a smaller cube holding the ball
+            for other in cantor10_family.systems:
+                for k in range(other.max_level + 1):
+                    i = other.labels[k][x]
+                    if np.all(other.labels[k][members] == i):
+                        assert other.diams_at(k)[i] >= cc.diameter
 
     def test_degenerate_ball_rejected(self, cantor10_family):
         gap = cantor10_family.space.min_positive_distance()

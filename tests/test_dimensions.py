@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cubedim import GeneratorSpec, ScaleExhaustedError, generate
+from cubedim import (GeneratorSpec, MetricDescriptor, MetricSpace, ScaleExhaustedError,
+                     generate)
 from cubedim.cubes import build_adjacent_family, build_system
 from cubedim.dimensions import (assouad_dim_estimate, assouad_spectrum_estimate,
                                 box_dim_estimate, cubic_measure, h_greedy_sum,
@@ -142,6 +143,26 @@ class TestLocalSweeps:
         bx = box_dim_estimate(fam, E).value
         assert asd.value >= bx + 0.2  # the zoomed-in windows see higher density
         assert "depth-limited" in asd.flags
+
+
+class TestWindowDedup:
+    def test_distinct_balls_with_equal_id_statistics_get_one_window_each(self):
+        # B(1, R) = {0, 1, 4, 5} and B(2, R) = {0, 2, 3, 5} share their first and
+        # last id, size and id sum; only a key on the member set tells them apart
+        d = np.full((6, 6), 1.5)
+        for a, near, far in ((2, (0, 3, 5), (1, 4)), (1, (0, 4, 5), (3,))):
+            d[a, list(near)] = d[list(near), a] = 1.0
+            d[a, list(far)] = d[list(far), a] = 1.9
+        np.fill_diagonal(d, 0.0)
+        space = MetricSpace(MetricDescriptor("matrix"), matrix=d)
+        fam = build_adjacent_family(space, NetParams(), K_max=2, query_budget=50,
+                                    seed=0, max_level=3)
+        R = 0.7
+        balls = {x: tuple(fam.space.ball_members(x, R)) for x in range(6)}
+        assert balls[1] == (0, 1, 4, 5) and balls[2] == (0, 2, 3, 5)
+        windows = local_windows(fam, fam.space.ids, radii=[R])
+        assert [w.x for w in windows] == list(range(6))
+        assert windows[2].target_size == 4
 
 
 class TestOrderingChain:
