@@ -46,6 +46,11 @@ class CoverReport:
 
 def dyadic_cover_count(family: AdjacentFamily, E, x: int, R: float, m: int) -> CoverReport:
     """Number of level-(L_R + m) cubes of the circumscribed cube meeting E inside B(x,R)."""
+    return _dyadic_cover(family, E, x, R, m)[0]
+
+
+def _dyadic_cover(family: AdjacentFamily, E, x: int, R: float, m: int):
+    """The dyadic count's report, and E inside B(x, R), the set it covers."""
     if m < 0:
         raise InvalidArgumentError("m must be >= 0")
     E = np.asarray(E, dtype=np.int64)
@@ -66,7 +71,7 @@ def dyadic_cover_count(family: AdjacentFamily, E, x: int, R: float, m: int) -> C
         system_id=cc.system_id, level=cc.level,
         max_cube_diameter=float(system.diams_at(level)[idx].max()),
         witnesses={"cube_centers": [int(c) for c in system.levels[level].centers[idx]]},
-        flags=list(cc.flags))
+        flags=list(cc.flags)), target
 
 
 def _grow_set(space: MetricSpace, start, candidates, r):
@@ -90,6 +95,10 @@ def greedy_cover_count(space: MetricSpace, E, r: float, return_sets: bool = Fals
 
     Picks the first uncovered id, grows a maximal diameter-<=r set around
     it by ascending distance, and repeats. If diam(E) <= r the answer is 1.
+    Growing admits every uncovered point within r of the start once their
+    diameter is at most r, so such a near set is taken whole; the margin
+    leaves the few-ulp differences between the diameter and distance
+    formulas to the growing.
     """
     E = np.asarray(E, dtype=np.int64)
     if E.size == 0:
@@ -104,7 +113,10 @@ def greedy_cover_count(space: MetricSpace, E, r: float, return_sets: bool = Fals
     while uncovered.size:
         start = int(uncovered[0])
         near = uncovered[space.row(start)[uncovered] <= r]
-        block = _grow_set(space, start, near, r)
+        if near.size == 1 or space.diameter(near) <= r * (1 - 1e-9):
+            block = near
+        else:
+            block = _grow_set(space, start, near, r)
         count += 1
         if return_sets:
             sets.append(block)
@@ -201,11 +213,9 @@ def sandwich_check(family: AdjacentFamily, E, x: int, R: float, m: int,
     the report records both sides plus the diameter margin so violations
     are visible.
     """
-    report = dyadic_cover_count(family, E, x, R, m)
+    report, target = _dyadic_cover(family, E, x, R, m)
     r_eff = family.C_tilde * family.params.delta ** m * report.R_eff
     report.r_effective = r_eff
-    members = family.space.ball_members(x, R)
-    target = np.intersect1d(np.asarray(E, dtype=np.int64), members)
     report.N_greedy = greedy_cover_count(family.space, target, r_eff)
     report.N_exact = exact_cover_count(family.space, target, r_eff, size_cap=size_cap)
     if report.max_cube_diameter > r_eff:

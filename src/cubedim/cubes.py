@@ -367,6 +367,25 @@ def _circumscribed_in_system(system: CubeSystem, members: np.ndarray):
     return None
 
 
+def _effective_radius(space: MetricSpace, x: int, R: float, members: np.ndarray,
+                      row: np.ndarray | None = None) -> float:
+    """min(R, 2 * diam(members)) for the members of B(x, R), x among them.
+
+    The diameter is at least the eccentricity max d(x, q), so once twice
+    that reaches R the answer is R with no diameter. The margin leaves the
+    few-ulp differences between the distance and diameter formulas to the
+    exact diameter. ``row``, the distances from x to every point, spares
+    recomputing the member distances.
+    """
+    if row is None:
+        ecc = space.pair_distances(np.full(members.size, x), members).max()
+    else:
+        ecc = row[members].max()
+    if 2.0 * ecc >= R * (1 + 1e-12):
+        return R
+    return min(R, 2.0 * space.diameter(members))
+
+
 def circumscribed_cube(family: AdjacentFamily, x: int, R: float,
                        members: np.ndarray | None = None) -> CircumscribedCube:
     """Minimal-diameter cube across systems containing B(x, R).
@@ -380,9 +399,13 @@ def circumscribed_cube(family: AdjacentFamily, x: int, R: float,
     if members.size < 2:
         raise DegenerateBallError(
             f"ball B({x}, {R:g}) holds {members.size} point(s); need at least 2")
-    ball_diam = family.space.diameter(members)
-    R_eff = min(R, 2.0 * ball_diam)
+    return _smallest_containing_cube(
+        family, members, _effective_radius(family.space, x, R, members))
 
+
+def _smallest_containing_cube(family: AdjacentFamily, members: np.ndarray,
+                              R_eff: float) -> CircumscribedCube:
+    """The circumscribed cube of a ball of two or more members, given its R_eff."""
     best = None
     for system in family.systems:
         found = _circumscribed_in_system(system, members)
@@ -448,7 +471,7 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
                     best_cert[qi] = 1.0  # degenerate: skipped by convention
                     best_diam[qi] = 0.0
                     continue
-                ball_cache[qi] = (m, min(R, 2.0 * norm.diameter(m)))
+                ball_cache[qi] = (m, _effective_radius(norm, x, R, m))
             entry = ball_cache[qi]
             if entry is None:
                 continue

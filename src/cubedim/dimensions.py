@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covering import greedy_cover_count
-from .cubes import (DIAMETER_SLACK, AdjacentFamily, CubeSystem, circumscribed_cube,
-                    count_runs, r_grid)
-from .errors import (DegenerateBallError, InsufficientScalesError,
-                     InvalidArgumentError, ScaleExhaustedError)
+from .cubes import (DIAMETER_SLACK, AdjacentFamily, CubeSystem, _effective_radius,
+                    _smallest_containing_cube, circumscribed_cube, count_runs, r_grid)
+from .errors import InsufficientScalesError, InvalidArgumentError, ScaleExhaustedError
 
 HAUSDORFF_SLOPE_TOL = 0.005
 BISECTION_STEPS = 20
@@ -198,10 +197,17 @@ def least_admissible_level(delta: float, diam: float, offset: int = 0) -> int:
 def box_dim_estimate(family: AdjacentFamily, E, x: int | None = None,
                      R: float | None = None, m_window=None,
                      sharper: bool = False) -> DimensionEstimate:
-    """Least-squares slope of log D(E, m) against m*log(1/delta)."""
+    """Least-squares slope of log D(E, m) against m*log(1/delta).
+
+    The counts are taken in the circumscribed cube of B(x, R), which must
+    hold E. Give both x and R, or neither: then x is the first id of E and
+    R just exceeds its farthest distance in E.
+    """
     E = np.asarray(E, dtype=np.int64)
     if E.size == 0:
         raise InvalidArgumentError("E must be non-empty")
+    if (x is None) != (R is None):
+        raise InvalidArgumentError("give both x and R to localize, or neither")
     space = family.space
     if E.size == 1:
         return DimensionEstimate(kind="box", value=0.0, window=[0, 0],
@@ -311,10 +317,8 @@ def _windows_for_point(family, E, x, radii, seen):
         target = members if E.size == space.n else np.intersect1d(E, members)
         if target.size == 0:
             continue
-        try:
-            cc = circumscribed_cube(family, int(x), float(R), members=members)
-        except DegenerateBallError:
-            continue
+        cc = _smallest_containing_cube(
+            family, members, _effective_radius(space, int(x), float(R), members, row))
         system = family.systems[cc.system_id]
         depth = system.max_level - cc.level
         if depth < 2:

@@ -115,8 +115,16 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def nearest_center_matrix(dmat: np.ndarray, query_ids: np.ndarray,
                           center_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix-metric variant of :func:`nearest_center_coords`."""
-    sub = dmat[np.ix_(query_ids, center_ids)]
-    best_idx = np.argmin(sub, axis=1).astype(np.int64)
-    best_d = sub[np.arange(sub.shape[0]), best_idx]
-    return best_idx, np.asarray(best_d, dtype=np.float64)
+    """Matrix-metric variant of :func:`nearest_center_coords`.
+
+    Works through CHUNK query rows at a time, so no |Q| x |C| copy of the
+    matrix is made.
+    """
+    best_idx = np.empty(len(query_ids), dtype=np.int64)
+    best_d = np.empty(len(query_ids), dtype=np.float64)
+    for start in range(0, len(query_ids), CHUNK):
+        sub = dmat[np.ix_(query_ids[start:start + CHUNK], center_ids)]
+        idx = np.argmin(sub, axis=1)
+        best_idx[start:start + idx.size] = idx
+        best_d[start:start + idx.size] = sub[np.arange(idx.size), idx]
+    return best_idx, best_d

@@ -185,13 +185,15 @@ class MetricSpace:
         if self._dmat is None:
             kind = self.descriptor.kind
             if kind in ("euclidean", "snowflake"):
-                base = kernels.pairwise_distances(self._coords)
+                dmat = self._transform(kernels.pairwise_distances(self._coords))
             elif kind == "matrix":
-                base = self._matrix
+                # a copy, so that _matrix is never written
+                dmat = self._transform(self._matrix.copy())
             else:
-                base = np.vstack([self._base_distances(i, slice(None))
-                                  for i in range(self.n)])
-            dmat = self._transform(base.astype(np.float64, copy=True))
+                # one n x n array, filled row by row with the formula of row()
+                dmat = np.empty((self.n, self.n), dtype=np.float64)
+                for i in range(self.n):
+                    dmat[i] = self._transform(self._base_distances(i, slice(None)))
             np.fill_diagonal(dmat, 0.0)
             if self.n <= CACHE_LIMIT:
                 self._dmat = dmat
@@ -282,8 +284,9 @@ class MetricSpace:
             except QhullError:
                 pass  # affinely degenerate (e.g. collinear): no hull, scan all points
         d2 = 0.0
-        for start in range(0, len(pts), 512):
-            block = pts[start:start + 512]
+        # 128-row blocks: a 2048-point scan holds 4 MB of differences, not 16 MB
+        for start in range(0, len(pts), 128):
+            block = pts[start:start + 128]
             diff = block[:, None, :] - pts[None, :, :]
             d2 = max(d2, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
         return float(np.sqrt(d2))

@@ -241,6 +241,21 @@ class TestSandwich:
         row = rep.as_csv_row()
         assert row.count(",") == 7
 
+    def test_ball_computed_once(self, ultra6_family, monkeypatch):
+        calls = []
+        ball_members = MetricSpace.ball_members
+
+        def counting(self, x, r):
+            calls.append((x, r))
+            return ball_members(self, x, r)
+
+        monkeypatch.setattr(MetricSpace, "ball_members", counting)
+        space = ultra6_family.space
+        for x, R, m in [(0, 0.9999999999, 2), (5, 0.3, 1), (17, 0.3, 2)]:
+            calls.clear()
+            sandwich_check(ultra6_family, space.ids, x, R, m)
+            assert calls == [(x, R)]
+
     def test_report_carries_m0(self, ultra6_family):
         rep = sandwich_check(ultra6_family, ultra6_family.space.ids, 0,
                              0.9999999999, 2)

@@ -8,17 +8,26 @@ that tests containment member by member (or by the id-range ends on levels
 whose cubes are contiguous id ranges), and ``np.unique`` over label slices.
 Both must agree bit for bit on random small spaces of every metric kind,
 with tied distances.
+
+Two exact shortcuts are held to the computations they skip, with radii
+drawn on their decision boundaries: a greedy cover block is its whole near
+set when that set's diameter allows, where the old greedy grew every block;
+and R_eff is R when twice the eccentricity reaches R, where the old code
+took min(R, 2 * diam) from the exact ball diameter every time.
 """
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubedim import MetricDescriptor, MetricSpace
-from cubedim.covering import dyadic_cover_count
+from cubedim import MetricDescriptor, MetricSpace, cubes
+from cubedim.covering import dyadic_cover_count, greedy_cover_count
 from cubedim.cubes import (_circumscribed_in_system, build_adjacent_family,
-                           circumscribed_cube, r_grid)
+                           circumscribed_cube, family_to_json, r_grid)
 from cubedim.dimensions import local_windows, sample_points
 from cubedim.errors import DegenerateBallError, ScaleExhaustedError
 from cubedim.nets import NetParams
@@ -206,3 +215,128 @@ class TestDepthFirstArrays:
         got = [(w.x, w.R, w.system_id, w.level, w.counts, w.max_diams, w.target_size)
                for w in local_windows(fam, E, sample_budget=SAMPLE_BUDGET, radii=radii)]
         assert got == oracle_windows(fam, E, radii)
+
+
+def oracle_grow_set(space, start, candidates, r):
+    """Grow a diameter-<=r set from ``start`` by ascending (distance, id)."""
+    row_start = space.row(int(start))[candidates]
+    order = np.lexsort((candidates, row_start))
+    maxd = row_start.copy()
+    chosen = [int(start)]
+    for pos in order:
+        cand = int(candidates[pos])
+        if cand == start:
+            continue
+        if maxd[pos] <= r:
+            chosen.append(cand)
+            np.maximum(maxd, space.row(cand)[candidates], out=maxd)
+    return np.asarray(sorted(chosen), dtype=np.int64)
+
+
+def oracle_greedy_sets(space, E, r):
+    """The greedy cover with every block grown from its near set."""
+    E = np.asarray(E, dtype=np.int64)
+    if E.size == 1 or space.diameter(E) <= r:
+        return [np.sort(E)]
+    uncovered = np.sort(E)
+    sets = []
+    while uncovered.size:
+        start = int(uncovered[0])
+        near = uncovered[space.row(start)[uncovered] <= r]
+        sets.append(oracle_grow_set(space, start, near, r))
+        uncovered = np.setdiff1d(uncovered, sets[-1], assume_unique=True)
+    return sets
+
+
+def oracle_R_eff(space, x, R, members, row=None):
+    return min(R, 2.0 * space.diameter(members))
+
+
+def boundary(values, rel):
+    """Each value times 1 + each relative offset."""
+    return [float(v) * (1.0 + e) for v in values for e in rel]
+
+
+class TestDecidedByBound:
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_greedy_cover_matches_grown_blocks(self, kind, data):
+        space = data.draw(spaces(kind))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        n = space.n
+        E = space.ids if data.draw(st.booleans()) else np.sort(
+            rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        a, b = rng.integers(n, size=(2, 6))
+        d = space.pair_distances(a[a != b], b[a != b])
+        # r on a pairwise distance, and on the edge of the whole-block margin
+        radii = boundary(d, (-1e-15, 0.0, 1e-15)) + boundary(d / (1 - 1e-9), (-1e-15, 0.0))
+        for r in radii:
+            expect = oracle_greedy_sets(space, E, r)
+            assert greedy_cover_count(space, E, r) == len(expect)
+            got = greedy_cover_count(space, E, r, return_sets=True)
+            assert [(g.dtype, g.tobytes()) for g in got] == [
+                (e.dtype, e.tobytes()) for e in expect]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_R_eff_equals_clamp_by_diameter(self, kind, data):
+        fam, E, radii = data.draw(families(kind))
+        space = fam.space
+        for x in space.ids[:: max(1, space.n // 5)]:
+            x = int(x)
+            row = space.row(x)
+            # twice each distance level from x, on and either side of the margin
+            levels = np.unique(row[row > 0])[:6]
+            for R in boundary(2.0 * levels, (-2e-12, -1e-12, 0.0, 1e-12, 2e-12)) + radii:
+                members = space.ball_members(x, R)
+                if members.size < 2:
+                    continue
+                cc = circumscribed_cube(fam, x, R)
+                assert cc.R_eff == oracle_R_eff(space, x, R, members)
+        windows = local_windows(fam, E, sample_budget=SAMPLE_BUDGET,
+                                radii=sorted(boundary(2.0 * np.asarray(radii), (0.0, 1e-12))
+                                             + radii, reverse=True))
+        for w in windows:
+            members = np.flatnonzero(space.row(w.x) < w.R)
+            assert w.R_eff == oracle_R_eff(space, w.x, w.R, members)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_family_matches_clamp_by_diameter(self, kind, data):
+        space = data.draw(spaces(kind))
+        seed = data.draw(st.integers(min_value=0, max_value=50))
+
+        def build():
+            fam = build_adjacent_family(space, NetParams(), K_max=3, query_budget=24,
+                                        target_ratio=2.0, seed=seed, max_level=3)
+            return family_to_json(fam), fam.query_log
+
+        got = build()
+        with mock.patch.object(cubes, "_effective_radius", oracle_R_eff):
+            assert got == build()
+
+
+class TestUltrametricMatrix:
+    def test_equals_stacked_rows(self):
+        strings = ["".join(w) for w in np.random.default_rng(3).choice(
+            list("012"), size=(200, 7))]
+        desc = MetricDescriptor("ultrametric", epsilon=0.6, arity=3, base=0.25, scale=1.7)
+        space = MetricSpace(desc, strings=sorted(set(strings)))
+        rows = np.vstack([space.row(i) for i in range(space.n)])
+        dmat = space.distance_matrix()
+        assert dmat.dtype == rows.dtype and dmat.tobytes() == rows.tobytes()
+
+    def test_builds_one_n_by_n_array(self):
+        strings = [format(i, "09b") for i in range(512)]
+        desc = MetricDescriptor("ultrametric", arity=2, base=0.0625, scale=1.3)
+        space = MetricSpace(desc, strings=strings)
+        tracemalloc.start()
+        try:
+            space.distance_matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * space.n ** 2 * 8

@@ -77,6 +77,15 @@ class TestBox:
         with pytest.raises(InvalidArgumentError):
             box_dim_estimate(ultra6_family, ultra6_family.space.ids, x=0, R=1e-4)
 
+    def test_x_and_R_go_together(self, ultra6_family):
+        from cubedim import InvalidArgumentError
+
+        E = ultra6_family.space.ids
+        with pytest.raises(InvalidArgumentError, match="both x and R"):
+            box_dim_estimate(ultra6_family, E, x=3)
+        with pytest.raises(InvalidArgumentError, match="both x and R"):
+            box_dim_estimate(ultra6_family, E, R=0.5)
+
     def test_sharper_window_option(self, cantor10_family):
         E = cantor10_family.space.ids
         loose = box_dim_estimate(cantor10_family, E)

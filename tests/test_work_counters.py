@@ -1,0 +1,94 @@
+"""Work that the exact shortcuts must skip, counted by wrapping functions.
+
+``greedy_cover_count`` takes a near set whole when its diameter is at most
+r, and ``circumscribed_cube`` takes R_eff = R when twice the ball's
+eccentricity reaches R. Neither changes an output, so losing one shows
+only in the work done; these counts make that fail the test suite.
+"""
+
+import numpy as np
+import pytest
+
+from cubedim import MetricDescriptor, MetricSpace, covering
+from cubedim.covering import greedy_cover_count
+from cubedim.cubes import build_adjacent_family, circumscribed_cube, r_grid
+from cubedim.nets import NetParams
+
+
+@pytest.fixture
+def grow_calls(monkeypatch):
+    calls = []
+    grow_set = covering._grow_set
+
+    def counting(*args):
+        calls.append(args[1])
+        return grow_set(*args)
+
+    monkeypatch.setattr(covering, "_grow_set", counting)
+    return calls
+
+
+@pytest.fixture
+def diameter_calls(monkeypatch):
+    calls = []
+    diameter = MetricSpace.diameter
+
+    def counting(self, subset=None):
+        calls.append(subset)
+        return diameter(self, subset)
+
+    monkeypatch.setattr(MetricSpace, "diameter", counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def line_family():
+    """129 evenly spaced points on a line, ids in coordinate order."""
+    space = MetricSpace(MetricDescriptor("euclidean"), coords=np.arange(129.0))
+    return build_adjacent_family(space, NetParams(), K_max=2, query_budget=50, seed=3)
+
+
+def test_evenly_spaced_cover_grows_no_block(grow_calls):
+    space = MetricSpace(MetricDescriptor("euclidean"), coords=np.arange(200.0))
+    # the near set of the first uncovered point is it and the next two
+    assert greedy_cover_count(space, space.ids, 2.5) == 67
+    assert grow_calls == []
+
+
+def test_normalized_line_covers_grow_no_block(grid257, grow_calls):
+    # r between two multiples of the gap: no near set's diameter is close to r
+    for k in range(1, 40):
+        r = (k + 0.5) / 256.0
+        assert greedy_cover_count(grid257, grid257.ids, r) == -(-257 // (k + 1))
+    assert grow_calls == []
+
+
+def test_circumscribed_cube_skips_decided_diameters(line_family, diameter_calls):
+    space = line_family.space
+    for system in line_family.systems:
+        for k in range(system.max_level + 1):
+            system.diams_at(k)  # cube diameters are cached; count only ball diameters
+    decided = 0
+    for x in range(0, space.n, 4):
+        for R in r_grid(line_family.params.delta, line_family.max_level):
+            members = space.ball_members(x, R)
+            ecc = space.row(x)[members].max()
+            if members.size < 2 or 2.0 * ecc < R * (1 + 1e-12):
+                continue
+            diameter_calls.clear()
+            assert circumscribed_cube(line_family, x, R).R_eff == R
+            assert diameter_calls == []
+            decided += 1
+    assert decided >= 50
+
+
+def test_undecided_ball_takes_its_diameter(ultra6_family, diameter_calls):
+    # an ultrametric ball's eccentricity is its diameter, here R/8 at most
+    space = ultra6_family.space
+    for system in ultra6_family.systems:
+        for k in range(system.max_level + 1):
+            system.diams_at(k)
+    diameter_calls.clear()
+    cc = circumscribed_cube(ultra6_family, 0, 0.5)
+    assert len(diameter_calls) == 1
+    assert cc.R_eff == 2.0 * space.diameter(space.ball_members(0, 0.5)) < 0.5
