@@ -1,9 +1,11 @@
 """The kernels behind nets and nearest-center assignment.
 
 Pairwise distances, greedy net selection and nearest-center assignment, for
-coordinate spaces and for spaces given by a dense distance matrix. All are
-NumPy code except nearest-center on coordinates, which queries a SciPy
-cKDTree over the centers and re-checks near-ties exactly. All functions are
+coordinate spaces and for spaces given by a dense distance matrix. The
+coordinate kernels query SciPy cKDTrees and decide every comparison near a
+threshold or a tie exactly, by squared distances; the matrix kernels are
+NumPy scans. Ultrametric spaces need neither: ``metric.PrefixIndex`` reads
+nets and nearest centers off their sorted strings. All functions are
 deterministic given their inputs.
 """
 
@@ -15,9 +17,11 @@ import numpy as np
 BACKEND = "pure"
 
 CHUNK = 512
-# relative gap between the two nearest tree distances below which
-# nearest_center_coords re-decides a query by squared distances; the tree's
-# distances and those differ by a few ulps, far less than this
+# relative slack on tree distances: nearest_center_coords re-decides a query
+# by squared distances when its two nearest centers are this close, and the
+# tree queries of greedy_net_coords and the net check widen their radius by
+# it; the tree's distances and the squared ones differ by a few ulps, far
+# less than this
 TIE_RTOL = 1e-7
 
 
@@ -35,31 +39,32 @@ def pairwise_distances(coords: np.ndarray) -> np.ndarray:
 
 
 def greedy_net_coords(coords: np.ndarray, order: np.ndarray, threshold: float) -> np.ndarray:
-    """Maximal threshold-separated subset, scanning points in ``order``.
+    """Maximal threshold-separated subset, scanning points in ``order``, which
+    lists each point at most once.
 
     A point is admitted iff its distance to every previously admitted point
     is >= threshold (compared in the squared domain). Returns admitted point
-    indices in admission order.
+    indices in admission order. Each admitted point blocks the points within
+    the threshold, found by a cKDTree over all points and decided by squared
+    distance; the scan admits the next point not yet blocked.
     """
+    from scipy.spatial import cKDTree  # on first use: slow to import
+
     coords = np.asarray(coords, dtype=np.float64)
-    n = coords.shape[0]
+    tree = cKDTree(coords)
     thr2 = threshold * threshold
-    chosen = np.empty(n, dtype=np.int64)
-    chosen_coords = np.empty_like(coords)
-    k = 0
+    radius = threshold * (1.0 + TIE_RTOL)
+    blocked = np.zeros(coords.shape[0], dtype=bool)
+    chosen = []
     for cand in order:
-        if k == 0:
-            chosen[0] = cand
-            chosen_coords[0] = coords[cand]
-            k = 1
+        if blocked[cand]:
             continue
-        diff = chosen_coords[:k] - coords[cand]
-        dsq = np.einsum("ij,ij->i", diff, diff)
-        if dsq.min() >= thr2:
-            chosen[k] = cand
-            chosen_coords[k] = coords[cand]
-            k += 1
-    return chosen[:k].copy()
+        chosen.append(cand)
+        near = tree.query_ball_point(coords[cand], radius, return_sorted=False)
+        if len(near) > 1:  # else the ball holds cand alone, and the scan is past it
+            near = np.asarray(near, dtype=np.int64)
+            blocked[near[_squared_distances(coords[near], coords[cand]) < thr2]] = True
+    return np.asarray(chosen, dtype=np.int64)
 
 
 def greedy_net_matrix(dmat: np.ndarray, order: np.ndarray, threshold: float) -> np.ndarray:

@@ -17,8 +17,7 @@ import numpy as np
 from . import kernels
 from .errors import InvalidArgumentError, PointsFileError
 
-# spaces up to this many points cache their dense distance matrix; larger
-# coordinate spaces answer ball queries from a cKDTree
+# distance_matrix() keeps its result on spaces up to this many points
 CACHE_LIMIT = 4096
 
 _KINDS = ("euclidean", "matrix", "snowflake", "ultrametric")
@@ -72,6 +71,134 @@ class DoublingEstimate:
     radii_probed: list = field(default_factory=list)
 
 
+class PrefixIndex:
+    """The strings of an ultrametric space, sorted once.
+
+    ``dist[L]`` is the distance between two strings whose longest common
+    prefix (lcp) has length L; its last entry, for equal strings, is 0. The
+    strings sharing a length-L prefix form one run of consecutive ranks, and
+    the lcp of two strings is the least adjacent lcp between their ranks.
+    Since ``dist`` is non-increasing (checked here), d(p, q) < t exactly
+    when p and q share a prefix of length ``level(t)``. Nets, nearest
+    centers, rows and balls are read off the sorted order with no n x n
+    matrix and no per-center scan.
+    """
+
+    def __init__(self, codes: np.ndarray, dist: np.ndarray):
+        if np.any(dist[1:] > dist[:-1]):
+            raise InvalidArgumentError("ultrametric distances must not grow with the "
+                                       "common prefix length")
+        n = codes.shape[0]
+        self.codes = codes
+        self.dist = dist
+        self._neg_dist = -dist  # ascending, for searchsorted
+        self.order = np.lexsort(codes.T[::-1])
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[self.order] = np.arange(n)
+        self.adjacent = self.lcp(self.order[:-1], self.order[1:])
+        self._runs = {}
+
+    def lcp(self, a, b):
+        """Longest common prefix length of the strings of ids ``a`` and ``b``, elementwise."""
+        neq = self.codes[a] != self.codes[b]
+        return np.where(neq.any(axis=-1), np.argmax(neq, axis=-1), self.codes.shape[1])
+
+    def level(self, t) -> int:
+        """Least L with dist[L] < t: d(p, q) < t iff lcp(p, q) >= level(t)."""
+        return int(np.searchsorted(self._neg_dist, -t, side="right"))
+
+    def _tie_level(self, d):
+        """Least L with dist[L] == d, for distances d taken from the table."""
+        return np.searchsorted(self._neg_dist, -d, side="left")
+
+    def runs(self, L) -> np.ndarray:
+        """Run number of each rank; two ranks share a run iff their strings
+        share a prefix of length L."""
+        if L not in self._runs:
+            self._runs[L] = np.concatenate([[0], np.cumsum(self.adjacent < L)])
+        return self._runs[L]
+
+    def row(self, p) -> np.ndarray:
+        """d(p, q) for every q: running minima of the adjacent lcps outward from p."""
+        r = self.rank[p]
+        lcp = np.empty(self.rank.size, dtype=self.adjacent.dtype)
+        lcp[r] = self.codes.shape[1]
+        lcp[r + 1:] = np.minimum.accumulate(self.adjacent[r:])
+        lcp[:r] = np.minimum.accumulate(self.adjacent[:r][::-1])[::-1]
+        out = np.empty(self.rank.size, dtype=np.float64)
+        out[self.order] = self.dist[lcp]
+        return out
+
+    def ball(self, x, r) -> np.ndarray:
+        """Ids q with d(x, q) < r, ascending: one run of ranks."""
+        runs = self.runs(self.level(r))
+        run = runs[self.rank[x]]
+        lo, hi = np.searchsorted(runs, [run, run + 1])
+        return np.sort(self.order[lo:hi])
+
+    def net(self, order: np.ndarray, t: float) -> np.ndarray:
+        """The greedy t-separated net of the scan ``order`` (a permutation of
+        the ids), in admission order.
+
+        A point is blocked by an admitted one iff they share a prefix of
+        length ``level(t)``, so the net is the first point in scan order of
+        each such prefix run.
+        """
+        runs = self.runs(self.level(t))
+        position = np.empty(order.size, dtype=np.int64)
+        position[order] = np.arange(order.size)
+        starts = np.flatnonzero(np.diff(runs)) + 1
+        first = np.minimum.reduceat(position[self.order], np.concatenate([[0], starts]))
+        return order[np.sort(first)]
+
+    def nearest(self, query_ids: np.ndarray, centers: np.ndarray):
+        """Per query: index into ``centers`` of the nearest one, and its distance.
+
+        The longest prefix a query shares with any center is the one it shares
+        with its predecessor or successor center in sorted order. Every center
+        at the same distance shares with the query the shortest prefix with
+        that distance, one run of ranks; the lowest index there wins, as
+        ``argmin`` over a row picks it.
+        """
+        k = centers.size
+        center_rank = self.rank[centers]
+        by_rank = np.argsort(center_rank, kind="stable")
+        query_rank = self.rank[query_ids]
+        pos = np.searchsorted(center_rank[by_rank], query_rank, side="right")
+        pred = centers[by_rank[np.maximum(pos - 1, 0)]]
+        succ = centers[by_rank[np.minimum(pos, k - 1)]]
+        best = np.maximum(self.lcp(query_ids, pred), self.lcp(query_ids, succ))
+        dist = self.dist[best]
+        tie_level = self._tie_level(dist)
+        idx = np.empty(query_ids.size, dtype=np.int64)
+        for L in np.unique(tie_level):
+            runs = self.runs(int(L))
+            lowest = np.full(int(runs[-1]) + 1, k, dtype=np.int64)
+            np.minimum.at(lowest, runs[center_rank], np.arange(k))
+            sel = tie_level == L
+            idx[sel] = lowest[runs[query_rank[sel]]]
+        return idx, dist
+
+    def closest_pair(self, ids: np.ndarray):
+        """(least d over pairs i < j of ``ids``, (ids[i], ids[j])) for the first such
+        pair in (i, j) order.
+
+        The longest common prefix within the set is between neighbours in
+        sorted order; the pairs at the least distance are those within one run
+        at its tie level, and the first is a run's two lowest positions.
+        """
+        ranks = self.rank[ids]
+        by_rank = np.argsort(ranks, kind="stable")
+        best = self.lcp(ids[by_rank[:-1]], ids[by_rank[1:]]).max()
+        d = self.dist[best]
+        runs = self.runs(int(self._tie_level(d)))[ranks]
+        grouped = np.lexsort((np.arange(ids.size), runs))
+        same = runs[grouped[1:]] == runs[grouped[:-1]]
+        first, second = grouped[:-1][same], grouped[1:][same]
+        t = int(np.argmin(first))
+        return float(d), (int(ids[first[t]]), int(ids[second[t]]))
+
+
 class MetricSpace:
     """Immutable finite metric space with id-indexed points."""
 
@@ -83,6 +210,7 @@ class MetricSpace:
         self._matrix = None
         self._dmat = None
         self._tree = None
+        self._prefixes = None
         self._diam = None
         self._min_gap = None
 
@@ -101,12 +229,12 @@ class MetricSpace:
             if not strings:
                 raise InvalidArgumentError("ultrametric metric needs string payloads")
             length = len(strings[0])
-            codes = np.zeros((len(strings), max(length, 1)), dtype=np.int16)
-            for i, s in enumerate(strings):
-                if len(s) != length:
-                    raise InvalidArgumentError("ultrametric strings must share one length")
-                for j, ch in enumerate(s):
-                    codes[i, j] = ord(ch)
+            if any(len(s) != length for s in strings):
+                raise InvalidArgumentError("ultrametric strings must share one length")
+            # one code point per column; a zero column stands in for empty strings
+            codes = np.zeros((len(strings), max(length, 1)), dtype=np.uint32)
+            codes[:, :length] = np.frombuffer("".join(strings).encode("utf-32-le"),
+                                              dtype=np.uint32).reshape(len(strings), length)
             self.strings = list(strings)
             self._codes = codes
             self.n = len(strings)
@@ -148,21 +276,14 @@ class MetricSpace:
         return base
 
     def _base_distances(self, a, b):
-        """Untransformed d(a, b), elementwise over ids or id arrays ``a`` and ``b``.
+        """Untransformed d(a, b) of a coordinate or matrix space, elementwise over
+        ids or id arrays ``a`` and ``b``.
 
         ``b`` may also be ``slice(None)``, giving the row of ``a`` to every point.
         """
-        kind = self.descriptor.kind
-        if kind in ("euclidean", "snowflake"):
+        if self.descriptor.kind in ("euclidean", "snowflake"):
             diff = self._coords[b] - self._coords[a]
             return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        if kind == "ultrametric":
-            neq = self._codes[b] != self._codes[a]
-            length = self._codes.shape[1]
-            lcp = np.where(neq.any(axis=1), np.argmax(neq, axis=1), length)
-            base = np.power(self.descriptor.base, lcp.astype(np.float64))
-            base[lcp == length] = 0.0
-            return base
         return self._matrix[a, b].copy()
 
     def row(self, p) -> np.ndarray:
@@ -170,6 +291,8 @@ class MetricSpace:
         self._check_id(p)
         if self._dmat is not None:
             return self._dmat[p]
+        if self.descriptor.kind == "ultrametric":
+            return self.prefix_index().row(p)
         return self._transform(self._base_distances(p, slice(None)))
 
     def pair_distances(self, a, b) -> np.ndarray:
@@ -178,7 +301,22 @@ class MetricSpace:
         b = np.asarray(b, dtype=np.int64)
         if self._dmat is not None:
             return self._dmat[a, b]
+        if self.descriptor.kind == "ultrametric":
+            index = self.prefix_index()
+            return index.dist[index.lcp(a, b)]
         return self._transform(self._base_distances(a, b))
+
+    def prefix_index(self) -> "PrefixIndex":
+        """The strings of an ultrametric space in lexicographic order (cached).
+
+        Its distance table holds ``row()``'s value at every prefix length.
+        """
+        if self._prefixes is None:
+            length = self._codes.shape[1]
+            base = np.power(self.descriptor.base, np.arange(length + 1).astype(np.float64))
+            base[length] = 0.0
+            self._prefixes = PrefixIndex(self._codes, self._transform(base))
+        return self._prefixes
 
     def distance_matrix(self) -> np.ndarray:
         """Dense distance matrix, cached when n <= CACHE_LIMIT."""
@@ -190,10 +328,10 @@ class MetricSpace:
                 # a copy, so that _matrix is never written
                 dmat = self._transform(self._matrix.copy())
             else:
-                # one n x n array, filled row by row with the formula of row()
+                # one n x n array, filled row by row
                 dmat = np.empty((self.n, self.n), dtype=np.float64)
                 for i in range(self.n):
-                    dmat[i] = self._transform(self._base_distances(i, slice(None)))
+                    dmat[i] = self.row(i)
             np.fill_diagonal(dmat, 0.0)
             if self.n <= CACHE_LIMIT:
                 self._dmat = dmat
@@ -216,19 +354,18 @@ class MetricSpace:
         if r <= 0:
             raise InvalidArgumentError("ball radius must be positive")
         kind = self.descriptor.kind
-        if kind in ("euclidean", "snowflake") and self.n > CACHE_LIMIT:
-            tree = self._get_tree()
+        if kind in ("euclidean", "snowflake"):
             base_r = self._invert_radius(r)
-            cand = np.asarray(tree.query_ball_point(self._coords[x], base_r * (1 + 1e-12)),
+            cand = np.asarray(self._get_tree().query_ball_point(self._coords[x],
+                                                                base_r * (1 + 1e-12)),
                               dtype=np.int64)
-            row = self._transform(np.sqrt(
-                np.einsum("ij,ij->i", self._coords[cand] - self._coords[x],
-                          self._coords[cand] - self._coords[x])))
-            members = cand[row < r]
+            diff = self._coords[cand] - self._coords[x]
+            members = cand[self._transform(np.sqrt(np.einsum("ij,ij->i", diff, diff))) < r]
             members.sort()
             return members
-        row = self.row(x)
-        return np.flatnonzero(row < r).astype(np.int64)
+        if kind == "ultrametric":
+            return self.prefix_index().ball(x, r)
+        return np.flatnonzero(self.row(x) < r).astype(np.int64)
 
     def _invert_radius(self, r) -> float:
         """Base-metric radius whose transformed value is r."""
@@ -260,14 +397,12 @@ class MetricSpace:
         if kind in ("euclidean", "snowflake"):
             return float(self._transform(self._euclid_diam(ids)))
         if kind == "ultrametric":
-            rows = self._codes[np.sort(ids)]
             # min lcp over the set is attained by the lexicographic extremes
-            order = np.lexsort(rows.T[::-1])
-            first, last = rows[order[0]], rows[order[-1]]
-            neq = first != last
-            if not neq.any():
+            index = self.prefix_index()
+            ranks = index.rank[ids]
+            lcp = int(index.lcp(index.order[ranks.min()], index.order[ranks.max()]))
+            if lcp == self._codes.shape[1]:
                 return 0.0
-            lcp = int(np.argmax(neq))
             return float(self._transform(self.descriptor.base ** lcp))
         sub = self._matrix[np.ix_(ids, ids)]
         return float(self._transform(sub.max()))
@@ -303,16 +438,13 @@ class MetricSpace:
             d, _ = self._get_tree().query(self._coords, k=2)
             base = float(d[:, 1].min())
         elif kind == "ultrametric":
-            order = np.lexsort(self._codes.T[::-1])
-            rows = self._codes[order]
-            neq = rows[:-1] != rows[1:]
-            lcps = np.where(neq.any(axis=1), np.argmax(neq, axis=1), self._codes.shape[1])
-            max_lcp = int(lcps[lcps < self._codes.shape[1]].max()) if np.any(
-                lcps < self._codes.shape[1]) else None
-            if max_lcp is None:
+            # the longest common prefix of two distinct strings is between neighbours
+            lcps = self.prefix_index().adjacent
+            lcps = lcps[lcps < self._codes.shape[1]]
+            if lcps.size == 0:
                 self._min_gap = float("inf")
                 return self._min_gap
-            base = self.descriptor.base ** max_lcp
+            base = self.descriptor.base ** int(lcps.max())
         else:
             m = self._matrix + np.diag(np.full(self.n, np.inf))
             base = float(m.min())

@@ -85,12 +85,14 @@ def build_net(space: MetricSpace, k: int, params: NetParams, seed: int = 0) -> N
         raise InvalidArgumentError("level k must be non-negative")
     threshold = params.separation(k)
     order = scan_order(space.n, seed, k)
-    if space.descriptor.kind in ("euclidean", "snowflake"):
-        sep = space._invert_radius(threshold)
-        centers = kernels.greedy_net_coords(space.coords, order, sep)
+    kind = space.descriptor.kind
+    if kind in ("euclidean", "snowflake"):
+        centers = kernels.greedy_net_coords(space.coords, order,
+                                            space._invert_radius(threshold))
+    elif kind == "ultrametric":
+        centers = space.prefix_index().net(order, threshold)
     else:
-        dmat = space.distance_matrix()
-        centers = kernels.greedy_net_matrix(dmat, order, threshold)
+        centers = kernels.greedy_net_matrix(space.distance_matrix(), order, threshold)
     centers = np.sort(centers)
     return NetLevel(k=k, centers=centers, params=params, seed=seed)
 
@@ -102,14 +104,15 @@ def nearest_center(space: MetricSpace, centers: np.ndarray, query_ids=None):
     lower point id. ``query_ids`` defaults to all points.
     """
     centers = np.asarray(centers, dtype=np.int64)
-    if space.descriptor.kind in ("euclidean", "snowflake"):
+    kind = space.descriptor.kind
+    if kind in ("euclidean", "snowflake"):
         q = space.coords if query_ids is None else space.coords[query_ids]
         idx, base_d = kernels.nearest_center_coords(q, space.coords[centers])
         return idx, space._transform(base_d)
-    dmat = space.distance_matrix()
-    if query_ids is None:
-        query_ids = np.arange(space.n, dtype=np.int64)
-    return kernels.nearest_center_matrix(dmat, np.asarray(query_ids, dtype=np.int64), centers)
+    query_ids = space.ids if query_ids is None else np.asarray(query_ids, dtype=np.int64)
+    if kind == "ultrametric":
+        return space.prefix_index().nearest(query_ids, centers)
+    return kernels.nearest_center_matrix(space.distance_matrix(), query_ids, centers)
 
 
 VERIFY_SLACK = 1e-9  # relative float slack; admission and checks round differently
@@ -128,14 +131,7 @@ def verify_net(space: MetricSpace, net: NetLevel) -> NetCheck:
         sep_ok = True
         sep_witness = None
     else:
-        worst_sep = float("inf")
-        sep_witness = None
-        for i, c in enumerate(centers[:-1]):
-            row = space.row(c)[centers[i + 1:]]
-            j = int(np.argmin(row))
-            if row[j] < worst_sep:
-                worst_sep = float(row[j])
-                sep_witness = (int(c), int(centers[i + 1 + j]))
+        worst_sep, sep_witness = _closest_pair(space, centers)
         worst_sep /= sep_required
         sep_ok = worst_sep >= 1.0 - VERIFY_SLACK
 
@@ -151,3 +147,32 @@ def verify_net(space: MetricSpace, net: NetLevel) -> NetCheck:
         worst_covering_ratio=float(worst_cover),
         witnesses={"separation_pair": sep_witness, "farthest_point": far},
     )
+
+
+def _closest_pair(space: MetricSpace, ids: np.ndarray):
+    """(least d(ids[i], ids[j]) over i < j, (ids[i], ids[j])) for the first pair
+    in (i, j) order at that distance, as a scan of rows would report it."""
+    kind = space.descriptor.kind
+    if kind == "ultrametric":
+        return space.prefix_index().closest_pair(ids)
+    if kind in ("euclidean", "snowflake"):
+        # the tree's distances round differently from pair_distances by a few
+        # ulps: take every pair near the tree's least distance, decide exactly
+        from scipy.spatial import cKDTree
+
+        tree = cKDTree(space.coords[ids])
+        near, _ = tree.query(space.coords[ids], k=2)
+        pairs = tree.query_pairs(float(near[:, 1].min()) * (1.0 + kernels.TIE_RTOL),
+                                 output_type="ndarray")
+        d = space.pair_distances(ids[pairs[:, 0]], ids[pairs[:, 1]])
+        tied = np.flatnonzero(d == d.min())
+        i, j = pairs[tied[np.lexsort((pairs[tied, 1], pairs[tied, 0]))[0]]]
+        return float(d[tied[0]]), (int(ids[i]), int(ids[j]))
+    best, witness = float("inf"), None
+    for i, c in enumerate(ids[:-1]):
+        row = space.row(c)[ids[i + 1:]]
+        j = int(np.argmin(row))
+        if row[j] < best:
+            best = float(row[j])
+            witness = (int(c), int(ids[i + 1 + j]))
+    return best, witness

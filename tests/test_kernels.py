@@ -1,8 +1,10 @@
 """Contracts of the kernels in ``cubedim.kernels``.
 
-Pairwise distances and greedy nets are NumPy loops. Nearest-center search
-uses a cKDTree over the centers and re-decides near-ties exactly; it is
-checked bit for bit against a brute-force scan kept here as the oracle.
+Pairwise distances and the matrix greedy net are NumPy loops. The
+coordinate greedy net blocks points with a cKDTree over all points (its
+scan oracle is in ``test_net_oracles.py``). Nearest-center search uses a
+cKDTree over the centers and re-decides near-ties exactly; it is checked
+bit for bit against a brute-force scan kept here as the oracle.
 Dyadic-rational inputs make every distance comparison exact in float64, so
 separation, maximality and ties can be checked exactly there, with no
 tolerance.

@@ -111,15 +111,21 @@ class TestBallMembers:
                 assert prev <= cur
                 prev = cur
 
-    def test_tree_path_matches_row_path(self, monkeypatch):
+    def test_tree_path_matches_row_path(self):
+        """Coordinate balls come from a cKDTree at every n; the oracle scans a row
+        computed as ``row`` computes it, with radii exactly at member distances."""
         rng = np.random.default_rng(2)
-        sp = euclid(rng.uniform(size=(300, 2)))
-        queries = [(x, r) for x in (0, 17, 255) for r in (0.05, 0.3, 0.9)]
-        by_row = [sp.ball_members(x, r) for x, r in queries]
-        monkeypatch.setattr(metric, "CACHE_LIMIT", 10)
-        by_tree = [sp.ball_members(x, r) for x, r in queries]
-        for row_members, tree_members in zip(by_row, by_tree):
-            assert np.array_equal(row_members, tree_members)
+        lattice = rng.integers(0, 9, size=(300, 2)) / 8.0
+        for sp in (euclid(rng.uniform(size=(300, 2))), euclid(lattice),
+                   euclid(lattice).snowflaked(0.5).rescaled(3.0)):
+            for x in (0, 17, 255):
+                diff = sp.coords - sp.coords[x]
+                row = sp._transform(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+                for r in (0.05, 0.3, 0.9, *np.unique(row)[1:40:3]):
+                    for radius in (r, np.nextafter(r, np.inf)):
+                        want = np.flatnonzero(row < radius)
+                        got = sp.ball_members(x, radius)
+                        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 class TestDiameter:

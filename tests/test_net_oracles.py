@@ -1,0 +1,277 @@
+"""Nets, nearest centers, rows and balls against the kernels they replaced.
+
+Coordinate nets come from kd-tree blocking, and ultrametric nets, nearest
+centers, rows and balls from prefix runs of the sorted strings; neither
+builds an n x n matrix or scans the admitted centers. The oracles here are
+the computations those replaced: the greedy scan that compares each
+candidate with every admitted center, and, for ultrametrics, the greedy scan
+and the argmin over a distance matrix filled from the old row formula
+(every string compared with the query string). Nets, parent indices, labels,
+nearest-center indices and distance bits, row bytes, balls, diameters and
+the net check's separation witness must agree bit for bit on small random
+spaces: ultrametrics with duplicate strings, snowflake exponents and scales,
+and coordinate lattices whose pairs sit exactly at the separation.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubedim import MetricDescriptor, MetricSpace, kernels
+from cubedim.cubes import build_system
+from cubedim.nets import NetLevel, NetParams, scan_order, verify_net
+
+EXAMPLES = 40
+# base ** 2 underflows to 0: distances at different prefix lengths tie
+TINY_BASES = (1 / 16, 0.2, 0.5, 1e-200)
+
+
+def scan_net_coords(coords, order, threshold):
+    """The greedy scan: admit a point iff it is >= threshold from every admitted one."""
+    thr2 = threshold * threshold
+    chosen = np.empty(coords.shape[0], dtype=np.int64)
+    chosen_coords = np.empty_like(coords)
+    k = 0
+    for cand in order:
+        if k == 0:
+            chosen[0] = cand
+            chosen_coords[0] = coords[cand]
+            k = 1
+            continue
+        diff = chosen_coords[:k] - coords[cand]
+        dsq = np.einsum("ij,ij->i", diff, diff)
+        if dsq.min() >= thr2:
+            chosen[k] = cand
+            chosen_coords[k] = coords[cand]
+            k += 1
+    return chosen[:k].copy()
+
+
+def _codes(space):
+    return np.array([[ord(ch) for ch in s] for s in space.strings], dtype=np.int16)
+
+
+def old_ultra_row(space, p, codes=None):
+    """Distances from p by comparing every string with p's, as ``row`` did."""
+    codes = _codes(space) if codes is None else codes
+    d = space.descriptor
+    neq = codes != codes[p]
+    length = codes.shape[1]
+    lcp = np.where(neq.any(axis=1), np.argmax(neq, axis=1), length)
+    base = np.power(d.base, lcp.astype(np.float64))
+    base[lcp == length] = 0.0
+    if d.epsilon != 1.0:
+        base = np.power(base, d.epsilon)
+    if d.scale != 1.0:
+        base = base * d.scale
+    return base
+
+
+def old_ultra_matrix(space):
+    codes = _codes(space)
+    return np.vstack([old_ultra_row(space, p, codes) for p in range(space.n)])
+
+
+def old_ultra_diameter(space, ids):
+    """Subset diameter from a lexsort of the subset's strings, as ``diameter`` did."""
+    if len(ids) == 1:
+        return 0.0
+    rows = _codes(space)[np.sort(ids)]
+    order = np.lexsort(rows.T[::-1])
+    neq = rows[order[0]] != rows[order[-1]]
+    if not neq.any():
+        return 0.0
+    return float(space._transform(space.descriptor.base ** int(np.argmax(neq))))
+
+
+def old_ultra_min_gap(space):
+    """Least positive distance from the lcps of lexicographic neighbours."""
+    codes = _codes(space)
+    rows = codes[np.lexsort(codes.T[::-1])]
+    neq = rows[:-1] != rows[1:]
+    lcps = np.where(neq.any(axis=1), np.argmax(neq, axis=1), codes.shape[1])
+    lcps = lcps[lcps < codes.shape[1]]
+    if lcps.size == 0:
+        return float("inf")
+    return float(space._transform(space.descriptor.base ** int(lcps.max())))
+
+
+def old_separation(rows, centers, sep_required):
+    """(worst separation ratio, witness) by one row per center, as ``verify_net`` did."""
+    worst, witness = float("inf"), None
+    for i, c in enumerate(centers[:-1]):
+        row = rows(c)[centers[i + 1:]]
+        j = int(np.argmin(row))
+        if row[j] < worst:
+            worst = float(row[j])
+            witness = (int(c), int(centers[i + 1 + j]))
+    return worst / sep_required, witness
+
+
+def old_net(space, k, params, seed, dmat=None):
+    order = scan_order(space.n, seed, k)
+    t = params.separation(k)
+    if dmat is None:
+        return np.sort(scan_net_coords(space.coords, order, space._invert_radius(t)))
+    return np.sort(kernels.greedy_net_matrix(dmat, order, t))
+
+
+def old_nearest(space, centers, query_ids, dmat=None):
+    if dmat is None:
+        idx, d = kernels.nearest_center_coords(space.coords[query_ids], space.coords[centers])
+        return idx, space._transform(d)
+    return kernels.nearest_center_matrix(dmat, query_ids, centers)
+
+
+def assert_system_matches_oracle(space, seed, max_level, ultrametric):
+    system = build_system(space, NetParams(), seed=seed, max_level=max_level)
+    norm = system.space
+    dmat = old_ultra_matrix(norm) if ultrametric else None
+    levels = [old_net(norm, k, NetParams(), seed, dmat) for k in range(max_level + 1)]
+    for level, want in zip(system.levels, levels):
+        assert np.array_equal(level.centers, want)
+    for k in range(1, max_level + 1):
+        pidx, _ = old_nearest(norm, levels[k - 1], levels[k], dmat)
+        assert np.array_equal(system.parent_idx[k], pidx)
+    labels, _ = old_nearest(norm, levels[-1], norm.ids, dmat)
+    for k in range(max_level, -1, -1):
+        assert np.array_equal(system.labels[k], labels)
+        if k:
+            labels = system.parent_idx[k][labels]
+    assert norm._dmat is None
+
+
+@st.composite
+def ultra_spaces(draw, bases=(1 / 16, 0.2, 0.25, 0.5)):
+    """1 to 60 strings of length 1 to 9 over 2 or 3 symbols, some repeated,
+    under a snowflake exponent and a scale."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    n = draw(st.integers(min_value=1, max_value=60))
+    arity = draw(st.integers(min_value=2, max_value=3))
+    words = rng.integers(0, arity, size=(n, draw(st.integers(min_value=1, max_value=9))))
+    if draw(st.booleans()):
+        words[rng.integers(n, size=n // 3)] = words[rng.integers(n, size=n // 3)]
+    desc = MetricDescriptor("ultrametric", arity=arity,
+                            base=draw(st.sampled_from(bases)))
+    space = MetricSpace(desc, strings=["".join(map(str, w)) for w in words])
+    epsilon = draw(st.sampled_from([1.0, 0.3, 0.7]))
+    if epsilon != 1.0:
+        space = space.snowflaked(epsilon)
+    scale = draw(st.sampled_from([1.0, 0.37, 3.0]))
+    return space.rescaled(scale) if scale != 1.0 else space
+
+
+@st.composite
+def lattices(draw):
+    """2 to 60 points of a 1-, 2- or 3-D lattice with spacing 1/8, some repeated,
+    or uniform floats; euclidean or snowflaked."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    n = draw(st.integers(min_value=2, max_value=60))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        pts = rng.integers(0, 6, size=(n, dim)) / 8.0
+    else:
+        pts = rng.uniform(size=(n, dim))
+    space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
+    epsilon = draw(st.sampled_from([1.0, 0.5, 0.8]))
+    return space.snowflaked(epsilon) if epsilon != 1.0 else space
+
+
+def _subset(data, n):
+    ids = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1,
+                             max_size=n, unique=True))
+    return np.asarray(ids, dtype=np.int64)
+
+
+class TestUltrametric:
+    @given(space=ultra_spaces(TINY_BASES), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_rows_balls_and_diameters(self, space, data):
+        dmat = old_ultra_matrix(space)
+        for p in range(space.n):
+            assert space.row(p).tobytes() == dmat[p].tobytes()
+        a, b = _subset(data, space.n), _subset(data, space.n)
+        m = min(a.size, b.size)
+        assert space.pair_distances(a[:m], b[:m]).tobytes() == dmat[a[:m], b[:m]].tobytes()
+        values = np.unique(dmat)
+        for x in range(0, space.n, 7):
+            for r in values[values > 0]:
+                for radius in (r, np.nextafter(r, np.inf)):
+                    want = np.flatnonzero(dmat[x] < radius)
+                    got = space.ball_members(x, radius)
+                    assert got.dtype == np.int64 and np.array_equal(got, want)
+        ids = _subset(data, space.n)
+        assert space.diameter(ids) == old_ultra_diameter(space, ids)
+        assert space.diameter() == old_ultra_diameter(space, space.ids)
+        assert space.min_positive_distance() == old_ultra_min_gap(space)
+        assert space.distance_matrix().tobytes() == dmat.tobytes()
+
+    @given(space=ultra_spaces(TINY_BASES), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_nets_nearest_centers_and_separation(self, space, data):
+        dmat = old_ultra_matrix(space)
+        index = space.prefix_index()
+        values = np.unique(dmat)
+        seed = data.draw(st.integers(min_value=0, max_value=50))
+        for k, t in enumerate(np.concatenate([values[values > 0], [values.max() * 2]])):
+            for threshold in (t, np.nextafter(t, np.inf)):
+                order = scan_order(space.n, seed, k)
+                net = index.net(order, threshold)
+                assert np.array_equal(net, kernels.greedy_net_matrix(dmat, order, threshold))
+        centers = _subset(data, space.n)
+        queries = _subset(data, space.n)
+        for q in (queries, space.ids):
+            idx, dist = index.nearest(q, centers)
+            want_idx, want_dist = kernels.nearest_center_matrix(dmat, q, centers)
+            assert np.array_equal(idx, want_idx) and dist.tobytes() == want_dist.tobytes()
+        if centers.size > 1:
+            level = NetLevel(k=1, centers=centers, params=NetParams(), seed=0)
+            check = verify_net(space, level)
+            want = old_separation(lambda c: dmat[c], centers, NetParams().separation(1))
+            assert (check.worst_separation_ratio,
+                    check.witnesses["separation_pair"]) == want
+
+    @given(space=ultra_spaces(), seed=st.integers(min_value=0, max_value=50),
+           max_level=st.integers(min_value=0, max_value=4))
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_system_matches_matrix_kernels(self, space, seed, max_level):
+        assert_system_matches_oracle(space, seed, max_level, ultrametric=True)
+
+
+class TestCoordinates:
+    @given(space=lattices(), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_net_matches_scan(self, space, data):
+        coords = space.coords
+        seed = data.draw(st.integers(min_value=0, max_value=50))
+        # lattice spacings: many pairs lie exactly at the separation
+        ticks = [j / 8.0 for j in range(1, 6)] + [float(np.sqrt(2.0) / 8.0), 2.0]
+        for k, t in enumerate(ticks):
+            order = scan_order(space.n, seed, k)
+            net = kernels.greedy_net_coords(coords, order, t)
+            assert np.array_equal(net, scan_net_coords(coords, order, t))
+
+    @given(space=lattices(), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_separation_matches_row_scan(self, space, data):
+        centers = _subset(data, space.n)
+        if data.draw(st.booleans()):
+            net = kernels.greedy_net_coords(space.coords, space.ids, 1 / 8)
+            centers = np.sort(net) if net.size > 1 else centers
+        if centers.size < 2:
+            return
+        k = data.draw(st.integers(min_value=0, max_value=2))
+        level = NetLevel(k=k, centers=centers, params=NetParams(), seed=0)
+        check = verify_net(space, level)
+        want = old_separation(space.row, centers, NetParams().separation(k))
+        assert (check.worst_separation_ratio, check.witnesses["separation_pair"]) == want
+
+    @given(space=lattices(), seed=st.integers(min_value=0, max_value=50),
+           max_level=st.integers(min_value=0, max_value=3))
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_system_matches_scan(self, space, seed, max_level):
+        # repeated points make min_positive_distance() 0 on coordinates
+        pts = np.unique(space.coords, axis=0)
+        if pts.shape[0] > 1:
+            space = MetricSpace(space.descriptor, coords=pts)
+            assert_system_matches_oracle(space, seed, max_level, ultrametric=False)

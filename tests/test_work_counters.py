@@ -2,16 +2,22 @@
 
 ``greedy_cover_count`` takes a near set whole when its diameter is at most
 r, and ``circumscribed_cube`` takes R_eff = R when twice the ball's
-eccentricity reaches R. Neither changes an output, so losing one shows
-only in the work done; these counts make that fail the test suite.
+eccentricity reaches R. Ultrametric spaces read nets, nearest centers, rows
+and balls off their sorted strings and never fill an n x n matrix. None of
+these changes an output, so losing one shows only in the work done or the
+memory held; these counts make that fail the test suite.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cubedim import MetricDescriptor, MetricSpace, covering
+from cubedim import (GeneratorSpec, MetricDescriptor, MetricSpace, cli, covering,
+                     generate, kernels)
 from cubedim.covering import greedy_cover_count
-from cubedim.cubes import build_adjacent_family, circumscribed_cube, r_grid
+from cubedim.cubes import (build_adjacent_family, build_system, circumscribed_cube, r_grid,
+                           verify_system)
 from cubedim.nets import NetParams
 
 
@@ -92,3 +98,58 @@ def test_undecided_ball_takes_its_diameter(ultra6_family, diameter_calls):
     cc = circumscribed_cube(ultra6_family, 0, 0.5)
     assert len(diameter_calls) == 1
     assert cc.R_eff == 2.0 * space.diameter(space.ball_members(0, 0.5)) < 0.5
+
+
+@pytest.fixture
+def matrix_kernel_calls(monkeypatch):
+    """Calls of the dense-matrix path: distance_matrix and the two matrix kernels."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(MetricSpace, "distance_matrix",
+                        counting("distance_matrix", MetricSpace.distance_matrix))
+    for name in ("greedy_net_matrix", "nearest_center_matrix"):
+        monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
+    return calls
+
+
+def test_ultrametric_pipeline_builds_no_matrix(tmp_path, matrix_kernel_calls, capsys):
+    pts, cubes_file = str(tmp_path / "pts.json"), str(tmp_path / "cubes.json")
+    assert cli.main(["gen", "ultrametric_cantor", "--arity", "2", "--base", "0.0625",
+                     "--depth", "6", "--out", pts]) == 0
+    assert cli.main(["build", "--points", pts, "--out", cubes_file, "--seed", "3",
+                     "--systems", "2", "--budget", "40"]) == 0
+    common = ["--points", pts, "--cubes", cubes_file, "--budget", "16"]
+    assert cli.main(["verify", *common]) == 0
+    for kind in ("box", "assouad"):
+        assert cli.main(["estimate", kind, *common, "--out", str(tmp_path / "e.json")]) == 0
+    capsys.readouterr()
+    assert matrix_kernel_calls == []
+
+
+def test_matrix_space_still_takes_the_matrix_path(matrix_kernel_calls):
+    weights = np.abs(np.subtract.outer(np.arange(12.0), np.arange(12.0)))
+    space = MetricSpace(MetricDescriptor("matrix"), matrix=weights)
+    build_system(space, NetParams(), seed=0, max_level=2)
+    assert {"distance_matrix", "greedy_net_matrix",
+            "nearest_center_matrix"} <= set(matrix_kernel_calls)
+
+
+def test_ultrametric_system_at_4096_points_stays_small():
+    # the n x n matrix alone would be 128 MiB
+    space = generate(GeneratorSpec(kind="ultrametric_cantor", arity=2, base=0.0625,
+                                   depth=12))
+    tracemalloc.start()
+    try:
+        system = build_system(space, NetParams(), seed=7)
+        verify_system(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.space.n == 4096 and system.space._dmat is None
+    assert peak < 16 * 2 ** 20
