@@ -49,6 +49,17 @@ def dyadic_cover_count(family: AdjacentFamily, E, x: int, R: float, m: int) -> C
     return _dyadic_cover(family, E, x, R, m)[0]
 
 
+def target_in_ball(space: MetricSpace, E: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """E inside a ball, ascending, given the ball's ascending members.
+
+    When E is the whole space, exactly the ids 0..n-1, that is the members
+    themselves and no intersection is computed.
+    """
+    if E.size == space.n and np.array_equal(E, space.ids):
+        return members
+    return np.intersect1d(E, members)
+
+
 def _dyadic_cover(family: AdjacentFamily, E, x: int, R: float, m: int):
     """The dyadic count's report, and E inside B(x, R), the set it covers."""
     if m < 0:
@@ -57,7 +68,7 @@ def _dyadic_cover(family: AdjacentFamily, E, x: int, R: float, m: int):
     members = family.space.ball_members(x, R)
     cc = circumscribed_cube(family, x, R, members=members)
     system = family.systems[cc.system_id]
-    target = np.intersect1d(E, members, assume_unique=False)
+    target = target_in_ball(family.space, E, members)
     level = cc.level + m
     if level > system.max_level:
         raise ScaleExhaustedError(
@@ -112,15 +123,20 @@ def greedy_cover_count(space: MetricSpace, E, r: float, return_sets: bool = Fals
     count = 0
     while uncovered.size:
         start = int(uncovered[0])
-        near = uncovered[space.row(start)[uncovered] <= r]
+        in_block = space.row(start)[uncovered] <= r
+        near = uncovered[in_block]
         if near.size == 1 or space.diameter(near) <= r * (1 - 1e-9):
             block = near
         else:
             block = _grow_set(space, start, near, r)
+            # a grown block is a subset of the near set: mark only its members
+            rows = np.flatnonzero(in_block)
+            in_block[:] = False
+            in_block[rows[np.searchsorted(near, block)]] = True
         count += 1
         if return_sets:
             sets.append(block)
-        uncovered = np.setdiff1d(uncovered, block, assume_unique=True)
+        uncovered = uncovered[~in_block]
     return sets if return_sets else count
 
 

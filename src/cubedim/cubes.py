@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (ConfigurationError, DegenerateBallError, InvalidArgumentError,
                      StaleCubesError)
 from .metric import MetricSpace
-from .nets import NetLevel, NetParams, build_net, nearest_center
+from .nets import NetLevel, NetParams, build_net, nearest_center, nearest_center_within
 
 MAX_LEVEL_CAP = 12   # default depth cap for resolution-derived levels
 HARD_LEVEL_CAP = 24  # explicit requests beyond this are configuration errors
@@ -50,6 +50,10 @@ def default_max_level(space: MetricSpace, delta: float) -> int:
     gap = space.min_positive_distance()
     if not math.isfinite(gap):
         return 1
+    if gap == 0.0:
+        raise ConfigurationError(
+            "the least distance between distinct points underflows to 0.0; "
+            "rescale the metric")
     level = int(math.floor(math.log(1.0 / gap) / math.log(1.0 / delta) + 1e-9))
     return max(1, min(MAX_LEVEL_CAP, level))
 
@@ -82,18 +86,24 @@ class CubeSystem:
 
     # -- cube access ----------------------------------------------------------
 
-    def cubes_at(self, k) -> list:
-        """Member ids of each level-k cube, ascending, indexed like the centers."""
+    def _grouped(self, k):
+        """``_group_by_label`` of level k: ids ordered by cube, and each cube's bounds."""
         if not (0 <= k <= self.max_level):
             raise InvalidArgumentError(f"level {k} out of range 0..{self.max_level}")
-        order, bounds = _group_by_label(self.labels[k], self.levels[k].centers.size)
+        return _group_by_label(self.labels[k], self.levels[k].centers.size)
+
+    def cubes_at(self, k) -> list:
+        """Member ids of each level-k cube, ascending, indexed like the centers."""
+        order, bounds = self._grouped(k)
         return np.split(order, bounds[1:-1])
 
     def diams_at(self, k) -> np.ndarray:
-        """Cube diameters at level k, indexed like the level's center list."""
+        """Cube diameters at level k, indexed like the level's center list.
+
+        One pass over the level's cubes; an empty cube has diameter 0.
+        """
         if k not in self._diams:
-            self._diams[k] = np.array([self.space.diameter(m) if m.size else 0.0
-                                       for m in self.cubes_at(k)])
+            self._diams[k] = self.space.run_diameters(*self._grouped(k))
         return self._diams[k]
 
     def dfs_sorted(self, ids) -> np.ndarray:
@@ -186,15 +196,15 @@ def _check_inner_balls(system: CubeSystem) -> PropertyCheck:
     ok = True
     for k in range(system.max_level + 1):
         inner = system.params.separation(k) / 3.0 * (1.0 - 1e-9)
-        idx, dist = nearest_center(system.space, system.levels[k].centers)
-        close = dist < inner
-        bad = close & (idx != system.labels[k])
-        if np.any(bad):
+        centers = system.levels[k].centers
+        points, idx, dist = nearest_center_within(system.space, centers, inner)
+        bad = np.flatnonzero(idx != system.labels[k][points])
+        if bad.size:
             ok = False
-            p = int(np.flatnonzero(bad)[0])
+            p = int(points[bad[0]])
             witness = {"level": k, "point": p,
-                       "nearest_center": int(system.levels[k].centers[idx[p]]),
-                       "assigned_center": int(system.levels[k].centers[system.labels[k][p]])}
+                       "nearest_center": int(centers[idx[bad[0]]]),
+                       "assigned_center": int(centers[system.labels[k][p]])}
             worst = max(worst, float((dist[bad] / inner).max()))
     return PropertyCheck("iii_inner", ok, worst=worst, witness=witness)
 
@@ -399,8 +409,10 @@ def circumscribed_cube(family: AdjacentFamily, x: int, R: float,
     if members.size < 2:
         raise DegenerateBallError(
             f"ball B({x}, {R:g}) holds {members.size} point(s); need at least 2")
-    return _smallest_containing_cube(
-        family, members, _effective_radius(family.space, x, R, members))
+    R_eff = _effective_radius(family.space, x, R, members)
+    if R_eff == 0.0:
+        raise DegenerateBallError(f"ball B({x}, {R:g}) holds one point, repeated")
+    return _smallest_containing_cube(family, members, R_eff)
 
 
 def _smallest_containing_cube(family: AdjacentFamily, members: np.ndarray,
@@ -466,12 +478,13 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
         for qi, (x, R) in enumerate(queries):
             if qi not in ball_cache:
                 m = norm.ball_members(x, R)
-                if m.size < 2:
+                R_eff = 0.0 if m.size < 2 else _effective_radius(norm, x, R, m)
+                if R_eff == 0.0:  # fewer than two distinct points
                     ball_cache[qi] = None
                     best_cert[qi] = 1.0  # degenerate: skipped by convention
                     best_diam[qi] = 0.0
                     continue
-                ball_cache[qi] = (m, _effective_radius(norm, x, R, m))
+                ball_cache[qi] = (m, R_eff)
             entry = ball_cache[qi]
             if entry is None:
                 continue
@@ -547,9 +560,11 @@ def family_to_json(family: AdjacentFamily, points_hash: str = "") -> dict:
 
 
 def save_family(family: AdjacentFamily, path, points_hash: str = "") -> None:
+    # json.dumps runs the C encoder; json.dump streams through the Python one
+    text = json.dumps(family_to_json(family, points_hash), sort_keys=True,
+                      separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(family_to_json(family, points_hash), fh, sort_keys=True,
-                  separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
 
 

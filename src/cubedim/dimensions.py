@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covering import greedy_cover_count
+from .covering import greedy_cover_count, target_in_ball
 from .cubes import (DIAMETER_SLACK, AdjacentFamily, CubeSystem, _effective_radius,
                     _smallest_containing_cube, circumscribed_cube, count_runs, r_grid)
 from .errors import InsufficientScalesError, InvalidArgumentError, ScaleExhaustedError
@@ -314,11 +314,13 @@ def _windows_for_point(family, E, x, radii, seen):
         if key in seen:
             continue
         seen.add(key)
-        target = members if E.size == space.n else np.intersect1d(E, members)
+        target = target_in_ball(space, E, members)
         if target.size == 0:
             continue
-        cc = _smallest_containing_cube(
-            family, members, _effective_radius(space, int(x), float(R), members, row))
+        R_eff = _effective_radius(space, int(x), float(R), members, row)
+        if R_eff == 0.0:  # the members are one point, repeated
+            continue
+        cc = _smallest_containing_cube(family, members, R_eff)
         system = family.systems[cc.system_id]
         depth = system.max_level - cc.level
         if depth < 2:

@@ -26,7 +26,7 @@ class StaleCubesError(ConfigurationError):
 
 
 class DegenerateBallError(CubedimError):
-    """Ball contains fewer than two points; covering queries are trivial there."""
+    """Ball contains fewer than two distinct points; covering queries are trivial there."""
 
 
 class ScaleExhaustedError(CubedimError):

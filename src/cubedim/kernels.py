@@ -112,6 +112,33 @@ def nearest_center_coords(query_coords: np.ndarray,
     return best_idx, np.sqrt(_squared_distances(q, cc[best_idx]))
 
 
+def nearest_center_within_coords(tree, center_coords: np.ndarray,
+                                 radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest center of each point of ``tree`` that has a center near it.
+
+    One pair query between a cKDTree over the centers and ``tree``, a
+    cKDTree over the points, finds every center within ``radius`` widened
+    by TIE_RTOL. Each pair is decided as in :func:`nearest_center_coords`:
+    least squared distance, ties to the earlier center row. Returns (point
+    rows, ascending; center indices; distances, each the square root of the
+    winner's squared distance). Every point with a center within
+    ``radius`` is listed with its nearest center; the widened radius may
+    list a few more.
+    """
+    from scipy.spatial import cKDTree  # on first use: slow to import
+
+    cc = np.asarray(center_coords, dtype=np.float64)
+    pairs = cKDTree(cc).sparse_distance_matrix(tree, radius * (1.0 + TIE_RTOL),
+                                               output_type="ndarray")
+    centers = pairs["i"].astype(np.int64)
+    points = pairs["j"].astype(np.int64)
+    dsq = _squared_distances(tree.data[points], cc[centers])
+    # per point, the least squared distance and then the lowest center row
+    order = np.lexsort((centers, dsq, points))
+    first = order[np.flatnonzero(np.diff(points[order], prepend=-1))]
+    return points[first], centers[first], np.sqrt(dsq[first])
+
+
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance between paired rows of ``a`` and ``b``."""
     diff = a - b

@@ -400,12 +400,54 @@ class MetricSpace:
             # min lcp over the set is attained by the lexicographic extremes
             index = self.prefix_index()
             ranks = index.rank[ids]
-            lcp = int(index.lcp(index.order[ranks.min()], index.order[ranks.max()]))
-            if lcp == self._codes.shape[1]:
-                return 0.0
-            return float(self._transform(self.descriptor.base ** lcp))
+            return self._lcp_diameter(int(index.lcp(index.order[ranks.min()],
+                                                    index.order[ranks.max()])))
         sub = self._matrix[np.ix_(ids, ids)]
         return float(self._transform(sub.max()))
+
+    def _lcp_diameter(self, lcp: int) -> float:
+        """Diameter of an ultrametric set whose least common prefix has length lcp."""
+        if lcp == self._codes.shape[1]:
+            return 0.0
+        return float(self._transform(self.descriptor.base ** lcp))
+
+    def run_diameters(self, ids, bounds) -> np.ndarray:
+        """Diameter of each run ``ids[bounds[i]:bounds[i + 1]]``; 0.0 for an empty run.
+
+        Each value equals ``diameter()`` of its run bit for bit. On 1-D
+        coordinates (max - min) and ultrametrics (the lcp of the least and
+        greatest rank) one pass over all runs finds every run's extremes, and
+        the scalar formula of ``diameter()`` runs once per distinct value.
+        Other kinds take each run's diameter in turn.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        bounds = np.asarray(bounds, dtype=np.int64)
+        sizes = np.diff(bounds)
+        out = np.zeros(sizes.size)
+        kind = self.descriptor.kind
+        if kind == "ultrametric" or (kind in ("euclidean", "snowflake")
+                                     and self._coords.shape[1] == 1):
+            filled = np.flatnonzero(sizes)  # reduceat needs non-empty runs
+            starts = bounds[filled]
+            if kind == "ultrametric":
+                index = self.prefix_index()
+                ranks = index.rank[ids[:bounds[-1]]]
+                lcps, inverse = np.unique(
+                    index.lcp(index.order[np.minimum.reduceat(ranks, starts)],
+                              index.order[np.maximum.reduceat(ranks, starts)]),
+                    return_inverse=True)
+                values = [self._lcp_diameter(int(lcp)) for lcp in lcps]
+            else:
+                x = self._coords[ids[:bounds[-1]], 0]
+                spans, inverse = np.unique(
+                    np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts),
+                    return_inverse=True)
+                values = [float(self._transform(float(span))) for span in spans]
+            out[filled] = np.asarray(values, dtype=np.float64)[inverse]
+            return out
+        for i in np.flatnonzero(sizes):
+            out[i] = self.diameter(ids[bounds[i]:bounds[i + 1]])
+        return out
 
     def _euclid_diam(self, ids) -> float:
         pts = self._coords[ids]
@@ -427,7 +469,11 @@ class MetricSpace:
         return float(np.sqrt(d2))
 
     def min_positive_distance(self) -> float:
-        """Smallest nonzero pairwise distance; inf for a singleton space."""
+        """Smallest distance between two distinct points; inf when there are none.
+
+        Repeated points are not distinct. The result is 0.0 only when the
+        least gap underflows.
+        """
         if self._min_gap is not None:
             return self._min_gap
         if self.n == 1:
@@ -437,6 +483,15 @@ class MetricSpace:
         if kind in ("euclidean", "snowflake"):
             d, _ = self._get_tree().query(self._coords, k=2)
             base = float(d[:, 1].min())
+            if base == 0.0:  # a repeated point: measure between distinct points
+                from scipy.spatial import cKDTree
+
+                distinct = np.unique(self._coords, axis=0)
+                if distinct.shape[0] == 1:
+                    self._min_gap = float("inf")
+                    return self._min_gap
+                d, _ = cKDTree(distinct).query(distinct, k=2)
+                base = float(d[:, 1].min())
         elif kind == "ultrametric":
             # the longest common prefix of two distinct strings is between neighbours
             lcps = self.prefix_index().adjacent
@@ -622,6 +677,8 @@ def save_points(space: MetricSpace, path) -> None:
             tri.extend(float(space._matrix[i, j]) for j in range(i))
         doc["metric"]["matrix"] = tri
         doc["points"] = list(range(space.n))
+    # json.dumps runs the C encoder; json.dump streams through the Python one
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")

@@ -115,6 +115,28 @@ def nearest_center(space: MetricSpace, centers: np.ndarray, query_ids=None):
     return kernels.nearest_center_matrix(space.distance_matrix(), query_ids, centers)
 
 
+def nearest_center_within(space: MetricSpace, centers: np.ndarray, radius: float):
+    """The points whose nearest center is closer than ``radius``: their ids,
+    ascending, the index into ``centers`` of that center, and its distance.
+
+    Equal to ``nearest_center`` over all points restricted to those points.
+    A point's nearest center is closer than ``radius`` exactly when some
+    center is, so on coordinates one pair query between the centers and
+    the points within the radius finds them all, and no other point is
+    visited.
+    """
+    centers = np.asarray(centers, dtype=np.int64)
+    if space.descriptor.kind in ("euclidean", "snowflake"):
+        ids, idx, base_d = kernels.nearest_center_within_coords(
+            space._get_tree(), space.coords[centers], space._invert_radius(radius))
+        dist = space._transform(base_d)
+    else:
+        idx, dist = nearest_center(space, centers)
+        ids = space.ids
+    close = dist < radius
+    return ids[close], idx[close], dist[close]
+
+
 VERIFY_SLACK = 1e-9  # relative float slack; admission and checks round differently
 
 

@@ -63,6 +63,29 @@ class TestBuild:
         r = run("build", "--points", "empty.json", "--out", "x.json", cwd=tmp_path)
         assert r.returncode == 2
 
+    def test_repeated_point_builds(self, run, tmp_path):
+        # the least gap is between distinct points: 0.5, not the repeat's 0
+        (tmp_path / "dup.json").write_text(json.dumps(
+            {"metric": {"kind": "euclidean"}, "points": [[0.0], [0.0], [0.5], [1.0]]}))
+        r = run("build", "--points", "dup.json", "--out", "dup_cubes.json", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run("verify", "--points", "dup.json", "--cubes", "dup_cubes.json", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        # four points give too few levels for a fit: refused, not crashed
+        for kind in ("box", "assouad"):
+            r = run("estimate", kind, "--points", "dup.json", "--cubes", "dup_cubes.json",
+                    cwd=tmp_path)
+            assert r.returncode == 1 and r.stderr.startswith("error:"), r.stderr
+
+    def test_underflowing_gap_exit2(self, run, tmp_path):
+        # base ** 2 underflows to 0.0 between distinct strings
+        r = run("gen", "ultrametric_cantor", "--base", "1e-200", "--depth", "3",
+                "--out", "tiny.json", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run("build", "--points", "tiny.json", "--out", "tiny_cubes.json", cwd=tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and "underflows" in r.stderr, r.stderr
+
 
 class TestEstimate:
     def test_box_value(self, run, workspace):

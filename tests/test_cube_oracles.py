@@ -14,9 +14,20 @@ drawn on their decision boundaries: a greedy cover block is its whole near
 set when that set's diameter allows, where the old greedy grew every block;
 and R_eff is R when twice the eccentricity reaches R, where the old code
 took min(R, 2 * diam) from the exact ball diameter every time.
+
+Reloading a family reads each level in one pass: ``diams_at`` takes every
+cube's diameter from one sweep of the level's grouped ids, where the old code
+called ``diameter`` per cube, and the inner-ball check pairs each level's
+centers with the points within the inner radius, where the old code ran a
+nearest-center query over every point. Both must match the old computation
+bit for bit, on tampered systems too, and a ``cubes.json`` round trip must
+reproduce the labels, parents and checks.
 """
 
+import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,13 +35,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubedim import MetricDescriptor, MetricSpace, cubes
+from cubedim import MetricDescriptor, MetricSpace, cli, cubes
 from cubedim.covering import dyadic_cover_count, greedy_cover_count
-from cubedim.cubes import (_circumscribed_in_system, build_adjacent_family,
-                           circumscribed_cube, family_to_json, r_grid)
+from cubedim.cubes import (BuildReport, CubeSystem, _check_inner_balls,
+                           _circumscribed_in_system, build_adjacent_family,
+                           circumscribed_cube, family_to_json, file_hash, load_family,
+                           r_grid, save_family, verify_system)
 from cubedim.dimensions import local_windows, sample_points
 from cubedim.errors import DegenerateBallError, ScaleExhaustedError
-from cubedim.nets import NetParams
+from cubedim.metric import load_points, save_points
+from cubedim.nets import NetLevel, NetParams, nearest_center, nearest_center_within
 
 SAMPLE_BUDGET = 8
 KINDS = ["euclidean", "snowflake", "ultrametric", "matrix"]
@@ -340,3 +354,180 @@ class TestUltrametricMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * space.n ** 2 * 8
+
+
+def oracle_level_diams(system, k):
+    """Level-k cube diameters one ``diameter`` call per cube, as ``diams_at`` took them."""
+    return np.array([system.space.diameter(m) if m.size else 0.0
+                     for m in system.cubes_at(k)])
+
+
+def oracle_inner_balls(system):
+    """(ok, worst, witness) of the inner-ball check from a nearest-center query
+    over every point at every level."""
+    worst, witness, ok = 0.0, None, True
+    for k in range(system.max_level + 1):
+        inner = system.params.separation(k) / 3.0 * (1.0 - 1e-9)
+        idx, dist = nearest_center(system.space, system.levels[k].centers)
+        bad = (dist < inner) & (idx != system.labels[k])
+        if np.any(bad):
+            ok = False
+            p = int(np.flatnonzero(bad)[0])
+            witness = {"level": k, "point": p,
+                       "nearest_center": int(system.levels[k].centers[idx[p]]),
+                       "assigned_center": int(system.levels[k].centers[system.labels[k][p]])}
+            worst = max(worst, float((dist[bad] / inner).max()))
+    return ok, worst, witness
+
+
+def with_labels(system, labels, levels=None):
+    return CubeSystem(system.system_id, system.space, system.params, system.seed,
+                      system.levels if levels is None else levels, labels,
+                      system.parent_idx, BuildReport())
+
+
+def relabelled(system, rng):
+    """The system with one point of a level-k inner ball moved to another cube."""
+    k = int(rng.integers(system.max_level + 1))
+    centers = system.levels[k].centers
+    if centers.size < 2:
+        return None
+    i = int(rng.integers(centers.size))
+    members = np.flatnonzero(system.labels[k] == i)
+    d = system.space.pair_distances(np.full(members.size, centers[i]), members)
+    inside = members[d < system.params.separation(k) / 3.0 * (1.0 - 1e-9)]
+    labels = [lab.copy() for lab in system.labels]
+    labels[k][rng.choice(inside)] = (i + 1 + int(rng.integers(centers.size - 1))) % centers.size
+    return with_labels(system, labels)
+
+
+def with_added_center(system, rng):
+    """The system with the non-center point nearest a level-k center made a
+    center too, at a random position in the center list."""
+    k = int(rng.integers(system.max_level + 1))
+    centers = system.levels[k].centers
+    others = np.setdiff1d(system.space.ids, centers)
+    if others.size == 0:
+        return None
+    c = centers[int(rng.integers(centers.size))]
+    q = others[int(np.argmin(system.space.pair_distances(np.full(others.size, c), others)))]
+    pos = int(rng.integers(centers.size + 1))
+    levels = list(system.levels)
+    levels[k] = NetLevel(k=k, centers=np.insert(centers, pos, q), params=system.params,
+                         seed=system.seed)
+    labels = [lab.copy() for lab in system.labels]
+    labels[k] = labels[k] + (labels[k] >= pos)  # the centers after pos moved up one
+    return with_labels(system, labels, levels)
+
+
+def random_runs(rng, n):
+    """Ids grouped into runs by random labels, some runs empty: (ids, bounds)."""
+    n_runs = int(rng.integers(1, n + 3))
+    return cubes._group_by_label(rng.integers(n_runs, size=n), n_runs)
+
+
+def with_tiny_base(space):
+    """The strings of an ultrametric space under base 1e-200: base ** 2 underflows."""
+    d = space.descriptor
+    return MetricSpace(MetricDescriptor("ultrametric", d.epsilon, d.arity, 1e-200, d.scale),
+                       strings=space.strings)
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestLevelPasses:
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_diams_at_matches_per_cube_diameters(self, kind, data):
+        fam, _, _ = data.draw(families(kind))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        systems = list(fam.systems)
+        if kind == "ultrametric":
+            # the same cubes under a base whose powers underflow to 0.0
+            tiny = with_tiny_base(fam.space)
+            systems += [CubeSystem(s.system_id, tiny, s.params, s.seed, s.levels, s.labels,
+                                   s.parent_idx, BuildReport()) for s in fam.systems]
+        for system in systems:
+            for k in range(system.max_level + 1):
+                assert same_bits(system.diams_at(k), oracle_level_diams(system, k))
+            space = system.space
+            ids, bounds = random_runs(rng, space.n)
+            want = np.array([space.diameter(ids[lo:hi]) if hi > lo else 0.0
+                             for lo, hi in zip(bounds[:-1], bounds[1:])])
+            assert same_bits(space.run_diameters(ids, bounds), want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_inner_ball_check_matches_full_query(self, kind, data):
+        fam, _, _ = data.draw(families(kind))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        for system in fam.systems:
+            tampered = [system, relabelled(system, rng), with_added_center(system, rng)]
+            for s in tampered:
+                if s is None:
+                    continue
+                check = _check_inner_balls(s)
+                assert (check.ok, check.worst, check.witness) == oracle_inner_balls(s)
+            if tampered[1] is not None:
+                assert not _check_inner_balls(tampered[1]).ok
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_nearest_center_within_matches_full_query(self, kind, data):
+        space = data.draw(spaces(kind))
+        scale = data.draw(st.sampled_from([1.0, 0.37, 3.0]))
+        space = space.rescaled(scale) if scale != 1.0 else space
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        centers = rng.choice(space.n, size=int(rng.integers(1, space.n + 1)), replace=False)
+        if data.draw(st.booleans()):
+            centers = np.sort(centers)
+        idx, dist = nearest_center(space, centers)
+        values = np.unique(dist[dist > 0])
+        values = values[rng.permutation(values.size)[:6]]
+        # radii on a nearest-center distance and one ulp either side of it
+        for r in np.concatenate([values, np.nextafter(values, np.inf),
+                                 np.nextafter(values, 0.0), [1.0, 3.0]]):
+            got = nearest_center_within(space, centers, float(r))
+            close = dist < r
+            want = (space.ids[close], idx[close], dist[close])
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_cubes_file_round_trip_and_estimate_bytes(self, kind, data):
+        space = data.draw(spaces(kind))
+        seed = data.draw(st.integers(min_value=0, max_value=50))
+        with tempfile.TemporaryDirectory() as tmp:
+            pts, cubes_file = str(Path(tmp) / "pts.json"), str(Path(tmp) / "cubes.json")
+            save_points(space, pts)
+            space = load_points(pts)
+            fam = build_adjacent_family(space, NetParams(), K_max=3, query_budget=12,
+                                        target_ratio=2.0, seed=seed, max_level=3)
+            checks = [verify_system(s) for s in fam.systems]
+            save_family(fam, cubes_file, points_hash=file_hash(pts))
+            loaded = load_family(cubes_file, space, points_hash=file_hash(pts))
+            assert json.loads(Path(cubes_file).read_text()) == json.loads(
+                json.dumps(family_to_json(loaded, file_hash(pts))))
+            assert loaded.K == fam.K
+            for built, got, want_checks in zip(fam.systems, loaded.systems, checks):
+                for k in range(built.max_level + 1):
+                    assert same_bits(got.labels[k], built.labels[k])
+                    if k:
+                        assert same_bits(got.parent_idx[k], built.parent_idx[k])
+                assert got.report.checks == want_checks
+            for estimate in ("box", "assouad"):
+                outs = []
+                for i in (1, 2):
+                    out = Path(tmp) / f"{estimate}{i}.json"
+                    rc = cli.main(["estimate", estimate, "--points", pts, "--cubes", cubes_file,
+                                   "--budget", "8", "--out", str(out)])
+                    outs.append((rc, out.read_bytes() if out.exists() else None))
+                assert outs[0] == outs[1]

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cubedim import (GeneratorSpec, MetricDescriptor, MetricSpace, ScaleExhaustedError,
-                     generate)
-from cubedim.cubes import build_adjacent_family, build_system
+from cubedim import (DegenerateBallError, GeneratorSpec, MetricDescriptor, MetricSpace,
+                     ScaleExhaustedError, generate)
+from cubedim.covering import target_in_ball
+from cubedim.cubes import build_adjacent_family, build_system, circumscribed_cube
 from cubedim.dimensions import (assouad_dim_estimate, assouad_spectrum_estimate,
                                 box_dim_estimate, cubic_measure, h_greedy_sum,
                                 hausdorff_dim_estimate, local_windows)
@@ -172,6 +173,32 @@ class TestWindowDedup:
         windows = local_windows(fam, fam.space.ids, radii=[R])
         assert [w.x for w in windows] == list(range(6))
         assert windows[2].target_size == 4
+
+
+class TestWholeSpaceTarget:
+    def test_only_the_ids_in_order_skip_the_intersection(self, ultra6_family):
+        space = ultra6_family.space
+        members = space.ball_members(0, 0.1)
+        assert target_in_ball(space, space.ids, members) is members
+        E = space.ids.copy()
+        E[1] = 0  # n ids, one repeated and id 1 missing
+        assert np.array_equal(target_in_ball(space, E, members), np.intersect1d(E, members))
+        windows = local_windows(ultra6_family, E, sample_budget=8, radii=[1.0 - 1e-10])
+        assert [w.target_size for w in windows] == [space.n - 1]
+
+
+class TestRepeatedPoint:
+    def test_ball_of_one_repeated_point_is_degenerate(self):
+        space = MetricSpace(MetricDescriptor("euclidean"),
+                            coords=np.array([0.0, 0.0, 0.25, 0.5, 0.75, 1.0]))
+        fam = build_adjacent_family(space, NetParams(), K_max=2, query_budget=50,
+                                    seed=0, max_level=3)
+        assert any(q["degenerate"] and q["x"] < 2 and q["R"] > 0.01 for q in fam.query_log)
+        R = 0.1
+        assert fam.space.ball_members(0, R).tolist() == [0, 1]
+        with pytest.raises(DegenerateBallError):
+            circumscribed_cube(fam, 0, R)
+        assert local_windows(fam, fam.space.ids, radii=[R]) == []
 
 
 class TestOrderingChain:

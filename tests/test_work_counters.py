@@ -3,9 +3,11 @@
 ``greedy_cover_count`` takes a near set whole when its diameter is at most
 r, and ``circumscribed_cube`` takes R_eff = R when twice the ball's
 eccentricity reaches R. Ultrametric spaces read nets, nearest centers, rows
-and balls off their sorted strings and never fill an n x n matrix. None of
-these changes an output, so losing one shows only in the work done or the
-memory held; these counts make that fail the test suite.
+and balls off their sorted strings and never fill an n x n matrix. Reloading
+a family queries nearest centers once per system, and ``diams_at`` reads a
+1-D or ultrametric level in one pass with no per-cube ``diameter`` call.
+None of these changes an output, so losing one shows only in the work done
+or the memory held; these counts make that fail the test suite.
 """
 
 import tracemalloc
@@ -13,11 +15,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cubedim import (GeneratorSpec, MetricDescriptor, MetricSpace, cli, covering,
-                     generate, kernels)
+from cubedim import (GeneratorSpec, MetricDescriptor, MetricSpace, cli, covering, cubes,
+                     generate, kernels, nets)
 from cubedim.covering import greedy_cover_count
-from cubedim.cubes import (build_adjacent_family, build_system, circumscribed_cube, r_grid,
-                           verify_system)
+from cubedim.cubes import (build_adjacent_family, build_system, circumscribed_cube,
+                           load_family, r_grid, save_family, verify_system)
 from cubedim.nets import NetParams
 
 
@@ -98,6 +100,38 @@ def test_undecided_ball_takes_its_diameter(ultra6_family, diameter_calls):
     cc = circumscribed_cube(ultra6_family, 0, 0.5)
     assert len(diameter_calls) == 1
     assert cc.R_eff == 2.0 * space.diameter(space.ball_members(0, 0.5)) < 0.5
+
+
+@pytest.fixture
+def nearest_center_calls(monkeypatch):
+    """Calls of ``nearest_center``, at its home and where cubes imports it."""
+    calls = []
+    nearest_center = nets.nearest_center
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return nearest_center(*args, **kwargs)
+
+    monkeypatch.setattr(nets, "nearest_center", counting)
+    monkeypatch.setattr(cubes, "nearest_center", counting)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", ["line_family", "ultra6_family"])
+def test_reload_reads_each_level_in_one_pass(request, fixture, tmp_path,
+                                             nearest_center_calls, diameter_calls):
+    family = request.getfixturevalue(fixture)
+    path = tmp_path / "cubes.json"
+    save_family(family, path)
+    loaded = load_family(path, family.space)
+    if family.space.descriptor.kind == "euclidean":
+        # the labels' query; the inner-ball check pairs centers and points instead
+        assert len(nearest_center_calls) == family.K
+    diameter_calls.clear()
+    for system in loaded.systems:
+        for k in range(system.max_level + 1):
+            system.diams_at(k)
+    assert diameter_calls == []
 
 
 @pytest.fixture
