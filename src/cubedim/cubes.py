@@ -538,12 +538,11 @@ def file_hash(path) -> str:
 def family_to_json(family: AdjacentFamily, points_hash: str = "") -> dict:
     systems = []
     for s in family.systems:
-        levels = [{"k": lv.k, "centers": [int(c) for c in lv.centers]}
-                  for lv in s.levels]
-        parents = []
+        levels = [{"k": lv.k, "centers": lv.centers.tolist()} for lv in s.levels]
+        parents = []  # (center, parent center) pairs, level by level
         for k in range(1, s.max_level + 1):
-            for ci, c in enumerate(s.levels[k].centers):
-                parents.append([int(c), int(s.levels[k - 1].centers[s.parent_idx[k][ci]])])
+            parent_centers = s.levels[k - 1].centers[s.parent_idx[k]]
+            parents += np.column_stack([s.levels[k].centers, parent_centers]).tolist()
         systems.append({"seed": s.seed, "levels": levels, "parents": parents})
     return {
         "params": {"delta": family.params.delta, "c0": family.params.c0,

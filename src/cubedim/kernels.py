@@ -1,12 +1,13 @@
 """The kernels behind nets and nearest-center assignment.
 
 Pairwise distances, greedy net selection and nearest-center assignment, for
-coordinate spaces and for spaces given by a dense distance matrix. The
-coordinate kernels query SciPy cKDTrees and decide every comparison near a
-threshold or a tie exactly, by squared distances; the matrix kernels are
-NumPy scans. Ultrametric spaces need neither: ``metric.PrefixIndex`` reads
-nets and nearest centers off their sorted strings. All functions are
-deterministic given their inputs.
+coordinate spaces and for spaces given by a dense distance matrix; the
+coordinate kernels serve ``metric.CoordIndex`` and the matrix kernels
+``metric.MatrixIndex``. The coordinate kernels query SciPy cKDTrees and
+decide every comparison near a threshold or a tie exactly, by squared
+distances; the matrix kernels are NumPy scans. Ultrametric spaces need
+neither: ``metric.PrefixIndex`` reads nets and nearest centers off their
+sorted strings. All functions are deterministic given their inputs.
 """
 
 from __future__ import annotations
@@ -38,20 +39,17 @@ def pairwise_distances(coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def greedy_net_coords(coords: np.ndarray, order: np.ndarray, threshold: float) -> np.ndarray:
-    """Maximal threshold-separated subset, scanning points in ``order``, which
-    lists each point at most once.
+def greedy_net_coords(tree, order: np.ndarray, threshold: float) -> np.ndarray:
+    """Maximal threshold-separated subset of the points of ``tree``, a cKDTree,
+    scanning points in ``order``, which lists each point at most once.
 
     A point is admitted iff its distance to every previously admitted point
     is >= threshold (compared in the squared domain). Returns admitted point
     indices in admission order. Each admitted point blocks the points within
-    the threshold, found by a cKDTree over all points and decided by squared
+    the threshold, found by querying ``tree`` and decided by squared
     distance; the scan admits the next point not yet blocked.
     """
-    from scipy.spatial import cKDTree  # on first use: slow to import
-
-    coords = np.asarray(coords, dtype=np.float64)
-    tree = cKDTree(coords)
+    coords = tree.data
     thr2 = threshold * threshold
     radius = threshold * (1.0 + TIE_RTOL)
     blocked = np.zeros(coords.shape[0], dtype=bool)

@@ -5,20 +5,22 @@ descriptor. Supported metrics: euclidean coordinates, an explicit distance
 matrix, snowflaked variants (d^epsilon), and the longest-common-prefix
 ultrametric on symbol strings. Every set in the package (subsets, balls,
 cubes) is an id array over one of these spaces.
+
+Each space answers its distance questions through one index of its kind,
+built on first use: ``CoordIndex``, ``PrefixIndex`` or ``MatrixIndex``.
+The three share one set of methods, so no caller tests the metric kind.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels
 from .errors import InvalidArgumentError, PointsFileError
-
-# distance_matrix() keeps its result on spaces up to this many points
-CACHE_LIMIT = 4096
 
 _KINDS = ("euclidean", "matrix", "snowflake", "ultrametric")
 
@@ -61,6 +63,16 @@ class MetricDescriptor:
             out["scale"] = self.scale
         return out
 
+    def transform(self, base):
+        """A base distance (Euclidean, stored, or ``base ** lcp``) put through the
+        snowflake power and the scale, elementwise over an array."""
+        if self.epsilon != 1.0:
+            base = (np.power(base, self.epsilon) if isinstance(base, np.ndarray)
+                    else base ** self.epsilon)
+        if self.scale != 1.0:
+            base = base * self.scale
+        return base
+
 
 @dataclass
 class DoublingEstimate:
@@ -71,7 +83,42 @@ class DoublingEstimate:
     radii_probed: list = field(default_factory=list)
 
 
-class PrefixIndex:
+class _Index:
+    """What the indexes of the three metric kinds share. Ids arrive checked,
+    as int64 arrays; a subset handed to ``diameter`` has two ids or more."""
+
+    def __init__(self, space: "MetricSpace"):
+        # parts of the space, not the space: it holds this index, and a cycle delays freeing both
+        self.descriptor = space.descriptor
+        self.ids = space.ids
+
+    def row(self, p) -> np.ndarray:
+        return self.pairs(p, slice(None))
+
+    def nearest_within(self, centers: np.ndarray, r: float):
+        """``nearest`` for (at least) every point with a center closer than
+        ``r``, ids first and ascending; here all points."""
+        return (self.ids, *self.nearest(self.ids, centers))
+
+    def run_diameters(self, ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """Here each run's ``diameter`` in turn."""
+        out = np.zeros(bounds.size - 1)
+        for i in np.flatnonzero(np.diff(bounds) > 1):
+            out[i] = self.diameter(ids[bounds[i]:bounds[i + 1]])
+        return out
+
+    @staticmethod
+    def _runs_by_key(bounds, keys_at, value) -> np.ndarray:
+        """Run diameters from one key per non-empty run, ``keys_at(starts)`` in one
+        pass; ``value(key)``, the diameter, runs once per distinct key."""
+        filled = np.flatnonzero(np.diff(bounds))  # reduceat needs non-empty runs
+        keys, inverse = np.unique(keys_at(bounds[filled]), return_inverse=True)
+        out = np.zeros(bounds.size - 1)
+        out[filled] = np.asarray([value(key) for key in keys], dtype=np.float64)[inverse]
+        return out
+
+
+class PrefixIndex(_Index):
     """The strings of an ultrametric space, sorted once.
 
     ``dist[L]`` is the distance between two strings whose longest common
@@ -84,14 +131,19 @@ class PrefixIndex:
     matrix and no per-center scan.
     """
 
-    def __init__(self, codes: np.ndarray, dist: np.ndarray):
-        if np.any(dist[1:] > dist[:-1]):
+    def __init__(self, space: "MetricSpace"):
+        super().__init__(space)
+        codes = space._codes
+        length = codes.shape[1]
+        base = np.power(space.descriptor.base, np.arange(length + 1).astype(np.float64))
+        base[length] = 0.0
+        self.dist = space.descriptor.transform(base)
+        if np.any(self.dist[1:] > self.dist[:-1]):
             raise InvalidArgumentError("ultrametric distances must not grow with the "
                                        "common prefix length")
         n = codes.shape[0]
         self.codes = codes
-        self.dist = dist
-        self._neg_dist = -dist  # ascending, for searchsorted
+        self._neg_dist = -self.dist  # ascending, for searchsorted
         self.order = np.lexsort(codes.T[::-1])
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[self.order] = np.arange(n)
@@ -128,6 +180,9 @@ class PrefixIndex:
         out = np.empty(self.rank.size, dtype=np.float64)
         out[self.order] = self.dist[lcp]
         return out
+
+    def pairs(self, a, b) -> np.ndarray:
+        return self.dist[self.lcp(a, b)]
 
     def ball(self, x, r) -> np.ndarray:
         """Ids q with d(x, q) < r, ascending: one run of ranks."""
@@ -198,19 +253,203 @@ class PrefixIndex:
         t = int(np.argmin(first))
         return float(d), (int(ids[first[t]]), int(ids[second[t]]))
 
+    def _lcp_diameter(self, lcp: int) -> float:
+        """Diameter of a set whose least common prefix has length lcp."""
+        if lcp == self.codes.shape[1]:
+            return 0.0
+        return float(self.descriptor.transform(self.descriptor.base ** lcp))
+
+    def diameter(self, ids: np.ndarray) -> float:
+        # min lcp over the set is attained by the lexicographic extremes
+        ranks = self.rank[ids]
+        return self._lcp_diameter(int(self.lcp(self.order[ranks.min()],
+                                               self.order[ranks.max()])))
+
+    def run_diameters(self, ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """One pass: the lcp of each run's least and greatest rank."""
+        ranks = self.rank[ids[:bounds[-1]]]
+        return self._runs_by_key(
+            bounds, lambda starts: self.lcp(self.order[np.minimum.reduceat(ranks, starts)],
+                                            self.order[np.maximum.reduceat(ranks, starts)]),
+            lambda lcp: self._lcp_diameter(int(lcp)))
+
+    def min_gap(self) -> float:
+        # the longest common prefix of two distinct strings is between neighbours
+        lcps = self.adjacent[self.adjacent < self.codes.shape[1]]
+        return self._lcp_diameter(int(lcps.max())) if lcps.size else float("inf")
+
+
+class CoordIndex(_Index):
+    """The points of a coordinate space (euclidean or snowflake).
+
+    A distance is the Euclidean one put through the descriptor's monotone
+    power and scale, so a radius is asked of the tree at ``base_radius``.
+    Balls, nets and the least gap query one kd-tree over all points, built
+    on first use; comparisons near a threshold or a tie are decided exactly.
+    """
+
+    def __init__(self, space: "MetricSpace"):
+        super().__init__(space)
+        self.coords = space.coords
+
+    @cached_property
+    def tree(self):
+        from scipy.spatial import cKDTree  # on first use: slow to import
+
+        return cKDTree(self.coords)
+
+    def base_radius(self, r) -> float:
+        """Base-metric radius whose transformed value is r."""
+        d = self.descriptor
+        base = r / d.scale
+        if d.epsilon != 1.0:
+            base = base ** (1.0 / d.epsilon)
+        return base
+
+    def pairs(self, a, b) -> np.ndarray:
+        """d(a, b) over ids or id arrays; ``b`` may be ``slice(None)``, every point."""
+        diff = self.coords[b] - self.coords[a]
+        return self.descriptor.transform(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+
+    def ball(self, x, r) -> np.ndarray:
+        cand = np.asarray(self.tree.query_ball_point(self.coords[x],
+                                                     self.base_radius(r) * (1 + 1e-12)),
+                          dtype=np.int64)
+        members = cand[self.pairs(x, cand) < r]
+        members.sort()
+        return members
+
+    def net(self, order: np.ndarray, t: float) -> np.ndarray:
+        return kernels.greedy_net_coords(self.tree, order, self.base_radius(t))
+
+    def nearest(self, query_ids: np.ndarray, centers: np.ndarray):
+        idx, base_d = kernels.nearest_center_coords(self.coords[query_ids],
+                                                    self.coords[centers])
+        return idx, self.descriptor.transform(base_d)
+
+    def nearest_within(self, centers: np.ndarray, r: float):
+        """A point's nearest center is closer than ``r`` exactly when some center
+        is, so one pair query between the centers and the points within ``r``
+        finds them all, and no other point is visited."""
+        ids, idx, base_d = kernels.nearest_center_within_coords(
+            self.tree, self.coords[centers], self.base_radius(r))
+        return ids, idx, self.descriptor.transform(base_d)
+
+    def closest_pair(self, ids: np.ndarray):
+        # the tree's distances round differently from pairs() by a few ulps:
+        # take every pair near the tree's least distance, decide exactly
+        from scipy.spatial import cKDTree
+
+        tree = cKDTree(self.coords[ids])
+        near, _ = tree.query(self.coords[ids], k=2)
+        cand = tree.query_pairs(float(near[:, 1].min()) * (1.0 + kernels.TIE_RTOL),
+                                output_type="ndarray")
+        d = self.pairs(ids[cand[:, 0]], ids[cand[:, 1]])
+        tied = np.flatnonzero(d == d.min())
+        i, j = cand[tied[np.lexsort((cand[tied, 1], cand[tied, 0]))[0]]]
+        return float(d[tied[0]]), (int(ids[i]), int(ids[j]))
+
+    def diameter(self, ids: np.ndarray) -> float:
+        pts = self.coords[ids]
+        if pts.shape[1] == 1:
+            return float(self.descriptor.transform(float(pts.max() - pts.min())))
+        if ids.size > 2048:
+            from scipy.spatial import ConvexHull, QhullError
+
+            try:
+                pts = pts[ConvexHull(pts).vertices]
+            except QhullError:
+                pass  # affinely degenerate (e.g. collinear): no hull, scan all points
+        d2 = 0.0
+        # 128-row blocks: a 2048-point scan holds 4 MB of differences, not 16 MB
+        for start in range(0, len(pts), 128):
+            block = pts[start:start + 128]
+            diff = block[:, None, :] - pts[None, :, :]
+            d2 = max(d2, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
+        return float(self.descriptor.transform(float(np.sqrt(d2))))
+
+    def run_diameters(self, ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """On a line, one pass: max - min of each run."""
+        if self.coords.shape[1] > 1:
+            return super().run_diameters(ids, bounds)
+        x = self.coords[ids[:bounds[-1]], 0]
+        return self._runs_by_key(
+            bounds, lambda starts: np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts),
+            lambda span: float(self.descriptor.transform(float(span))))
+
+    def min_gap(self) -> float:
+        d, _ = self.tree.query(self.coords, k=2)
+        base = float(d[:, 1].min())
+        if base == 0.0:  # a repeated point: measure between distinct points
+            from scipy.spatial import cKDTree
+
+            distinct = np.unique(self.coords, axis=0)
+            if distinct.shape[0] == 1:
+                return float("inf")
+            d, _ = cKDTree(distinct).query(distinct, k=2)
+            base = float(d[:, 1].min())
+        return float(self.descriptor.transform(base))
+
+
+class MatrixIndex(_Index):
+    """A space given by its distance matrix.
+
+    ``matrix``, the stored one put through the descriptor's power and scale,
+    is computed once per space on first use; rows are read-only views of it.
+    A diameter or the least gap is the transform of one stored entry.
+    """
+
+    def __init__(self, space: "MetricSpace"):
+        super().__init__(space)
+        self.stored = space._matrix
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        # a view, so that the flag below leaves the stored matrix writeable
+        out = self.descriptor.transform(self.stored.view())
+        out.flags.writeable = False
+        return out
+
+    def pairs(self, a, b) -> np.ndarray:
+        return self.matrix[a, b]
+
+    def ball(self, x, r) -> np.ndarray:
+        return np.flatnonzero(self.matrix[x] < r).astype(np.int64)
+
+    def net(self, order: np.ndarray, t: float) -> np.ndarray:
+        return kernels.greedy_net_matrix(self.matrix, order, t)
+
+    def nearest(self, query_ids: np.ndarray, centers: np.ndarray):
+        return kernels.nearest_center_matrix(self.matrix, query_ids, centers)
+
+    def closest_pair(self, ids: np.ndarray):
+        best, witness = float("inf"), None
+        for i, c in enumerate(ids[:-1]):
+            row = self.matrix[c, ids[i + 1:]]
+            j = int(np.argmin(row))
+            if row[j] < best:
+                best = float(row[j])
+                witness = (int(c), int(ids[i + 1 + j]))
+        return best, witness
+
+    def diameter(self, ids: np.ndarray) -> float:
+        return float(self.descriptor.transform(self.stored[np.ix_(ids, ids)].max()))
+
+    def min_gap(self) -> float:
+        m = self.stored + np.diag(np.full(self.ids.size, np.inf))
+        return float(self.descriptor.transform(float(m.min())))
+
 
 class MetricSpace:
-    """Immutable finite metric space with id-indexed points."""
+    """Immutable finite metric space with id-indexed points; ``index`` answers
+    its distance questions, and the methods here check and pass them on."""
 
     def __init__(self, descriptor, coords=None, strings=None, matrix=None):
         self.descriptor = descriptor
-        self._coords = None
+        self.coords = None  # the payload of the space's kind; the others stay None
         self._codes = None
         self.strings = None
         self._matrix = None
-        self._dmat = None
-        self._tree = None
-        self._prefixes = None
         self._diam = None
         self._min_gap = None
 
@@ -223,8 +462,9 @@ class MetricSpace:
                 c = c[:, None]
             if c.ndim != 2 or c.shape[0] == 0:
                 raise InvalidArgumentError("coordinates must be a non-empty 2d array")
-            self._coords = np.ascontiguousarray(c)
+            self.coords = np.ascontiguousarray(c)
             self.n = c.shape[0]
+            self._index_type = CoordIndex
         elif kind == "ultrametric":
             if not strings:
                 raise InvalidArgumentError("ultrametric metric needs string payloads")
@@ -238,11 +478,12 @@ class MetricSpace:
             self.strings = list(strings)
             self._codes = codes
             self.n = len(strings)
+            self._index_type = PrefixIndex
         elif kind == "matrix":
             m = np.asarray(matrix, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
                 raise InvalidArgumentError("matrix metric needs a square distance matrix")
-            if not np.allclose(m, m.T, rtol=0, atol=0):
+            if not np.array_equal(m, m.T):
                 raise InvalidArgumentError("distance matrix must be symmetric")
             if np.any(np.diag(m) != 0.0):
                 raise InvalidArgumentError("distance matrix diagonal must be zero")
@@ -251,15 +492,15 @@ class MetricSpace:
                 raise InvalidArgumentError("off-diagonal distances must be positive")
             self._matrix = m
             self.n = m.shape[0]
+            self._index_type = MatrixIndex
         else:  # pragma: no cover - descriptor validates kinds
             raise InvalidArgumentError(kind)
         self.ids = np.arange(self.n, dtype=np.int64)
 
-    # -- raw payload access -------------------------------------------------
-
-    @property
-    def coords(self):
-        return self._coords
+    @cached_property
+    def index(self) -> _Index:
+        """The distance index of this space's metric kind, built on first use."""
+        return self._index_type(self)
 
     def _check_id(self, p):
         if not (0 <= p < self.n):
@@ -267,76 +508,21 @@ class MetricSpace:
 
     # -- distances ----------------------------------------------------------
 
-    def _transform(self, base):
-        d = self.descriptor
-        if d.epsilon != 1.0:
-            base = np.power(base, d.epsilon) if isinstance(base, np.ndarray) else base ** d.epsilon
-        if d.scale != 1.0:
-            base = base * d.scale
-        return base
-
-    def _base_distances(self, a, b):
-        """Untransformed d(a, b) of a coordinate or matrix space, elementwise over
-        ids or id arrays ``a`` and ``b``.
-
-        ``b`` may also be ``slice(None)``, giving the row of ``a`` to every point.
-        """
-        if self.descriptor.kind in ("euclidean", "snowflake"):
-            diff = self._coords[b] - self._coords[a]
-            return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        return self._matrix[a, b].copy()
-
     def row(self, p) -> np.ndarray:
-        """Distances from p to every point, as a length-n vector."""
+        """Distances from p to every point, as a length-n vector (do not write it)."""
         self._check_id(p)
-        if self._dmat is not None:
-            return self._dmat[p]
-        if self.descriptor.kind == "ultrametric":
-            return self.prefix_index().row(p)
-        return self._transform(self._base_distances(p, slice(None)))
+        return self.index.row(p)
 
     def pair_distances(self, a, b) -> np.ndarray:
         """d(a[i], b[i]) for paired id arrays; elementwise equal to ``distance``."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self._dmat is not None:
-            return self._dmat[a, b]
-        if self.descriptor.kind == "ultrametric":
-            index = self.prefix_index()
-            return index.dist[index.lcp(a, b)]
-        return self._transform(self._base_distances(a, b))
-
-    def prefix_index(self) -> "PrefixIndex":
-        """The strings of an ultrametric space in lexicographic order (cached).
-
-        Its distance table holds ``row()``'s value at every prefix length.
-        """
-        if self._prefixes is None:
-            length = self._codes.shape[1]
-            base = np.power(self.descriptor.base, np.arange(length + 1).astype(np.float64))
-            base[length] = 0.0
-            self._prefixes = PrefixIndex(self._codes, self._transform(base))
-        return self._prefixes
+        return self.index.pairs(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
     def distance_matrix(self) -> np.ndarray:
-        """Dense distance matrix, cached when n <= CACHE_LIMIT."""
-        if self._dmat is None:
-            kind = self.descriptor.kind
-            if kind in ("euclidean", "snowflake"):
-                dmat = self._transform(kernels.pairwise_distances(self._coords))
-            elif kind == "matrix":
-                # a copy, so that _matrix is never written
-                dmat = self._transform(self._matrix.copy())
-            else:
-                # one n x n array, filled row by row
-                dmat = np.empty((self.n, self.n), dtype=np.float64)
-                for i in range(self.n):
-                    dmat[i] = self.row(i)
-            np.fill_diagonal(dmat, 0.0)
-            if self.n <= CACHE_LIMIT:
-                self._dmat = dmat
-            return dmat
-        return self._dmat
+        """Dense n x n distance matrix, one ``row()`` per point; nothing is cached."""
+        out = np.empty((self.n, self.n), dtype=np.float64)
+        for p in range(self.n):
+            out[p] = self.row(p)
+        return out
 
     def distance(self, p, q) -> float:
         """d(p, q) per the descriptor; symmetric, zero iff the stored points coincide."""
@@ -353,34 +539,7 @@ class MetricSpace:
         self._check_id(x)
         if r <= 0:
             raise InvalidArgumentError("ball radius must be positive")
-        kind = self.descriptor.kind
-        if kind in ("euclidean", "snowflake"):
-            base_r = self._invert_radius(r)
-            cand = np.asarray(self._get_tree().query_ball_point(self._coords[x],
-                                                                base_r * (1 + 1e-12)),
-                              dtype=np.int64)
-            diff = self._coords[cand] - self._coords[x]
-            members = cand[self._transform(np.sqrt(np.einsum("ij,ij->i", diff, diff))) < r]
-            members.sort()
-            return members
-        if kind == "ultrametric":
-            return self.prefix_index().ball(x, r)
-        return np.flatnonzero(self.row(x) < r).astype(np.int64)
-
-    def _invert_radius(self, r) -> float:
-        """Base-metric radius whose transformed value is r."""
-        d = self.descriptor
-        base = r / d.scale
-        if d.epsilon != 1.0:
-            base = base ** (1.0 / d.epsilon)
-        return base
-
-    def _get_tree(self):
-        if self._tree is None:
-            from scipy.spatial import cKDTree
-
-            self._tree = cKDTree(self._coords)
-        return self._tree
+        return self.index.ball(x, r)
 
     def diameter(self, subset=None) -> float:
         """Max pairwise distance over the subset (whole space by default)."""
@@ -393,80 +552,13 @@ class MetricSpace:
             raise InvalidArgumentError("diameter of an empty subset")
         if ids.size == 1:
             return 0.0
-        kind = self.descriptor.kind
-        if kind in ("euclidean", "snowflake"):
-            return float(self._transform(self._euclid_diam(ids)))
-        if kind == "ultrametric":
-            # min lcp over the set is attained by the lexicographic extremes
-            index = self.prefix_index()
-            ranks = index.rank[ids]
-            return self._lcp_diameter(int(index.lcp(index.order[ranks.min()],
-                                                    index.order[ranks.max()])))
-        sub = self._matrix[np.ix_(ids, ids)]
-        return float(self._transform(sub.max()))
-
-    def _lcp_diameter(self, lcp: int) -> float:
-        """Diameter of an ultrametric set whose least common prefix has length lcp."""
-        if lcp == self._codes.shape[1]:
-            return 0.0
-        return float(self._transform(self.descriptor.base ** lcp))
+        return self.index.diameter(ids)
 
     def run_diameters(self, ids, bounds) -> np.ndarray:
-        """Diameter of each run ``ids[bounds[i]:bounds[i + 1]]``; 0.0 for an empty run.
-
-        Each value equals ``diameter()`` of its run bit for bit. On 1-D
-        coordinates (max - min) and ultrametrics (the lcp of the least and
-        greatest rank) one pass over all runs finds every run's extremes, and
-        the scalar formula of ``diameter()`` runs once per distinct value.
-        Other kinds take each run's diameter in turn.
-        """
-        ids = np.asarray(ids, dtype=np.int64)
-        bounds = np.asarray(bounds, dtype=np.int64)
-        sizes = np.diff(bounds)
-        out = np.zeros(sizes.size)
-        kind = self.descriptor.kind
-        if kind == "ultrametric" or (kind in ("euclidean", "snowflake")
-                                     and self._coords.shape[1] == 1):
-            filled = np.flatnonzero(sizes)  # reduceat needs non-empty runs
-            starts = bounds[filled]
-            if kind == "ultrametric":
-                index = self.prefix_index()
-                ranks = index.rank[ids[:bounds[-1]]]
-                lcps, inverse = np.unique(
-                    index.lcp(index.order[np.minimum.reduceat(ranks, starts)],
-                              index.order[np.maximum.reduceat(ranks, starts)]),
-                    return_inverse=True)
-                values = [self._lcp_diameter(int(lcp)) for lcp in lcps]
-            else:
-                x = self._coords[ids[:bounds[-1]], 0]
-                spans, inverse = np.unique(
-                    np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts),
-                    return_inverse=True)
-                values = [float(self._transform(float(span))) for span in spans]
-            out[filled] = np.asarray(values, dtype=np.float64)[inverse]
-            return out
-        for i in np.flatnonzero(sizes):
-            out[i] = self.diameter(ids[bounds[i]:bounds[i + 1]])
-        return out
-
-    def _euclid_diam(self, ids) -> float:
-        pts = self._coords[ids]
-        if pts.shape[1] == 1:
-            return float(pts.max() - pts.min())
-        if ids.size > 2048:
-            from scipy.spatial import ConvexHull, QhullError
-
-            try:
-                pts = pts[ConvexHull(pts).vertices]
-            except QhullError:
-                pass  # affinely degenerate (e.g. collinear): no hull, scan all points
-        d2 = 0.0
-        # 128-row blocks: a 2048-point scan holds 4 MB of differences, not 16 MB
-        for start in range(0, len(pts), 128):
-            block = pts[start:start + 128]
-            diff = block[:, None, :] - pts[None, :, :]
-            d2 = max(d2, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
-        return float(np.sqrt(d2))
+        """Diameter of each run ``ids[bounds[i]:bounds[i + 1]]``, bit for bit that of
+        ``diameter()``; 0.0 for an empty run. See the index of each kind for how."""
+        return self.index.run_diameters(np.asarray(ids, dtype=np.int64),
+                                        np.asarray(bounds, dtype=np.int64))
 
     def min_positive_distance(self) -> float:
         """Smallest distance between two distinct points; inf when there are none.
@@ -474,36 +566,8 @@ class MetricSpace:
         Repeated points are not distinct. The result is 0.0 only when the
         least gap underflows.
         """
-        if self._min_gap is not None:
-            return self._min_gap
-        if self.n == 1:
-            self._min_gap = float("inf")
-            return self._min_gap
-        kind = self.descriptor.kind
-        if kind in ("euclidean", "snowflake"):
-            d, _ = self._get_tree().query(self._coords, k=2)
-            base = float(d[:, 1].min())
-            if base == 0.0:  # a repeated point: measure between distinct points
-                from scipy.spatial import cKDTree
-
-                distinct = np.unique(self._coords, axis=0)
-                if distinct.shape[0] == 1:
-                    self._min_gap = float("inf")
-                    return self._min_gap
-                d, _ = cKDTree(distinct).query(distinct, k=2)
-                base = float(d[:, 1].min())
-        elif kind == "ultrametric":
-            # the longest common prefix of two distinct strings is between neighbours
-            lcps = self.prefix_index().adjacent
-            lcps = lcps[lcps < self._codes.shape[1]]
-            if lcps.size == 0:
-                self._min_gap = float("inf")
-                return self._min_gap
-            base = self.descriptor.base ** int(lcps.max())
-        else:
-            m = self._matrix + np.diag(np.full(self.n, np.inf))
-            base = float(m.min())
-        self._min_gap = float(self._transform(base))
+        if self._min_gap is None:
+            self._min_gap = float("inf") if self.n == 1 else self.index.min_gap()
         return self._min_gap
 
     # -- derived spaces -------------------------------------------------------
@@ -534,11 +598,9 @@ class MetricSpace:
         return self.rescaled(target / diam)
 
     def _clone(self, desc) -> "MetricSpace":
-        if desc.kind in ("euclidean", "snowflake"):
-            return MetricSpace(desc, coords=self._coords)
-        if desc.kind == "ultrametric":
-            return MetricSpace(desc, strings=self.strings)
-        return MetricSpace(desc, matrix=self._matrix)
+        # the constructor takes the payload of desc's kind and ignores the others
+        return MetricSpace(desc, coords=self.coords, strings=self.strings,
+                           matrix=self._matrix)
 
     # -- doubling ------------------------------------------------------------
 
@@ -635,17 +697,16 @@ def space_from_json(doc) -> MetricSpace:
 
 
 def _matrix_from_lower_triangular(tri):
-    tri = list(tri)
     # solve k(k-1)/2 = len for k
     n = int((1 + np.sqrt(1 + 8 * len(tri))) / 2)
     if n * (n - 1) // 2 != len(tri):
         raise PointsFileError("field 'metric.matrix': length is not a triangular number")
+    # float() per entry refuses what a JSON number list should not hold
+    values = np.fromiter(map(float, tri), dtype=np.float64, count=len(tri))
     full = np.zeros((n, n), dtype=np.float64)
-    pos = 0
-    for i in range(1, n):
-        for j in range(i):
-            full[i, j] = full[j, i] = float(tri[pos])
-            pos += 1
+    lower = np.tri(n, k=-1, dtype=bool)  # (i, j) for i > j, row by row as in the file
+    full[lower] = values
+    full.T[lower] = values  # the mirror entries, in the same order
     return full
 
 
@@ -672,10 +733,8 @@ def save_points(space: MetricSpace, path) -> None:
     elif kind == "ultrametric":
         doc["points"] = list(space.strings)
     else:
-        tri = []
-        for i in range(1, space.n):
-            tri.extend(float(space._matrix[i, j]) for j in range(i))
-        doc["metric"]["matrix"] = tri
+        # (i, j) for i > j, row by row
+        doc["metric"]["matrix"] = space._matrix[np.tri(space.n, k=-1, dtype=bool)].tolist()
         doc["points"] = list(range(space.n))
     # json.dumps runs the C encoder; json.dump streams through the Python one
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))

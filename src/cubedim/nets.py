@@ -4,6 +4,8 @@ A level-k net is a maximal subset whose points are pairwise >= c0*delta^k
 apart; maximality makes it cover the space within that same radius, which
 is <= C0*delta^k. Greedy admission scans a seed-rotated ascending-id order,
 so counts sit near perfect packing while distinct seeds give distinct nets.
+Nets, nearest centers and the closest pair of centers are asked of the
+space's index (``MetricSpace.index``), one per metric kind.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import ConfigurationError, InvalidArgumentError
 from .metric import MetricSpace
 
@@ -83,17 +84,8 @@ def build_net(space: MetricSpace, k: int, params: NetParams, seed: int = 0) -> N
     params.validate()
     if k < 0:
         raise InvalidArgumentError("level k must be non-negative")
-    threshold = params.separation(k)
     order = scan_order(space.n, seed, k)
-    kind = space.descriptor.kind
-    if kind in ("euclidean", "snowflake"):
-        centers = kernels.greedy_net_coords(space.coords, order,
-                                            space._invert_radius(threshold))
-    elif kind == "ultrametric":
-        centers = space.prefix_index().net(order, threshold)
-    else:
-        centers = kernels.greedy_net_matrix(space.distance_matrix(), order, threshold)
-    centers = np.sort(centers)
+    centers = np.sort(space.index.net(order, params.separation(k)))
     return NetLevel(k=k, centers=centers, params=params, seed=seed)
 
 
@@ -103,36 +95,15 @@ def nearest_center(space: MetricSpace, centers: np.ndarray, query_ids=None):
     ``centers`` must be sorted ascending so distance ties resolve to the
     lower point id. ``query_ids`` defaults to all points.
     """
-    centers = np.asarray(centers, dtype=np.int64)
-    kind = space.descriptor.kind
-    if kind in ("euclidean", "snowflake"):
-        q = space.coords if query_ids is None else space.coords[query_ids]
-        idx, base_d = kernels.nearest_center_coords(q, space.coords[centers])
-        return idx, space._transform(base_d)
     query_ids = space.ids if query_ids is None else np.asarray(query_ids, dtype=np.int64)
-    if kind == "ultrametric":
-        return space.prefix_index().nearest(query_ids, centers)
-    return kernels.nearest_center_matrix(space.distance_matrix(), query_ids, centers)
+    return space.index.nearest(query_ids, np.asarray(centers, dtype=np.int64))
 
 
 def nearest_center_within(space: MetricSpace, centers: np.ndarray, radius: float):
     """The points whose nearest center is closer than ``radius``: their ids,
-    ascending, the index into ``centers`` of that center, and its distance.
-
-    Equal to ``nearest_center`` over all points restricted to those points.
-    A point's nearest center is closer than ``radius`` exactly when some
-    center is, so on coordinates one pair query between the centers and
-    the points within the radius finds them all, and no other point is
-    visited.
-    """
-    centers = np.asarray(centers, dtype=np.int64)
-    if space.descriptor.kind in ("euclidean", "snowflake"):
-        ids, idx, base_d = kernels.nearest_center_within_coords(
-            space._get_tree(), space.coords[centers], space._invert_radius(radius))
-        dist = space._transform(base_d)
-    else:
-        idx, dist = nearest_center(space, centers)
-        ids = space.ids
+    ascending, the index into ``centers`` of that center, and its distance;
+    equal to ``nearest_center`` over all points restricted to those points."""
+    ids, idx, dist = space.index.nearest_within(np.asarray(centers, dtype=np.int64), radius)
     close = dist < radius
     return ids[close], idx[close], dist[close]
 
@@ -153,7 +124,7 @@ def verify_net(space: MetricSpace, net: NetLevel) -> NetCheck:
         sep_ok = True
         sep_witness = None
     else:
-        worst_sep, sep_witness = _closest_pair(space, centers)
+        worst_sep, sep_witness = space.index.closest_pair(centers)
         worst_sep /= sep_required
         sep_ok = worst_sep >= 1.0 - VERIFY_SLACK
 
@@ -170,31 +141,3 @@ def verify_net(space: MetricSpace, net: NetLevel) -> NetCheck:
         witnesses={"separation_pair": sep_witness, "farthest_point": far},
     )
 
-
-def _closest_pair(space: MetricSpace, ids: np.ndarray):
-    """(least d(ids[i], ids[j]) over i < j, (ids[i], ids[j])) for the first pair
-    in (i, j) order at that distance, as a scan of rows would report it."""
-    kind = space.descriptor.kind
-    if kind == "ultrametric":
-        return space.prefix_index().closest_pair(ids)
-    if kind in ("euclidean", "snowflake"):
-        # the tree's distances round differently from pair_distances by a few
-        # ulps: take every pair near the tree's least distance, decide exactly
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(space.coords[ids])
-        near, _ = tree.query(space.coords[ids], k=2)
-        pairs = tree.query_pairs(float(near[:, 1].min()) * (1.0 + kernels.TIE_RTOL),
-                                 output_type="ndarray")
-        d = space.pair_distances(ids[pairs[:, 0]], ids[pairs[:, 1]])
-        tied = np.flatnonzero(d == d.min())
-        i, j = pairs[tied[np.lexsort((pairs[tied, 1], pairs[tied, 0]))[0]]]
-        return float(d[tied[0]]), (int(ids[i]), int(ids[j]))
-    best, witness = float("inf"), None
-    for i, c in enumerate(ids[:-1]):
-        row = space.row(c)[ids[i + 1:]]
-        j = int(np.argmin(row))
-        if row[j] < best:
-            best = float(row[j])
-            witness = (int(c), int(ids[i + 1 + j]))
-    return best, witness

@@ -24,6 +24,29 @@ def cubedim_env():
     return env
 
 
+def random_graph_matrix(n, seed):
+    """Shortest-path distances of a random connected graph on n vertices.
+
+    Edge weights are powers of two from 1 down to 2**-23, so every path
+    length is exact and the matrix is symmetric bit for bit.
+    """
+    from scipy.sparse.csgraph import shortest_path
+
+    rng = np.random.default_rng(seed)
+    edges = np.triu(rng.random((n, n)) < 4.0 / n, 1)
+    parent = [rng.integers(i) for i in range(1, n)]  # a random spanning tree
+    edges[parent, np.arange(1, n)] = True
+    weights = np.zeros((n, n))
+    weights[edges] = 2.0 ** -rng.integers(0, 24, size=int(edges.sum()))
+    return shortest_path(weights + weights.T, directed=False)
+
+
+@pytest.fixture(scope="session")
+def graph40():
+    """A 40-point matrix space: shortest paths of a random graph."""
+    return MetricSpace(MetricDescriptor("matrix"), matrix=random_graph_matrix(40, 1))
+
+
 @pytest.fixture(scope="session")
 def params():
     return NetParams()

@@ -1,11 +1,15 @@
-"""The benchmark's tracer must still find every function it wraps.
+"""The benchmark must still find every package name it uses.
 
 ``perfbench/tracer.py`` patches package functions by module and attribute
 name, so renaming or deleting one of them breaks ``perfbench/run.py --trace
-1`` and ``perfbench/selftest.py``. Entering and leaving the tracer here makes
-such a refactor fail in the test suite as well.
+1`` and ``perfbench/selftest.py``. ``perfbench/pipeline.py`` records fields
+of the package, such as ``kernels.BACKEND``, with every result, so dropping
+one crashes every benchmark process. Entering and leaving the tracer, and
+reading those fields, here makes such a refactor fail in the test suite as
+well.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -14,14 +18,16 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def _import_perfbench(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for module in (name, "workloads"):
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    return importlib.import_module(name)
+
+
 @pytest.fixture
 def tracer_module(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    for name in ("tracer", "workloads"):
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    import tracer
-
-    return tracer
+    return _import_perfbench(monkeypatch, "tracer")
 
 
 def test_every_traced_site_resolves_and_is_restored(tracer_module):
@@ -32,3 +38,10 @@ def test_every_traced_site_resolves_and_is_restored(tracer_module):
         assert cubedim.cubes.CubeSystem.cubes_at is not original
     assert len(tr.sites) >= len(tracer_module.TRACED)
     assert cubedim.cubes.CubeSystem.cubes_at is original
+
+
+def test_benchmark_environment_fields_resolve(monkeypatch):
+    import cubedim
+
+    env = _import_perfbench(monkeypatch, "pipeline").environment(cubedim)
+    assert env["backend"] == cubedim.kernels.BACKEND

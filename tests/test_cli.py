@@ -1,10 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from cubedim import cli, cubes
+from cubedim import cli, cubes, save_points
 
 BASE = [sys.executable, "-m", "cubedim"]
 
@@ -133,6 +134,26 @@ class TestEstimate:
                 cwd=workspace)
         assert r.returncode == 2
         assert "different points file" in r.stderr
+
+
+class TestMatrixKind:
+    # no benchmark workload has a matrix space; these digests were recorded
+    # when the matrix kind still ran through a dense distance cache
+    CUBES_SHA256 = "9a78f496c24c52007a33d9840667c05d157309f99008c95b9cf62656c8ea4d3f"
+    BOX_SHA256 = "4395070fa1e0f6463cb715de94801b12562c106a3a627afe9e02a1513a9c75c8"
+
+    def test_build_and_box_bytes_are_pinned(self, graph40, tmp_path, capsys):
+        pts, cubes_file, box = (str(tmp_path / name)
+                                for name in ("pts.json", "cubes.json", "box.json"))
+        save_points(graph40, pts)
+        assert cli.main(["build", "--points", pts, "--out", cubes_file, "--seed", "7",
+                         "--systems", "3", "--budget", "40", "--target-ratio", "1.5"]) == 0
+        assert cli.main(["estimate", "box", "--points", pts, "--cubes", cubes_file,
+                         "--out", box]) == 0
+        capsys.readouterr()
+        digests = [hashlib.sha256(open(path, "rb").read()).hexdigest()
+                   for path in (cubes_file, box)]
+        assert digests == [self.CUBES_SHA256, self.BOX_SHA256]
 
 
 class TestVerify:

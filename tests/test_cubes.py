@@ -5,7 +5,7 @@ import pytest
 
 from cubedim import (DegenerateBallError, InvalidArgumentError, MetricDescriptor,
                      MetricSpace, ScaleExhaustedError, StaleCubesError,
-                     dyadic_cover_count, metric)
+                     dyadic_cover_count)
 from cubedim.cubes import (_check_ball_monotone, _check_outer_balls, build_adjacent_family,
                            build_system, circumscribed_cube, default_max_level,
                            load_family, save_family, verify_system)
@@ -126,16 +126,13 @@ def reference_ball_monotone(system):
 
 class TestCheckEquivalence:
     """The vectorized outer-ball and ball-monotone checks against per-cube loops,
-    on a coordinate space too large for the dense distance cache."""
+    on 1-D and 2-D coordinate spaces."""
 
     @pytest.fixture(params=[1, 2])
-    def system(self, request, monkeypatch):
-        monkeypatch.setattr(metric, "CACHE_LIMIT", 50)
+    def system(self, request):
         coords = np.random.default_rng(request.param).uniform(size=(400, request.param))
         sp = MetricSpace(MetricDescriptor("euclidean"), coords=coords)
-        system = build_system(sp, NetParams(), seed=3, max_level=2)
-        assert system.space._dmat is None
-        return system
+        return build_system(sp, NetParams(), seed=3, max_level=2)
 
     def test_untampered_worst_is_bit_identical(self, system):
         outer = _check_outer_balls(system)
@@ -144,7 +141,6 @@ class TestCheckEquivalence:
         assert (outer.worst, outer.witness) == reference_outer_balls(system)
         assert (mono.worst, mono.witness) == reference_ball_monotone(system)
         assert outer.worst > 0.0 and mono.worst > 0.0
-        assert system.space._dmat is None
 
     def test_tampered_label_fails_outer_ball(self, system):
         k = 1

@@ -13,6 +13,7 @@ tolerance.
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from cubedim import kernels
 
@@ -137,7 +138,7 @@ class TestNetProperties:
         coords = np.random.default_rng(7).uniform(size=(250, 2))
         order = np.arange(250, dtype=np.int64)
         thr = 0.2
-        net = kernels.greedy_net_coords(coords, order, thr)
+        net = kernels.greedy_net_coords(cKDTree(coords), order, thr)
         assert_separated_and_maximal(coords, order, net, thr)
 
     @given(st.integers(min_value=0, max_value=119), st.integers(min_value=1, max_value=2))
@@ -145,7 +146,7 @@ class TestNetProperties:
     def test_separated_and_maximal_on_random_rotations(self, offset, dim):
         coords = dyadic_coords(120, dim, 4)
         order = np.concatenate([np.arange(offset, 120), np.arange(offset)]).astype(np.int64)
-        net = kernels.greedy_net_coords(coords, order, 1 / 16)
+        net = kernels.greedy_net_coords(cKDTree(coords), order, 1 / 16)
         assert_separated_and_maximal(coords, order, net, 1 / 16)
         dmat = kernels.pairwise_distances(coords)
         assert np.array_equal(kernels.greedy_net_matrix(dmat, order, 1 / 16), net)

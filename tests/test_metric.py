@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubedim import (InvalidArgumentError, MetricDescriptor, MetricSpace,
-                     PointsFileError, load_points, metric, save_points)
+                     PointsFileError, load_points, save_points)
 
 
 def euclid(coords):
@@ -35,6 +35,12 @@ class TestDistance:
         with pytest.raises(InvalidArgumentError):
             sp.distance(0, 5)
 
+    @pytest.mark.parametrize("upper", [1.0 + 2 ** -52, np.nan])
+    def test_asymmetric_matrix_rejected(self, upper):
+        m = np.array([[0.0, upper], [1.0, 0.0]])
+        with pytest.raises(InvalidArgumentError, match="symmetric"):
+            MetricSpace(MetricDescriptor("matrix"), matrix=m)
+
     def test_symmetry_exact(self):
         rng = np.random.default_rng(0)
         sp = euclid(rng.uniform(size=(40, 3)))
@@ -61,14 +67,13 @@ def paired_spaces():
 
 class TestPairDistances:
     @pytest.mark.parametrize("kind", ["euclidean", "snowflake", "ultrametric", "matrix"])
-    @pytest.mark.parametrize("cached", [True, False])
-    def test_bitwise_equal_to_distance(self, kind, cached, monkeypatch):
-        if not cached:
-            monkeypatch.setattr(metric, "CACHE_LIMIT", 4)
+    @pytest.mark.parametrize("dense_first", [True, False])
+    def test_bitwise_equal_to_distance(self, kind, dense_first):
+        # the space builds its index on first use: by distance_matrix(), or
+        # by pair_distances() with the dense matrix taken last
         sp = paired_spaces()[kind]
         assert sp.descriptor.kind == kind
-        dense = sp.distance_matrix()
-        assert (sp._dmat is not None) == cached
+        dense = sp.distance_matrix() if dense_first else None
         rng = np.random.default_rng(9)
         a = rng.integers(sp.n, size=300)
         b = rng.integers(sp.n, size=300)
@@ -79,6 +84,8 @@ class TestPairDistances:
         by_row = np.array([sp.row(int(p))[q] for p, q in zip(a, b)])
         assert got.tobytes() == one_by_one.tobytes()
         assert got.tobytes() == by_row.tobytes()
+        if dense is None:
+            dense = sp.distance_matrix()
         assert got.tobytes() == dense[a, b].tobytes()
         assert np.all(got[:30] == 0.0)
 
@@ -120,7 +127,7 @@ class TestBallMembers:
                    euclid(lattice).snowflaked(0.5).rescaled(3.0)):
             for x in (0, 17, 255):
                 diff = sp.coords - sp.coords[x]
-                row = sp._transform(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+                row = sp.descriptor.transform(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
                 for r in (0.05, 0.3, 0.9, *np.unique(row)[1:40:3]):
                     for radius in (r, np.nextafter(r, np.inf)):
                         want = np.flatnonzero(row < radius)
@@ -255,6 +262,19 @@ class TestPointsFiles:
         sp = load_points(path)
         assert sp.distance(1, 0) == 1.0
         assert sp.distance(2, 1) == 1.5
+        resaved, again = tmp_path / "m2.json", tmp_path / "m3.json"
+        save_points(sp, resaved)
+        assert json.loads(resaved.read_text())["metric"]["matrix"] == [1.0, 2.0, 1.5]
+        save_points(load_points(resaved), again)
+        assert again.read_bytes() == resaved.read_bytes()
+
+    @pytest.mark.parametrize("entry", ["a", None, [1.0]])
+    def test_matrix_malformed_entry_rejected(self, tmp_path, entry):
+        doc = {"metric": {"kind": "matrix", "matrix": [1.0, entry, 1.5]}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PointsFileError):
+            load_points(path)
 
     def test_matrix_triangle_violation_rejected(self, tmp_path):
         doc = {"metric": {"kind": "matrix", "matrix": [1.0, 10.0, 1.0]}}

@@ -13,8 +13,11 @@ spaces: ultrametrics with duplicate strings, snowflake exponents and scales,
 and coordinate lattices whose pairs sit exactly at the separation.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
+from scipy.spatial import cKDTree
 from hypothesis import strategies as st
 
 from cubedim import MetricDescriptor, MetricSpace, kernels
@@ -81,7 +84,7 @@ def old_ultra_diameter(space, ids):
     neq = rows[order[0]] != rows[order[-1]]
     if not neq.any():
         return 0.0
-    return float(space._transform(space.descriptor.base ** int(np.argmax(neq))))
+    return float(space.descriptor.transform(space.descriptor.base ** int(np.argmax(neq))))
 
 
 def old_ultra_min_gap(space):
@@ -93,7 +96,7 @@ def old_ultra_min_gap(space):
     lcps = lcps[lcps < codes.shape[1]]
     if lcps.size == 0:
         return float("inf")
-    return float(space._transform(space.descriptor.base ** int(lcps.max())))
+    return float(space.descriptor.transform(space.descriptor.base ** int(lcps.max())))
 
 
 def old_separation(rows, centers, sep_required):
@@ -112,19 +115,22 @@ def old_net(space, k, params, seed, dmat=None):
     order = scan_order(space.n, seed, k)
     t = params.separation(k)
     if dmat is None:
-        return np.sort(scan_net_coords(space.coords, order, space._invert_radius(t)))
+        return np.sort(scan_net_coords(space.coords, order, space.index.base_radius(t)))
     return np.sort(kernels.greedy_net_matrix(dmat, order, t))
 
 
 def old_nearest(space, centers, query_ids, dmat=None):
     if dmat is None:
         idx, d = kernels.nearest_center_coords(space.coords[query_ids], space.coords[centers])
-        return idx, space._transform(d)
+        return idx, space.descriptor.transform(d)
     return kernels.nearest_center_matrix(dmat, query_ids, centers)
 
 
 def assert_system_matches_oracle(space, seed, max_level, ultrametric):
-    system = build_system(space, NetParams(), seed=seed, max_level=max_level)
+    dense_calls = []
+    with mock.patch.object(MetricSpace, "distance_matrix", dense_calls.append):
+        system = build_system(space, NetParams(), seed=seed, max_level=max_level)
+    assert dense_calls == []
     norm = system.space
     dmat = old_ultra_matrix(norm) if ultrametric else None
     levels = [old_net(norm, k, NetParams(), seed, dmat) for k in range(max_level + 1)]
@@ -138,7 +144,6 @@ def assert_system_matches_oracle(space, seed, max_level, ultrametric):
         assert np.array_equal(system.labels[k], labels)
         if k:
             labels = system.parent_idx[k][labels]
-    assert norm._dmat is None
 
 
 @st.composite
@@ -210,7 +215,7 @@ class TestUltrametric:
     @settings(max_examples=EXAMPLES, deadline=None)
     def test_nets_nearest_centers_and_separation(self, space, data):
         dmat = old_ultra_matrix(space)
-        index = space.prefix_index()
+        index = space.index
         values = np.unique(dmat)
         seed = data.draw(st.integers(min_value=0, max_value=50))
         for k, t in enumerate(np.concatenate([values[values > 0], [values.max() * 2]])):
@@ -248,7 +253,7 @@ class TestCoordinates:
         ticks = [j / 8.0 for j in range(1, 6)] + [float(np.sqrt(2.0) / 8.0), 2.0]
         for k, t in enumerate(ticks):
             order = scan_order(space.n, seed, k)
-            net = kernels.greedy_net_coords(coords, order, t)
+            net = kernels.greedy_net_coords(cKDTree(coords), order, t)
             assert np.array_equal(net, scan_net_coords(coords, order, t))
 
     @given(space=lattices(), data=st.data())
@@ -256,7 +261,7 @@ class TestCoordinates:
     def test_separation_matches_row_scan(self, space, data):
         centers = _subset(data, space.n)
         if data.draw(st.booleans()):
-            net = kernels.greedy_net_coords(space.coords, space.ids, 1 / 8)
+            net = kernels.greedy_net_coords(cKDTree(space.coords), space.ids, 1 / 8)
             centers = np.sort(net) if net.size > 1 else centers
         if centers.size < 2:
             return

@@ -3,7 +3,8 @@
 ``greedy_cover_count`` takes a near set whole when its diameter is at most
 r, and ``circumscribed_cube`` takes R_eff = R when twice the ball's
 eccentricity reaches R. Ultrametric spaces read nets, nearest centers, rows
-and balls off their sorted strings and never fill an n x n matrix. Reloading
+and balls off their sorted strings and never fill an n x n matrix; a matrix
+space transforms its matrix once. Reloading
 a family queries nearest centers once per system, and ``diams_at`` reads a
 1-D or ultrametric level in one pass with no per-cube ``diameter`` call.
 None of these changes an output, so losing one shows only in the work done
@@ -170,11 +171,28 @@ def test_matrix_space_still_takes_the_matrix_path(matrix_kernel_calls):
     weights = np.abs(np.subtract.outer(np.arange(12.0), np.arange(12.0)))
     space = MetricSpace(MetricDescriptor("matrix"), matrix=weights)
     build_system(space, NetParams(), seed=0, max_level=2)
-    assert {"distance_matrix", "greedy_net_matrix",
-            "nearest_center_matrix"} <= set(matrix_kernel_calls)
+    assert {"greedy_net_matrix", "nearest_center_matrix"} <= set(matrix_kernel_calls)
+    assert "distance_matrix" not in matrix_kernel_calls
 
 
-def test_ultrametric_system_at_4096_points_stays_small():
+def test_matrix_system_transforms_its_matrix_once(graph40, monkeypatch):
+    # the index keeps the transformed matrix: one n x n transform per space,
+    # not one per level, per nearest-center query or per row
+    shapes = []
+    transform = MetricDescriptor.transform
+
+    def counting(self, base):
+        shapes.append(np.shape(base))
+        return transform(self, base)
+
+    monkeypatch.setattr(MetricDescriptor, "transform", counting)
+    system = build_system(graph40, NetParams(), seed=7, max_level=3)
+    verify_system(system)
+    assert system.max_level == 3
+    assert shapes.count((graph40.n, graph40.n)) == 1
+
+
+def test_ultrametric_system_at_4096_points_stays_small(matrix_kernel_calls):
     # the n x n matrix alone would be 128 MiB
     space = generate(GeneratorSpec(kind="ultrametric_cantor", arity=2, base=0.0625,
                                    depth=12))
@@ -185,5 +203,5 @@ def test_ultrametric_system_at_4096_points_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert system.space.n == 4096 and system.space._dmat is None
+    assert system.space.n == 4096 and matrix_kernel_calls == []
     assert peak < 16 * 2 ** 20
