@@ -87,7 +87,7 @@ def _dyadic_cover(family: AdjacentFamily, E, x: int, R: float, m: int):
 
 def _grow_set(space: MetricSpace, start, candidates, r):
     """Grow a diameter-<=r set from ``start`` by ascending (distance, id)."""
-    row_start = space.row(int(start))[candidates]
+    row_start = space.pair_distances(start, candidates)
     order = np.lexsort((candidates, row_start))
     maxd = row_start.copy()  # running max distance from each candidate to the set
     chosen = [int(start)]
@@ -97,7 +97,7 @@ def _grow_set(space: MetricSpace, start, candidates, r):
             continue
         if maxd[pos] <= r:
             chosen.append(cand)
-            np.maximum(maxd, space.row(cand)[candidates], out=maxd)
+            np.maximum(maxd, space.pair_distances(cand, candidates), out=maxd)
     return np.asarray(sorted(chosen), dtype=np.int64)
 
 
@@ -106,10 +106,12 @@ def greedy_cover_count(space: MetricSpace, E, r: float, return_sets: bool = Fals
 
     Picks the first uncovered id, grows a maximal diameter-<=r set around
     it by ascending distance, and repeats. If diam(E) <= r the answer is 1.
-    Growing admits every uncovered point within r of the start once their
-    diameter is at most r, so such a near set is taken whole; the margin
-    leaves the few-ulp differences between the diameter and distance
-    formulas to the growing.
+    The near set of a start, the uncovered points within r of it, is the
+    index's closed ball: ``d < nextafter(r)`` holds exactly when ``d <= r``.
+    Growing admits every point of the near set once its diameter is at
+    most r, so such a near set is taken whole; the margin leaves the
+    few-ulp differences between the diameter and distance formulas to the
+    growing. Each id of E is covered once, however often E lists it.
     """
     E = np.asarray(E, dtype=np.int64)
     if E.size == 0:
@@ -117,36 +119,32 @@ def greedy_cover_count(space: MetricSpace, E, r: float, return_sets: bool = Fals
     if r <= 0:
         raise InvalidArgumentError("r must be positive")
     if E.size == 1 or space.diameter(E) <= r:
-        return [np.sort(E)] if return_sets else 1
-    uncovered = np.sort(E)
+        return [np.unique(E)] if return_sets else 1
+    live = np.zeros(space.n, dtype=bool)
+    live[E] = True
+    closed = np.nextafter(r, np.inf)
     sets = []
-    count = 0
-    while uncovered.size:
-        start = int(uncovered[0])
-        in_block = space.row(start)[uncovered] <= r
-        near = uncovered[in_block]
+    for start in np.flatnonzero(live):
+        if not live[start]:
+            continue
+        ball = space.index.ball(start, closed)
+        near = ball[live[ball]]
         if near.size == 1 or space.diameter(near) <= r * (1 - 1e-9):
             block = near
         else:
             block = _grow_set(space, start, near, r)
-            # a grown block is a subset of the near set: mark only its members
-            rows = np.flatnonzero(in_block)
-            in_block[:] = False
-            in_block[rows[np.searchsorted(near, block)]] = True
-        count += 1
-        if return_sets:
-            sets.append(block)
-        uncovered = uncovered[~in_block]
-    return sets if return_sets else count
+        live[block] = False
+        sets.append(block)
+    return sets if return_sets else len(sets)
 
 
-def _maximal_cliques(adj: np.ndarray, guard: int = CLIQUE_GUARD):
+def _maximal_cliques(adj: np.ndarray):
     """Bron-Kerbosch with pivoting over a boolean adjacency matrix."""
     n = adj.shape[0]
     cliques = []
 
     def expand(r, p, x):
-        if len(cliques) > guard:
+        if len(cliques) > CLIQUE_GUARD:
             raise InvalidArgumentError("clique enumeration guard exceeded")
         if not p and not x:
             cliques.append(sorted(r))

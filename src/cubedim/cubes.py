@@ -345,10 +345,9 @@ class AdjacentFamily:
         return ["best-effort-family"] if self.best_effort else []
 
 
-def r_grid(delta: float, max_level: int, per_level: int = 8) -> list:
-    """Radii delta^(j/q), j >= 1: the scales local estimators sweep."""
-    return [float(delta ** (j / per_level))
-            for j in range(1, per_level * max_level + 1)]
+def r_grid(delta: float, max_level: int) -> list:
+    """Radii delta^(j/8), 1 <= j <= 8 * max_level: the scales local estimators sweep."""
+    return [float(delta ** (j / 8)) for j in range(1, 8 * max_level + 1)]
 
 
 def _cert_terms(params, R_eff, level, diam):

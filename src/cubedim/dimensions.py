@@ -116,17 +116,17 @@ def _measure_slope(system, E, s, r_schedule):
     return slope
 
 
-def hausdorff_dim_estimate(system: CubeSystem, E, s_grid=None, r_schedule=None,
-                           doubling=None) -> DimensionEstimate:
+def hausdorff_dim_estimate(system: CubeSystem, E) -> DimensionEstimate:
     """Critical exponent of the cubic measure via bisection on the fitted slope.
 
     Measures grow as r shrinks below the critical exponent and flatten or
-    decay above it; the estimate is the crossing point.
+    decay above it; the estimate is the crossing point. The radii are
+    4*C0*delta^j for j = 1..max_level, and the bisection runs up to the
+    log2 of a 16-sample doubling estimate (seed 7).
     """
     E = np.asarray(E, dtype=np.int64)
     p = system.params
-    if r_schedule is None:
-        r_schedule = [4.0 * p.C0 * p.delta ** j for j in range(1, system.max_level + 1)]
+    r_schedule = [4.0 * p.C0 * p.delta ** j for j in range(1, system.max_level + 1)]
     usable = [r for r in r_schedule
               if any(4.0 * p.C0 * p.delta ** m <= r * (1 + 1e-12)
                      for m in range(system.max_level + 1))]
@@ -135,8 +135,7 @@ def hausdorff_dim_estimate(system: CubeSystem, E, s_grid=None, r_schedule=None,
             f"hausdorff fit needs >= 3 resolvable scales, got {len(usable)} "
             f"(max_level={system.max_level})")
 
-    if doubling is None:
-        doubling = system.space.estimate_doubling(sample_count=16, rng_seed=7)
+    doubling = system.space.estimate_doubling(sample_count=16, rng_seed=7)
     hi = max(1.0, math.log2(max(2, doubling.C_d_hat)))
     lo = 0.0
 
@@ -164,8 +163,7 @@ def hausdorff_dim_estimate(system: CubeSystem, E, s_grid=None, r_schedule=None,
 
     diagnostics = {}
     flags = []
-    grid = list(s_grid) if s_grid is not None else [round(value * f, 6) for f in
-                                                    (0.5, 0.8, 1.0, 1.2, 1.5) if value > 0]
+    grid = [round(value * f, 6) for f in (0.5, 0.8, 1.0, 1.2, 1.5) if value > 0]
     slopes = []
     for s in grid:
         sl = _measure_slope(system, E, s, usable)
@@ -209,7 +207,8 @@ def box_dim_estimate(family: AdjacentFamily, E, x: int | None = None,
     if (x is None) != (R is None):
         raise InvalidArgumentError("give both x and R to localize, or neither")
     space = family.space
-    if E.size == 1:
+    diam_E = space.diameter(E)
+    if diam_E == 0.0:  # one point, perhaps repeated
         return DimensionEstimate(kind="box", value=0.0, window=[0, 0],
                                  flags=family.flags())
     if x is None:
@@ -222,7 +221,6 @@ def box_dim_estimate(family: AdjacentFamily, E, x: int | None = None,
     cc = circumscribed_cube(family, x, R, members=members)
     system = family.systems[cc.system_id]
     depth = system.max_level - cc.level
-    diam_E = space.diameter(E)
     offset = cc.level if sharper else 0
     m_E = least_admissible_level(family.params.delta, diam_E, offset=offset)
     if m_window is None:

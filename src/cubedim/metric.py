@@ -14,7 +14,7 @@ The three share one set of methods, so no caller tests the metric kind.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -80,7 +80,6 @@ class DoublingEstimate:
 
     C_d_hat: int
     samples_used: int
-    radii_probed: list = field(default_factory=list)
 
 
 class _Index:
@@ -192,19 +191,19 @@ class PrefixIndex(_Index):
         return np.sort(self.order[lo:hi])
 
     def net(self, order: np.ndarray, t: float) -> np.ndarray:
-        """The greedy t-separated net of the scan ``order`` (a permutation of
-        the ids), in admission order.
+        """The greedy t-separated net of the scan ``order`` (ids, each at most
+        once), in admission order.
 
         A point is blocked by an admitted one iff they share a prefix of
         length ``level(t)``, so the net is the first point in scan order of
-        each such prefix run.
+        each such prefix run that the scan visits.
         """
         runs = self.runs(self.level(t))
-        position = np.empty(order.size, dtype=np.int64)
+        position = np.full(self.rank.size, order.size, dtype=np.int64)  # unscanned last
         position[order] = np.arange(order.size)
         starts = np.flatnonzero(np.diff(runs)) + 1
         first = np.minimum.reduceat(position[self.order], np.concatenate([[0], starts]))
-        return order[np.sort(first)]
+        return order[np.sort(first[first < order.size])]
 
     def nearest(self, query_ids: np.ndarray, centers: np.ndarray):
         """Per query: index into ``centers`` of the nearest one, and its distance.
@@ -378,17 +377,11 @@ class CoordIndex(_Index):
             lambda span: float(self.descriptor.transform(float(span))))
 
     def min_gap(self) -> float:
-        d, _ = self.tree.query(self.coords, k=2)
-        base = float(d[:, 1].min())
-        if base == 0.0:  # a repeated point: measure between distinct points
-            from scipy.spatial import cKDTree
-
-            distinct = np.unique(self.coords, axis=0)
-            if distinct.shape[0] == 1:
-                return float("inf")
-            d, _ = cKDTree(distinct).query(distinct, k=2)
-            base = float(d[:, 1].min())
-        return float(self.descriptor.transform(base))
+        # one id per distinct point: repeated points are not distinct
+        _, first = np.unique(self.coords, axis=0, return_index=True)
+        if first.size == 1:
+            return float("inf")
+        return self.closest_pair(np.sort(first))[0]
 
 
 class MatrixIndex(_Index):
@@ -487,8 +480,7 @@ class MetricSpace:
                 raise InvalidArgumentError("distance matrix must be symmetric")
             if np.any(np.diag(m) != 0.0):
                 raise InvalidArgumentError("distance matrix diagonal must be zero")
-            off = m + np.eye(m.shape[0])
-            if np.any(off <= 0.0):
+            if np.count_nonzero(m <= 0.0) != m.shape[0]:  # the zero diagonal alone
                 raise InvalidArgumentError("off-diagonal distances must be positive")
             self._matrix = m
             self.n = m.shape[0]
@@ -613,38 +605,20 @@ class MetricSpace:
         """
         if sample_count < 1:
             raise InvalidArgumentError("sample_count must be >= 1")
-        if self.n == 1:
-            return DoublingEstimate(1, sample_count, [])
+        gap = self.min_positive_distance()
+        if gap == float("inf"):  # one point, perhaps repeated
+            return DoublingEstimate(1, sample_count)
         rng = np.random.default_rng(rng_seed)
         diam = self.diameter()
-        gap = self.min_positive_distance()
         lo, hi = np.log(max(gap, 1e-300)), np.log(max(diam / 2.0, gap * 2.0))
         best = 1
-        radii = []
         for _ in range(sample_count):
             x = int(rng.integers(self.n))
             r = float(np.exp(rng.uniform(lo, hi)))
-            radii.append(r)
+            # r-balls centred at uncovered members in id order: the greedy r-net
             members = self.ball_members(x, 2.0 * r)
-            count = self._greedy_ball_cover_count(members, r)
-            best = max(best, count)
-        return DoublingEstimate(best, sample_count, radii)
-
-    def _greedy_ball_cover_count(self, members, r) -> int:
-        remaining = list(members)
-        remaining_set = set(remaining)
-        count = 0
-        for p in remaining:
-            if p not in remaining_set:
-                continue
-            count += 1
-            row = self.row(p)
-            for q in list(remaining_set):
-                if row[q] < r:
-                    remaining_set.discard(q)
-            if not remaining_set:
-                break
-        return count
+            best = max(best, self.index.net(members, r).size)
+        return DoublingEstimate(best, sample_count)
 
 
 # -- points files --------------------------------------------------------
@@ -710,13 +684,14 @@ def _matrix_from_lower_triangular(tri):
     return full
 
 
-def _spot_check_triangle(space, samples=10000, seed=0):
-    """Probabilistic triangle-inequality check for matrix-supplied metrics."""
+def _spot_check_triangle(space):
+    """Probabilistic triangle-inequality check for matrix-supplied metrics:
+    10,000 seeded random triples."""
     if space.n < 3:
         return
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     m = space._matrix
-    idx = rng.integers(space.n, size=(samples, 3))
+    idx = rng.integers(space.n, size=(10000, 3))
     p, q, s = idx[:, 0], idx[:, 1], idx[:, 2]
     bad = m[p, q] > m[p, s] + m[s, q] + 1e-12 * np.maximum(m[p, q], 1.0)
     if np.any(bad):

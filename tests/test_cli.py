@@ -78,6 +78,19 @@ class TestBuild:
                     cwd=tmp_path)
             assert r.returncode == 1 and r.stderr.startswith("error:"), r.stderr
 
+    def test_coincident_points_box_is_zero(self, tmp_path, capsys):
+        pts, cubes_file = str(tmp_path / "same.json"), str(tmp_path / "same_cubes.json")
+        (tmp_path / "same.json").write_text(json.dumps(
+            {"metric": {"kind": "euclidean"}, "points": [[0.5], [0.5], [0.5]]}))
+        assert cli.main(["build", "--points", pts, "--out", cubes_file]) == 0
+        assert cli.main(["verify", "--points", pts, "--cubes", cubes_file]) == 0
+        capsys.readouterr()
+        assert cli.main(["estimate", "box", "--points", pts, "--cubes", cubes_file]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["value"], doc["window"]) == (0.0, [0, 0])
+        assert cli.main(["doubling", "--points", pts]) == 0
+        assert json.loads(capsys.readouterr().out)["C_d_hat"] == 1
+
     def test_underflowing_gap_exit2(self, run, tmp_path):
         # base ** 2 underflows to 0.0 between distinct strings
         r = run("gen", "ultrametric_cantor", "--base", "1e-200", "--depth", "3",

@@ -60,6 +60,16 @@ class TestGreedyCover:
         with pytest.raises(InvalidArgumentError):
             greedy_cover_count(sp, [], 0.5)
 
+    def test_repeated_ids_cover_each_point_once(self):
+        # the grown block {0, 1, 2} covers both copies of id 0
+        sp = euclid([0.0, 1.0, 2.0, 3.0])
+        assert greedy_cover_count(sp, [0, 0, 1, 2, 3], 2.0) == 2
+        assert greedy_cover_count(sp, [0, 1, 2, 3], 2.0) == 2
+        sets = greedy_cover_count(sp, [3, 0, 0, 1, 2], 2.0, return_sets=True)
+        assert [s.tolist() for s in sets] == [[0, 1, 2], [3]]
+        assert [s.tolist() for s in greedy_cover_count(sp, [1, 1], 2.0, return_sets=True)] \
+            == [[1]]
+
     def test_sets_have_bounded_diameter(self):
         rng = np.random.default_rng(0)
         sp = euclid(rng.uniform(size=(40, 2)))

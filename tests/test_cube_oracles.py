@@ -22,6 +22,10 @@ centers with the points within the inner radius, where the old code ran a
 nearest-center query over every point. Both must match the old computation
 bit for bit, on tampered systems too, and a ``cubes.json`` round trip must
 reproduce the labels, parents and checks.
+
+The greedy cover reads its near sets as closed balls of the index, and the
+doubling estimate counts each sample as a greedy net of the index; the
+row-based computations they replaced are kept here as their oracles.
 """
 
 import json
@@ -62,8 +66,10 @@ def _shortest_paths(weights):
 
 
 @st.composite
-def spaces(draw, kind):
-    """A space of ``kind`` with 2 to 60 points, ids in random order."""
+def spaces(draw, kind, repeats=False):
+    """A space of ``kind`` with 2 to 60 points, ids in random order. With
+    ``repeats``, a coordinate space or an ultrametric one may list a point
+    more than once (a matrix space cannot)."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     n = draw(st.integers(min_value=2, max_value=60))
     if kind in ("euclidean", "snowflake"):
@@ -73,6 +79,8 @@ def spaces(draw, kind):
         else:
             pts = rng.uniform(size=(n, dim))
         pts = _shuffled(rng, np.unique(pts, axis=0))
+        if repeats:
+            pts = pts[rng.integers(len(pts), size=n)]
         space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
         if kind == "snowflake":
             space = space.snowflaked(draw(st.sampled_from([0.3, 0.5, 0.8])))
@@ -84,6 +92,8 @@ def spaces(draw, kind):
         strings = ["".join(str(c) for c in w) for w in _shuffled(rng, words)]
         if len(strings) < 2:
             strings = ["0" * length, "1" * length]
+        if repeats:
+            strings = [strings[i] for i in rng.integers(len(strings), size=n)]
         desc = MetricDescriptor("ultrametric", arity=arity,
                                 base=draw(st.sampled_from([1 / 16, 0.25, 0.5])))
         return MetricSpace(desc, strings=strings)
@@ -331,6 +341,123 @@ class TestDecidedByBound:
         got = build()
         with mock.patch.object(cubes, "_effective_radius", oracle_R_eff):
             assert got == build()
+
+
+def oracle_row_greedy(space, E, r, return_sets=False):
+    """The greedy cover as it read full distance rows: each near set is the
+    start's row over the still-uncovered ids, and a grown block is marked
+    covered through its rows in the near set."""
+    E = np.asarray(E, dtype=np.int64)
+    if E.size == 1 or space.diameter(E) <= r:
+        return [np.sort(E)] if return_sets else 1
+    uncovered = np.sort(E)
+    sets = []
+    count = 0
+    while uncovered.size:
+        start = int(uncovered[0])
+        in_block = space.row(start)[uncovered] <= r
+        near = uncovered[in_block]
+        if near.size == 1 or space.diameter(near) <= r * (1 - 1e-9):
+            block = near
+        else:
+            block = oracle_grow_set(space, start, near, r)
+            rows = np.flatnonzero(in_block)
+            in_block[:] = False
+            in_block[rows[np.searchsorted(near, block)]] = True
+        count += 1
+        if return_sets:
+            sets.append(block)
+        uncovered = uncovered[~in_block]
+    return sets if return_sets else count
+
+
+def oracle_ball_cover_count(space, members, r):
+    """Greedy r-balls over ``members``: a Python-set sweep, one row per centre."""
+    remaining = list(members)
+    remaining_set = set(remaining)
+    count = 0
+    for p in remaining:
+        if p not in remaining_set:
+            continue
+        count += 1
+        row = space.row(p)
+        for q in list(remaining_set):
+            if row[q] < r:
+                remaining_set.discard(q)
+        if not remaining_set:
+            break
+    return count
+
+
+def oracle_doubling_samples(space, sample_count, rng_seed):
+    """The (2r-ball members, r, greedy count) of each doubling sample."""
+    rng = np.random.default_rng(rng_seed)
+    gap = space.min_positive_distance()
+    if gap == float("inf"):  # one distinct point: no sample
+        return []
+    lo, hi = np.log(max(gap, 1e-300)), np.log(max(space.diameter() / 2.0, gap * 2.0))
+    out = []
+    for _ in range(sample_count):
+        x = int(rng.integers(space.n))
+        r = float(np.exp(rng.uniform(lo, hi)))
+        members = space.ball_members(x, 2.0 * r)
+        out.append((members, r, oracle_ball_cover_count(space, members, r)))
+    return out
+
+
+def same_blocks(got, want):
+    return [(g.dtype, g.tobytes()) for g in got] == [(w.dtype, w.tobytes()) for w in want]
+
+
+class TestIndexCovers:
+    """The greedy cover and the doubling estimate read closed balls and
+    greedy nets off the index; the row-based versions they replaced decide
+    the same, on lattices with radii at pair distances and repeated points."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_greedy_cover_matches_row_greedy(self, kind, data):
+        space = data.draw(spaces(kind, repeats=True))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        n = space.n
+        E = space.ids if data.draw(st.booleans()) else np.sort(
+            rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        repeated = np.sort(np.concatenate([E, rng.choice(E, size=3)]))
+        a, b = rng.integers(n, size=(2, 6))
+        d = space.pair_distances(a, b)
+        radii = boundary(d[d > 0], (-1e-15, 0.0, 1e-15)) + [float(space.diameter()) / 3]
+        for r in filter(lambda r: r > 0, radii):
+            expect = oracle_row_greedy(space, E, r, return_sets=True)
+            assert greedy_cover_count(space, E, r) == len(expect)
+            assert same_blocks(greedy_cover_count(space, E, r, return_sets=True), expect)
+            # a repeated id is covered once: the cover of E without repeats
+            assert greedy_cover_count(space, repeated, r) == len(expect)
+            assert same_blocks(greedy_cover_count(space, repeated, r, return_sets=True),
+                               expect)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_doubling_matches_set_greedy(self, kind, data):
+        space = data.draw(spaces(kind, repeats=True))
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 16))
+        samples = oracle_doubling_samples(space, 8, seed)
+        for members, r, count in samples:
+            assert space.index.net(members, r).size == count
+        est = space.estimate_doubling(sample_count=8, rng_seed=seed)
+        assert est.C_d_hat == max([1] + [count for _, _, count in samples])
+        # on these kinds the net decides d < r off the same distances as a
+        # row, so radii on pair distances agree too; a coordinate net decides
+        # by squared distances, and a random r lands on a tie with chance 0
+        if kind in ("ultrametric", "matrix") and space.diameter() > 0:
+            rng = np.random.default_rng(seed)
+            x = int(rng.integers(space.n))
+            members = space.ball_members(x, float(space.diameter()) * 2)
+            row = space.row(x)
+            for r in np.unique(row[row > 0]):
+                assert space.index.net(members, r).size == \
+                    oracle_ball_cover_count(space, members, r)
 
 
 class TestUltrametricMatrix:

@@ -41,6 +41,16 @@ class TestDistance:
         with pytest.raises(InvalidArgumentError, match="symmetric"):
             MetricSpace(MetricDescriptor("matrix"), matrix=m)
 
+    @pytest.mark.parametrize("entry", [0.0, -0.0, -1.0])
+    def test_nonpositive_off_diagonal_rejected(self, entry):
+        m = np.array([[0.0, 1.0, entry], [1.0, 0.0, 1.0], [entry, 1.0, 0.0]])
+        with pytest.raises(InvalidArgumentError, match="positive"):
+            MetricSpace(MetricDescriptor("matrix"), matrix=m)
+
+    def test_negative_zero_diagonal_accepted(self):
+        m = np.array([[-0.0, 1.0], [1.0, 0.0]])
+        assert MetricSpace(MetricDescriptor("matrix"), matrix=m).distance(0, 1) == 1.0
+
     def test_symmetry_exact(self):
         rng = np.random.default_rng(0)
         sp = euclid(rng.uniform(size=(40, 3)))
@@ -216,6 +226,25 @@ class TestTransforms:
         ids = rng.integers(ultra4.n, size=(2000, 3))
         p, q, s = ids[:, 0], ids[:, 1], ids[:, 2]
         assert np.all(m[p, q] <= np.maximum(m[p, s], m[s, q]) * (1 + 1e-12))
+
+
+class TestMinGap:
+    def test_coordinates_exact_least_distance(self):
+        # the kd-tree's own distances round differently in the last ulp
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            n = int(rng.integers(2, 30))
+            pts = rng.uniform(size=(n, int(rng.integers(2, 4))))
+            if rng.random() < 0.5:  # repeated points are not distinct
+                pts = pts[rng.integers(n, size=n + 3)]
+            sp = euclid(pts)
+            if rng.random() < 0.5:
+                sp = sp.snowflaked(0.5)
+            d = sp.distance_matrix()
+            assert sp.min_positive_distance() == d[d > 0].min()
+
+    def test_one_distinct_point_has_no_gap(self):
+        assert euclid([[0.5, 1.0]] * 3).min_positive_distance() == float("inf")
 
 
 class TestDoubling:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from cubedim import (GeneratorSpec, MetricDescriptor, MetricSpace, cli, covering, cubes,
-                     generate, kernels, nets)
+                     generate, kernels, metric, nets)
 from cubedim.covering import greedy_cover_count
 from cubedim.cubes import (build_adjacent_family, build_system, circumscribed_cube,
                            load_family, r_grid, save_family, verify_system)
@@ -70,6 +70,35 @@ def test_normalized_line_covers_grow_no_block(grid257, grow_calls):
         r = (k + 0.5) / 256.0
         assert greedy_cover_count(grid257, grid257.ids, r) == -(-257 // (k + 1))
     assert grow_calls == []
+
+
+@pytest.fixture
+def row_calls(monkeypatch):
+    """Full distance rows asked of a space or of its index."""
+    calls = []
+
+    def counting(fn):
+        def wrapped(self, p):
+            calls.append(p)
+            return fn(self, p)
+        return wrapped
+
+    for cls in (MetricSpace, metric._Index, metric.PrefixIndex):
+        monkeypatch.setattr(cls, "row", counting(cls.row))
+    return calls
+
+
+def test_covers_and_doubling_read_no_row(ultra6, graph40, row_calls):
+    rng = np.random.default_rng(5)
+    plane = MetricSpace(MetricDescriptor("euclidean"), coords=rng.uniform(size=(300, 2)))
+    line = MetricSpace(MetricDescriptor("euclidean"), coords=rng.uniform(size=300))
+    for space in (plane, plane.snowflaked(0.5), line, line.snowflaked(0.7), ultra6, graph40):
+        diam = space.diameter()
+        for r in (diam / 9, diam / 4, diam / 2):
+            greedy_cover_count(space, space.ids, r)
+            greedy_cover_count(space, space.ids[::2], r, return_sets=True)
+        space.estimate_doubling(sample_count=16, rng_seed=7)
+    assert row_calls == []
 
 
 def test_circumscribed_cube_skips_decided_diameters(line_family, diameter_calls):
