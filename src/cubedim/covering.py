@@ -160,9 +160,8 @@ def _maximal_cliques(adj: np.ndarray):
     return cliques
 
 
-def exact_cover_count(space: MetricSpace, E, r: float,
-                      size_cap: int = EXACT_SIZE_CAP):
-    """Exact N(E, r) for small E, or None above the size cap.
+def exact_cover_count(space: MetricSpace, E, r: float):
+    """Exact N(E, r) for E of at most EXACT_SIZE_CAP ids, or None above it.
 
     Candidate covering sets are the maximal diameter-<=r subsets of E (every
     optimal cover can be enlarged to maximal sets, so the restriction is
@@ -173,7 +172,7 @@ def exact_cover_count(space: MetricSpace, E, r: float,
         raise InvalidArgumentError("E must be non-empty")
     if r <= 0:
         raise InvalidArgumentError("r must be positive")
-    if E.size > size_cap:
+    if E.size > EXACT_SIZE_CAP:
         return None
     if E.size == 1 or space.diameter(E) <= r:
         return 1
@@ -218,8 +217,7 @@ def exact_cover_count(space: MetricSpace, E, r: float,
     return int(best[0])
 
 
-def sandwich_check(family: AdjacentFamily, E, x: int, R: float, m: int,
-                   size_cap: int = EXACT_SIZE_CAP) -> CoverReport:
+def sandwich_check(family: AdjacentFamily, E, x: int, R: float, m: int) -> CoverReport:
     """D and N at the comparable scale r = C_tilde * delta^m * R_eff.
 
     The lower inequality N_exact <= D holds whenever every counted cube
@@ -231,7 +229,7 @@ def sandwich_check(family: AdjacentFamily, E, x: int, R: float, m: int,
     r_eff = family.C_tilde * family.params.delta ** m * report.R_eff
     report.r_effective = r_eff
     report.N_greedy = greedy_cover_count(family.space, target, r_eff)
-    report.N_exact = exact_cover_count(family.space, target, r_eff, size_cap=size_cap)
+    report.N_exact = exact_cover_count(family.space, target, r_eff)
     if report.max_cube_diameter > r_eff:
         report.flags.append("cube-diameter-exceeds-r-effective")
     if report.N_exact is not None and report.N_exact > report.D:

@@ -115,17 +115,6 @@ class CubeSystem:
         hit = np.bincount(self.labels[k][ids], minlength=self.levels[k].centers.size)
         return np.flatnonzero(hit)
 
-    def level_sums(self, E, s) -> list:
-        """Per level: sum of |Q|^s over cubes meeting E (the minimal level cover)."""
-        out = []
-        for k in range(self.max_level + 1):
-            idx = self.cubes_meeting(k, E)
-            if s == 0.0:
-                out.append(float(idx.size))
-            else:
-                out.append(float(np.sum(self.diams_at(k)[idx] ** s)))
-        return out
-
 
 def count_runs(labels: np.ndarray) -> int:
     """Cubes met by a depth-first-sorted id list, given its labels: 1 + label changes."""
@@ -380,12 +369,15 @@ def _effective_radius(space: MetricSpace, x: int, R: float, members: np.ndarray,
                       row: np.ndarray | None = None) -> float:
     """min(R, 2 * diam(members)) for the members of B(x, R), x among them.
 
-    The diameter is at least the eccentricity max d(x, q), so once twice
-    that reaches R the answer is R with no diameter. The margin leaves the
-    few-ulp differences between the distance and diameter formulas to the
-    exact diameter. ``row``, the distances from x to every point, spares
+    It is 0.0 exactly when the ball is degenerate: fewer than two distinct
+    points. The diameter is at least the eccentricity max d(x, q), so once
+    twice that reaches R the answer is R with no diameter. The margin leaves
+    the few-ulp differences between the distance and diameter formulas to
+    the exact diameter. ``row``, the distances from x to every point, spares
     recomputing the member distances.
     """
+    if members.size < 2:
+        return 0.0
     if row is None:
         ecc = space.pair_distances(np.full(members.size, x), members).max()
     else:
@@ -405,12 +397,9 @@ def circumscribed_cube(family: AdjacentFamily, x: int, R: float,
     """
     if members is None:
         members = family.space.ball_members(x, R)
-    if members.size < 2:
-        raise DegenerateBallError(
-            f"ball B({x}, {R:g}) holds {members.size} point(s); need at least 2")
     R_eff = _effective_radius(family.space, x, R, members)
     if R_eff == 0.0:
-        raise DegenerateBallError(f"ball B({x}, {R:g}) holds one point, repeated")
+        raise DegenerateBallError(f"ball B({x}, {R:g}) holds fewer than two distinct points")
     return _smallest_containing_cube(family, members, R_eff)
 
 
@@ -443,14 +432,18 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
     """Add systems (seeds seed, seed+1, ...) until the sampled worst-case
     circumscribed-cube certificate meets target_ratio, or K_max is reached.
 
-    The query sample is fixed up front, so the stop rule and the recorded
-    certificate are pure functions of (space, params, budgets, seed).
+    The query sample and each query's ball are fixed up front, so the stop
+    rule and the recorded certificate are pure functions of (space, params,
+    budgets, seed). A degenerate ball (fewer than two distinct points) has
+    certificate 1 by convention and is not evaluated.
     """
     params.validate()
     if K_max < 1:
         raise ConfigurationError("K_max must be >= 1")
     if query_budget < 1:
         raise ConfigurationError("query_budget must be >= 1")
+    if max_level is not None and max_level < 1:
+        raise ConfigurationError("an adjacent family needs max_level >= 1")
     raw_diam = space.diameter()
     norm = space.normalized(NORMALIZED_DIAMETER * min(1.0, params.c0))
     scale = 1.0 if raw_diam == 0 else (NORMALIZED_DIAMETER * min(1.0, params.c0)) / raw_diam
@@ -466,28 +459,22 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
         x = int(rng.integers(norm.n))
         R = radii[int(rng.integers(len(radii)))]
         queries.append((x, R))
+    balls = []
+    for x, R in queries:
+        members = norm.ball_members(x, R)
+        balls.append((members, _effective_radius(norm, x, R, members)))
+    degenerate = np.array([R_eff == 0.0 for _, R_eff in balls])
 
-    systems = [probe]
     # per-query best (smallest-diameter) containing cube across systems so far
-    best_cert = np.full(len(queries), np.inf)
+    best_cert = np.where(degenerate, 1.0, np.inf)
     best_diam = np.full(len(queries), np.inf)
-    ball_cache = {}
-
-    def eval_system(system):
-        for qi, (x, R) in enumerate(queries):
-            if qi not in ball_cache:
-                m = norm.ball_members(x, R)
-                R_eff = 0.0 if m.size < 2 else _effective_radius(norm, x, R, m)
-                if R_eff == 0.0:  # fewer than two distinct points
-                    ball_cache[qi] = None
-                    best_cert[qi] = 1.0  # degenerate: skipped by convention
-                    best_diam[qi] = 0.0
-                    continue
-                ball_cache[qi] = (m, R_eff)
-            entry = ball_cache[qi]
-            if entry is None:
-                continue
-            members, R_eff = entry
+    systems = []
+    for t in range(K_max):
+        system = probe if t == 0 else build_system(norm, params, seed=seed + t, max_level=L,
+                                                   system_id=t, pre_normalized=True)
+        systems.append(system)
+        for qi in np.flatnonzero(~degenerate):
+            members, R_eff = balls[qi]
             found = _circumscribed_in_system(system, members)
             if found is None:
                 continue
@@ -496,13 +483,8 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
             if diam < best_diam[qi]:
                 best_diam[qi] = diam
                 best_cert[qi] = _cert_terms(params, R_eff, level, diam)
-
-    eval_system(probe)
-    while float(np.max(best_cert, initial=1.0)) > target_ratio and len(systems) < K_max:
-        t = len(systems)
-        systems.append(build_system(norm, params, seed=seed + t, max_level=L,
-                                    system_id=t, pre_normalized=True))
-        eval_system(systems[-1])
+        if float(np.max(best_cert, initial=1.0)) <= target_ratio:
+            break
 
     finite = best_cert[np.isfinite(best_cert)]
     worst = float(finite.max()) if finite.size else 1.0
@@ -510,14 +492,9 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
     C_tilde = 12.0 * params.C0 * C_delta_hat / params.c0
     best_effort = worst > target_ratio
 
-    query_log = []
-    for qi, (x, R) in enumerate(queries):
-        entry = ball_cache.get(qi)
-        query_log.append({
-            "x": x, "R": R,
-            "degenerate": entry is None,
-            "cert": float(best_cert[qi]) if np.isfinite(best_cert[qi]) else None,
-        })
+    query_log = [{"x": x, "R": R, "degenerate": bool(degenerate[qi]),
+                  "cert": float(best_cert[qi]) if np.isfinite(best_cert[qi]) else None}
+                 for qi, (x, R) in enumerate(queries)]
 
     return AdjacentFamily(norm, params, systems, C_delta_hat, C_tilde, best_effort,
                           target_ratio, query_budget, seed, query_log, scale)
@@ -569,7 +546,8 @@ def save_family(family: AdjacentFamily, path, points_hash: str = "") -> None:
 def load_family(path, space: MetricSpace, points_hash: str | None = None) -> AdjacentFamily:
     """Rebuild a family from file, refusing mismatched or broken files.
 
-    An unreadable or malformed file raises ``StaleCubesError``. Labels are
+    An unreadable or malformed file, or one with a system that has no level
+    below the root, raises ``StaleCubesError``. Labels are
     re-derived from the stored nets and parents, and every system's four
     structural checks are recomputed; a system that fails partition, the
     inner ball or the outer ball check makes the file stale. Ball
@@ -594,6 +572,8 @@ def load_family(path, space: MetricSpace, points_hash: str | None = None) -> Adj
         raise StaleCubesError(f"malformed cubes file: {exc!r}") from exc
     if not nets:
         raise StaleCubesError("cubes file holds no cube systems")
+    if any(len(levels) < 2 for _, levels, _ in nets):
+        raise StaleCubesError("cubes file holds a system with no level below the root")
     norm = space.normalized(NORMALIZED_DIAMETER * min(1.0, params.c0))
     systems = []
     for sid, (seed, levels, parent_idx) in enumerate(nets):

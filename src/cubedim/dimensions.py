@@ -75,6 +75,15 @@ def _fit_line(xs, ys):
 # -- cubic measure and Hausdorff dimension -----------------------------------
 
 
+def _met_diameters(system: CubeSystem, E: np.ndarray) -> list:
+    """Per level k = 0..max_level: the diameters of the level-k cubes meeting E,
+    in cube order. Same-level cubes partition the space, so the cubes meeting
+    E are the least level-k cover of E, and ``np.sum(d ** s)`` over one entry
+    is its sum of |Q|^s."""
+    return [system.diams_at(k)[system.cubes_meeting(k, E)]
+            for k in range(system.max_level + 1)]
+
+
 def cubic_measure(system: CubeSystem, E, s: float, r: float) -> MeasureValue:
     """min over levels m with 4*C0*delta^m <= r of the |Q|^s sum over cubes meeting E."""
     E = np.asarray(E, dtype=np.int64)
@@ -89,7 +98,7 @@ def cubic_measure(system: CubeSystem, E, s: float, r: float) -> MeasureValue:
         raise ScaleExhaustedError(
             f"no admissible level: 4*C0*delta^m <= {r:g} needs m > {system.max_level}",
             deepest_available=system.max_level)
-    sums = system.level_sums(E, s)
+    sums = [float(np.sum(d ** s)) for d in _met_diameters(system, E)]
     best_m = min(admissible, key=lambda m: (sums[m], m))
     value = sums[best_m]
     flags = ["saturated-at-depth"] if (value == 0.0 and s > 0) else []
@@ -99,17 +108,23 @@ def cubic_measure(system: CubeSystem, E, s: float, r: float) -> MeasureValue:
 def h_greedy_sum(space, E, s: float, r: float) -> float:
     """Greedy arbitrary-set comparison value for the Hausdorff pre-measure."""
     sets = greedy_cover_count(space, E, r, return_sets=True)
-    return float(sum(space.diameter(block) ** s if s > 0 else 1.0 for block in sets))
+    return float(sum(space.diameter(block) ** s for block in sets))
 
 
-def _measure_slope(system, E, s, r_schedule):
-    """Fitted slope of log M^s_r against log(1/r); None when underdetermined."""
+def _measure_slope(met, s, log_inv_r):
+    """Fitted slope of log M^s_r against log(1/r) over the radii r_j, j >= 1;
+    None when underdetermined.
+
+    At r_j = 4*C0*delta^j the admissible levels are exactly m >= j, so
+    M^s_{r_j} is the least level sum from level j down: a suffix minimum.
+    """
+    sums = [float(np.sum(d ** s)) for d in met]
+    least = np.minimum.accumulate(sums[::-1])[::-1]
     xs, ys = [], []
-    for r in r_schedule:
-        mv = cubic_measure(system, E, s, r)
-        if mv.value > 0:
-            xs.append(math.log(1.0 / r))
-            ys.append(math.log(mv.value))
+    for x, value in zip(log_inv_r, least[1:]):
+        if value > 0:
+            xs.append(x)
+            ys.append(math.log(value))
     if len(xs) < 2 or len(set(xs)) < 2:
         return None
     slope, _, _ = _fit_line(xs, ys)
@@ -122,25 +137,27 @@ def hausdorff_dim_estimate(system: CubeSystem, E) -> DimensionEstimate:
     Measures grow as r shrinks below the critical exponent and flatten or
     decay above it; the estimate is the crossing point. The radii are
     4*C0*delta^j for j = 1..max_level, and the bisection runs up to the
-    log2 of a 16-sample doubling estimate (seed 7).
+    log2 of a 16-sample doubling estimate (seed 7). The cubes meeting E are
+    found once per level, for every exponent the bisection tries.
     """
     E = np.asarray(E, dtype=np.int64)
     p = system.params
-    r_schedule = [4.0 * p.C0 * p.delta ** j for j in range(1, system.max_level + 1)]
-    usable = [r for r in r_schedule
-              if any(4.0 * p.C0 * p.delta ** m <= r * (1 + 1e-12)
-                     for m in range(system.max_level + 1))]
-    if len(usable) < 3:
+    L = system.max_level
+    if L < 3:
         raise InsufficientScalesError(
-            f"hausdorff fit needs >= 3 resolvable scales, got {len(usable)} "
-            f"(max_level={system.max_level})")
+            f"hausdorff fit needs >= 3 resolvable scales, got {L} (max_level={L})")
+    if E.size == 0:
+        raise InvalidArgumentError("E must be non-empty")
+    radii = [4.0 * p.C0 * p.delta ** j for j in range(1, L + 1)]
+    log_inv_r = [math.log(1.0 / r) for r in radii]
 
     doubling = system.space.estimate_doubling(sample_count=16, rng_seed=7)
     hi = max(1.0, math.log2(max(2, doubling.C_d_hat)))
     lo = 0.0
+    met = _met_diameters(system, E)
 
     def grows(s):
-        slope = _measure_slope(system, E, s, usable)
+        slope = _measure_slope(met, s, log_inv_r)
         if slope is None:
             return False
         return slope > HAUSDORFF_SLOPE_TOL
@@ -166,7 +183,7 @@ def hausdorff_dim_estimate(system: CubeSystem, E) -> DimensionEstimate:
     grid = [round(value * f, 6) for f in (0.5, 0.8, 1.0, 1.2, 1.5) if value > 0]
     slopes = []
     for s in grid:
-        sl = _measure_slope(system, E, s, usable)
+        sl = _measure_slope(met, s, log_inv_r)
         diagnostics[f"slope@s={s:g}"] = sl
         slopes.append(sl)
     known = [sl for sl in slopes if sl is not None]
@@ -174,7 +191,7 @@ def hausdorff_dim_estimate(system: CubeSystem, E) -> DimensionEstimate:
         flags.append("unstable")
 
     return DimensionEstimate(kind="hausdorff", value=float(value),
-                             window=[float(usable[0]), float(usable[-1])],
+                             window=[float(radii[0]), float(radii[-1])],
                              slope=value, system_id=system.system_id,
                              seed=system.seed, flags=flags, diagnostics=diagnostics)
 
@@ -182,47 +199,39 @@ def hausdorff_dim_estimate(system: CubeSystem, E) -> DimensionEstimate:
 # -- box dimension ------------------------------------------------------------
 
 
-def least_admissible_level(delta: float, diam: float, offset: int = 0) -> int:
-    """Smallest m >= 0 with delta^(offset + m) <= diam (with float slack)."""
+def least_admissible_level(delta: float, diam: float) -> int:
+    """Smallest m >= 0 with delta^m <= diam (with float slack)."""
     if diam <= 0:
         return 0
     m = 0
-    while delta ** (offset + m) > diam * DIAMETER_SLACK:
+    while delta ** m > diam * DIAMETER_SLACK:
         m += 1
     return m
 
 
-def box_dim_estimate(family: AdjacentFamily, E, x: int | None = None,
-                     R: float | None = None, m_window=None,
-                     sharper: bool = False) -> DimensionEstimate:
+def box_dim_estimate(family: AdjacentFamily, E, m_window=None) -> DimensionEstimate:
     """Least-squares slope of log D(E, m) against m*log(1/delta).
 
-    The counts are taken in the circumscribed cube of B(x, R), which must
-    hold E. Give both x and R, or neither: then x is the first id of E and
-    R just exceeds its farthest distance in E.
+    The counts are taken in the circumscribed cube of the ball B(x, R)
+    around x, the first id of E, whose radius R just exceeds x's farthest
+    distance in E, so the ball holds E.
     """
     E = np.asarray(E, dtype=np.int64)
     if E.size == 0:
         raise InvalidArgumentError("E must be non-empty")
-    if (x is None) != (R is None):
-        raise InvalidArgumentError("give both x and R to localize, or neither")
     space = family.space
     diam_E = space.diameter(E)
     if diam_E == 0.0:  # one point, perhaps repeated
         return DimensionEstimate(kind="box", value=0.0, window=[0, 0],
                                  flags=family.flags())
-    if x is None:
-        x = int(E[0])
-        R = float(space.row(x)[E].max()) * (1.0 + 1e-9)
+    x = int(E[0])
+    R = float(space.row(x)[E].max()) * (1.0 + 1e-9)
     members = space.ball_members(x, R)
-    if np.setdiff1d(E, members).size:
-        raise InvalidArgumentError("E is not contained in the ball B(x, R)")
 
     cc = circumscribed_cube(family, x, R, members=members)
     system = family.systems[cc.system_id]
     depth = system.max_level - cc.level
-    offset = cc.level if sharper else 0
-    m_E = least_admissible_level(family.params.delta, diam_E, offset=offset)
+    m_E = least_admissible_level(family.params.delta, diam_E)
     if m_window is None:
         m_window = list(range(m_E, depth + 1))
     m_window = [m for m in m_window if m_E <= m <= depth]
@@ -231,7 +240,7 @@ def box_dim_estimate(family: AdjacentFamily, E, x: int | None = None,
             f"box fit needs >= 3 levels, window has {len(m_window)} "
             f"(m_E={m_E}, depth={depth})")
 
-    target = np.intersect1d(E, members)
+    target = target_in_ball(space, E, members)
     dfs = system.dfs_sorted(target)
     counts = [count_runs(system.labels[cc.level + m][dfs]) for m in m_window]
     log_inv_delta = math.log(1.0 / family.params.delta)
@@ -303,8 +312,6 @@ def _windows_for_point(family, E, x, radii, seen):
     out = []
     for R in radii:
         members = np.flatnonzero(row < R)
-        if members.size < 2:
-            continue
         # the minimal containing cube depends only on the member set
         # (cube families are laminar), so identical balls are one window; a
         # digest of the member ids keys the set without holding every array
@@ -316,7 +323,7 @@ def _windows_for_point(family, E, x, radii, seen):
         if target.size == 0:
             continue
         R_eff = _effective_radius(space, int(x), float(R), members, row)
-        if R_eff == 0.0:  # the members are one point, repeated
+        if R_eff == 0.0:  # fewer than two distinct points
             continue
         cc = _smallest_containing_cube(family, members, R_eff)
         system = family.systems[cc.system_id]

@@ -66,15 +66,19 @@ def greedy_net_coords(tree, order: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def greedy_net_matrix(dmat: np.ndarray, order: np.ndarray, threshold: float) -> np.ndarray:
-    """Matrix-metric variant of :func:`greedy_net_coords`."""
-    n = dmat.shape[0]
-    chosen = np.empty(n, dtype=np.int64)
-    k = 0
+    """Matrix-metric variant of :func:`greedy_net_coords`.
+
+    Each admitted point blocks the points closer than ``threshold``, read off
+    its row; ``dmat`` is symmetric, so its row holds every point's distance to it.
+    """
+    blocked = np.zeros(dmat.shape[0], dtype=bool)
+    chosen = []
     for cand in order:
-        if k == 0 or dmat[cand, chosen[:k]].min() >= threshold:
-            chosen[k] = cand
-            k += 1
-    return chosen[:k].copy()
+        if blocked[cand]:
+            continue
+        chosen.append(cand)
+        blocked |= dmat[cand] < threshold
+    return np.asarray(chosen, dtype=np.int64)
 
 
 def nearest_center_coords(query_coords: np.ndarray,

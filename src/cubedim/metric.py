@@ -63,6 +63,16 @@ class MetricDescriptor:
             out["scale"] = self.scale
         return out
 
+    @classmethod
+    def from_json(cls, m: dict) -> "MetricDescriptor":
+        """The descriptor ``to_json`` wrote; an ultrametric must give its arity and base."""
+        kind = m.get("kind")
+        ultra = kind == "ultrametric"
+        return cls(kind, epsilon=float(m.get("epsilon", 1.0)),
+                   arity=int(m["arity"]) if ultra else 0,
+                   base=float(m["base"]) if ultra else 0.0,
+                   scale=float(m.get("scale", 1.0)))
+
     def transform(self, base):
         """A base distance (Euclidean, stored, or ``base ** lcp``) put through the
         snowflake power and the scale, elementwise over an array."""
@@ -639,35 +649,27 @@ def space_from_json(doc) -> MetricSpace:
         raise PointsFileError("points document must be an object with a 'metric' field")
     m = doc["metric"]
     kind = m.get("kind")
+    if kind not in _KINDS:
+        raise PointsFileError(f"field 'metric.kind': unknown kind {kind!r}")
     try:
-        if kind in ("euclidean", "snowflake"):
-            pts = doc.get("points")
-            if not pts:
-                raise PointsFileError("field 'points': empty or missing")
-            desc = MetricDescriptor(kind, epsilon=float(m.get("epsilon", 1.0)),
-                                    scale=float(m.get("scale", 1.0)))
-            return MetricSpace(desc, coords=np.asarray(pts, dtype=np.float64))
-        if kind == "ultrametric":
-            pts = doc.get("points")
-            if not pts:
-                raise PointsFileError("field 'points': empty or missing")
-            desc = MetricDescriptor(kind, arity=int(m["arity"]), base=float(m["base"]),
-                                    scale=float(m.get("scale", 1.0)))
-            return MetricSpace(desc, strings=[str(s) for s in pts])
+        desc = MetricDescriptor.from_json(m)
         if kind == "matrix":
             tri = m.get("matrix")
             if tri is None:
                 raise PointsFileError("field 'metric.matrix': missing for matrix kind")
-            full = _matrix_from_lower_triangular(tri)
-            desc = MetricDescriptor(kind, scale=float(m.get("scale", 1.0)))
-            space = MetricSpace(desc, matrix=full)
+            space = MetricSpace(desc, matrix=_matrix_from_lower_triangular(tri))
             _spot_check_triangle(space)
             return space
+        pts = doc.get("points")
+        if not pts:
+            raise PointsFileError("field 'points': empty or missing")
+        if kind == "ultrametric":
+            return MetricSpace(desc, strings=[str(s) for s in pts])
+        return MetricSpace(desc, coords=np.asarray(pts, dtype=np.float64))
     except KeyError as exc:
         raise PointsFileError(f"field 'metric.{exc.args[0]}': missing") from exc
     except (TypeError, ValueError, InvalidArgumentError) as exc:
         raise PointsFileError(f"invalid points document: {exc}") from exc
-    raise PointsFileError(f"field 'metric.kind': unknown kind {kind!r}")
 
 
 def _matrix_from_lower_triangular(tri):

@@ -140,6 +140,16 @@ class TestEstimate:
         assert lines[0] == "x_id,R,m,D,max_cube_diameter"
         assert len(lines) > 2
 
+    def test_snowflaked_ultrametric_keeps_its_exponent(self, tmp_path, capsys):
+        # d = (16^-lcp)^(1/2) halves the box dimension of the binary tree: 0.5
+        pts, cubes_file = str(tmp_path / "snow.json"), str(tmp_path / "snow_cubes.json")
+        assert cli.main(["gen", "ultrametric_cantor", "--arity", "2", "--base", "0.0625",
+                         "--depth", "8", "--snowflake", "0.5", "--out", pts]) == 0
+        assert cli.main(["build", "--points", pts, "--out", cubes_file]) == 0
+        capsys.readouterr()
+        assert cli.main(["estimate", "box", "--points", pts, "--cubes", cubes_file]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.5
+
     def test_stale_cubes_exit2(self, run, workspace, tmp_path):
         r = run("gen", "cantor", "--depth", "3", "--out", "other.json", cwd=workspace)
         assert r.returncode == 0, r.stderr
@@ -227,6 +237,12 @@ def _center_out_of_range(doc):
     system["parents"][len(system["parents"]) - len(deepest)][0] = deepest[0] = 32
 
 
+def _root_only(doc):
+    for system in doc["systems"]:
+        system["levels"] = system["levels"][:1]
+        system["parents"] = []
+
+
 # how a cubes file is damaged: None leaves no file, a string replaces the text,
 # a function edits the parsed document of a good file
 DAMAGES = {
@@ -236,6 +252,7 @@ DAMAGES = {
     "truncated-parents": _truncate_parents,
     "unknown-parent": _unknown_parent,
     "center-out-of-range": _center_out_of_range,
+    "root-only": _root_only,
 }
 
 
@@ -289,6 +306,13 @@ class TestEdgeSurfaces:
                 "--levels", "50", cwd=workspace)
         assert r.returncode == 2
         assert "hard cap" in r.stderr
+
+    def test_levels_zero_exit2(self, run, workspace):
+        # a family samples its queries below the root: level 0 alone has none
+        r = run("build", "--points", "pts.json", "--out", "flat.json",
+                "--levels", "0", cwd=workspace)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and "max_level >= 1" in r.stderr, r.stderr
 
     def test_singleton_space_pipeline(self, run, tmp_path):
         (tmp_path / "one.json").write_text(

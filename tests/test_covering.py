@@ -97,7 +97,7 @@ class TestExactCover:
 
     def test_cap_returns_none(self):
         sp = euclid(np.linspace(0, 1, 30))
-        assert exact_cover_count(sp, list(range(30)), 0.1, size_cap=25) is None
+        assert exact_cover_count(sp, list(range(30)), 0.1) is None
 
     def test_matches_bruteforce_random(self):
         rng = np.random.default_rng(1)

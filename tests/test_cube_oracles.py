@@ -26,9 +26,18 @@ reproduce the labels, parents and checks.
 The greedy cover reads its near sets as closed balls of the index, and the
 doubling estimate counts each sample as a greedy net of the index; the
 row-based computations they replaced are kept here as their oracles.
+
+A Hausdorff fit reads every radius off one table of level sums per exponent,
+where the old fit recomputed all level sums for each radius; and a family
+build decides each query ball once, up front, where the old build filled a
+ball cache lazily while evaluating its first system. Both old computations
+are kept here as oracles, on spaces with repeated points, so that degenerate
+balls occur.
 """
 
 import json
+import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -39,14 +48,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubedim import MetricDescriptor, MetricSpace, cli, cubes
+from cubedim import MetricDescriptor, MetricSpace, cli, cubes, dimensions
 from cubedim.covering import dyadic_cover_count, greedy_cover_count
-from cubedim.cubes import (BuildReport, CubeSystem, _check_inner_balls,
-                           _circumscribed_in_system, build_adjacent_family,
+from cubedim.cubes import (NORMALIZED_DIAMETER, AdjacentFamily, BuildReport, CubeSystem,
+                           _cert_terms, _check_inner_balls, _circumscribed_in_system,
+                           _effective_radius, build_adjacent_family, build_system,
                            circumscribed_cube, family_to_json, file_hash, load_family,
                            r_grid, save_family, verify_system)
-from cubedim.dimensions import local_windows, sample_points
-from cubedim.errors import DegenerateBallError, ScaleExhaustedError
+from cubedim.dimensions import (DimensionEstimate, _fit_line, _met_diameters,
+                                hausdorff_dim_estimate, local_windows, sample_points)
+from cubedim.errors import DegenerateBallError, InsufficientScalesError, ScaleExhaustedError
 from cubedim.metric import load_points, save_points
 from cubedim.nets import NetLevel, NetParams, nearest_center, nearest_center_within
 
@@ -207,7 +218,7 @@ class TestDepthFirstArrays:
                     diams = np.asarray(oracle_diams(system, k))
                     expect.append(float(idx.size) if s == 0.0
                                   else float(np.sum(diams[idx] ** s)))
-                assert system.level_sums(E, s) == expect
+                assert [float(np.sum(d ** s)) for d in _met_diameters(system, E)] == expect
         for x in space.ids[:: max(1, space.n // 6)]:
             for R in radii:
                 members = space.ball_members(int(x), R)
@@ -341,6 +352,186 @@ class TestDecidedByBound:
         got = build()
         with mock.patch.object(cubes, "_effective_radius", oracle_R_eff):
             assert got == build()
+
+
+def oracle_level_sums(system, E, s):
+    """Per level: sum of |Q|^s over the cubes meeting E, one level at a time."""
+    out = []
+    for k in range(system.max_level + 1):
+        idx = system.cubes_meeting(k, E)
+        if s == 0.0:
+            out.append(float(idx.size))
+        else:
+            out.append(float(np.sum(system.diams_at(k)[idx] ** s)))
+    return out
+
+
+def oracle_cubic_measure(system, E, s, r):
+    """The least level sum over the levels admissible at r, all sums recomputed."""
+    p = system.params
+    admissible = [m for m in range(system.max_level + 1)
+                  if 4.0 * p.C0 * p.delta ** m <= r * (1 + 1e-12)]
+    sums = oracle_level_sums(system, E, s)
+    return sums[min(admissible, key=lambda m: (sums[m], m))]
+
+
+def oracle_measure_slope(system, E, s, r_schedule):
+    xs, ys = [], []
+    for r in r_schedule:
+        value = oracle_cubic_measure(system, E, s, r)
+        if value > 0:
+            xs.append(math.log(1.0 / r))
+            ys.append(math.log(value))
+    if len(xs) < 2 or len(set(xs)) < 2:
+        return None
+    return _fit_line(xs, ys)[0]
+
+
+def oracle_hausdorff(system, E):
+    """The Hausdorff fit with one cubic measure per radius and the usable filter."""
+    E = np.asarray(E, dtype=np.int64)
+    p = system.params
+    r_schedule = [4.0 * p.C0 * p.delta ** j for j in range(1, system.max_level + 1)]
+    usable = [r for r in r_schedule
+              if any(4.0 * p.C0 * p.delta ** m <= r * (1 + 1e-12)
+                     for m in range(system.max_level + 1))]
+    if len(usable) < 3:
+        raise InsufficientScalesError(
+            f"hausdorff fit needs >= 3 resolvable scales, got {len(usable)} "
+            f"(max_level={system.max_level})")
+    doubling = system.space.estimate_doubling(sample_count=16, rng_seed=7)
+    hi = max(1.0, math.log2(max(2, doubling.C_d_hat)))
+
+    def grows(s):
+        slope = oracle_measure_slope(system, E, s, usable)
+        return slope is not None and slope > dimensions.HAUSDORFF_SLOPE_TOL
+
+    if not grows(1e-9):
+        value = 0.0
+    elif grows(hi):
+        value = hi
+    else:
+        a, b = 0.0, hi
+        for _ in range(dimensions.BISECTION_STEPS):
+            mid = 0.5 * (a + b)
+            if grows(mid):
+                a = mid
+            else:
+                b = mid
+            if b - a < dimensions.BISECTION_TOL:
+                break
+        value = 0.5 * (a + b)
+    grid = [round(value * f, 6) for f in (0.5, 0.8, 1.0, 1.2, 1.5) if value > 0]
+    slopes = [oracle_measure_slope(system, E, s, usable) for s in grid]
+    known = [sl for sl in slopes if sl is not None]
+    flags = ["unstable"] if any(b > a + 1e-9 for a, b in zip(known, known[1:])) else []
+    return DimensionEstimate(kind="hausdorff", value=float(value),
+                             window=[float(usable[0]), float(usable[-1])],
+                             slope=value, system_id=system.system_id, seed=system.seed,
+                             flags=flags,
+                             diagnostics={f"slope@s={s:g}": sl for s, sl in zip(grid, slopes)})
+
+
+def oracle_family(space, params, K_max, query_budget, target_ratio, seed, max_level):
+    """The family build with each query's ball computed lazily, into a cache,
+    while the first system is evaluated."""
+    raw_diam = space.diameter()
+    norm = space.normalized(NORMALIZED_DIAMETER * min(1.0, params.c0))
+    scale = 1.0 if raw_diam == 0 else (NORMALIZED_DIAMETER * min(1.0, params.c0)) / raw_diam
+    probe = build_system(norm, params, seed=seed, max_level=max_level, system_id=0,
+                         pre_normalized=True)
+    L = probe.max_level
+    rng = np.random.default_rng([seed, 104729])
+    radii = r_grid(params.delta, L)
+    queries = []
+    for _ in range(query_budget):
+        x = int(rng.integers(norm.n))
+        queries.append((x, radii[int(rng.integers(len(radii)))]))
+    systems = [probe]
+    best_cert = np.full(len(queries), np.inf)
+    best_diam = np.full(len(queries), np.inf)
+    ball_cache = {}
+
+    def eval_system(system):
+        for qi, (x, R) in enumerate(queries):
+            if qi not in ball_cache:
+                m = norm.ball_members(x, R)
+                R_eff = 0.0 if m.size < 2 else _effective_radius(norm, x, R, m)
+                if R_eff == 0.0:
+                    ball_cache[qi] = None
+                    best_cert[qi] = 1.0
+                    best_diam[qi] = 0.0
+                    continue
+                ball_cache[qi] = (m, R_eff)
+            if ball_cache[qi] is None:
+                continue
+            members, R_eff = ball_cache[qi]
+            found = _circumscribed_in_system(system, members)
+            if found is None:
+                continue
+            level, index = found
+            diam = system.diams_at(level)[index]
+            if diam < best_diam[qi]:
+                best_diam[qi] = diam
+                best_cert[qi] = _cert_terms(params, R_eff, level, diam)
+
+    eval_system(probe)
+    while float(np.max(best_cert, initial=1.0)) > target_ratio and len(systems) < K_max:
+        t = len(systems)
+        systems.append(build_system(norm, params, seed=seed + t, max_level=L, system_id=t,
+                                    pre_normalized=True))
+        eval_system(systems[-1])
+    finite = best_cert[np.isfinite(best_cert)]
+    worst = float(finite.max()) if finite.size else 1.0
+    C_delta_hat = max(1.0, worst)
+    query_log = [{"x": x, "R": R, "degenerate": ball_cache.get(qi) is None,
+                  "cert": float(best_cert[qi]) if np.isfinite(best_cert[qi]) else None}
+                 for qi, (x, R) in enumerate(queries)]
+    return AdjacentFamily(norm, params, systems, C_delta_hat,
+                          12.0 * params.C0 * C_delta_hat / params.c0, worst > target_ratio,
+                          target_ratio, query_budget, seed, query_log, scale)
+
+
+def estimate_bytes(est):
+    return json.dumps(est.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+class TestReadOnce:
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_hausdorff_matches_per_radius_fit(self, kind, data):
+        space = data.draw(spaces(kind, repeats=True))
+        system = build_system(space, NetParams(),
+                              seed=data.draw(st.integers(min_value=0, max_value=50)),
+                              max_level=data.draw(st.integers(min_value=2, max_value=5)))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        n = system.space.n
+        E = system.space.ids if data.draw(st.booleans()) else np.sort(
+            rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        try:
+            want = oracle_hausdorff(system, E)
+        except InsufficientScalesError as exc:
+            with pytest.raises(InsufficientScalesError, match=re.escape(str(exc))):
+                hausdorff_dim_estimate(system, E)
+            return
+        got = hausdorff_dim_estimate(system, E)
+        assert estimate_bytes(got) == estimate_bytes(want)
+        assert got.diagnostics == want.diagnostics
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_family_matches_lazy_ball_cache(self, kind, data):
+        space = data.draw(spaces(kind, repeats=True))
+        args = dict(K_max=3, query_budget=24,
+                    target_ratio=data.draw(st.sampled_from([2.0, 64.0])),
+                    seed=data.draw(st.integers(min_value=0, max_value=50)),
+                    max_level=data.draw(st.integers(min_value=1, max_value=4)))
+        got = build_adjacent_family(space, NetParams(), **args)
+        want = oracle_family(space, NetParams(), **args)
+        assert family_to_json(got) == family_to_json(want)
+        assert got.query_log == want.query_log
 
 
 def oracle_row_greedy(space, E, r, return_sets=False):

@@ -72,27 +72,6 @@ class TestBox:
         assert est.value == pytest.approx(0.25, abs=0.01)
         assert est.diagnostics["counts"][:4] == [1, 2, 4, 8]
 
-    def test_E_outside_ball_rejected(self, ultra6_family):
-        from cubedim import InvalidArgumentError
-
-        with pytest.raises(InvalidArgumentError):
-            box_dim_estimate(ultra6_family, ultra6_family.space.ids, x=0, R=1e-4)
-
-    def test_x_and_R_go_together(self, ultra6_family):
-        from cubedim import InvalidArgumentError
-
-        E = ultra6_family.space.ids
-        with pytest.raises(InvalidArgumentError, match="both x and R"):
-            box_dim_estimate(ultra6_family, E, x=3)
-        with pytest.raises(InvalidArgumentError, match="both x and R"):
-            box_dim_estimate(ultra6_family, E, R=0.5)
-
-    def test_sharper_window_option(self, cantor10_family):
-        E = cantor10_family.space.ids
-        loose = box_dim_estimate(cantor10_family, E)
-        sharp = box_dim_estimate(cantor10_family, E, sharper=True)
-        assert abs(loose.value - sharp.value) <= 0.05
-
     def test_sequence_half(self):
         sp = generate(GeneratorSpec(kind="sequence", p=1.0, n_max=2000))
         fam = build_adjacent_family(sp, NetParams(), K_max=4, query_budget=150,

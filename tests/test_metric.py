@@ -284,6 +284,19 @@ class TestPointsFiles:
         back = load_points(path)
         assert back.distance(0, 3) == ultra4.distance(0, 3)
 
+    @pytest.mark.parametrize("kind", ["euclidean", "snowflake", "ultrametric", "matrix"])
+    def test_round_trip_keeps_descriptor(self, tmp_path, kind):
+        like = paired_spaces()[kind]
+        desc = MetricDescriptor(kind, epsilon=0.6, arity=like.descriptor.arity,
+                                base=like.descriptor.base, scale=1.7)
+        sp = MetricSpace(desc, coords=like.coords, strings=like.strings,
+                         matrix=like.distance_matrix() if kind == "matrix" else None)
+        path = tmp_path / "pts.json"
+        save_points(sp, path)
+        back = load_points(path)
+        assert back.descriptor == desc
+        assert back.distance_matrix().tobytes() == sp.distance_matrix().tobytes()
+
     def test_matrix_kind(self, tmp_path):
         doc = {"metric": {"kind": "matrix", "matrix": [1.0, 2.0, 1.5]}, "points": [0, 1, 2]}
         path = tmp_path / "m.json"

@@ -2,11 +2,12 @@
 
 Coordinate nets come from kd-tree blocking, and ultrametric nets, nearest
 centers, rows and balls from prefix runs of the sorted strings; neither
-builds an n x n matrix or scans the admitted centers. The oracles here are
-the computations those replaced: the greedy scan that compares each
-candidate with every admitted center, and, for ultrametrics, the greedy scan
-and the argmin over a distance matrix filled from the old row formula
-(every string compared with the query string). Nets, parent indices, labels,
+builds an n x n matrix or scans the admitted centers, and a matrix net
+blocks each admitted center's row. The oracles here are the computations
+those replaced: the greedy scan that compares each candidate with every
+admitted center, and, for ultrametrics, the greedy scan and the argmin over
+a distance matrix filled from the old row formula (every string compared
+with the query string). Nets, parent indices, labels,
 nearest-center indices and distance bits, row bytes, balls, diameters and
 the net check's separation witness must agree bit for bit on small random
 spaces: ultrametrics with duplicate strings, snowflake exponents and scales,
@@ -46,6 +47,18 @@ def scan_net_coords(coords, order, threshold):
         if dsq.min() >= thr2:
             chosen[k] = cand
             chosen_coords[k] = coords[cand]
+            k += 1
+    return chosen[:k].copy()
+
+
+def scan_net_matrix(dmat, order, threshold):
+    """The greedy scan over a distance matrix: admit a point iff its distances
+    to the admitted ones are all >= threshold."""
+    chosen = np.empty(dmat.shape[0], dtype=np.int64)
+    k = 0
+    for cand in order:
+        if k == 0 or dmat[cand, chosen[:k]].min() >= threshold:
+            chosen[k] = cand
             k += 1
     return chosen[:k].copy()
 
@@ -116,7 +129,7 @@ def old_net(space, k, params, seed, dmat=None):
     t = params.separation(k)
     if dmat is None:
         return np.sort(scan_net_coords(space.coords, order, space.index.base_radius(t)))
-    return np.sort(kernels.greedy_net_matrix(dmat, order, t))
+    return np.sort(scan_net_matrix(dmat, order, t))
 
 
 def old_nearest(space, centers, query_ids, dmat=None):
@@ -221,8 +234,9 @@ class TestUltrametric:
         for k, t in enumerate(np.concatenate([values[values > 0], [values.max() * 2]])):
             for threshold in (t, np.nextafter(t, np.inf)):
                 order = scan_order(space.n, seed, k)
-                net = index.net(order, threshold)
-                assert np.array_equal(net, kernels.greedy_net_matrix(dmat, order, threshold))
+                want = scan_net_matrix(dmat, order, threshold)
+                assert np.array_equal(index.net(order, threshold), want)
+                assert np.array_equal(kernels.greedy_net_matrix(dmat, order, threshold), want)
         centers = _subset(data, space.n)
         queries = _subset(data, space.n)
         for q in (queries, space.ids):
@@ -241,6 +255,21 @@ class TestUltrametric:
     @settings(max_examples=EXAMPLES, deadline=None)
     def test_system_matches_matrix_kernels(self, space, seed, max_level):
         assert_system_matches_oracle(space, seed, max_level, ultrametric=True)
+
+
+class TestMatrix:
+    @given(data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_net_matches_scan(self, data):
+        # small integer distances: many pairs lie exactly at each threshold
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        n = data.draw(st.integers(min_value=1, max_value=60))
+        upper = np.triu(rng.integers(1, 5, size=(n, n)).astype(np.float64), 1)
+        dmat = upper + upper.T
+        for t in (1.0, 2.0, np.nextafter(2.0, np.inf), 3.0, 4.0, 5.0):
+            order = rng.permutation(n)[:data.draw(st.integers(min_value=0, max_value=n))]
+            assert np.array_equal(kernels.greedy_net_matrix(dmat, order, t),
+                                  scan_net_matrix(dmat, order, t))
 
 
 class TestCoordinates:

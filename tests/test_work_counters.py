@@ -6,7 +6,9 @@ eccentricity reaches R. Ultrametric spaces read nets, nearest centers, rows
 and balls off their sorted strings and never fill an n x n matrix; a matrix
 space transforms its matrix once. Reloading
 a family queries nearest centers once per system, and ``diams_at`` reads a
-1-D or ultrametric level in one pass with no per-cube ``diameter`` call.
+1-D or ultrametric level in one pass with no per-cube ``diameter`` call. A
+Hausdorff fit finds the cubes meeting E once per level, not once per radius
+and exponent.
 None of these changes an output, so losing one shows only in the work done
 or the memory held; these counts make that fail the test suite.
 """
@@ -19,8 +21,10 @@ import pytest
 from cubedim import (GeneratorSpec, MetricDescriptor, MetricSpace, cli, covering, cubes,
                      generate, kernels, metric, nets)
 from cubedim.covering import greedy_cover_count
-from cubedim.cubes import (build_adjacent_family, build_system, circumscribed_cube,
-                           load_family, r_grid, save_family, verify_system)
+from cubedim.cubes import (CubeSystem, build_adjacent_family, build_system,
+                           circumscribed_cube, load_family, r_grid, save_family,
+                           verify_system)
+from cubedim.dimensions import hausdorff_dim_estimate
 from cubedim.nets import NetParams
 
 
@@ -130,6 +134,22 @@ def test_undecided_ball_takes_its_diameter(ultra6_family, diameter_calls):
     cc = circumscribed_cube(ultra6_family, 0, 0.5)
     assert len(diameter_calls) == 1
     assert cc.R_eff == 2.0 * space.diameter(space.ball_members(0, 0.5)) < 0.5
+
+
+@pytest.mark.parametrize("fixture", ["ultra6_family", "cantor10_family"])
+def test_hausdorff_fit_reads_each_level_once(request, fixture, monkeypatch):
+    system = request.getfixturevalue(fixture).systems[0]
+    calls = []
+    cubes_meeting = CubeSystem.cubes_meeting
+
+    def counting(self, k, ids):
+        calls.append(k)
+        return cubes_meeting(self, k, ids)
+
+    monkeypatch.setattr(CubeSystem, "cubes_meeting", counting)
+    est = hausdorff_dim_estimate(system, system.space.ids)
+    assert est.value > 0 and system.max_level >= 3
+    assert sorted(calls) == list(range(system.max_level + 1))
 
 
 @pytest.fixture
