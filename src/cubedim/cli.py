@@ -27,10 +27,6 @@ EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 
 
-def _params_from_args(args) -> NetParams:
-    return NetParams(delta=args.delta, c0=args.c0, C0=args.C0).validate()
-
-
 def _dump_json(doc, path):
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if path in (None, "-"):
@@ -59,7 +55,7 @@ def cmd_gen(args) -> int:
 
 def cmd_build(args) -> int:
     space = load_points(args.points)
-    params = _params_from_args(args)
+    params = NetParams(delta=args.delta, c0=args.c0, C0=args.C0)
     family = build_adjacent_family(
         space, params, K_max=args.systems, query_budget=args.budget,
         target_ratio=args.target_ratio, seed=args.seed, max_level=args.levels)
@@ -100,15 +96,13 @@ def cmd_estimate(args) -> int:
             family, E, m_window=list(range(args.window[0], args.window[1] + 1))
             if args.window else None)
     elif kind == "spectrum":
-        if args.theta is None:
-            raise ConfigurationError("spectrum estimates need --theta")
+        if args.theta is None or not (0.0 < args.theta < 1.0):
+            raise ConfigurationError("spectrum estimates need --theta in (0, 1)")
         est = dimensions.assouad_spectrum_estimate(
             family, E, theta=args.theta, sample_budget=args.budget, seed=args.seed)
-    elif kind == "assouad":
+    else:  # assouad
         est = dimensions.assouad_dim_estimate(
             family, E, sample_budget=args.budget, seed=args.seed)
-    else:
-        raise ConfigurationError(f"unknown estimate kind {kind!r}")
     if family.best_effort and "best-effort-family" not in est.flags:
         est.flags.append("best-effort-family")
     _dump_json(est.to_json(), args.out)
@@ -129,7 +123,6 @@ def _dump_counts_csv(family, E, path, budget, seed):
 
 def cmd_verify(args) -> int:
     family = _load_family_checked(args)
-    params = family.params
     failures = 0
     rows = []
     for system in family.systems:
@@ -144,9 +137,8 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng([args.seed, 4099])
     sandwich_violations = 0
     sampled = 0
-    cert_exceeded = 0
     attempts = 0
-    radii = r_grid(params.delta, family.max_level)
+    radii = r_grid(family.params.delta, family.max_level)
     while sampled < args.budget and attempts < args.budget * 20:
         attempts += 1
         x = int(rng.integers(family.space.n))
@@ -159,8 +151,6 @@ def cmd_verify(args) -> int:
         sampled += 1
         if "sandwich-violated" in rep.flags:
             sandwich_violations += 1
-        if "cube-diameter-exceeds-r-effective" in rep.flags:
-            cert_exceeded += 1
     rows.append(("family", "sandwich_N_le_D",
                  "FAIL" if sandwich_violations else "pass",
                  f"sampled={sampled}", f"violations={sandwich_violations}"))
@@ -174,6 +164,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_doubling(args) -> int:
+    if args.budget < 1:
+        raise ConfigurationError("--budget must be >= 1")
     space = load_points(args.points)
     est = space.estimate_doubling(sample_count=args.budget, rng_seed=args.seed)
     _dump_json({"C_d_hat": est.C_d_hat, "samples_used": est.samples_used},
@@ -207,14 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--points", required=True)
         if cubes:
             p.add_argument("--cubes", required=True)
-        p.add_argument("--delta", type=float, default=1.0 / 16.0)
-        p.add_argument("--c0", type=float, default=1.0)
-        p.add_argument("--C0", type=float, default=1.0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=256)
 
     b = sub.add_parser("build", help="build an adjacent family of cube systems")
     common(b, cubes=False)
+    # estimate and verify read these from the cubes file
+    b.add_argument("--delta", type=float, default=1.0 / 16.0)
+    b.add_argument("--c0", type=float, default=1.0)
+    b.add_argument("--C0", type=float, default=1.0)
     b.add_argument("--out", required=True)
     b.add_argument("--levels", type=int, default=None)
     b.add_argument("--systems", type=int, default=8, help="K_max")

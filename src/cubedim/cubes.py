@@ -61,6 +61,7 @@ def default_max_level(space: MetricSpace, delta: float) -> int:
 class CubeSystem:
     """One delta-dyadic hierarchy over a diameter-normalized space.
 
+    The diameter stays below c0, so level 0 is one root cube: the space.
     ``labels[k][x]`` is the index of the level-k cube holding point x and
     ``parent_idx[k][i]`` the level-(k-1) parent of level-k cube i. ``order``
     sorts the points by their label chains (labels[0], ..., labels[L]), a
@@ -150,7 +151,6 @@ def build_system(space: MetricSpace, params: NetParams, seed: int = 0,
     ball sandwich or ball monotonicity. Call ``verify_system`` for that; its
     result is also left on ``system.report.checks``.
     """
-    params.validate()
     norm = space if pre_normalized else space.normalized(
         NORMALIZED_DIAMETER * min(1.0, params.c0))
     if max_level is None:
@@ -341,7 +341,7 @@ def r_grid(delta: float, max_level: int) -> list:
 
 def _cert_terms(params, R_eff, level, diam):
     up = diam / R_eff
-    down = R_eff / diam if diam > 0 else float("inf")
+    down = R_eff / diam
     scale = params.c0 * params.delta ** level
     lvl_up = 3.0 * R_eff / scale
     lvl_down = scale / (3.0 * R_eff)
@@ -349,20 +349,21 @@ def _cert_terms(params, R_eff, level, diam):
 
 
 def _circumscribed_in_system(system: CubeSystem, members: np.ndarray):
-    """(level, index) of the deepest cube containing every member id, or None.
+    """(level, index) of the deepest cube containing every member id.
 
     Cubes are contiguous runs of the depth-first order, so a cube holds all
     members once it holds the two of least and greatest rank. Nested cubes
-    that hold both at level k hold both at every shallower level.
+    that hold both at level k hold both at every shallower level, down to
+    the single root cube at level 0.
     """
     ranks = system.rank[members]
     first = system.order[ranks.min()]
     last = system.order[ranks.max()]
-    for k in range(system.max_level, -1, -1):
+    for k in range(system.max_level, 0, -1):
         labels = system.labels[k]
         if labels[first] == labels[last]:
             return k, int(labels[first])
-    return None
+    return 0, 0
 
 
 def _effective_radius(space: MetricSpace, x: int, R: float, members: np.ndarray,
@@ -408,22 +409,16 @@ def _smallest_containing_cube(family: AdjacentFamily, members: np.ndarray,
     """The circumscribed cube of a ball of two or more members, given its R_eff."""
     best = None
     for system in family.systems:
-        found = _circumscribed_in_system(system, members)
-        if found is None:
-            continue
-        level, index = found
+        level, index = _circumscribed_in_system(system, members)
         diam = float(system.diams_at(level)[index])
         if best is None or diam < best[0]:
             best = (diam, system.system_id, level, index)
-    if best is None:
-        raise InvalidArgumentError("no system has a containing cube (missing root?)")
     diam, sys_id, level, index = best
     cert = _cert_terms(family.params, R_eff, level, diam)
     flags = []
     if cert > family.C_delta_hat * (1 + 1e-9):
         flags.append("ratio-above-certificate")
-    ratio = diam / R_eff if R_eff > 0 else float("inf")
-    return CircumscribedCube(sys_id, level, index, diam, ratio, R_eff, cert, flags)
+    return CircumscribedCube(sys_id, level, index, diam, diam / R_eff, R_eff, cert, flags)
 
 
 def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
@@ -437,7 +432,6 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
     budgets, seed). A degenerate ball (fewer than two distinct points) has
     certificate 1 by convention and is not evaluated.
     """
-    params.validate()
     if K_max < 1:
         raise ConfigurationError("K_max must be >= 1")
     if query_budget < 1:
@@ -475,26 +469,21 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
         systems.append(system)
         for qi in np.flatnonzero(~degenerate):
             members, R_eff = balls[qi]
-            found = _circumscribed_in_system(system, members)
-            if found is None:
-                continue
-            level, index = found
+            level, index = _circumscribed_in_system(system, members)
             diam = system.diams_at(level)[index]
             if diam < best_diam[qi]:
                 best_diam[qi] = diam
                 best_cert[qi] = _cert_terms(params, R_eff, level, diam)
-        if float(np.max(best_cert, initial=1.0)) <= target_ratio:
+        worst = float(best_cert.max())  # finite: the root holds every ball
+        if worst <= target_ratio:
             break
 
-    finite = best_cert[np.isfinite(best_cert)]
-    worst = float(finite.max()) if finite.size else 1.0
     C_delta_hat = max(1.0, worst)
     C_tilde = 12.0 * params.C0 * C_delta_hat / params.c0
     best_effort = worst > target_ratio
 
     query_log = [{"x": x, "R": R, "degenerate": bool(degenerate[qi]),
-                  "cert": float(best_cert[qi]) if np.isfinite(best_cert[qi]) else None}
-                 for qi, (x, R) in enumerate(queries)]
+                  "cert": float(best_cert[qi])} for qi, (x, R) in enumerate(queries)]
 
     return AdjacentFamily(norm, params, systems, C_delta_hat, C_tilde, best_effort,
                           target_ratio, query_budget, seed, query_log, scale)
@@ -546,14 +535,14 @@ def save_family(family: AdjacentFamily, path, points_hash: str = "") -> None:
 def load_family(path, space: MetricSpace, points_hash: str | None = None) -> AdjacentFamily:
     """Rebuild a family from file, refusing mismatched or broken files.
 
-    An unreadable or malformed file, or one with a system that has no level
-    below the root, raises ``StaleCubesError``. Labels are
-    re-derived from the stored nets and parents, and every system's four
-    structural checks are recomputed; a system that fails partition, the
-    inner ball or the outer ball check makes the file stale. Ball
-    monotonicity is recorded but does not refuse the file, and the sandwich
-    inequality is not checked here (``cubedim verify`` samples it). Each
-    system's checks are left on ``system.report.checks``."""
+    An unreadable or malformed file, or one with a system whose level 0 is
+    not one root center or that has no level below it, raises
+    ``StaleCubesError``. Labels are re-derived from the stored nets and
+    parents, and every system's four structural checks are recomputed; a
+    system that fails partition, the inner ball or the outer ball check makes
+    the file stale. Ball monotonicity is recorded but does not refuse the
+    file, and the sandwich inequality is not checked here (``cubedim verify``
+    samples it). Each system's checks are left on ``system.report.checks``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -563,7 +552,7 @@ def load_family(path, space: MetricSpace, points_hash: str | None = None) -> Adj
         if points_hash is not None and doc.get("points_hash") not in ("", points_hash):
             raise StaleCubesError("cubes file was built from a different points file")
         p = doc["params"]
-        params = NetParams(delta=p["delta"], c0=p["c0"], C0=p["C0"]).validate()
+        params = NetParams(delta=p["delta"], c0=p["c0"], C0=p["C0"])
         nets = [_nets_from_json(sdoc, space.n, params) for sdoc in doc["systems"]]
         constants = (doc["C_delta_hat"], doc["C_tilde"], doc["best_effort"],
                      p.get("target_ratio", 0.0), p.get("query_budget", 0), p.get("seed", 0))
@@ -572,6 +561,8 @@ def load_family(path, space: MetricSpace, points_hash: str | None = None) -> Adj
         raise StaleCubesError(f"malformed cubes file: {exc!r}") from exc
     if not nets:
         raise StaleCubesError("cubes file holds no cube systems")
+    if any(levels[0].centers.size != 1 for _, levels, _ in nets):
+        raise StaleCubesError("cubes file holds a system whose level 0 is not one center")
     if any(len(levels) < 2 for _, levels, _ in nets):
         raise StaleCubesError("cubes file holds a system with no level below the root")
     norm = space.normalized(NORMALIZED_DIAMETER * min(1.0, params.c0))

@@ -482,7 +482,7 @@ class MetricSpace:
             self._codes = codes
             self.n = len(strings)
             self._index_type = PrefixIndex
-        elif kind == "matrix":
+        else:  # matrix; the descriptor admits no other kind
             m = np.asarray(matrix, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
                 raise InvalidArgumentError("matrix metric needs a square distance matrix")
@@ -495,8 +495,6 @@ class MetricSpace:
             self._matrix = m
             self.n = m.shape[0]
             self._index_type = MatrixIndex
-        else:  # pragma: no cover - descriptor validates kinds
-            raise InvalidArgumentError(kind)
         self.ids = np.arange(self.n, dtype=np.int64)
 
     @cached_property

@@ -20,11 +20,13 @@ from .metric import MetricSpace
 
 @dataclass(frozen=True)
 class NetParams:
+    """Net constants, checked on construction: 0 < c0 <= C0, 12*C0*delta <= c0."""
+
     delta: float = 1.0 / 16.0
     c0: float = 1.0
     C0: float = 1.0
 
-    def validate(self):
+    def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise ConfigurationError(f"delta must be in (0, 1), got {self.delta}")
         if self.c0 <= 0 or self.C0 <= 0:
@@ -36,7 +38,6 @@ class NetParams:
             raise ConfigurationError(
                 f"12*C0*delta = {lhs:g} > c0 = {self.c0:g}; "
                 f"shrink delta to at most {self.c0 / (12.0 * self.C0):g}")
-        return self
 
     def separation(self, k):
         return self.c0 * self.delta ** k
@@ -81,7 +82,6 @@ def scan_order(n, seed, k) -> np.ndarray:
 
 def build_net(space: MetricSpace, k: int, params: NetParams, seed: int = 0) -> NetLevel:
     """Greedy maximal separated set at level k. Deterministic given seed."""
-    params.validate()
     if k < 0:
         raise InvalidArgumentError("level k must be non-negative")
     order = scan_order(space.n, seed, k)

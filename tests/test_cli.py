@@ -243,6 +243,18 @@ def _root_only(doc):
         system["parents"] = []
 
 
+def _two_roots(doc):
+    # the 32 ids are the binary strings of length 5 in order: id // 16 is the top branch
+    system = doc["systems"][0]
+    (root,) = system["levels"][0]["centers"]
+    level1 = system["levels"][1]["centers"]
+    other = [c for c in level1 if c // 16 != root // 16]
+    system["levels"][0]["centers"] = sorted([root, other[0]])
+    for pair in system["parents"][:len(level1)]:
+        if pair[0] in other:
+            pair[1] = other[0]
+
+
 # how a cubes file is damaged: None leaves no file, a string replaces the text,
 # a function edits the parsed document of a good file
 DAMAGES = {
@@ -253,24 +265,38 @@ DAMAGES = {
     "unknown-parent": _unknown_parent,
     "center-out-of-range": _center_out_of_range,
     "root-only": _root_only,
+    "two-roots": _two_roots,
 }
+
+
+def _write_damaged(workspace, damage):
+    how = DAMAGES[damage]
+    path = workspace / f"damaged-{damage}.json"
+    if isinstance(how, str):
+        path.write_text(how)
+    elif how is not None:
+        doc = json.loads((workspace / "cubes.json").read_text())
+        how(doc)
+        path.write_text(json.dumps(doc))
+    return path
 
 
 class TestDamagedCubesFile:
     @pytest.mark.parametrize("damage", sorted(DAMAGES))
     def test_verify_exit2_without_traceback(self, run, workspace, damage):
-        how = DAMAGES[damage]
-        path = workspace / f"damaged-{damage}.json"
-        if isinstance(how, str):
-            path.write_text(how)
-        elif how is not None:
-            doc = json.loads((workspace / "cubes.json").read_text())
-            how(doc)
-            path.write_text(json.dumps(doc))
+        path = _write_damaged(workspace, damage)
         r = run("verify", "--points", "pts.json", "--cubes", path.name, cwd=workspace)
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("error:"), r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_two_roots_refused_by_estimate(self, run, workspace):
+        # every containing-cube query ends at the one level-0 cube
+        path = _write_damaged(workspace, "two-roots")
+        r = run("estimate", "box", "--points", "pts.json", "--cubes", path.name,
+                cwd=workspace)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error:") and "level 0" in r.stderr, r.stderr
 
 
 class TestDoubling:
@@ -295,6 +321,25 @@ class TestEdgeSurfaces:
                 "--cubes", "cubes.json", "--system", "99", cwd=workspace)
         assert r.returncode == 2
         assert "out of range" in r.stderr
+
+    @pytest.mark.parametrize("flag,args", [
+        ("--theta", ("estimate", "spectrum", "--theta", "1.5", "--cubes", "cubes.json")),
+        ("--budget", ("doubling", "--budget", "0")),
+    ])
+    def test_out_of_range_argument_exit2(self, run, workspace, flag, args):
+        r = run(*args, "--points", "pts.json", cwd=workspace)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and flag in r.stderr, r.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("estimate", "box", "--delta", "0.05"),
+        ("verify", "--c0", "1"),
+    ])
+    def test_net_params_are_build_only(self, run, workspace, args):
+        # estimate and verify take delta, c0 and C0 from the cubes file
+        r = run(*args, "--points", "pts.json", "--cubes", "cubes.json", cwd=workspace)
+        assert r.returncode == 2
+        assert "unrecognized arguments" in r.stderr, r.stderr
 
     def test_gen_bad_arguments_exit2(self, run, tmp_path):
         r = run("gen", "ifs", "--out", "x.json", cwd=tmp_path)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,19 +9,23 @@ from cubedim.nets import NetLevel, NetParams, build_net, nearest_center, verify_
 
 class TestParams:
     def test_default_satisfies_constraint(self):
-        NetParams().validate()
+        NetParams()
 
     def test_constraint_violation_named(self):
         with pytest.raises(ConfigurationError, match=r"12\*C0\*delta"):
-            NetParams(delta=0.2, c0=1.0, C0=1.0).validate()
+            NetParams(delta=0.2, c0=1.0, C0=1.0)
 
     def test_c0_above_C0_rejected(self):
         with pytest.raises(ConfigurationError):
-            NetParams(c0=2.0, C0=1.0).validate()
+            NetParams(c0=2.0, C0=1.0)
 
     def test_delta_range(self):
         with pytest.raises(ConfigurationError):
-            NetParams(delta=0.0).validate()
+            NetParams(delta=0.0)
+
+    def test_replace_is_checked(self):
+        with pytest.raises(ConfigurationError, match=r"12\*C0\*delta"):
+            dataclasses.replace(NetParams(), delta=0.2)
 
 
 class TestBuildNet:
