@@ -82,7 +82,13 @@ def _load_family_checked(args):
     return load_family(args.cubes, space, points_hash=file_hash(args.points))
 
 
+def _check_budget(args):
+    if args.budget < 1:
+        raise ConfigurationError("--budget must be >= 1")
+
+
 def cmd_estimate(args) -> int:
+    _check_budget(args)
     family = _load_family_checked(args)
     E = family.space.ids
     kind = args.kind
@@ -122,6 +128,7 @@ def _dump_counts_csv(family, E, path, budget, seed):
 
 
 def cmd_verify(args) -> int:
+    _check_budget(args)
     family = _load_family_checked(args)
     failures = 0
     rows = []
@@ -164,8 +171,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_doubling(args) -> int:
-    if args.budget < 1:
-        raise ConfigurationError("--budget must be >= 1")
+    _check_budget(args)
     space = load_points(args.points)
     est = space.estimate_doubling(sample_count=args.budget, rng_seed=args.seed)
     _dump_json({"C_d_hat": est.C_d_hat, "samples_used": est.samples_used},

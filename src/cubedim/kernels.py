@@ -1,13 +1,15 @@
 """The kernels behind nets and nearest-center assignment.
 
 Pairwise distances, greedy net selection and nearest-center assignment, for
-coordinate spaces and for spaces given by a dense distance matrix; the
-coordinate kernels serve ``metric.CoordIndex`` and the matrix kernels
-``metric.MatrixIndex``. The coordinate kernels query SciPy cKDTrees and
-decide every comparison near a threshold or a tie exactly, by squared
-distances; the matrix kernels are NumPy scans. Ultrametric spaces need
-neither: ``metric.PrefixIndex`` reads nets and nearest centers off their
-sorted strings. All functions are deterministic given their inputs.
+coordinates in two or more dimensions and for spaces given by a dense
+distance matrix; the coordinate kernels serve ``metric.CoordIndex`` and the
+matrix kernels ``metric.MatrixIndex``. The coordinate kernels query SciPy
+cKDTrees, imported on first use, and decide every comparison near a
+threshold or a tie exactly, by squared distances; the matrix kernels are
+NumPy scans. 1-D coordinates and ultrametric spaces need neither:
+``metric.LineIndex`` and ``metric.PrefixIndex`` read nets and nearest
+centers off their sorted coordinates or strings. All functions are
+deterministic given their inputs.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ CHUNK = 512
 # relative slack on tree distances: nearest_center_coords re-decides a query
 # by squared distances when its two nearest centers are this close, and the
 # tree queries of greedy_net_coords and the net check widen their radius by
-# it; the tree's distances and the squared ones differ by a few ulps, far
-# less than this
+# it, as metric.LineIndex widens its binary searches; the tree's distances
+# and the squared ones differ by a few ulps, far less than this
 TIE_RTOL = 1e-7
 
 

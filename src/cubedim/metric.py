@@ -7,13 +7,15 @@ ultrametric on symbol strings. Every set in the package (subsets, balls,
 cubes) is an id array over one of these spaces.
 
 Each space answers its distance questions through one index of its kind,
-built on first use: ``CoordIndex``, ``PrefixIndex`` or ``MatrixIndex``.
-The three share one set of methods, so no caller tests the metric kind.
+built on first use: ``LineIndex`` (1-D coordinates), ``CoordIndex``
+(coordinates in two or more dimensions), ``PrefixIndex`` or ``MatrixIndex``.
+They share one set of methods, so no caller tests the metric kind.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,7 +95,7 @@ class DoublingEstimate:
 
 
 class _Index:
-    """What the indexes of the three metric kinds share. Ids arrive checked,
+    """What the indexes of the metric kinds share. Ids arrive checked,
     as int64 arrays; a subset handed to ``diameter`` has two ids or more."""
 
     def __init__(self, space: "MetricSpace"):
@@ -289,7 +291,8 @@ class PrefixIndex(_Index):
 
 
 class CoordIndex(_Index):
-    """The points of a coordinate space (euclidean or snowflake).
+    """The points of a coordinate space (euclidean or snowflake) in two or more
+    dimensions; ``LineIndex`` serves one dimension.
 
     A distance is the Euclidean one put through the descriptor's monotone
     power and scale, so a radius is asked of the tree at ``base_radius``.
@@ -360,8 +363,6 @@ class CoordIndex(_Index):
 
     def diameter(self, ids: np.ndarray) -> float:
         pts = self.coords[ids]
-        if pts.shape[1] == 1:
-            return float(self.descriptor.transform(float(pts.max() - pts.min())))
         if ids.size > 2048:
             from scipy.spatial import ConvexHull, QhullError
 
@@ -377,21 +378,151 @@ class CoordIndex(_Index):
             d2 = max(d2, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
         return float(self.descriptor.transform(float(np.sqrt(d2))))
 
-    def run_diameters(self, ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-        """On a line, one pass: max - min of each run."""
-        if self.coords.shape[1] > 1:
-            return super().run_diameters(ids, bounds)
-        x = self.coords[ids[:bounds[-1]], 0]
-        return self._runs_by_key(
-            bounds, lambda starts: np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts),
-            lambda span: float(self.descriptor.transform(float(span))))
-
     def min_gap(self) -> float:
         # one id per distinct point: repeated points are not distinct
         _, first = np.unique(self.coords, axis=0, return_index=True)
         if first.size == 1:
             return float("inf")
         return self.closest_pair(np.sort(first))[0]
+
+
+class LineIndex(CoordIndex):
+    """The points of a 1-D coordinate space, sorted once (stably, so equal
+    coordinates keep ascending ids).
+
+    Rounded subtraction is monotone, so the points closer to x than a
+    threshold, and the centers nearest to x, are runs of the sorted order
+    next to x. Nets, nearest centers, balls, the closest pair and diameters
+    are read off that order with no tree; each run is found by binary search
+    at a radius widened by ``kernels.TIE_RTOL`` and decided by the same
+    expression as the tree index's kernels, so every net, nearest center,
+    ball and closest pair is bit for bit that of ``CoordIndex`` on the same
+    points.
+    """
+
+    def __init__(self, space: "MetricSpace"):
+        super().__init__(space)
+        x = self.coords[:, 0]
+        self.order = np.argsort(x, kind="stable")
+        self.rank = np.empty(x.size, dtype=np.int64)
+        self.rank[self.order] = np.arange(x.size)
+        self.sorted = x[self.order]
+
+    @cached_property
+    def _lists(self):
+        """The sorted coordinates and the rank of each id, as Python lists: the
+        net's scan and the binary searches read them one element at a time."""
+        return self.sorted.tolist(), self.rank.tolist()
+
+    def ball(self, x, r) -> np.ndarray:
+        """The run of ranks within the widened radius, decided by ``pairs``."""
+        xs, c = self._lists[0], float(self.coords[x, 0])
+        wide = self.base_radius(r) * (1.0 + kernels.TIE_RTOL)
+        cand = self.order[bisect_left(xs, c - wide):bisect_right(xs, c + wide)]
+        members = cand[self.pairs(x, cand) < r]
+        members.sort()
+        return members
+
+    def net(self, order: np.ndarray, t: float) -> np.ndarray:
+        """The greedy net of ``kernels.greedy_net_coords``: a point is admitted
+        iff no admitted center c has ``(x - c)**2 < sep**2``.
+
+        That set is one run of ranks around c, so each admitted center blocks
+        a run; the widened run found by binary search is trimmed at both ends
+        to the points the squared distance decides.
+        """
+        sep = self.base_radius(t)
+        sep2 = sep * sep
+        wide = sep * (1.0 + kernels.TIE_RTOL)
+        xs, rank = self._lists
+        blocked = bytearray(len(xs))  # by rank
+        chosen = []
+        for cand in order.tolist():
+            r = rank[cand]
+            if blocked[r]:
+                continue
+            chosen.append(cand)
+            c = xs[r]
+
+            def near(y):
+                return (y - c) * (y - c) < sep2
+
+            lo = bisect_left(xs, c - wide, 0, r)
+            if not near(xs[lo]):  # the widening let in points at the separation or beyond
+                lo = bisect_left(xs, True, lo, r, key=near)
+            hi = bisect_right(xs, c + wide, r + 1)
+            if hi > r + 1 and not near(xs[hi - 1]):
+                hi = bisect_left(xs, True, r + 1, hi, key=lambda y: not near(y))
+            blocked[lo:hi] = b"\x01" * (hi - lo)
+        return np.asarray(chosen, dtype=np.int64)
+
+    def nearest(self, query_ids: np.ndarray, centers: np.ndarray):
+        """``kernels.nearest_center_coords``: the least ``(x - c)**2``, ties to the
+        lowest center row.
+
+        Centers at one coordinate collapse to their lowest row. The least
+        squared distance is that of the predecessor or the successor
+        coordinate; a third coordinate ties with them only where rounding
+        makes two differences equal, and such a query is decided over all
+        centers.
+        """
+        cx = self.coords[centers, 0]
+        by_x = np.argsort(cx, kind="stable")
+        sx = cx[by_x]
+        distinct = np.concatenate([[True], sx[1:] != sx[:-1]])
+        ux, urow = sx[distinct], by_x[distinct]  # each coordinate's lowest row
+        q = self.coords[query_ids, 0]
+        pos = np.searchsorted(ux, q, side="right")
+        last = ux.size - 1
+
+        def dsq(at):
+            diff = q - ux[np.clip(at, 0, last)]
+            return diff * diff
+
+        left, right = dsq(pos - 1), dsq(pos)
+        best = np.minimum(left, right)
+        pred, succ = urow[np.maximum(pos - 1, 0)], urow[np.minimum(pos, last)]
+        idx = np.where(left < right, pred,
+                       np.where(right < left, succ, np.minimum(pred, succ)))
+        tied = ((pos >= 2) & (dsq(pos - 2) == best)) | ((pos < last) & (dsq(pos + 1) == best))
+        for i in np.flatnonzero(tied):
+            diff = q[i] - ux
+            idx[i] = urow[diff * diff == best[i]].min()
+        return idx, self.descriptor.transform(np.sqrt(best))
+
+    # the nearest center of every point: a line has no pair query to restrict it
+    nearest_within = _Index.nearest_within
+
+    def closest_pair(self, ids: np.ndarray):
+        """The least distance is between neighbours in sorted order. The first
+        pair at it in (i, j) order starts at the least position i in any such
+        neighbour pair; j is i's first partner at that distance."""
+        by_x = np.argsort(self.rank[ids])
+        d = self.pairs(ids[by_x[:-1]], ids[by_x[1:]])
+        least = d.min()
+        tied = np.flatnonzero(d == least)
+        i = int(min(by_x[tied].min(), by_x[tied + 1].min()))
+        partner = self.pairs(ids[i], ids) == least
+        partner[i] = False
+        return float(least), (int(ids[i]), int(ids[np.argmax(partner)]))
+
+    def diameter(self, ids: np.ndarray) -> float:
+        x = self.coords[ids, 0]
+        return float(self.descriptor.transform(float(x.max() - x.min())))
+
+    def run_diameters(self, ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """One pass: max - min of each run."""
+        x = self.coords[ids[:bounds[-1]], 0]
+        return self._runs_by_key(
+            bounds, lambda starts: np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts),
+            lambda span: float(self.descriptor.transform(float(span))))
+
+    def min_gap(self) -> float:
+        # between sorted neighbours, skipping repeated points
+        distinct = np.flatnonzero(self.sorted[1:] != self.sorted[:-1])
+        if distinct.size == 0:
+            return float("inf")
+        return float(self.pairs(self.order[distinct], self.order[distinct + 1]).min())
 
 
 class MatrixIndex(_Index):
@@ -467,7 +598,7 @@ class MetricSpace:
                 raise InvalidArgumentError("coordinates must be a non-empty 2d array")
             self.coords = np.ascontiguousarray(c)
             self.n = c.shape[0]
-            self._index_type = CoordIndex
+            self._index_type = LineIndex if c.shape[1] == 1 else CoordIndex
         elif kind == "ultrametric":
             if not strings:
                 raise InvalidArgumentError("ultrametric metric needs string payloads")

@@ -325,6 +325,11 @@ class TestEdgeSurfaces:
     @pytest.mark.parametrize("flag,args", [
         ("--theta", ("estimate", "spectrum", "--theta", "1.5", "--cubes", "cubes.json")),
         ("--budget", ("doubling", "--budget", "0")),
+        # a sandwich pass with no sample behind it, and a sampler asked for -1 points
+        ("--budget", ("verify", "--budget", "0", "--cubes", "cubes.json")),
+        ("--budget", ("estimate", "spectrum", "--theta", "0.5", "--budget", "-1",
+                      "--cubes", "cubes.json")),
+        ("--budget", ("estimate", "assouad", "--budget", "-1", "--cubes", "cubes.json")),
     ])
     def test_out_of_range_argument_exit2(self, run, workspace, flag, args):
         r = run(*args, "--points", "pts.json", cwd=workspace)

@@ -1,13 +1,15 @@
 """Nets, nearest centers, rows and balls against the kernels they replaced.
 
-Coordinate nets come from kd-tree blocking, and ultrametric nets, nearest
-centers, rows and balls from prefix runs of the sorted strings; neither
-builds an n x n matrix or scans the admitted centers, and a matrix net
-blocks each admitted center's row. The oracles here are the computations
-those replaced: the greedy scan that compares each candidate with every
-admitted center, and, for ultrametrics, the greedy scan and the argmin over
-a distance matrix filled from the old row formula (every string compared
-with the query string). Nets, parent indices, labels,
+Coordinate nets in two or more dimensions come from kd-tree blocking; 1-D
+nets, nearest centers and balls from runs of the sorted coordinates; and
+ultrametric nets, nearest centers, rows and balls from prefix runs of the
+sorted strings. None builds an n x n matrix or scans the admitted centers,
+and a matrix net blocks each admitted center's row. The oracles here are
+the computations those replaced: the greedy scan that compares each
+candidate with every admitted center, the argmin over all centers and, for
+ultrametrics, a distance matrix filled from the old row formula (every
+string compared with the query string); 1-D answers are also compared with
+the tree index on the same points. Nets, parent indices, labels,
 nearest-center indices and distance bits, row bytes, balls, diameters and
 the net check's separation witness must agree bit for bit on small random
 spaces: ultrametrics with duplicate strings, snowflake exponents and scales,
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from cubedim import MetricDescriptor, MetricSpace, kernels
 from cubedim.cubes import build_system
+from cubedim.metric import CoordIndex, LineIndex
 from cubedim.nets import NetLevel, NetParams, scan_order, verify_net
 
 EXAMPLES = 40
@@ -180,19 +183,31 @@ def ultra_spaces(draw, bases=(1 / 16, 0.2, 0.25, 0.5)):
 
 
 @st.composite
-def lattices(draw):
-    """2 to 60 points of a 1-, 2- or 3-D lattice with spacing 1/8, some repeated,
-    or uniform floats; euclidean or snowflaked."""
+def lattices(draw, dims=(1, 2, 3)):
+    """2 to 60 points in unsorted id order: a 1-, 2- or 3-D lattice with spacing
+    1/8, some points repeated and, at random, some moved one ulp up; or the
+    lattice's rows scaled by 2**-30 or 2**29, where a difference between the
+    two clusters rounds away the small one's spread; or uniform floats.
+    Euclidean or snowflaked, at a unit or other scale."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     n = draw(st.integers(min_value=2, max_value=60))
-    dim = draw(st.integers(min_value=1, max_value=3))
-    if draw(st.booleans()):
-        pts = rng.integers(0, 6, size=(n, dim)) / 8.0
-    else:
+    dim = draw(st.sampled_from(dims))
+    kind = draw(st.sampled_from(["lattice", "spread", "uniform"]))
+    if kind == "uniform":
         pts = rng.uniform(size=(n, dim))
+    else:
+        pts = rng.integers(0, 6, size=(n, dim)) / 8.0
+        if kind == "spread":
+            pts *= 2.0 ** rng.choice([-30, 29], size=(n, 1))
+        elif draw(st.booleans()):  # pairs an ulp off the lattice spacings
+            bump = (rng.random(pts.shape) < 0.3) & (pts > 0)
+            pts[bump] = np.nextafter(pts[bump], np.inf)
     space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
     epsilon = draw(st.sampled_from([1.0, 0.5, 0.8]))
-    return space.snowflaked(epsilon) if epsilon != 1.0 else space
+    if epsilon != 1.0:
+        space = space.snowflaked(epsilon)
+    scale = draw(st.sampled_from([1.0, 0.37, 3.0]))
+    return space.rescaled(scale) if scale != 1.0 else space
 
 
 def _subset(data, n):
@@ -309,3 +324,95 @@ class TestCoordinates:
         if pts.shape[0] > 1:
             space = MetricSpace(space.descriptor, coords=pts)
             assert_system_matches_oracle(space, seed, max_level, ultrametric=False)
+
+
+def _near_values(values, count, data):
+    """Up to ``count`` of the positive ``values``, each also one ulp below and above."""
+    values = values[values > 0]
+    if values.size == 0:  # every point at one place
+        return []
+    picks = data.draw(st.lists(st.sampled_from(values), max_size=count, unique=True))
+    return [t for v in picks for t in (np.nextafter(v, 0.0), v, np.nextafter(v, np.inf))]
+
+
+class TestLine:
+    """1-D coordinates read off one sorted order (``LineIndex``), against the
+    scan oracles above and against the tree index (``CoordIndex``) built on the
+    same space; thresholds and radii sit exactly on member distances and one
+    ulp to either side."""
+
+    @given(space=lattices(dims=(1,)), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_net_matches_scan_and_tree(self, space, data):
+        index, tree = space.index, CoordIndex(space)
+        assert isinstance(index, LineIndex)
+        seed = data.draw(st.integers(min_value=0, max_value=50))
+        thresholds = _near_values(np.unique(space.distance_matrix()), 6, data)
+        for k, t in enumerate(thresholds + [0.125, 0.25, 2.0 * space.diameter() + 1.0]):
+            order = scan_order(space.n, seed, k)
+            if k % 2:  # a partial scan, as the doubling estimate makes
+                order = order[:data.draw(st.integers(min_value=0, max_value=space.n))]
+            want = scan_net_coords(space.coords, order, index.base_radius(t))
+            assert np.array_equal(index.net(order, t), want)
+            assert np.array_equal(tree.net(order, t), want)
+
+    @given(space=lattices(dims=(1,)), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_nearest_centers_match_scan_and_tree(self, space, data):
+        # centers in drawn order, some at one coordinate: ties go to the lowest row,
+        # between the predecessor and the successor, within a repeated point, and
+        # among distinct centers whose differences to a far query round equal
+        x, tree = space.coords[:, 0], CoordIndex(space)
+        drawn = _subset(data, space.n)
+        if data.draw(st.booleans()):  # the first center's repeats, highest id first
+            twins = np.setdiff1d(np.flatnonzero(x == x[drawn[0]]), drawn)
+            drawn = np.concatenate([drawn, twins[::-1]])
+        # every other coordinate puts lattice queries midway between two centers;
+        # the points up to the median leave far queries in a spread space
+        spaced = [np.isin(x, np.unique(x)[::2]), x <= np.median(x)]
+        for centers in [drawn] + [np.asarray(data.draw(st.permutations(np.flatnonzero(c).tolist())),
+                                             dtype=np.int64) for c in spaced]:
+            for q in (_subset(data, space.n), space.ids):
+                idx, dist = space.index.nearest(q, centers)
+                diff = x[q][:, None] - x[centers][None, :]
+                dsq = diff * diff
+                want = np.argmin(dsq, axis=1)  # the first of equal minima: the lowest row
+                assert np.array_equal(idx, want)
+                want_dist = space.descriptor.transform(np.sqrt(dsq[np.arange(q.size), want]))
+                assert dist.tobytes() == want_dist.tobytes()
+                tree_idx, tree_dist = tree.nearest(q, centers)
+                assert np.array_equal(idx, tree_idx) and dist.tobytes() == tree_dist.tobytes()
+
+    @given(space=lattices(dims=(1,)), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_balls_pairs_gaps_and_diameters(self, space, data):
+        dmat = space.distance_matrix()
+        tree = CoordIndex(space)
+        # one point per coordinate, six at most; radii at each of its distances
+        for p in np.unique(space.coords[:, 0], return_index=True)[1][:6]:
+            for r in _near_values(np.unique(dmat[p]), space.n, data):
+                want = np.flatnonzero(dmat[p] < r)
+                got = space.ball_members(p, r)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+                assert np.array_equal(tree.ball(p, r), want)
+        ids = _subset(data, space.n)
+        for subset in (ids, space.ids):
+            if subset.size > 1:
+                want = old_separation(lambda c: dmat[c], subset, 1.0)
+                assert space.index.closest_pair(subset) == want == tree.closest_pair(subset)
+        gaps = dmat[dmat > 0]
+        want_gap = gaps.min() if gaps.size else float("inf")
+        assert space.min_positive_distance() == want_gap == tree.min_gap()
+        # a diameter puts one float through the transform, as Python's ** does,
+        # which may round a snowflake power one ulp off np.power over a row
+        x = space.coords[:, 0]
+
+        def diameter(run):
+            span = np.abs(x[run][:, None] - x[run][None, :]).max()
+            return float(space.descriptor.transform(float(span))) if run.size > 1 else 0.0
+
+        cuts = data.draw(st.lists(st.integers(0, ids.size), max_size=4))
+        bounds = np.unique(np.concatenate([[0, ids.size], cuts])).astype(np.int64)
+        want = [diameter(run) for run in np.split(ids, bounds[1:-1])]
+        assert space.run_diameters(ids, bounds).tobytes() == np.asarray(want).tobytes()
+        assert space.diameter(ids) == diameter(ids)

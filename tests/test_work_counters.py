@@ -9,10 +9,15 @@ a family queries nearest centers once per system, and ``diams_at`` reads a
 1-D or ultrametric level in one pass with no per-cube ``diameter`` call. A
 Hausdorff fit finds the cubes meeting E once per level, not once per radius
 and exponent.
+A 1-D or ultrametric pipeline never imports ``scipy.spatial``: a line reads
+nets, nearest centers and balls off its sorted coordinates.
 None of these changes an output, so losing one shows only in the work done
 or the memory held; these counts make that fail the test suite.
 """
 
+import json
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -254,3 +259,47 @@ def test_ultrametric_system_at_4096_points_stays_small(matrix_kernel_calls):
         tracemalloc.stop()
     assert system.space.n == 4096 and matrix_kernel_calls == []
     assert peak < 16 * 2 ** 20
+
+
+# gen, build, verify and two estimates in one fresh process, which reports
+# whether scipy.spatial was imported and how often the tree kernels ran
+PIPELINE = """
+import json, sys
+from cubedim import cli, kernels
+
+calls = dict.fromkeys(("greedy_net_coords", "nearest_center_coords"), 0)
+
+def counting(name, fn):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+for name in calls:
+    setattr(kernels, name, counting(name, getattr(kernels, name)))
+common = ["--points", "pts.json", "--cubes", "cubes.json", "--budget", "16"]
+codes = [cli.main(["gen", *sys.argv[1:], "--out", "pts.json"]),
+         cli.main(["build", "--points", "pts.json", "--out", "cubes.json", "--seed", "3",
+                   "--systems", "2", "--budget", "40"]),
+         cli.main(["verify", *common]),
+         *(cli.main(["estimate", kind, *common, "--out", kind + ".json"])
+           for kind in ("box", "assouad"))]
+print(json.dumps({"codes": codes, "scipy": "scipy.spatial" in sys.modules, "calls": calls}))
+"""
+
+
+@pytest.mark.parametrize("gen,tree", [
+    (["sequence", "--p", "1", "--nmax", "400"], False),
+    (["sequence", "--p", "1", "--nmax", "400", "--snowflake", "0.5"], False),
+    (["ultrametric_cantor", "--arity", "2", "--base", "0.0625", "--depth", "6"], False),
+    (["grid", "--dim", "2", "--res", "0.0625"], True),
+], ids=["line", "snowflaked-line", "ultrametric", "plane"])
+def test_only_plane_pipelines_import_scipy(gen, tree, tmp_path, cubedim_env):
+    r = subprocess.run([sys.executable, "-c", PIPELINE, *gen], cwd=tmp_path,
+                       capture_output=True, text=True, env=cubedim_env)
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout.splitlines()[-1])
+    # the small plane has too few levels for the two fits, which exit 1 by design
+    assert report["codes"] == [0, 0, 0] + ([1, 1] if tree else [0, 0])
+    assert report["scipy"] is tree
+    assert all((count > 0) is tree for count in report["calls"].values()), report
