@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubes import AdjacentFamily, circumscribed_cube
+from .cubes import AdjacentFamily, circumscribed_cube, target_in_ball
 from .errors import InvalidArgumentError, ScaleExhaustedError
 from .metric import MetricSpace
 
@@ -37,27 +37,10 @@ class CoverReport:
     witnesses: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
 
-    def as_csv_row(self):
-        ne = "" if self.N_exact is None else str(self.N_exact)
-        ratio = "" if not self.N_exact else f"{self.D / self.N_exact:.6g}"
-        return (f"{self.x},{self.R:.12g},{self.m},{self.D},{self.N_greedy},{ne},"
-                f"{self.r_effective:.12g},{ratio}")
-
 
 def dyadic_cover_count(family: AdjacentFamily, E, x: int, R: float, m: int) -> CoverReport:
     """Number of level-(L_R + m) cubes of the circumscribed cube meeting E inside B(x,R)."""
     return _dyadic_cover(family, E, x, R, m)[0]
-
-
-def target_in_ball(space: MetricSpace, E: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """E inside a ball, ascending, given the ball's ascending members.
-
-    When E is the whole space, exactly the ids 0..n-1, that is the members
-    themselves and no intersection is computed.
-    """
-    if E.size == space.n and np.array_equal(E, space.ids):
-        return members
-    return np.intersect1d(E, members)
 
 
 def _dyadic_cover(family: AdjacentFamily, E, x: int, R: float, m: int):
@@ -237,24 +220,3 @@ def sandwich_check(family: AdjacentFamily, E, x: int, R: float, m: int) -> Cover
     denom = report.N_exact if report.N_exact is not None else report.N_greedy
     report.M0_hat = report.D / denom if denom else None
     return report
-
-
-def local_cover_diagnostics(system, x: int, m: int) -> dict:
-    """Observed analogues of the two local covering constants.
-
-    C_prime_hat: number of level-m cubes meeting the ball of radius
-    4*C0*delta^m around x. C_doubleprime_hat: the largest number of
-    level-(m+1) children among those cubes. Both are finite on doubling
-    samples and feed no estimate; they are report-only diagnostics.
-    """
-    p = system.params
-    if not (0 <= m < system.max_level):
-        raise InvalidArgumentError(f"m must be within 0..{system.max_level - 1}")
-    members = system.space.ball_members(x, 4.0 * p.C0 * p.delta ** m)
-    idx = system.cubes_meeting(m, members)
-    children = np.bincount(system.parent_idx[m + 1],
-                           minlength=system.levels[m].centers.size)
-    return {
-        "C_prime_hat": int(idx.size),
-        "C_doubleprime_hat": int(children[idx].max()) if idx.size else 0,
-    }

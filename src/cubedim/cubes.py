@@ -117,11 +117,6 @@ class CubeSystem:
         return np.flatnonzero(hit)
 
 
-def count_runs(labels: np.ndarray) -> int:
-    """Cubes met by a depth-first-sorted id list, given its labels: 1 + label changes."""
-    return 1 + int(np.count_nonzero(labels[1:] != labels[:-1]))
-
-
 def _group_by_label(labels: np.ndarray, n_cubes: int):
     """Point ids ordered by cube, and each cube's slice bounds in that order.
 
@@ -402,6 +397,68 @@ def circumscribed_cube(family: AdjacentFamily, x: int, R: float,
     if R_eff == 0.0:
         raise DegenerateBallError(f"ball B({x}, {R:g}) holds fewer than two distinct points")
     return _smallest_containing_cube(family, members, R_eff)
+
+
+@dataclass
+class LocalWindow:
+    """The dyadic counts of E inside the circumscribed cube of one ball B(x, R).
+
+    The cube sits at ``level`` of system ``system_id``, ``depth`` levels above
+    that system's deepest. For m = 1..depth, ``counts[m - 1]`` is the number
+    of level-(level + m) cubes meeting E in the ball and ``max_diams[m - 1]``
+    the largest of their diameters; at m = 0 the one containing cube holds
+    all ``target_size`` ids.
+    """
+
+    x: int
+    R: float
+    R_eff: float
+    level: int
+    system_id: int
+    depth: int
+    counts: list
+    max_diams: list
+    target_size: int
+
+
+def target_in_ball(space: MetricSpace, E: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """E inside a ball, ascending, given the ball's ascending members.
+
+    When E is the whole space, exactly the ids 0..n-1, that is the members
+    themselves and no intersection is computed.
+    """
+    if E.size == space.n and np.array_equal(E, space.ids):
+        return members
+    return np.intersect1d(E, members)
+
+
+def local_window(family: AdjacentFamily, E: np.ndarray, x: int, R: float,
+                 members: np.ndarray, row: np.ndarray) -> LocalWindow | None:
+    """The local window of E in B(x, R), or None when E misses the ball or the
+    ball holds fewer than two distinct points.
+
+    ``members`` are the ball's ascending ids and ``row`` the distances from x
+    to every point. Each level is counted along the depth-first-sorted
+    target: one plus its label changes.
+    """
+    space = family.space
+    target = target_in_ball(space, E, members)
+    if target.size == 0:
+        return None
+    R_eff = _effective_radius(space, x, R, members, row)
+    if R_eff == 0.0:
+        return None
+    cc = _smallest_containing_cube(family, members, R_eff)
+    system = family.systems[cc.system_id]
+    dfs = system.dfs_sorted(target)
+    counts, max_diams = [], []
+    for level in range(cc.level + 1, system.max_level + 1):
+        labels = system.labels[level][dfs]
+        counts.append(1 + int(np.count_nonzero(labels[1:] != labels[:-1])))
+        max_diams.append(float(system.diams_at(level)[labels].max()))
+    return LocalWindow(x=x, R=R, R_eff=R_eff, level=cc.level, system_id=cc.system_id,
+                       depth=system.max_level - cc.level, counts=counts,
+                       max_diams=max_diams, target_size=int(target.size))
 
 
 def _smallest_containing_cube(family: AdjacentFamily, members: np.ndarray,

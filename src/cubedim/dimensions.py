@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covering import greedy_cover_count, target_in_ball
-from .cubes import (DIAMETER_SLACK, AdjacentFamily, CubeSystem, _effective_radius,
-                    _smallest_containing_cube, circumscribed_cube, count_runs, r_grid)
+from .covering import greedy_cover_count
+# circumscribed_cube is not called here; perfbench's self-test patches it by name
+# in this module, so the name stays
+from .cubes import (DIAMETER_SLACK, AdjacentFamily, CubeSystem, LocalWindow,  # noqa: F401
+                    circumscribed_cube, local_window, r_grid)
 from .errors import InsufficientScalesError, InvalidArgumentError, ScaleExhaustedError
 
 HAUSDORFF_SLOPE_TOL = 0.005
@@ -212,9 +214,9 @@ def least_admissible_level(delta: float, diam: float) -> int:
 def box_dim_estimate(family: AdjacentFamily, E, m_window=None) -> DimensionEstimate:
     """Least-squares slope of log D(E, m) against m*log(1/delta).
 
-    The counts are taken in the circumscribed cube of the ball B(x, R)
-    around x, the first id of E, whose radius R just exceeds x's farthest
-    distance in E, so the ball holds E.
+    The counts are those of the local window of the ball B(x, R) around x,
+    the first id of E, whose radius R just exceeds x's farthest distance in
+    E, so the ball holds E. At m = 0 the window's one cube holds E.
     """
     E = np.asarray(E, dtype=np.int64)
     if E.size == 0:
@@ -225,55 +227,36 @@ def box_dim_estimate(family: AdjacentFamily, E, m_window=None) -> DimensionEstim
         return DimensionEstimate(kind="box", value=0.0, window=[0, 0],
                                  flags=family.flags())
     x = int(E[0])
-    R = float(space.row(x)[E].max()) * (1.0 + 1e-9)
-    members = space.ball_members(x, R)
+    row = space.row(x)
+    R = float(row[E].max()) * (1.0 + 1e-9)
+    window = local_window(family, E, x, R, space.ball_members(x, R), row)
 
-    cc = circumscribed_cube(family, x, R, members=members)
-    system = family.systems[cc.system_id]
-    depth = system.max_level - cc.level
     m_E = least_admissible_level(family.params.delta, diam_E)
     if m_window is None:
-        m_window = list(range(m_E, depth + 1))
-    m_window = [m for m in m_window if m_E <= m <= depth]
+        m_window = list(range(m_E, window.depth + 1))
+    m_window = [m for m in m_window if m_E <= m <= window.depth]
     if len(m_window) < 3:
         raise InsufficientScalesError(
             f"box fit needs >= 3 levels, window has {len(m_window)} "
-            f"(m_E={m_E}, depth={depth})")
+            f"(m_E={m_E}, depth={window.depth})")
 
-    target = target_in_ball(space, E, members)
-    dfs = system.dfs_sorted(target)
-    counts = [count_runs(system.labels[cc.level + m][dfs]) for m in m_window]
+    counts = [window.counts[m - 1] if m else 1 for m in m_window]
     log_inv_delta = math.log(1.0 / family.params.delta)
     xs = [m * log_inv_delta for m in m_window]
     ys = [math.log(c) for c in counts]
     slope, intercept, resid = _fit_line(xs, ys)
 
     flags = family.flags()
-    if counts[-1] == target.size:
+    if counts[-1] == window.target_size:
         flags.append("depth-limited")
     return DimensionEstimate(kind="box", value=float(slope), window=list(m_window),
                              slope=float(slope), intercept=float(intercept),
-                             residual=resid, system_id=cc.system_id,
-                             seed=system.seed, flags=flags,
+                             residual=resid, system_id=window.system_id,
+                             seed=family.systems[window.system_id].seed, flags=flags,
                              diagnostics={"counts": counts})
 
 
 # -- local sweeps: Assouad spectrum and Assouad dimension ---------------------
-
-
-@dataclass
-class LocalWindow:
-    """Counts and cube diameters for one (x, R) localization."""
-
-    x: int
-    R: float
-    R_eff: float
-    level: int
-    system_id: int
-    depth: int
-    counts: list
-    max_diams: list
-    target_size: int
 
 
 def sample_points(space, E, budget: int, seed: int) -> np.ndarray:
@@ -307,8 +290,7 @@ def sample_points(space, E, budget: int, seed: int) -> np.ndarray:
 
 
 def _windows_for_point(family, E, x, radii, seen):
-    space = family.space
-    row = space.row(int(x))
+    row = family.space.row(x)
     out = []
     for R in radii:
         members = np.flatnonzero(row < R)
@@ -319,27 +301,9 @@ def _windows_for_point(family, E, x, radii, seen):
         if key in seen:
             continue
         seen.add(key)
-        target = target_in_ball(space, E, members)
-        if target.size == 0:
-            continue
-        R_eff = _effective_radius(space, int(x), float(R), members, row)
-        if R_eff == 0.0:  # fewer than two distinct points
-            continue
-        cc = _smallest_containing_cube(family, members, R_eff)
-        system = family.systems[cc.system_id]
-        depth = system.max_level - cc.level
-        if depth < 2:
-            continue
-        dfs = system.dfs_sorted(target)
-        counts, max_diams = [], []
-        for level in range(cc.level + 1, system.max_level + 1):
-            labels = system.labels[level][dfs]
-            counts.append(count_runs(labels))
-            max_diams.append(float(system.diams_at(level)[labels].max()))
-        out.append(LocalWindow(
-            x=int(x), R=float(R), R_eff=cc.R_eff, level=cc.level,
-            system_id=cc.system_id, depth=depth, counts=counts,
-            max_diams=max_diams, target_size=int(target.size)))
+        window = local_window(family, E, x, float(R), members, row)
+        if window is not None and window.depth >= 2:
+            out.append(window)
     return out
 
 
@@ -365,7 +329,7 @@ def local_windows(family: AdjacentFamily, E, sample_budget: int = 512,
     windows = []
     seen = set()
     for x in xs:
-        windows.extend(_windows_for_point(family, E, x, radii, seen))
+        windows.extend(_windows_for_point(family, E, int(x), radii, seen))
     return windows
 
 

@@ -28,6 +28,17 @@ class GeneratorSpec:
     base: float = 1.0 / 16.0
     maps: tuple = field(default=())
 
+    def __post_init__(self):
+        if self.depth < 0:
+            raise InvalidArgumentError("generator depth must be >= 0")
+        if not (0.0 < self.resolution < np.inf):
+            raise InvalidArgumentError("grid resolution must be finite and positive")
+        if self.ambient_dim < 1:
+            raise InvalidArgumentError("grid dimension must be >= 1")
+        if self.maps and {len(m) for m in self.maps} not in ({2}, {3}):
+            raise InvalidArgumentError("ifs maps must all be (ratio, offset) "
+                                       "or all (ratio, ox, oy)")
+
 
 def _check_cap(count):
     if count > POINT_CAP:

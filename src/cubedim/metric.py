@@ -51,8 +51,8 @@ class MetricDescriptor:
                 raise InvalidArgumentError("ultrametric arity must be >= 2")
             if not (0.0 < self.base < 1.0):
                 raise InvalidArgumentError("ultrametric base must be in (0, 1)")
-        if self.scale <= 0.0:
-            raise InvalidArgumentError("metric scale must be positive")
+        if not (0.0 < self.scale < np.inf):
+            raise InvalidArgumentError("metric scale must be finite and positive")
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -596,6 +596,8 @@ class MetricSpace:
                 c = c[:, None]
             if c.ndim != 2 or c.shape[0] == 0:
                 raise InvalidArgumentError("coordinates must be a non-empty 2d array")
+            if not np.isfinite(c).all():
+                raise InvalidArgumentError("coordinates must be finite")
             self.coords = np.ascontiguousarray(c)
             self.n = c.shape[0]
             self._index_type = LineIndex if c.shape[1] == 1 else CoordIndex
@@ -615,6 +617,8 @@ class MetricSpace:
             self._index_type = PrefixIndex
         else:  # matrix; the descriptor admits no other kind
             m = np.asarray(matrix, dtype=np.float64)
+            if not np.isfinite(m).all():
+                raise InvalidArgumentError("distance matrix entries must be finite")
             if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
                 raise InvalidArgumentError("matrix metric needs a square distance matrix")
             if not np.array_equal(m, m.T):

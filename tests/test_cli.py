@@ -45,8 +45,49 @@ class TestGen:
         doc = json.loads((tmp_path / "g.json").read_text())
         assert doc["metric"]["kind"] == "snowflake"
 
+    @pytest.mark.parametrize("args", [
+        pytest.param(("grid", "--res", "0"), id="grid-res-0"),
+        pytest.param(("grid", "--dim", "0"), id="grid-dim-0"),
+        pytest.param(("grid", "--dim", "2", "--res", "nan"), id="grid-res-nan"),
+        pytest.param(("ultrametric_cantor", "--depth", "-1"), id="ultrametric-depth-neg"),
+        pytest.param(("ifs", "--maps", "[[0.5,0.1],[0.5,0.2,0.3]]"), id="ifs-mixed-maps"),
+        pytest.param(("cantor", "--depth", "-2"), id="cantor-depth-neg"),
+        pytest.param(("ifs", "--maps", "[[0.5]]"), id="ifs-map-without-offset"),
+        pytest.param(("sequence", "--p", "nan"), id="sequence-p-nan"),
+    ])
+    def test_bad_arguments_exit2_and_write_nothing(self, tmp_path, capsys, args):
+        out = tmp_path / "x.json"
+        assert cli.main(["gen", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "generator arguments" in err, err
+        assert not out.exists()
+
+
+# Python's json reads NaN and Infinity; a points file must not hold them
+NON_FINITE = {
+    "nan-1d": '{"metric": {"kind": "euclidean"}, "points": [[0.0], [NaN], [1.0]]}',
+    "inf-1d": '{"metric": {"kind": "euclidean"}, "points": [[0.0], [Infinity], [1.0]]}',
+    "nan-2d": ('{"metric": {"kind": "euclidean"}, '
+               '"points": [[0.0, 0.0], [NaN, 1.0], [1.0, 1.0]]}'),
+    "nan-matrix": '{"metric": {"kind": "matrix", "matrix": [1.0, NaN, 1.0]}}',
+    "nan-scale": '{"metric": {"kind": "euclidean", "scale": NaN}, "points": [[0.0], [1.0]]}',
+}
+
 
 class TestBuild:
+    @pytest.mark.parametrize("command", ["build", "doubling"])
+    @pytest.mark.parametrize("name", sorted(NON_FINITE))
+    def test_non_finite_points_exit2(self, tmp_path, capsys, name, command):
+        pts, out = tmp_path / "pts.json", tmp_path / "cubes.json"
+        pts.write_text(NON_FINITE[name])
+        argv = [command, "--points", str(pts)]
+        if command == "build":
+            argv += ["--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err, err
+        assert not out.exists()
+
     def test_build_reports_constants(self, run, workspace):
         r = run("build", "--points", "pts.json", "--out", "cubes2.json",
                 "--seed", "3", "--systems", "2", "--budget", "60", cwd=workspace)

@@ -245,12 +245,6 @@ class TestSandwich:
                 continue
             assert rep.max_cube_diameter <= rep.r_effective * (1 + 1e-9)
 
-    def test_csv_row_shape(self, ultra6_family):
-        rep = sandwich_check(ultra6_family, ultra6_family.space.ids, 0,
-                             0.9999999999, 1)
-        row = rep.as_csv_row()
-        assert row.count(",") == 7
-
     def test_ball_computed_once(self, ultra6_family, monkeypatch):
         calls = []
         ball_members = MetricSpace.ball_members
@@ -271,18 +265,3 @@ class TestSandwich:
                              0.9999999999, 2)
         denom = rep.N_exact if rep.N_exact is not None else rep.N_greedy
         assert rep.M0_hat == pytest.approx(rep.D / denom)
-
-
-class TestLocalDiagnostics:
-    def test_bounded_on_test_spaces(self, ultra6_family, cantor10_family):
-        from cubedim.covering import local_cover_diagnostics
-
-        for fam in (ultra6_family, cantor10_family):
-            system = fam.systems[0]
-            rng = np.random.default_rng(6)
-            for _ in range(20):
-                x = int(rng.integers(fam.space.n))
-                m = int(rng.integers(0, system.max_level))
-                diag = local_cover_diagnostics(system, x, m)
-                assert 1 <= diag["C_prime_hat"] <= 64
-                assert 1 <= diag["C_doubleprime_hat"] <= 64

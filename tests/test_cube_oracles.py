@@ -23,6 +23,11 @@ nearest-center query over every point. Both must match the old computation
 bit for bit, on tampered systems too, and a ``cubes.json`` round trip must
 reproduce the labels, parents and checks.
 
+The box fit reads the same local window as the sweeps, for the one ball
+around E's first id that holds E; where it ran its own containing-cube and
+counting code, its system, counts and depth flag are now held to the same
+oracles, with the count at m = 0 read as 1.
+
 The greedy cover reads its near sets as closed balls of the index, and the
 doubling estimate counts each sample as a greedy net of the index; the
 row-based computations they replaced are kept here as their oracles.
@@ -56,7 +61,8 @@ from cubedim.cubes import (NORMALIZED_DIAMETER, AdjacentFamily, BuildReport, Cub
                            circumscribed_cube, family_to_json, file_hash, load_family,
                            r_grid, save_family, verify_system)
 from cubedim.dimensions import (DimensionEstimate, _fit_line, _met_diameters,
-                                hausdorff_dim_estimate, local_windows, sample_points)
+                                box_dim_estimate, hausdorff_dim_estimate,
+                                least_admissible_level, local_windows, sample_points)
 from cubedim.errors import DegenerateBallError, InsufficientScalesError, ScaleExhaustedError
 from cubedim.metric import load_points, save_points
 from cubedim.nets import NetLevel, NetParams, nearest_center, nearest_center_within
@@ -186,8 +192,8 @@ def oracle_windows(family, E, radii):
 
 
 @st.composite
-def families(draw, kind):
-    space = draw(spaces(kind))
+def families(draw, kind, repeats=False):
+    space = draw(spaces(kind, repeats))
     # a low target ratio makes most families take several systems
     fam = build_adjacent_family(space, NetParams(), K_max=3, query_budget=12,
                                 target_ratio=draw(st.sampled_from([2.0, 64.0])),
@@ -250,6 +256,50 @@ class TestDepthFirstArrays:
         got = [(w.x, w.R, w.system_id, w.level, w.counts, w.max_diams, w.target_size)
                for w in local_windows(fam, E, sample_budget=SAMPLE_BUDGET, radii=radii)]
         assert got == oracle_windows(fam, E, radii)
+
+
+def oracle_box_window(family, E):
+    """The box fit's ball B(x, R) around E's first id, read with the oracles:
+    its smallest containing cube's system id, the counts at m = 0..depth
+    below that cube, and the number of ids of E in the ball."""
+    space = family.space
+    x = int(E[0])
+    R = float(space.row(x)[E].max()) * (1.0 + 1e-9)
+    members = space.ball_members(x, R)
+    _, sid, level, _ = oracle_circumscribed(family, x, members)
+    system = family.systems[sid]
+    target = np.intersect1d(E, members)
+    counts, _ = oracle_counts(system, target, range(level, system.max_level + 1))
+    return sid, counts, int(target.size)
+
+
+class TestBoxWindow:
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_box_fit_matches_oracles(self, kind, data):
+        # repeated points leave cubes at the deepest level holding several ids
+        fam, E, _ = data.draw(families(kind, repeats=data.draw(st.booleans())))
+        # None asks for every level from m_E down; a list is clipped to them
+        asked = data.draw(st.none() | st.lists(st.integers(0, 5), min_size=1, max_size=6,
+                                               unique=True).map(sorted))
+        diam_E = fam.space.diameter(E)
+        if diam_E == 0.0:
+            assert box_dim_estimate(fam, E, asked).value == 0.0
+            return
+        sid, counts, target_size = oracle_box_window(fam, E)
+        assert counts[0] == 1  # at m = 0 the containing cube holds the ball
+        m_E = least_admissible_level(fam.params.delta, diam_E)
+        window = [m for m in (asked or range(len(counts))) if m_E <= m < len(counts)]
+        if len(window) < 3:
+            with pytest.raises(InsufficientScalesError):
+                box_dim_estimate(fam, E, asked)
+            return
+        est = box_dim_estimate(fam, E, asked)
+        assert est.window == window
+        assert est.system_id == sid
+        assert est.diagnostics["counts"] == [counts[m] for m in window]
+        assert ("depth-limited" in est.flags) == (counts[window[-1]] == target_size)
 
 
 def oracle_grow_set(space, start, candidates, r):

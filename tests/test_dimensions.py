@@ -5,8 +5,8 @@ import pytest
 
 from cubedim import (DegenerateBallError, GeneratorSpec, MetricDescriptor, MetricSpace,
                      ScaleExhaustedError, generate)
-from cubedim.covering import target_in_ball
-from cubedim.cubes import build_adjacent_family, build_system, circumscribed_cube
+from cubedim.cubes import (build_adjacent_family, build_system, circumscribed_cube,
+                           target_in_ball)
 from cubedim.dimensions import (assouad_dim_estimate, assouad_spectrum_estimate,
                                 box_dim_estimate, cubic_measure, h_greedy_sum,
                                 hausdorff_dim_estimate, local_windows)

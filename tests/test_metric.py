@@ -35,11 +35,23 @@ class TestDistance:
         with pytest.raises(InvalidArgumentError):
             sp.distance(0, 5)
 
-    @pytest.mark.parametrize("upper", [1.0 + 2 ** -52, np.nan])
+    @pytest.mark.parametrize("upper", [1.0 + 2 ** -52])
     def test_asymmetric_matrix_rejected(self, upper):
         m = np.array([[0.0, upper], [1.0, 0.0]])
         with pytest.raises(InvalidArgumentError, match="symmetric"):
             MetricSpace(MetricDescriptor("matrix"), matrix=m)
+
+    @pytest.mark.parametrize("upper", [np.nan, np.inf])
+    def test_non_finite_matrix_entry_rejected(self, upper):
+        # refused as non-finite before any other check: a NaN also breaks symmetry
+        m = np.array([[0.0, upper], [1.0, 0.0]])
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            MetricSpace(MetricDescriptor("matrix"), matrix=m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            euclid([[0.0, 0.0], [bad, 1.0]])
 
     @pytest.mark.parametrize("entry", [0.0, -0.0, -1.0])
     def test_nonpositive_off_diagonal_rejected(self, entry):
