@@ -36,17 +36,24 @@ def _dump_json(doc, path):
             fh.write(text)
 
 
+def _parse_maps(text):
+    """``--maps`` as a tuple of affine maps, each a tuple of floats."""
+    try:
+        return tuple(tuple(float(v) for v in m) for m in json.loads(text)) if text else ()
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise InvalidArgumentError(f"--maps {text}: {exc}") from exc
+
+
 def cmd_gen(args) -> int:
     try:
         spec = GeneratorSpec(
             kind=args.kind, ratio=args.ratio, depth=args.depth, p=args.p,
             n_max=args.nmax, ambient_dim=args.dim, resolution=args.res,
-            arity=args.arity, base=args.base,
-            maps=tuple(tuple(m) for m in json.loads(args.maps)) if args.maps else ())
+            arity=args.arity, base=args.base, maps=_parse_maps(args.maps))
         space = generate(spec)
         if args.snowflake != 1.0:
             space = snowflake_wrap(space, args.snowflake)
-    except (InvalidArgumentError, SizeCapError, json.JSONDecodeError) as exc:
+    except (InvalidArgumentError, SizeCapError) as exc:
         raise ConfigurationError(f"invalid generator arguments: {exc}") from exc
     save_points(space, args.out)
     print(f"wrote {space.n} points to {args.out}")
@@ -54,6 +61,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_build(args) -> int:
+    _check_sampling(args)
     space = load_points(args.points)
     params = NetParams(delta=args.delta, c0=args.c0, C0=args.C0)
     family = build_adjacent_family(
@@ -82,53 +90,56 @@ def _load_family_checked(args):
     return load_family(args.cubes, space, points_hash=file_hash(args.points))
 
 
-def _check_budget(args):
+def _check_sampling(args):
     if args.budget < 1:
         raise ConfigurationError("--budget must be >= 1")
+    if args.seed < 0:
+        raise ConfigurationError("--seed must be >= 0")
 
 
 def cmd_estimate(args) -> int:
-    _check_budget(args)
+    _check_sampling(args)
     family = _load_family_checked(args)
     E = family.space.ids
     kind = args.kind
+    if kind == "hausdorff" and not (0 <= args.system < family.K):
+        raise ConfigurationError(
+            f"--system {args.system} out of range (family has K={family.K})")
+    if kind == "spectrum" and (args.theta is None or not (0.0 < args.theta < 1.0)):
+        raise ConfigurationError("spectrum estimates need --theta in (0, 1)")
+    # the sweeps and the dump read one window table
+    windows = (dimensions.local_windows(family, E, sample_budget=args.budget, seed=args.seed)
+               if kind in ("spectrum", "assouad") or args.dump else None)
     if kind == "hausdorff":
-        if not (0 <= args.system < family.K):
-            raise ConfigurationError(
-                f"--system {args.system} out of range (family has K={family.K})")
         est = dimensions.hausdorff_dim_estimate(family.systems[args.system], E)
     elif kind == "box":
         est = dimensions.box_dim_estimate(
             family, E, m_window=list(range(args.window[0], args.window[1] + 1))
             if args.window else None)
     elif kind == "spectrum":
-        if args.theta is None or not (0.0 < args.theta < 1.0):
-            raise ConfigurationError("spectrum estimates need --theta in (0, 1)")
-        est = dimensions.assouad_spectrum_estimate(
-            family, E, theta=args.theta, sample_budget=args.budget, seed=args.seed)
+        est = dimensions.assouad_spectrum_estimate(family, E, theta=args.theta,
+                                                   seed=args.seed, windows=windows)
     else:  # assouad
-        est = dimensions.assouad_dim_estimate(
-            family, E, sample_budget=args.budget, seed=args.seed)
+        est = dimensions.assouad_dim_estimate(family, E, seed=args.seed, windows=windows)
     if family.best_effort and "best-effort-family" not in est.flags:
         est.flags.append("best-effort-family")
     _dump_json(est.to_json(), args.out)
     if args.dump:
-        _dump_counts_csv(family, E, args.dump, args.budget, args.seed)
+        _dump_counts_csv(windows, args.dump)
     return EXIT_OK
 
 
-def _dump_counts_csv(family, E, path, budget, seed):
-    windows = dimensions.local_windows(family, E, sample_budget=min(budget, 64),
-                                       seed=seed)
+def _dump_counts_csv(windows, path):
+    """One row per window and level m >= 1 below its containing cube."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x_id,R,m,D,max_cube_diameter\n")
         for w in windows:
-            for m, (c, d) in enumerate(zip(w.counts, w.max_diams), start=1):
-                fh.write(f"{w.x},{w.R:.12g},{m},{c},{d:.12g}\n")
+            for m in range(1, w.depth + 1):
+                fh.write(f"{w.x},{w.R:.12g},{m},{w.counts[m]},{w.max_diams[m]:.12g}\n")
 
 
 def cmd_verify(args) -> int:
-    _check_budget(args)
+    _check_sampling(args)
     family = _load_family_checked(args)
     failures = 0
     rows = []
@@ -171,7 +182,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_doubling(args) -> int:
-    _check_budget(args)
+    _check_sampling(args)
     space = load_points(args.points)
     est = space.estimate_doubling(sample_count=args.budget, rng_seed=args.seed)
     _dump_json({"C_d_hat": est.C_d_hat, "samples_used": est.samples_used},

@@ -12,7 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubes import AdjacentFamily, circumscribed_cube, target_in_ball
+# circumscribed_cube is not called here; perfbench's self-test patches it by name
+# in this module, so the name stays
+from .cubes import (AdjacentFamily, circumscribed_cube, local_window,  # noqa: F401
+                    target_in_ball)
 from .errors import InvalidArgumentError, ScaleExhaustedError
 from .metric import MetricSpace
 
@@ -34,7 +37,6 @@ class CoverReport:
     level: int = 0
     max_cube_diameter: float = 0.0
     M0_hat: float | None = None
-    witnesses: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
 
 
@@ -44,28 +46,23 @@ def dyadic_cover_count(family: AdjacentFamily, E, x: int, R: float, m: int) -> C
 
 
 def _dyadic_cover(family: AdjacentFamily, E, x: int, R: float, m: int):
-    """The dyadic count's report, and E inside B(x, R), the set it covers."""
+    """The dyadic count's report, read off entry m of the ball's local window,
+    and E inside B(x, R), the set it covers."""
     if m < 0:
         raise InvalidArgumentError("m must be >= 0")
     E = np.asarray(E, dtype=np.int64)
     members = family.space.ball_members(x, R)
-    cc = circumscribed_cube(family, x, R, members=members)
-    system = family.systems[cc.system_id]
-    target = target_in_ball(family.space, E, members)
-    level = cc.level + m
-    if level > system.max_level:
-        raise ScaleExhaustedError(
-            f"level {level} exceeds max level {system.max_level}",
-            deepest_available=system.max_level - cc.level)
-    if target.size == 0:
+    window = local_window(family, E, x, R, members)
+    if window is None:
         raise InvalidArgumentError("E does not meet the ball")
-    idx = system.cubes_meeting(level, target)
+    if m > window.depth:
+        raise ScaleExhaustedError(
+            f"level {window.level + m} exceeds max level {window.level + window.depth}",
+            deepest_available=window.depth)
     return CoverReport(
-        D=int(idx.size), m=m, x=x, R=R, R_eff=cc.R_eff,
-        system_id=cc.system_id, level=cc.level,
-        max_cube_diameter=float(system.diams_at(level)[idx].max()),
-        witnesses={"cube_centers": [int(c) for c in system.levels[level].centers[idx]]},
-        flags=list(cc.flags)), target
+        D=window.counts[m], m=m, x=x, R=R, R_eff=window.R_eff,
+        system_id=window.system_id, level=window.level,
+        max_cube_diameter=window.max_diams[m]), target_in_ball(family.space, E, members)
 
 
 def _grow_set(space: MetricSpace, start, candidates, r):

@@ -297,10 +297,7 @@ class CircumscribedCube:
     level: int
     index: int
     diameter: float
-    ratio: float
     R_eff: float
-    cert: float
-    flags: list = field(default_factory=list)
 
 
 class AdjacentFamily:
@@ -384,19 +381,27 @@ def _effective_radius(space: MetricSpace, x: int, R: float, members: np.ndarray,
 
 
 def circumscribed_cube(family: AdjacentFamily, x: int, R: float,
-                       members: np.ndarray | None = None) -> CircumscribedCube:
+                       members: np.ndarray | None = None,
+                       row: np.ndarray | None = None) -> CircumscribedCube:
     """Minimal-diameter cube across systems containing B(x, R).
 
     The radius is first clamped into the two-sided ball convention
     (R <= 2 * diam of the members). ``members`` may be passed to avoid
-    recomputing the ball.
+    recomputing the ball, and ``row``, the distances from x to every point,
+    to spare recomputing the member distances.
     """
     if members is None:
         members = family.space.ball_members(x, R)
-    R_eff = _effective_radius(family.space, x, R, members)
+    R_eff = _effective_radius(family.space, x, R, members, row)
     if R_eff == 0.0:
         raise DegenerateBallError(f"ball B({x}, {R:g}) holds fewer than two distinct points")
-    return _smallest_containing_cube(family, members, R_eff)
+    best = None
+    for system in family.systems:
+        level, index = _circumscribed_in_system(system, members)
+        diam = float(system.diams_at(level)[index])
+        if best is None or diam < best.diameter:
+            best = CircumscribedCube(system.system_id, level, index, diam, R_eff)
+    return best
 
 
 @dataclass
@@ -404,10 +409,10 @@ class LocalWindow:
     """The dyadic counts of E inside the circumscribed cube of one ball B(x, R).
 
     The cube sits at ``level`` of system ``system_id``, ``depth`` levels above
-    that system's deepest. For m = 1..depth, ``counts[m - 1]`` is the number
-    of level-(level + m) cubes meeting E in the ball and ``max_diams[m - 1]``
-    the largest of their diameters; at m = 0 the one containing cube holds
-    all ``target_size`` ids.
+    that system's deepest. For m = 0..depth, ``counts[m]`` is the number of
+    level-(level + m) cubes meeting E in the ball and ``max_diams[m]`` the
+    largest of their diameters; at m = 0 that is the one containing cube,
+    holding all ``target_size`` ids.
     """
 
     x: int
@@ -433,49 +438,29 @@ def target_in_ball(space: MetricSpace, E: np.ndarray, members: np.ndarray) -> np
 
 
 def local_window(family: AdjacentFamily, E: np.ndarray, x: int, R: float,
-                 members: np.ndarray, row: np.ndarray) -> LocalWindow | None:
-    """The local window of E in B(x, R), or None when E misses the ball or the
-    ball holds fewer than two distinct points.
+                 members: np.ndarray, row: np.ndarray | None = None) -> LocalWindow | None:
+    """The local window of E in B(x, R), or None when E misses the ball.
 
-    ``members`` are the ball's ascending ids and ``row`` the distances from x
-    to every point. Each level is counted along the depth-first-sorted
-    target: one plus its label changes.
+    ``members`` are the ball's ascending ids and ``row``, when given, the
+    distances from x to every point. R_eff and the containing cube come from
+    ``circumscribed_cube``, which raises ``DegenerateBallError`` for a ball of
+    fewer than two distinct points. Each level below the cube is counted
+    along the depth-first-sorted target: one plus its label changes.
     """
-    space = family.space
-    target = target_in_ball(space, E, members)
+    cc = circumscribed_cube(family, x, R, members, row)
+    target = target_in_ball(family.space, E, members)
     if target.size == 0:
         return None
-    R_eff = _effective_radius(space, x, R, members, row)
-    if R_eff == 0.0:
-        return None
-    cc = _smallest_containing_cube(family, members, R_eff)
     system = family.systems[cc.system_id]
     dfs = system.dfs_sorted(target)
-    counts, max_diams = [], []
+    counts, max_diams = [1], [cc.diameter]
     for level in range(cc.level + 1, system.max_level + 1):
         labels = system.labels[level][dfs]
         counts.append(1 + int(np.count_nonzero(labels[1:] != labels[:-1])))
         max_diams.append(float(system.diams_at(level)[labels].max()))
-    return LocalWindow(x=x, R=R, R_eff=R_eff, level=cc.level, system_id=cc.system_id,
+    return LocalWindow(x=x, R=R, R_eff=cc.R_eff, level=cc.level, system_id=cc.system_id,
                        depth=system.max_level - cc.level, counts=counts,
                        max_diams=max_diams, target_size=int(target.size))
-
-
-def _smallest_containing_cube(family: AdjacentFamily, members: np.ndarray,
-                              R_eff: float) -> CircumscribedCube:
-    """The circumscribed cube of a ball of two or more members, given its R_eff."""
-    best = None
-    for system in family.systems:
-        level, index = _circumscribed_in_system(system, members)
-        diam = float(system.diams_at(level)[index])
-        if best is None or diam < best[0]:
-            best = (diam, system.system_id, level, index)
-    diam, sys_id, level, index = best
-    cert = _cert_terms(family.params, R_eff, level, diam)
-    flags = []
-    if cert > family.C_delta_hat * (1 + 1e-9):
-        flags.append("ratio-above-certificate")
-    return CircumscribedCube(sys_id, level, index, diam, diam / R_eff, R_eff, cert, flags)
 
 
 def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,

@@ -19,7 +19,8 @@ from .covering import greedy_cover_count
 # in this module, so the name stays
 from .cubes import (DIAMETER_SLACK, AdjacentFamily, CubeSystem, LocalWindow,  # noqa: F401
                     circumscribed_cube, local_window, r_grid)
-from .errors import InsufficientScalesError, InvalidArgumentError, ScaleExhaustedError
+from .errors import (DegenerateBallError, InsufficientScalesError, InvalidArgumentError,
+                     ScaleExhaustedError)
 
 HAUSDORFF_SLOPE_TOL = 0.005
 BISECTION_STEPS = 20
@@ -240,7 +241,7 @@ def box_dim_estimate(family: AdjacentFamily, E, m_window=None) -> DimensionEstim
             f"box fit needs >= 3 levels, window has {len(m_window)} "
             f"(m_E={m_E}, depth={window.depth})")
 
-    counts = [window.counts[m - 1] if m else 1 for m in m_window]
+    counts = [window.counts[m] for m in m_window]
     log_inv_delta = math.log(1.0 / family.params.delta)
     xs = [m * log_inv_delta for m in m_window]
     ys = [math.log(c) for c in counts]
@@ -301,7 +302,10 @@ def _windows_for_point(family, E, x, radii, seen):
         if key in seen:
             continue
         seen.add(key)
-        window = local_window(family, E, x, float(R), members, row)
+        try:
+            window = local_window(family, E, x, float(R), members, row)
+        except DegenerateBallError:
+            continue
         if window is not None and window.depth >= 2:
             out.append(window)
     return out
@@ -340,12 +344,11 @@ def _window_slope(window: LocalWindow, bound: float, log_inv_delta: float):
     a contiguous range [m_lo, depth]; the fit absorbs the uniform constant
     into the intercept.
     """
-    ms = [m for m, d in zip(range(1, window.depth + 1), window.max_diams)
-          if d <= bound]
+    ms = [m for m in range(1, window.depth + 1) if window.max_diams[m] <= bound]
     if len(ms) < 2:
         return None, len(ms), False
     xs = [m * log_inv_delta for m in ms]
-    ys = [math.log(window.counts[m - 1]) for m in ms]
+    ys = [math.log(window.counts[m]) for m in ms]
     slope, _, _ = _fit_line(xs, ys)
     hits_depth = ms[-1] == window.depth
     return slope, len(ms), hits_depth

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from cubedim import cli, cubes, save_points
+from cubedim import cli, cubes, load_points, save_points
+from cubedim.dimensions import local_windows
 
 BASE = [sys.executable, "-m", "cubedim"]
 
@@ -54,6 +55,8 @@ class TestGen:
         pytest.param(("cantor", "--depth", "-2"), id="cantor-depth-neg"),
         pytest.param(("ifs", "--maps", "[[0.5]]"), id="ifs-map-without-offset"),
         pytest.param(("sequence", "--p", "nan"), id="sequence-p-nan"),
+        pytest.param(("ifs", "--maps", "[0.5]"), id="ifs-map-not-a-list"),
+        pytest.param(("ifs", "--maps", '[[0.5,"a"]]'), id="ifs-map-entry-not-a-number"),
     ])
     def test_bad_arguments_exit2_and_write_nothing(self, tmp_path, capsys, args):
         out = tmp_path / "x.json"
@@ -180,6 +183,22 @@ class TestEstimate:
         lines = (workspace / "counts.csv").read_text().splitlines()
         assert lines[0] == "x_id,R,m,D,max_cube_diameter"
         assert len(lines) > 2
+
+    def test_dump_is_the_estimates_window_table(self, tmp_path, capsys):
+        # 128 points, so a budget of 80 samples fewer than all of them
+        pts, cubes_file = str(tmp_path / "pts.json"), str(tmp_path / "cubes.json")
+        assert cli.main(["gen", "cantor", "--depth", "7", "--out", pts]) == 0
+        assert cli.main(["build", "--points", pts, "--out", cubes_file, "--seed", "1",
+                         "--systems", "2", "--budget", "40"]) == 0
+        dump = tmp_path / "counts.csv"
+        assert cli.main(["estimate", "assouad", "--points", pts, "--cubes", cubes_file,
+                         "--budget", "80", "--seed", "5", "--dump", str(dump)]) == 0
+        capsys.readouterr()
+        family = cubes.load_family(cubes_file, load_points(pts))
+        want = [f"{w.x},{w.R:.12g},{m},{w.counts[m]},{w.max_diams[m]:.12g}"
+                for w in local_windows(family, family.space.ids, 80, 5)
+                for m in range(1, w.depth + 1)]
+        assert dump.read_text().splitlines()[1:] == want
 
     def test_snowflaked_ultrametric_keeps_its_exponent(self, tmp_path, capsys):
         # d = (16^-lcp)^(1/2) halves the box dimension of the binary tree: 0.5
@@ -371,11 +390,19 @@ class TestEdgeSurfaces:
         ("--budget", ("estimate", "spectrum", "--theta", "0.5", "--budget", "-1",
                       "--cubes", "cubes.json")),
         ("--budget", ("estimate", "assouad", "--budget", "-1", "--cubes", "cubes.json")),
+        # NumPy's seed sequences refuse a negative seed
+        ("--seed", ("build", "--seed", "-1", "--out", "seeded.json")),
+        ("--seed", ("verify", "--seed", "-1", "--cubes", "cubes.json")),
+        ("--seed", ("doubling", "--seed", "-1")),
+        ("--seed", ("estimate", "assouad", "--seed", "-1", "--budget", "4",
+                    "--cubes", "cubes.json", "--out", "seeded.json")),
     ])
     def test_out_of_range_argument_exit2(self, run, workspace, flag, args):
+        before = sorted(p.name for p in workspace.iterdir())
         r = run(*args, "--points", "pts.json", cwd=workspace)
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and flag in r.stderr, r.stderr
+        assert r.stdout == "" and sorted(p.name for p in workspace.iterdir()) == before
 
     @pytest.mark.parametrize("args", [
         ("estimate", "box", "--delta", "0.05"),

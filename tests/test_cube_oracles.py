@@ -23,10 +23,17 @@ nearest-center query over every point. Both must match the old computation
 bit for bit, on tampered systems too, and a ``cubes.json`` round trip must
 reproduce the labels, parents and checks.
 
-The box fit reads the same local window as the sweeps, for the one ball
-around E's first id that holds E; where it ran its own containing-cube and
-counting code, its system, counts and depth flag are now held to the same
-oracles, with the count at m = 0 read as 1.
+Every local window counts from m = 0, its containing cube, where the count
+is 1. The box fit reads the window of the one ball around E's first id that
+holds E, and the sandwich check reads D and the largest counted diameter
+at its m off the window of its ball; where each ran its own containing-cube
+and counting code, their systems, counts and depth flag are now held to the
+same oracles.
+
+On random families of every kind, with repeated points, ``verify_system``
+reports the four cube properties holding (Hytönen and Kairema), and the
+sandwich check at random (x, R, m) finds N_exact <= D whenever every
+counted cube fits the check's radius.
 
 The greedy cover reads its near sets as closed balls of the index, and the
 doubling estimate counts each sample as a greedy net of the index; the
@@ -54,7 +61,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubedim import MetricDescriptor, MetricSpace, cli, cubes, dimensions
-from cubedim.covering import dyadic_cover_count, greedy_cover_count
+from cubedim.covering import dyadic_cover_count, greedy_cover_count, sandwich_check
 from cubedim.cubes import (NORMALIZED_DIAMETER, AdjacentFamily, BuildReport, CubeSystem,
                            _cert_terms, _check_inner_balls, _circumscribed_in_system,
                            _effective_radius, build_adjacent_family, build_system,
@@ -63,7 +70,8 @@ from cubedim.cubes import (NORMALIZED_DIAMETER, AdjacentFamily, BuildReport, Cub
 from cubedim.dimensions import (DimensionEstimate, _fit_line, _met_diameters,
                                 box_dim_estimate, hausdorff_dim_estimate,
                                 least_admissible_level, local_windows, sample_points)
-from cubedim.errors import DegenerateBallError, InsufficientScalesError, ScaleExhaustedError
+from cubedim.errors import (DegenerateBallError, InsufficientScalesError, InvalidArgumentError,
+                            ScaleExhaustedError)
 from cubedim.metric import load_points, save_points
 from cubedim.nets import NetLevel, NetParams, nearest_center, nearest_center_within
 
@@ -169,7 +177,8 @@ def oracle_counts(system, target, levels):
 
 
 def oracle_windows(family, E, radii):
-    """The local windows, recomputed with the oracles and member-set dedupe."""
+    """The local windows, recomputed with the oracles and member-set dedupe;
+    counts and largest diameters run from the containing level (m = 0)."""
     out, seen = [], set()
     for x in sample_points(family.space, E, SAMPLE_BUDGET, 0):
         row = family.space.row(int(x))
@@ -186,7 +195,7 @@ def oracle_windows(family, E, radii):
             if system.max_level - level < 2:
                 continue
             counts, max_diams = oracle_counts(system, target,
-                                              range(level + 1, system.max_level + 1))
+                                              range(level, system.max_level + 1))
             out.append((int(x), float(R), sid, level, counts, max_diams, int(target.size)))
     return out
 
@@ -249,10 +258,7 @@ class TestDepthFirstArrays:
                         assert cc.level + m > system.max_level
                         continue
                     counts, max_diams = oracle_counts(system, target, [cc.level + m])
-                    idx = np.unique(system.labels[cc.level + m][target])
                     assert (rep.D, rep.max_cube_diameter) == (counts[0], max_diams[0])
-                    assert rep.witnesses["cube_centers"] == [
-                        int(c) for c in system.levels[cc.level + m].centers[idx]]
         got = [(w.x, w.R, w.system_id, w.level, w.counts, w.max_diams, w.target_size)
                for w in local_windows(fam, E, sample_budget=SAMPLE_BUDGET, radii=radii)]
         assert got == oracle_windows(fam, E, radii)
@@ -300,6 +306,33 @@ class TestBoxWindow:
         assert est.system_id == sid
         assert est.diagnostics["counts"] == [counts[m] for m in window]
         assert ("depth-limited" in est.flags) == (counts[window[-1]] == target_size)
+
+
+class TestCubeProperties:
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_four_checks_and_sandwich_hold(self, kind, data):
+        fam, E, radii = data.draw(families(kind, repeats=data.draw(st.booleans())))
+        for system in fam.systems:
+            checks = verify_system(system)
+            assert all(c.ok for c in checks.values()), {
+                name: c.witness for name, c in checks.items() if not c.ok}
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        radii.append(float(rng.uniform(0.0, 1.0)))
+        for _ in range(8):
+            x = int(rng.integers(fam.space.n))
+            R = radii[int(rng.integers(len(radii)))]
+            m = int(rng.integers(fam.max_level + 1))
+            try:
+                rep = sandwich_check(fam, E, x, R, m)
+            except (DegenerateBallError, InvalidArgumentError, ScaleExhaustedError):
+                continue
+            # every counted cube fits r, so the counted cubes are one admissible cover
+            if rep.N_exact is not None and rep.max_cube_diameter <= rep.r_effective:
+                assert rep.N_exact <= rep.D
+            assert ("sandwich-violated" in rep.flags) == (
+                rep.N_exact is not None and rep.N_exact > rep.D)
 
 
 def oracle_grow_set(space, start, candidates, r):

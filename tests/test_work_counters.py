@@ -8,7 +8,8 @@ space transforms its matrix once. Reloading
 a family queries nearest centers once per system, and ``diams_at`` reads a
 1-D or ultrametric level in one pass with no per-cube ``diameter`` call. A
 Hausdorff fit finds the cubes meeting E once per level, not once per radius
-and exponent.
+and exponent, and ``verify`` reads each sandwich check's count off the
+ball's local window, with no count of its own.
 A 1-D or ultrametric pipeline never imports ``scipy.spatial``: a line reads
 nets, nearest centers and balls off its sorted coordinates.
 None of these changes an output, so losing one shows only in the work done
@@ -30,6 +31,7 @@ from cubedim.cubes import (CubeSystem, build_adjacent_family, build_system,
                            circumscribed_cube, load_family, r_grid, save_family,
                            verify_system)
 from cubedim.dimensions import hausdorff_dim_estimate
+from cubedim.metric import save_points
 from cubedim.nets import NetParams
 
 
@@ -141,9 +143,9 @@ def test_undecided_ball_takes_its_diameter(ultra6_family, diameter_calls):
     assert cc.R_eff == 2.0 * space.diameter(space.ball_members(0, 0.5)) < 0.5
 
 
-@pytest.mark.parametrize("fixture", ["ultra6_family", "cantor10_family"])
-def test_hausdorff_fit_reads_each_level_once(request, fixture, monkeypatch):
-    system = request.getfixturevalue(fixture).systems[0]
+@pytest.fixture
+def cubes_meeting_calls(monkeypatch):
+    """The level of each ``CubeSystem.cubes_meeting`` call."""
     calls = []
     cubes_meeting = CubeSystem.cubes_meeting
 
@@ -152,9 +154,27 @@ def test_hausdorff_fit_reads_each_level_once(request, fixture, monkeypatch):
         return cubes_meeting(self, k, ids)
 
     monkeypatch.setattr(CubeSystem, "cubes_meeting", counting)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", ["ultra6_family", "cantor10_family"])
+def test_hausdorff_fit_reads_each_level_once(request, fixture, cubes_meeting_calls):
+    system = request.getfixturevalue(fixture).systems[0]
     est = hausdorff_dim_estimate(system, system.space.ids)
     assert est.value > 0 and system.max_level >= 3
-    assert sorted(calls) == list(range(system.max_level + 1))
+    assert sorted(cubes_meeting_calls) == list(range(system.max_level + 1))
+
+
+@pytest.mark.parametrize("name", ["ultra6", "cantor10"])
+def test_verify_counts_off_the_local_window(request, name, tmp_path, cubes_meeting_calls,
+                                            capsys):
+    # the sandwich check reads D from the estimators' window, not from its own count
+    pts, cubes_file = str(tmp_path / "pts.json"), str(tmp_path / "cubes.json")
+    save_points(request.getfixturevalue(name), pts)
+    save_family(request.getfixturevalue(name + "_family"), cubes_file)
+    assert cli.main(["verify", "--points", pts, "--cubes", cubes_file, "--budget", "16"]) == 0
+    assert "sampled=16" in capsys.readouterr().out
+    assert cubes_meeting_calls == []
 
 
 @pytest.fixture
