@@ -169,8 +169,8 @@ def cmd_verify(args) -> int:
         sampled += 1
         if "sandwich-violated" in rep.flags:
             sandwich_violations += 1
-    rows.append(("family", "sandwich_N_le_D",
-                 "FAIL" if sandwich_violations else "pass",
+    rows.append(("family", "sandwich_N_le_D",  # n/a: no sample was kept
+                 "FAIL" if sandwich_violations else ("pass" if sampled else "n/a"),
                  f"sampled={sampled}", f"violations={sandwich_violations}"))
     if sandwich_violations:
         failures += 1

@@ -89,9 +89,11 @@ def greedy_cover_count(space: MetricSpace, E, r: float, return_sets: bool = Fals
     The near set of a start, the uncovered points within r of it, is the
     index's closed ball: ``d < nextafter(r)`` holds exactly when ``d <= r``.
     Growing admits every point of the near set once its diameter is at
-    most r, so such a near set is taken whole; the margin leaves the
-    few-ulp differences between the diameter and distance formulas to the
-    growing. Each id of E is covered once, however often E lists it.
+    most r, so such a near set is taken whole. A diameter is a largest
+    distance, so the margin matters only on the hull path of coordinate sets
+    above 2,048 points, which takes the largest distance among the hull's
+    vertices: there the growing decides the near sets close to r. Each id
+    of E is covered once, however often E lists it.
     """
     E = np.asarray(E, dtype=np.int64)
     if E.size == 0:

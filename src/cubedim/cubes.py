@@ -364,10 +364,12 @@ def _effective_radius(space: MetricSpace, x: int, R: float, members: np.ndarray,
 
     It is 0.0 exactly when the ball is degenerate: fewer than two distinct
     points. The diameter is at least the eccentricity max d(x, q), so once
-    twice that reaches R the answer is R with no diameter. The margin leaves
-    the few-ulp differences between the distance and diameter formulas to
-    the exact diameter. ``row``, the distances from x to every point, spares
-    recomputing the member distances.
+    twice that reaches R the answer is R with no diameter. A diameter is a
+    largest distance, so the margin matters only on the hull path of
+    coordinate sets above 2,048 points, which takes the largest distance
+    among the hull's vertices: there the diameter decides the balls near R.
+    ``row``, the distances from x to every point, spares recomputing the
+    member distances.
     """
     if members.size < 2:
         return 0.0
@@ -480,6 +482,8 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
         raise ConfigurationError("query_budget must be >= 1")
     if max_level is not None and max_level < 1:
         raise ConfigurationError("an adjacent family needs max_level >= 1")
+    if math.isnan(target_ratio):
+        raise ConfigurationError("target_ratio must be a number, got nan")
     raw_diam = space.diameter()
     norm = space.normalized(NORMALIZED_DIAMETER * min(1.0, params.c0))
     scale = 1.0 if raw_diam == 0 else (NORMALIZED_DIAMETER * min(1.0, params.c0)) / raw_diam
@@ -521,14 +525,23 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
             break
 
     C_delta_hat = max(1.0, worst)
-    C_tilde = 12.0 * params.C0 * C_delta_hat / params.c0
     best_effort = worst > target_ratio
 
     query_log = [{"x": x, "R": R, "degenerate": bool(degenerate[qi]),
                   "cert": float(best_cert[qi])} for qi, (x, R) in enumerate(queries)]
 
-    return AdjacentFamily(norm, params, systems, C_delta_hat, C_tilde, best_effort,
-                          target_ratio, query_budget, seed, query_log, scale)
+    return AdjacentFamily(norm, params, systems, C_delta_hat, _C_tilde(params, C_delta_hat),
+                          best_effort, target_ratio, query_budget, seed, query_log, scale)
+
+
+def _C_tilde(params: NetParams, C_delta_hat: float) -> float:
+    """The sandwich constant 12 * C0 * C_delta_hat / c0."""
+    return 12.0 * params.C0 * C_delta_hat / params.c0
+
+
+def _finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 # -- serialization ----------------------------------------------------------
@@ -582,9 +595,13 @@ def load_family(path, space: MetricSpace, points_hash: str | None = None) -> Adj
     ``StaleCubesError``. Labels are re-derived from the stored nets and
     parents, and every system's four structural checks are recomputed; a
     system that fails partition, the inner ball or the outer ball check makes
-    the file stale. Ball monotonicity is recorded but does not refuse the
-    file, and the sandwich inequality is not checked here (``cubedim verify``
-    samples it). Each system's checks are left on ``system.report.checks``."""
+    the file stale, and so does a constant that the builder could not have
+    written: ``C_delta_hat`` not finite or below 1, ``C_tilde`` other than
+    its expression in ``C_delta_hat``, ``c0`` and ``C0``, ``best_effort``
+    not a bool, or ``scale`` not finite and positive. Ball monotonicity is
+    recorded but does not refuse the file, and the sandwich inequality is
+    not checked here (``cubedim verify`` samples it). Each system's checks
+    are left on ``system.report.checks``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -596,11 +613,21 @@ def load_family(path, space: MetricSpace, points_hash: str | None = None) -> Adj
         p = doc["params"]
         params = NetParams(delta=p["delta"], c0=p["c0"], C0=p["C0"])
         nets = [_nets_from_json(sdoc, space.n, params) for sdoc in doc["systems"]]
-        constants = (doc["C_delta_hat"], doc["C_tilde"], doc["best_effort"],
-                     p.get("target_ratio", 0.0), p.get("query_budget", 0), p.get("seed", 0))
-        scale = doc.get("scale", 1.0)
+        C_delta_hat, C_tilde, best_effort, scale = (
+            doc[key] for key in ("C_delta_hat", "C_tilde", "best_effort", "scale"))
+        settings = (p["target_ratio"], p["query_budget"], p["seed"])
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise StaleCubesError(f"malformed cubes file: {exc!r}") from exc
+    if not (_finite_number(C_delta_hat) and C_delta_hat >= 1.0):
+        raise StaleCubesError(f"cubes file C_delta_hat {C_delta_hat!r} is not a finite "
+                              "number >= 1")
+    if C_tilde != _C_tilde(params, C_delta_hat):
+        raise StaleCubesError(f"cubes file C_tilde {C_tilde!r} is not "
+                              f"12 * C0 * C_delta_hat / c0 = {_C_tilde(params, C_delta_hat)!r}")
+    if not isinstance(best_effort, bool):
+        raise StaleCubesError(f"cubes file best_effort {best_effort!r} is not true or false")
+    if not (_finite_number(scale) and scale > 0):
+        raise StaleCubesError(f"cubes file scale {scale!r} is not a finite positive number")
     if not nets:
         raise StaleCubesError("cubes file holds no cube systems")
     if any(levels[0].centers.size != 1 for _, levels, _ in nets):
@@ -619,7 +646,8 @@ def load_family(path, space: MetricSpace, points_hash: str | None = None) -> Adj
                 raise StaleCubesError(
                     f"cubes file fails property {name} on reload: {checks[name].witness}")
         systems.append(system)
-    return AdjacentFamily(norm, params, systems, *constants, [], scale)
+    return AdjacentFamily(norm, params, systems, C_delta_hat, C_tilde, best_effort, *settings,
+                          [], scale)
 
 
 def _nets_from_json(sdoc, n, params):

@@ -77,10 +77,10 @@ class MetricDescriptor:
 
     def transform(self, base):
         """A base distance (Euclidean, stored, or ``base ** lcp``) put through the
-        snowflake power and the scale, elementwise over an array."""
+        snowflake power and the scale, elementwise. A scalar takes the same
+        ``np.power`` as an array, so a value rounds alike either way."""
         if self.epsilon != 1.0:
-            base = (np.power(base, self.epsilon) if isinstance(base, np.ndarray)
-                    else base ** self.epsilon)
+            base = np.power(base, self.epsilon)
         if self.scale != 1.0:
             base = base * self.scale
         return base
@@ -118,18 +118,45 @@ class _Index:
             out[i] = self.diameter(ids[bounds[i]:bounds[i + 1]])
         return out
 
-    @staticmethod
-    def _runs_by_key(bounds, keys_at, value) -> np.ndarray:
-        """Run diameters from one key per non-empty run, ``keys_at(starts)`` in one
-        pass; ``value(key)``, the diameter, runs once per distinct key."""
+
+class _SortedIndex(_Index):
+    """An index over one sorted order of the ids: ``order`` lists them by
+    rank and ``rank`` inverts it. For ranks a < b < c, d(a, b) and d(b, c)
+    are at most d(a, c). So a set's diameter is the distance between its
+    least and greatest rank, and its least distance is between neighbours
+    in rank; both are read from ``pairs``, as every distance is.
+    """
+
+    def diameter(self, ids: np.ndarray) -> float:
+        return float(self.run_diameters(ids, np.array([0, ids.size]))[0])
+
+    def run_diameters(self, ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """One ``pairs`` call over each run's least and greatest rank."""
+        ranks = self.rank[ids[:bounds[-1]]]
         filled = np.flatnonzero(np.diff(bounds))  # reduceat needs non-empty runs
-        keys, inverse = np.unique(keys_at(bounds[filled]), return_inverse=True)
+        starts = bounds[filled]
         out = np.zeros(bounds.size - 1)
-        out[filled] = np.asarray([value(key) for key in keys], dtype=np.float64)[inverse]
+        out[filled] = self.pairs(self.order[np.minimum.reduceat(ranks, starts)],
+                                 self.order[np.maximum.reduceat(ranks, starts)])
         return out
 
+    def closest_pair(self, ids: np.ndarray):
+        """(least d over pairs i < j of ``ids``, (ids[i], ids[j])) for the first such
+        pair in (i, j) order. The ranks between a pair at the least distance
+        are joined by neighbour pairs at it, so the first pair starts at the
+        least position i in any tied neighbour pair; j is i's first partner
+        at that distance."""
+        by_rank = np.argsort(self.rank[ids])
+        d = self.pairs(ids[by_rank[:-1]], ids[by_rank[1:]])
+        least = d.min()
+        tied = np.flatnonzero(d == least)
+        i = int(min(by_rank[tied].min(), by_rank[tied + 1].min()))
+        partner = self.pairs(ids[i], ids) == least
+        partner[i] = False
+        return float(least), (int(ids[i]), int(ids[np.argmax(partner)]))
 
-class PrefixIndex(_Index):
+
+class PrefixIndex(_SortedIndex):
     """The strings of an ultrametric space, sorted once.
 
     ``dist[L]`` is the distance between two strings whose longest common
@@ -245,49 +272,10 @@ class PrefixIndex(_Index):
             idx[sel] = lowest[runs[query_rank[sel]]]
         return idx, dist
 
-    def closest_pair(self, ids: np.ndarray):
-        """(least d over pairs i < j of ``ids``, (ids[i], ids[j])) for the first such
-        pair in (i, j) order.
-
-        The longest common prefix within the set is between neighbours in
-        sorted order; the pairs at the least distance are those within one run
-        at its tie level, and the first is a run's two lowest positions.
-        """
-        ranks = self.rank[ids]
-        by_rank = np.argsort(ranks, kind="stable")
-        best = self.lcp(ids[by_rank[:-1]], ids[by_rank[1:]]).max()
-        d = self.dist[best]
-        runs = self.runs(int(self._tie_level(d)))[ranks]
-        grouped = np.lexsort((np.arange(ids.size), runs))
-        same = runs[grouped[1:]] == runs[grouped[:-1]]
-        first, second = grouped[:-1][same], grouped[1:][same]
-        t = int(np.argmin(first))
-        return float(d), (int(ids[first[t]]), int(ids[second[t]]))
-
-    def _lcp_diameter(self, lcp: int) -> float:
-        """Diameter of a set whose least common prefix has length lcp."""
-        if lcp == self.codes.shape[1]:
-            return 0.0
-        return float(self.descriptor.transform(self.descriptor.base ** lcp))
-
-    def diameter(self, ids: np.ndarray) -> float:
-        # min lcp over the set is attained by the lexicographic extremes
-        ranks = self.rank[ids]
-        return self._lcp_diameter(int(self.lcp(self.order[ranks.min()],
-                                               self.order[ranks.max()])))
-
-    def run_diameters(self, ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-        """One pass: the lcp of each run's least and greatest rank."""
-        ranks = self.rank[ids[:bounds[-1]]]
-        return self._runs_by_key(
-            bounds, lambda starts: self.lcp(self.order[np.minimum.reduceat(ranks, starts)],
-                                            self.order[np.maximum.reduceat(ranks, starts)]),
-            lambda lcp: self._lcp_diameter(int(lcp)))
-
     def min_gap(self) -> float:
         # the longest common prefix of two distinct strings is between neighbours
         lcps = self.adjacent[self.adjacent < self.codes.shape[1]]
-        return self._lcp_diameter(int(lcps.max())) if lcps.size else float("inf")
+        return float(self.dist[lcps.max()]) if lcps.size else float("inf")
 
 
 class CoordIndex(_Index):
@@ -376,7 +364,7 @@ class CoordIndex(_Index):
             block = pts[start:start + 128]
             diff = block[:, None, :] - pts[None, :, :]
             d2 = max(d2, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
-        return float(self.descriptor.transform(float(np.sqrt(d2))))
+        return float(self.descriptor.transform(np.sqrt(d2)))
 
     def min_gap(self) -> float:
         # one id per distinct point: repeated points are not distinct
@@ -386,7 +374,7 @@ class CoordIndex(_Index):
         return self.closest_pair(np.sort(first))[0]
 
 
-class LineIndex(CoordIndex):
+class LineIndex(_SortedIndex, CoordIndex):
     """The points of a 1-D coordinate space, sorted once (stably, so equal
     coordinates keep ascending ids).
 
@@ -493,30 +481,6 @@ class LineIndex(CoordIndex):
     # the nearest center of every point: a line has no pair query to restrict it
     nearest_within = _Index.nearest_within
 
-    def closest_pair(self, ids: np.ndarray):
-        """The least distance is between neighbours in sorted order. The first
-        pair at it in (i, j) order starts at the least position i in any such
-        neighbour pair; j is i's first partner at that distance."""
-        by_x = np.argsort(self.rank[ids])
-        d = self.pairs(ids[by_x[:-1]], ids[by_x[1:]])
-        least = d.min()
-        tied = np.flatnonzero(d == least)
-        i = int(min(by_x[tied].min(), by_x[tied + 1].min()))
-        partner = self.pairs(ids[i], ids) == least
-        partner[i] = False
-        return float(least), (int(ids[i]), int(ids[np.argmax(partner)]))
-
-    def diameter(self, ids: np.ndarray) -> float:
-        x = self.coords[ids, 0]
-        return float(self.descriptor.transform(float(x.max() - x.min())))
-
-    def run_diameters(self, ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-        """One pass: max - min of each run."""
-        x = self.coords[ids[:bounds[-1]], 0]
-        return self._runs_by_key(
-            bounds, lambda starts: np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts),
-            lambda span: float(self.descriptor.transform(float(span))))
-
     def min_gap(self) -> float:
         # between sorted neighbours, skipping repeated points
         distinct = np.flatnonzero(self.sorted[1:] != self.sorted[:-1])
@@ -530,7 +494,7 @@ class MatrixIndex(_Index):
 
     ``matrix``, the stored one put through the descriptor's power and scale,
     is computed once per space on first use; rows are read-only views of it.
-    A diameter or the least gap is the transform of one stored entry.
+    Distances, diameters and the least gap are all read from it.
     """
 
     def __init__(self, space: "MetricSpace"):
@@ -567,11 +531,10 @@ class MatrixIndex(_Index):
         return best, witness
 
     def diameter(self, ids: np.ndarray) -> float:
-        return float(self.descriptor.transform(self.stored[np.ix_(ids, ids)].max()))
+        return float(self.matrix[np.ix_(ids, ids)].max())
 
     def min_gap(self) -> float:
-        m = self.stored + np.diag(np.full(self.ids.size, np.inf))
-        return float(self.descriptor.transform(float(m.min())))
+        return float((self.matrix + np.diag(np.full(self.ids.size, np.inf))).min())
 
 
 class MetricSpace:

@@ -20,7 +20,7 @@ from .metric import MetricSpace
 
 @dataclass(frozen=True)
 class NetParams:
-    """Net constants, checked on construction: 0 < c0 <= C0, 12*C0*delta <= c0."""
+    """Net constants, checked on construction: 0 < c0 <= C0 < inf, 12*C0*delta <= c0."""
 
     delta: float = 1.0 / 16.0
     c0: float = 1.0
@@ -29,8 +29,9 @@ class NetParams:
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise ConfigurationError(f"delta must be in (0, 1), got {self.delta}")
-        if self.c0 <= 0 or self.C0 <= 0:
-            raise ConfigurationError("c0 and C0 must be positive")
+        if not (0.0 < self.c0 < np.inf and 0.0 < self.C0 < np.inf):
+            raise ConfigurationError(f"c0 and C0 must be finite and positive, got "
+                                     f"c0 = {self.c0}, C0 = {self.C0}")
         if self.c0 > self.C0:
             raise ConfigurationError(f"c0 = {self.c0} must not exceed C0 = {self.C0}")
         lhs = 12.0 * self.C0 * self.delta

@@ -91,6 +91,21 @@ class TestBuild:
         assert err.startswith("error:") and "finite" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        pytest.param(("--c0", "nan"), id="c0-nan"),
+        pytest.param(("--C0", "nan"), id="C0-nan"),
+        pytest.param(("--c0", "inf", "--C0", "inf"), id="c0-C0-inf"),
+        pytest.param(("--target-ratio", "nan"), id="target-ratio-nan"),
+    ])
+    def test_non_finite_parameter_exit2(self, workspace, capsys, args):
+        out = workspace / "non-finite.json"
+        argv = ["build", "--points", str(workspace / "pts.json"), "--out", str(out),
+                "--systems", "2", *args]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == "", captured.err
+        assert not out.exists()
+
     def test_build_reports_constants(self, run, workspace):
         r = run("build", "--points", "pts.json", "--out", "cubes2.json",
                 "--seed", "3", "--systems", "2", "--budget", "60", cwd=workspace)
@@ -247,6 +262,16 @@ class TestVerify:
         assert "FAIL" not in r.stdout
         assert "sandwich_N_le_D | pass" in r.stdout
 
+    def test_sandwich_without_samples_is_not_applicable(self, tmp_path, capsys):
+        # a 2-point space has no ball the sandwich check can sample
+        pts, cubes_file = str(tmp_path / "pts.json"), str(tmp_path / "cubes.json")
+        assert cli.main(["gen", "cantor", "--depth", "1", "--out", pts]) == 0
+        assert cli.main(["build", "--points", pts, "--out", cubes_file]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", "--points", pts, "--cubes", cubes_file]) == 0
+        out = capsys.readouterr().out
+        assert "family | sandwich_N_le_D | n/a | sampled=0" in out, out
+
     def test_shuffled_parent_list_refused(self, run, workspace):
         doc = json.loads((workspace / "cubes.json").read_text())
         deepest = doc["systems"][0]["levels"][-1]["centers"]
@@ -277,6 +302,17 @@ class TestVerify:
 
 def _drop_key(doc):
     del doc["C_tilde"]
+
+
+def _drop_target_ratio(doc):
+    del doc["params"]["target_ratio"]
+
+
+def _setting(key, value):
+    """A damage that sets one top-level field."""
+    def damage(doc):
+        doc[key] = value
+    return damage
 
 
 def _truncate_parents(doc):
@@ -326,6 +362,13 @@ DAMAGES = {
     "center-out-of-range": _center_out_of_range,
     "root-only": _root_only,
     "two-roots": _two_roots,
+    "missing-target-ratio": _drop_target_ratio,
+    "C_tilde-not-a-number": _setting("C_tilde", "x"),
+    "C_tilde-negative": _setting("C_tilde", -5.0),
+    "C_delta_hat-below-1": _setting("C_delta_hat", 0.5),
+    "C_delta_hat-infinite": _setting("C_delta_hat", float("inf")),
+    "best_effort-not-a-bool": _setting("best_effort", "no"),
+    "scale-zero": _setting("scale", 0.0),
 }
 
 

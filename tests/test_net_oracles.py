@@ -9,11 +9,14 @@ the computations those replaced: the greedy scan that compares each
 candidate with every admitted center, the argmin over all centers and, for
 ultrametrics, a distance matrix filled from the old row formula (every
 string compared with the query string); 1-D answers are also compared with
-the tree index on the same points. Nets, parent indices, labels,
-nearest-center indices and distance bits, row bytes, balls, diameters and
-the net check's separation witness must agree bit for bit on small random
-spaces: ultrametrics with duplicate strings, snowflake exponents and scales,
-and coordinate lattices whose pairs sit exactly at the separation.
+the tree index on the same points. A diameter's oracle is the largest
+entry of the oracle distance matrix over the set, and the least gap's is
+its least entry between distinct points: a diameter is a distance, with
+the distance's rounding. Nets, parent indices, labels, nearest-center
+indices and distance bits, row bytes, balls, diameters and the net check's
+separation witness must agree bit for bit on small random spaces:
+ultrametrics with duplicate strings, snowflake exponents and scales, and
+coordinate lattices whose pairs sit exactly at the separation.
 """
 
 from unittest import mock
@@ -23,7 +26,7 @@ from hypothesis import given, settings
 from scipy.spatial import cKDTree
 from hypothesis import strategies as st
 
-from cubedim import MetricDescriptor, MetricSpace, kernels
+from cubedim import GeneratorSpec, MetricDescriptor, MetricSpace, generate, kernels
 from cubedim.cubes import build_system
 from cubedim.metric import CoordIndex, LineIndex
 from cubedim.nets import NetLevel, NetParams, scan_order, verify_net
@@ -91,28 +94,26 @@ def old_ultra_matrix(space):
     return np.vstack([old_ultra_row(space, p, codes) for p in range(space.n)])
 
 
-def old_ultra_diameter(space, ids):
-    """Subset diameter from a lexsort of the subset's strings, as ``diameter`` did."""
-    if len(ids) == 1:
-        return 0.0
-    rows = _codes(space)[np.sort(ids)]
-    order = np.lexsort(rows.T[::-1])
-    neq = rows[order[0]] != rows[order[-1]]
-    if not neq.any():
-        return 0.0
-    return float(space.descriptor.transform(space.descriptor.base ** int(np.argmax(neq))))
+def oracle_diameter(dmat, ids):
+    """The largest entry of the oracle distance matrix over ids x ids."""
+    return float(dmat[np.ix_(ids, ids)].max())
 
 
-def old_ultra_min_gap(space):
-    """Least positive distance from the lcps of lexicographic neighbours."""
-    codes = _codes(space)
-    rows = codes[np.lexsort(codes.T[::-1])]
-    neq = rows[:-1] != rows[1:]
-    lcps = np.where(neq.any(axis=1), np.argmax(neq, axis=1), codes.shape[1])
-    lcps = lcps[lcps < codes.shape[1]]
-    if lcps.size == 0:
-        return float("inf")
-    return float(space.descriptor.transform(space.descriptor.base ** int(lcps.max())))
+def _distinct(space, a, b):
+    """Whether the points of ids ``a`` and ``b`` differ, elementwise."""
+    if space.coords is not None:
+        return (space.coords[a] != space.coords[b]).any(axis=1)
+    if space.strings is not None:
+        strings = np.asarray(space.strings)
+        return strings[a] != strings[b]
+    return a != b
+
+
+def oracle_min_gap(space, dmat):
+    """The least oracle distance between two distinct points; inf when there are none."""
+    a, b = (x.ravel() for x in np.meshgrid(space.ids, space.ids, indexing="ij"))
+    distinct = _distinct(space, a, b)
+    return float(dmat.ravel()[distinct].min()) if distinct.any() else float("inf")
 
 
 def old_separation(rows, centers, sep_required):
@@ -234,9 +235,9 @@ class TestUltrametric:
                     got = space.ball_members(x, radius)
                     assert got.dtype == np.int64 and np.array_equal(got, want)
         ids = _subset(data, space.n)
-        assert space.diameter(ids) == old_ultra_diameter(space, ids)
-        assert space.diameter() == old_ultra_diameter(space, space.ids)
-        assert space.min_positive_distance() == old_ultra_min_gap(space)
+        assert space.diameter(ids) == oracle_diameter(dmat, ids)
+        assert space.diameter() == oracle_diameter(dmat, space.ids)
+        assert space.min_positive_distance() == oracle_min_gap(space, dmat)
         assert space.distance_matrix().tobytes() == dmat.tobytes()
 
     @given(space=ultra_spaces(TINY_BASES), data=st.data())
@@ -403,16 +404,62 @@ class TestLine:
         gaps = dmat[dmat > 0]
         want_gap = gaps.min() if gaps.size else float("inf")
         assert space.min_positive_distance() == want_gap == tree.min_gap()
-        # a diameter puts one float through the transform, as Python's ** does,
-        # which may round a snowflake power one ulp off np.power over a row
-        x = space.coords[:, 0]
-
-        def diameter(run):
-            span = np.abs(x[run][:, None] - x[run][None, :]).max()
-            return float(space.descriptor.transform(float(span))) if run.size > 1 else 0.0
-
+        # a diameter is the largest distance of the run, as the rows compute it
         cuts = data.draw(st.lists(st.integers(0, ids.size), max_size=4))
         bounds = np.unique(np.concatenate([[0, ids.size], cuts])).astype(np.int64)
-        want = [diameter(run) for run in np.split(ids, bounds[1:-1])]
+        want = [oracle_diameter(dmat, run) for run in np.split(ids, bounds[1:-1])]
         assert space.run_diameters(ids, bounds).tobytes() == np.asarray(want).tobytes()
-        assert space.diameter(ids) == diameter(ids)
+        assert space.diameter(ids) == oracle_diameter(dmat, ids)
+
+
+@st.composite
+def matrix_spaces(draw):
+    """2 to 60 points with distances in [1/2, 1], so any such matrix is a metric;
+    at random on multiples of 1/16, where many tie. Under a snowflake exponent
+    and a scale."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    n = draw(st.integers(min_value=2, max_value=60))
+    upper = np.triu(rng.uniform(0.5, 1.0, size=(n, n)), 1)
+    if draw(st.booleans()):
+        upper = np.round(upper * 16.0) / 16.0
+    space = MetricSpace(MetricDescriptor("matrix"), matrix=upper + upper.T)
+    epsilon = draw(st.sampled_from([1.0, 0.3, 0.7]))
+    if epsilon != 1.0:
+        space = space.snowflaked(epsilon)
+    scale = draw(st.sampled_from([1.0, 0.37, 3.0]))
+    return space.rescaled(scale) if scale != 1.0 else space
+
+
+class TestDiametersAreDistances:
+    """A diameter is the distance of the set's farthest pair, and the least
+    gap and the closest pair are distances too, each with the rounding of
+    ``pair_distances``: on ultrametrics (base 0.2 and snowflake exponents
+    among them), snowflaked lattices in one to three dimensions and
+    snowflaked matrix spaces."""
+
+    @given(space=st.one_of(ultra_spaces(TINY_BASES), lattices(), matrix_spaces()),
+           data=st.data())
+    @settings(max_examples=3 * EXAMPLES, deadline=None)
+    def test_diameters_gaps_and_closest_pairs_are_distances(self, space, data):
+        a, b = (x.ravel() for x in np.meshgrid(space.ids, space.ids, indexing="ij"))
+        dmat = space.pair_distances(a, b).reshape(space.n, space.n)
+        for p, q in zip(a[::7], b[::7]):
+            assert space.diameter([p, q]) == space.distance(p, q)
+        ids = _subset(data, space.n)
+        assert space.diameter(ids) == oracle_diameter(dmat, ids)
+        assert space.diameter() == oracle_diameter(dmat, space.ids)
+        assert space.min_positive_distance() == oracle_min_gap(space, dmat)
+        if ids.size > 1:
+            want = old_separation(lambda c: dmat[c], ids, 1.0)
+            assert space.index.closest_pair(ids) == want
+        cuts = data.draw(st.lists(st.integers(0, ids.size), max_size=4))
+        bounds = np.unique(np.concatenate([[0, ids.size], cuts])).astype(np.int64)
+        want = [oracle_diameter(dmat, run) for run in np.split(ids, bounds[1:-1])]
+        assert space.run_diameters(ids, bounds).tobytes() == np.asarray(want).tobytes()
+
+    def test_base_two_tenths_pair(self):
+        # the scalar 0.2 ** 2 is 0.04000000000000001; the distance is 0.04
+        space = generate(GeneratorSpec(kind="ultrametric_cantor", arity=3, base=0.2, depth=7))
+        assert space.distance(1034, 1119) == 0.04
+        assert space.diameter([1034, 1119]) == space.distance(1034, 1119)
+        assert space.run_diameters([1034, 1119], [0, 2])[0] == 0.04

@@ -23,6 +23,15 @@ class TestParams:
         with pytest.raises(ConfigurationError):
             NetParams(delta=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"delta": float("nan")}, {"c0": float("nan")}, {"C0": float("nan")},
+        {"delta": float("inf")}, {"c0": float("inf"), "C0": float("inf")},
+    ])
+    def test_non_finite_rejected(self, kwargs):
+        # every comparison with nan is false, and inf <= inf holds
+        with pytest.raises(ConfigurationError):
+            NetParams(**kwargs)
+
     def test_replace_is_checked(self):
         with pytest.raises(ConfigurationError, match=r"12\*C0\*delta"):
             dataclasses.replace(NetParams(), delta=0.2)
