@@ -45,6 +45,13 @@ class BuildReport:
     checks: dict = field(default_factory=dict)
 
 
+def _normalizing_factor(space: MetricSpace, params: NetParams) -> float:
+    """The factor that rescales the space to diameter NORMALIZED_DIAMETER *
+    min(1, c0); 1.0 for a zero diameter."""
+    diam = space.diameter()
+    return 1.0 if diam == 0 else NORMALIZED_DIAMETER * min(1.0, params.c0) / diam
+
+
 def default_max_level(space: MetricSpace, delta: float) -> int:
     """Deepest level whose scale stays at or above the smallest point gap."""
     gap = space.min_positive_distance()
@@ -146,8 +153,7 @@ def build_system(space: MetricSpace, params: NetParams, seed: int = 0,
     ball sandwich or ball monotonicity. Call ``verify_system`` for that; its
     result is also left on ``system.report.checks``.
     """
-    norm = space if pre_normalized else space.normalized(
-        NORMALIZED_DIAMETER * min(1.0, params.c0))
+    norm = space if pre_normalized else space.rescaled(_normalizing_factor(space, params))
     if max_level is None:
         max_level = default_max_level(norm, params.delta)
     if max_level < 0:
@@ -364,12 +370,8 @@ def _effective_radius(space: MetricSpace, x: int, R: float, members: np.ndarray,
 
     It is 0.0 exactly when the ball is degenerate: fewer than two distinct
     points. The diameter is at least the eccentricity max d(x, q), so once
-    twice that reaches R the answer is R with no diameter. A diameter is a
-    largest distance, so the margin matters only on the hull path of
-    coordinate sets above 2,048 points, which takes the largest distance
-    among the hull's vertices: there the diameter decides the balls near R.
-    ``row``, the distances from x to every point, spares recomputing the
-    member distances.
+    twice that reaches R the answer is R with no diameter. ``row``, the
+    distances from x to every point, spares recomputing the member distances.
     """
     if members.size < 2:
         return 0.0
@@ -377,7 +379,7 @@ def _effective_radius(space: MetricSpace, x: int, R: float, members: np.ndarray,
         ecc = space.pair_distances(np.full(members.size, x), members).max()
     else:
         ecc = row[members].max()
-    if 2.0 * ecc >= R * (1 + 1e-12):
+    if 2.0 * ecc >= R:
         return R
     return min(R, 2.0 * space.diameter(members))
 
@@ -484,9 +486,8 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
         raise ConfigurationError("an adjacent family needs max_level >= 1")
     if math.isnan(target_ratio):
         raise ConfigurationError("target_ratio must be a number, got nan")
-    raw_diam = space.diameter()
-    norm = space.normalized(NORMALIZED_DIAMETER * min(1.0, params.c0))
-    scale = 1.0 if raw_diam == 0 else (NORMALIZED_DIAMETER * min(1.0, params.c0)) / raw_diam
+    scale = _normalizing_factor(space, params)
+    norm = space.rescaled(scale)
 
     probe = build_system(norm, params, seed=seed, max_level=max_level,
                          system_id=0, pre_normalized=True)
@@ -598,10 +599,11 @@ def load_family(path, space: MetricSpace, points_hash: str | None = None) -> Adj
     the file stale, and so does a constant that the builder could not have
     written: ``C_delta_hat`` not finite or below 1, ``C_tilde`` other than
     its expression in ``C_delta_hat``, ``c0`` and ``C0``, ``best_effort``
-    not a bool, or ``scale`` not finite and positive. Ball monotonicity is
-    recorded but does not refuse the file, and the sandwich inequality is
-    not checked here (``cubedim verify`` samples it). Each system's checks
-    are left on ``system.report.checks``."""
+    not a bool, ``scale`` other than ``_normalizing_factor`` of the points,
+    ``params.seed`` not an int >= 0 or ``params.query_budget`` not an int
+    >= 1. Ball monotonicity is recorded but does not refuse the file, and
+    the sandwich inequality is not checked here (``cubedim verify`` samples
+    it). Each system's checks are left on ``system.report.checks``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -615,7 +617,8 @@ def load_family(path, space: MetricSpace, points_hash: str | None = None) -> Adj
         nets = [_nets_from_json(sdoc, space.n, params) for sdoc in doc["systems"]]
         C_delta_hat, C_tilde, best_effort, scale = (
             doc[key] for key in ("C_delta_hat", "C_tilde", "best_effort", "scale"))
-        settings = (p["target_ratio"], p["query_budget"], p["seed"])
+        target_ratio, query_budget, seed = (p[key] for key in
+                                            ("target_ratio", "query_budget", "seed"))
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise StaleCubesError(f"malformed cubes file: {exc!r}") from exc
     if not (_finite_number(C_delta_hat) and C_delta_hat >= 1.0):
@@ -626,18 +629,24 @@ def load_family(path, space: MetricSpace, points_hash: str | None = None) -> Adj
                               f"12 * C0 * C_delta_hat / c0 = {_C_tilde(params, C_delta_hat)!r}")
     if not isinstance(best_effort, bool):
         raise StaleCubesError(f"cubes file best_effort {best_effort!r} is not true or false")
-    if not (_finite_number(scale) and scale > 0):
-        raise StaleCubesError(f"cubes file scale {scale!r} is not a finite positive number")
+    factor = _normalizing_factor(space, params)
+    if not (_finite_number(scale) and scale == factor):
+        raise StaleCubesError(f"cubes file scale {scale!r} is not the normalizing factor "
+                              f"{factor!r} of the points")
+    if not (type(seed) is int and seed >= 0):  # a bool is no int here
+        raise StaleCubesError(f"cubes file seed {seed!r} is not an integer >= 0")
+    if not (type(query_budget) is int and query_budget >= 1):
+        raise StaleCubesError(f"cubes file query_budget {query_budget!r} is not an integer >= 1")
     if not nets:
         raise StaleCubesError("cubes file holds no cube systems")
     if any(levels[0].centers.size != 1 for _, levels, _ in nets):
         raise StaleCubesError("cubes file holds a system whose level 0 is not one center")
     if any(len(levels) < 2 for _, levels, _ in nets):
         raise StaleCubesError("cubes file holds a system with no level below the root")
-    norm = space.normalized(NORMALIZED_DIAMETER * min(1.0, params.c0))
+    norm = space.rescaled(factor)
     systems = []
-    for sid, (seed, levels, parent_idx) in enumerate(nets):
-        system = CubeSystem(sid, norm, params, seed, levels,
+    for sid, (system_seed, levels, parent_idx) in enumerate(nets):
+        system = CubeSystem(sid, norm, params, system_seed, levels,
                             _derive_labels(norm, levels, parent_idx), parent_idx,
                             BuildReport())
         checks = verify_system(system)
@@ -646,8 +655,8 @@ def load_family(path, space: MetricSpace, points_hash: str | None = None) -> Adj
                 raise StaleCubesError(
                     f"cubes file fails property {name} on reload: {checks[name].witness}")
         systems.append(system)
-    return AdjacentFamily(norm, params, systems, C_delta_hat, C_tilde, best_effort, *settings,
-                          [], scale)
+    return AdjacentFamily(norm, params, systems, C_delta_hat, C_tilde, best_effort,
+                          target_ratio, query_budget, seed, [], scale)
 
 
 def _nets_from_json(sdoc, n, params):

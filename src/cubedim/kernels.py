@@ -22,9 +22,9 @@ BACKEND = "pure"
 CHUNK = 512
 # relative slack on tree distances: nearest_center_coords re-decides a query
 # by squared distances when its two nearest centers are this close, and the
-# tree queries of greedy_net_coords and the net check widen their radius by
-# it, as metric.LineIndex widens its binary searches; the tree's distances
-# and the squared ones differ by a few ulps, far less than this
+# tree queries of greedy_net_coords, the net check and metric.CoordIndex.ball
+# widen their radius by it, as metric.LineIndex widens its binary searches;
+# tree and squared distances differ by a few ulps, far less than this
 TIE_RTOL = 1e-7
 
 

@@ -25,6 +25,7 @@ from . import kernels
 from .errors import InvalidArgumentError, PointsFileError
 
 _KINDS = ("euclidean", "matrix", "snowflake", "ultrametric")
+_BLOCK = 128  # rows of differences held at once: 128 x m x dim floats, not m x m x dim
 
 
 @dataclass(frozen=True)
@@ -278,6 +279,12 @@ class PrefixIndex(_SortedIndex):
         return float(self.dist[lcps.max()]) if lcps.size else float("inf")
 
 
+def _farthest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row of ``a``'s largest squared distance to a row of ``b``, by blocks of rows."""
+    blocks = (a[start:start + _BLOCK, None, :] - b for start in range(0, len(a), _BLOCK))
+    return np.concatenate([np.einsum("ijk,ijk->ij", d, d).max(axis=1) for d in blocks])
+
+
 class CoordIndex(_Index):
     """The points of a coordinate space (euclidean or snowflake) in two or more
     dimensions; ``LineIndex`` serves one dimension.
@@ -312,9 +319,8 @@ class CoordIndex(_Index):
         return self.descriptor.transform(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
 
     def ball(self, x, r) -> np.ndarray:
-        cand = np.asarray(self.tree.query_ball_point(self.coords[x],
-                                                     self.base_radius(r) * (1 + 1e-12)),
-                          dtype=np.int64)
+        wide = self.base_radius(r) * (1.0 + kernels.TIE_RTOL)
+        cand = np.asarray(self.tree.query_ball_point(self.coords[x], wide), dtype=np.int64)
         members = cand[self.pairs(x, cand) < r]
         members.sort()
         return members
@@ -350,21 +356,24 @@ class CoordIndex(_Index):
         return float(d[tied[0]]), (int(ids[i]), int(ids[j]))
 
     def diameter(self, ids: np.ndarray) -> float:
+        """The distance of the largest squared difference over the pairs of the kept
+        points. Above one block in at most four dimensions, the kept points are those
+        within a relative 1e-9, far above rounding, of the largest squared distance
+        from a hull vertex: the farthest point from any point is one. Other sets are
+        kept whole, as qhull is slow beyond four dimensions and finds no hull for a
+        degenerate set."""
         pts = self.coords[ids]
-        if ids.size > 2048:
+        if ids.size > _BLOCK and pts.shape[1] <= 4:
             from scipy.spatial import ConvexHull, QhullError
 
             try:
-                pts = pts[ConvexHull(pts).vertices]
+                vertices = ConvexHull(pts).vertices
             except QhullError:
-                pass  # affinely degenerate (e.g. collinear): no hull, scan all points
-        d2 = 0.0
-        # 128-row blocks: a 2048-point scan holds 4 MB of differences, not 16 MB
-        for start in range(0, len(pts), 128):
-            block = pts[start:start + 128]
-            diff = block[:, None, :] - pts[None, :, :]
-            d2 = max(d2, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
-        return float(self.descriptor.transform(np.sqrt(d2)))
+                pass
+            else:
+                far = _farthest_sq(pts, pts[vertices])
+                pts = pts[far >= far.max() * (1.0 - 1e-9)]
+        return float(self.descriptor.transform(np.sqrt(_farthest_sq(pts, pts).max())))
 
     def min_gap(self) -> float:
         # one id per distinct point: repeated points are not distinct

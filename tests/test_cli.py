@@ -254,6 +254,28 @@ class TestMatrixKind:
         assert digests == [self.CUBES_SHA256, self.BOX_SHA256]
 
 
+class TestThreeDimensionalGrid:
+    # no benchmark workload is 3-D; these digests were recorded when every
+    # diameter of up to 2,048 points scanned all pairs. The whole space and
+    # the largest windows hold more than 128 points, so they now read the
+    # hull candidates.
+    CUBES_SHA256 = "37dd9bedc8809063121ba64ace6502b89d6b19878b7a7675e9a437a9a33278bf"
+    ASSOUAD_SHA256 = "387df07dc5717a831bb6f548ee9bbcd72f50e543084c7acdbed9e08de8fae9e2"
+
+    def test_build_and_assouad_bytes_are_pinned(self, tmp_path, capsys):
+        pts, cubes_file, assouad = (str(tmp_path / name)
+                                    for name in ("pts.json", "cubes.json", "assouad.json"))
+        assert cli.main(["gen", "grid", "--dim", "3", "--res", "0.125", "--out", pts]) == 0
+        assert cli.main(["build", "--points", pts, "--out", cubes_file, "--seed", "7",
+                         "--delta", "0.08333333333333333", "--levels", "2"]) == 0
+        assert cli.main(["estimate", "assouad", "--points", pts, "--cubes", cubes_file,
+                         "--seed", "7", "--budget", "8", "--out", assouad]) == 0
+        capsys.readouterr()
+        digests = [hashlib.sha256(open(path, "rb").read()).hexdigest()
+                   for path in (cubes_file, assouad)]
+        assert digests == [self.CUBES_SHA256, self.ASSOUAD_SHA256]
+
+
 class TestVerify:
     def test_fresh_build_passes(self, run, workspace):
         r = run("verify", "--points", "pts.json", "--cubes", "cubes.json",
@@ -315,6 +337,13 @@ def _setting(key, value):
     return damage
 
 
+def _param(key, value):
+    """A damage that sets one build setting."""
+    def damage(doc):
+        doc["params"][key] = value
+    return damage
+
+
 def _truncate_parents(doc):
     doc["systems"][0]["parents"].pop()
 
@@ -369,6 +398,9 @@ DAMAGES = {
     "C_delta_hat-infinite": _setting("C_delta_hat", float("inf")),
     "best_effort-not-a-bool": _setting("best_effort", "no"),
     "scale-zero": _setting("scale", 0.0),
+    "scale-not-the-normalizing-factor": _setting("scale", 2.0),
+    "seed-not-an-int": _param("seed", "x"),
+    "query_budget-negative": _param("query_budget", -5),
 }
 
 

@@ -76,7 +76,7 @@ class TestGreedyCover:
         for r in (0.15, 0.4):
             sets = greedy_cover_count(sp, list(range(40)), r, return_sets=True)
             for block in sets:
-                assert sp.diameter(block) <= r * (1 + 1e-12)
+                assert sp.diameter(block) <= r
             covered = np.sort(np.concatenate(sets))
             assert np.array_equal(covered, np.arange(40))
 

@@ -35,6 +35,11 @@ reports the four cube properties holding (Hytönen and Kairema), and the
 sandwich check at random (x, R, m) finds N_exact <= D whenever every
 counted cube fits the check's radius.
 
+Above one block of 128 points, a >= 2-D diameter scans only the hull
+candidates near the largest distance from a qhull vertex; the full block
+scan it replaced is its oracle, on sets where qhull's vertices miss an end
+of the farthest pair.
+
 The greedy cover reads its near sets as closed balls of the index, and the
 doubling estimate counts each sample as a greedy net of the index; the
 row-based computations they replaced are kept here as their oracles.
@@ -60,7 +65,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubedim import MetricDescriptor, MetricSpace, cli, cubes, dimensions
+from cubedim import MetricDescriptor, MetricSpace, cli, cubes, dimensions, metric
 from cubedim.covering import dyadic_cover_count, greedy_cover_count, sandwich_check
 from cubedim.cubes import (NORMALIZED_DIAMETER, AdjacentFamily, BuildReport, CubeSystem,
                            _cert_terms, _check_inner_balls, _circumscribed_in_system,
@@ -387,7 +392,8 @@ class TestDecidedByBound:
             rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
         a, b = rng.integers(n, size=(2, 6))
         d = space.pair_distances(a[a != b], b[a != b])
-        # r on a pairwise distance, and on the edge of the whole-block margin
+        # r on a pairwise distance, and a relative 1e-9 above one, where the
+        # whole-block test once had a margin
         radii = boundary(d, (-1e-15, 0.0, 1e-15)) + boundary(d / (1 - 1e-9), (-1e-15, 0.0))
         for r in radii:
             expect = oracle_greedy_sets(space, E, r)
@@ -405,7 +411,7 @@ class TestDecidedByBound:
         for x in space.ids[:: max(1, space.n // 5)]:
             x = int(x)
             row = space.row(x)
-            # twice each distance level from x, on and either side of the margin
+            # twice each distance level from x, on it and either side of it
             levels = np.unique(row[row > 0])[:6]
             for R in boundary(2.0 * levels, (-2e-12, -1e-12, 0.0, 1e-12, 2e-12)) + radii:
                 members = space.ball_members(x, R)
@@ -836,6 +842,91 @@ def with_tiny_base(space):
 
 def same_bits(got, want):
     return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def oracle_scan_diameter(space, ids):
+    """The largest squared difference over every pair of the coordinates, in
+    128-row blocks, as every >= 2-D diameter of up to 2,048 points was taken."""
+    pts = space.coords[ids]
+    d2 = 0.0
+    for start in range(0, len(pts), 128):
+        diff = pts[start:start + 128, None, :] - pts[None, :, :]
+        d2 = max(d2, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
+    return float(space.descriptor.transform(np.sqrt(d2)))
+
+
+@st.composite
+def hull_sets(draw):
+    """129 to 600 points in 2 to 4 dimensions, more than one block of the
+    scan: a lattice with spacing 1/8, some points repeated and some moved
+    one ulp up, where qhull's vertices often miss an end of the farthest
+    pair; or an unmoved lattice's rows scaled by 2**-30 or 2**29; or uniform
+    floats; or points on a line through the origin, which qhull calls
+    degenerate; or rounded points of a sphere, all of them hull vertices.
+    Euclidean or snowflaked, at a unit or other scale."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    n = draw(st.integers(min_value=129, max_value=600))
+    dim = draw(st.sampled_from([2, 3, 4]))
+    kind = draw(st.sampled_from(["lattice", "spread", "uniform", "collinear", "cospherical"]))
+    if kind == "uniform":
+        pts = rng.uniform(size=(n, dim))
+    elif kind == "collinear":
+        pts = rng.integers(0, 40, size=(n, 1)) / 8.0 * rng.uniform(-1.0, 1.0, size=dim)
+    elif kind == "cospherical":
+        pts = rng.normal(size=(n, dim))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    else:
+        pts = rng.integers(0, draw(st.sampled_from([4, 6])), size=(n, dim)) / 8.0
+        if kind == "spread":
+            pts *= 2.0 ** rng.choice([-30, 29], size=(n, 1))
+        else:  # pairs an ulp off the lattice spacings
+            bump = (rng.random(pts.shape) < 0.3) & (pts > 0)
+            pts[bump] = np.nextafter(pts[bump], np.inf)
+    space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
+    epsilon = draw(st.sampled_from([1.0, 0.5, 0.8]))
+    if epsilon != 1.0:
+        space = space.snowflaked(epsilon)
+    scale = draw(st.sampled_from([1.0, 0.37, 3.0]))
+    return space.rescaled(scale) if scale != 1.0 else space
+
+
+class TestHullDiameter:
+    """Above one block, a >= 2-D diameter scans only the points near the
+    largest distance from a hull vertex; it must equal the full scan."""
+
+    @given(space=hull_sets(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_full_scan(self, space, data):
+        ids = space.ids
+        if data.draw(st.booleans()):
+            rng = np.random.default_rng(data.draw(st.integers(min_value=0,
+                                                              max_value=2 ** 32 - 1)))
+            ids = rng.choice(space.n, size=int(rng.integers(129, space.n + 1)),
+                             replace=False)
+        assert space.diameter(ids) == oracle_scan_diameter(space, ids)
+
+    def test_keeps_a_point_that_is_not_a_hull_vertex(self, monkeypatch):
+        # a 6 x 6 lattice with some coordinates an ulp up: qhull's vertices
+        # miss an end of the farthest pair, which the guard keeps
+        rng = np.random.default_rng(15)
+        pts = rng.integers(0, 6, size=(129, 2)) / 8.0
+        bump = (rng.random(pts.shape) < 0.3) & (pts > 0)
+        pts[bump] = np.nextafter(pts[bump], np.inf)
+        space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
+        calls = []
+        farthest_sq = metric._farthest_sq
+
+        def recording(a, b):
+            calls.append((a, b))
+            return farthest_sq(a, b)
+
+        monkeypatch.setattr(metric, "_farthest_sq", recording)
+        assert space.diameter(space.ids) == oracle_scan_diameter(space, space.ids) \
+            == np.sqrt(0.7812500000000002)
+        (_, vertices), (kept, _) = calls
+        assert any(not (vertices == row).all(axis=1).any() for row in kept)
+        hull_only = MetricSpace(MetricDescriptor("euclidean"), coords=vertices)
+        assert oracle_scan_diameter(hull_only, hull_only.ids) < space.diameter(space.ids)
 
 
 class TestLevelPasses:

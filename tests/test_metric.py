@@ -187,7 +187,8 @@ class TestDiameter:
         assert sp.diameter(ids) == pytest.approx(brute, rel=1e-12)
 
     def test_collinear_2d_above_hull_threshold(self):
-        # more than 2048 points on the line y = x have no 2-D convex hull
+        # points on the line y = x have no 2-D convex hull: qhull calls them
+        # degenerate, and every point is scanned
         t = np.linspace(0.0, 1.0, 3000)
         sp = euclid(np.column_stack([t, t]))
         assert sp.diameter() == sp.distance(0, 2999)

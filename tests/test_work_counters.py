@@ -62,16 +62,29 @@ def diameter_calls(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def line_family():
+def line():
     """129 evenly spaced points on a line, ids in coordinate order."""
-    space = MetricSpace(MetricDescriptor("euclidean"), coords=np.arange(129.0))
-    return build_adjacent_family(space, NetParams(), K_max=2, query_budget=50, seed=3)
+    return MetricSpace(MetricDescriptor("euclidean"), coords=np.arange(129.0))
+
+
+@pytest.fixture(scope="module")
+def line_family(line):
+    return build_adjacent_family(line, NetParams(), K_max=2, query_budget=50, seed=3)
 
 
 def test_evenly_spaced_cover_grows_no_block(grow_calls):
     space = MetricSpace(MetricDescriptor("euclidean"), coords=np.arange(200.0))
     # the near set of the first uncovered point is it and the next two
     assert greedy_cover_count(space, space.ids, 2.5) == 67
+    assert grow_calls == []
+
+
+def test_plane_near_set_of_diameter_r_is_taken_whole(grow_calls):
+    # the near set of (0, 0) at r = 5 is it, (3, 4) and (0, 5): diameter 5 exactly
+    space = MetricSpace(MetricDescriptor("euclidean"),
+                        coords=[[0.0, 0.0], [3.0, 4.0], [0.0, 5.0], [100.0, 0.0]])
+    sets = greedy_cover_count(space, space.ids, 5.0, return_sets=True)
+    assert [s.tolist() for s in sets] == [[0, 1, 2], [3]]
     assert grow_calls == []
 
 
@@ -122,13 +135,30 @@ def test_circumscribed_cube_skips_decided_diameters(line_family, diameter_calls)
         for R in r_grid(line_family.params.delta, line_family.max_level):
             members = space.ball_members(x, R)
             ecc = space.row(x)[members].max()
-            if members.size < 2 or 2.0 * ecc < R * (1 + 1e-12):
+            if members.size < 2 or 2.0 * ecc < R:
                 continue
             diameter_calls.clear()
             assert circumscribed_cube(line_family, x, R).R_eff == R
             assert diameter_calls == []
             decided += 1
     assert decided >= 50
+
+
+def test_plane_ball_at_twice_its_eccentricity_needs_no_diameter(diameter_calls):
+    # B((0, 0), 5) holds (1.5, 2) and (-1.5, -2) at 2.5 each: 2 * ecc == R exactly
+    space = MetricSpace(MetricDescriptor("euclidean"),
+                        coords=[[0.0, 0.0], [1.5, 2.0], [-1.5, -2.0], [100.0, 0.0]])
+    family = build_adjacent_family(space, NetParams(), K_max=1, query_budget=4, seed=0)
+    space = family.space
+    for system in family.systems:
+        for k in range(system.max_level + 1):
+            system.diams_at(k)
+    R = 2.0 * space.distance(0, 1)
+    assert space.ball_members(0, R).tolist() == [0, 1, 2]
+    assert 2.0 * space.distance(0, 2) == R
+    diameter_calls.clear()
+    assert circumscribed_cube(family, 0, R).R_eff == R
+    assert diameter_calls == []
 
 
 def test_undecided_ball_takes_its_diameter(ultra6_family, diameter_calls):
@@ -196,9 +226,11 @@ def nearest_center_calls(monkeypatch):
 def test_reload_reads_each_level_in_one_pass(request, fixture, tmp_path,
                                              nearest_center_calls, diameter_calls):
     family = request.getfixturevalue(fixture)
+    points = request.getfixturevalue(fixture.removesuffix("_family"))
+    nearest_center_calls.clear()  # a family built for this test alone queried them too
     path = tmp_path / "cubes.json"
     save_family(family, path)
-    loaded = load_family(path, family.space)
+    loaded = load_family(path, points)  # the points it was built from, as the CLI reads them
     if family.space.descriptor.kind == "euclidean":
         # the labels' query; the inner-ball check pairs centers and points instead
         assert len(nearest_center_calls) == family.K
