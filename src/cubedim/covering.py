@@ -86,11 +86,9 @@ def greedy_cover_count(space: MetricSpace, E, r: float, return_sets: bool = Fals
 
     Picks the first uncovered id, grows a maximal diameter-<=r set around
     it by ascending distance, and repeats. If diam(E) <= r the answer is 1.
-    The near set of a start, the uncovered points within r of it, is the
-    index's closed ball: ``d < nextafter(r)`` holds exactly when ``d <= r``.
-    Growing admits every point of the near set once its diameter is at
-    most r, so such a near set is taken whole. Each id of E is covered
-    once, however often E lists it.
+    The near set of a start, its uncovered points within r, is the index's
+    closed ball at ``nextafter(r)``, taken whole at diameter <= r as growing
+    would admit all of it. Each id of E is covered once, however often E lists it.
     """
     E = np.asarray(E, dtype=np.int64)
     if E.size == 0:

@@ -46,10 +46,8 @@ class BuildReport:
 
 
 def _normalizing_factor(space: MetricSpace, params: NetParams) -> float:
-    """The factor that rescales the space to diameter NORMALIZED_DIAMETER *
-    min(1, c0); 1.0 for a zero diameter."""
-    diam = space.diameter()
-    return 1.0 if diam == 0 else NORMALIZED_DIAMETER * min(1.0, params.c0) / diam
+    """The factor that rescales the space to diameter NORMALIZED_DIAMETER * min(1, c0)."""
+    return space.normalizing_factor(NORMALIZED_DIAMETER * min(1.0, params.c0))
 
 
 def default_max_level(space: MetricSpace, delta: float) -> int:
@@ -366,13 +364,10 @@ def _circumscribed_in_system(system: CubeSystem, members: np.ndarray):
 
 def _effective_radius(space: MetricSpace, x: int, R: float, members: np.ndarray,
                       row: np.ndarray | None = None) -> float:
-    """min(R, 2 * diam(members)) for the members of B(x, R), x among them.
-
-    It is 0.0 exactly when the ball is degenerate: fewer than two distinct
-    points. The diameter is at least the eccentricity max d(x, q), so once
-    twice that reaches R the answer is R with no diameter. ``row``, the
-    distances from x to every point, spares recomputing the member distances.
-    """
+    """min(R, 2 * diam(members)) for the members of B(x, R), x among them: 0.0
+    exactly when fewer than two points are distinct, and R with no diameter once
+    twice the eccentricity max d(x, q), which the diameter is at least, reaches R.
+    ``row``, the distances from x to every point, spares recomputing them."""
     if members.size < 2:
         return 0.0
     if row is None:

@@ -63,7 +63,7 @@ def greedy_net_coords(tree, order: np.ndarray, threshold: float) -> np.ndarray:
         near = tree.query_ball_point(coords[cand], radius, return_sorted=False)
         if len(near) > 1:  # else the ball holds cand alone, and the scan is past it
             near = np.asarray(near, dtype=np.int64)
-            blocked[near[_squared_distances(coords[near], coords[cand]) < thr2]] = True
+            blocked[near[squared_distances(coords[near], coords[cand]) < thr2]] = True
     return np.asarray(chosen, dtype=np.int64)
 
 
@@ -110,10 +110,10 @@ def nearest_center_coords(query_coords: np.ndarray,
             counts = np.fromiter(map(len, cand), dtype=np.int64, count=close.size)
             cols = np.concatenate(cand).astype(np.int64)
             starts = np.cumsum(counts) - counts
-            dsq = _squared_distances(q[np.repeat(close, counts)], cc[cols])
+            dsq = squared_distances(q[np.repeat(close, counts)], cc[cols])
             tied = dsq == np.repeat(np.minimum.reduceat(dsq, starts), counts)
             best_idx[close] = np.minimum.reduceat(np.where(tied, cols, cc.shape[0]), starts)
-    return best_idx, np.sqrt(_squared_distances(q, cc[best_idx]))
+    return best_idx, np.sqrt(squared_distances(q, cc[best_idx]))
 
 
 def nearest_center_within_coords(tree, center_coords: np.ndarray,
@@ -136,14 +136,14 @@ def nearest_center_within_coords(tree, center_coords: np.ndarray,
                                                output_type="ndarray")
     centers = pairs["i"].astype(np.int64)
     points = pairs["j"].astype(np.int64)
-    dsq = _squared_distances(tree.data[points], cc[centers])
+    dsq = squared_distances(tree.data[points], cc[centers])
     # per point, the least squared distance and then the lowest center row
     order = np.lexsort((centers, dsq, points))
     first = order[np.flatnonzero(np.diff(points[order], prepend=-1))]
     return points[first], centers[first], np.sqrt(dsq[first])
 
 
-def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance between paired rows of ``a`` and ``b``."""
     diff = a - b
     return np.einsum("ij,ij->i", diff, diff)

@@ -285,6 +285,15 @@ def _farthest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([np.einsum("ijk,ijk->ij", d, d).max(axis=1) for d in blocks])
 
 
+def _reaching(pts: np.ndarray, block: np.ndarray, low: float) -> np.ndarray:
+    """The points of ``pts`` whose distance from the centre of ``block``'s bounding box,
+    plus the largest such distance in ``block``, reaches ``low`` up to a relative 1e-9,
+    far above rounding: by the triangle inequality, no other is ``low`` from ``block``."""
+    mid = block.min(axis=0) / 2.0 + block.max(axis=0) / 2.0
+    span = np.sqrt(kernels.squared_distances(block, mid).max())
+    return pts[np.sqrt(kernels.squared_distances(pts, mid)) + span >= low * (1.0 - 1e-9)]
+
+
 class CoordIndex(_Index):
     """The points of a coordinate space (euclidean or snowflake) in two or more
     dimensions; ``LineIndex`` serves one dimension.
@@ -356,24 +365,35 @@ class CoordIndex(_Index):
         return float(d[tied[0]]), (int(ids[i]), int(ids[j]))
 
     def diameter(self, ids: np.ndarray) -> float:
-        """The distance of the largest squared difference over the pairs of the kept
-        points. Above one block in at most four dimensions, the kept points are those
-        within a relative 1e-9, far above rounding, of the largest squared distance
-        from a hull vertex: the farthest point from any point is one. Other sets are
-        kept whole, as qhull is slow beyond four dimensions and finds no hull for a
-        degenerate set."""
+        """The largest squared difference over the pairs that may reach it, as a distance.
+        Above one block, only points ``_reaching`` the attained ``low`` stay; in at most
+        four dimensions, where qhull is fast, so do only those whose farthest distance
+        from a hull vertex (a farthest point is one) is within a relative 1e-9 of the
+        largest. qhull sees the points less the first, so that its tolerance follows
+        their spread. In kd-tree order a block of rows holds nearby points: each is
+        scanned against the points ``_reaching`` the largest distance so far."""
         pts = self.coords[ids]
-        if ids.size > _BLOCK and pts.shape[1] <= 4:
-            from scipy.spatial import ConvexHull, QhullError
+        if ids.size <= _BLOCK:
+            return float(self.descriptor.transform(np.sqrt(_farthest_sq(pts, pts).max())))
+        from scipy.spatial import ConvexHull, QhullError, cKDTree
 
+        end = pts[kernels.squared_distances(pts, pts[0]).argmax()]
+        low = np.sqrt(kernels.squared_distances(pts, end).max())
+        pts = _reaching(pts, pts, low)
+        if len(pts) > _BLOCK and pts.shape[1] <= 4:
             try:
-                vertices = ConvexHull(pts).vertices
-            except QhullError:
-                pass
-            else:
-                far = _farthest_sq(pts, pts[vertices])
-                pts = pts[far >= far.max() * (1.0 - 1e-9)]
-        return float(self.descriptor.transform(np.sqrt(_farthest_sq(pts, pts).max())))
+                far = _farthest_sq(pts, pts[ConvexHull(pts - pts[0]).vertices])
+            except QhullError:  # a degenerate set has no hull: keep it whole
+                far = np.zeros(len(pts))
+            pts = pts[far >= far.max() * (1.0 - 1e-9)]
+        pts = pts[cKDTree(pts, leafsize=_BLOCK).indices]
+        best = 0.0
+        for start in range(0, len(pts), _BLOCK):
+            block = pts[start:start + _BLOCK]
+            partners = _reaching(pts, block, max(low, np.sqrt(best)))
+            if partners.size:
+                best = max(best, float(_farthest_sq(block, partners).max()))
+        return float(self.descriptor.transform(np.sqrt(best)))
 
     def min_gap(self) -> float:
         # one id per distinct point: repeated points are not distinct
@@ -697,12 +717,10 @@ class MetricSpace:
                                     d.scale ** epsilon)
         return self._clone(new_desc)
 
-    def normalized(self, target=1.0 - 1e-9) -> "MetricSpace":
-        """Rescale so the diameter equals target (no-op for singletons)."""
+    def normalizing_factor(self, target=1.0 - 1e-9) -> float:
+        """The factor that rescales the diameter to target; 1.0 for a zero diameter."""
         diam = self.diameter()
-        if diam == 0.0:
-            return self
-        return self.rescaled(target / diam)
+        return 1.0 if diam == 0.0 else target / diam
 
     def _clone(self, desc) -> "MetricSpace":
         # the constructor takes the payload of desc's kind and ignores the others

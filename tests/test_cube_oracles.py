@@ -35,10 +35,11 @@ reports the four cube properties holding (Hytönen and Kairema), and the
 sandwich check at random (x, R, m) finds N_exact <= D whenever every
 counted cube fits the check's radius.
 
-Above one block of 128 points, a >= 2-D diameter scans only the hull
-candidates near the largest distance from a qhull vertex; the full block
-scan it replaced is its oracle, on sets where qhull's vertices miss an end
-of the farthest pair.
+Above one block of 128 points, a >= 2-D diameter keeps only the points
+that pass a centre bound and, in at most four dimensions, a hull filter,
+and scans each block of them against the points that may reach it; the
+full block scan it replaced is its oracle, on sets where qhull's
+vertices miss an end of the farthest pair.
 
 The greedy cover reads its near sets as closed balls of the index, and the
 doubling estimate counts each sample as a greedy net of the index; the
@@ -524,9 +525,8 @@ def oracle_hausdorff(system, E):
 def oracle_family(space, params, K_max, query_budget, target_ratio, seed, max_level):
     """The family build with each query's ball computed lazily, into a cache,
     while the first system is evaluated."""
-    raw_diam = space.diameter()
-    norm = space.normalized(NORMALIZED_DIAMETER * min(1.0, params.c0))
-    scale = 1.0 if raw_diam == 0 else (NORMALIZED_DIAMETER * min(1.0, params.c0)) / raw_diam
+    scale = space.normalizing_factor(NORMALIZED_DIAMETER * min(1.0, params.c0))
+    norm = space.rescaled(scale)
     probe = build_system(norm, params, seed=seed, max_level=max_level, system_id=0,
                          pre_normalized=True)
     L = probe.max_level
@@ -857,17 +857,19 @@ def oracle_scan_diameter(space, ids):
 
 @st.composite
 def hull_sets(draw):
-    """129 to 600 points in 2 to 4 dimensions, more than one block of the
-    scan: a lattice with spacing 1/8, some points repeated and some moved
-    one ulp up, where qhull's vertices often miss an end of the farthest
-    pair; or an unmoved lattice's rows scaled by 2**-30 or 2**29; or uniform
-    floats; or points on a line through the origin, which qhull calls
-    degenerate; or rounded points of a sphere, all of them hull vertices.
-    Euclidean or snowflaked, at a unit or other scale."""
+    """129 to 600 points in 2 to 6 dimensions, more than one block of the
+    scan: a lattice cube or simplex with spacing 1/8, some points repeated
+    and some moved one ulp up, where qhull's vertices often miss an end of
+    the farthest pair; that lattice moved by 2**20 to 2**30, where the coordinates' ulps
+    dwarf qhull's tolerance for the spread; an unmoved lattice's rows scaled
+    by 2**-30 or 2**29; uniform floats; points on a line through the origin,
+    which qhull calls degenerate; or rounded points of a sphere, all of them
+    hull vertices. Euclidean or snowflaked, at a unit or other scale."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     n = draw(st.integers(min_value=129, max_value=600))
-    dim = draw(st.sampled_from([2, 3, 4]))
-    kind = draw(st.sampled_from(["lattice", "spread", "uniform", "collinear", "cospherical"]))
+    dim = draw(st.sampled_from([2, 3, 4, 5, 6]))
+    kind = draw(st.sampled_from(["lattice", "translated", "spread", "uniform", "collinear",
+                                 "cospherical"]))
     if kind == "uniform":
         pts = rng.uniform(size=(n, dim))
     elif kind == "collinear":
@@ -876,10 +878,15 @@ def hull_sets(draw):
         pts = rng.normal(size=(n, dim))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     else:
-        pts = rng.integers(0, draw(st.sampled_from([4, 6])), size=(n, dim)) / 8.0
+        pts = rng.integers(0, draw(st.sampled_from([4, 6])), size=(n, dim))
+        if draw(st.booleans()):  # a simplex, which the centre bound barely thins
+            pts = np.diff(np.sort(pts, axis=1), axis=1, prepend=0)
+        pts = pts / 8.0
         if kind == "spread":
             pts *= 2.0 ** rng.choice([-30, 29], size=(n, 1))
         else:  # pairs an ulp off the lattice spacings
+            if kind == "translated":
+                pts += 2.0 ** draw(st.integers(min_value=20, max_value=30))
             bump = (rng.random(pts.shape) < 0.3) & (pts > 0)
             pts[bump] = np.nextafter(pts[bump], np.inf)
     space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
@@ -891,11 +898,13 @@ def hull_sets(draw):
 
 
 class TestHullDiameter:
-    """Above one block, a >= 2-D diameter scans only the points near the
-    largest distance from a hull vertex; it must equal the full scan."""
+    """Above one block, a >= 2-D diameter keeps only the points that pass
+    the centre bound and, in at most four dimensions, the hull filter, and
+    scans each block of them against the points that may reach it; it must
+    equal the full scan."""
 
     @given(space=hull_sets(), data=st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_matches_full_scan(self, space, data):
         ids = space.ids
         if data.draw(st.booleans()):
@@ -906,10 +915,12 @@ class TestHullDiameter:
         assert space.diameter(ids) == oracle_scan_diameter(space, ids)
 
     def test_keeps_a_point_that_is_not_a_hull_vertex(self, monkeypatch):
-        # a 6 x 6 lattice with some coordinates an ulp up: qhull's vertices
-        # miss an end of the farthest pair, which the guard keeps
-        rng = np.random.default_rng(15)
-        pts = rng.integers(0, 6, size=(129, 2)) / 8.0
+        # a right triangle of a 4 x 4 lattice, some coordinates an ulp up: the
+        # centre bound keeps more than a block, and qhull's vertices miss an
+        # end of the farthest pair, which the hull filter keeps
+        rng = np.random.default_rng(3)
+        pts = np.diff(np.sort(rng.integers(0, 4, size=(600, 2)), axis=1), axis=1,
+                      prepend=0) / 8.0
         bump = (rng.random(pts.shape) < 0.3) & (pts > 0)
         pts[bump] = np.nextafter(pts[bump], np.inf)
         space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
@@ -922,11 +933,77 @@ class TestHullDiameter:
 
         monkeypatch.setattr(metric, "_farthest_sq", recording)
         assert space.diameter(space.ids) == oracle_scan_diameter(space, space.ids) \
-            == np.sqrt(0.7812500000000002)
-        (_, vertices), (kept, _) = calls
+            == np.sqrt(0.2812500000000001)
+        (bounded, vertices), (kept, _) = calls
+        assert len(bounded) > 128
         assert any(not (vertices == row).all(axis=1).any() for row in kept)
-        hull_only = MetricSpace(MetricDescriptor("euclidean"), coords=vertices)
-        assert oracle_scan_diameter(hull_only, hull_only.ids) < space.diameter(space.ids)
+        assert farthest_sq(vertices, vertices).max() < farthest_sq(pts, pts).max()
+
+    def test_bound_keeps_ends_it_meets_exactly(self):
+        # a 6 x 6 lattice, some coordinates an ulp up: in real arithmetic the
+        # ends of the farthest pair meet the centre bound exactly, and rounded
+        # they fall short of it, which the bound's slack absorbs
+        rng = np.random.default_rng(8)
+        pts = rng.integers(0, 6, size=(300, 2)) / 8.0
+        bump = (rng.random(pts.shape) < 0.3) & (pts > 0)
+        pts[bump] = np.nextafter(pts[bump], np.inf)
+        space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
+        assert space.diameter(space.ids) == oracle_scan_diameter(space, space.ids) \
+            == 0.8838834764831845
+
+    def test_flat_set_has_no_hull(self):
+        # rounded points of a circle in a plane of 3-D space all pass the
+        # centre bound; qhull finds no 3-D hull, so all of them are scanned
+        from scipy.spatial import ConvexHull, QhullError
+
+        t = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
+        pts = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
+        with pytest.raises(QhullError):
+            ConvexHull(pts - pts[0])
+        space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
+        assert space.diameter(space.ids) == oracle_scan_diameter(space, space.ids)
+
+    def test_far_from_the_origin(self):
+        # a 3-D lattice simplex moved by 2**24, some coordinates an ulp up:
+        # qhull handed these coordinates as they are merges away both ends
+        # of the farthest pair, and handed them less the first point does not
+        rng = np.random.default_rng(2)
+        pts = np.diff(np.sort(rng.integers(0, 6, size=(300, 3)), axis=1), axis=1,
+                      prepend=0) / 8.0 + 2.0 ** 24
+        bump = rng.random(pts.shape) < 0.3
+        pts[bump] = np.nextafter(pts[bump], np.inf)
+        space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
+        assert space.diameter(space.ids) == oracle_scan_diameter(space, space.ids) \
+            == 0.8838834817515404
+
+    def test_keeps_only_the_corners_of_a_5d_grid(self, monkeypatch):
+        # beyond four dimensions, with no hull, the centre bound leaves the 32 corners
+        g = np.arange(5) / 4.0
+        pts = np.stack(np.meshgrid(*[g] * 5, indexing="ij"), axis=-1).reshape(-1, 5)
+        space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
+        calls = []
+        farthest_sq = metric._farthest_sq
+        monkeypatch.setattr(metric, "_farthest_sq",
+                            lambda a, b: calls.append((len(a), len(b))) or farthest_sq(a, b))
+        assert space.diameter(space.ids) == np.sqrt(5.0)
+        assert calls == [(32, 32)]
+
+    def test_prunes_the_blocks_of_a_5d_ball(self, monkeypatch):
+        # a 5-D lattice ball cut by the lattice's faces keeps thousands of
+        # points past the centre bound; each block is scanned against only
+        # the points that may reach the largest distance from it
+        g = np.arange(7) / 6.0
+        pts = np.stack(np.meshgrid(*[g] * 5, indexing="ij"), axis=-1).reshape(-1, 5)
+        pts = pts[np.einsum("ij,ij->i", pts - 0.25, pts - 0.25) < 0.5]  # 3,744 points
+        space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
+        calls = []
+        farthest_sq = metric._farthest_sq
+        monkeypatch.setattr(metric, "_farthest_sq",
+                            lambda a, b: calls.append((len(a), len(b))) or farthest_sq(a, b))
+        assert space.diameter(space.ids) == oracle_scan_diameter(space, space.ids)
+        scanned = sum(rows * cols for rows, cols in calls)
+        kept = sum(rows for rows, _ in calls)
+        assert kept > 3000 and scanned < 0.6 * kept ** 2
 
 
 class TestLevelPasses:

@@ -43,7 +43,7 @@ class TestBuildSystem:
 
     def test_default_max_level_tracks_resolution(self, grid257, params):
         # smallest gap 1/256 resolves levels with delta^L >= 1/256 (delta = 1/16)
-        assert default_max_level(grid257.normalized(), params.delta) == 2
+        assert default_max_level(grid257.rescaled(grid257.normalizing_factor()), params.delta) == 2
 
     def test_deep_max_level_warns(self, grid257, params):
         system = build_system(grid257, params, seed=0, max_level=5)

@@ -187,8 +187,8 @@ class TestDiameter:
         assert sp.diameter(ids) == pytest.approx(brute, rel=1e-12)
 
     def test_collinear_2d_above_hull_threshold(self):
-        # points on the line y = x have no 2-D convex hull: qhull calls them
-        # degenerate, and every point is scanned
+        # points on the line y = x: the centre bound keeps only points at
+        # the ends, which no hull is needed to scan
         t = np.linspace(0.0, 1.0, 3000)
         sp = euclid(np.column_stack([t, t]))
         assert sp.diameter() == sp.distance(0, 2999)
@@ -217,7 +217,7 @@ class TestTransforms:
     def test_normalized_diameter(self):
         rng = np.random.default_rng(5)
         sp = euclid(rng.uniform(size=(30, 2)) * 7.0)
-        norm = sp.normalized()
+        norm = sp.rescaled(sp.normalizing_factor())
         assert norm.diameter() == pytest.approx(1.0 - 1e-9, rel=1e-9)
 
     def test_triangle_inequality_10k_triples(self, ultra4):

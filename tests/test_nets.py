@@ -50,7 +50,7 @@ class TestBuildNet:
             assert 16 <= net.centers.size <= 17
 
     def test_ultrametric_level2_one_per_prefix(self, ultra4):
-        norm = ultra4.normalized()
+        norm = ultra4.rescaled(ultra4.normalizing_factor())
         net = build_net(norm, 2, NetParams(), seed=1)
         assert net.centers.size == 4
         prefixes = {norm.strings[c][:2] for c in net.centers}
@@ -73,7 +73,7 @@ class TestBuildNet:
 
 class TestVerifyNet:
     def test_built_nets_pass(self, grid257, ultra4):
-        for space in (grid257, ultra4.normalized()):
+        for space in (grid257, ultra4.rescaled(ultra4.normalizing_factor())):
             for k in (0, 1, 2):
                 net = build_net(space, k, NetParams(), seed=3)
                 chk = verify_net(space, net)
