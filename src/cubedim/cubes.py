@@ -348,13 +348,18 @@ def _circumscribed_in_system(system: CubeSystem, members: np.ndarray):
     """(level, index) of the deepest cube containing every member id.
 
     Cubes are contiguous runs of the depth-first order, so a cube holds all
-    members once it holds the two of least and greatest rank. Nested cubes
-    that hold both at level k hold both at every shallower level, down to
-    the single root cube at level 0.
+    members once it holds the two of least and greatest rank.
     """
     ranks = system.rank[members]
-    first = system.order[ranks.min()]
-    last = system.order[ranks.max()]
+    return _cube_of_ranks(system, ranks.min(), ranks.max())
+
+
+def _cube_of_ranks(system: CubeSystem, least: int, greatest: int):
+    """(level, index) of the deepest cube holding the depth-first ranks least and
+    greatest. Nested cubes that hold both at level k hold both at every
+    shallower level, down to the single root cube at level 0."""
+    first = system.order[least]
+    last = system.order[greatest]
     for k in range(system.max_level, 0, -1):
         labels = system.labels[k]
         if labels[first] == labels[last]:
@@ -394,9 +399,15 @@ def circumscribed_cube(family: AdjacentFamily, x: int, R: float,
     R_eff = _effective_radius(family.space, x, R, members, row)
     if R_eff == 0.0:
         raise DegenerateBallError(f"ball B({x}, {R:g}) holds fewer than two distinct points")
+    return _smallest_cube(family, (_circumscribed_in_system(system, members)
+                                   for system in family.systems), R_eff)
+
+
+def _smallest_cube(family: AdjacentFamily, cubes, R_eff: float) -> CircumscribedCube:
+    """Of the cubes (level, index), one per system in turn, the one of least
+    diameter: a later system wins only with a strictly smaller one."""
     best = None
-    for system in family.systems:
-        level, index = _circumscribed_in_system(system, members)
+    for system, (level, index) in zip(family.systems, cubes):
         diam = float(system.diams_at(level)[index])
         if best is None or diam < best.diameter:
             best = CircumscribedCube(system.system_id, level, index, diam, R_eff)
@@ -460,6 +471,89 @@ def local_window(family: AdjacentFamily, E: np.ndarray, x: int, R: float,
     return LocalWindow(x=x, R=R, R_eff=cc.R_eff, level=cc.level, system_id=cc.system_id,
                        depth=system.max_level - cc.level, counts=counts,
                        max_diams=max_diams, target_size=int(target.size))
+
+
+class RunWindowTable:
+    """The local windows of E in balls that are runs of a sorted index.
+
+    On a line or in an ultrametric, every ball is a run lo..hi-1 of the
+    ranks of ``space.index`` (its ``ball_run``), and its part in E is the
+    run ``before[lo]..before[hi]-1`` of ``ids``, E's ids in rank order, each
+    once. A window reads off these runs what ``local_window`` computes from
+    the ball's members, bit for bit:
+
+    - R_eff = min(R, 2 * diam) from the ball's two end ranks, whose
+      distance is its diameter;
+    - each system's containing cube from the least and greatest
+      depth-first rank in the run, ``ranks[i][lo:hi]``;
+    - the counts and largest diameters of the containing system from its
+      level tables: at level k and position j of ``ids``, the last earlier
+      position in the same level-k cube (-1 for none) and that cube's
+      diameter. The cubes meeting the positions a..b-1 are those of the
+      positions whose earlier one lies before a.
+
+    A system's level tables are built the first time one of its cubes
+    contains a window.
+    """
+
+    def __init__(self, family: AdjacentFamily, E: np.ndarray):
+        self.family = family
+        self.index = family.space.index
+        order = self.index.order
+        in_E = np.zeros(family.space.n, dtype=bool)
+        in_E[E] = True
+        in_E = in_E[order]
+        self.ids = order[in_E]
+        self.before = np.concatenate([[0], np.cumsum(in_E)])
+        self.ranks = np.stack([system.rank[order] for system in family.systems])
+        self._levels = {}
+
+    def level_tables(self, system: CubeSystem):
+        """(earlier, diams) of levels 1..max_level, in rows 0..max_level-1."""
+        if system.system_id not in self._levels:
+            earlier = np.full((system.max_level, self.ids.size), -1, dtype=np.int32)
+            diams = np.empty((system.max_level, self.ids.size))
+            for k in range(1, system.max_level + 1):
+                labels = system.labels[k][self.ids]
+                by_cube = np.argsort(labels, kind="stable")
+                same = labels[by_cube[1:]] == labels[by_cube[:-1]]
+                earlier[k - 1, by_cube[1:][same]] = by_cube[:-1][same]
+                diams[k - 1] = system.diams_at(k)[labels]
+            self._levels[system.system_id] = earlier, diams
+        return self._levels[system.system_id]
+
+    def windows(self, x: int, radii: np.ndarray, seen: set) -> list:
+        """``local_window`` of each ball B(x, R), R in ``radii``, whose run is not
+        in ``seen``, in the order of the radii; the runs are added to ``seen``.
+        A ball of fewer than two distinct points, or that E misses, has none."""
+        lo, hi = self.index.ball_run(x, radii)
+        new = []
+        for i, run in enumerate(zip(lo.tolist(), hi.tolist())):
+            if run not in seen:
+                seen.add(run)
+                new.append(i)
+        lo, hi, radii = lo[new], hi[new], radii[new]
+        # min(R, 2 * diam) as _effective_radius takes it; 0.0 for one distinct point
+        R_eff = np.minimum(radii, 2.0 * self.index.pairs(self.index.order[lo],
+                                                         self.index.order[hi - 1]))
+        a, b = self.before[lo], self.before[hi]
+        systems = self.family.systems
+        out = []
+        for i in np.flatnonzero((R_eff != 0.0) & (a < b)).tolist():
+            run = self.ranks[:, lo[i]:hi[i]]
+            cc = _smallest_cube(self.family, map(_cube_of_ranks, systems, run.min(axis=1),
+                                                 run.max(axis=1)), float(R_eff[i]))
+            system = systems[cc.system_id]
+            earlier, diams = self.level_tables(system)
+            below, at = slice(cc.level, None), slice(a[i], b[i])
+            counts = (earlier[below, at] < a[i]).sum(axis=1).tolist()
+            max_diams = diams[below, at].max(axis=1).tolist()
+            out.append(LocalWindow(x=x, R=float(radii[i]), R_eff=cc.R_eff, level=cc.level,
+                                   system_id=cc.system_id,
+                                   depth=system.max_level - cc.level, counts=[1, *counts],
+                                   max_diams=[cc.diameter, *max_diams],
+                                   target_size=int(b[i] - a[i])))
+        return out
 
 
 def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,

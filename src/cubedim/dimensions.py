@@ -18,7 +18,7 @@ from .covering import greedy_cover_count
 # circumscribed_cube is not called here; perfbench's self-test patches it by name
 # in this module, so the name stays
 from .cubes import (DIAMETER_SLACK, AdjacentFamily, CubeSystem, LocalWindow,  # noqa: F401
-                    circumscribed_cube, local_window, r_grid)
+                    RunWindowTable, circumscribed_cube, local_window, r_grid)
 from .errors import (DegenerateBallError, InsufficientScalesError, InvalidArgumentError,
                      ScaleExhaustedError)
 
@@ -273,12 +273,10 @@ def sample_points(space, E, budget: int, seed: int) -> np.ndarray:
         if E.size > 4096:
             rng = np.random.default_rng([seed, 11])
             sub = np.sort(rng.choice(E, size=4096, replace=False))
-        gaps = []
-        for p in sub[:: max(1, sub.size // 512)]:
-            row = space.row(int(p))[E]
-            row = row[row > 0]
-            if row.size:
-                gaps.append((float(row.min()), int(p)))
+        probes = sub[:: max(1, sub.size // 512)]
+        least = space.index.least_positive(probes, E)
+        kept = ~np.isnan(least)
+        gaps = list(zip(least[kept].tolist(), probes[kept].tolist()))
         if gaps:
             extremal.append(min(gaps)[1])
             extremal.append(max(gaps)[1])
@@ -291,6 +289,8 @@ def sample_points(space, E, budget: int, seed: int) -> np.ndarray:
 
 
 def _windows_for_point(family, E, x, radii, seen):
+    """The new windows of B(x, R) over the radii, keyed on a digest of each ball's
+    members; a ball whose key is in ``seen`` adds none."""
     row = family.space.row(x)
     out = []
     for R in radii:
@@ -318,6 +318,8 @@ def local_windows(family: AdjacentFamily, E, sample_budget: int = 512,
     The same table serves every theta and the Assouad sweep; admissibility
     filters are applied afterwards. Sampled points are visited in ascending
     id order, and a ball whose member set was already seen adds no window.
+    On a line or in an ultrametric, where every ball is a run of the index's
+    ranks, the windows are read off one ``RunWindowTable``.
     """
     E = np.asarray(E, dtype=np.int64)
     space = family.space
@@ -332,8 +334,14 @@ def local_windows(family: AdjacentFamily, E, sample_budget: int = 512,
     xs = sample_points(space, E, sample_budget, seed)
     windows = []
     seen = set()
-    for x in xs:
-        windows.extend(_windows_for_point(family, E, int(x), radii, seen))
+    if hasattr(space.index, "ball_run"):
+        table = RunWindowTable(family, E)
+        radii = np.asarray(radii, dtype=np.float64)
+        for x in xs:
+            windows.extend(w for w in table.windows(int(x), radii, seen) if w.depth >= 2)
+    else:
+        for x in xs:
+            windows.extend(_windows_for_point(family, E, int(x), radii, seen))
     return windows
 
 

@@ -119,13 +119,25 @@ class _Index:
             out[i] = self.diameter(ids[bounds[i]:bounds[i + 1]])
         return out
 
+    def least_positive(self, ids: np.ndarray, among: np.ndarray) -> np.ndarray:
+        """Each id's least positive distance to the ids ``among``, NaN where it has
+        none; here the least over each id's row."""
+        out = np.full(ids.size, np.nan)
+        for i, p in enumerate(ids):
+            d = self.row(p)[among]
+            d = d[d > 0]
+            if d.size:
+                out[i] = d.min()
+        return out
+
 
 class _SortedIndex(_Index):
     """An index over one sorted order of the ids: ``order`` lists them by
     rank and ``rank`` inverts it. For ranks a < b < c, d(a, b) and d(b, c)
     are at most d(a, c). So a set's diameter is the distance between its
     least and greatest rank, and its least distance is between neighbours
-    in rank; both are read from ``pairs``, as every distance is.
+    in rank; both are read from ``pairs``, as every distance is. A ball is
+    one run of ranks, and ``ball_run`` gives its bounds.
     """
 
     def diameter(self, ids: np.ndarray) -> float:
@@ -155,6 +167,27 @@ class _SortedIndex(_Index):
         partner = self.pairs(ids[i], ids) == least
         partner[i] = False
         return float(least), (int(ids[i]), int(ids[np.argmax(partner)]))
+
+    def least_positive(self, ids: np.ndarray, among: np.ndarray) -> np.ndarray:
+        """Each id's least positive distance to the ids ``among``, NaN where it has
+        none. Distances from p do not fall as ranks move away from p's, so the
+        least positive one on each side is to the nearest rank of ``among`` at a
+        positive distance; a bisection over ``among``'s ranks finds it."""
+        ranks = np.unique(self.rank[among])
+        cand = self.order[ranks]
+        out = np.full(ids.size, np.nan)
+        for seq, start in ((cand, np.searchsorted(ranks, self.rank[ids], side="right")),
+                           (cand[::-1], cand.size - np.searchsorted(ranks, self.rank[ids]))):
+            lo, hi = start, np.full(ids.size, cand.size)
+            while np.any(lo < hi):  # the first position of seq from start at d > 0
+                at = np.flatnonzero(lo < hi)
+                mid = (lo[at] + hi[at]) // 2
+                positive = self.pairs(ids[at], seq[mid]) > 0
+                hi[at[positive]] = mid[positive]
+                lo[at[~positive]] = mid[~positive] + 1
+            found = lo < cand.size
+            out[found] = np.fmin(out[found], self.pairs(ids[found], seq[lo[found]]))
+        return out
 
 
 class PrefixIndex(_SortedIndex):
@@ -223,8 +256,21 @@ class PrefixIndex(_SortedIndex):
     def pairs(self, a, b) -> np.ndarray:
         return self.dist[self.lcp(a, b)]
 
+    def ball_run(self, x, r):
+        """The ranks lo..hi-1 of the ids q with d(x, q) < r, for a radius r or an
+        array of them: the run of x's prefix of length ``level(r)``."""
+        r = np.asarray(r, dtype=np.float64)
+        levels = np.searchsorted(self._neg_dist, -r.reshape(-1), side="right")  # level()
+        lo, hi = np.empty_like(levels), np.empty_like(levels)
+        for L in np.unique(levels).tolist():
+            runs = self.runs(L)
+            run = runs[self.rank[x]]
+            at = levels == L
+            lo[at], hi[at] = np.searchsorted(runs, [run, run + 1])
+        return lo.reshape(r.shape), hi.reshape(r.shape)
+
     def ball(self, x, r) -> np.ndarray:
-        """Ids q with d(x, q) < r, ascending: one run of ranks."""
+        """Ids q with d(x, q) < r, ascending: the run ``ball_run`` gives."""
         runs = self.runs(self.level(r))
         run = runs[self.rank[x]]
         lo, hi = np.searchsorted(runs, [run, run + 1])
@@ -439,6 +485,28 @@ class LineIndex(_SortedIndex, CoordIndex):
         members = cand[self.pairs(x, cand) < r]
         members.sort()
         return members
+
+    def ball_run(self, x, r):
+        """The ranks lo..hi-1 of ``ball``'s members, for a radius r or an array of
+        them: the run within the widened radius, each end trimmed to the ranks
+        that ``pairs`` puts closer than r."""
+        r = np.asarray(r, dtype=np.float64)
+        t = r.reshape(-1)
+        c = self.coords[x, 0]
+        wide = self.base_radius(t) * (1.0 + kernels.TIE_RTOL)
+        lo = np.searchsorted(self.sorted, c - wide, side="left")
+        hi = np.searchsorted(self.sorted, c + wide, side="right")
+        rx = int(self.rank[x])
+        ranks = range(self.sorted.size)
+
+        def far(rank, i):
+            return bool(self.pairs(x, self.order[rank:rank + 1])[0] >= t[i])
+
+        for i in np.flatnonzero(self.pairs(x, self.order[lo]) >= t):
+            lo[i] = bisect_left(ranks, True, lo[i], rx, key=lambda q: not far(q, i))
+        for i in np.flatnonzero(self.pairs(x, self.order[hi - 1]) >= t):
+            hi[i] = bisect_left(ranks, True, rx + 1, hi[i], key=lambda q: far(q, i))
+        return lo.reshape(r.shape), hi.reshape(r.shape)
 
     def net(self, order: np.ndarray, t: float) -> np.ndarray:
         """The greedy net of ``kernels.greedy_net_coords``: a point is admitted

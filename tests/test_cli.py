@@ -276,6 +276,71 @@ class TestThreeDimensionalGrid:
         assert digests == [self.CUBES_SHA256, self.ASSOUAD_SHA256]
 
 
+class TestLineAndUltrametricSweeps:
+    """Sweep bytes on a line and in an ultrametric, where every window is read
+    off a rank run of the index. The digests were recorded when each window
+    was read off a full distance row and keyed on a digest of its members:
+    per seed, spectrum at theta 0.25, 0.5 and 0.75, assouad, and the --dump
+    CSV of the assouad run."""
+    SHA256 = {
+        "sequence": {
+            "7": ("f90b56facf967438c9db0be85d10b2c0b08b8fd38cbed190128f94c5acfbaf1f",
+                  "9b5a08e2e94bd33e0f42fda56c5c9dff74176b84535a42534dc95a983694f362",
+                  "9cff332c51416fca4b2c29707d0562862a4b379825fc2123b0c2b6d70220abdf",
+                  "bec394bed0c2f6f009071aae010e2f6fb553be536382ff720807ab860000945d",
+                  "e0fee42c1caa65cbd905e8c3d50945aa5738c8ceb3a2282a41887973085f4248"),
+            "3": ("49049cf2d2d7667d3cd7d6acf870e080102439a628ee669d5f289fad6bb28dc8",
+                  "33a7a3224517ca3f8a031ba57f58f52377005900dd7ea24109da1525b682385a",
+                  "05e7c02e69dea24fd2334c85fc5e163488a9034d911992d5ad823a1235acd95f",
+                  "423149a9394408e5a5acf35a4148c1e002e82b41c21b2235b6fdae1d20665784",
+                  "855cf90b9f1f5c00fc65d244d7333200f564740b16ee6ccc3dc6cadf68aa59c2"),
+        },
+        "ultrametric": {
+            "7": ("320cf386706b0e0cc50beb1dd59d9e0c6b896dc3d7e5d134d5d3e2af8ddcdc50",
+                  "b8128e00270cd51b10168bb9a644511b631efa69d78f4be1b1cbb2fe67e2259b",
+                  "a81c34b5d3512e7fe2fe97eed16ab1dcde857d5a8b28368caa0e95177acb4330",
+                  "accb8bc72af1654d1940f4ef096ceacbcf038b90b70ace1237a6b8c54ce6c2d9",
+                  "a3f4bf871170001578dd77d95321e5ccb6e70df85e041440cf6f1198d6841459"),
+            "3": ("b3deb744271722c48619e65ef2f0c54ddfb4104e5a93788b9bf922a0de1dcb38",
+                  "9db77a1f38fb177ff62554caf37e9178c7241158e9ebbc348ba235a5fe7d4af1",
+                  "04839ebf2196c5028d076b95579f2e7ebf7fc879215c5cedb2d5a79c570a66aa",
+                  "d24f12af24afb308783c382ae61cdb18355ddad176ed18dbebe222b288afd2db",
+                  "bc5e3de045872a3e51b656ca26edf985bb75ce5cd8ca0384ac6ead12b222c2e2"),
+        },
+    }
+    GEN = {"sequence": ["sequence", "--p", "1", "--nmax", "2000"],
+           "ultrametric": ["ultrametric_cantor", "--arity", "2", "--base", "0.0625",
+                           "--depth", "10"]}
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        out = {}
+        for name, gen in self.GEN.items():
+            d = tmp_path_factory.mktemp(name)
+            pts, cubes_file = str(d / "pts.json"), str(d / "cubes.json")
+            assert cli.main(["gen", *gen, "--out", pts]) == 0
+            assert cli.main(["build", "--points", pts, "--out", cubes_file, "--seed", "7"]) == 0
+            out[name] = d, pts, cubes_file
+        return out
+
+    @pytest.mark.parametrize("name", ["sequence", "ultrametric"])
+    @pytest.mark.parametrize("seed", ["7", "3"])
+    def test_bytes_are_pinned(self, built, name, seed, capsys):
+        d, pts, cubes_file = built[name]
+        common = ["--points", pts, "--cubes", cubes_file, "--seed", seed, "--budget", "32"]
+        files = []
+        for theta in ("0.25", "0.5", "0.75"):
+            files.append(d / f"spectrum{theta}_{seed}.json")
+            assert cli.main(["estimate", "spectrum", *common, "--theta", theta,
+                             "--out", str(files[-1])]) == 0
+        files += [d / f"assouad_{seed}.json", d / f"dump_{seed}.csv"]
+        assert cli.main(["estimate", "assouad", *common, "--out", str(files[-2]),
+                         "--dump", str(files[-1])]) == 0
+        capsys.readouterr()
+        digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
+        assert digests == self.SHA256[name][seed]
+
+
 class TestVerify:
     def test_fresh_build_passes(self, run, workspace):
         r = run("verify", "--points", "pts.json", "--cubes", "cubes.json",

@@ -23,6 +23,14 @@ nearest-center query over every point. Both must match the old computation
 bit for bit, on tampered systems too, and a ``cubes.json`` round trip must
 reproduce the labels, parents and checks.
 
+On a line and in an ultrametric, every ball is a run of the index's ranks,
+and the sweeps read each window off one table of such runs
+(``RunWindowTable``), keyed on the run; ``sample_points`` reads each probe's
+least positive gap off E's rank order. The row-and-digest window reading
+and the row-based ``sample_points`` they replaced are kept here as oracles:
+whole windows must match bit for bit, on spaces with repeated points and on
+targets E that are strict subsets or repeat an id.
+
 Every local window counts from m = 0, its containing cube, where the count
 is 1. The box fit reads the window of the one ball around E's first id that
 holds E, and the sandwich check reads D and the largest counted diameter
@@ -53,6 +61,8 @@ are kept here as oracles, on spaces with repeated points, so that degenerate
 balls occur.
 """
 
+import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -72,7 +82,7 @@ from cubedim.cubes import (NORMALIZED_DIAMETER, AdjacentFamily, BuildReport, Cub
                            _cert_terms, _check_inner_balls, _circumscribed_in_system,
                            _effective_radius, build_adjacent_family, build_system,
                            circumscribed_cube, family_to_json, file_hash, load_family,
-                           r_grid, save_family, verify_system)
+                           local_window, r_grid, save_family, verify_system)
 from cubedim.dimensions import (DimensionEstimate, _fit_line, _met_diameters,
                                 box_dim_estimate, hausdorff_dim_estimate,
                                 least_admissible_level, local_windows, sample_points)
@@ -182,18 +192,84 @@ def oracle_counts(system, target, levels):
     return counts, max_diams
 
 
+def oracle_sample_points(space, E, budget, seed):
+    """``sample_points`` as it was: each probe's least positive gap from its row."""
+    E = np.asarray(E, dtype=np.int64)
+    extremal = [int(E[0]), int(E[-1])]
+    if E.size > 2:
+        sub = E
+        if E.size > 4096:
+            rng = np.random.default_rng([seed, 11])
+            sub = np.sort(rng.choice(E, size=4096, replace=False))
+        gaps = []
+        for p in sub[:: max(1, sub.size // 512)]:
+            row = space.row(int(p))[E]
+            row = row[row > 0]
+            if row.size:
+                gaps.append((float(row.min()), int(p)))
+        if gaps:
+            extremal.append(min(gaps)[1])
+            extremal.append(max(gaps)[1])
+    if E.size <= budget:
+        chosen = E
+    else:
+        rng = np.random.default_rng([seed, 13])
+        chosen = rng.choice(E, size=budget, replace=False)
+    return np.unique(np.concatenate([chosen, np.asarray(extremal, dtype=np.int64)]))
+
+
+def oracle_windows_for_point(family, E, x, radii, seen):
+    """The windows of one sample point as they were read on every metric kind:
+    a full row, each ball's members from it, keyed on a digest of the ids."""
+    row = family.space.row(x)
+    out = []
+    for R in radii:
+        members = np.flatnonzero(row < R)
+        key = (int(members.size), hashlib.sha256(members.tobytes()).digest())
+        if key in seen:
+            continue
+        seen.add(key)
+        try:
+            window = local_window(family, E, x, float(R), members, row)
+        except DegenerateBallError:
+            continue
+        if window is not None and window.depth >= 2:
+            out.append(window)
+    return out
+
+
+def oracle_local_windows(family, E, radii):
+    """``local_windows`` as it was, from the two oracles above."""
+    out, seen = [], set()
+    for x in oracle_sample_points(family.space, np.asarray(E), SAMPLE_BUDGET, 0):
+        out.extend(oracle_windows_for_point(family, E, int(x), radii, seen))
+    return out
+
+
+def window_bits(window):
+    """A window's fields, each float by its bits."""
+    def bits(value):
+        if isinstance(value, list):
+            return [bits(v) for v in value]
+        if isinstance(value, (float, np.floating)):
+            return float(value).hex()
+        return int(value)
+    return [bits(getattr(window, f.name)) for f in dataclasses.fields(window)]
+
+
 def oracle_windows(family, E, radii):
     """The local windows, recomputed with the oracles and member-set dedupe;
-    counts and largest diameters run from the containing level (m = 0)."""
+    counts and largest diameters run from the containing level (m = 0). A
+    ball whose members all sit at x, one distinct point, has no window."""
     out, seen = [], set()
-    for x in sample_points(family.space, E, SAMPLE_BUDGET, 0):
+    for x in oracle_sample_points(family.space, E, SAMPLE_BUDGET, 0):
         row = family.space.row(int(x))
         for R in radii:
             members = np.flatnonzero(row < R)
-            if members.size < 2 or tuple(members) in seen:
+            if not np.any(row[members] > 0) or tuple(members) in seen:
                 continue
             seen.add(tuple(members))
-            target = members if E.size == family.space.n else np.intersect1d(E, members)
+            target = np.intersect1d(E, members)
             if target.size == 0:
                 continue
             _, sid, level, _ = oracle_circumscribed(family, int(x), members)
@@ -229,7 +305,7 @@ class TestDepthFirstArrays:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_oracles_bitwise(self, kind, data):
-        fam, E, radii = data.draw(families(kind))
+        fam, E, radii = data.draw(families(kind, repeats=data.draw(st.booleans())))
         space = fam.space
         for system in fam.systems:
             for s in (0.0, 0.37, 1.0):
@@ -248,8 +324,8 @@ class TestDepthFirstArrays:
                             == oracle_in_system(system, int(x), members))
                 try:
                     cc = circumscribed_cube(fam, int(x), R)
-                except DegenerateBallError:
-                    assert members.size < 2
+                except DegenerateBallError:  # one distinct point: every member at x
+                    assert not np.any(space.row(int(x))[members] > 0)
                     continue
                 expect = oracle_circumscribed(fam, int(x), members)
                 assert (cc.diameter, cc.system_id, cc.level, cc.index) == expect
@@ -265,9 +341,31 @@ class TestDepthFirstArrays:
                         continue
                     counts, max_diams = oracle_counts(system, target, [cc.level + m])
                     assert (rep.D, rep.max_cube_diameter) == (counts[0], max_diams[0])
+        windows = local_windows(fam, E, sample_budget=SAMPLE_BUDGET, radii=radii)
         got = [(w.x, w.R, w.system_id, w.level, w.counts, w.max_diams, w.target_size)
-               for w in local_windows(fam, E, sample_budget=SAMPLE_BUDGET, radii=radii)]
+               for w in windows]
         assert got == oracle_windows(fam, E, radii)
+        assert ([window_bits(w) for w in windows]
+                == [window_bits(w) for w in oracle_local_windows(fam, E, radii)])
+        # an E that repeats an id counts it once
+        E_rep = np.sort(np.concatenate([E, E[-1:]]))
+        assert ([window_bits(w) for w in local_windows(fam, E_rep, SAMPLE_BUDGET, radii=radii)]
+                == [window_bits(w) for w in oracle_local_windows(fam, E_rep, radii)])
+
+
+class TestSamplePoints:
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_row_oracle(self, kind, data):
+        space = data.draw(spaces(kind, repeats=True))
+        n = space.n
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        strict = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        for E in (space.ids, strict, np.sort(rng.integers(n, size=n))):
+            for budget, seed in ((4, 0), (64, 3)):
+                assert np.array_equal(sample_points(space, E, budget, seed),
+                                      oracle_sample_points(space, E, budget, seed))
 
 
 def oracle_box_window(family, E):

@@ -16,7 +16,9 @@ the distance's rounding. Nets, parent indices, labels, nearest-center
 indices and distance bits, row bytes, balls, diameters and the net check's
 separation witness must agree bit for bit on small random spaces:
 ultrametrics with duplicate strings, snowflake exponents and scales, and
-coordinate lattices whose pairs sit exactly at the separation.
+coordinate lattices whose pairs sit exactly at the separation. On a line
+and in an ultrametric, the rank run that ``ball_run`` gives for a radius,
+alone or in an array of radii, must hold exactly the ball's members.
 """
 
 from unittest import mock
@@ -211,6 +213,21 @@ def lattices(draw, dims=(1, 2, 3)):
     return space.rescaled(scale) if scale != 1.0 else space
 
 
+def assert_ball_run(space, x, r, want):
+    """``ball_run`` gives the ranks of the ball's members ``want``, x's among them."""
+    lo, hi = space.index.ball_run(x, r)
+    assert lo <= space.index.rank[x] < hi
+    assert np.array_equal(np.sort(space.index.order[lo:hi]), want)
+
+
+def assert_ball_runs_of_radii(space, x, radii):
+    """An array of radii gives the runs of its radii, one by one."""
+    radii = np.asarray(radii, dtype=np.float64)
+    lo, hi = space.index.ball_run(x, radii)
+    assert lo.shape == hi.shape == radii.shape
+    assert list(zip(lo, hi)) == [space.index.ball_run(x, r) for r in radii]
+
+
 def _subset(data, n):
     ids = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1,
                              max_size=n, unique=True))
@@ -229,11 +246,13 @@ class TestUltrametric:
         assert space.pair_distances(a[:m], b[:m]).tobytes() == dmat[a[:m], b[:m]].tobytes()
         values = np.unique(dmat)
         for x in range(0, space.n, 7):
-            for r in values[values > 0]:
-                for radius in (r, np.nextafter(r, np.inf)):
-                    want = np.flatnonzero(dmat[x] < radius)
-                    got = space.ball_members(x, radius)
-                    assert got.dtype == np.int64 and np.array_equal(got, want)
+            radii = np.ravel([(r, np.nextafter(r, np.inf)) for r in values[values > 0]])
+            for radius in radii:
+                want = np.flatnonzero(dmat[x] < radius)
+                got = space.ball_members(x, radius)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+                assert_ball_run(space, x, radius, want)
+            assert_ball_runs_of_radii(space, x, radii)
         ids = _subset(data, space.n)
         assert space.diameter(ids) == oracle_diameter(dmat, ids)
         assert space.diameter() == oracle_diameter(dmat, space.ids)
@@ -391,11 +410,14 @@ class TestLine:
         tree = CoordIndex(space)
         # one point per coordinate, six at most; radii at each of its distances
         for p in np.unique(space.coords[:, 0], return_index=True)[1][:6]:
-            for r in _near_values(np.unique(dmat[p]), space.n, data):
+            radii = _near_values(np.unique(dmat[p]), space.n, data)
+            for r in radii:
                 want = np.flatnonzero(dmat[p] < r)
                 got = space.ball_members(p, r)
                 assert got.dtype == np.int64 and np.array_equal(got, want)
                 assert np.array_equal(tree.ball(p, r), want)
+                assert_ball_run(space, p, r, want)
+            assert_ball_runs_of_radii(space, p, radii)
         ids = _subset(data, space.n)
         for subset in (ids, space.ids):
             if subset.size > 1:

@@ -11,11 +11,16 @@ Hausdorff fit finds the cubes meeting E once per level, not once per radius
 and exponent, and ``verify`` reads each sandwich check's count off the
 ball's local window, with no count of its own.
 A 1-D or ultrametric pipeline never imports ``scipy.spatial``: a line reads
-nets, nearest centers and balls off its sorted coordinates.
+nets, nearest centers and balls off its sorted coordinates. There,
+``local_windows`` reads every ball as a run of the index's ranks off one
+window table, built once per call with each system's level tables built at
+most once: it asks for no row, no ``ball_members`` and no digest of a
+ball's members. A plane's windows still take their digests.
 None of these changes an output, so losing one shows only in the work done
 or the memory held; these counts make that fail the test suite.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -30,7 +35,7 @@ from cubedim.covering import greedy_cover_count
 from cubedim.cubes import (CubeSystem, build_adjacent_family, build_system,
                            circumscribed_cube, load_family, r_grid, save_family,
                            verify_system)
-from cubedim.dimensions import hausdorff_dim_estimate
+from cubedim.dimensions import hausdorff_dim_estimate, local_windows
 from cubedim.metric import save_points
 from cubedim.nets import NetParams
 
@@ -123,6 +128,62 @@ def test_covers_and_doubling_read_no_row(ultra6, graph40, row_calls):
             greedy_cover_count(space, space.ids[::2], r, return_sets=True)
         space.estimate_doubling(sample_count=16, rng_seed=7)
     assert row_calls == []
+
+
+@pytest.fixture
+def sweep_work(monkeypatch, row_calls):
+    """Rows, member digests, ball queries, window tables and the systems whose
+    level tables were built, asked during a test."""
+    work = {"rows": row_calls, "digests": 0, "balls": 0, "tables": 0, "level_tables": []}
+    sha256, ball_members = hashlib.sha256, MetricSpace.ball_members
+    init, level_tables = cubes.RunWindowTable.__init__, cubes.RunWindowTable.level_tables
+
+    def digest(*args):
+        work["digests"] += 1
+        return sha256(*args)
+
+    def ball(self, x, r):
+        work["balls"] += 1
+        return ball_members(self, x, r)
+
+    def table(self, family, E):
+        work["tables"] += 1
+        init(self, family, E)
+
+    def levels(self, system):
+        if system.system_id not in self._levels:
+            work["level_tables"].append(system.system_id)
+        return level_tables(self, system)
+
+    monkeypatch.setattr(hashlib, "sha256", digest)
+    monkeypatch.setattr(MetricSpace, "ball_members", ball)
+    monkeypatch.setattr(cubes.RunWindowTable, "__init__", table)
+    monkeypatch.setattr(cubes.RunWindowTable, "level_tables", levels)
+    return work
+
+
+@pytest.mark.parametrize("fixture", ["cantor10_family", "ultra6_family"])
+def test_line_and_ultrametric_sweeps_read_rank_runs(request, fixture, sweep_work):
+    family = request.getfixturevalue(fixture)
+    sweep_work["balls"] = 0  # those of the family's build
+    for seed in (0, 1):
+        built = len(sweep_work["level_tables"])
+        assert local_windows(family, family.space.ids, sample_budget=64, seed=seed)
+        assert sweep_work["tables"] == seed + 1
+        new = sweep_work["level_tables"][built:]
+        assert len(new) == len(set(new)) <= family.K
+    assert sweep_work["rows"] == []
+    assert (sweep_work["digests"], sweep_work["balls"]) == (0, 0)
+
+
+def test_plane_sweep_still_digests_members(sweep_work):
+    rng = np.random.default_rng(4)
+    plane = MetricSpace(MetricDescriptor("euclidean"), coords=rng.uniform(size=(200, 2)))
+    family = build_adjacent_family(plane, NetParams(), K_max=2, query_budget=50, seed=3,
+                                   max_level=3)
+    assert local_windows(family, family.space.ids, sample_budget=16, seed=0)
+    assert sweep_work["tables"] == 0
+    assert sweep_work["digests"] > 0 and sweep_work["rows"]
 
 
 def test_circumscribed_cube_skips_decided_diameters(line_family, diameter_calls):
