@@ -106,10 +106,12 @@ class CubeSystem:
     def diams_at(self, k) -> np.ndarray:
         """Cube diameters at level k, indexed like the level's center list.
 
-        One pass over the level's cubes; an empty cube has diameter 0.
+        One pass over the level's cubes; an empty cube has diameter 0. The
+        root cube is the space, whose diameter the space keeps.
         """
         if k not in self._diams:
-            self._diams[k] = self.space.run_diameters(*self._grouped(k))
+            self._diams[k] = (np.array([self.space.diameter()]) if k == 0
+                              else self.space.run_diameters(*self._grouped(k)))
         return self._diams[k]
 
     def dfs_sorted(self, ids) -> np.ndarray:

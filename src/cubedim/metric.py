@@ -153,6 +153,11 @@ class _SortedIndex(_Index):
                                  self.order[np.maximum.reduceat(ranks, starts)])
         return out
 
+    def ball(self, x, r) -> np.ndarray:
+        """Ids q with d(x, q) < r, ascending: the run ``ball_run`` gives."""
+        lo, hi = self.ball_run(x, r)
+        return np.sort(self.order[lo:hi])
+
     def closest_pair(self, ids: np.ndarray):
         """(least d over pairs i < j of ``ids``, (ids[i], ids[j])) for the first such
         pair in (i, j) order. The ranks between a pair at the least distance
@@ -199,8 +204,8 @@ class PrefixIndex(_SortedIndex):
     the lcp of two strings is the least adjacent lcp between their ranks.
     Since ``dist`` is non-increasing (checked here), d(p, q) < t exactly
     when p and q share a prefix of length ``level(t)``. Nets, nearest
-    centers, rows and balls are read off the sorted order with no n x n
-    matrix and no per-center scan.
+    centers and balls are read off the sorted order with no n x n matrix
+    and no per-center scan.
     """
 
     def __init__(self, space: "MetricSpace"):
@@ -242,17 +247,6 @@ class PrefixIndex(_SortedIndex):
             self._runs[L] = np.concatenate([[0], np.cumsum(self.adjacent < L)])
         return self._runs[L]
 
-    def row(self, p) -> np.ndarray:
-        """d(p, q) for every q: running minima of the adjacent lcps outward from p."""
-        r = self.rank[p]
-        lcp = np.empty(self.rank.size, dtype=self.adjacent.dtype)
-        lcp[r] = self.codes.shape[1]
-        lcp[r + 1:] = np.minimum.accumulate(self.adjacent[r:])
-        lcp[:r] = np.minimum.accumulate(self.adjacent[:r][::-1])[::-1]
-        out = np.empty(self.rank.size, dtype=np.float64)
-        out[self.order] = self.dist[lcp]
-        return out
-
     def pairs(self, a, b) -> np.ndarray:
         return self.dist[self.lcp(a, b)]
 
@@ -270,7 +264,8 @@ class PrefixIndex(_SortedIndex):
         return lo.reshape(r.shape), hi.reshape(r.shape)
 
     def ball(self, x, r) -> np.ndarray:
-        """Ids q with d(x, q) < r, ascending: the run ``ball_run`` gives."""
+        """Ids q with d(x, q) < r, ascending: the run ``ball_run`` gives, found
+        for one radius without its array handling."""
         runs = self.runs(self.level(r))
         run = runs[self.rank[x]]
         lo, hi = np.searchsorted(runs, [run, run + 1])
@@ -412,26 +407,17 @@ class CoordIndex(_Index):
 
     def diameter(self, ids: np.ndarray) -> float:
         """The largest squared difference over the pairs that may reach it, as a distance.
-        Above one block, only points ``_reaching`` the attained ``low`` stay; in at most
-        four dimensions, where qhull is fast, so do only those whose farthest distance
-        from a hull vertex (a farthest point is one) is within a relative 1e-9 of the
-        largest. qhull sees the points less the first, so that its tolerance follows
-        their spread. In kd-tree order a block of rows holds nearby points: each is
-        scanned against the points ``_reaching`` the largest distance so far."""
+        Above one block, only points ``_reaching`` the attained ``low`` stay. In kd-tree
+        order a block of rows holds nearby points: each is scanned against the points
+        ``_reaching`` the largest distance so far."""
         pts = self.coords[ids]
         if ids.size <= _BLOCK:
             return float(self.descriptor.transform(np.sqrt(_farthest_sq(pts, pts).max())))
-        from scipy.spatial import ConvexHull, QhullError, cKDTree
+        from scipy.spatial import cKDTree
 
         end = pts[kernels.squared_distances(pts, pts[0]).argmax()]
         low = np.sqrt(kernels.squared_distances(pts, end).max())
         pts = _reaching(pts, pts, low)
-        if len(pts) > _BLOCK and pts.shape[1] <= 4:
-            try:
-                far = _farthest_sq(pts, pts[ConvexHull(pts - pts[0]).vertices])
-            except QhullError:  # a degenerate set has no hull: keep it whole
-                far = np.zeros(len(pts))
-            pts = pts[far >= far.max() * (1.0 - 1e-9)]
         pts = pts[cKDTree(pts, leafsize=_BLOCK).indices]
         best = 0.0
         for start in range(0, len(pts), _BLOCK):
@@ -474,22 +460,13 @@ class LineIndex(_SortedIndex, CoordIndex):
     @cached_property
     def _lists(self):
         """The sorted coordinates and the rank of each id, as Python lists: the
-        net's scan and the binary searches read them one element at a time."""
+        net's scan reads them one element at a time."""
         return self.sorted.tolist(), self.rank.tolist()
 
-    def ball(self, x, r) -> np.ndarray:
-        """The run of ranks within the widened radius, decided by ``pairs``."""
-        xs, c = self._lists[0], float(self.coords[x, 0])
-        wide = self.base_radius(r) * (1.0 + kernels.TIE_RTOL)
-        cand = self.order[bisect_left(xs, c - wide):bisect_right(xs, c + wide)]
-        members = cand[self.pairs(x, cand) < r]
-        members.sort()
-        return members
-
     def ball_run(self, x, r):
-        """The ranks lo..hi-1 of ``ball``'s members, for a radius r or an array of
-        them: the run within the widened radius, each end trimmed to the ranks
-        that ``pairs`` puts closer than r."""
+        """The ranks lo..hi-1 of the ids q with d(x, q) < r, for a radius r or an
+        array of them: the run within the widened radius, each end trimmed to the
+        ranks that ``pairs`` puts closer than r."""
         r = np.asarray(r, dtype=np.float64)
         t = r.reshape(-1)
         c = self.coords[x, 0]

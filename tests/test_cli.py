@@ -257,8 +257,8 @@ class TestMatrixKind:
 class TestThreeDimensionalGrid:
     # no benchmark workload is 3-D; these digests were recorded when every
     # diameter of up to 2,048 points scanned all pairs. The whole space and
-    # the largest windows hold more than 128 points, so they now read the
-    # hull candidates.
+    # the largest windows hold more than 128 points, so they now take the
+    # centre bound and the pruned block scan.
     CUBES_SHA256 = "37dd9bedc8809063121ba64ace6502b89d6b19878b7a7675e9a437a9a33278bf"
     ASSOUAD_SHA256 = "387df07dc5717a831bb6f548ee9bbcd72f50e543084c7acdbed9e08de8fae9e2"
 

@@ -44,10 +44,10 @@ sandwich check at random (x, R, m) finds N_exact <= D whenever every
 counted cube fits the check's radius.
 
 Above one block of 128 points, a >= 2-D diameter keeps only the points
-that pass a centre bound and, in at most four dimensions, a hull filter,
-and scans each block of them against the points that may reach it; the
-full block scan it replaced is its oracle, on sets where qhull's
-vertices miss an end of the farthest pair.
+that pass a centre bound, and scans each block of them against the points
+that may reach it; the full block scan it replaced is its oracle, on sets
+whose convex hull's vertices miss an end of the farthest pair and on
+rounded points of a sphere.
 
 The greedy cover reads its near sets as closed balls of the index, and the
 doubling estimate counts each sample as a greedy net of the index; the
@@ -957,12 +957,13 @@ def oracle_scan_diameter(space, ids):
 def hull_sets(draw):
     """129 to 600 points in 2 to 6 dimensions, more than one block of the
     scan: a lattice cube or simplex with spacing 1/8, some points repeated
-    and some moved one ulp up, where qhull's vertices often miss an end of
-    the farthest pair; that lattice moved by 2**20 to 2**30, where the coordinates' ulps
-    dwarf qhull's tolerance for the spread; an unmoved lattice's rows scaled
-    by 2**-30 or 2**29; uniform floats; points on a line through the origin,
-    which qhull calls degenerate; or rounded points of a sphere, all of them
-    hull vertices. Euclidean or snowflaked, at a unit or other scale."""
+    and some moved one ulp up, where a convex hull's vertices often miss an
+    end of the farthest pair; that lattice moved by 2**20 to 2**30, where the
+    coordinates' ulps are large against their spread; an unmoved lattice's
+    rows scaled by 2**-30 or 2**29; uniform floats; points on a line through
+    the origin, which span no full-dimensional hull; or rounded points of a
+    sphere, all of them hull vertices. Euclidean or snowflaked, at a unit or
+    other scale."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     n = draw(st.integers(min_value=129, max_value=600))
     dim = draw(st.sampled_from([2, 3, 4, 5, 6]))
@@ -997,9 +998,8 @@ def hull_sets(draw):
 
 class TestHullDiameter:
     """Above one block, a >= 2-D diameter keeps only the points that pass
-    the centre bound and, in at most four dimensions, the hull filter, and
-    scans each block of them against the points that may reach it; it must
-    equal the full scan."""
+    the centre bound, and scans each block of them against the points that
+    may reach it; it must equal the full scan, on the sets of ``hull_sets``."""
 
     @given(space=hull_sets(), data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -1012,30 +1012,18 @@ class TestHullDiameter:
                              replace=False)
         assert space.diameter(ids) == oracle_scan_diameter(space, ids)
 
-    def test_keeps_a_point_that_is_not_a_hull_vertex(self, monkeypatch):
+    def test_keeps_a_point_that_is_not_a_hull_vertex(self):
         # a right triangle of a 4 x 4 lattice, some coordinates an ulp up: the
-        # centre bound keeps more than a block, and qhull's vertices miss an
-        # end of the farthest pair, which the hull filter keeps
+        # centre bound keeps more than a block, and the convex hull's vertices
+        # miss an end of the farthest pair
         rng = np.random.default_rng(3)
         pts = np.diff(np.sort(rng.integers(0, 4, size=(600, 2)), axis=1), axis=1,
                       prepend=0) / 8.0
         bump = (rng.random(pts.shape) < 0.3) & (pts > 0)
         pts[bump] = np.nextafter(pts[bump], np.inf)
         space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
-        calls = []
-        farthest_sq = metric._farthest_sq
-
-        def recording(a, b):
-            calls.append((a, b))
-            return farthest_sq(a, b)
-
-        monkeypatch.setattr(metric, "_farthest_sq", recording)
         assert space.diameter(space.ids) == oracle_scan_diameter(space, space.ids) \
             == np.sqrt(0.2812500000000001)
-        (bounded, vertices), (kept, _) = calls
-        assert len(bounded) > 128
-        assert any(not (vertices == row).all(axis=1).any() for row in kept)
-        assert farthest_sq(vertices, vertices).max() < farthest_sq(pts, pts).max()
 
     def test_bound_keeps_ends_it_meets_exactly(self):
         # a 6 x 6 lattice, some coordinates an ulp up: in real arithmetic the
@@ -1051,7 +1039,7 @@ class TestHullDiameter:
 
     def test_flat_set_has_no_hull(self):
         # rounded points of a circle in a plane of 3-D space all pass the
-        # centre bound; qhull finds no 3-D hull, so all of them are scanned
+        # centre bound and span no 3-D hull; all of them are scanned
         from scipy.spatial import ConvexHull, QhullError
 
         t = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
@@ -1062,9 +1050,8 @@ class TestHullDiameter:
         assert space.diameter(space.ids) == oracle_scan_diameter(space, space.ids)
 
     def test_far_from_the_origin(self):
-        # a 3-D lattice simplex moved by 2**24, some coordinates an ulp up:
-        # qhull handed these coordinates as they are merges away both ends
-        # of the farthest pair, and handed them less the first point does not
+        # a 3-D lattice simplex moved by 2**24, some coordinates an ulp up,
+        # whose ulps are large against the simplex's spread
         rng = np.random.default_rng(2)
         pts = np.diff(np.sort(rng.integers(0, 6, size=(300, 3)), axis=1), axis=1,
                       prepend=0) / 8.0 + 2.0 ** 24
@@ -1075,7 +1062,7 @@ class TestHullDiameter:
             == 0.8838834817515404
 
     def test_keeps_only_the_corners_of_a_5d_grid(self, monkeypatch):
-        # beyond four dimensions, with no hull, the centre bound leaves the 32 corners
+        # the centre bound leaves only the 32 corners of a 5-D grid
         g = np.arange(5) / 4.0
         pts = np.stack(np.meshgrid(*[g] * 5, indexing="ij"), axis=-1).reshape(-1, 5)
         space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
@@ -1102,6 +1089,20 @@ class TestHullDiameter:
         scanned = sum(rows * cols for rows, cols in calls)
         kept = sum(rows for rows, _ in calls)
         assert kept > 3000 and scanned < 0.6 * kept ** 2
+
+    def test_scans_under_half_the_pairs_of_a_rounded_sphere(self, monkeypatch):
+        # every rounded point of a sphere passes the centre bound and has a
+        # near-antipode; each block is still scanned against only the points
+        # that may reach the largest distance so far, not against all m
+        pts = np.random.default_rng(0).normal(size=(5000, 3))
+        pts = np.round(pts / np.linalg.norm(pts, axis=1, keepdims=True), 6)
+        space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
+        calls = []
+        farthest_sq = metric._farthest_sq
+        monkeypatch.setattr(metric, "_farthest_sq",
+                            lambda a, b: calls.append((len(a), len(b))) or farthest_sq(a, b))
+        assert space.diameter() == oracle_scan_diameter(space, space.ids)
+        assert sum(rows * cols for rows, cols in calls) < space.n ** 2 / 2
 
 
 class TestLevelPasses:

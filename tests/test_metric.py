@@ -187,8 +187,8 @@ class TestDiameter:
         assert sp.diameter(ids) == pytest.approx(brute, rel=1e-12)
 
     def test_collinear_2d_above_hull_threshold(self):
-        # points on the line y = x: the centre bound keeps only points at
-        # the ends, which no hull is needed to scan
+        # points on the line y = x, more than a block: the centre bound
+        # keeps only the points at the ends
         t = np.linspace(0.0, 1.0, 3000)
         sp = euclid(np.column_stack([t, t]))
         assert sp.diameter() == sp.distance(0, 2999)

@@ -2,11 +2,12 @@
 
 ``greedy_cover_count`` takes a near set whole when its diameter is at most
 r, and ``circumscribed_cube`` takes R_eff = R when twice the ball's
-eccentricity reaches R. Ultrametric spaces read nets, nearest centers, rows
-and balls off their sorted strings and never fill an n x n matrix; a matrix
+eccentricity reaches R. Ultrametric spaces read nets, nearest centers and
+balls off their sorted strings and never fill an n x n matrix; a matrix
 space transforms its matrix once. Reloading
 a family queries nearest centers once per system, and ``diams_at`` reads a
-1-D or ultrametric level in one pass with no per-cube ``diameter`` call. A
+1-D or ultrametric level in one pass with no per-cube ``diameter`` call; the
+root cubes of a family's systems read one cached whole-space diameter. A
 Hausdorff fit finds the cubes meeting E once per level, not once per radius
 and exponent, and ``verify`` reads each sandwich check's count off the
 ball's local window, with no count of its own.
@@ -112,7 +113,7 @@ def row_calls(monkeypatch):
             return fn(self, p)
         return wrapped
 
-    for cls in (MetricSpace, metric._Index, metric.PrefixIndex):
+    for cls in (MetricSpace, metric._Index):
         monkeypatch.setattr(cls, "row", counting(cls.row))
     return calls
 
@@ -299,7 +300,55 @@ def test_reload_reads_each_level_in_one_pass(request, fixture, tmp_path,
     for system in loaded.systems:
         for k in range(system.max_level + 1):
             system.diams_at(k)
-    assert diameter_calls == []
+    # each root cube reads the space's diameter, computed once over the whole
+    # space; no other cube takes a call
+    computed = [s for s in diameter_calls if s is not None]
+    assert len(diameter_calls) - len(computed) == loaded.K
+    assert len(computed) == 1 and np.array_equal(computed[0], loaded.space.ids)
+
+
+@pytest.fixture
+def whole_space_diameters(monkeypatch):
+    """The spaces of the ``diameter`` and ``run_diameters`` calls, one entry per call,
+    that take a diameter over all of the space's points."""
+    calls = []
+    diameter, run_diameters = MetricSpace.diameter, MetricSpace.run_diameters
+
+    def counting_diameter(self, subset=None):
+        if subset is not None and np.size(subset) == self.n:
+            calls.append(self)
+        return diameter(self, subset)
+
+    def counting_runs(self, ids, bounds):
+        if np.any(np.diff(bounds) == self.n):
+            calls.append(self)
+        return run_diameters(self, ids, bounds)
+
+    monkeypatch.setattr(MetricSpace, "diameter", counting_diameter)
+    monkeypatch.setattr(MetricSpace, "run_diameters", counting_runs)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["line", "plane", "snowflake", "ultrametric", "matrix"])
+def test_root_cubes_share_one_whole_space_diameter(request, kind, tmp_path,
+                                                   whole_space_diameters):
+    # a family's systems share one normalized space, whose diameter is the root cube's
+    plane = MetricSpace(MetricDescriptor("euclidean"),
+                        coords=np.random.default_rng(6).uniform(size=(200, 2)))
+    space = {"plane": plane, "snowflake": plane.snowflaked(0.5)}.get(kind)
+    if space is None:
+        space = request.getfixturevalue({"line": "line", "ultrametric": "ultra6",
+                                         "matrix": "graph40"}[kind])
+    family = build_adjacent_family(space, NetParams(), K_max=3, query_budget=20,
+                                   target_ratio=1.0, seed=3)
+    assert family.K == 3
+    path = tmp_path / "cubes.json"
+    save_family(family, path)
+    loaded = load_family(path, space)
+    whole_space_diameters.clear()
+    for system in loaded.systems:
+        system.diams_at(0)
+    assert whole_space_diameters == [loaded.space]
 
 
 @pytest.fixture
