@@ -3,13 +3,14 @@
 Pairwise distances, greedy net selection and nearest-center assignment, for
 coordinates in two or more dimensions and for spaces given by a dense
 distance matrix; the coordinate kernels serve ``metric.CoordIndex`` and the
-matrix kernels ``metric.MatrixIndex``. The coordinate kernels query SciPy
-cKDTrees, imported on first use, and decide every comparison near a
-threshold or a tie exactly, by squared distances; the matrix kernels are
-NumPy scans. 1-D coordinates and ultrametric spaces need neither:
-``metric.LineIndex`` and ``metric.PrefixIndex`` read nets and nearest
-centers off their sorted coordinates or strings. All functions are
-deterministic given their inputs.
+matrix kernels ``metric.MatrixIndex``. The coordinate kernels take their
+candidates from a ``CellIndex``, the fixed-radius cells of Bentley, Stanat
+and Williams (Inf. Process. Lett. 1977) read off one Morton order of the
+quantized points, and decide every candidate exactly, by squared
+distances; the matrix kernels are NumPy scans. 1-D coordinates and
+ultrametric spaces need neither: ``metric.LineIndex`` and
+``metric.PrefixIndex`` read nets and nearest centers off their sorted
+coordinates or strings. All functions are deterministic given their inputs.
 """
 
 from __future__ import annotations
@@ -20,12 +21,318 @@ import numpy as np
 BACKEND = "pure"
 
 CHUNK = 512
-# relative slack on tree distances: nearest_center_coords re-decides a query
-# by squared distances when its two nearest centers are this close, and the
-# tree queries of greedy_net_coords, the net check and metric.CoordIndex.ball
-# widen their radius by it, as metric.LineIndex widens its binary searches;
-# tree and squared distances differ by a few ulps, far less than this
+# relative slack on the binary searches of metric.LineIndex, and on the
+# radius of nearest_center_within_coords: far above the few ulps by which two
+# roundings of one distance differ
 TIE_RTOL = 1e-7
+
+KEY_BITS = 63  # bits of a Morton key, held in a uint64
+AXIS_BITS = 30  # grid bits per axis at most
+CANDIDATES = 1 << 16  # candidates decided at once, at most: the arrays stay in cache
+ROUND = 1 << 10  # blocked points worth one batch of a greedy net
+CELLS = 1 << 20  # cells whose runs are looked up at once, at most
+TABLE_BITS = 20  # a level with at most 2**TABLE_BITS cells keeps a table of their runs
+LOOKUP = 4.0  # the cost of looking up one cell, in candidates decided
+PROBE = 4  # sorted neighbours a nearest-point query measures first
+
+
+def _stretches(sizes: np.ndarray, limit: int):
+    """Consecutive ranges (a, b) covering ``sizes``, each summing to at most
+    about ``limit``: the range grows past it only by its last size."""
+    if not sizes.size:
+        return []
+    ends = np.cumsum(sizes)
+    if ends[-1] <= limit:
+        return [(0, sizes.size)]
+    part = (ends - sizes) // limit
+    cuts = np.concatenate([[0], np.flatnonzero(part[1:] != part[:-1]) + 1, [sizes.size]])
+    return zip(cuts[:-1].tolist(), cuts[1:].tolist())
+
+
+def _spread_table(axes: int) -> np.ndarray:
+    """Each byte value with its bit i moved to bit i * axes."""
+    v = np.arange(256, dtype=np.uint64)
+    out = np.zeros(256, dtype=np.uint64)
+    for i in range(8):
+        out |= ((v >> np.uint64(i)) & np.uint64(1)) << np.uint64(i * axes)
+    return out
+
+
+class CellIndex:
+    """The rows of ``coords`` sorted once by the Morton key of their grid cells.
+
+    Every axis is mapped by one scale onto a grid of ``2**bits`` steps, whose
+    origin lies two thirds of the points' span below the lowest point, so
+    that the points of a dyadic lattice fall inside cells rather than on
+    their faces; a point's grid coordinates are the floors, and its key
+    interleaves their bits. A cell of level L holds the points whose grid
+    coordinates agree above their L lowest bits, and those points are one
+    run of the sorted order. A box around a query is covered by the cells of
+    the level that costs the fewest lookups and candidates (``_level``), and
+    each candidate those cells hold is decided by its exact squared distance:
+    the grid only ever decides which points are looked at. At most 63 axes
+    are keyed; the cells span any further axis whole.
+    """
+
+    def __init__(self, coords):
+        self.coords = np.asarray(coords, dtype=np.float64)
+        self.axes = min(self.coords.shape[1], KEY_BITS)
+        self.bits = min(AXIS_BITS, KEY_BITS // self.axes)
+        self.size = 1 << self.bits
+        keyed = self.coords[:, :self.axes]
+        low = keyed.min(axis=0)
+        span = float((keyed.max(axis=0) - low).max())
+        self.scale = self.size / (2.0 * span) if span > 0.0 else 0.0
+        if not 0.0 < self.scale < np.inf:  # one place, or a span too small to scale
+            self.scale, span = 1.0, 0.0
+        self.origin = (low - 2.0 * span / 3.0)[:, None]
+        self._spread = _spread_table(self.axes)
+        q = self._floor(self.grid(self.coords))
+        self.qmin, self.qmax = q.min(axis=1)[:, None], q.max(axis=1)[:, None]
+        self.key = self._encode(q, self.bits)
+        self.order = np.argsort(self.key, kind="stable")
+        self.sorted_key = self.key[self.order]
+        self.sorted_coords = self.coords[self.order]
+        self._filled, self._levels, self._tables = {}, {}, {}
+
+    def grid(self, coords: np.ndarray) -> np.ndarray:
+        """Grid coordinates of the rows of ``coords`` on the keyed axes, one row
+        per axis, as floats; far outside the grid they are held to +-2**62,
+        which keeps them beyond it."""
+        g = (np.asarray(coords, dtype=np.float64)[:, :self.axes].T - self.origin) * self.scale
+        return np.clip(g, -2.0 ** 62, 2.0 ** 62)
+
+    def grid_radius(self, r) -> np.ndarray:
+        """A half-width in grid steps that covers the base radius ``r``, the
+        rounding of the grid coordinates and of the caller's radius."""
+        return np.asarray(r, dtype=np.float64) * self.scale * (1.0 + 1e-9) + 1.0
+
+    def _floor(self, g: np.ndarray) -> np.ndarray:
+        """The grid cell of level 0 that holds each grid coordinate, or the
+        nearest one."""
+        return np.clip(np.floor(g), 0, self.size - 1).astype(np.int64)
+
+    def _encode(self, q: np.ndarray, bits: int) -> np.ndarray:
+        """The Morton codes of the cells ``q`` (one row per axis) of a level
+        with ``bits`` bits per axis: at level 0, the points' keys."""
+        key = np.zeros(q.shape[1], dtype=np.uint64)
+        for j in range(self.axes):
+            c = q[j].astype(np.uint64)
+            for b in range(0, bits, 8):
+                key |= self._spread[(c >> np.uint64(b)) & np.uint64(255)] << np.uint64(
+                    b * self.axes + j)
+        return key
+
+    def _cell_runs(self, cell: np.ndarray, level: int, since=None):
+        """The runs ``order[start:stop]`` of the level-``level`` cells ``cell``:
+        read off a table of every cell's first position when the level has at
+        most 2**TABLE_BITS cells, else found by binary search. A cell before
+        the cell of the key ``since`` (one per cell, when given) is empty."""
+        code = self._encode(cell, self.bits - level)
+        shift = np.uint64(level * self.axes)
+        if (self.bits - level) * self.axes <= TABLE_BITS:
+            if level not in self._tables:
+                counts = np.bincount((self.sorted_key >> shift).astype(np.int64),
+                                     minlength=1 << ((self.bits - level) * self.axes))
+                self._tables[level] = np.concatenate([[0], np.cumsum(counts)])
+            table = self._tables[level]
+            start, stop = table[code], table[code + np.uint64(1)]
+        else:
+            first = code << shift
+            start = np.searchsorted(self.sorted_key, first)
+            stop = np.searchsorted(self.sorted_key, first + (np.uint64(1) << shift))
+        if since is not None:
+            stop = np.where(code < since >> shift, start, stop)
+        return start, stop
+
+    def filled(self, level: int) -> int:
+        """The number of level-``level`` cells that hold a point."""
+        if level not in self._filled:
+            cell = self.sorted_key >> np.uint64(level * self.axes)
+            self._filled[level] = 1 + int(np.count_nonzero(cell[1:] != cell[:-1]))
+        return self._filled[level]
+
+    def _level(self, width: int) -> int:
+        """The level of the cells that cover a box of ``width`` grid steps at
+        least cost: the least whose cells are wider (two per axis at most) or
+        one of the two levels either side of it, a box meeting ``width / side
+        + 1`` cells per axis on average, each lookup weighed as LOOKUP
+        candidates and each cell as the points of an average filled cell."""
+        if width not in self._levels:
+            span = (self.qmax - self.qmin)[:, 0].tolist()
+            top = int(width).bit_length()
+            best, cost = top, np.inf
+            for level in range(max(0, top - 2), min(top + 2, self.bits) + 1):
+                side = float(1 << level)
+                cells = 1.0
+                for s in span:
+                    cells *= min(width / side, s / side) + 1.0
+                c = cells * (LOOKUP + self.key.size / self.filled(level))
+                if c < cost:
+                    best, cost = level, c
+            self._levels[width] = best
+        return self._levels[width]
+
+    def boxes(self, g: np.ndarray, w):
+        """The cells around each query at grid coordinates ``g`` (one row per
+        axis) with half-width ``w`` (grid steps, one or one per query): its
+        least and greatest cell per axis, and their level, whose cells hold
+        every point within ``w`` of it on every keyed axis."""
+        w = np.zeros(g.shape[1]) + w
+        lo, hi = self._floor(g - w), self._floor(g + w)
+        # box widths in grid steps, rounded up to a power of two
+        width = np.frexp(np.minimum(np.floor(2.0 * w), float(self.size)) + 0.5)[1]
+        widths = np.unique(width)
+        level = np.array([self._level(1 << v) for v in widths.tolist()],
+                         dtype=np.int64)[np.searchsorted(widths, width)]
+        return lo >> level, hi >> level, level
+
+    def runs(self, lo: np.ndarray, hi: np.ndarray, level: np.ndarray, since=None):
+        """The runs ``order[start:stop]`` of every cell of each query's box
+        (``boxes``), query ``qi`` by query in ascending order; with ``since``,
+        a key per query, the cells before the one holding it are left empty."""
+        count = hi - lo + 1
+        total = count.prod(axis=0)
+        qi = np.repeat(np.arange(total.size), total)
+        cell = lo[:, qi]
+        wide = np.flatnonzero(count.max(axis=1, initial=1) > 1)
+        if wide.size:
+            rest = np.arange(qi.size) - np.repeat(np.cumsum(total) - total, total)
+            for j in wide:
+                c = count[j, qi]
+                cell[j] += rest % c
+                rest //= c
+        since = None if since is None else since[qi]
+        levels = np.unique(level)
+        if levels.size == 1:
+            return (qi, *self._cell_runs(cell, int(levels[0]), since))
+        start, stop = np.empty(qi.size, dtype=np.int64), np.empty(qi.size, dtype=np.int64)
+        at = level[qi]
+        for lv in levels.tolist():
+            sel = np.flatnonzero(at == lv)
+            start[sel], stop[sel] = self._cell_runs(cell[:, sel], lv,
+                                                    None if since is None else since[sel])
+        return qi, start, stop
+
+    def gap(self, g: np.ndarray, lo: np.ndarray, hi: np.ndarray, level) -> np.ndarray:
+        """Per query of ``boxes``, a distance in grid steps within which no point
+        outside its box's cells lies: to the nearest face of the box beyond
+        which points lie (inf when its cells hold every point)."""
+        lo, hi = lo << level, (hi + 1) << level
+        below = np.where(lo > self.qmin, g - lo, np.inf)
+        above = np.where(hi <= self.qmax, hi - g, np.inf)
+        return np.minimum(below, above).min(axis=0, initial=np.inf)
+
+    def blocks(self, g: np.ndarray, w, gaps=False, since=None):
+        """The candidates of the queries at grid coordinates ``g`` (one row per
+        axis) with half-widths ``w`` (grid steps, one or one per query), a
+        stretch of queries at a time: yields (first, stop, count, at, gap) where
+        the positions ``at`` of the sorted order hold, query by query from
+        ``first`` to ``stop - 1``, ``count`` candidates each, among them every
+        point within ``w`` of the query on every keyed axis. ``gap`` (when
+        asked) is ``gap`` of those queries; ``since`` is passed to ``runs``. A
+        stretch spans at most CELLS cells and CANDIDATES candidates, unless
+        one query alone has more."""
+        lo, hi, level = self.boxes(g, w)
+        gap = self.gap(g, lo, hi, level) if gaps else None
+        for a, b in _stretches((hi - lo + 1).prod(axis=0), CELLS):
+            qi, start, stop = self.runs(lo[:, a:b], hi[:, a:b], level[a:b],
+                                        None if since is None else since[a:b])
+            size = stop - start
+            total = np.bincount(qi, weights=size, minlength=b - a).astype(np.int64)
+            bounds = np.concatenate([[0], np.cumsum(total)])
+            cells = np.searchsorted(qi, np.arange(b - a + 1))
+            for c, d in _stretches(total, CANDIDATES):
+                sz, st = size[cells[c]:cells[d]], start[cells[c]:cells[d]]
+                at = np.arange(bounds[d] - bounds[c]) + np.repeat(st - np.cumsum(sz) + sz, sz)
+                yield (a + c, a + d, total[c:d], at,
+                       None if gap is None else gap[a + c:a + d])
+
+    def within(self, query: np.ndarray, r: float):
+        """Blocks (qi, rows, dsq) of the pairs of query row ``qi`` and indexed
+        row whose squared distance ``dsq`` is at most ``r * r``."""
+        query = np.asarray(query, dtype=np.float64)
+        for first, stop, count, at, _ in self.blocks(self.grid(query), self.grid_radius(r)):
+            dsq = squared_distances(np.repeat(query[first:stop], count, axis=0),
+                                    self.sorted_coords[at])
+            near = np.flatnonzero(dsq <= r * r)
+            qi = first + np.searchsorted(np.cumsum(count), near, side="right")
+            yield qi, self.order[at[near]], dsq[near]
+
+    def pairs_within(self, r: float):
+        """Blocks (a, b, dsq) of the pairs of indexed rows, each pair once,
+        whose squared distance ``dsq`` is at most ``r * r``: every point asks
+        the cells around it, from its own on, for the points after it in the
+        sorted order."""
+        g = self.grid(self.sorted_coords)
+        for first, stop, count, at, _ in self.blocks(g, self.grid_radius(r),
+                                                     since=self.sorted_key):
+            pos = np.repeat(np.arange(first, stop), count)
+            later = np.flatnonzero(at > pos)
+            pos, at = pos[later], at[later]
+            dsq = squared_distances(self.sorted_coords[pos], self.sorted_coords[at])
+            near = dsq <= r * r
+            yield self.order[pos[near]], self.order[at[near]], dsq[near]
+
+    def nearest(self, query: np.ndarray, positive=False):
+        """Per query row: the nearest indexed row, by least squared distance with
+        ties to the lowest row, and that squared distance; when ``positive``,
+        rows at squared distance 0 are passed over. -1 and inf where no row is
+        left.
+
+        A query first measures the PROBE points next to its own key in the
+        sorted order, which are near it in most cases. It then looks in the
+        cells around it, as wide as the nearest of them (or one grid step
+        beyond the points' grid box when none qualifies), until its best
+        candidate is nearer than the ``gap`` of the cells it looked in, less
+        the grid's rounding: no point outside them can then tie or beat it.
+        Each look is at least twice as wide as the last, and after one that
+        found a candidate, as wide as that candidate's distance, which
+        settles the query.
+        """
+        query = np.asarray(query, dtype=np.float64)
+        g = self.grid(query)
+        at = np.searchsorted(self.sorted_key, self._encode(self._floor(g), self.bits))
+        at = np.clip(at[:, None] + np.arange(-PROBE // 2, PROBE // 2), 0, self.key.size - 1)
+        dsq = squared_distances(np.repeat(query, PROBE, axis=0), self.sorted_coords[at.ravel()])
+        if positive:
+            dsq = np.where(dsq > 0.0, dsq, np.inf)
+        dsq = dsq.reshape(-1, PROBE).min(axis=1)
+        outside = np.maximum(np.maximum(self.qmin - g, g - (self.qmax + 1)), 0.0)
+        w = np.where(dsq < np.inf, np.sqrt(dsq) * self.scale * (1.0 + 1e-9) + 2.0,
+                     outside.max(axis=0, initial=0.0) + 1.0)
+        rows = np.full(len(query), -1, dtype=np.int64)
+        best = np.full(len(query), np.inf)
+        todo = np.arange(len(query))
+        while todo.size:
+            least = np.full(todo.size, np.inf)
+            row = np.full(todo.size, -1, dtype=np.int64)
+            gap = np.empty(todo.size)
+            for first, stop, count, at, part in self.blocks(g[:, todo], w, gaps=True):
+                gap[first:stop] = part
+                if not at.size:
+                    continue
+                has = np.flatnonzero(count)
+                starts = (np.cumsum(count) - count)[has]
+                cand = self.order[at]
+                dsq = squared_distances(np.repeat(query[todo[first:stop]], count, axis=0),
+                                        self.sorted_coords[at])
+                if positive:
+                    dsq = np.where(dsq > 0.0, dsq, np.inf)
+                seg_least = np.minimum.reduceat(dsq, starts)
+                tied = dsq == np.repeat(seg_least, count[has])
+                least[first + has] = seg_least
+                row[first + has] = np.minimum.reduceat(np.where(tied, cand, self.key.size),
+                                                       starts)
+            row[least == np.inf] = -1
+            sure = np.maximum(gap - 1.0, 0.0) * (1.0 - 1e-9) / self.scale
+            done = (gap == np.inf) | (least < sure * sure)
+            rows[todo[done]] = row[done]
+            best[todo[done]] = least[done]
+            reach = np.sqrt(least) * self.scale * (1.0 + 1e-9) + 2.0
+            w = np.maximum(np.where(row >= 0, reach, 2.0 * w), 2.0 * w)[~done]
+            todo = todo[~done]
+        return rows, best
 
 
 def pairwise_distances(coords: np.ndarray) -> np.ndarray:
@@ -41,30 +348,58 @@ def pairwise_distances(coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def greedy_net_coords(tree, order: np.ndarray, threshold: float) -> np.ndarray:
-    """Maximal threshold-separated subset of the points of ``tree``, a cKDTree,
-    scanning points in ``order``, which lists each point at most once.
+def greedy_net_coords(cells: CellIndex, order: np.ndarray, threshold: float) -> np.ndarray:
+    """Maximal threshold-separated subset of the points of ``cells``, scanning
+    points in ``order``, which lists each point at most once.
 
     A point is admitted iff its distance to every previously admitted point
     is >= threshold (compared in the squared domain). Returns admitted point
-    indices in admission order. Each admitted point blocks the points within
-    the threshold, found by querying ``tree`` and decided by squared
-    distance; the scan admits the next point not yet blocked.
+    indices in admission order. The scan takes the next points of ``order``
+    that no admitted point blocks, a batch at a time, finds each one's points
+    within the threshold in the cells around it, decided by squared
+    distance, and admits them in order unless an earlier one of the batch
+    blocks them. The next batch is twice as large as the number admitted, or
+    large enough to block about ROUND points.
     """
-    coords = tree.data
+    coords = cells.coords
     thr2 = threshold * threshold
-    radius = threshold * (1.0 + TIE_RTOL)
     blocked = np.zeros(coords.shape[0], dtype=bool)
+    slot = np.full(coords.shape[0], -1, dtype=np.int64)  # a point's place in its batch
     chosen = []
-    for cand in order:
-        if blocked[cand]:
+    pos, want, reach = 0, 1, 64
+    while pos < order.size:
+        window = order[pos:pos + reach]
+        free = np.flatnonzero(~blocked[window])[:want]
+        if free.size == 0:
+            pos += window.size
+            reach *= 2
             continue
-        chosen.append(cand)
-        near = tree.query_ball_point(coords[cand], radius, return_sorted=False)
-        if len(near) > 1:  # else the ball holds cand alone, and the scan is past it
-            near = np.asarray(near, dtype=np.int64)
-            blocked[near[squared_distances(coords[near], coords[cand]) < thr2]] = True
-    return np.asarray(chosen, dtype=np.int64)
+        batch = window[free]
+        pos += int(free[-1]) + 1
+        reach = max(64, 4 * want)
+        qi, near = [], []
+        for q, rows, dsq in cells.within(coords[batch], threshold):
+            qi.append(q[dsq < thr2])
+            near.append(rows[dsq < thr2])
+        qi, near = np.concatenate(qi), np.concatenate(near)
+        slot[batch] = np.arange(batch.size)
+        other = slot[near]
+        slot[batch] = -1
+        clash = (other >= 0) & (other != qi)
+        keep = np.ones(batch.size, dtype=bool)
+        if clash.any():
+            src, dst = qi[clash], other[clash]
+            starts = np.flatnonzero(np.diff(src, prepend=-1))
+            ends = np.append(starts[1:], src.size)
+            for s, a, b in zip(src[starts].tolist(), starts.tolist(), ends.tolist()):
+                if keep[s]:
+                    keep[dst[a:b]] = False
+        chosen.append(batch[keep])
+        blocked[near[keep[qi]]] = True
+        each = max(1, qi.size // batch.size)  # points blocked per query
+        want = max(1, min(max(2 * int(np.count_nonzero(keep)), ROUND // each),
+                          CANDIDATES // each))
+    return np.concatenate(chosen) if chosen else np.zeros(0, dtype=np.int64)
 
 
 def greedy_net_matrix(dmat: np.ndarray, order: np.ndarray, threshold: float) -> np.ndarray:
@@ -83,60 +418,41 @@ def greedy_net_matrix(dmat: np.ndarray, order: np.ndarray, threshold: float) -> 
     return np.asarray(chosen, dtype=np.int64)
 
 
-def nearest_center_coords(query_coords: np.ndarray,
-                          center_coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def nearest_center_coords(query_coords: np.ndarray, center_coords: np.ndarray,
+                          cells: CellIndex | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Index of the nearest center (row of ``center_coords``) per query row.
 
-    A cKDTree over the centers answers each query. Where the second-nearest
-    center lies within a relative TIE_RTOL of the nearest, the tree's own
-    rounding may not decide the winner, so that row is re-decided exactly:
-    every center within that radius is compared by squared distance. Ties go
-    to the earlier center row; callers order centers by point id to get the
-    ascending-id tie-break. Returns (indices, distances), each distance the
-    square root of the winner's squared distance.
+    A ``CellIndex`` over the centers (``cells``, when the caller has one)
+    answers each query by least squared distance, ties to the earlier center
+    row; callers order centers by point id to get the ascending-id
+    tie-break. Returns (indices, distances), each distance the square root
+    of the winner's squared distance.
     """
     q = np.asarray(query_coords, dtype=np.float64)
     cc = np.asarray(center_coords, dtype=np.float64)
     best_idx = np.zeros(q.shape[0], dtype=np.int64)
     if q.shape[0] and cc.shape[0] > 1:
-        from scipy.spatial import cKDTree  # on first use: slow to import
-
-        tree = cKDTree(cc)
-        d, nearest = tree.query(q, k=2)
-        best_idx[:] = nearest[:, 0]
-        close = np.flatnonzero(d[:, 1] <= d[:, 0] * (1.0 + TIE_RTOL))
-        if close.size:
-            cand = tree.query_ball_point(q[close], d[close, 0] * (1.0 + TIE_RTOL))
-            counts = np.fromiter(map(len, cand), dtype=np.int64, count=close.size)
-            cols = np.concatenate(cand).astype(np.int64)
-            starts = np.cumsum(counts) - counts
-            dsq = squared_distances(q[np.repeat(close, counts)], cc[cols])
-            tied = dsq == np.repeat(np.minimum.reduceat(dsq, starts), counts)
-            best_idx[close] = np.minimum.reduceat(np.where(tied, cols, cc.shape[0]), starts)
+        best_idx = (CellIndex(cc) if cells is None else cells).nearest(q)[0]
     return best_idx, np.sqrt(squared_distances(q, cc[best_idx]))
 
 
-def nearest_center_within_coords(tree, center_coords: np.ndarray,
+def nearest_center_within_coords(cells: CellIndex, center_coords: np.ndarray,
                                  radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest center of each point of ``tree`` that has a center near it.
+    """Nearest center of each point of ``cells`` that has a center near it.
 
-    One pair query between a cKDTree over the centers and ``tree``, a
-    cKDTree over the points, finds every center within ``radius`` widened
-    by TIE_RTOL. Each pair is decided as in :func:`nearest_center_coords`:
-    least squared distance, ties to the earlier center row. Returns (point
-    rows, ascending; center indices; distances, each the square root of the
-    winner's squared distance). Every point with a center within
-    ``radius`` is listed with its nearest center; the widened radius may
-    list a few more.
+    The cells around each center give the points within ``radius`` widened
+    by TIE_RTOL, each pair kept when its squared distance is within that
+    radius too, and decided as in :func:`nearest_center_coords`: least
+    squared distance, ties to the earlier center row. Returns (point rows,
+    ascending; center indices; distances, each the square root of the
+    winner's squared distance). Every point with a center within ``radius``
+    is listed with its nearest center; the widened radius may list a few more.
     """
-    from scipy.spatial import cKDTree  # on first use: slow to import
-
     cc = np.asarray(center_coords, dtype=np.float64)
-    pairs = cKDTree(cc).sparse_distance_matrix(tree, radius * (1.0 + TIE_RTOL),
-                                               output_type="ndarray")
-    centers = pairs["i"].astype(np.int64)
-    points = pairs["j"].astype(np.int64)
-    dsq = squared_distances(tree.data[points], cc[centers])
+    wide = radius * (1.0 + TIE_RTOL)
+    found = list(cells.within(cc, wide))
+    centers, points, dsq = (np.concatenate(part) for part in zip(*found)) if found else (
+        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
     # per point, the least squared distance and then the lowest center row
     order = np.lexsort((centers, dsq, points))
     first = order[np.flatnonzero(np.diff(points[order], prepend=-1))]

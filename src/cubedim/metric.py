@@ -8,8 +8,11 @@ cubes) is an id array over one of these spaces.
 
 Each space answers its distance questions through one index of its kind,
 built on first use: ``LineIndex`` (1-D coordinates), ``CoordIndex``
-(coordinates in two or more dimensions), ``PrefixIndex`` or ``MatrixIndex``.
-They share one set of methods, so no caller tests the metric kind.
+(coordinates in two or more dimensions, read off the NumPy cells of one
+``kernels.CellIndex``, which the space's rescaled and snowflaked clones
+share with it, as they share its largest squared distance),
+``PrefixIndex`` or ``MatrixIndex``. They share one set of methods, so no
+caller tests the metric kind. Nothing here imports SciPy.
 """
 
 from __future__ import annotations
@@ -335,25 +338,63 @@ def _reaching(pts: np.ndarray, block: np.ndarray, low: float) -> np.ndarray:
     return pts[np.sqrt(kernels.squared_distances(pts, mid)) + span >= low * (1.0 - 1e-9)]
 
 
+def _farthest_pair_sq(pts: np.ndarray, keys: np.ndarray) -> float:
+    """The largest squared difference over the pairs of ``pts`` that may reach it.
+    Above one block, only points ``_reaching`` the attained ``low`` stay. In the
+    order of their cell ``keys`` a block of rows holds nearby points: each is
+    scanned against the points ``_reaching`` the largest distance so far."""
+    if len(pts) <= _BLOCK:
+        return float(_farthest_sq(pts, pts).max())
+    end = pts[kernels.squared_distances(pts, pts[0]).argmax()]
+    low = np.sqrt(kernels.squared_distances(pts, end).max())
+    pts = _reaching(pts[np.argsort(keys, kind="stable")], pts, low)
+    best = 0.0
+    for start in range(0, len(pts), _BLOCK):
+        block = pts[start:start + _BLOCK]
+        partners = _reaching(pts, block, max(low, np.sqrt(best)))
+        if partners.size:
+            best = max(best, float(_farthest_sq(block, partners).max()))
+    return best
+
+
+class _CoordBase:
+    """What a coordinate space shares with its rescaled and snowflaked clones,
+    all in the base (Euclidean) metric and each computed on first use: the
+    cell index over its points and their largest squared distance."""
+
+    def __init__(self, coords: np.ndarray):
+        self.coords = coords
+
+    @cached_property
+    def cells(self) -> kernels.CellIndex:
+        return kernels.CellIndex(self.coords)
+
+    @cached_property
+    def farthest_sq(self) -> float:
+        return _farthest_pair_sq(self.coords, self.cells.key)
+
+
 class CoordIndex(_Index):
     """The points of a coordinate space (euclidean or snowflake) in two or more
     dimensions; ``LineIndex`` serves one dimension.
 
     A distance is the Euclidean one put through the descriptor's monotone
-    power and scale, so a radius is asked of the tree at ``base_radius``.
-    Balls, nets and the least gap query one kd-tree over all points, built
-    on first use; comparisons near a threshold or a tie are decided exactly.
+    power and scale, so a radius is asked of the cells at ``base_radius``.
+    Balls, nets and the blocks of a diameter read one ``kernels.CellIndex``
+    over all points, shared with the space's clones; nearest centers, the
+    closest pair and least positive distances read one over the points they
+    search (the shared one when that is every point). Every candidate is
+    decided exactly, by ``pairs`` or by squared distances.
     """
 
     def __init__(self, space: "MetricSpace"):
         super().__init__(space)
         self.coords = space.coords
+        self.base = space._base
 
-    @cached_property
-    def tree(self):
-        from scipy.spatial import cKDTree  # on first use: slow to import
-
-        return cKDTree(self.coords)
+    @property
+    def cells(self) -> kernels.CellIndex:
+        return self.base.cells
 
     def base_radius(self, r) -> float:
         """Base-metric radius whose transformed value is r."""
@@ -369,62 +410,79 @@ class CoordIndex(_Index):
         return self.descriptor.transform(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
 
     def ball(self, x, r) -> np.ndarray:
-        wide = self.base_radius(r) * (1.0 + kernels.TIE_RTOL)
-        cand = np.asarray(self.tree.query_ball_point(self.coords[x], wide), dtype=np.int64)
+        # a superset of the ball: the base radius widened past its rounding
+        cand = np.concatenate([rows for _, rows, _ in self.cells.within(
+            self.coords[x:x + 1], self.base_radius(r) * (1.0 + 1e-9))])
         members = cand[self.pairs(x, cand) < r]
         members.sort()
         return members
 
     def net(self, order: np.ndarray, t: float) -> np.ndarray:
-        return kernels.greedy_net_coords(self.tree, order, self.base_radius(t))
+        return kernels.greedy_net_coords(self.cells, order, self.base_radius(t))
 
     def nearest(self, query_ids: np.ndarray, centers: np.ndarray):
-        idx, base_d = kernels.nearest_center_coords(self.coords[query_ids],
-                                                    self.coords[centers])
+        # every point a center: the shared cells are the centers' cells
+        idx, base_d = kernels.nearest_center_coords(
+            self.coords[query_ids], self.coords[centers],
+            self.cells if self._whole(centers) else None)
         return idx, self.descriptor.transform(base_d)
 
     def nearest_within(self, centers: np.ndarray, r: float):
         """A point's nearest center is closer than ``r`` exactly when some center
-        is, so one pair query between the centers and the points within ``r``
-        finds them all, and no other point is visited."""
+        is, so the cells around the centers find them all, and no other point
+        is visited."""
         ids, idx, base_d = kernels.nearest_center_within_coords(
-            self.tree, self.coords[centers], self.base_radius(r))
+            self.cells, self.coords[centers], self.base_radius(r))
         return ids, idx, self.descriptor.transform(base_d)
 
-    def closest_pair(self, ids: np.ndarray):
-        # the tree's distances round differently from pairs() by a few ulps:
-        # take every pair near the tree's least distance, decide exactly
-        from scipy.spatial import cKDTree
+    def _whole(self, ids: np.ndarray) -> bool:
+        """Whether ``ids`` lists every point, in order."""
+        return ids.size == self.ids.size and np.array_equal(ids, self.ids)
 
-        tree = cKDTree(self.coords[ids])
-        near, _ = tree.query(self.coords[ids], k=2)
-        cand = tree.query_pairs(float(near[:, 1].min()) * (1.0 + kernels.TIE_RTOL),
-                                output_type="ndarray")
-        d = self.pairs(ids[cand[:, 0]], ids[cand[:, 1]])
-        tied = np.flatnonzero(d == d.min())
-        i, j = cand[tied[np.lexsort((cand[tied, 1], cand[tied, 0]))[0]]]
-        return float(d[tied[0]]), (int(ids[i]), int(ids[j]))
+    def _cells_of(self, ids: np.ndarray) -> kernels.CellIndex:
+        """A cell index over the points ``ids``, its row i the point ids[i]: the
+        shared one when ``ids`` lists every point."""
+        return self.cells if self._whole(ids) else kernels.CellIndex(self.coords[ids])
+
+    def closest_pair(self, ids: np.ndarray):
+        """The least squared distance between neighbours in cell order bounds the
+        least distance, and the cells give every pair within that bound (widened
+        by a relative 1e-9, which holds every pair that ``pairs`` may round to
+        the least distance). Of those pairs, the first position i of one at the
+        least distance wins, with its first partner at it (which comes after i)."""
+        cells = self._cells_of(ids)
+        pts = cells.sorted_coords
+        bound = float(kernels.squared_distances(pts[:-1], pts[1:]).min())
+        a, b = (np.concatenate(side) for side in zip(
+            *((a, b) for a, b, _ in cells.pairs_within(np.sqrt(bound) * (1.0 + 1e-9)))))
+        first = np.minimum(a, b)
+        d = self.pairs(ids[first], ids[np.maximum(a, b)])
+        least = d.min()
+        i = int(first[d == least].min())
+        partner = self.pairs(ids[i], ids) == least
+        partner[i] = False
+        return float(least), (int(ids[i]), int(ids[np.argmax(partner)]))
+
+    def least_positive(self, ids: np.ndarray, among: np.ndarray) -> np.ndarray:
+        """Each id's least positive distance to the ids ``among``, NaN where it has
+        none: ``pairs`` to its nearest point of ``among`` at a positive squared
+        distance, which the cells around it find. Where that distance rounds to 0
+        under the descriptor, the id's row decides."""
+        rows, _ = self._cells_of(among).nearest(self.coords[ids], positive=True)
+        out = np.full(ids.size, np.nan)
+        found = rows >= 0
+        out[found] = self.pairs(ids[found], among[rows[found]])
+        zero = np.flatnonzero(out == 0.0)
+        out[zero] = super().least_positive(ids[zero], among)
+        return out
 
     def diameter(self, ids: np.ndarray) -> float:
-        """The largest squared difference over the pairs that may reach it, as a distance.
-        Above one block, only points ``_reaching`` the attained ``low`` stay. In kd-tree
-        order a block of rows holds nearby points: each is scanned against the points
-        ``_reaching`` the largest distance so far."""
-        pts = self.coords[ids]
-        if ids.size <= _BLOCK:
-            return float(self.descriptor.transform(np.sqrt(_farthest_sq(pts, pts).max())))
-        from scipy.spatial import cKDTree
-
-        end = pts[kernels.squared_distances(pts, pts[0]).argmax()]
-        low = np.sqrt(kernels.squared_distances(pts, end).max())
-        pts = _reaching(pts, pts, low)
-        pts = pts[cKDTree(pts, leafsize=_BLOCK).indices]
-        best = 0.0
-        for start in range(0, len(pts), _BLOCK):
-            block = pts[start:start + _BLOCK]
-            partners = _reaching(pts, block, max(low, np.sqrt(best)))
-            if partners.size:
-                best = max(best, float(_farthest_sq(block, partners).max()))
+        """The largest squared difference over the pairs that may reach it
+        (``_farthest_pair_sq``), as a distance; the whole space's is shared."""
+        if self._whole(ids):
+            best = self.base.farthest_sq
+        else:
+            best = _farthest_pair_sq(self.coords[ids], self.cells.key[ids])
         return float(self.descriptor.transform(np.sqrt(best)))
 
     def min_gap(self) -> float:
@@ -442,11 +500,11 @@ class LineIndex(_SortedIndex, CoordIndex):
     Rounded subtraction is monotone, so the points closer to x than a
     threshold, and the centers nearest to x, are runs of the sorted order
     next to x. Nets, nearest centers, balls, the closest pair and diameters
-    are read off that order with no tree; each run is found by binary search
-    at a radius widened by ``kernels.TIE_RTOL`` and decided by the same
-    expression as the tree index's kernels, so every net, nearest center,
-    ball and closest pair is bit for bit that of ``CoordIndex`` on the same
-    points.
+    are read off that order with no cells; each run is found by binary
+    search at a radius widened by ``kernels.TIE_RTOL`` and decided by the
+    same expression as the cell index's kernels, so every net, nearest
+    center, ball and closest pair is bit for bit that of ``CoordIndex`` on
+    the same points.
     """
 
     def __init__(self, space: "MetricSpace"):
@@ -621,6 +679,7 @@ class MetricSpace:
         self._codes = None
         self.strings = None
         self._matrix = None
+        self._base = None
         self._diam = None
         self._min_gap = None
 
@@ -636,6 +695,7 @@ class MetricSpace:
             if not np.isfinite(c).all():
                 raise InvalidArgumentError("coordinates must be finite")
             self.coords = np.ascontiguousarray(c)
+            self._base = _CoordBase(self.coords)
             self.n = c.shape[0]
             self._index_type = LineIndex if c.shape[1] == 1 else CoordIndex
         elif kind == "ultrametric":
@@ -714,7 +774,8 @@ class MetricSpace:
         return self.index.ball(x, r)
 
     def diameter(self, subset=None) -> float:
-        """Max pairwise distance over the subset (whole space by default)."""
+        """Max pairwise distance over the subset (whole space by default); the
+        whole space's is computed once and kept."""
         if subset is None:
             if self._diam is None:
                 self._diam = self.diameter(self.ids)
@@ -724,6 +785,8 @@ class MetricSpace:
             raise InvalidArgumentError("diameter of an empty subset")
         if ids.size == 1:
             return 0.0
+        if self._diam is not None and ids.size == self.n and np.array_equal(ids, self.ids):
+            return self._diam
         return self.index.diameter(ids)
 
     def run_diameters(self, ids, bounds) -> np.ndarray:
@@ -768,9 +831,13 @@ class MetricSpace:
         return 1.0 if diam == 0.0 else target / diam
 
     def _clone(self, desc) -> "MetricSpace":
-        # the constructor takes the payload of desc's kind and ignores the others
-        return MetricSpace(desc, coords=self.coords, strings=self.strings,
-                           matrix=self._matrix)
+        # the constructor takes the payload of desc's kind and ignores the others;
+        # a coordinate clone shares the base-metric state of its source
+        clone = MetricSpace(desc, coords=self.coords, strings=self.strings,
+                            matrix=self._matrix)
+        if self._base is not None:
+            clone._base = self._base
+        return clone
 
     # -- doubling ------------------------------------------------------------
 

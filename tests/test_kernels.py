@@ -1,19 +1,20 @@
 """Contracts of the kernels in ``cubedim.kernels``.
 
 Pairwise distances and the matrix greedy net are NumPy loops. The
-coordinate greedy net blocks points with a cKDTree over all points (its
-scan oracle is in ``test_net_oracles.py``). Nearest-center search uses a
-cKDTree over the centers and re-decides near-ties exactly; it is checked
-bit for bit against a brute-force scan kept here as the oracle.
+coordinate greedy net blocks the points it finds in the cells of a
+``kernels.CellIndex`` over all points (its scan and tree oracles are in
+``test_net_oracles.py``). Nearest-center search reads a cell index over the
+centers and decides every candidate exactly; it is checked bit for bit
+against a brute-force scan kept here as the oracle.
 Dyadic-rational inputs make every distance comparison exact in float64, so
 separation, maximality and ties can be checked exactly there, with no
 tolerance.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 from cubedim import kernels
 
@@ -138,7 +139,7 @@ class TestNetProperties:
         coords = np.random.default_rng(7).uniform(size=(250, 2))
         order = np.arange(250, dtype=np.int64)
         thr = 0.2
-        net = kernels.greedy_net_coords(cKDTree(coords), order, thr)
+        net = kernels.greedy_net_coords(kernels.CellIndex(coords), order, thr)
         assert_separated_and_maximal(coords, order, net, thr)
 
     @given(st.integers(min_value=0, max_value=119), st.integers(min_value=1, max_value=2))
@@ -146,7 +147,60 @@ class TestNetProperties:
     def test_separated_and_maximal_on_random_rotations(self, offset, dim):
         coords = dyadic_coords(120, dim, 4)
         order = np.concatenate([np.arange(offset, 120), np.arange(offset)]).astype(np.int64)
-        net = kernels.greedy_net_coords(cKDTree(coords), order, 1 / 16)
+        net = kernels.greedy_net_coords(kernels.CellIndex(coords), order, 1 / 16)
         assert_separated_and_maximal(coords, order, net, 1 / 16)
         dmat = kernels.pairwise_distances(coords)
         assert np.array_equal(kernels.greedy_net_matrix(dmat, order, 1 / 16), net)
+
+
+def awkward_lattices(dim):
+    """Lattice points whose spacings and offsets round: steps of 0.1, 1/3, 0.7
+    and 1e-8, some moved 1e8 or more from the origin."""
+    rng = np.random.default_rng(dim)
+    for step, shift in ((0.1, 1e8), (1 / 3, -1e8), (1e-8, 0.0), (0.125, 3.0), (0.7, 12345.678)):
+        yield rng.integers(0, 7, size=(70, dim)) * step + shift
+
+
+class TestCellIndex:
+    """The cells hand out every point a query may need, whatever the rounding
+    of the grid: radii sit on pair distances and one ulp above them."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_within_holds_every_pair_up_to_the_radius(self, dim):
+        for pts in awkward_lattices(dim):
+            cells = kernels.CellIndex(pts)
+            diff = pts[:, None, :] - pts[None, :, :]
+            dsq = np.einsum("ijk,ijk->ij", diff, diff)
+            for t in np.unique(np.sqrt(dsq))[1:]:
+                for r in (t, np.nextafter(t, np.inf)):
+                    got = np.zeros(dsq.shape, dtype=bool)
+                    for qi, rows, near in cells.within(pts, r):
+                        got[qi, rows] = True
+                        assert near.tobytes() == dsq[qi, rows].tobytes()
+                    assert np.array_equal(got, dsq <= r * r)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_nearest_matches_brute_force(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        for pts in awkward_lattices(dim):
+            centers = pts[rng.permutation(pts.shape[0])[:9]]
+            queries = np.concatenate([pts, pts + (pts[1] - pts[0]) / 2.0])
+            idx, dist = kernels.nearest_center_coords(queries, centers)
+            want_idx, want_dist = brute_force_nearest(queries, centers)
+            assert np.array_equal(idx, want_idx) and dist.tobytes() == want_dist.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_pairs_within_lists_each_close_pair_once(self, dim):
+        for pts in awkward_lattices(dim):
+            cells = kernels.CellIndex(pts)
+            diff = pts[:, None, :] - pts[None, :, :]
+            dsq = np.einsum("ijk,ijk->ij", diff, diff)
+            for t in np.unique(np.sqrt(dsq))[:4]:
+                r = np.nextafter(t, np.inf)
+                seen = np.zeros(dsq.shape, dtype=np.int64)
+                for a, b, near in cells.pairs_within(r):
+                    np.add.at(seen, (a, b), 1)
+                    np.add.at(seen, (b, a), 1)
+                    assert near.tobytes() == dsq[a, b].tobytes()
+                want = (dsq <= r * r) & ~np.eye(len(pts), dtype=bool)
+                assert np.array_equal(seen, want.astype(np.int64))

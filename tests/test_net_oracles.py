@@ -1,35 +1,43 @@
 """Nets, nearest centers, rows and balls against the kernels they replaced.
 
-Coordinate nets in two or more dimensions come from kd-tree blocking; 1-D
-nets, nearest centers and balls from runs of the sorted coordinates; and
-ultrametric nets, nearest centers, rows and balls from prefix runs of the
-sorted strings. None builds an n x n matrix or scans the admitted centers,
-and a matrix net blocks each admitted center's row. The oracles here are
+Coordinate nets, nearest centers, balls, closest pairs and least positive
+distances in two or more dimensions come from the cells of one
+``kernels.CellIndex``; 1-D nets, nearest centers and balls from runs of the
+sorted coordinates; and ultrametric nets, nearest centers, rows and balls
+from prefix runs of the sorted strings. None builds an n x n matrix or
+scans the admitted centers, and a matrix net blocks each admitted
+center's row. The oracles here are
 the computations those replaced: the greedy scan that compares each
-candidate with every admitted center, the argmin over all centers and, for
-ultrametrics, a distance matrix filled from the old row formula (every
+candidate with every admitted center, the argmin over all centers, the
+SciPy cKDTree kernels that the cell index replaced (``tree_*`` below) and,
+for ultrametrics, a distance matrix filled from the old row formula (every
 string compared with the query string); 1-D answers are also compared with
-the tree index on the same points. A diameter's oracle is the largest
+the cell index on the same points. A diameter's oracle is the largest
 entry of the oracle distance matrix over the set, and the least gap's is
 its least entry between distinct points: a diameter is a distance, with
 the distance's rounding. Nets, parent indices, labels, nearest-center
 indices and distance bits, row bytes, balls, diameters and the net check's
 separation witness must agree bit for bit on small random spaces:
 ultrametrics with duplicate strings, snowflake exponents and scales, and
-coordinate lattices whose pairs sit exactly at the separation. On a line
-and in an ultrametric, the rank run that ``ball_run`` gives for a radius,
-alone or in an array of radii, must hold exactly the ball's members.
+coordinate lattices in one to five dimensions whose pairs sit exactly at
+the separation, some with repeated points or moved 1e8 from the origin.
+On a line and in an ultrametric, the rank run that ``ball_run`` gives for
+a radius, alone or in an array of radii, must hold exactly the ball's
+members.
 """
 
+import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from scipy.spatial import cKDTree
 from hypothesis import strategies as st
 
 from cubedim import GeneratorSpec, MetricDescriptor, MetricSpace, generate, kernels
-from cubedim.cubes import build_system
+from cubedim.cubes import build_adjacent_family, build_system, load_family, save_family
+from cubedim.errors import StaleCubesError
 from cubedim.metric import CoordIndex, LineIndex
 from cubedim.nets import NetLevel, NetParams, scan_order, verify_net
 
@@ -57,6 +65,89 @@ def scan_net_coords(coords, order, threshold):
             chosen_coords[k] = coords[cand]
             k += 1
     return chosen[:k].copy()
+
+
+# -- the cKDTree kernels that kernels.CellIndex replaced ----------------------
+
+TIE_RTOL = 1e-7  # the relative slack the tree kernels widened their queries by
+
+
+def tree_net_coords(coords, order, threshold):
+    """The greedy net by kd-tree blocking: each admitted point blocks the points
+    a tree query finds within the widened threshold, decided by squared distance."""
+    tree = cKDTree(coords)
+    thr2 = threshold * threshold
+    blocked = np.zeros(coords.shape[0], dtype=bool)
+    chosen = []
+    for cand in order:
+        if blocked[cand]:
+            continue
+        chosen.append(cand)
+        near = tree.query_ball_point(coords[cand], threshold * (1.0 + TIE_RTOL),
+                                     return_sorted=False)
+        if len(near) > 1:
+            near = np.asarray(near, dtype=np.int64)
+            blocked[near[kernels.squared_distances(coords[near], coords[cand]) < thr2]] = True
+    return np.asarray(chosen, dtype=np.int64)
+
+
+def tree_nearest_coords(query_coords, center_coords):
+    """The nearest center per query from a tree over the centers; where the
+    second-nearest lies within TIE_RTOL of the nearest, re-decided exactly."""
+    q = np.asarray(query_coords, dtype=np.float64)
+    cc = np.asarray(center_coords, dtype=np.float64)
+    best_idx = np.zeros(q.shape[0], dtype=np.int64)
+    if q.shape[0] and cc.shape[0] > 1:
+        tree = cKDTree(cc)
+        d, nearest = tree.query(q, k=2)
+        best_idx[:] = nearest[:, 0]
+        close = np.flatnonzero(d[:, 1] <= d[:, 0] * (1.0 + TIE_RTOL))
+        if close.size:
+            cand = tree.query_ball_point(q[close], d[close, 0] * (1.0 + TIE_RTOL))
+            counts = np.fromiter(map(len, cand), dtype=np.int64, count=close.size)
+            cols = np.concatenate(cand).astype(np.int64)
+            starts = np.cumsum(counts) - counts
+            dsq = kernels.squared_distances(q[np.repeat(close, counts)], cc[cols])
+            tied = dsq == np.repeat(np.minimum.reduceat(dsq, starts), counts)
+            best_idx[close] = np.minimum.reduceat(np.where(tied, cols, cc.shape[0]), starts)
+    return best_idx, np.sqrt(kernels.squared_distances(q, cc[best_idx]))
+
+
+def tree_nearest_within_coords(coords, center_coords, radius):
+    """(point rows, center indices, distances): one pair query between trees over
+    the centers and the points, each point's least squared distance and then
+    lowest center row among the centers within the widened radius."""
+    cc = np.asarray(center_coords, dtype=np.float64)
+    pairs = cKDTree(cc).sparse_distance_matrix(cKDTree(coords), radius * (1.0 + TIE_RTOL),
+                                               output_type="ndarray")
+    centers = pairs["i"].astype(np.int64)
+    points = pairs["j"].astype(np.int64)
+    dsq = kernels.squared_distances(coords[points], cc[centers])
+    order = np.lexsort((centers, dsq, points))
+    first = order[np.flatnonzero(np.diff(points[order], prepend=-1))]
+    return points[first], centers[first], np.sqrt(dsq[first])
+
+
+def tree_ball(space, x, r):
+    """The ball's members from a tree query at the widened base radius, decided
+    by ``pairs``."""
+    index = space.index
+    wide = index.base_radius(r) * (1.0 + TIE_RTOL)
+    cand = np.asarray(cKDTree(space.coords).query_ball_point(space.coords[x], wide),
+                      dtype=np.int64)
+    return np.sort(cand[index.pairs(x, cand) < r])
+
+
+def tree_closest_pair(space, ids):
+    """Every pair near the tree's least distance, decided by ``pairs``; the first
+    tied pair in (i, j) order."""
+    tree = cKDTree(space.coords[ids])
+    near, _ = tree.query(space.coords[ids], k=2)
+    cand = tree.query_pairs(float(near[:, 1].min()) * (1.0 + TIE_RTOL), output_type="ndarray")
+    d = space.index.pairs(ids[cand[:, 0]], ids[cand[:, 1]])
+    tied = np.flatnonzero(d == d.min())
+    i, j = cand[tied[np.lexsort((cand[tied, 1], cand[tied, 0]))[0]]]
+    return float(d[tied[0]]), (int(ids[i]), int(ids[j]))
 
 
 def scan_net_matrix(dmat, order, threshold):
@@ -186,12 +277,14 @@ def ultra_spaces(draw, bases=(1 / 16, 0.2, 0.25, 0.5)):
 
 
 @st.composite
-def lattices(draw, dims=(1, 2, 3)):
-    """2 to 60 points in unsorted id order: a 1-, 2- or 3-D lattice with spacing
+def lattices(draw, dims=(1, 2, 3, 5)):
+    """2 to 60 points in unsorted id order: a 1- to 5-D lattice with spacing
     1/8, some points repeated and, at random, some moved one ulp up; or the
     lattice's rows scaled by 2**-30 or 2**29, where a difference between the
-    two clusters rounds away the small one's spread; or uniform floats.
-    Euclidean or snowflaked, at a unit or other scale."""
+    two clusters rounds away the small one's spread; or uniform floats; or
+    either moved 1e8 from the origin, where the grid of the cell index must
+    absorb the rounding of the coordinates. At random, a third of the points
+    repeat others. Euclidean or snowflaked, at a unit or other scale."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     n = draw(st.integers(min_value=2, max_value=60))
     dim = draw(st.sampled_from(dims))
@@ -205,6 +298,10 @@ def lattices(draw, dims=(1, 2, 3)):
         elif draw(st.booleans()):  # pairs an ulp off the lattice spacings
             bump = (rng.random(pts.shape) < 0.3) & (pts > 0)
             pts[bump] = np.nextafter(pts[bump], np.inf)
+    if kind != "spread" and draw(st.booleans()):
+        pts += 1e8
+    if draw(st.booleans()):
+        pts[rng.integers(n, size=n // 3)] = pts[rng.integers(n, size=n // 3)]
     space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
     epsilon = draw(st.sampled_from([1.0, 0.5, 0.8]))
     if epsilon != 1.0:
@@ -308,24 +405,34 @@ class TestMatrix:
 
 
 class TestCoordinates:
+    """Coordinates in one to five dimensions through ``kernels.CellIndex``,
+    against the scans above and the tree kernels it replaced; thresholds and
+    radii sit on the lattice spacings, on pair distances and one ulp to either
+    side of them."""
+
     @given(space=lattices(), data=st.data())
     @settings(max_examples=EXAMPLES, deadline=None)
     def test_net_matches_scan(self, space, data):
         coords = space.coords
+        cells = kernels.CellIndex(coords)
         seed = data.draw(st.integers(min_value=0, max_value=50))
-        # lattice spacings: many pairs lie exactly at the separation
+        # lattice spacings and pair distances: many pairs lie exactly at the separation
         ticks = [j / 8.0 for j in range(1, 6)] + [float(np.sqrt(2.0) / 8.0), 2.0]
+        ticks += _near_values(np.unique(kernels.pairwise_distances(coords)), 3, data)
         for k, t in enumerate(ticks):
             order = scan_order(space.n, seed, k)
-            net = kernels.greedy_net_coords(cKDTree(coords), order, t)
+            if k % 2:  # a partial scan, as the doubling estimate makes
+                order = order[:data.draw(st.integers(min_value=0, max_value=space.n))]
+            net = kernels.greedy_net_coords(cells, order, t)
             assert np.array_equal(net, scan_net_coords(coords, order, t))
+            assert np.array_equal(net, tree_net_coords(coords, order, t))
 
     @given(space=lattices(), data=st.data())
     @settings(max_examples=EXAMPLES, deadline=None)
     def test_separation_matches_row_scan(self, space, data):
         centers = _subset(data, space.n)
         if data.draw(st.booleans()):
-            net = kernels.greedy_net_coords(cKDTree(space.coords), space.ids, 1 / 8)
+            net = kernels.greedy_net_coords(kernels.CellIndex(space.coords), space.ids, 1 / 8)
             centers = np.sort(net) if net.size > 1 else centers
         if centers.size < 2:
             return
@@ -334,6 +441,59 @@ class TestCoordinates:
         check = verify_net(space, level)
         want = old_separation(space.row, centers, NetParams().separation(k))
         assert (check.worst_separation_ratio, check.witnesses["separation_pair"]) == want
+        assert CoordIndex(space).closest_pair(centers) == tree_closest_pair(space, centers)
+
+    @given(space=lattices(), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_nearest_centers_match_scan_and_tree(self, space, data):
+        # centers in drawn order, some at one place: ties go to the lowest row
+        coords, index = space.coords, CoordIndex(space)
+        centers = _subset(data, space.n)
+        for q in (_subset(data, space.n), space.ids):
+            idx, dist = index.nearest(q, centers)
+            diff = coords[q][:, None, :] - coords[centers][None, :, :]
+            dsq = np.einsum("ijk,ijk->ij", diff, diff)
+            want = np.argmin(dsq, axis=1)
+            assert np.array_equal(idx, want)
+            want_dist = space.descriptor.transform(np.sqrt(dsq[np.arange(q.size), want]))
+            assert dist.tobytes() == want_dist.tobytes()
+            tree_idx, tree_dist = tree_nearest_coords(coords[q], coords[centers])
+            assert np.array_equal(idx, tree_idx)
+            assert dist.tobytes() == space.descriptor.transform(tree_dist).tobytes()
+
+    @given(space=lattices(), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_nearest_within_matches_tree(self, space, data):
+        coords, index = space.coords, CoordIndex(space)
+        centers = _subset(data, space.n)
+        base = np.unique(kernels.pairwise_distances(coords))
+        for r in _near_values(base, 3, data) + [0.125, 1.0]:
+            got = kernels.nearest_center_within_coords(index.cells, coords[centers], r)
+            want = tree_nearest_within_coords(coords, coords[centers], r)
+            close, wclose = got[2] < r, want[2] < r  # the slack may list a few more
+            assert all(g[close].tobytes() == w[wclose].tobytes() for g, w in zip(got, want))
+
+    @given(space=lattices(), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_balls_closest_pairs_and_gaps(self, space, data):
+        index = CoordIndex(space)
+        dmat = space.distance_matrix()
+        for p in np.unique(space.coords, axis=0, return_index=True)[1][:4]:
+            for r in _near_values(np.unique(dmat[p]), 4, data) + [0.3, 2.0]:
+                want = np.flatnonzero(dmat[p] < r)
+                got = index.ball(p, r)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+                assert np.array_equal(tree_ball(space, p, r), want)
+        ids = _subset(data, space.n)
+        if ids.size > 1:
+            want = old_separation(lambda c: dmat[c], ids, 1.0)
+            assert index.closest_pair(ids) == want == tree_closest_pair(space, ids)
+        gaps = dmat[dmat > 0]
+        assert index.min_gap() == (gaps.min() if gaps.size else float("inf"))
+        among = _subset(data, space.n)
+        got = index.least_positive(ids, among)
+        want = super(CoordIndex, index).least_positive(ids, among)  # the rows decide
+        assert got.tobytes() == want.tobytes()
 
     @given(space=lattices(), seed=st.integers(min_value=0, max_value=50),
            max_level=st.integers(min_value=0, max_value=3))
@@ -344,6 +504,37 @@ class TestCoordinates:
         if pts.shape[0] > 1:
             space = MetricSpace(space.descriptor, coords=pts)
             assert_system_matches_oracle(space, seed, max_level, ultrametric=False)
+
+    def test_far_centers_widen_the_nearest_search(self, tmp_path):
+        # a loaded family whose deepest centers sit in one corner of the square
+        # leaves most points far from every center: each point's search widens
+        # to its nearest, and the reload refuses the file
+        space = MetricSpace(MetricDescriptor("euclidean"),
+                            coords=np.random.default_rng(5).uniform(size=(400, 2)))
+        system = build_system(space, NetParams(), seed=3, max_level=2)
+        deepest = system.levels[2].centers
+        corner = deepest[space.coords[deepest].sum(axis=1) < 0.5]
+        norm = system.space
+        idx, dist = norm.index.nearest(norm.ids, corner)
+        want_idx, want_dist = tree_nearest_coords(norm.coords, norm.coords[corner])
+        assert np.array_equal(idx, want_idx)
+        assert dist.tobytes() == norm.descriptor.transform(want_dist).tobytes()
+        assert dist.max() > 0.5  # far beyond the centers' own spacing
+        path = tmp_path / "cubes.json"
+        save_family(build_adjacent_family(space, NetParams(), K_max=1, query_budget=8,
+                                          seed=3), path)
+        doc = json.loads(path.read_text())
+        sdoc = doc["systems"][0]
+        deepest = np.asarray(sdoc["levels"][-1]["centers"])
+        kept = deepest[space.coords[deepest].sum(axis=1) < 0.5]
+        sdoc["levels"][-1]["centers"] = kept.tolist()
+        # the deepest level's (child, parent) pairs are the last, one per center
+        pairs = sdoc["parents"]
+        sdoc["parents"] = pairs[:-deepest.size] + [pair for pair in pairs[-deepest.size:]
+                                                   if pair[0] in set(kept.tolist())]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StaleCubesError):
+            load_family(path, space)
 
 
 def _near_values(values, count, data):
@@ -357,14 +548,14 @@ def _near_values(values, count, data):
 
 class TestLine:
     """1-D coordinates read off one sorted order (``LineIndex``), against the
-    scan oracles above and against the tree index (``CoordIndex``) built on the
+    scan oracles above and against the cell index (``CoordIndex``) built on the
     same space; thresholds and radii sit exactly on member distances and one
     ulp to either side."""
 
     @given(space=lattices(dims=(1,)), data=st.data())
     @settings(max_examples=EXAMPLES, deadline=None)
     def test_net_matches_scan_and_tree(self, space, data):
-        index, tree = space.index, CoordIndex(space)
+        index, cells = space.index, CoordIndex(space)
         assert isinstance(index, LineIndex)
         seed = data.draw(st.integers(min_value=0, max_value=50))
         thresholds = _near_values(np.unique(space.distance_matrix()), 6, data)
@@ -374,7 +565,7 @@ class TestLine:
                 order = order[:data.draw(st.integers(min_value=0, max_value=space.n))]
             want = scan_net_coords(space.coords, order, index.base_radius(t))
             assert np.array_equal(index.net(order, t), want)
-            assert np.array_equal(tree.net(order, t), want)
+            assert np.array_equal(cells.net(order, t), want)
 
     @given(space=lattices(dims=(1,)), data=st.data())
     @settings(max_examples=EXAMPLES, deadline=None)
@@ -382,7 +573,7 @@ class TestLine:
         # centers in drawn order, some at one coordinate: ties go to the lowest row,
         # between the predecessor and the successor, within a repeated point, and
         # among distinct centers whose differences to a far query round equal
-        x, tree = space.coords[:, 0], CoordIndex(space)
+        x, cells = space.coords[:, 0], CoordIndex(space)
         drawn = _subset(data, space.n)
         if data.draw(st.booleans()):  # the first center's repeats, highest id first
             twins = np.setdiff1d(np.flatnonzero(x == x[drawn[0]]), drawn)
@@ -400,14 +591,14 @@ class TestLine:
                 assert np.array_equal(idx, want)
                 want_dist = space.descriptor.transform(np.sqrt(dsq[np.arange(q.size), want]))
                 assert dist.tobytes() == want_dist.tobytes()
-                tree_idx, tree_dist = tree.nearest(q, centers)
-                assert np.array_equal(idx, tree_idx) and dist.tobytes() == tree_dist.tobytes()
+                cell_idx, cell_dist = cells.nearest(q, centers)
+                assert np.array_equal(idx, cell_idx) and dist.tobytes() == cell_dist.tobytes()
 
     @given(space=lattices(dims=(1,)), data=st.data())
     @settings(max_examples=EXAMPLES, deadline=None)
     def test_balls_pairs_gaps_and_diameters(self, space, data):
         dmat = space.distance_matrix()
-        tree = CoordIndex(space)
+        cells = CoordIndex(space)
         # one point per coordinate, six at most; radii at each of its distances
         for p in np.unique(space.coords[:, 0], return_index=True)[1][:6]:
             radii = _near_values(np.unique(dmat[p]), space.n, data)
@@ -415,17 +606,17 @@ class TestLine:
                 want = np.flatnonzero(dmat[p] < r)
                 got = space.ball_members(p, r)
                 assert got.dtype == np.int64 and np.array_equal(got, want)
-                assert np.array_equal(tree.ball(p, r), want)
+                assert np.array_equal(cells.ball(p, r), want)
                 assert_ball_run(space, p, r, want)
             assert_ball_runs_of_radii(space, p, radii)
         ids = _subset(data, space.n)
         for subset in (ids, space.ids):
             if subset.size > 1:
                 want = old_separation(lambda c: dmat[c], subset, 1.0)
-                assert space.index.closest_pair(subset) == want == tree.closest_pair(subset)
+                assert space.index.closest_pair(subset) == want == cells.closest_pair(subset)
         gaps = dmat[dmat > 0]
         want_gap = gaps.min() if gaps.size else float("inf")
-        assert space.min_positive_distance() == want_gap == tree.min_gap()
+        assert space.min_positive_distance() == want_gap == cells.min_gap()
         # a diameter is the largest distance of the run, as the rows compute it
         cuts = data.draw(st.lists(st.integers(0, ids.size), max_size=4))
         bounds = np.unique(np.concatenate([[0, ids.size], cuts])).astype(np.int64)

@@ -1,10 +1,13 @@
-"""No module of the package reaches into another module's private names.
+"""No module of the package reaches into another module's private names,
+and none imports SciPy.
 
 A name that starts with an underscore belongs to its module. Every module
 of ``src/cubedim`` is parsed with ``ast``, and a ``from`` import of such a
 name from another module of the package fails the test, as does reading
 one as an attribute of an imported package module. Tests may import
-private names.
+private names. The package needs only NumPy: an import of ``scipy`` or of
+one of its modules, anywhere in a module, fails the test; the tests' own
+oracles may use SciPy.
 """
 
 import ast
@@ -53,3 +56,31 @@ def test_the_check_sees_a_private_import(tmp_path):
                       "from numpy import _NoValue\n")
     assert private_uses(source) == [(1, "cubes._effective_radius"),
                                     (4, "cubes._smallest_containing_cube")]
+
+
+def scipy_imports(path):
+    """(line, module) of each import of SciPy or of one of its modules in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and not node.level \
+                and (node.module or "").split(".")[0] == "scipy":
+            found.append((node.lineno, node.module))
+    return sorted(found)
+
+
+def test_no_module_imports_scipy():
+    offenders = [f"{path.name}:{line}: {name}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for line, name in scipy_imports(path)]
+    assert offenders == []
+
+
+def test_the_check_sees_a_scipy_import(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("import numpy\ndef f():\n    from scipy.spatial import cKDTree\n"
+                      "import scipy.sparse as sp, os\nfrom .scipy import x\n")
+    assert scipy_imports(source) == [(3, "scipy.spatial"), (4, "scipy.sparse")]

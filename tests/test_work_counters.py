@@ -11,8 +11,11 @@ root cubes of a family's systems read one cached whole-space diameter. A
 Hausdorff fit finds the cubes meeting E once per level, not once per radius
 and exponent, and ``verify`` reads each sandwich check's count off the
 ball's local window, with no count of its own.
-A 1-D or ultrametric pipeline never imports ``scipy.spatial``: a line reads
-nets, nearest centers and balls off its sorted coordinates. There,
+No pipeline imports SciPy: a line reads nets, nearest centers and balls off
+its sorted coordinates, and coordinates in two or more dimensions read them
+off the cells of one NumPy cell index. A plane builds that index over its
+points once per process, shared by the space's rescaled clones, and
+computes one whole-space farthest pair. On a line and in an ultrametric,
 ``local_windows`` reads every ball as a run of the index's ranks off one
 window table, built once per call with each system's level tables built at
 most once: it asks for no row, no ``ball_members`` and no digest of a
@@ -424,7 +427,7 @@ def test_ultrametric_system_at_4096_points_stays_small(matrix_kernel_calls):
 
 
 # gen, build, verify and two estimates in one fresh process, which reports
-# whether scipy.spatial was imported and how often the tree kernels ran
+# whether SciPy was imported and how often the coordinate kernels ran
 PIPELINE = """
 import json, sys
 from cubedim import cli, kernels
@@ -446,22 +449,66 @@ codes = [cli.main(["gen", *sys.argv[1:], "--out", "pts.json"]),
          cli.main(["verify", *common]),
          *(cli.main(["estimate", kind, *common, "--out", kind + ".json"])
            for kind in ("box", "assouad"))]
-print(json.dumps({"codes": codes, "scipy": "scipy.spatial" in sys.modules, "calls": calls}))
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules, "calls": calls}))
 """
 
 
-@pytest.mark.parametrize("gen,tree", [
+@pytest.mark.parametrize("gen,plane", [
     (["sequence", "--p", "1", "--nmax", "400"], False),
     (["sequence", "--p", "1", "--nmax", "400", "--snowflake", "0.5"], False),
     (["ultrametric_cantor", "--arity", "2", "--base", "0.0625", "--depth", "6"], False),
     (["grid", "--dim", "2", "--res", "0.0625"], True),
 ], ids=["line", "snowflaked-line", "ultrametric", "plane"])
-def test_only_plane_pipelines_import_scipy(gen, tree, tmp_path, cubedim_env):
+def test_only_plane_pipelines_import_scipy(gen, plane, tmp_path, cubedim_env):
+    # no pipeline imports SciPy now; the plane's alone run the coordinate kernels
     r = subprocess.run([sys.executable, "-c", PIPELINE, *gen], cwd=tmp_path,
                        capture_output=True, text=True, env=cubedim_env)
     assert r.returncode == 0, r.stderr
     report = json.loads(r.stdout.splitlines()[-1])
     # the small plane has too few levels for the two fits, which exit 1 by design
-    assert report["codes"] == [0, 0, 0] + ([1, 1] if tree else [0, 0])
-    assert report["scipy"] is tree
-    assert all((count > 0) is tree for count in report["calls"].values()), report
+    assert report["codes"] == [0, 0, 0] + ([1, 1] if plane else [0, 0])
+    assert report["scipy"] is False
+    assert all((count > 0) is plane for count in report["calls"].values()), report
+
+
+def test_plane_ops_scan_the_whole_space_once(tmp_path, monkeypatch, capsys):
+    # build and every read op: the raw space, its normalized clone and the
+    # estimate's set of every point share one cell index and one farthest pair
+    spaces, scans, indexes = [], [], []
+    load_points = cli.load_points
+    farthest_pair_sq = metric._farthest_pair_sq
+    cell_index = kernels.CellIndex.__init__
+
+    def loading(path):
+        spaces.append(load_points(path))
+        return spaces[-1]
+
+    def scanning(pts, keys):
+        if len(pts) == spaces[-1].n:
+            scans.append(len(pts))
+        return farthest_pair_sq(pts, keys)
+
+    def indexing(self, coords):
+        if coords is spaces[-1].coords:
+            indexes.append(len(coords))
+        cell_index(self, coords)
+
+    monkeypatch.setattr(cli, "load_points", loading)
+    monkeypatch.setattr(metric, "_farthest_pair_sq", scanning)
+    monkeypatch.setattr(kernels.CellIndex, "__init__", indexing)
+    pts, cubes_file = str(tmp_path / "pts.json"), str(tmp_path / "cubes.json")
+    assert cli.main(["gen", "grid", "--dim", "2", "--res", "0.03125", "--out", pts]) == 0
+    common = ["--points", pts, "--cubes", cubes_file, "--seed", "7", "--budget", "8"]
+    ops = [["build", "--points", pts, "--out", cubes_file, "--seed", "7", "--delta",
+            "0.08333333333333333", "--levels", "2", "--systems", "2"],
+           ["verify", *common]]
+    ops += [["estimate", kind, *common, "--out", str(tmp_path / "e.json"), *extra]
+            for kind, extra in (("box", []), ("spectrum", ["--theta", "0.5"]),
+                                ("assouad", []))]
+    for argv in ops:
+        spaces.clear()
+        scans.clear()
+        indexes.clear()
+        assert cli.main(argv) in (0, 1)
+        assert len(spaces) == 1 and scans == [spaces[0].n] and indexes == [spaces[0].n], argv
+    capsys.readouterr()
