@@ -154,16 +154,16 @@ def build_system(space: MetricSpace, params: NetParams, seed: int = 0,
     result is also left on ``system.report.checks``.
     """
     norm = space if pre_normalized else space.rescaled(_normalizing_factor(space, params))
-    if max_level is None:
-        max_level = default_max_level(norm, params.delta)
-    if max_level < 0:
+    if max_level is not None and max_level < 0:
         raise ConfigurationError("max_level must be >= 0")
-    if max_level > HARD_LEVEL_CAP:
+    if max_level is not None and max_level > HARD_LEVEL_CAP:
         raise ConfigurationError(
             f"max_level {max_level} exceeds the hard cap {HARD_LEVEL_CAP}")
 
     report = BuildReport()
     resolution_level = default_max_level(norm, params.delta)
+    if max_level is None:
+        max_level = resolution_level
     if max_level > resolution_level:
         report.warnings.append(
             f"max_level {max_level} is below the sample resolution "

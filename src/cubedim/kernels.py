@@ -33,7 +33,6 @@ ROUND = 1 << 10  # blocked points worth one batch of a greedy net
 CELLS = 1 << 20  # cells whose runs are looked up at once, at most
 TABLE_BITS = 20  # a level with at most 2**TABLE_BITS cells keeps a table of their runs
 LOOKUP = 4.0  # the cost of looking up one cell, in candidates decided
-PROBE = 4  # sorted neighbours a nearest-point query measures first
 
 
 def _stretches(sizes: np.ndarray, limit: int):
@@ -70,7 +69,9 @@ class CellIndex:
     run of the sorted order. A box around a query is covered by the cells of
     the level that costs the fewest lookups and candidates (``_level``), and
     each candidate those cells hold is decided by its exact squared distance:
-    the grid only ever decides which points are looked at. At most 63 axes
+    the grid only ever decides which points are looked at. Every query is
+    one look, at cells that reach a bound known before it: a radius, or for
+    a nearest point the least distance its probe measured. At most 63 axes
     are keyed; the cells span any further axis whole.
     """
 
@@ -214,27 +215,16 @@ class CellIndex:
                                                     None if since is None else since[sel])
         return qi, start, stop
 
-    def gap(self, g: np.ndarray, lo: np.ndarray, hi: np.ndarray, level) -> np.ndarray:
-        """Per query of ``boxes``, a distance in grid steps within which no point
-        outside its box's cells lies: to the nearest face of the box beyond
-        which points lie (inf when its cells hold every point)."""
-        lo, hi = lo << level, (hi + 1) << level
-        below = np.where(lo > self.qmin, g - lo, np.inf)
-        above = np.where(hi <= self.qmax, hi - g, np.inf)
-        return np.minimum(below, above).min(axis=0, initial=np.inf)
-
-    def blocks(self, g: np.ndarray, w, gaps=False, since=None):
+    def blocks(self, g: np.ndarray, w, since=None):
         """The candidates of the queries at grid coordinates ``g`` (one row per
         axis) with half-widths ``w`` (grid steps, one or one per query), a
-        stretch of queries at a time: yields (first, stop, count, at, gap) where
-        the positions ``at`` of the sorted order hold, query by query from
+        stretch of queries at a time: yields (first, stop, count, at) where the
+        positions ``at`` of the sorted order hold, query by query from
         ``first`` to ``stop - 1``, ``count`` candidates each, among them every
-        point within ``w`` of the query on every keyed axis. ``gap`` (when
-        asked) is ``gap`` of those queries; ``since`` is passed to ``runs``. A
-        stretch spans at most CELLS cells and CANDIDATES candidates, unless
-        one query alone has more."""
+        point within ``w`` of the query on every keyed axis; ``since`` is
+        passed to ``runs``. A stretch spans at most CELLS cells and CANDIDATES
+        candidates, unless one query alone has more."""
         lo, hi, level = self.boxes(g, w)
-        gap = self.gap(g, lo, hi, level) if gaps else None
         for a, b in _stretches((hi - lo + 1).prod(axis=0), CELLS):
             qi, start, stop = self.runs(lo[:, a:b], hi[:, a:b], level[a:b],
                                         None if since is None else since[a:b])
@@ -245,14 +235,13 @@ class CellIndex:
             for c, d in _stretches(total, CANDIDATES):
                 sz, st = size[cells[c]:cells[d]], start[cells[c]:cells[d]]
                 at = np.arange(bounds[d] - bounds[c]) + np.repeat(st - np.cumsum(sz) + sz, sz)
-                yield (a + c, a + d, total[c:d], at,
-                       None if gap is None else gap[a + c:a + d])
+                yield a + c, a + d, total[c:d], at
 
     def within(self, query: np.ndarray, r: float):
         """Blocks (qi, rows, dsq) of the pairs of query row ``qi`` and indexed
         row whose squared distance ``dsq`` is at most ``r * r``."""
         query = np.asarray(query, dtype=np.float64)
-        for first, stop, count, at, _ in self.blocks(self.grid(query), self.grid_radius(r)):
+        for first, stop, count, at in self.blocks(self.grid(query), self.grid_radius(r)):
             dsq = squared_distances(np.repeat(query[first:stop], count, axis=0),
                                     self.sorted_coords[at])
             near = np.flatnonzero(dsq <= r * r)
@@ -265,8 +254,8 @@ class CellIndex:
         the cells around it, from its own on, for the points after it in the
         sorted order."""
         g = self.grid(self.sorted_coords)
-        for first, stop, count, at, _ in self.blocks(g, self.grid_radius(r),
-                                                     since=self.sorted_key):
+        for first, stop, count, at in self.blocks(g, self.grid_radius(r),
+                                                  since=self.sorted_key):
             pos = np.repeat(np.arange(first, stop), count)
             later = np.flatnonzero(at > pos)
             pos, at = pos[later], at[later]
@@ -280,58 +269,40 @@ class CellIndex:
         rows at squared distance 0 are passed over. -1 and inf where no row is
         left.
 
-        A query first measures the PROBE points next to its own key in the
-        sorted order, which are near it in most cases. It then looks in the
-        cells around it, as wide as the nearest of them (or one grid step
-        beyond the points' grid box when none qualifies), until its best
-        candidate is nearer than the ``gap`` of the cells it looked in, less
-        the grid's rounding: no point outside them can then tie or beat it.
-        Each look is at least twice as wide as the last, and after one that
-        found a candidate, as wide as that candidate's distance, which
-        settles the query.
+        A query first measures the first point of its own level-0 cell and the
+        two sorted points on each side of that cell: a point of another cell
+        has other coordinates, so one of them qualifies unless rounding hides
+        it, and the least that does bounds the query's nearest. The query then
+        looks once, in the cells that hold every point up to that bound (every
+        cell, when no probed point qualifies), and decides each candidate.
         """
         query = np.asarray(query, dtype=np.float64)
         g = self.grid(query)
-        at = np.searchsorted(self.sorted_key, self._encode(self._floor(g), self.bits))
-        at = np.clip(at[:, None] + np.arange(-PROBE // 2, PROBE // 2), 0, self.key.size - 1)
-        dsq = squared_distances(np.repeat(query, PROBE, axis=0), self.sorted_coords[at.ravel()])
+        key = self._encode(self._floor(g), self.bits)
+        left = np.searchsorted(self.sorted_key, key)
+        right = np.searchsorted(self.sorted_key, key, side="right")
+        probe = np.clip(np.column_stack([left - 2, left - 1, left, right, right + 1]),
+                        0, self.key.size - 1)
+        dsq = squared_distances(np.repeat(query, probe.shape[1], axis=0),
+                                self.sorted_coords[probe.ravel()])
         if positive:
             dsq = np.where(dsq > 0.0, dsq, np.inf)
-        dsq = dsq.reshape(-1, PROBE).min(axis=1)
-        outside = np.maximum(np.maximum(self.qmin - g, g - (self.qmax + 1)), 0.0)
-        w = np.where(dsq < np.inf, np.sqrt(dsq) * self.scale * (1.0 + 1e-9) + 2.0,
-                     outside.max(axis=0, initial=0.0) + 1.0)
+        bound = dsq.reshape(probe.shape).min(axis=1)
         rows = np.full(len(query), -1, dtype=np.int64)
         best = np.full(len(query), np.inf)
-        todo = np.arange(len(query))
-        while todo.size:
-            least = np.full(todo.size, np.inf)
-            row = np.full(todo.size, -1, dtype=np.int64)
-            gap = np.empty(todo.size)
-            for first, stop, count, at, part in self.blocks(g[:, todo], w, gaps=True):
-                gap[first:stop] = part
-                if not at.size:
-                    continue
-                has = np.flatnonzero(count)
-                starts = (np.cumsum(count) - count)[has]
-                cand = self.order[at]
-                dsq = squared_distances(np.repeat(query[todo[first:stop]], count, axis=0),
-                                        self.sorted_coords[at])
-                if positive:
-                    dsq = np.where(dsq > 0.0, dsq, np.inf)
-                seg_least = np.minimum.reduceat(dsq, starts)
-                tied = dsq == np.repeat(seg_least, count[has])
-                least[first + has] = seg_least
-                row[first + has] = np.minimum.reduceat(np.where(tied, cand, self.key.size),
-                                                       starts)
-            row[least == np.inf] = -1
-            sure = np.maximum(gap - 1.0, 0.0) * (1.0 - 1e-9) / self.scale
-            done = (gap == np.inf) | (least < sure * sure)
-            rows[todo[done]] = row[done]
-            best[todo[done]] = least[done]
-            reach = np.sqrt(least) * self.scale * (1.0 + 1e-9) + 2.0
-            w = np.maximum(np.where(row >= 0, reach, 2.0 * w), 2.0 * w)[~done]
-            todo = todo[~done]
+        w = np.sqrt(bound) * self.scale * (1.0 + 1e-9) + 2.0  # inf: every cell
+        for first, stop, count, at in self.blocks(g, w):
+            # no count is 0: a box holds the probed point that set it, or every point
+            starts = np.cumsum(count) - count
+            dsq = squared_distances(np.repeat(query[first:stop], count, axis=0),
+                                    self.sorted_coords[at])
+            if positive:
+                dsq = np.where(dsq > 0.0, dsq, np.inf)
+            best[first:stop] = np.minimum.reduceat(dsq, starts)
+            tied = dsq == np.repeat(best[first:stop], count)
+            rows[first:stop] = np.minimum.reduceat(
+                np.where(tied, self.order[at], self.key.size), starts)
+        rows[best == np.inf] = -1
         return rows, best
 
 

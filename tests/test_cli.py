@@ -91,6 +91,18 @@ class TestBuild:
         assert err.startswith("error:") and "finite" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["build", "--out", "x.json"], ["doubling"],
+                                         ["verify", "--cubes", "x.json"],
+                                         ["estimate", "box", "--cubes", "x.json"]],
+                             ids=lambda c: c[0])
+    def test_points_without_axes_exit2(self, tmp_path, capsys, command):
+        pts = tmp_path / "pts.json"
+        pts.write_text('{"metric": {"kind": "euclidean"}, "points": [[], [], []]}')
+        assert cli.main([command[0], "--points", str(pts), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "axis" in err, err
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("args", [
         pytest.param(("--c0", "nan"), id="c0-nan"),
         pytest.param(("--C0", "nan"), id="C0-nan"),

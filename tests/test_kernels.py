@@ -5,7 +5,9 @@ coordinate greedy net blocks the points it finds in the cells of a
 ``kernels.CellIndex`` over all points (its scan and tree oracles are in
 ``test_net_oracles.py``). Nearest-center search reads a cell index over the
 centers and decides every candidate exactly; it is checked bit for bit
-against a brute-force scan kept here as the oracle.
+against a brute-force scan kept here as the oracle, and so is
+``CellIndex.nearest`` itself, with and without ``positive``, on repeated
+points and on queries off the index; each of its calls makes one look.
 Dyadic-rational inputs make every distance comparison exact in float64, so
 separation, maximality and ties can be checked exactly there, with no
 tolerance.
@@ -22,6 +24,20 @@ from cubedim import kernels
 def dyadic_coords(n, dim, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 257, size=(n, dim)).astype(np.float64) / 256.0
+
+
+def brute_force_nearest_rows(query, pts, positive=False):
+    """``CellIndex.nearest`` by a full scan: per query the lowest row at the
+    least squared distance (passing over 0 when ``positive``), -1 and inf
+    where no row is left."""
+    diff = query[:, None, :] - pts[None, :, :]
+    dsq = np.einsum("ijk,ijk->ij", diff, diff)
+    if positive:
+        dsq = np.where(dsq > 0.0, dsq, np.inf)
+    rows = np.argmin(dsq, axis=1)
+    best = dsq[np.arange(len(query)), rows]
+    rows[best == np.inf] = -1
+    return rows, best
 
 
 def brute_force_nearest(query_coords, center_coords, chunk=512):
@@ -188,6 +204,47 @@ class TestCellIndex:
             idx, dist = kernels.nearest_center_coords(queries, centers)
             want_idx, want_dist = brute_force_nearest(queries, centers)
             assert np.array_equal(idx, want_idx) and dist.tobytes() == want_dist.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("repeat", [2, 5])
+    def test_nearest_rows_match_brute_force(self, dim, repeat):
+        # repeated points leave a query's own cell with no positive distance,
+        # and identical points leave none at all (-1 and inf); queries off the
+        # index sit between lattice points, at random places in the points'
+        # box, and 1e8 spans outside it
+        rng = np.random.default_rng(30 + dim)
+        for pts in [*awkward_lattices(dim), np.full((7, dim), 0.1)]:
+            pts = np.repeat(pts, repeat, axis=0)[rng.permutation(pts.shape[0] * repeat)]
+            cells = kernels.CellIndex(pts)
+            low, span = pts.min(axis=0), np.ptp(pts, axis=0)
+            far = 1e8 * (span + 1.0) * rng.choice([-1.0, 1.0], size=(6, dim))
+            queries = np.concatenate([pts, pts[:20] + (pts[1] - pts[0]) / 2.0,
+                                      low + span * rng.uniform(size=(20, dim)),
+                                      pts[:6] + far])
+            for positive in (False, True):
+                rows, best = cells.nearest(queries, positive=positive)
+                want_rows, want_best = brute_force_nearest_rows(queries, pts, positive)
+                assert rows.dtype == np.int64 and np.array_equal(rows, want_rows)
+                assert best.tobytes() == want_best.tobytes()
+
+    def test_nearest_looks_once(self, monkeypatch):
+        # one box per query, bounded before the look: no second round
+        looks = []
+        boxes = kernels.CellIndex.boxes
+
+        def counted(cells, g, w):
+            looks.append(g.shape[1])
+            return boxes(cells, g, w)
+
+        monkeypatch.setattr(kernels.CellIndex, "boxes", counted)
+        for dim in (1, 2, 3, 5):
+            for pts in awkward_lattices(dim):
+                for repeat in (1, 2, 5):
+                    cells = kernels.CellIndex(np.repeat(pts, repeat, axis=0))
+                    for positive in (False, True):
+                        looks.clear()
+                        cells.nearest(pts, positive=positive)
+                        assert looks == [pts.shape[0]]
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_pairs_within_lists_each_close_pair_once(self, dim):

@@ -53,6 +53,11 @@ class TestDistance:
         with pytest.raises(InvalidArgumentError, match="finite"):
             euclid([[0.0, 0.0], [bad, 1.0]])
 
+    @pytest.mark.parametrize("coords", [[[], [], []], np.zeros((1, 0))])
+    def test_coordinates_without_axes_rejected(self, coords):
+        with pytest.raises(InvalidArgumentError, match="axis"):
+            euclid(coords)
+
     @pytest.mark.parametrize("entry", [0.0, -0.0, -1.0])
     def test_nonpositive_off_diagonal_rejected(self, entry):
         m = np.array([[0.0, 1.0, entry], [1.0, 0.0, 1.0], [entry, 1.0, 0.0]])

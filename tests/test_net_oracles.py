@@ -507,8 +507,9 @@ class TestCoordinates:
 
     def test_far_centers_widen_the_nearest_search(self, tmp_path):
         # a loaded family whose deepest centers sit in one corner of the square
-        # leaves most points far from every center: each point's search widens
-        # to its nearest, and the reload refuses the file
+        # leaves most points far from every center: each point's one look
+        # reaches out to the nearest center its probe found, and the reload
+        # refuses the file
         space = MetricSpace(MetricDescriptor("euclidean"),
                             coords=np.random.default_rng(5).uniform(size=(400, 2)))
         system = build_system(space, NetParams(), seed=3, max_level=2)

@@ -1,5 +1,5 @@
 """No module of the package reaches into another module's private names,
-and none imports SciPy.
+none imports SciPy, and no module-level constant goes unread.
 
 A name that starts with an underscore belongs to its module. Every module
 of ``src/cubedim`` is parsed with ``ast``, and a ``from`` import of such a
@@ -7,15 +7,21 @@ name from another module of the package fails the test, as does reading
 one as an attribute of an imported package module. Tests may import
 private names. The package needs only NumPy: an import of ``scipy`` or of
 one of its modules, anywhere in a module, fails the test; the tests' own
-oracles may use SciPy.
+oracles may use SciPy. A module-level constant of the package (an
+uppercase name, with or without a leading underscore) must be read
+somewhere in the package, its tests or ``perfbench``, outside its own
+assignment.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import cubedim
 
 SRC = Path(cubedim.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def _private(name):
@@ -84,3 +90,42 @@ def test_the_check_sees_a_scipy_import(tmp_path):
     source.write_text("import numpy\ndef f():\n    from scipy.spatial import cKDTree\n"
                       "import scipy.sparse as sp, os\nfrom .scipy import x\n")
     assert scipy_imports(source) == [(3, "scipy.spatial"), (4, "scipy.sparse")]
+
+
+def constants(path):
+    """The module-level constants that ``path`` assigns."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [t.id for t in targets
+                      if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)]
+    return found
+
+
+def names_read(path):
+    """Every name that ``path`` reads, bare or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)})
+
+
+def test_every_constant_is_read():
+    read = set().union(*(names_read(path)
+                         for folder in (SRC, ROOT / "tests", ROOT / "perfbench")
+                         for path in folder.rglob("*.py")))
+    unread = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+              for name in constants(path) if name not in read]
+    assert unread == []
+
+
+def test_the_check_sees_an_unread_constant(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("import numpy as np\nPROBE = 4\n_LIMIT: int = 8\nlower = 1\n"
+                      "def f():\n    INNER = 2\n    return np.ones(_LIMIT)\n")
+    assert constants(source) == ["PROBE", "_LIMIT"]
+    assert {"np", "ones", "_LIMIT"} <= names_read(source)
+    assert not {"PROBE", "INNER", "lower"} & names_read(source)

@@ -19,7 +19,9 @@ computes one whole-space farthest pair. On a line and in an ultrametric,
 ``local_windows`` reads every ball as a run of the index's ranks off one
 window table, built once per call with each system's level tables built at
 most once: it asks for no row, no ``ball_members`` and no digest of a
-ball's members. A plane's windows still take their digests.
+ball's members. A plane's windows still take their digests. On a plane,
+the rows whose squared distances a build, a reload and a window table take
+grow at most 2.5x as the points double.
 None of these changes an output, so losing one shows only in the work done
 or the memory held; these counts make that fail the test suite.
 """
@@ -459,7 +461,7 @@ print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules, "calls": call
     (["ultrametric_cantor", "--arity", "2", "--base", "0.0625", "--depth", "6"], False),
     (["grid", "--dim", "2", "--res", "0.0625"], True),
 ], ids=["line", "snowflaked-line", "ultrametric", "plane"])
-def test_only_plane_pipelines_import_scipy(gen, plane, tmp_path, cubedim_env):
+def test_no_pipeline_imports_scipy(gen, plane, tmp_path, cubedim_env):
     # no pipeline imports SciPy now; the plane's alone run the coordinate kernels
     r = subprocess.run([sys.executable, "-c", PIPELINE, *gen], cwd=tmp_path,
                        capture_output=True, text=True, env=cubedim_env)
@@ -512,3 +514,35 @@ def test_plane_ops_scan_the_whole_space_once(tmp_path, monkeypatch, capsys):
         assert cli.main(argv) in (0, 1)
         assert len(spaces) == 1 and scans == [spaces[0].n] and indexes == [spaces[0].n], argv
     capsys.readouterr()
+
+
+def test_plane_work_about_doubles_with_the_points(tmp_path, monkeypatch):
+    # build, reload and one window table on grids of 1,024 and 2,025 points:
+    # the rows whose squared distances are taken grow at most 2.5x, stage by stage
+    rows = {}
+    squared_distances = kernels.squared_distances
+
+    def counting(a, b):
+        rows[stage] = rows.get(stage, 0) + len(a)
+        return squared_distances(a, b)
+
+    monkeypatch.setattr(kernels, "squared_distances", counting)
+    counts = []
+    for steps in (31, 44):
+        rows = {}
+        space = generate(GeneratorSpec(kind="grid", ambient_dim=2, resolution=1.0 / steps))
+        stage = "build"
+        family = build_adjacent_family(space, NetParams(delta=1 / 12), K_max=2,
+                                       query_budget=40, target_ratio=0.0, seed=7,
+                                       max_level=2)
+        assert family.K == 2
+        stage = "reload"
+        path = tmp_path / f"cubes-{steps}.json"
+        save_family(family, path)
+        loaded = load_family(path, space)
+        stage = "windows"
+        local_windows(loaded, loaded.space.ids, sample_budget=16, seed=7)
+        counts.append(rows)
+    assert counts[1].keys() == counts[0].keys() == {"build", "reload", "windows"}
+    for stage in counts[0]:
+        assert counts[1][stage] <= 2.5 * counts[0][stage], (stage, counts)
