@@ -89,12 +89,22 @@ def greedy_cover_count(space: MetricSpace, E, r: float, return_sets: bool = Fals
     The near set of a start, its uncovered points within r, is the index's
     closed ball at ``nextafter(r)``, taken whole at diameter <= r as growing
     would admit all of it. Each id of E is covered once, however often E lists it.
+    An index that has ``cover_runs`` (an ultrametric's, where every closed
+    ball is a prefix run of diameter at most r) gives the blocks in one pass:
+    the count is the number of distinct runs among E's ids.
     """
     E = np.asarray(E, dtype=np.int64)
     if E.size == 0:
         raise InvalidArgumentError("E must be non-empty")
     if r <= 0:
         raise InvalidArgumentError("r must be positive")
+    if hasattr(space.index, "cover_runs"):
+        members, bounds = space.index.cover_runs(E, r)
+        if not return_sets:
+            return bounds.size - 1
+        # in the loop's order: by start, the least uncovered id, each ascending
+        blocks = [np.sort(block) for block in np.split(members, bounds[1:-1])]
+        return sorted(blocks, key=lambda block: block[0])
     if E.size == 1 or space.diameter(E) <= r:
         return [np.unique(E)] if return_sets else 1
     live = np.zeros(space.n, dtype=bool)

@@ -11,12 +11,16 @@ built on first use: ``LineIndex`` (1-D coordinates), ``CoordIndex``
 (coordinates in two or more dimensions, read off the NumPy cells of one
 ``kernels.CellIndex``, which the space's rescaled and snowflaked clones
 share with it, as they share its largest squared distance),
-``PrefixIndex`` or ``MatrixIndex``. They share one set of methods, so no
-caller tests the metric kind. Nothing here imports SciPy.
+``PrefixIndex`` (over the sorted strings, which the clones share too) or
+``MatrixIndex``. They share one set of methods, so no caller tests the
+metric kind; where one index answers a question in its own way, callers
+ask for that by the method's name (``ball_run``, ``cover_runs``).
+Nothing here imports SciPy.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -198,6 +202,19 @@ class _SortedIndex(_Index):
         return out
 
 
+class _PrefixBase:
+    """What an ultrametric space shares with its rescaled and snowflaked
+    clones, none of it read through the descriptor: the strings' code
+    points, one column each, and, set by the first ``PrefixIndex`` over
+    them, their sorted order, its inverse and adjacent lcps (``sorted``),
+    and the prefix runs of each length (``runs``)."""
+
+    def __init__(self, codes: np.ndarray):
+        self.codes = codes
+        self.sorted = None
+        self.runs = {}
+
+
 class PrefixIndex(_SortedIndex):
     """The strings of an ultrametric space, sorted once.
 
@@ -208,12 +225,18 @@ class PrefixIndex(_SortedIndex):
     Since ``dist`` is non-increasing (checked here), d(p, q) < t exactly
     when p and q share a prefix of length ``level(t)``. Nets, nearest
     centers and balls are read off the sorted order with no n x n matrix
-    and no per-center scan.
+    and no per-center scan. So are the inner-ball check's nearest centers
+    within a radius (``nearest_within``) and the greedy cover's blocks
+    (``cover_runs``): every ball is one prefix run, so both are one array
+    pass over the runs. The order, the adjacent lcps and the runs do not
+    read the descriptor, and the space's rescaled and snowflaked clones
+    share them (``_PrefixBase``).
     """
 
     def __init__(self, space: "MetricSpace"):
         super().__init__(space)
-        codes = space._codes
+        shared = space._base
+        self.codes = codes = shared.codes
         length = codes.shape[1]
         base = np.power(space.descriptor.base, np.arange(length + 1).astype(np.float64))
         base[length] = 0.0
@@ -221,14 +244,15 @@ class PrefixIndex(_SortedIndex):
         if np.any(self.dist[1:] > self.dist[:-1]):
             raise InvalidArgumentError("ultrametric distances must not grow with the "
                                        "common prefix length")
-        n = codes.shape[0]
-        self.codes = codes
         self._neg_dist = -self.dist  # ascending, for searchsorted
-        self.order = np.lexsort(codes.T[::-1])
-        self.rank = np.empty(n, dtype=np.int64)
-        self.rank[self.order] = np.arange(n)
-        self.adjacent = self.lcp(self.order[:-1], self.order[1:])
-        self._runs = {}
+        if shared.sorted is None:
+            n = codes.shape[0]
+            order = np.lexsort(codes.T[::-1])
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.arange(n)
+            shared.sorted = order, rank, self.lcp(order[:-1], order[1:])
+        self.order, self.rank, self.adjacent = shared.sorted
+        self._runs = shared.runs
 
     def lcp(self, a, b):
         """Longest common prefix length of the strings of ids ``a`` and ``b``, elementwise."""
@@ -316,6 +340,43 @@ class PrefixIndex(_SortedIndex):
             sel = tie_level == L
             idx[sel] = lowest[runs[query_rank[sel]]]
         return idx, dist
+
+    def nearest_within(self, centers: np.ndarray, r: float):
+        """``nearest`` for every point with a center closer than ``r``, ids
+        ascending. A center's r-ball is the run of its rank at ``level(r)``,
+        and runs with no center are left out. In a run with one center,
+        every point has that center as its strict nearest, since each other
+        center is at ``dist[lcp] >= r``, at the distance ``pairs`` gives. A
+        run with more centers, which separated centers never share, is asked
+        of ``nearest``."""
+        runs = self.runs(self.level(r))
+        center_run = runs[self.rank[centers]]
+        held = np.bincount(center_run, minlength=int(runs[-1]) + 1)
+        point_run = runs[self.rank]
+        ids = np.flatnonzero(held[point_run])
+        point_run = point_run[ids]
+        sole = np.empty(held.size, dtype=np.int64)  # a one-center run's center
+        sole[center_run] = np.arange(centers.size)
+        idx = sole[point_run]
+        one = held[point_run] == 1
+        dist = np.empty(ids.size)
+        dist[one] = self.pairs(centers[idx[one]], ids[one])
+        if not one.all():
+            idx[~one], dist[~one] = self.nearest(ids[~one], centers)
+        return ids, idx, dist
+
+    def cover_runs(self, ids: np.ndarray, r: float):
+        """The blocks of ``covering.greedy_cover_count`` over ``ids``, in rank
+        order, as (members, bounds): the distinct ``ids`` by rank and the
+        bounds of their runs, block i being ``members[bounds[i]:bounds[i + 1]]``.
+        Each id's closed r-ball
+        is its run at ``level(nextafter(r))``, of diameter at most r, so the
+        greedy takes every block whole, as the ids of one run."""
+        live = np.zeros(self.rank.size, dtype=bool)
+        live[ids] = True
+        ranks = np.flatnonzero(live[self.order])
+        run = self.runs(self.level(np.nextafter(r, np.inf)))[ranks]
+        return self.order[ranks], np.flatnonzero(np.diff(run, prepend=-1, append=run[-1] + 1))
 
     def min_gap(self) -> float:
         # the longest common prefix of two distinct strings is between neighbours
@@ -681,7 +742,6 @@ class MetricSpace:
     def __init__(self, descriptor, coords=None, strings=None, matrix=None):
         self.descriptor = descriptor
         self.coords = None  # the payload of the space's kind; the others stay None
-        self._codes = None
         self.strings = None
         self._matrix = None
         self._base = None
@@ -716,7 +776,7 @@ class MetricSpace:
             codes[:, :length] = np.frombuffer("".join(strings).encode("utf-32-le"),
                                               dtype=np.uint32).reshape(len(strings), length)
             self.strings = list(strings)
-            self._codes = codes
+            self._base = _PrefixBase(codes)
             self.n = len(strings)
             self._index_type = PrefixIndex
         else:  # matrix; the descriptor admits no other kind
@@ -838,12 +898,13 @@ class MetricSpace:
         return 1.0 if diam == 0.0 else target / diam
 
     def _clone(self, desc) -> "MetricSpace":
-        # the constructor takes the payload of desc's kind and ignores the others;
-        # a coordinate clone shares the base-metric state of its source
-        clone = MetricSpace(desc, coords=self.coords, strings=self.strings,
-                            matrix=self._matrix)
-        if self._base is not None:
-            clone._base = self._base
+        # the same checked payload under desc, which keeps the kind's family: a
+        # clone shares the base-metric state of its source (``_CoordBase``,
+        # ``_PrefixBase``) and computes its own index and cached distances
+        clone = copy.copy(self)
+        clone.descriptor = desc
+        clone._diam = clone._min_gap = None
+        clone.__dict__.pop("index", None)
         return clone
 
     # -- doubling ------------------------------------------------------------
@@ -906,7 +967,11 @@ def space_from_json(doc) -> MetricSpace:
         if not pts:
             raise PointsFileError("field 'points': empty or missing")
         if kind == "ultrametric":
-            return MetricSpace(desc, strings=[str(s) for s in pts])
+            if set(map(type, pts)) != {str}:  # one C-level pass when all are strings
+                bad = next(i for i, s in enumerate(pts) if type(s) is not str)
+                raise PointsFileError(f"field 'points': entry {bad} of an ultrametric "
+                                      f"space is not a string")
+            return MetricSpace(desc, strings=pts)
         return MetricSpace(desc, coords=np.asarray(pts, dtype=np.float64))
     except KeyError as exc:
         raise PointsFileError(f"field 'metric.{exc.args[0]}': missing") from exc

@@ -103,6 +103,16 @@ class TestBuild:
         assert err.startswith("error:") and "axis" in err, err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("points", ["[1, 2]", '[["0"], ["1"]]'], ids=["numbers", "lists"])
+    def test_ultrametric_points_not_strings_exit2(self, tmp_path, capsys, points):
+        pts, out = tmp_path / "pts.json", tmp_path / "cubes.json"
+        pts.write_text('{"metric": {"kind": "ultrametric", "arity": 2, "base": 0.5}, '
+                       f'"points": {points}}}')
+        assert cli.main(["build", "--points", str(pts), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "entry 0" in err and "string" in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [
         pytest.param(("--c0", "nan"), id="c0-nan"),
         pytest.param(("--C0", "nan"), id="C0-nan"),

@@ -1143,6 +1143,22 @@ class TestLevelPasses:
             if tampered[1] is not None:
                 assert not _check_inner_balls(tampered[1]).ok
 
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ultrametric_inner_ball_check_on_shrunk_repeated_strings(self, data):
+        # shrunk, the centers share runs at the inner radius: the failure path
+        fam, _, _ = data.draw(families("ultrametric", repeats=True))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        shrunk = fam.space.snowflaked(0.5).rescaled(data.draw(st.sampled_from([0.3, 0.02])))
+        for system in fam.systems:
+            for s in (system, relabelled(system, rng), with_added_center(system, rng)):
+                if s is None:
+                    continue
+                for t in (s, CubeSystem(s.system_id, shrunk, s.params, s.seed, s.levels,
+                                        s.labels, s.parent_idx, BuildReport())):
+                    check = _check_inner_balls(t)
+                    assert (check.ok, check.worst, check.witness) == oracle_inner_balls(t)
+
     @pytest.mark.parametrize("kind", KINDS)
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)

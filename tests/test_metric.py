@@ -349,6 +349,16 @@ class TestPointsFiles:
         with pytest.raises(PointsFileError, match="cannot parse"):
             load_points(path)
 
+    @pytest.mark.parametrize("points,bad", [([1, 2], 0), (["0", ["1"]], 1), (["0", "1", None], 2)],
+                             ids=["numbers", "list", "null"])
+    def test_ultrametric_points_must_be_strings(self, tmp_path, points, bad):
+        # before, str() turned 1 into "1" and ["1"] into "['1']"
+        doc = {"metric": {"kind": "ultrametric", "arity": 2, "base": 0.5}, "points": points}
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PointsFileError, match=f"entry {bad} .* not a string"):
+            load_points(path)
+
     def test_missing_points_field(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"metric": {"kind": "euclidean"}}))

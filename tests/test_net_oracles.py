@@ -24,6 +24,14 @@ the separation, some with repeated points or moved 1e8 from the origin.
 On a line and in an ultrametric, the rank run that ``ball_run`` gives for
 a radius, alone or in an array of radii, must hold exactly the ball's
 members.
+
+In an ultrametric, the nearest centers within a radius and the greedy
+cover's blocks are read off prefix runs. The all-points nearest-center
+query (``_Index.nearest_within``) and the ball-by-ball greedy loop they
+replaced are their oracles, with centers repeated or sharing a run, radii
+one ulp either side of a distance, and targets that repeat an id. A
+rescaled or snowflaked clone shares its source's sorted order and answers
+as a space built afresh under the clone's descriptor.
 """
 
 import json
@@ -35,7 +43,9 @@ from hypothesis import given, settings
 from scipy.spatial import cKDTree
 from hypothesis import strategies as st
 
-from cubedim import GeneratorSpec, MetricDescriptor, MetricSpace, generate, kernels
+from cubedim import (GeneratorSpec, MetricDescriptor, MetricSpace, covering, generate, kernels,
+                     metric)
+from cubedim.covering import greedy_cover_count
 from cubedim.cubes import build_adjacent_family, build_system, load_family, save_family
 from cubedim.errors import StaleCubesError
 from cubedim.metric import CoordIndex, LineIndex
@@ -310,6 +320,35 @@ def lattices(draw, dims=(1, 2, 3, 5)):
     return space.rescaled(scale) if scale != 1.0 else space
 
 
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def oracle_ball_greedy(space, E, r):
+    """The greedy cover's blocks as the ball loop took them on every kind: each
+    start's near set is the index's closed ball over the ids still uncovered,
+    taken whole at diameter <= r and grown otherwise."""
+    E = np.asarray(E, dtype=np.int64)
+    if E.size == 1 or space.diameter(E) <= r:
+        return [np.unique(E)]
+    live = np.zeros(space.n, dtype=bool)
+    live[E] = True
+    closed = np.nextafter(r, np.inf)
+    sets = []
+    for start in np.flatnonzero(live):
+        if not live[start]:
+            continue
+        ball = space.index.ball(start, closed)
+        near = ball[live[ball]]
+        if near.size == 1 or space.diameter(near) <= r:
+            block = near
+        else:
+            block = covering._grow_set(space, start, near, r)
+        live[block] = False
+        sets.append(block)
+    return sets
+
+
 def assert_ball_run(space, x, r, want):
     """``ball_run`` gives the ranks of the ball's members ``want``, x's among them."""
     lo, hi = space.index.ball_run(x, r)
@@ -387,6 +426,79 @@ class TestUltrametric:
     @settings(max_examples=EXAMPLES, deadline=None)
     def test_system_matches_matrix_kernels(self, space, seed, max_level):
         assert_system_matches_oracle(space, seed, max_level, ultrametric=True)
+
+    @given(space=ultra_spaces(TINY_BASES), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_nearest_within_reads_prefix_runs(self, space, data):
+        # any centers: ids repeated, unsorted, several in one run
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        replace = data.draw(st.booleans())
+        centers = rng.choice(space.n, size=int(rng.integers(1, space.n + 1 + 2 * replace)),
+                             replace=replace)
+        if data.draw(st.booleans()):
+            centers = np.sort(centers)
+        index = space.index
+        idx, dist = index.nearest(space.ids, centers)
+        want_idx, want_dist = kernels.nearest_center_matrix(old_ultra_matrix(space),
+                                                            space.ids, centers)
+        assert np.array_equal(idx, want_idx) and same_bits(dist, want_dist)
+        values = np.unique(np.concatenate([dist, index.dist]))
+        values = values[values > 0]
+        for r in np.concatenate([values, np.nextafter(values, np.inf),
+                                 np.nextafter(values, 0.0), [values.max() * 2]]):
+            ids, got_idx, got_dist = index.nearest_within(centers, r)
+            assert same_bits(ids, space.ids[dist < r]) and np.all(got_dist < r)
+            assert np.array_equal(got_idx, idx[dist < r])
+            assert same_bits(got_dist, dist[dist < r])
+            # the all-points form it replaced, restricted to the same points
+            old_ids, old_idx, old_dist = metric._Index.nearest_within(index, centers, r)
+            close = old_dist < r
+            assert same_bits(ids, old_ids[close]) and np.array_equal(got_idx, old_idx[close])
+
+    @given(space=ultra_spaces(TINY_BASES), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_greedy_cover_takes_each_run_whole(self, space, data):
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        E = np.sort(rng.choice(space.n, size=int(rng.integers(1, space.n + 1)), replace=False))
+        repeated = rng.permutation(np.concatenate([E, rng.choice(E, size=3)]))
+        values = np.unique(space.index.dist)
+        values = values[values > 0]
+        # r on a distance of the table and one ulp either side of it
+        for r in np.concatenate([values, np.nextafter(values, np.inf),
+                                 np.nextafter(values, 0.0)]):
+            want = oracle_ball_greedy(space, E, r)
+            for target in (E, repeated):
+                got = greedy_cover_count(space, target, r, return_sets=True)
+                assert len(got) == len(want) == greedy_cover_count(space, target, r)
+                assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    @given(space=ultra_spaces(TINY_BASES), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_clones_share_the_sorted_order(self, space, data):
+        d = space.descriptor
+        raw = MetricSpace(MetricDescriptor("ultrametric", arity=d.arity, base=d.base),
+                          strings=space.strings)
+        clone = raw.snowflaked(data.draw(st.sampled_from([1.0, 0.3, 0.7]))).rescaled(
+            data.draw(st.sampled_from([1.0, 0.37, 3.0])))
+        fresh = MetricSpace(clone.descriptor, strings=space.strings)
+        assert clone.index.order is raw.index.order and clone.index.rank is raw.index.rank
+        assert clone.index.adjacent is raw.index.adjacent
+        assert fresh.index.order is not raw.index.order
+        a, b = (x.ravel() for x in np.meshgrid(space.ids, space.ids))
+        assert same_bits(clone.pair_distances(a, b), fresh.pair_distances(a, b))
+        centers = _subset(data, space.n)
+        for got, want in zip(clone.index.nearest(space.ids, centers),
+                             fresh.index.nearest(space.ids, centers)):
+            assert same_bits(got, want)
+        values = np.unique(fresh.index.dist)
+        radii = np.concatenate([values, np.nextafter(values, np.inf)])
+        radii = radii[radii > 0]
+        for x in range(0, space.n, 5):
+            for got, want in zip(clone.index.ball_run(x, radii), fresh.index.ball_run(x, radii)):
+                assert same_bits(got, want)
+        ids = np.random.default_rng(space.n).permutation(space.n)
+        bounds = np.unique(np.concatenate([[0, space.n], ids[:3]]))  # some runs of one id
+        assert same_bits(clone.run_diameters(ids, bounds), fresh.run_diameters(ids, bounds))
 
 
 class TestMatrix:

@@ -10,7 +10,9 @@ one of its modules, anywhere in a module, fails the test; the tests' own
 oracles may use SciPy. A module-level constant of the package (an
 uppercase name, with or without a leading underscore) must be read
 somewhere in the package, its tests or ``perfbench``, outside its own
-assignment.
+assignment. No module but ``metric.py`` names an index class in an
+``isinstance`` or ``issubclass`` call: callers ask an index for what it
+can do (``hasattr``), never which kind it is.
 """
 
 import ast
@@ -22,6 +24,8 @@ import cubedim
 SRC = Path(cubedim.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+INDEX_CLASSES = {"_Index", "_SortedIndex", "LineIndex", "CoordIndex", "PrefixIndex",
+                 "MatrixIndex"}
 
 
 def _private(name):
@@ -129,3 +133,37 @@ def test_the_check_sees_an_unread_constant(tmp_path):
     assert constants(source) == ["PROBE", "_LIMIT"]
     assert {"np", "ones", "_LIMIT"} <= names_read(source)
     assert not {"PROBE", "INNER", "lower"} & names_read(source)
+
+
+def kind_tests(path):
+    """(line, class) of each index class named in an ``isinstance`` or
+    ``issubclass`` call in ``path``, bare or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "issubclass")):
+            for arg in node.args[1:]:
+                for name in ast.walk(arg):
+                    named = (name.id if isinstance(name, ast.Name) else
+                             name.attr if isinstance(name, ast.Attribute) else None)
+                    if named in INDEX_CLASSES:
+                        found.append((node.lineno, named))
+    return found
+
+
+def test_no_caller_tests_the_metric_kind():
+    offenders = [f"{path.name}:{line}: {name}"
+                 for path in sorted(SRC.glob("*.py")) if path.name != "metric.py"
+                 for line, name in kind_tests(path)]
+    assert offenders == []
+
+
+def test_the_check_sees_a_kind_test(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("from .metric import PrefixIndex\nfrom . import metric\n"
+                      "a = isinstance(space.index, PrefixIndex)\n"
+                      "b = isinstance(i, (int, metric.LineIndex))\n"
+                      "c = issubclass(type(i), metric._SortedIndex)\n"
+                      "d = isinstance(i, dict) or hasattr(i, 'ball_run')\n")
+    assert kind_tests(source) == [(3, "PrefixIndex"), (4, "LineIndex"), (5, "_SortedIndex")]

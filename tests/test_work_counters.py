@@ -21,7 +21,11 @@ window table, built once per call with each system's level tables built at
 most once: it asks for no row, no ``ball_members`` and no digest of a
 ball's members. A plane's windows still take their digests. On a plane,
 the rows whose squared distances a build, a reload and a window table take
-grow at most 2.5x as the points double.
+grow at most 2.5x as the points double. In an ultrametric, a reload's
+inner-ball check and a greedy cover read prefix runs, with no nearest-center
+query beyond the labels' and no ball; the rows whose longest common prefixes
+a build, a reload, a window table and a sandwich check take grow at most
+2.5x as the points double.
 None of these changes an output, so losing one shows only in the work done
 or the memory held; these counts make that fail the test suite.
 """
@@ -544,5 +548,84 @@ def test_plane_work_about_doubles_with_the_points(tmp_path, monkeypatch):
         local_windows(loaded, loaded.space.ids, sample_budget=16, seed=7)
         counts.append(rows)
     assert counts[1].keys() == counts[0].keys() == {"build", "reload", "windows"}
+    for stage in counts[0]:
+        assert counts[1][stage] <= 2.5 * counts[0][stage], (stage, counts)
+
+
+@pytest.fixture
+def prefix_queries(monkeypatch):
+    """The query ids of each ``PrefixIndex.nearest`` call, and a count of ``ball`` calls."""
+    calls = {"nearest": [], "ball": 0}
+    nearest, ball = metric.PrefixIndex.nearest, metric.PrefixIndex.ball
+
+    def counting_nearest(self, query_ids, centers):
+        calls["nearest"].append(query_ids)
+        return nearest(self, query_ids, centers)
+
+    def counting_ball(self, x, r):
+        calls["ball"] += 1
+        return ball(self, x, r)
+
+    monkeypatch.setattr(metric.PrefixIndex, "nearest", counting_nearest)
+    monkeypatch.setattr(metric.PrefixIndex, "ball", counting_ball)
+    return calls
+
+
+def test_ultrametric_reload_checks_inner_balls_off_prefix_runs(ultra6, ultra6_family, tmp_path,
+                                                              prefix_queries):
+    # the labels take one nearest-center query per system; the inner-ball
+    # check reads each center's run and asks nearest nothing
+    path = tmp_path / "cubes.json"
+    save_family(ultra6_family, path)
+    prefix_queries["nearest"].clear()
+    loaded = load_family(path, ultra6)
+    assert all(s.report.checks["iii_inner"].ok for s in loaded.systems)
+    assert len(prefix_queries["nearest"]) == loaded.K
+    assert all(np.array_equal(q, loaded.space.ids) for q in prefix_queries["nearest"])
+
+
+def test_ultrametric_greedy_cover_asks_no_ball(ultra6, prefix_queries):
+    rng = np.random.default_rng(3)
+    for space in (ultra6, ultra6.snowflaked(0.5).rescaled(0.3)):
+        diam = space.diameter()
+        for r in (diam / 300, diam / 9, diam / 2, diam):
+            greedy_cover_count(space, space.ids, r)
+            greedy_cover_count(space, rng.choice(space.n, size=20), r, return_sets=True)
+    assert prefix_queries["ball"] == 0
+
+
+def test_ultrametric_work_about_doubles_with_the_points(tmp_path, monkeypatch):
+    # build, save and reload, one window table and one sandwich check on
+    # ultrametric Cantor sets of depth 9 and 10, with K and the max level held:
+    # the rows whose longest common prefixes are taken grow at most 2.5x, stage by stage
+    rows = {}
+    lcp = metric.PrefixIndex.lcp
+
+    def counting(self, a, b):
+        # pairs of rows compared; b may be slice(None), a whole row
+        first = self.codes[:, 0]
+        rows[stage] = rows.get(stage, 0) + np.broadcast(first[a], first[b]).size
+        return lcp(self, a, b)
+
+    monkeypatch.setattr(metric.PrefixIndex, "lcp", counting)
+    counts = []
+    for depth in (9, 10):
+        rows = {}
+        space = generate(GeneratorSpec(kind="ultrametric_cantor", arity=2, base=1 / 16,
+                                       depth=depth))
+        stage = "build"
+        family = build_adjacent_family(space, NetParams(), K_max=2, query_budget=40,
+                                       target_ratio=0.0, seed=7, max_level=4)
+        assert family.K == 2 and family.max_level == 4
+        stage = "reload"
+        path = tmp_path / f"cubes-{depth}.json"
+        save_family(family, path)
+        loaded = load_family(path, space)
+        stage = "windows"
+        local_windows(loaded, loaded.space.ids, sample_budget=16, seed=7)
+        stage = "sandwich"
+        covering.sandwich_check(loaded, loaded.space.ids, 0, r_grid(loaded.params.delta, 4)[2], 1)
+        counts.append(rows)
+    assert counts[1].keys() == counts[0].keys() == {"build", "reload", "windows", "sandwich"}
     for stage in counts[0]:
         assert counts[1][stage] <= 2.5 * counts[0][stage], (stage, counts)
