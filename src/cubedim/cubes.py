@@ -135,10 +135,22 @@ def _group_by_label(labels: np.ndarray, n_cubes: int):
 
 
 def _derive_labels(space: MetricSpace, levels: list, parent_idx: list) -> list:
-    """Per-level cube labels: nearest deepest center, then the parent chains."""
-    assign, _ = nearest_center(space, levels[-1].centers)
+    """Per-level cube labels: nearest deepest center, then the parent chains.
+
+    A deepest center labels itself, and only the other points ask for their
+    nearest center. In a net no other center is at distance 0 from a center,
+    so that is the center ``nearest_center`` would give. Two deepest centers
+    at distance 0 each keep their own label, where ``nearest_center`` would
+    give both the lower row; the inner-ball check refuses them.
+    """
+    centers = levels[-1].centers
+    assign = np.full(space.n, -1, dtype=np.int64)
+    assign[centers] = np.arange(centers.size)
+    others = np.flatnonzero(assign < 0)
+    if others.size:
+        assign[others] = nearest_center(space, centers, query_ids=others)[0]
     labels = [None] * len(levels)
-    labels[-1] = assign.astype(np.int64)
+    labels[-1] = assign
     for k in range(len(levels) - 2, -1, -1):
         labels[k] = parent_idx[k + 1][labels[k + 1]]
     return labels
@@ -185,8 +197,10 @@ def _check_inner_balls(system: CubeSystem) -> PropertyCheck:
     witness = None
     ok = True
     for k in range(system.max_level + 1):
-        inner = system.params.separation(k) / 3.0 * (1.0 - 1e-9)
         centers = system.levels[k].centers
+        if centers.size == 1:  # every point's nearest center, and every label 0
+            continue
+        inner = system.params.separation(k) / 3.0 * (1.0 - 1e-9)
         points, idx, dist = nearest_center_within(system.space, centers, inner)
         bad = np.flatnonzero(idx != system.labels[k][points])
         if bad.size:
@@ -200,30 +214,30 @@ def _check_inner_balls(system: CubeSystem) -> PropertyCheck:
 
 
 def _check_outer_balls(system: CubeSystem) -> PropertyCheck:
-    """Every member sits within 2*C0*d^k of its cube center."""
+    """Every member sits within 2*C0*d^k of its cube center.
+
+    Each cube's farthest member comes from the index (``run_farthest``); only
+    a failing cube's members are measured one by one, for the witness."""
     worst = 0.0
     witness = None
     for k in range(system.max_level + 1):
         outer = 2.0 * system.params.covering(k)
         centers = system.levels[k].centers
         order, bounds = _group_by_label(system.labels[k], centers.size)
-        # member-to-center distances, cube by cube
-        d = system.space.pair_distances(centers[system.labels[k][order]], order)
-        sizes = np.diff(bounds)
-        filled = np.flatnonzero(sizes)  # reduceat needs non-empty segments
-        cube_max = np.maximum.reduceat(d, bounds[filled])
-        checked = sizes[filled] > 1  # singleton cube: the only member is the center
-        if not checked.any():
+        # a singleton cube's only member is its center
+        checked = np.flatnonzero(np.diff(bounds) > 1)
+        if not checked.size:
             continue
-        ratios = cube_max[checked] / outer
+        ratios = system.space.index.run_farthest(order, bounds, centers)[checked] / outer
         j = int(np.argmax(ratios))
         if ratios[j] > worst:
             worst = float(ratios[j])
             if worst > 1.0 + 1e-9:
-                cube_i = int(filled[checked][j])
-                lo, hi = bounds[cube_i], bounds[cube_i + 1]
+                cube_i = int(checked[j])
+                members = order[bounds[cube_i]:bounds[cube_i + 1]]
+                d = system.space.pair_distances(np.full(members.size, centers[cube_i]), members)
                 witness = {"level": k, "center": int(centers[cube_i]),
-                           "point": int(order[lo + int(np.argmax(d[lo:hi]))])}
+                           "point": int(members[np.argmax(d)])}
     return PropertyCheck("iii_outer", witness is None, worst=worst, witness=witness)
 
 
@@ -424,7 +438,8 @@ class LocalWindow:
     that system's deepest. For m = 0..depth, ``counts[m]`` is the number of
     level-(level + m) cubes meeting E in the ball and ``max_diams[m]`` the
     largest of their diameters; at m = 0 that is the one containing cube,
-    holding all ``target_size`` ids.
+    holding all ``target_size`` ids. A window of ``local_counts`` has no
+    ``max_diams`` (None).
     """
 
     x: int
@@ -434,7 +449,7 @@ class LocalWindow:
     system_id: int
     depth: int
     counts: list
-    max_diams: list
+    max_diams: list | None
     target_size: int
 
 
@@ -459,17 +474,32 @@ def local_window(family: AdjacentFamily, E: np.ndarray, x: int, R: float,
     fewer than two distinct points. Each level below the cube is counted
     along the depth-first-sorted target: one plus its label changes.
     """
+    return _counted_window(family, E, x, R, members, row, diameters=True)
+
+
+def local_counts(family: AdjacentFamily, E: np.ndarray, x: int, R: float,
+                 members: np.ndarray, row: np.ndarray | None = None) -> LocalWindow | None:
+    """``local_window`` with its counts alone: ``max_diams`` is None, and no
+    level's cube diameters are read."""
+    return _counted_window(family, E, x, R, members, row, diameters=False)
+
+
+def _counted_window(family: AdjacentFamily, E: np.ndarray, x: int, R: float,
+                    members: np.ndarray, row: np.ndarray | None,
+                    diameters: bool) -> LocalWindow | None:
+    """``local_window``, with ``max_diams`` None unless ``diameters``."""
     cc = circumscribed_cube(family, x, R, members, row)
     target = target_in_ball(family.space, E, members)
     if target.size == 0:
         return None
     system = family.systems[cc.system_id]
     dfs = system.dfs_sorted(target)
-    counts, max_diams = [1], [cc.diameter]
+    counts, max_diams = [1], [cc.diameter] if diameters else None
     for level in range(cc.level + 1, system.max_level + 1):
         labels = system.labels[level][dfs]
         counts.append(1 + int(np.count_nonzero(labels[1:] != labels[:-1])))
-        max_diams.append(float(system.diams_at(level)[labels].max()))
+        if diameters:
+            max_diams.append(float(system.diams_at(level)[labels].max()))
     return LocalWindow(x=x, R=R, R_eff=cc.R_eff, level=cc.level, system_id=cc.system_id,
                        depth=system.max_level - cc.level, counts=counts,
                        max_diams=max_diams, target_size=int(target.size))

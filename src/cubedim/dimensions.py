@@ -18,7 +18,8 @@ from .covering import greedy_cover_count
 # circumscribed_cube is not called here; perfbench's self-test patches it by name
 # in this module, so the name stays
 from .cubes import (DIAMETER_SLACK, AdjacentFamily, CubeSystem, LocalWindow,  # noqa: F401
-                    RunWindowTable, circumscribed_cube, local_window, r_grid)
+                    RunWindowTable, circumscribed_cube, local_counts, local_window,
+                    r_grid)
 from .errors import (DegenerateBallError, InsufficientScalesError, InvalidArgumentError,
                      ScaleExhaustedError)
 
@@ -230,7 +231,7 @@ def box_dim_estimate(family: AdjacentFamily, E, m_window=None) -> DimensionEstim
     x = int(E[0])
     row = space.row(x)
     R = float(row[E].max()) * (1.0 + 1e-9)
-    window = local_window(family, E, x, R, space.ball_members(x, R), row)
+    window = local_counts(family, E, x, R, space.ball_members(x, R), row)
 
     m_E = least_admissible_level(family.params.delta, diam_E)
     if m_window is None:

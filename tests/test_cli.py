@@ -449,6 +449,15 @@ def _center_out_of_range(doc):
     system["parents"][len(system["parents"]) - len(deepest)][0] = deepest[0] = 32
 
 
+def _deepest_center_twice(doc):
+    # the first deepest center listed again after itself, with its parent pair
+    system = doc["systems"][0]
+    deepest = system["levels"][-1]["centers"]
+    first = len(system["parents"]) - len(deepest)
+    deepest.insert(1, deepest[0])
+    system["parents"].insert(first + 1, list(system["parents"][first]))
+
+
 def _root_only(doc):
     for system in doc["systems"]:
         system["levels"] = system["levels"][:1]
@@ -476,6 +485,7 @@ DAMAGES = {
     "truncated-parents": _truncate_parents,
     "unknown-parent": _unknown_parent,
     "center-out-of-range": _center_out_of_range,
+    "deepest-center-twice": _deepest_center_twice,
     "root-only": _root_only,
     "two-roots": _two_roots,
     "missing-target-ratio": _drop_target_ratio,

@@ -21,7 +21,13 @@ called ``diameter`` per cube, and the inner-ball check pairs each level's
 centers with the points within the inner radius, where the old code ran a
 nearest-center query over every point. Both must match the old computation
 bit for bit, on tampered systems too, and a ``cubes.json`` round trip must
-reproduce the labels, parents and checks.
+reproduce the labels, parents and checks. Each deepest center labels itself,
+where the old labels asked every point for its nearest center, and the
+outer-ball check takes each cube's farthest member from the index, where
+the old check measured every member; the old computations are oracles
+here too. Their labels agree unless two deepest centers sit at distance 0
+(a tampering added here): the old labels then leave one of them an empty
+cube, and the new ones fail the inner-ball check.
 
 On a line and in an ultrametric, every ball is a run of the index's ranks,
 and the sweeps read each window off one table of such runs
@@ -885,10 +891,49 @@ def oracle_inner_balls(system):
     return ok, worst, witness
 
 
-def with_labels(system, labels, levels=None):
+def oracle_derive_labels(space, levels, parent_idx):
+    """Per-level labels from a nearest-center query over every point, deepest
+    centers included, then the parent chains."""
+    assign, _ = nearest_center(space, levels[-1].centers)
+    labels = [None] * len(levels)
+    labels[-1] = assign.astype(np.int64)
+    for k in range(len(levels) - 2, -1, -1):
+        labels[k] = parent_idx[k + 1][labels[k + 1]]
+    return labels
+
+
+def oracle_outer_balls(system):
+    """(ok, worst, witness) of the outer-ball check from every member's distance
+    to its cube's center."""
+    worst = 0.0
+    witness = None
+    for k in range(system.max_level + 1):
+        outer = 2.0 * system.params.covering(k)
+        centers = system.levels[k].centers
+        order, bounds = cubes._group_by_label(system.labels[k], centers.size)
+        d = system.space.pair_distances(centers[system.labels[k][order]], order)
+        sizes = np.diff(bounds)
+        filled = np.flatnonzero(sizes)
+        cube_max = np.maximum.reduceat(d, bounds[filled])
+        checked = sizes[filled] > 1
+        if not checked.any():
+            continue
+        ratios = cube_max[checked] / outer
+        j = int(np.argmax(ratios))
+        if ratios[j] > worst:
+            worst = float(ratios[j])
+            if worst > 1.0 + 1e-9:
+                cube_i = int(filled[checked][j])
+                lo, hi = bounds[cube_i], bounds[cube_i + 1]
+                witness = {"level": k, "center": int(centers[cube_i]),
+                           "point": int(order[lo + int(np.argmax(d[lo:hi]))])}
+    return witness is None, worst, witness
+
+
+def with_labels(system, labels, levels=None, parent_idx=None):
     return CubeSystem(system.system_id, system.space, system.params, system.seed,
                       system.levels if levels is None else levels, labels,
-                      system.parent_idx, BuildReport())
+                      system.parent_idx if parent_idx is None else parent_idx, BuildReport())
 
 
 def relabelled(system, rng):
@@ -906,6 +951,22 @@ def relabelled(system, rng):
     return with_labels(system, labels)
 
 
+def with_center(system, k, q, pos):
+    """The system with point q made a level-k center at position ``pos`` of the
+    center list; q takes the parent of its cube, and no point moves."""
+    levels = list(system.levels)
+    levels[k] = NetLevel(k=k, centers=np.insert(levels[k].centers, pos, q),
+                         params=system.params, seed=system.seed)
+    labels = [lab.copy() for lab in system.labels]
+    labels[k] = labels[k] + (labels[k] >= pos)  # the centers after pos moved up one
+    parent_idx = list(system.parent_idx)
+    if k < system.max_level:
+        parent_idx[k + 1] = parent_idx[k + 1] + (parent_idx[k + 1] >= pos)
+    if k > 0:
+        parent_idx[k] = np.insert(parent_idx[k], pos, labels[k - 1][q])
+    return with_labels(system, labels, levels, parent_idx)
+
+
 def with_added_center(system, rng):
     """The system with the non-center point nearest a level-k center made a
     center too, at a random position in the center list."""
@@ -916,13 +977,20 @@ def with_added_center(system, rng):
         return None
     c = centers[int(rng.integers(centers.size))]
     q = others[int(np.argmin(system.space.pair_distances(np.full(others.size, c), others)))]
-    pos = int(rng.integers(centers.size + 1))
-    levels = list(system.levels)
-    levels[k] = NetLevel(k=k, centers=np.insert(centers, pos, q), params=system.params,
-                         seed=system.seed)
-    labels = [lab.copy() for lab in system.labels]
-    labels[k] = labels[k] + (labels[k] >= pos)  # the centers after pos moved up one
-    return with_labels(system, labels, levels)
+    return with_center(system, k, q, int(rng.integers(centers.size + 1)))
+
+
+def with_repeated_deepest_center(system, rng):
+    """The system with a point at distance 0 from a deepest center made a
+    deepest center too, at a random position; None when there is no such point."""
+    k = system.max_level
+    centers = system.levels[k].centers
+    others = np.setdiff1d(system.space.ids, centers)
+    pairs = np.repeat(centers, others.size), np.tile(others, centers.size)
+    twins = pairs[1][system.space.pair_distances(*pairs) == 0.0]
+    if twins.size == 0:
+        return None
+    return with_center(system, k, int(rng.choice(twins)), int(rng.integers(centers.size + 1)))
 
 
 def random_runs(rng, n):
@@ -1142,6 +1210,38 @@ class TestLevelPasses:
                 assert (check.ok, check.worst, check.witness) == oracle_inner_balls(s)
             if tampered[1] is not None:
                 assert not _check_inner_balls(tampered[1]).ok
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_labels_and_outer_check_match_full_queries(self, kind, data):
+        # deepest centers label themselves, and each cube's farthest member comes
+        # from the index; where two deepest centers sit at distance 0, the old
+        # labels emptied the later one's cube and the new ones fail the inner check
+        fam, _, _ = data.draw(families(kind, repeats=data.draw(st.booleans())))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        systems = list(fam.systems)
+        if kind == "ultrametric":
+            tiny = with_tiny_base(fam.space)
+            systems += [CubeSystem(s.system_id, tiny, s.params, s.seed, s.levels, s.labels,
+                                   s.parent_idx, BuildReport()) for s in fam.systems]
+        for system in systems:
+            for s in (system, relabelled(system, rng), with_added_center(system, rng),
+                      with_repeated_deepest_center(system, rng)):
+                if s is None:
+                    continue
+                check = cubes._check_outer_balls(s)
+                assert (check.ok, check.worst, check.witness) == oracle_outer_balls(s)
+                got = cubes._derive_labels(s.space, s.levels, s.parent_idx)
+                want = oracle_derive_labels(s.space, s.levels, s.parent_idx)
+                deepest = s.levels[-1].centers
+                a, b = np.triu_indices(deepest.size, 1)
+                if np.any(s.space.pair_distances(deepest[a], deepest[b]) == 0.0):
+                    assert not verify_system(with_labels(s, want))["ii_partition"].ok
+                    check = _check_inner_balls(with_labels(s, got))
+                    assert not check.ok and check.witness["level"] == s.max_level
+                else:
+                    assert all(same_bits(g, w) for g, w in zip(got, want))
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)

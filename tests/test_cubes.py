@@ -347,6 +347,28 @@ class TestSerialization:
         with pytest.raises(StaleCubesError):
             load_family(path, ultra6, points_hash="other")
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_deepest_centers_at_one_point_refused(self, dim, tmp_path):
+        # every point listed twice: a deepest center's twin made a center too,
+        # with the same parent; each labels itself, and the inner-ball check
+        # finds the later twin nearer the earlier one
+        coords = np.random.default_rng(2).uniform(size=(30, dim))
+        space = MetricSpace(MetricDescriptor("euclidean"), coords=np.repeat(coords, 2, axis=0))
+        path = tmp_path / "cubes.json"
+        save_family(build_adjacent_family(space, NetParams(), K_max=1, query_budget=8,
+                                          seed=3), path)
+        doc = json.loads(path.read_text())
+        system = doc["systems"][0]
+        deepest = system["levels"][-1]["centers"]
+        first = len(system["parents"]) - len(deepest)
+        c, parent = system["parents"][first]
+        twin = c ^ 1  # ids 2i and 2i + 1 are one point
+        deepest.insert(0 if twin < c else 1, twin)
+        system["parents"].insert(first + (twin > c), [twin, parent])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StaleCubesError, match="fails property"):
+            load_family(path, space)
+
     def test_corrupted_file_refused(self, ultra6, ultra6_family, tmp_path):
         path = tmp_path / "cubes.json"
         save_family(ultra6_family, path, points_hash="h1")

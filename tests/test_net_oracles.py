@@ -26,10 +26,12 @@ a radius, alone or in an array of radii, must hold exactly the ball's
 members.
 
 In an ultrametric, the nearest centers within a radius and the greedy
-cover's blocks are read off prefix runs. The all-points nearest-center
-query (``_Index.nearest_within``) and the ball-by-ball greedy loop they
-replaced are their oracles, with centers repeated or sharing a run, radii
-one ulp either side of a distance, and targets that repeat an id. A
+cover's blocks are read off prefix runs, and on a line those nearest
+centers are read off each center's window of ranks. The all-points
+nearest-center query (``_Index.nearest_within``) and the ball-by-ball
+greedy loop they replaced are their oracles, with centers repeated or
+sharing a run or a window, radii one ulp either side of a distance, and
+targets that repeat an id. A
 rescaled or snowflaked clone shares its source's sorted order and answers
 as a space built afresh under the clone's descriptor.
 """
@@ -736,6 +738,33 @@ class TestLine:
         want = [oracle_diameter(dmat, run) for run in np.split(ids, bounds[1:-1])]
         assert space.run_diameters(ids, bounds).tobytes() == np.asarray(want).tobytes()
         assert space.diameter(ids) == oracle_diameter(dmat, ids)
+
+
+    @given(space=lattices(dims=(1,)), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_nearest_within_reads_windows_of_ranks(self, space, data):
+        # any centers: ids repeated, unsorted, some at one coordinate, windows
+        # overlapping at the larger radii
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        replace = data.draw(st.booleans())
+        centers = rng.choice(space.n, size=int(rng.integers(1, space.n + 1 + 2 * replace)),
+                             replace=replace)
+        if data.draw(st.booleans()):
+            centers = np.sort(centers)
+        index = space.index
+        idx, dist = index.nearest(space.ids, centers)
+        radii = _near_values(np.unique(dist), 6, data)
+        for r in radii + _near_values(np.unique(space.distance_matrix()), 3, data) + [
+                2.0 * space.diameter() + 1.0]:
+            ids, got_idx, got_dist = index.nearest_within(centers, r)
+            assert np.all(ids[1:] > ids[:-1])
+            close = got_dist < r
+            # the all-points form it replaced, restricted to the same points
+            old_ids, old_idx, old_dist = metric._Index.nearest_within(index, centers, r)
+            want = old_dist < r
+            assert same_bits(ids[close], old_ids[want])
+            assert same_bits(got_idx[close], old_idx[want])
+            assert same_bits(got_dist[close], old_dist[want])
 
 
 @st.composite

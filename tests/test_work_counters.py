@@ -4,9 +4,10 @@
 r, and ``circumscribed_cube`` takes R_eff = R when twice the ball's
 eccentricity reaches R. Ultrametric spaces read nets, nearest centers and
 balls off their sorted strings and never fill an n x n matrix; a matrix
-space transforms its matrix once. Reloading
-a family queries nearest centers once per system, and ``diams_at`` reads a
-1-D or ultrametric level in one pass with no per-cube ``diameter`` call; the
+space transforms its matrix once. Reloading a family queries nearest
+centers once per system, for the points that are no deepest center, and
+not at all on a plane whose every point is one; ``diams_at`` reads a 1-D
+or ultrametric level in one pass with no per-cube ``diameter`` call; the
 root cubes of a family's systems read one cached whole-space diameter. A
 Hausdorff fit finds the cubes meeting E once per level, not once per radius
 and exponent, and ``verify`` reads each sandwich check's count off the
@@ -25,6 +26,10 @@ grow at most 2.5x as the points double. In an ultrametric, a reload's
 inner-ball check and a greedy cover read prefix runs, with no nearest-center
 query beyond the labels' and no ball; the rows whose longest common prefixes
 a build, a reload, a window table and a sandwich check take grow at most
+2.5x as the points double. On a line, a reload's inner-ball check reads
+each center's window of ranks, with no nearest-center query beyond the
+labels'; the rows that the line's distances and nearest-center queries
+take in a build, a reload, a window table and a sandwich check grow at most
 2.5x as the points double.
 None of these changes an output, so losing one shows only in the work done
 or the memory held; these counts make that fail the test suite.
@@ -573,15 +578,64 @@ def prefix_queries(monkeypatch):
 
 def test_ultrametric_reload_checks_inner_balls_off_prefix_runs(ultra6, ultra6_family, tmp_path,
                                                               prefix_queries):
-    # the labels take one nearest-center query per system; the inner-ball
-    # check reads each center's run and asks nearest nothing
+    # the labels take one nearest-center query per system, over the points that
+    # are no deepest center; the inner-ball check reads each center's run and
+    # asks nearest nothing
     path = tmp_path / "cubes.json"
     save_family(ultra6_family, path)
     prefix_queries["nearest"].clear()
     loaded = load_family(path, ultra6)
     assert all(s.report.checks["iii_inner"].ok for s in loaded.systems)
     assert len(prefix_queries["nearest"]) == loaded.K
-    assert all(np.array_equal(q, loaded.space.ids) for q in prefix_queries["nearest"])
+    for system, query in zip(loaded.systems, prefix_queries["nearest"]):
+        others = np.setdiff1d(loaded.space.ids, system.levels[-1].centers)
+        assert others.size and np.array_equal(query, others)
+
+
+@pytest.fixture
+def line_queries(monkeypatch):
+    """The query ids of each ``LineIndex.nearest`` call."""
+    calls = []
+    nearest = metric.LineIndex.nearest
+
+    def counting(self, query_ids, centers):
+        calls.append(query_ids)
+        return nearest(self, query_ids, centers)
+
+    monkeypatch.setattr(metric.LineIndex, "nearest", counting)
+    return calls
+
+
+def test_line_reload_asks_nearest_only_for_the_labels(line, line_family, tmp_path,
+                                                      line_queries):
+    # the inner-ball check reads each center's window of ranks; only the
+    # labels of the points that are no deepest center ask nearest
+    path = tmp_path / "cubes.json"
+    save_family(line_family, path)
+    line_queries.clear()
+    loaded = load_family(path, line)
+    assert all(s.report.checks["iii_inner"].ok for s in loaded.systems)
+    assert len(line_queries) == loaded.K
+    for system, query in zip(loaded.systems, line_queries):
+        others = np.setdiff1d(loaded.space.ids, system.levels[-1].centers)
+        assert others.size and np.array_equal(query, others)
+
+
+def test_plane_of_deepest_centers_reloads_with_no_nearest_query(tmp_path,
+                                                               nearest_center_calls):
+    # at level 2 of a 289-point grid every point is a center: each labels itself
+    space = generate(GeneratorSpec(kind="grid", ambient_dim=2, resolution=1 / 16))
+    family = build_adjacent_family(space, NetParams(delta=1 / 12), K_max=2, query_budget=20,
+                                   target_ratio=0.0, seed=7, max_level=2)
+    assert family.K == 2
+    assert all(s.levels[-1].centers.size == space.n for s in family.systems)
+    path = tmp_path / "cubes.json"
+    save_family(family, path)
+    nearest_center_calls.clear()
+    loaded = load_family(path, space)
+    assert nearest_center_calls == []
+    for built, got in zip(family.systems, loaded.systems):
+        assert np.array_equal(got.labels[-1], built.labels[-1])
 
 
 def test_ultrametric_greedy_cover_asks_no_ball(ultra6, prefix_queries):
@@ -625,6 +679,48 @@ def test_ultrametric_work_about_doubles_with_the_points(tmp_path, monkeypatch):
         local_windows(loaded, loaded.space.ids, sample_budget=16, seed=7)
         stage = "sandwich"
         covering.sandwich_check(loaded, loaded.space.ids, 0, r_grid(loaded.params.delta, 4)[2], 1)
+        counts.append(rows)
+    assert counts[1].keys() == counts[0].keys() == {"build", "reload", "windows", "sandwich"}
+    for stage in counts[0]:
+        assert counts[1][stage] <= 2.5 * counts[0][stage], (stage, counts)
+
+
+def test_line_work_about_doubles_with_the_points(tmp_path, monkeypatch):
+    # build, save and reload, one window table and one sandwich check on the
+    # sequences {1/k} of 2,001 and 4,001 points, with K and the max level held:
+    # the rows whose distances LineIndex.pairs takes, and the query and center
+    # rows LineIndex.nearest takes, grow at most 2.5x, stage by stage
+    rows = {}
+    pairs, nearest = metric.LineIndex.pairs, metric.LineIndex.nearest
+
+    def counting_pairs(self, a, b):
+        # pairs of rows compared; b may be slice(None), a whole row
+        first = self.coords[:, 0]
+        rows[stage] = rows.get(stage, 0) + np.broadcast(first[a], first[b]).size
+        return pairs(self, a, b)
+
+    def counting_nearest(self, query_ids, centers):
+        rows[stage] = rows.get(stage, 0) + query_ids.size + centers.size
+        return nearest(self, query_ids, centers)
+
+    monkeypatch.setattr(metric.LineIndex, "pairs", counting_pairs)
+    monkeypatch.setattr(metric.LineIndex, "nearest", counting_nearest)
+    counts = []
+    for n_max in (2000, 4000):
+        rows = {}
+        space = generate(GeneratorSpec(kind="sequence", p=1.0, n_max=n_max))
+        stage = "build"
+        family = build_adjacent_family(space, NetParams(), K_max=2, query_budget=40,
+                                       target_ratio=0.0, seed=7, max_level=5)
+        assert family.K == 2 and family.max_level == 5
+        stage = "reload"
+        path = tmp_path / f"cubes-{n_max}.json"
+        save_family(family, path)
+        loaded = load_family(path, space)
+        stage = "windows"
+        local_windows(loaded, loaded.space.ids, sample_budget=16, seed=7)
+        stage = "sandwich"
+        covering.sandwich_check(loaded, loaded.space.ids, 0, r_grid(loaded.params.delta, 5)[2], 1)
         counts.append(rows)
     assert counts[1].keys() == counts[0].keys() == {"build", "reload", "windows", "sandwich"}
     for stage in counts[0]:
