@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -677,16 +678,50 @@ def file_hash(path) -> str:
     return h.hexdigest()
 
 
-def family_to_json(family: AdjacentFamily, points_hash: str = "") -> dict:
+# The compact form of ``cubes.json``: ``json.dumps(doc, **_COMPACT)`` and a
+# newline. An id array in it is ids without sign or leading zero, joined by
+# commas; the parents array holds [center, parent center] pairs. The patterns
+# are compiled on first use (``re`` caches them), not on import.
+_COMPACT = {"sort_keys": True, "separators": (",", ":")}
+_ID = rb"(?!0[0-9])[0-9]+"
+_CENTERS = rb"\[(?:" + _ID + rb"(?:," + _ID + rb")*)?\]"
+_PAIRS = rb"\[(?:\[" + _ID + rb"," + _ID + rb"\](?:,\[" + _ID + rb"," + _ID + rb"\])*)?\]"
+# A key that holds an id array. In the small rest of the document that
+# ``json.dumps`` writes and ``json.loads`` reads, the array's place holds its
+# slot: its position in the list of arrays.
+_ID_ARRAY = rb'"(centers|parents)":([0-9]*)'
+
+
+def _ids_text(ids: np.ndarray) -> bytes:
+    """An id array, or an (m, 2) array of id pairs, as ``json.dumps`` writes its list."""
+    if ids.ndim == 1:
+        text = ",".join(map(str, ids.tolist()))
+    else:
+        text = ",".join(map("[{},{}]".format, ids[:, 0].tolist(), ids[:, 1].tolist()))
+    return b"[" + text.encode() + b"]"
+
+
+def save_family(family: AdjacentFamily, path, points_hash: str = "") -> None:
+    """Write the family in the compact form.
+
+    Each system stores its levels' centers and its (center, parent center)
+    pairs, level by level from level 1. ``json.dumps`` writes the document
+    with each id array's slot in its place, and each array's text is written
+    from the array into its slot's place."""
+    arrays = []
+
+    def slot(ids):
+        arrays.append(ids)
+        return len(arrays) - 1
+
     systems = []
     for s in family.systems:
-        levels = [{"k": lv.k, "centers": lv.centers.tolist()} for lv in s.levels]
-        parents = []  # (center, parent center) pairs, level by level
-        for k in range(1, s.max_level + 1):
-            parent_centers = s.levels[k - 1].centers[s.parent_idx[k]]
-            parents += np.column_stack([s.levels[k].centers, parent_centers]).tolist()
-        systems.append({"seed": s.seed, "levels": levels, "parents": parents})
-    return {
+        pairs = [np.column_stack([s.levels[k].centers, s.levels[k - 1].centers[s.parent_idx[k]]])
+                 for k in range(1, s.max_level + 1)]
+        systems.append({"seed": s.seed,
+                        "levels": [{"k": lv.k, "centers": slot(lv.centers)} for lv in s.levels],
+                        "parents": slot(np.concatenate([np.empty((0, 2), np.int64), *pairs]))})
+    rest = json.dumps({
         "params": {"delta": family.params.delta, "c0": family.params.c0,
                    "C0": family.params.C0, "seed": family.seed,
                    "target_ratio": family.target_ratio,
@@ -697,39 +732,91 @@ def family_to_json(family: AdjacentFamily, points_hash: str = "") -> dict:
         "best_effort": family.best_effort,
         "scale": family.scale,
         "points_hash": points_hash,
-    }
+    }, **_COMPACT).encode()
+    with open(path, "wb") as fh:
+        pos = 0
+        for m in re.finditer(_ID_ARRAY, rest):
+            fh.write(rest[pos:m.start(2)])
+            fh.write(_ids_text(arrays[int(m[2])]))
+            pos = m.end()
+        fh.write(rest[pos:] + b"\n")
 
 
-def save_family(family: AdjacentFamily, path, points_hash: str = "") -> None:
-    # json.dumps runs the C encoder; json.dump streams through the Python one
-    text = json.dumps(family_to_json(family, points_hash), sort_keys=True,
-                      separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+def _read_doc(path) -> dict:
+    """The document of a cubes file in the compact form, its id arrays read as
+    int64 arrays: each level's centers, and each system's parents as an
+    (m, 2) array of pairs.
+
+    Each key that holds an id array is found in the bytes, its array checked
+    against the writer's grammar, read with ``np.fromstring`` and replaced
+    by its slot; ``json.loads`` reads the small rest, which must be what
+    ``json.dumps`` writes of it. So every such key holds a slot, and a value
+    of the file that is not an id array is never taken for one. Anything
+    else raises ``StaleCubesError``."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise StaleCubesError(f"cannot read cubes file: {exc}") from exc
+    key_at = re.compile(_ID_ARRAY)
+    grammar = {b"centers": re.compile(_CENTERS), b"parents": re.compile(_PAIRS)}
+    arrays, pieces, pos = [], [], 0
+    while (m := key_at.search(data, pos)) is not None:
+        start = m.start(2)
+        array = grammar[m[1]].match(data, start)
+        if array is None:
+            raise StaleCubesError(f"cannot read cubes file: the {m[1].decode()} at byte "
+                                  f"{start} are not a list of point ids in the compact form")
+        ids = data[start + 1:array.end() - 1]
+        if m[1] == b"parents":
+            ids = ids.translate(None, b"[]")
+        arrays.append(np.fromstring(ids, dtype=np.int64, sep=","))
+        pieces += [data[pos:start], b"%d" % (len(arrays) - 1)]
+        pos = array.end()
+    pieces.append(data[pos:])
+    del data
+    rest = b"".join(pieces)
+    try:
+        doc = json.loads(rest)
+    except ValueError as exc:
+        raise StaleCubesError(f"cannot read cubes file: {exc}") from exc
+    if json.dumps(doc, **_COMPACT).encode() + b"\n" != rest:
+        raise StaleCubesError("cannot read cubes file: it is not in the compact form "
+                              "that build writes")
+    try:
+        for sdoc in doc["systems"]:
+            for lv in sdoc["levels"]:
+                lv["centers"] = arrays[lv["centers"]]
+            sdoc["parents"] = arrays[sdoc["parents"]].reshape(-1, 2)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise StaleCubesError(f"malformed cubes file: {exc!r}") from exc
+    return doc
 
 
 def load_family(path, space: MetricSpace, points_hash: str | None = None) -> AdjacentFamily:
     """Rebuild a family from file, refusing mismatched or broken files.
 
-    An unreadable or malformed file, or one with a system whose level 0 is
-    not one root center or that has no level below it, raises
+    The file must be in the compact form that ``save_family`` writes: the
+    bytes of ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` and a
+    newline, each id array a list of integers without sign, fraction or
+    leading zero, and each parent entry a [center, parent center] pair.
+    ``_read_doc`` reads the id arrays with NumPy and the small rest with
+    ``json.loads``. An unreadable file, one in any other form (a
+    pretty-printed one, say), a malformed one, or one with a system whose
+    level 0 is not one root center or that has no level below it, raises
     ``StaleCubesError``. Labels are re-derived from the stored nets and
     parents, and every system's four structural checks are recomputed; a
     system that fails partition, the inner ball or the outer ball check makes
-    the file stale, and so does a constant that the builder could not have
-    written: ``C_delta_hat`` not finite or below 1, ``C_tilde`` other than
+    the file stale, and so does a value that the builder could not have
+    written: a system ``seed`` not an int >= 0, a level ``k`` other than its
+    position, ``C_delta_hat`` not finite or below 1, ``C_tilde`` other than
     its expression in ``C_delta_hat``, ``c0`` and ``C0``, ``best_effort``
     not a bool, ``scale`` other than ``_normalizing_factor`` of the points,
     ``params.seed`` not an int >= 0 or ``params.query_budget`` not an int
     >= 1. Ball monotonicity is recorded but does not refuse the file, and
     the sandwich inequality is not checked here (``cubedim verify`` samples
     it). Each system's checks are left on ``system.report.checks``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise StaleCubesError(f"cannot read cubes file: {exc}") from exc
+    doc = _read_doc(path)
     try:
         if points_hash is not None and doc.get("points_hash") not in ("", points_hash):
             raise StaleCubesError("cubes file was built from a different points file")
@@ -781,13 +868,19 @@ def load_family(path, space: MetricSpace, points_hash: str | None = None) -> Adj
 
 
 def _nets_from_json(sdoc, n, params):
-    """(seed, levels, parent_idx) of one stored system, with ids checked against n."""
-    levels = [NetLevel(k=lv["k"], centers=np.asarray(lv["centers"], dtype=np.int64),
-                       params=params, seed=sdoc["seed"]) for lv in sdoc["levels"]]
+    """(seed, levels, parent_idx) of one stored system as ``_read_doc`` reads
+    it, with ids checked against n."""
+    seed = sdoc["seed"]
+    if not (type(seed) is int and seed >= 0):  # a bool is no int here
+        raise StaleCubesError(f"cubes file system seed {seed!r} is not an integer >= 0")
+    levels = []
+    for k, lv in enumerate(sdoc["levels"]):
+        if not (type(lv["k"]) is int and lv["k"] == k):
+            raise StaleCubesError(f"cubes file level {lv['k']!r} stands at position {k}")
+        levels.append(NetLevel(k=k, centers=lv["centers"], params=params, seed=seed))
     centers = np.concatenate([lv.centers for lv in levels])
-    # (child, parent) pairs, level by level from level 1
-    pairs = np.asarray(sdoc["parents"], dtype=np.int64).reshape(-1, 2)
-    if np.any((centers < 0) | (centers >= n)) or np.any((pairs < 0) | (pairs >= n)):
+    pairs = sdoc["parents"]  # (child, parent) pairs, level by level from level 1
+    if np.any(centers >= n) or np.any(pairs >= n):
         raise StaleCubesError(f"cubes file names point ids outside 0..{n - 1}")
     if not np.array_equal(pairs[:, 0], centers[levels[0].centers.size:]):
         raise StaleCubesError("parent list does not match level centers")
@@ -801,4 +894,4 @@ def _nets_from_json(sdoc, n, params):
         if np.any(parent_idx[k] < 0):
             raise StaleCubesError(f"a level-{k} parent is not a level-{k - 1} center")
         start = stop
-    return sdoc["seed"], levels, parent_idx
+    return seed, levels, parent_idx

@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -22,6 +23,13 @@ def cubedim_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def write_cubes_doc(path, doc):
+    """Write a parsed cubes document back in the compact form the reader
+    takes, so that a tampered file reaches the check it targets rather than
+    the reader's grammar check."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def random_graph_matrix(n, seed):

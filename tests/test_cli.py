@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import write_cubes_doc
 
 from cubedim import cli, cubes, load_points, save_points
 from cubedim.dimensions import local_windows
@@ -385,7 +386,7 @@ class TestVerify:
         doc = json.loads((workspace / "cubes.json").read_text())
         deepest = doc["systems"][0]["levels"][-1]["centers"]
         deepest[0], deepest[1] = deepest[1], deepest[0]
-        (workspace / "tampered.json").write_text(json.dumps(doc))
+        write_cubes_doc(workspace / "tampered.json", doc)
         r = run("verify", "--points", "pts.json", "--cubes", "tampered.json",
                 cwd=workspace)
         assert r.returncode == 2
@@ -402,7 +403,7 @@ class TestVerify:
         by_child = {c: [c, p] for c, p in deep_pairs}
         system["levels"][-1]["centers"] = survivors
         system["parents"] = prefix + [by_child[c] for c in survivors]
-        (workspace / "decimated.json").write_text(json.dumps(doc))
+        write_cubes_doc(workspace / "decimated.json", doc)
         r = run("verify", "--points", "pts.json", "--cubes", "decimated.json",
                 cwd=workspace)
         assert r.returncode == 2
@@ -476,8 +477,43 @@ def _two_roots(doc):
             pair[1] = other[0]
 
 
+def _deepest_center(value):
+    """A damage that sets the first deepest center of the first system, in
+    its level and in its parent pair."""
+    def damage(doc):
+        system = doc["systems"][0]
+        deepest = system["levels"][-1]["centers"]
+        deepest[0] = system["parents"][len(system["parents"]) - len(deepest)][0] = value(
+            deepest[0])
+    return damage
+
+
+def _pair_of_three(doc):
+    pair = doc["systems"][0]["parents"][-1]
+    pair.append(pair[1])
+
+
+def _centers_not_an_array(doc):
+    doc["systems"][0]["levels"][-1]["centers"] = 3
+
+
+def _system_seed(doc):
+    doc["systems"][0]["seed"] = "x"
+
+
+def _level_out_of_place(doc):
+    doc["systems"][0]["levels"][2]["k"] = 7
+
+
+class TextEdit:
+    """A damage that edits the text of a good file."""
+
+    def __init__(self, edit):
+        self.edit = edit
+
+
 # how a cubes file is damaged: None leaves no file, a string replaces the text,
-# a function edits the parsed document of a good file
+# a TextEdit edits the text of a good file, a function edits its parsed document
 DAMAGES = {
     "missing-file": None,
     "invalid-json": '{"systems": [',
@@ -498,6 +534,16 @@ DAMAGES = {
     "scale-not-the-normalizing-factor": _setting("scale", 2.0),
     "seed-not-an-int": _param("seed", "x"),
     "query_budget-negative": _param("query_budget", -5),
+    "float-id": _deepest_center(lambda c: c + 0.4),
+    "true-id": _deepest_center(lambda c: True),
+    "negative-id": _deepest_center(lambda c: -1),
+    "pair-of-three": _pair_of_three,
+    "unbalanced-brackets": TextEdit(lambda text: text.replace("]]", "]", 1)),
+    "pretty-printed": TextEdit(lambda text: json.dumps(json.loads(text), indent=1)),
+    "leading-zero-id": TextEdit(lambda text: text.replace('"centers":[', '"centers":[0', 1)),
+    "centers-not-an-array": _centers_not_an_array,
+    "system-seed-not-an-int": _system_seed,
+    "level-k-out-of-place": _level_out_of_place,
 }
 
 
@@ -506,10 +552,12 @@ def _write_damaged(workspace, damage):
     path = workspace / f"damaged-{damage}.json"
     if isinstance(how, str):
         path.write_text(how)
+    elif isinstance(how, TextEdit):
+        path.write_text(how.edit((workspace / "cubes.json").read_text()))
     elif how is not None:
         doc = json.loads((workspace / "cubes.json").read_text())
         how(doc)
-        path.write_text(json.dumps(doc))
+        write_cubes_doc(path, doc)
     return path
 
 

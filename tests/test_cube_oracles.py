@@ -65,6 +65,11 @@ build decides each query ball once, up front, where the old build filled a
 ball cache lazily while evaluating its first system. Both old computations
 are kept here as oracles, on spaces with repeated points, so that degenerate
 balls occur.
+
+A cubes file is written from the id arrays' text and read with NumPy, with
+``json`` only for the small rest, where the old writer made one
+``json.dumps`` of nested lists and the old reader one ``json.load``; both
+are oracles here, for the file's bytes and the arrays read from it.
 """
 
 import dataclasses
@@ -81,19 +86,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import write_cubes_doc
 
 from cubedim import MetricDescriptor, MetricSpace, cli, cubes, dimensions, metric
 from cubedim.covering import dyadic_cover_count, greedy_cover_count, sandwich_check
 from cubedim.cubes import (NORMALIZED_DIAMETER, AdjacentFamily, BuildReport, CubeSystem,
                            _cert_terms, _check_inner_balls, _circumscribed_in_system,
                            _effective_radius, build_adjacent_family, build_system,
-                           circumscribed_cube, family_to_json, file_hash, load_family,
+                           _read_doc, circumscribed_cube, file_hash, load_family,
                            local_window, r_grid, save_family, verify_system)
 from cubedim.dimensions import (DimensionEstimate, _fit_line, _met_diameters,
                                 box_dim_estimate, hausdorff_dim_estimate,
                                 least_admissible_level, local_windows, sample_points)
 from cubedim.errors import (DegenerateBallError, InsufficientScalesError, InvalidArgumentError,
-                            ScaleExhaustedError)
+                            ScaleExhaustedError, StaleCubesError)
 from cubedim.metric import load_points, save_points
 from cubedim.nets import NetLevel, NetParams, nearest_center, nearest_center_within
 
@@ -1280,6 +1286,112 @@ class TestLevelPasses:
             close = dist < r
             want = (space.ids[close], idx[close], dist[close])
             assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+def family_to_json(family, points_hash=""):
+    """The cubes document as the old writer built it, with nested lists."""
+    systems = []
+    for s in family.systems:
+        levels = [{"k": lv.k, "centers": lv.centers.tolist()} for lv in s.levels]
+        parents = []  # (center, parent center) pairs, level by level
+        for k in range(1, s.max_level + 1):
+            parent_centers = s.levels[k - 1].centers[s.parent_idx[k]]
+            parents += np.column_stack([s.levels[k].centers, parent_centers]).tolist()
+        systems.append({"seed": s.seed, "levels": levels, "parents": parents})
+    return {
+        "params": {"delta": family.params.delta, "c0": family.params.c0,
+                   "C0": family.params.C0, "seed": family.seed,
+                   "target_ratio": family.target_ratio,
+                   "query_budget": family.query_budget},
+        "systems": systems,
+        "C_delta_hat": family.C_delta_hat,
+        "C_tilde": family.C_tilde,
+        "best_effort": family.best_effort,
+        "scale": family.scale,
+        "points_hash": points_hash,
+    }
+
+
+def oracle_file_bytes(family, points_hash=""):
+    """The cubes file as the old writer wrote it: one ``json.dumps`` of the document."""
+    return (json.dumps(family_to_json(family, points_hash), sort_keys=True,
+                       separators=(",", ":")) + "\n").encode()
+
+
+def oracle_read_doc(path):
+    """The cubes document as the old reader read it: ``json.load``, then each
+    id list through ``np.asarray``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for sdoc in doc["systems"]:
+        for lv in sdoc["levels"]:
+            lv["centers"] = np.asarray(lv["centers"], dtype=np.int64)
+        sdoc["parents"] = np.asarray(sdoc["parents"], dtype=np.int64).reshape(-1, 2)
+    return doc
+
+
+def same_doc(got, want):
+    """Equal documents, with arrays equal in dtype, shape and bits."""
+    if isinstance(want, np.ndarray):
+        return (isinstance(got, np.ndarray) and got.shape == want.shape
+                and same_bits(got, want))
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(same_doc(got[key], want[key]) for key in want))
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(map(same_doc, got, want)))
+    return type(got) is type(want) and got == want
+
+
+class TestCubesFile:
+    """The writer splices each id array's text into ``json.dumps`` of the
+    small rest, and the reader reads the arrays with NumPy and the rest with
+    ``json.loads``; the old writer and reader, one ``json.dumps`` and one
+    ``json.load`` of the whole document, are their oracles."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_bytes_arrays_and_family_match_the_old_file(self, kind, data):
+        space = data.draw(spaces(kind, repeats=kind != "matrix"))
+        fam = build_adjacent_family(space, NetParams(), K_max=3, query_budget=12,
+                                    target_ratio=data.draw(st.sampled_from([2.0, 64.0])),
+                                    seed=data.draw(st.integers(min_value=0, max_value=50)),
+                                    max_level=data.draw(st.integers(min_value=1, max_value=4)))
+        points_hash = data.draw(st.sampled_from(["", "h1", 'a "centers":0 \\ \u00e9']))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cubes.json"
+            save_family(fam, path, points_hash=points_hash)
+            assert path.read_bytes() == oracle_file_bytes(fam, points_hash)
+            assert same_doc(_read_doc(path), oracle_read_doc(path))
+            loaded = load_family(path, space)
+        assert family_to_json(loaded, points_hash) == family_to_json(fam, points_hash)
+        for built, got in zip(fam.systems, loaded.systems):
+            assert [lv.k for lv in got.levels] == [lv.k for lv in built.levels]
+            for k in range(built.max_level + 1):
+                assert same_bits(got.labels[k], built.labels[k])
+                if k:
+                    assert same_bits(got.parent_idx[k], built.parent_idx[k])
+
+    @pytest.mark.parametrize("key,refusal", [("centers", "not a list of point ids"),
+                                             ("\\u0063enters", "not in the compact form")])
+    def test_a_slot_is_never_read_from_a_value(self, ultra6, ultra6_family, tmp_path, key,
+                                               refusal):
+        # the root's array under a key the reader does not read, and a
+        # literal 0, slot 0, where the root's centers belong, under a key
+        # that is "centers" written plainly or with an escape: the literal is
+        # refused, not taken for the array's slot
+        path = tmp_path / "cubes.json"
+        save_family(ultra6_family, path)
+        doc = json.loads(path.read_text())
+        doc["params"]["centers"] = doc["systems"][0]["levels"][0]["centers"]
+        doc["systems"][0]["levels"][0]["centers"] = 0
+        write_cubes_doc(path, doc)
+        path.write_text(path.read_text().replace('"levels":[{"centers":0',
+                                                 f'"levels":[{{"{key}":0', 1))
+        with pytest.raises(StaleCubesError, match=refusal):
+            load_family(path, ultra6)
 
 
 class TestRoundTrip:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import write_cubes_doc
 
 from cubedim import (DegenerateBallError, InvalidArgumentError, MetricDescriptor,
                      MetricSpace, ScaleExhaustedError, StaleCubesError,
@@ -365,7 +366,7 @@ class TestSerialization:
         twin = c ^ 1  # ids 2i and 2i + 1 are one point
         deepest.insert(0 if twin < c else 1, twin)
         system["parents"].insert(first + (twin > c), [twin, parent])
-        path.write_text(json.dumps(doc))
+        write_cubes_doc(path, doc)
         with pytest.raises(StaleCubesError, match="fails property"):
             load_family(path, space)
 
@@ -377,6 +378,6 @@ class TestSerialization:
         levels = doc["systems"][0]["levels"]
         deepest = levels[-1]["centers"]
         deepest[0], deepest[1] = deepest[1], deepest[0]
-        path.write_text(json.dumps(doc))
+        write_cubes_doc(path, doc)
         with pytest.raises(StaleCubesError):
             load_family(path, ultra6, points_hash="h1")

@@ -44,6 +44,7 @@ import pytest
 from hypothesis import given, settings
 from scipy.spatial import cKDTree
 from hypothesis import strategies as st
+from conftest import write_cubes_doc
 
 from cubedim import (GeneratorSpec, MetricDescriptor, MetricSpace, covering, generate, kernels,
                      metric)
@@ -647,7 +648,7 @@ class TestCoordinates:
         pairs = sdoc["parents"]
         sdoc["parents"] = pairs[:-deepest.size] + [pair for pair in pairs[-deepest.size:]
                                                    if pair[0] in set(kept.tolist())]
-        path.write_text(json.dumps(doc))
+        write_cubes_doc(path, doc)
         with pytest.raises(StaleCubesError):
             load_family(path, space)
 

@@ -30,7 +30,10 @@ a build, a reload, a window table and a sandwich check take grow at most
 each center's window of ranks, with no nearest-center query beyond the
 labels'; the rows that the line's distances and nearest-center queries
 take in a build, a reload, a window table and a sandwich check grow at most
-2.5x as the points double.
+2.5x as the points double. A cubes file's id arrays are written and read as
+arrays: a reload hands ``json.loads`` only the small rest of the document,
+and the memory a save and a reload hold grows at most 2.5x as the points
+double.
 None of these changes an output, so losing one shows only in the work done
 or the memory held; these counts make that fail the test suite.
 """
@@ -725,3 +728,34 @@ def test_line_work_about_doubles_with_the_points(tmp_path, monkeypatch):
     assert counts[1].keys() == counts[0].keys() == {"build", "reload", "windows", "sandwich"}
     for stage in counts[0]:
         assert counts[1][stage] <= 2.5 * counts[0][stage], (stage, counts)
+
+
+def test_cubes_file_moves_ids_as_arrays(tmp_path, monkeypatch):
+    # save and reload families of the sequences {1/k} of 2,001 and 4,001
+    # points, with K and the max level held: json.loads is handed under 4 KB
+    # at either size, and the tracemalloc peak grows at most 2.5x
+    handed = []
+    loads = json.loads
+
+    def counting(s, *args, **kwargs):
+        handed.append(len(s))
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    peaks = []
+    for n_max in (2000, 4000):
+        space = generate(GeneratorSpec(kind="sequence", p=1.0, n_max=n_max))
+        family = build_adjacent_family(space, NetParams(), K_max=2, query_budget=40,
+                                       target_ratio=0.0, seed=7, max_level=5)
+        assert family.K == 2 and family.max_level == 5
+        path = tmp_path / f"cubes-{n_max}.json"
+        handed.clear()
+        tracemalloc.start()
+        try:
+            save_family(family, path)
+            load_family(path, space)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert handed and max(handed) < 4096, (n_max, handed)
+    assert peaks[1] <= 2.5 * peaks[0], peaks
