@@ -17,6 +17,7 @@ import numpy as np
 from .cubes import (AdjacentFamily, circumscribed_cube, local_window,  # noqa: F401
                     target_in_ball)
 from .errors import InvalidArgumentError, ScaleExhaustedError
+from .kernels import distinct
 from .metric import MetricSpace
 
 EXACT_SIZE_CAP = 25
@@ -106,7 +107,7 @@ def greedy_cover_count(space: MetricSpace, E, r: float, return_sets: bool = Fals
         blocks = [np.sort(block) for block in np.split(members, bounds[1:-1])]
         return sorted(blocks, key=lambda block: block[0])
     if E.size == 1 or space.diameter(E) <= r:
-        return [np.unique(E)] if return_sets else 1
+        return [distinct(E)] if return_sets else 1
     live = np.zeros(space.n, dtype=bool)
     live[E] = True
     closed = np.nextafter(r, np.inf)

@@ -362,26 +362,60 @@ def _cert_terms(params, R_eff, level, diam):
 
 
 def _circumscribed_in_system(system: CubeSystem, members: np.ndarray):
-    """(level, index) of the deepest cube containing every member id.
+    """(level, index) of the deepest cube containing every id of ``members``.
 
     Cubes are contiguous runs of the depth-first order, so a cube holds all
     members once it holds the two of least and greatest rank.
     """
     ranks = system.rank[members]
-    return _cube_of_ranks(system, ranks.min(), ranks.max())
+    return _cube_of(system, system.order[ranks.min()], system.order[ranks.max()])
 
 
-def _cube_of_ranks(system: CubeSystem, least: int, greatest: int):
-    """(level, index) of the deepest cube holding the depth-first ranks least and
-    greatest. Nested cubes that hold both at level k hold both at every
-    shallower level, down to the single root cube at level 0."""
-    first = system.order[least]
-    last = system.order[greatest]
+def _cube_of(system: CubeSystem, first: int, last: int):
+    """(level, index) of the deepest cube holding the ids first and last, the
+    ends of a run of some order in which every cube is a run. Nested cubes
+    that hold both at level k hold both at every shallower level, down to the
+    single root cube at level 0."""
     for k in range(system.max_level, 0, -1):
         labels = system.labels[k]
         if labels[first] == labels[last]:
             return k, int(labels[first])
     return 0, 0
+
+
+def _split_cube(system: CubeSystem):
+    """On a sorted index (one with ``ball_run``), the first cube whose ids are
+    not one run of the index's order, as a witness; else None. A line's
+    nearest centers are monotone in the coordinate, and an ultrametric's are
+    prefix runs, so every cube of a built system is one run."""
+    if not hasattr(system.space.index, "ball_run"):
+        return None
+    order = system.space.index.order
+    for k in range(1, system.max_level + 1):
+        labels = system.labels[k][order]
+        # runs per cube: the first position starts one, and so does each whose label changes
+        runs = np.bincount(labels[1:][labels[1:] != labels[:-1]],
+                           minlength=system.levels[k].centers.size)
+        runs[labels[0]] += 1
+        split = np.flatnonzero(runs > 1)
+        if split.size:
+            return {"level": k, "center": int(system.levels[k].centers[split[0]])}
+    return None
+
+
+def _query_ball(space: MetricSpace, x: int, R: float):
+    """(R_eff, ids) of the query B(x, R): the ball's members or, on a sorted
+    index, its two end ids in the index's order. Every cube is a run of that
+    order too, so the cubes holding both ends hold the ball, and the ends'
+    distance is its diameter: R_eff = min(R, 2 * diam) is
+    ``_effective_radius`` bit for bit."""
+    index = space.index
+    if not hasattr(index, "ball_run"):
+        members = space.ball_members(x, R)
+        return _effective_radius(space, x, R, members), members
+    lo, hi = index.ball_run(x, R)
+    ends = index.order[[lo, hi - 1]]  # x twice when the ball holds x alone: R_eff is 0.0
+    return min(R, 2.0 * float(index.pairs(ends[:1], ends[1:])[0])), ends
 
 
 def _effective_radius(space: MetricSpace, x: int, R: float, members: np.ndarray,
@@ -462,7 +496,9 @@ def target_in_ball(space: MetricSpace, E: np.ndarray, members: np.ndarray) -> np
     """
     if E.size == space.n and np.array_equal(E, space.ids):
         return members
-    return np.intersect1d(E, members)
+    inside = np.zeros(space.n, dtype=bool)
+    inside[E] = True
+    return members[inside[members]]
 
 
 def local_window(family: AdjacentFamily, E: np.ndarray, x: int, R: float,
@@ -512,19 +548,14 @@ class RunWindowTable:
     On a line or in an ultrametric, every ball is a run lo..hi-1 of the
     ranks of ``space.index`` (its ``ball_run``), and its part in E is the
     run ``before[lo]..before[hi]-1`` of ``ids``, E's ids in rank order, each
-    once. A window reads off these runs what ``local_window`` computes from
-    the ball's members, bit for bit:
-
-    - R_eff = min(R, 2 * diam) from the ball's two end ranks, whose
-      distance is its diameter;
-    - each system's containing cube from the least and greatest
-      depth-first rank in the run, ``ranks[i][lo:hi]``;
-    - the counts and largest diameters of the containing system from its
-      level tables: at level k and position j of ``ids``, the last earlier
-      position in the same level-k cube (-1 for none) and that cube's
-      diameter. The cubes meeting the positions a..b-1 are those of the
-      positions whose earlier one lies before a.
-
+    once. Every cube is a run of those ranks too (``_split_cube``), and so is
+    its part of ``ids``. A window reads off the runs, bit for bit, what
+    ``local_window`` computes from the ball's members: R_eff = min(R, 2 *
+    diam), from the distance of the ball's two end ids; each system's
+    containing cube, the deepest one that holds both ends; and at each level
+    below it the runs from the one holding the ball's first position in E
+    to the one holding its last, which are the cubes meeting E in the ball,
+    their number and largest diameter read off the system's level tables.
     A system's level tables are built the first time one of its cubes
     contains a window.
     """
@@ -538,21 +569,23 @@ class RunWindowTable:
         in_E = in_E[order]
         self.ids = order[in_E]
         self.before = np.concatenate([[0], np.cumsum(in_E)])
-        self.ranks = np.stack([system.rank[order] for system in family.systems])
+        # what raises the positions at level k + 1, so that the levels' runs ascend together
+        self.shift = np.arange(max(s.max_level for s in family.systems)) * (self.ids.size + 1)
         self._levels = {}
 
     def level_tables(self, system: CubeSystem):
-        """(earlier, diams) of levels 1..max_level, in rows 0..max_level-1."""
+        """(starts, diams) of levels 1..max_level: the positions of ``ids`` that
+        start a cube's run, each raised by its level's ``shift``, and the
+        diameter of each run's cube, then one 0.0."""
         if system.system_id not in self._levels:
-            earlier = np.full((system.max_level, self.ids.size), -1, dtype=np.int32)
-            diams = np.empty((system.max_level, self.ids.size))
+            starts, diams = [], []
             for k in range(1, system.max_level + 1):
                 labels = system.labels[k][self.ids]
-                by_cube = np.argsort(labels, kind="stable")
-                same = labels[by_cube[1:]] == labels[by_cube[:-1]]
-                earlier[k - 1, by_cube[1:][same]] = by_cube[:-1][same]
-                diams[k - 1] = system.diams_at(k)[labels]
-            self._levels[system.system_id] = earlier, diams
+                head = np.flatnonzero(np.diff(labels, prepend=-1))
+                starts.append(head + self.shift[k - 1])
+                diams.append(system.diams_at(k)[labels[head]])
+            self._levels[system.system_id] = (np.concatenate(starts),
+                                              np.concatenate([*diams, [0.0]]))
         return self._levels[system.system_id]
 
     def windows(self, x: int, radii: np.ndarray, seen: set) -> list:
@@ -566,25 +599,29 @@ class RunWindowTable:
                 seen.add(run)
                 new.append(i)
         lo, hi, radii = lo[new], hi[new], radii[new]
+        first, last = self.index.order[lo], self.index.order[hi - 1]
         # min(R, 2 * diam) as _effective_radius takes it; 0.0 for one distinct point
-        R_eff = np.minimum(radii, 2.0 * self.index.pairs(self.index.order[lo],
-                                                         self.index.order[hi - 1]))
+        R_eff = np.minimum(radii, 2.0 * self.index.pairs(first, last))
         a, b = self.before[lo], self.before[hi]
+        ends = np.stack([a, b - 1], axis=1)  # the first and last position in E of each ball
         systems = self.family.systems
         out = []
         for i in np.flatnonzero((R_eff != 0.0) & (a < b)).tolist():
-            run = self.ranks[:, lo[i]:hi[i]]
-            cc = _smallest_cube(self.family, map(_cube_of_ranks, systems, run.min(axis=1),
-                                                 run.max(axis=1)), float(R_eff[i]))
+            cc = _smallest_cube(self.family, (_cube_of(s, first[i], last[i]) for s in systems),
+                                float(R_eff[i]))
             system = systems[cc.system_id]
-            earlier, diams = self.level_tables(system)
-            below, at = slice(cc.level, None), slice(a[i], b[i])
-            counts = (earlier[below, at] < a[i]).sum(axis=1).tolist()
-            max_diams = diams[below, at].max(axis=1).tolist()
+            starts, diams = self.level_tables(system)
+            # at each level below the cube, the run holding the first position
+            # and one past the run holding the last
+            runs = starts.searchsorted((self.shift[cc.level:system.max_level, None]
+                                        + ends[i]).ravel(), side="right")
+            runs[::2] -= 1
             out.append(LocalWindow(x=x, R=float(radii[i]), R_eff=cc.R_eff, level=cc.level,
                                    system_id=cc.system_id,
-                                   depth=system.max_level - cc.level, counts=[1, *counts],
-                                   max_diams=[cc.diameter, *max_diams],
+                                   depth=system.max_level - cc.level,
+                                   counts=[1, *(runs[1::2] - runs[::2]).tolist()],
+                                   max_diams=[cc.diameter,
+                                              *np.maximum.reduceat(diams, runs)[::2].tolist()],
                                    target_size=int(b[i] - a[i])))
         return out
 
@@ -622,11 +659,8 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
         x = int(rng.integers(norm.n))
         R = radii[int(rng.integers(len(radii)))]
         queries.append((x, R))
-    balls = []
-    for x, R in queries:
-        members = norm.ball_members(x, R)
-        balls.append((members, _effective_radius(norm, x, R, members)))
-    degenerate = np.array([R_eff == 0.0 for _, R_eff in balls])
+    balls = [_query_ball(norm, x, R) for x, R in queries]
+    degenerate = np.array([R_eff == 0.0 for R_eff, _ in balls])
 
     # per-query best (smallest-diameter) containing cube across systems so far
     best_cert = np.where(degenerate, 1.0, np.inf)
@@ -635,10 +669,12 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
     for t in range(K_max):
         system = probe if t == 0 else build_system(norm, params, seed=seed + t, max_level=L,
                                                    system_id=t, pre_normalized=True)
+        if (split := _split_cube(system)) is not None:
+            raise RuntimeError(f"built system {t} has a cube that is not one run: {split}")
         systems.append(system)
         for qi in np.flatnonzero(~degenerate):
-            members, R_eff = balls[qi]
-            level, index = _circumscribed_in_system(system, members)
+            R_eff, ids = balls[qi]
+            level, index = _circumscribed_in_system(system, ids)
             diam = system.diams_at(level)[index]
             if diam < best_diam[qi]:
                 best_diam[qi] = diam
@@ -807,7 +843,9 @@ def load_family(path, space: MetricSpace, points_hash: str | None = None) -> Adj
     ``StaleCubesError``. Labels are re-derived from the stored nets and
     parents, and every system's four structural checks are recomputed; a
     system that fails partition, the inner ball or the outer ball check makes
-    the file stale, and so does a value that the builder could not have
+    the file stale, and so does one on a line or an ultrametric with a cube
+    that is not one run of the index's order (``_split_cube``), or a value
+    that the builder could not have
     written: a system ``seed`` not an int >= 0, a level ``k`` other than its
     position, ``C_delta_hat`` not finite or below 1, ``C_tilde`` other than
     its expression in ``C_delta_hat``, ``c0`` and ``C0``, ``best_effort``
@@ -857,6 +895,8 @@ def load_family(path, space: MetricSpace, points_hash: str | None = None) -> Adj
         system = CubeSystem(sid, norm, params, system_seed, levels,
                             _derive_labels(norm, levels, parent_idx), parent_idx,
                             BuildReport())
+        if (split := _split_cube(system)) is not None:
+            raise StaleCubesError(f"cubes file fails property runs on reload: {split}")
         checks = verify_system(system)
         for name in ("ii_partition", "iii_inner", "iii_outer"):
             if checks[name].applicable and not checks[name].ok:

@@ -22,6 +22,7 @@ from .cubes import (DIAMETER_SLACK, AdjacentFamily, CubeSystem, LocalWindow,  # 
                     r_grid)
 from .errors import (DegenerateBallError, InsufficientScalesError, InvalidArgumentError,
                      ScaleExhaustedError)
+from .kernels import distinct
 
 HAUSDORFF_SLOPE_TOL = 0.005
 BISECTION_STEPS = 20
@@ -286,7 +287,7 @@ def sample_points(space, E, budget: int, seed: int) -> np.ndarray:
     else:
         rng = np.random.default_rng([seed, 13])
         chosen = rng.choice(E, size=budget, replace=False)
-    return np.unique(np.concatenate([chosen, np.asarray(extremal, dtype=np.int64)]))
+    return distinct(np.concatenate([chosen, np.asarray(extremal, dtype=np.int64)]))
 
 
 def _windows_for_point(family, E, x, radii, seen):

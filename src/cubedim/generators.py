@@ -8,6 +8,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InvalidArgumentError, SizeCapError
+from .kernels import distinct
 from .metric import MetricDescriptor, MetricSpace
 
 POINT_CAP = 10 ** 6
@@ -103,7 +104,7 @@ def ifs_orbit(maps, depth) -> np.ndarray:
         images = []
         for m in maps:
             images.append(pts * m[0] + np.asarray(m[1:], dtype=np.float64))
-        pts = np.unique(np.concatenate(images), axis=0)
+        pts = distinct(np.concatenate(images))
         _check_cap(pts.shape[0] * len(maps))
     return pts
 

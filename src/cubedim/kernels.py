@@ -35,6 +35,15 @@ TABLE_BITS = 20  # a level with at most 2**TABLE_BITS cells keeps a table of the
 LOOKUP = 4.0  # the cost of looking up one cell, in candidates decided
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D array, or rows of a 2-D one, ascending
+    (rows lexicographically): ``np.unique`` with no index, inverse or count,
+    which imports ``numpy.ma`` on its first call."""
+    a = np.sort(values) if values.ndim == 1 else values[np.lexsort(values.T[::-1])]
+    step = a[1:] != a[:-1]
+    return a[np.concatenate([[True], step if step.ndim == 1 else step.any(axis=1)])[:len(a)]]
+
+
 def _stretches(sizes: np.ndarray, limit: int):
     """Consecutive ranges (a, b) covering ``sizes``, each summing to at most
     about ``limit``: the range grows past it only by its last size."""
@@ -183,7 +192,7 @@ class CellIndex:
         lo, hi = self._floor(g - w), self._floor(g + w)
         # box widths in grid steps, rounded up to a power of two
         width = np.frexp(np.minimum(np.floor(2.0 * w), float(self.size)) + 0.5)[1]
-        widths = np.unique(width)
+        widths = distinct(width)
         level = np.array([self._level(1 << v) for v in widths.tolist()],
                          dtype=np.int64)[np.searchsorted(widths, width)]
         return lo >> level, hi >> level, level
@@ -204,7 +213,7 @@ class CellIndex:
                 cell[j] += rest % c
                 rest //= c
         since = None if since is None else since[qi]
-        levels = np.unique(level)
+        levels = distinct(level)
         if levels.size == 1:
             return (qi, *self._cell_runs(cell, int(levels[0]), since))
         start, stop = np.empty(qi.size, dtype=np.int64), np.empty(qi.size, dtype=np.int64)

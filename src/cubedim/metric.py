@@ -214,7 +214,7 @@ class _SortedIndex(_Index):
         none. Distances from p do not fall as ranks move away from p's, so the
         least positive one on each side is to the nearest rank of ``among`` at a
         positive distance; a bisection over ``among``'s ranks finds it."""
-        ranks = np.unique(self.rank[among])
+        ranks = kernels.distinct(self.rank[among])
         cand = self.order[ranks]
         out = np.full(ids.size, np.nan)
         for seq, start in ((cand, np.searchsorted(ranks, self.rank[ids], side="right")),
@@ -312,7 +312,7 @@ class PrefixIndex(_SortedIndex):
         r = np.asarray(r, dtype=np.float64)
         levels = np.searchsorted(self._neg_dist, -r.reshape(-1), side="right")  # level()
         lo, hi = np.empty_like(levels), np.empty_like(levels)
-        for L in np.unique(levels).tolist():
+        for L in kernels.distinct(levels).tolist():
             runs = self.runs(L)
             run = runs[self.rank[x]]
             at = levels == L
@@ -362,7 +362,7 @@ class PrefixIndex(_SortedIndex):
         dist = self.dist[best]
         tie_level = self._tie_level(dist)
         idx = np.empty(query_ids.size, dtype=np.int64)
-        for L in np.unique(tie_level):
+        for L in kernels.distinct(tie_level):
             runs = self.runs(int(L))
             lowest = np.full(int(runs[-1]) + 1, k, dtype=np.int64)
             np.minimum.at(lowest, runs[center_rank], np.arange(k))
@@ -463,6 +463,16 @@ class _CoordBase:
     def farthest_sq(self) -> float:
         return _farthest_pair_sq(self.coords, self.cells.key)
 
+    @cached_property
+    def lowest_at_place(self) -> np.ndarray:
+        """Each point's lowest id among the points at its place."""
+        by_place = np.lexsort(self.coords.T[::-1])  # stable: one place's ids ascend
+        pts = self.coords[by_place]
+        new = np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])
+        out = np.empty(by_place.size, dtype=np.int64)
+        out[by_place] = by_place[np.flatnonzero(new)][np.cumsum(new) - 1]
+        return out
+
 
 class CoordIndex(_Index):
     """The points of a coordinate space (euclidean or snowflake) in two or more
@@ -520,7 +530,10 @@ class CoordIndex(_Index):
     def nearest_within(self, centers: np.ndarray, r: float):
         """A point's nearest center is closer than ``r`` exactly when some center
         is, so the cells around the centers find them all, and no other point
-        is visited."""
+        is visited. When every point is a center, in id order, a point's
+        nearest is the lowest id at its place, and no cell is visited."""
+        if self._whole(centers):
+            return self.ids, self.base.lowest_at_place, np.zeros(self.ids.size)
         ids, idx, base_d = kernels.nearest_center_within_coords(
             self.cells, self.coords[centers], self.base_radius(r))
         return ids, idx, self.descriptor.transform(base_d)
@@ -577,10 +590,10 @@ class CoordIndex(_Index):
 
     def min_gap(self) -> float:
         # one id per distinct point: repeated points are not distinct
-        _, first = np.unique(self.coords, axis=0, return_index=True)
+        first = np.flatnonzero(self.base.lowest_at_place == self.ids)
         if first.size == 1:
             return float("inf")
-        return self.closest_pair(np.sort(first))[0]
+        return self.closest_pair(first)[0]
 
 
 class LineIndex(_SortedIndex, CoordIndex):
@@ -594,15 +607,10 @@ class LineIndex(_SortedIndex, CoordIndex):
     search at a radius widened by ``kernels.TIE_RTOL`` and decided by the
     same expression as the cell index's kernels, so every net, nearest
     center, ball and closest pair is bit for bit that of ``CoordIndex`` on
-    the same points. The nearest centers within a radius are read off each
-    center's window of ranks (``nearest_within``), and a cube's farthest
-    member from its center is its least or greatest rank (``run_farthest``).
-    The sorted order stays, rather than a ``CellIndex``,
-    because it costs less for the same answers: on the 10,001-point
-    sequence (2-vCPU host), nets and nearest centers through cells took a
-    build from 0.15 to 0.97 s, the reads from 0.42 to 0.64 s and the peak
-    RSS from 62 to 384 MB; nearest centers alone, the build to 0.31 s;
-    ``nearest_within`` alone, the reads to 0.55 s.
+    the same points, at a fraction of the cost of cells. The nearest centers
+    within a radius are read off each center's window of ranks
+    (``nearest_within``), and a cube's farthest member from its center is
+    its least or greatest rank (``run_farthest``).
     """
 
     def __init__(self, space: "MetricSpace"):

@@ -6,8 +6,9 @@ import sys
 import pytest
 from conftest import write_cubes_doc
 
-from cubedim import cli, cubes, load_points, save_points
+from cubedim import MetricDescriptor, MetricSpace, cli, cubes, load_points, save_points
 from cubedim.dimensions import local_windows
+from cubedim.nets import NetParams
 
 BASE = [sys.executable, "-m", "cubedim"]
 
@@ -577,6 +578,44 @@ class TestDamagedCubesFile:
                 cwd=workspace)
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("error:") and "level 0" in r.stderr, r.stderr
+
+
+    def test_parent_list_splitting_a_run_refused(self, run, tmp_path):
+        # five points of a line; at level 1 the centers 0.0, 0.2 and 1.0, at
+        # level 2 every point. The parents of 0.09 and 0.11 are swapped: each
+        # lies outside both inner balls (1/36) and inside both outer balls (1/6),
+        # so the four checks pass, but the cube of 0.0 holds 0.0 and 0.11, with
+        # 0.09 of the cube of 0.2 between them
+        save_points(MetricSpace(MetricDescriptor("euclidean"),
+                                coords=[0.0, 0.09, 0.11, 0.2, 1.0]), tmp_path / "pts.json")
+        r = run("build", "--points", "pts.json", "--out", "cubes.json", "--delta",
+                "0.08333333333333333", "--levels", "2", "--systems", "1", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        doc = json.loads((tmp_path / "cubes.json").read_text())
+        levels = [[0], [0, 3, 4], [0, 1, 2, 3, 4]]
+        doc["systems"] = [{"seed": 7, "levels": [{"k": k, "centers": c}
+                                                 for k, c in enumerate(levels)],
+                           "parents": [[0, 0], [3, 0], [4, 0], [0, 0], [1, 0], [2, 3], [3, 3],
+                                       [4, 4]]}]
+        for name, swap in (("good.json", False), ("split.json", True)):
+            if swap:
+                doc["systems"][0]["parents"][4:6] = [[1, 3], [2, 0]]
+            write_cubes_doc(tmp_path / name, doc)
+            r = run("verify", "--points", "pts.json", "--cubes", name, cwd=tmp_path)
+            assert r.returncode == (2 if swap else 0), r.stdout + r.stderr
+        assert "FAIL" not in run("verify", "--points", "pts.json", "--cubes", "good.json",
+                                 cwd=tmp_path).stdout
+        assert r.stderr.startswith("error: cubes file fails property runs"), r.stderr
+        # the split family, its labels derived as a reload derives them, passes the four checks
+        space = load_points(tmp_path / "pts.json").rescaled(doc["scale"])
+        params = NetParams(delta=1 / 12)
+        _, levels, parent_idx = cubes._nets_from_json(
+            cubes._read_doc(tmp_path / "split.json")["systems"][0], space.n, params)
+        system = cubes.CubeSystem(0, space, params, 7, levels,
+                                  cubes._derive_labels(space, levels, parent_idx), parent_idx,
+                                  cubes.BuildReport())
+        assert all(c.ok for c in cubes.verify_system(system).values())
+        assert cubes._split_cube(system) == {"level": 1, "center": 0}
 
 
 class TestDoubling:

@@ -35,7 +35,14 @@ and the sweeps read each window off one table of such runs
 least positive gap off E's rank order. The row-and-digest window reading
 and the row-based ``sample_points`` they replaced are kept here as oracles:
 whole windows must match bit for bit, on spaces with repeated points and on
-targets E that are strict subsets or repeat an id.
+targets E that are strict subsets or repeat an id. Every built cube on a
+line or in an ultrametric is one run of the index's order too, so the
+table now reads each window's counts off the cubes' runs and its
+containing cube off the ball's two end ids, and the family build keeps
+each query ball as those two ids; the table that reduced over every
+position of a ball (``PositionWindowTable``) and the member-based build
+(``oracle_family``) are their oracles, on lines with ties at midpoints and
+repeated points and on ultrametrics of arity 3 with tiny bases.
 
 Every local window counts from m = 0, its containing cube, where the count
 is 1. The box fit reads the window of the one ball around E's first id that
@@ -98,8 +105,8 @@ from cubedim.cubes import (NORMALIZED_DIAMETER, AdjacentFamily, BuildReport, Cub
 from cubedim.dimensions import (DimensionEstimate, _fit_line, _met_diameters,
                                 box_dim_estimate, hausdorff_dim_estimate,
                                 least_admissible_level, local_windows, sample_points)
-from cubedim.errors import (DegenerateBallError, InsufficientScalesError, InvalidArgumentError,
-                            ScaleExhaustedError, StaleCubesError)
+from cubedim.errors import (ConfigurationError, DegenerateBallError, InsufficientScalesError,
+                            InvalidArgumentError, ScaleExhaustedError, StaleCubesError)
 from cubedim.metric import load_points, save_points
 from cubedim.nets import NetLevel, NetParams, nearest_center, nearest_center_within
 
@@ -363,6 +370,202 @@ class TestDepthFirstArrays:
         E_rep = np.sort(np.concatenate([E, E[-1:]]))
         assert ([window_bits(w) for w in local_windows(fam, E_rep, SAMPLE_BUDGET, radii=radii)]
                 == [window_bits(w) for w in oracle_local_windows(fam, E_rep, radii)])
+
+
+@st.composite
+def run_spaces(draw):
+    """A space whose index is sorted: a line of multiples of 1/8, where points
+    repeat and many sit at the midpoint of two others, perhaps snowflaked; or
+    an ultrametric of arity 3, whose base may take a distance near or past
+    underflow (base ** 2 is 0.0 at 1e-200)."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    n = draw(st.integers(min_value=2, max_value=60))
+    if draw(st.booleans()):
+        x = rng.integers(0, draw(st.sampled_from([4, 16, 64])), size=n) / 8.0
+        x[0] = x[-1] + 0.125  # two distinct points at least
+        space = MetricSpace(MetricDescriptor("euclidean"), coords=x)
+        eps = draw(st.sampled_from([1.0, 0.5]))
+        return space if eps == 1.0 else space.snowflaked(eps)
+    length = draw(st.integers(min_value=1, max_value=4))
+    strings = ["".join(map(str, w)) for w in rng.integers(0, 3, size=(n, length))]
+    strings[0] = "2" * length if strings[-1] != "2" * length else "0" * length
+    desc = MetricDescriptor("ultrametric", arity=3,
+                            base=draw(st.sampled_from([0.5, 1 / 16, 1e-100, 1e-200])))
+    return MetricSpace(desc, strings=strings)
+
+
+@st.composite
+def run_families(draw):
+    """A family built over ``run_spaces``, with E every point, a strict subset
+    or n ids drawn with repeats, and radii as in ``families``; None where the
+    least gap underflows, which the build refuses."""
+    space = draw(run_spaces())
+    try:
+        fam = build_adjacent_family(space, NetParams(), K_max=3, query_budget=12,
+                                    target_ratio=draw(st.sampled_from([2.0, 64.0])),
+                                    seed=draw(st.integers(min_value=0, max_value=50)),
+                                    max_level=draw(st.integers(min_value=1, max_value=4)))
+    except ConfigurationError as exc:
+        assert "underflows" in str(exc)
+        return None
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    n = fam.space.n
+    E = {"all": fam.space.ids,
+         "subset": np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False)),
+         "repeats": np.sort(rng.integers(n, size=n))}[draw(st.sampled_from(
+             ["all", "subset", "repeats"]))]
+    grid = r_grid(fam.params.delta, fam.max_level)
+    radii = [1.0 - 1e-10] + sorted(rng.choice(grid, size=min(5, len(grid)), replace=False),
+                                   reverse=True)
+    return fam, E, np.asarray(radii)
+
+
+def one_run_per_cube(system):
+    """Whether the members of every cube have consecutive ranks in the order of
+    the space's index, measured cube by cube."""
+    rank = system.space.index.rank
+    return all(ids.size == 0 or np.ptp(rank[ids]) + 1 == ids.size
+               for k in range(system.max_level + 1) for ids in system.cubes_at(k))
+
+
+class PositionWindowTable:
+    """``cubes.RunWindowTable`` as it was before it read cubes as runs: per
+    system and level, the last earlier position of E's ids in the same cube
+    and that cube's diameter, one entry per position, and each system's
+    depth-first ranks over every position of the space; each window reduces
+    them over all of the ball's positions."""
+
+    def __init__(self, family, E):
+        self.family = family
+        self.index = family.space.index
+        order = self.index.order
+        in_E = np.zeros(family.space.n, dtype=bool)
+        in_E[E] = True
+        in_E = in_E[order]
+        self.ids = order[in_E]
+        self.before = np.concatenate([[0], np.cumsum(in_E)])
+        self.ranks = np.stack([system.rank[order] for system in family.systems])
+        self._levels = {}
+
+    def level_tables(self, system):
+        if system.system_id not in self._levels:
+            earlier = np.full((system.max_level, self.ids.size), -1, dtype=np.int32)
+            diams = np.empty((system.max_level, self.ids.size))
+            for k in range(1, system.max_level + 1):
+                labels = system.labels[k][self.ids]
+                by_cube = np.argsort(labels, kind="stable")
+                same = labels[by_cube[1:]] == labels[by_cube[:-1]]
+                earlier[k - 1, by_cube[1:][same]] = by_cube[:-1][same]
+                diams[k - 1] = system.diams_at(k)[labels]
+            self._levels[system.system_id] = earlier, diams
+        return self._levels[system.system_id]
+
+    @staticmethod
+    def cube_of_ranks(system, least, greatest):
+        first, last = system.order[least], system.order[greatest]
+        for k in range(system.max_level, 0, -1):
+            if system.labels[k][first] == system.labels[k][last]:
+                return k, int(system.labels[k][first])
+        return 0, 0
+
+    def windows(self, x, radii, seen):
+        lo, hi = self.index.ball_run(x, radii)
+        new = []
+        for i, run in enumerate(zip(lo.tolist(), hi.tolist())):
+            if run not in seen:
+                seen.add(run)
+                new.append(i)
+        lo, hi, radii = lo[new], hi[new], radii[new]
+        R_eff = np.minimum(radii, 2.0 * self.index.pairs(self.index.order[lo],
+                                                         self.index.order[hi - 1]))
+        a, b = self.before[lo], self.before[hi]
+        systems = self.family.systems
+        out = []
+        for i in np.flatnonzero((R_eff != 0.0) & (a < b)).tolist():
+            run = self.ranks[:, lo[i]:hi[i]]
+            cc = cubes._smallest_cube(self.family, map(self.cube_of_ranks, systems,
+                                                       run.min(axis=1), run.max(axis=1)),
+                                      float(R_eff[i]))
+            system = systems[cc.system_id]
+            earlier, diams = self.level_tables(system)
+            below, at = slice(cc.level, None), slice(a[i], b[i])
+            counts = (earlier[below, at] < a[i]).sum(axis=1).tolist()
+            max_diams = diams[below, at].max(axis=1).tolist()
+            out.append(cubes.LocalWindow(x=x, R=float(radii[i]), R_eff=cc.R_eff,
+                                         level=cc.level, system_id=cc.system_id,
+                                         depth=system.max_level - cc.level,
+                                         counts=[1, *counts],
+                                         max_diams=[cc.diameter, *max_diams],
+                                         target_size=int(b[i] - a[i])))
+        return out
+
+
+def position_windows(family, E, radii):
+    """``local_windows`` on a sorted index as it was, through ``PositionWindowTable``."""
+    table, seen, out = PositionWindowTable(family, E), set(), []
+    for x in sample_points(family.space, E, SAMPLE_BUDGET, 0):
+        out.extend(w for w in table.windows(int(x), radii, seen) if w.depth >= 2)
+    return out
+
+
+class TestCubesAreRuns:
+    """On a line and in an ultrametric every built cube is one run of the
+    index's order; the window table and the build's certificate queries read
+    cubes as runs, from each ball's two end ids, where the old ones reduced
+    over each ball's positions or members (``PositionWindowTable``,
+    ``oracle_family``)."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_built_cube_is_one_run(self, data):
+        drawn = data.draw(run_families())
+        if drawn is None:
+            return
+        fam = drawn[0]
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        for system in fam.systems:
+            assert one_run_per_cube(system) and cubes._split_cube(system) is None
+            # a point moved to another cube below the root: the check agrees with
+            # the cube-by-cube measure, and names a cube that is not one run
+            k = int(rng.integers(1, system.max_level + 1))
+            labels = [lab.copy() for lab in system.labels]
+            labels[k][rng.integers(fam.space.n)] = rng.integers(system.levels[k].centers.size)
+            moved = with_labels(system, labels)
+            split = cubes._split_cube(moved)
+            assert (split is None) == one_run_per_cube(moved)
+            if split is not None:
+                members = np.flatnonzero(labels[split["level"]] == np.searchsorted(
+                    system.levels[split["level"]].centers, split["center"]))
+                assert np.ptp(fam.space.index.rank[members]) + 1 > members.size
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_windows_match_the_position_table(self, data):
+        drawn = data.draw(run_families())
+        if drawn is None:
+            return
+        fam, E, radii = drawn
+        got = local_windows(fam, E, sample_budget=SAMPLE_BUDGET, radii=radii)
+        assert [window_bits(w) for w in got] == [
+            window_bits(w) for w in position_windows(fam, E, radii)]
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_certificates_match_the_member_queries(self, data):
+        space = data.draw(run_spaces())
+        args = dict(K_max=3, query_budget=24,
+                    target_ratio=data.draw(st.sampled_from([2.0, 64.0])),
+                    seed=data.draw(st.integers(min_value=0, max_value=50)),
+                    max_level=data.draw(st.integers(min_value=1, max_value=4)))
+        try:
+            want = oracle_family(space, NetParams(), **args)
+        except ConfigurationError:  # the least gap underflows
+            with pytest.raises(ConfigurationError, match="underflows"):
+                build_adjacent_family(space, NetParams(), **args)
+            return
+        got = build_adjacent_family(space, NetParams(), **args)
+        assert family_to_json(got) == family_to_json(want)
+        assert got.query_log == want.query_log
 
 
 class TestSamplePoints:
@@ -1269,13 +1472,15 @@ class TestLevelPasses:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_nearest_center_within_matches_full_query(self, kind, data):
-        space = data.draw(spaces(kind))
+        space = data.draw(spaces(kind, repeats=data.draw(st.booleans())))
         scale = data.draw(st.sampled_from([1.0, 0.37, 3.0]))
         space = space.rescaled(scale) if scale != 1.0 else space
         rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
         centers = rng.choice(space.n, size=int(rng.integers(1, space.n + 1)), replace=False)
         if data.draw(st.booleans()):
             centers = np.sort(centers)
+        if data.draw(st.booleans()):  # every point a center, perhaps repeated
+            centers = space.ids
         idx, dist = nearest_center(space, centers)
         values = np.unique(dist[dist > 0])
         values = values[rng.permutation(values.size)[:6]]

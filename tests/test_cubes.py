@@ -370,6 +370,30 @@ class TestSerialization:
         with pytest.raises(StaleCubesError, match="fails property"):
             load_family(path, space)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_every_point_a_deepest_center_with_twins_refused(self, dim, tmp_path):
+        # every point listed twice, and each twin of a deepest center made a
+        # center too, so that every point is one: each labels itself, and the
+        # inner-ball check, which reads each point's nearest center off the
+        # lowest id at its place, finds the later twin nearer the earlier one
+        coords = np.random.default_rng(2).uniform(size=(30, dim))
+        space = MetricSpace(MetricDescriptor("euclidean"), coords=np.repeat(coords, 2, axis=0))
+        path = tmp_path / "cubes.json"
+        # far below the resolution, every distinct point is a deepest center
+        save_family(build_adjacent_family(space, NetParams(), K_max=1, query_budget=8,
+                                          seed=3, max_level=6), path)
+        doc = json.loads(path.read_text())
+        system = doc["systems"][0]
+        deepest = system["levels"][-1]["centers"]
+        assert len(deepest) == 30
+        first = len(system["parents"]) - len(deepest)
+        parent = dict(system["parents"][first:])
+        system["levels"][-1]["centers"] = list(range(60))
+        system["parents"][first:] = [[i, parent.get(i, parent.get(i ^ 1))] for i in range(60)]
+        write_cubes_doc(path, doc)
+        with pytest.raises(StaleCubesError, match="fails property iii_inner"):
+            load_family(path, space)
+
     def test_corrupted_file_refused(self, ultra6, ultra6_family, tmp_path):
         path = tmp_path / "cubes.json"
         save_family(ultra6_family, path, points_hash="h1")

@@ -1,0 +1,50 @@
+"""The size ladder's instrument (``benchmarks/ladder.py``), without its rungs.
+
+An op's exit code, CPU time and peak RSS come from ``os.wait4`` on its own
+process, and each rung's cost ratios to the rung below it in its series are
+raw and per unit of K x (max level + 1), with a warning for a raw ratio
+above 3 on a doubling of n.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+LADDER = Path(__file__).resolve().parent.parent / "benchmarks" / "ladder.py"
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    spec = importlib.util.spec_from_file_location("ladder", LADDER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_child_reports_its_own_exit_time_and_memory(ladder, tmp_path):
+    busy = "import sys; b = bytearray(96 * 2 ** 20); sum(range(3 * 10 ** 6)); sys.exit(3)"
+    got = ladder.child(["-c", busy], str(tmp_path))
+    assert got["exit"] == 3 and got["cpu_s"] > 0.0
+    assert got["peak_rss_mb"] >= 96.0
+
+
+def rung(name, n, K, L, cpu):
+    ops = {op: {"cpu_s": cpu[op], "peak_rss_mb": 1.0, "exit": 0}
+           for op in ("build", "verify", "box", "assouad")}
+    return {"name": name, "n": n, "K": K, "max_level": L, "ops": ops}
+
+
+def test_ratios_run_within_a_series(ladder):
+    cpu = dict.fromkeys(("build", "verify", "box", "assouad"), 1.0)
+    rungs = [rung("a", 100, 2, 3, cpu), rung("other", 50, 1, 1, cpu),
+             rung("b", 200, 4, 3, {**cpu, "verify": 3.5}),
+             rung("c", 800, 4, 3, {**cpu, "verify": 14.0})]
+    warnings = ladder.ratios(rungs, ["line", "grid", "line", "line"])
+    assert "ratios" not in rungs[0] and "ratios" not in rungs[1]
+    assert rungs[2]["ratios"]["below"] == "a" and rungs[2]["ratios"]["n"] == 2.0
+    # K doubles at the same max level: twice the units
+    assert rungs[2]["ratios"]["verify"] == {"raw": 3.5, "per_unit": 1.75}
+    assert rungs[3]["ratios"]["verify"]["raw"] == 4.0
+    # only the doubling of n warns; c quadruples it
+    assert warnings == ["a -> b: verify CPU x3.50 on a doubling of n"]

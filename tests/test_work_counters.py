@@ -20,7 +20,9 @@ computes one whole-space farthest pair. On a line and in an ultrametric,
 ``local_windows`` reads every ball as a run of the index's ranks off one
 window table, built once per call with each system's level tables built at
 most once: it asks for no row, no ``ball_members`` and no digest of a
-ball's members. A plane's windows still take their digests. On a plane,
+ball's members. A plane's windows still take their digests. There, a
+family's build keeps each certificate query's ball as its two end ids and
+asks for no ``ball_members`` either; a plane's build asks one per query. On a plane,
 the rows whose squared distances a build, a reload and a window table take
 grow at most 2.5x as the points double. In an ultrametric, a reload's
 inner-ball check and a greedy cover read prefix runs, with no nearest-center
@@ -33,7 +35,8 @@ take in a build, a reload, a window table and a sandwich check grow at most
 2.5x as the points double. A cubes file's id arrays are written and read as
 arrays: a reload hands ``json.loads`` only the small rest of the document,
 and the memory a save and a reload hold grows at most 2.5x as the points
-double.
+double. No command of a pipeline over a line, a plane, an ultrametric or
+a matrix space imports ``numpy.ma``.
 None of these changes an output, so losing one shows only in the work done
 or the memory held; these counts make that fail the test suite.
 """
@@ -192,6 +195,20 @@ def test_line_and_ultrametric_sweeps_read_rank_runs(request, fixture, sweep_work
         assert len(new) == len(set(new)) <= family.K
     assert sweep_work["rows"] == []
     assert (sweep_work["digests"], sweep_work["balls"]) == (0, 0)
+
+
+@pytest.mark.parametrize("fixture", ["line", "ultra6"])
+def test_line_and_ultrametric_builds_ask_no_ball(request, fixture, sweep_work):
+    # each certificate query keeps its ball's two end ids, from the index's
+    # ball_run, where it kept the ball's members; a plane still asks for them
+    family = build_adjacent_family(request.getfixturevalue(fixture), NetParams(), K_max=3,
+                                   query_budget=50, target_ratio=1.0, seed=3)
+    assert family.K == 3 and not all(q["degenerate"] for q in family.query_log)
+    assert sweep_work["balls"] == 0
+    plane = MetricSpace(MetricDescriptor("euclidean"),
+                        coords=np.random.default_rng(4).uniform(size=(200, 2)))
+    build_adjacent_family(plane, NetParams(), K_max=1, query_budget=50, seed=3, max_level=3)
+    assert sweep_work["balls"] == 50
 
 
 def test_plane_sweep_still_digests_members(sweep_work):
@@ -483,6 +500,51 @@ def test_no_pipeline_imports_scipy(gen, plane, tmp_path, cubedim_env):
     assert report["codes"] == [0, 0, 0] + ([1, 1] if plane else [0, 0])
     assert report["scipy"] is False
     assert all((count > 0) is plane for count in report["calls"].values()), report
+
+
+# gen (or a matrix points file), build, verify and the four estimates on a
+# line, a plane, an ultrametric and a matrix space, in one fresh process,
+# which reports each op's exit code and whether numpy.ma was imported
+MASKED = """
+import json, sys
+from cubedim import cli
+
+n = 60  # the points 1/k of a line as a distance matrix, lower triangle row by row
+matrix = {"metric": {"kind": "matrix", "matrix": [1 / (j + 1) - 1 / (i + 1) for i in range(n)
+                                                  for j in range(i)]},
+          "points": list(range(n))}
+with open("matrix.json", "w") as fh:
+    json.dump(matrix, fh)
+codes = {}
+for name, gen in (("line", ["sequence", "--p", "1", "--nmax", "400"]),
+                  ("plane", ["grid", "--dim", "2", "--res", "0.0625"]),
+                  ("ultrametric", ["ultrametric_cantor", "--depth", "6"]),
+                  ("matrix", None)):
+    pts = name + ".json"
+    common = ["--points", pts, "--cubes", name + "-cubes.json", "--seed", "3",
+              "--budget", "16"]
+    ops = [] if gen is None else [["gen", *gen, "--out", pts]]
+    ops += [["build", "--points", pts, "--out", name + "-cubes.json", "--seed", "3",
+             "--systems", "2", "--budget", "40"], ["verify", *common]]
+    ops += [["estimate", kind, *common, "--theta", "0.5", "--out", name + kind + ".json"]
+            for kind in ("box", "hausdorff", "spectrum", "assouad")]
+    codes[name] = [cli.main(argv) for argv in ops]
+print(json.dumps({"codes": codes, "masked": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_no_pipeline_imports_masked_arrays(tmp_path, cubedim_env):
+    # np.unique and np.intersect1d import numpy.ma on first use (NumPy 2.4):
+    # 9 ms of CPU and 1.3 MB of RSS per process that no op needs
+    r = subprocess.run([sys.executable, "-c", MASKED], cwd=tmp_path, capture_output=True,
+                       text=True, env=cubedim_env)
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout.splitlines()[-1])
+    for name, codes in report["codes"].items():
+        # gen, build and verify pass; a small space may have too few levels
+        # for a fit, which exits 1 by design
+        assert codes[-6:-4] == [0, 0] and set(codes[-4:]) <= {0, 1}, (name, codes)
+    assert report["masked"] is False
 
 
 def test_plane_ops_scan_the_whole_space_once(tmp_path, monkeypatch, capsys):
