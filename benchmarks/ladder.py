@@ -19,7 +19,8 @@ code, and the family's K and max level from ``build``'s summary line; per
 rung, each op's cost ratio to the rung below it in its series (the line,
 the ultrametric or the 2-D grid), raw and per unit of K x (max level + 1);
 and the git commit of the checkout, with a digest of its sources. A raw
-ratio above 3 on a doubling of n prints a warning; it fails nothing. The
+ratio above 3 on a doubling of n prints a warning; it fails nothing. An op
+that exited non-zero on either rung gets no ratio, and a warning. The
 ladder takes about 37 s of wall time on a 2-vCPU host.
 """
 
@@ -106,7 +107,8 @@ def run_rung(name: str, gen, build: list) -> dict:
 def ratios(rungs: list, series: list) -> list:
     """Each rung's cost ratio to the rung below it in its series, per op, raw
     and per unit of K x (max level + 1); warnings for a raw ratio above 3 on
-    a doubling of n."""
+    a doubling of n, and for each op left without a ratio because it exited
+    non-zero on either rung."""
     warnings, below = [], {}
     for rung, kind in zip(rungs, series):
         prev = below.get(kind)
@@ -116,6 +118,11 @@ def ratios(rungs: list, series: list) -> list:
         units = (rung["K"] * (rung["max_level"] + 1)) / (prev["K"] * (prev["max_level"] + 1))
         rung["ratios"] = {"below": prev["name"], "n": round(rung["n"] / prev["n"], 3)}
         for op in ["build", *READS]:
+            failed = [r["name"] for r in (prev, rung) if r["ops"][op]["exit"] != 0]
+            if failed:
+                warnings.append(f"{prev['name']} -> {rung['name']}: no {op} ratio, "
+                                f"{op} exited non-zero on {' and '.join(failed)}")
+                continue
             raw = rung["ops"][op]["cpu_s"] / max(prev["ops"][op]["cpu_s"], 1e-3)
             rung["ratios"][op] = {"raw": round(raw, 3), "per_unit": round(raw / units, 3)}
             if raw > 3.0 and rung["n"] <= 2.1 * prev["n"]:

@@ -90,9 +90,13 @@ def greedy_cover_count(space: MetricSpace, E, r: float, return_sets: bool = Fals
     The near set of a start, its uncovered points within r, is the index's
     closed ball at ``nextafter(r)``, taken whole at diameter <= r as growing
     would admit all of it. Each id of E is covered once, however often E lists it.
-    An index that has ``cover_runs`` (an ultrametric's, where every closed
-    ball is a prefix run of diameter at most r) gives the blocks in one pass:
-    the count is the number of distinct runs among E's ids.
+    An index that has ``cover_runs`` gives the blocks as runs of its sorted
+    order, and the count is the number of runs. In an ultrametric every
+    closed ball is a prefix run of diameter at most r, so the blocks are the
+    distinct runs among E's ids, read in one pass. On a line every block is
+    the uncovered ids of one interval, so the blocks are runs of E's ranks,
+    and each block's ends are found by binary search, with no ball or
+    diameter asked.
     """
     E = np.asarray(E, dtype=np.int64)
     if E.size == 0:

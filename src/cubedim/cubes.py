@@ -60,7 +60,9 @@ def default_max_level(space: MetricSpace, delta: float) -> int:
         raise ConfigurationError(
             "the least distance between distinct points underflows to 0.0; "
             "rescale the metric")
-    level = int(math.floor(math.log(1.0 / gap) / math.log(1.0 / delta) + 1e-9))
+    inverse = 1.0 / gap  # inf below about 5.6e-309, where -log(gap) gives a level past the cap
+    scale = math.log(inverse) if math.isfinite(inverse) else -math.log(gap)
+    level = int(math.floor(scale / math.log(1.0 / delta) + 1e-9))
     return max(1, min(MAX_LEVEL_CAP, level))
 
 

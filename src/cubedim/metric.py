@@ -33,6 +33,7 @@ from .errors import InvalidArgumentError, PointsFileError
 
 _KINDS = ("euclidean", "matrix", "snowflake", "ultrametric")
 _BLOCK = 128  # rows of differences held at once: 128 x m x dim floats, not m x m x dim
+_CHUNK = 1 << 10  # scan positions of a line net whose blocked marks one gather reads
 
 
 @dataclass(frozen=True)
@@ -609,8 +610,9 @@ class LineIndex(_SortedIndex, CoordIndex):
     center, ball and closest pair is bit for bit that of ``CoordIndex`` on
     the same points, at a fraction of the cost of cells. The nearest centers
     within a radius are read off each center's window of ranks
-    (``nearest_within``), and a cube's farthest member from its center is
-    its least or greatest rank (``run_farthest``).
+    (``nearest_within``), a cube's farthest member from its center is its
+    least or greatest rank (``run_farthest``), and the greedy cover's
+    blocks are runs of the ranks (``cover_runs``).
     """
 
     def __init__(self, space: "MetricSpace"):
@@ -622,10 +624,10 @@ class LineIndex(_SortedIndex, CoordIndex):
         self.sorted = x[self.order]
 
     @cached_property
-    def _lists(self):
-        """The sorted coordinates and the rank of each id, as Python lists: the
-        net's scan reads them one element at a time."""
-        return self.sorted.tolist(), self.rank.tolist()
+    def _xs(self) -> list:
+        """The sorted coordinates as a Python list: the net's scan and the
+        cover's blocks read it one element at a time."""
+        return self.sorted.tolist()
 
     def ball_run(self, x, r):
         """The ranks lo..hi-1 of the ids q with d(x, q) < r, for a radius r or an
@@ -654,20 +656,43 @@ class LineIndex(_SortedIndex, CoordIndex):
         iff no admitted center c has ``(x - c)**2 < sep**2``.
 
         That set is one run of ranks around c, so each admitted center blocks
-        a run; the widened run found by binary search is trimmed at both ends
-        to the points the squared distance decides.
+        a run. A point whose two sorted neighbours fail that test is ``sep``
+        from every point, as no farther rank is nearer: it blocks nothing,
+        nothing blocks it, and it is admitted wherever the scan meets it. The
+        scan visits only the other points (``_scan``), a chunk at a time with
+        the chunk's blocked points dropped first. The net is ``order``
+        filtered by the admitted ranks, in scan order.
         """
         sep = self.base_radius(t)
         sep2 = sep * sep
+        gap = np.diff(self.sorted)
+        far = gap * gap >= sep2  # the net's test, between sorted neighbours
+        admitted = bytearray(self.sorted.size)  # by rank, written by _scan
+        mark = np.frombuffer(admitted, dtype=bool)  # first the isolated ranks
+        mark[:] = True
+        mark[1:] &= far
+        mark[:-1] &= far
+        ranks = self.rank[order]
+        rest = ranks[~mark[ranks]]
+        blocked = bytearray(self.sorted.size)  # by rank
+        dropped = np.frombuffer(blocked, dtype=bool)
         wide = sep * (1.0 + kernels.TIE_RTOL)
-        xs, rank = self._lists
-        blocked = bytearray(len(xs))  # by rank
-        chosen = []
-        for cand in order.tolist():
-            r = rank[cand]
+        for start in range(0, rest.size, _CHUNK):
+            chunk = rest[start:start + _CHUNK]
+            self._scan(chunk[~dropped[chunk]].tolist(), sep2, wide, blocked, admitted)
+        return order[mark[ranks]]
+
+    def _scan(self, ranks: list, sep2: float, wide: float, blocked: bytearray,
+              admitted: bytearray) -> None:
+        """The greedy scan over ``ranks``: each rank not yet blocked is
+        admitted and blocks the run of ranks within the separation, the
+        widened run found by binary search and trimmed at both ends to the
+        points the squared distance decides."""
+        xs = self._xs
+        for r in ranks:
             if blocked[r]:
                 continue
-            chosen.append(cand)
+            admitted[r] = 1
             c = xs[r]
 
             def near(y):
@@ -680,7 +705,86 @@ class LineIndex(_SortedIndex, CoordIndex):
             if hi > r + 1 and not near(xs[hi - 1]):
                 hi = bisect_left(xs, True, r + 1, hi, key=lambda y: not near(y))
             blocked[lo:hi] = b"\x01" * (hi - lo)
-        return np.asarray(chosen, dtype=np.int64)
+
+    def cover_runs(self, ids: np.ndarray, r: float):
+        """The blocks of ``covering.greedy_cover_count`` over ``ids``, in rank
+        order, as (members, bounds): the distinct ``ids`` by rank and the
+        bounds of their runs, block i being ``members[bounds[i]:bounds[i + 1]]``.
+
+        A block is the uncovered ids in one interval of coordinates, and no
+        uncovered id within r of its start lies beyond a block taken before
+        it, so the blocks are runs of the ranks. Each start, the least
+        uncovered id, takes as its near set's ends the first and last
+        uncovered ranks within the widened closed radius, found by binary
+        search over the sorted coordinates as in ``ball_run``; an end that
+        ``pairs`` puts beyond r is moved in by binary search. The near set
+        is taken whole when its ends are within r of each other, and grown
+        (``_grown``) otherwise.
+        """
+        n = self.sorted.size
+        state = bytearray(n)  # by rank: 1 uncovered id, 2 taken in a block
+        marks = np.frombuffer(state, dtype=np.uint8)
+        marks[self.rank[ids]] = 1
+        ranks = np.flatnonzero(marks)
+        live = bytearray(n)  # by id: uncovered
+        uncovered = np.frombuffer(live, dtype=bool)
+        uncovered[ids] = True
+        xs, order = self._xs, self.order
+        wide = float(self.base_radius(np.nextafter(r, np.inf)) * (1.0 + kernels.TIE_RTOL))
+
+        def within(q):  # rank q is within r of the start s
+            return self.pairs(s, order[q:q + 1])[0] <= r
+
+        firsts = []
+        s = live.find(1)
+        while s >= 0:
+            rs = int(self.rank[s])
+            c = xs[rs]
+            f = state.find(1, bisect_left(xs, c - wide, 0, rs), rs + 1)
+            g = state.rfind(1, rs, bisect_right(xs, c + wide, rs + 1))
+            if f < rs or g > rs:
+                d = self.pairs(order[[rs, rs, f]], order[[f, g, g]])
+                if d[0] > r:  # the widening, or a block between, left ids beyond r
+                    f = state.find(1, bisect_left(range(n), True, f, rs, key=within), rs + 1)
+                if d[1] > r:
+                    g = state.rfind(1, rs, bisect_left(range(n), True, rs + 1, g + 1,
+                                                       key=lambda q: not within(q)))
+                if d[0] > r or d[1] > r:
+                    d[2] = self.pairs(order[f:f + 1], order[g:g + 1])[0]
+                if d[2] > r:
+                    f, g = self._grown(s, order[f:g + 1][marks[f:g + 1] == 1], r)
+            state[f:g + 1] = b"\x02" * (g + 1 - f)
+            uncovered[order[f:g + 1]] = False
+            firsts.append(f)
+            s = live.find(1, s + 1)
+        bounds = np.searchsorted(ranks, np.sort(np.asarray(firsts, dtype=np.int64)))
+        return order[ranks], np.append(bounds, ranks.size)
+
+    def _grown(self, s, near: np.ndarray, r: float):
+        """The least and greatest rank of the block that ``covering._grow_set``
+        grows from ``s`` over ``near``, its near set by rank. Candidates come
+        by ascending (distance from s, id); one is taken iff it is within r of
+        both ends of the block so far, which holds for every candidate up to
+        the first that widens the block's span past r. That one is refused,
+        and so is every later candidate on its side at or beyond its
+        coordinate; the rest go on from the block as it stands."""
+        seq = np.lexsort((near, self.pairs(s, near)))
+        u = v = int(np.flatnonzero(near == s)[0])
+        seq = seq[seq != u]
+        x = self.coords[near, 0]
+        while seq.size:
+            lo = np.minimum(np.minimum.accumulate(seq), u)
+            hi = np.maximum(np.maximum.accumulate(seq), v)
+            over = np.flatnonzero(self.pairs(near[lo], near[hi]) > r)
+            if not over.size:
+                u, v = int(lo[-1]), int(hi[-1])
+                break
+            k = over[0]
+            if k:
+                u, v = int(lo[k - 1]), int(hi[k - 1])
+            q, seq = seq[k], seq[k + 1:]
+            seq = seq[x[seq] > x[q]] if q < u else seq[x[seq] < x[q]]
+        return int(self.rank[near[u]]), int(self.rank[near[v]])
 
     def nearest(self, query_ids: np.ndarray, centers: np.ndarray):
         """``kernels.nearest_center_coords``: the least ``(x - c)**2``, ties to the

@@ -183,6 +183,21 @@ class TestBuild:
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and "underflows" in r.stderr, r.stderr
 
+    def test_subnormal_gap_builds_to_the_level_cap(self, run, tmp_path):
+        # base ** 3 = 1e-315 is subnormal, and 1.0 / 1e-315 overflows to inf:
+        # the least gap asks for more levels than the cap, not for a traceback
+        r = run("gen", "ultrametric_cantor", "--arity", "3", "--base", "1e-105",
+                "--depth", "4", "--out", "sub.json", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run("build", "--points", "sub.json", "--out", "sub_cubes.json", "--seed", "7",
+                cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert f"max_level={cubes.MAX_LEVEL_CAP} " in r.stdout, r.stdout
+        read = ["--points", "sub.json", "--cubes", "sub_cubes.json", "--seed", "7"]
+        for op in (["verify"], ["estimate", "box"], ["estimate", "assouad"]):
+            r = run(*op, *read, cwd=tmp_path)
+            assert r.returncode == 0, (op, r.stderr)
+
 
 class TestEstimate:
     def test_box_value(self, run, workspace):

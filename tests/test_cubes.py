@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from conftest import write_cubes_doc
 from cubedim import (DegenerateBallError, InvalidArgumentError, MetricDescriptor,
                      MetricSpace, ScaleExhaustedError, StaleCubesError,
                      dyadic_cover_count)
-from cubedim.cubes import (_check_ball_monotone, _check_outer_balls, build_adjacent_family,
-                           build_system, circumscribed_cube, default_max_level,
-                           load_family, save_family, verify_system)
+from cubedim.cubes import (MAX_LEVEL_CAP, _check_ball_monotone, _check_outer_balls,
+                           build_adjacent_family, build_system, circumscribed_cube,
+                           default_max_level, load_family, save_family, verify_system)
 from cubedim.nets import NetParams
 
 
@@ -45,6 +46,29 @@ class TestBuildSystem:
     def test_default_max_level_tracks_resolution(self, grid257, params):
         # smallest gap 1/256 resolves levels with delta^L >= 1/256 (delta = 1/16)
         assert default_max_level(grid257.rescaled(grid257.normalizing_factor()), params.delta) == 2
+
+    def test_default_max_level_unchanged_where_the_inverse_gap_is_finite(self):
+        # the level of every gap whose inverse is finite is the one log(1 / gap)
+        # gives; below that, -log(gap) gives a level past the cap
+        class Gap:
+            def __init__(self, gap):
+                self.gap = gap
+
+            def min_positive_distance(self):
+                return self.gap
+
+        gaps = [2.0 ** -e for e in range(0, 1075)] + [1.0 / 12 ** k for k in range(1, 286)]
+        gaps += [np.nextafter(g, side) for g in gaps for side in (0.0, 1.0)]
+        for delta in (1 / 16, 1 / 12, 0.08333333333333333, 0.05):
+            for gap in map(float, gaps):
+                if not 0.0 < gap < 1.0:
+                    continue
+                got = default_max_level(Gap(gap), delta)
+                if math.isfinite(1.0 / gap):
+                    level = int(math.floor(math.log(1.0 / gap) / math.log(1.0 / delta) + 1e-9))
+                    assert got == max(1, min(MAX_LEVEL_CAP, level)), (gap, delta)
+                else:
+                    assert got == MAX_LEVEL_CAP, (gap, delta)
 
     def test_deep_max_level_warns(self, grid257, params):
         system = build_system(grid257, params, seed=0, max_level=5)

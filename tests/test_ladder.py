@@ -3,7 +3,8 @@
 An op's exit code, CPU time and peak RSS come from ``os.wait4`` on its own
 process, and each rung's cost ratios to the rung below it in its series are
 raw and per unit of K x (max level + 1), with a warning for a raw ratio
-above 3 on a doubling of n.
+above 3 on a doubling of n. An op that exited non-zero on either rung gets
+no ratio, and a warning that names it.
 """
 
 import importlib.util
@@ -48,3 +49,17 @@ def test_ratios_run_within_a_series(ladder):
     assert rungs[3]["ratios"]["verify"]["raw"] == 4.0
     # only the doubling of n warns; c quadruples it
     assert warnings == ["a -> b: verify CPU x3.50 on a doubling of n"]
+
+
+def test_ratios_skip_an_op_that_failed_on_either_rung(ladder):
+    cpu = dict.fromkeys(("build", "verify", "box", "assouad"), 1.0)
+    rungs = [rung("a", 100, 2, 3, cpu), rung("b", 200, 2, 3, {**cpu, "box": 0.01}),
+             rung("c", 400, 2, 3, cpu)]
+    rungs[1]["ops"]["box"]["exit"] = 1
+    warnings = ladder.ratios(rungs, ["line"] * 3)
+    # the failed op has no ratio on either side of the failing rung; the others do
+    for got in rungs[1:]:
+        assert "box" not in got["ratios"]
+        assert got["ratios"]["verify"] == {"raw": 1.0, "per_unit": 1.0}
+    assert warnings == ["a -> b: no box ratio, box exited non-zero on b",
+                        "b -> c: no box ratio, box exited non-zero on b"]

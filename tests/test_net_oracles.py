@@ -34,9 +34,19 @@ sharing a run or a window, radii one ulp either side of a distance, and
 targets that repeat an id. A
 rescaled or snowflaked clone shares its source's sorted order and answers
 as a space built afresh under the clone's descriptor.
+
+A line net admits the points whose sorted neighbours are both at the
+separation or beyond with no scan, and scans the rest a chunk at a time;
+the per-point scan it replaced (``old_line_net``) is its oracle, for full
+and partial scans at separations on each neighbour gap and an ulp either
+side. On a line, every block of the ball-by-ball greedy loop is one run of
+the target's distinct ids in rank order, and the line's ``cover_runs``
+reads the blocks off those runs; the loop is its oracle, with a block
+grown at a radius on a pair distance.
 """
 
 import json
+from bisect import bisect_left, bisect_right
 from unittest import mock
 
 import numpy as np
@@ -352,6 +362,37 @@ def oracle_ball_greedy(space, E, r):
     return sets
 
 
+def old_line_net(index, order, t):
+    """The line net as it scanned every point of ``order`` in Python: each
+    point not yet blocked is admitted and blocks the run of ranks within the
+    separation, found by binary search at the widened separation and trimmed
+    at both ends by the squared distance."""
+    sep = index.base_radius(t)
+    sep2 = sep * sep
+    wide = sep * (1.0 + kernels.TIE_RTOL)
+    xs, rank = index.sorted.tolist(), index.rank.tolist()
+    blocked = bytearray(len(xs))
+    chosen = []
+    for cand in order.tolist():
+        r = rank[cand]
+        if blocked[r]:
+            continue
+        chosen.append(cand)
+        c = xs[r]
+
+        def near(y):
+            return (y - c) * (y - c) < sep2
+
+        lo = bisect_left(xs, c - wide, 0, r)
+        if not near(xs[lo]):
+            lo = bisect_left(xs, True, lo, r, key=near)
+        hi = bisect_right(xs, c + wide, r + 1)
+        if hi > r + 1 and not near(xs[hi - 1]):
+            hi = bisect_left(xs, True, r + 1, hi, key=lambda y: not near(y))
+        blocked[lo:hi] = b"\x01" * (hi - lo)
+    return np.asarray(chosen, dtype=np.int64)
+
+
 def assert_ball_run(space, x, r, want):
     """``ball_run`` gives the ranks of the ball's members ``want``, x's among them."""
     lo, hi = space.index.ball_run(x, r)
@@ -662,6 +703,23 @@ def _near_values(values, count, data):
     return [t for v in picks for t in (np.nextafter(v, 0.0), v, np.nextafter(v, np.inf))]
 
 
+@st.composite
+def lines(draw):
+    """A ``lattices`` line, or 2 to 60 multiples of 1/8 in random id order,
+    where points repeat and many sit at the midpoint of two others, perhaps
+    snowflaked or rescaled."""
+    if draw(st.booleans()):
+        return draw(lattices(dims=(1,)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    n = draw(st.integers(min_value=2, max_value=60))
+    x = rng.integers(0, draw(st.sampled_from([4, 16, 64])), size=n) / 8.0
+    space = MetricSpace(MetricDescriptor("euclidean"), coords=x)
+    eps = draw(st.sampled_from([1.0, 0.5]))
+    space = space if eps == 1.0 else space.snowflaked(eps)
+    scale = draw(st.sampled_from([1.0, 0.37]))
+    return space if scale == 1.0 else space.rescaled(scale)
+
+
 class TestLine:
     """1-D coordinates read off one sorted order (``LineIndex``), against the
     scan oracles above and against the cell index (``CoordIndex``) built on the
@@ -766,6 +824,57 @@ class TestLine:
             assert same_bits(ids[close], old_ids[want])
             assert same_bits(got_idx[close], old_idx[want])
             assert same_bits(got_dist[close], old_dist[want])
+
+
+    @given(space=lines(), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_net_matches_the_per_point_scan(self, space, data):
+        # separations on each gap between sorted neighbours and one ulp either
+        # side; full scans, prefixes of them and ascending subsets, as the
+        # doubling estimate passes
+        gaps = np.unique(space.pair_distances(space.index.order[:-1], space.index.order[1:]))
+        for k, t in enumerate(_near_values(gaps, 6, data) + [2.0 * space.diameter() + 1.0]):
+            full = scan_order(space.n, data.draw(st.integers(min_value=0, max_value=50)), k)
+            for order in (full, full[:data.draw(st.integers(0, space.n))],
+                          _subset(data, space.n)):
+                assert same_bits(space.index.net(order, t), old_line_net(space.index, order, t))
+
+    @given(space=lines(), data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_greedy_blocks_are_rank_runs(self, space, data):
+        # the ball-by-ball loop's blocks, on targets that are strict subsets or
+        # repeat ids and at radii on pair distances and an ulp either side: each
+        # is one run of the target's distinct ids in rank order, and the
+        # blocks read off those runs are the loop's
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        E = rng.choice(space.n, size=int(rng.integers(1, space.n + 1)),
+                       replace=data.draw(st.booleans()))
+        by_rank = space.index.rank[np.unique(E)]
+        by_rank.sort()
+        for r in _near_values(np.unique(space.distance_matrix()), 5, data):
+            want = oracle_ball_greedy(space, E, r)
+            for block in want:
+                at = np.searchsorted(by_rank, space.index.rank[block])
+                assert at.max() - at.min() + 1 == block.size
+            got = greedy_cover_count(space, E, r, return_sets=True)
+            assert len(got) == len(want) == greedy_cover_count(space, E, r)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    def test_greedy_block_grows_at_a_pair_distance(self):
+        # r is the distance 1 between id 0 at 1.0 and its neighbours: the near
+        # set of id 0 spans 2 and grows by (distance, id), taking id 1 at 0.0
+        # and refusing id 2 at 2.0; id 3 repeats id 0's place and comes with it
+        space = MetricSpace(MetricDescriptor("euclidean"), coords=[1.0, 0.0, 2.0, 1.0, 2.5])
+        want = [[0, 1, 3], [2, 4]]
+        assert [b.tolist() for b in oracle_ball_greedy(space, space.ids, 1.0)] == want
+        got = greedy_cover_count(space, space.ids, 1.0, return_sets=True)
+        assert [b.tolist() for b in got] == want
+        assert greedy_cover_count(space, space.ids, 1.0) == 2
+        # just below 1, each id stands alone but id 0 with its repeat
+        below = np.nextafter(1.0, 0.0)
+        assert [b.tolist() for b in greedy_cover_count(space, space.ids, below,
+                                                        return_sets=True)] == [
+            [0, 3], [1], [2, 4]]
 
 
 @st.composite

@@ -32,7 +32,10 @@ a build, a reload, a window table and a sandwich check take grow at most
 each center's window of ranks, with no nearest-center query beyond the
 labels'; the rows that the line's distances and nearest-center queries
 take in a build, a reload, a window table and a sandwich check grow at most
-2.5x as the points double. A cubes file's id arrays are written and read as
+2.5x as the points double. A line's greedy cover reads its blocks' ends
+off the sorted coordinates, with no ball, diameter or grown set, and a
+line net's Python scan never visits a point whose sorted neighbours are
+both at the separation or beyond. A cubes file's id arrays are written and read as
 arrays: a reload hands ``json.loads`` only the small rest of the document,
 and the memory a save and a reload hold grows at most 2.5x as the points
 double. No command of a pipeline over a line, a plane, an ultrametric or
@@ -75,6 +78,20 @@ def grow_calls(monkeypatch):
 
 
 @pytest.fixture
+def line_grown(monkeypatch):
+    """The start of each block that a line's greedy cover grows."""
+    calls = []
+    grown = metric.LineIndex._grown
+
+    def counting(self, s, near, r):
+        calls.append(s)
+        return grown(self, s, near, r)
+
+    monkeypatch.setattr(metric.LineIndex, "_grown", counting)
+    return calls
+
+
+@pytest.fixture
 def diameter_calls(monkeypatch):
     calls = []
     diameter = MetricSpace.diameter
@@ -98,11 +115,11 @@ def line_family(line):
     return build_adjacent_family(line, NetParams(), K_max=2, query_budget=50, seed=3)
 
 
-def test_evenly_spaced_cover_grows_no_block(grow_calls):
+def test_evenly_spaced_cover_grows_no_block(line_grown):
     space = MetricSpace(MetricDescriptor("euclidean"), coords=np.arange(200.0))
     # the near set of the first uncovered point is it and the next two
     assert greedy_cover_count(space, space.ids, 2.5) == 67
-    assert grow_calls == []
+    assert line_grown == []
 
 
 def test_plane_near_set_of_diameter_r_is_taken_whole(grow_calls):
@@ -114,12 +131,12 @@ def test_plane_near_set_of_diameter_r_is_taken_whole(grow_calls):
     assert grow_calls == []
 
 
-def test_normalized_line_covers_grow_no_block(grid257, grow_calls):
+def test_normalized_line_covers_grow_no_block(grid257, line_grown):
     # r between two multiples of the gap: no near set's diameter is close to r
     for k in range(1, 40):
         r = (k + 0.5) / 256.0
         assert greedy_cover_count(grid257, grid257.ids, r) == -(-257 // (k + 1))
-    assert grow_calls == []
+    assert line_grown == []
 
 
 @pytest.fixture
@@ -711,6 +728,62 @@ def test_ultrametric_greedy_cover_asks_no_ball(ultra6, prefix_queries):
             greedy_cover_count(space, space.ids, r)
             greedy_cover_count(space, rng.choice(space.n, size=20), r, return_sets=True)
     assert prefix_queries["ball"] == 0
+
+
+def test_line_greedy_cover_asks_no_ball_diameter_or_growth(grow_calls, diameter_calls,
+                                                          line_grown, monkeypatch):
+    # blocks taken whole, grown (r on the distance 1 of id 0 to its neighbours)
+    # and over repeated and strict-subset targets: every block's ends come
+    # off the sorted coordinates, with no ball, diameter or grown set asked
+    balls = []
+    ball = metric.LineIndex.ball
+
+    def counting_ball(self, x, r):
+        balls.append(x)
+        return ball(self, x, r)
+
+    monkeypatch.setattr(metric.LineIndex, "ball", counting_ball)
+    grown = MetricSpace(MetricDescriptor("euclidean"), coords=[1.0, 0.0, 2.0, 1.0, 2.5])
+    assert greedy_cover_count(grown, grown.ids, 1.0) == 2
+    assert line_grown == [0]
+    rng = np.random.default_rng(3)
+    space = generate(GeneratorSpec(kind="sequence", p=1.0, n_max=500))
+    for r in (1e-4, 1e-3, 0.01, 0.1, 1.0):
+        greedy_cover_count(space, space.ids, r)
+        greedy_cover_count(space, rng.choice(space.n, size=200), r, return_sets=True)
+    assert balls == [] and grow_calls == [] and diameter_calls == []
+
+
+@pytest.fixture
+def line_scans(monkeypatch):
+    """The ranks each ``LineIndex._scan`` call is handed."""
+    calls = []
+    scan = metric.LineIndex._scan
+
+    def counting(self, ranks, *args):
+        calls.extend(ranks)
+        return scan(self, ranks, *args)
+
+    monkeypatch.setattr(metric.LineIndex, "_scan", counting)
+    return calls
+
+
+def test_line_net_scans_only_points_with_a_near_neighbour(line_scans):
+    # on the sequence {1/k}, the points whose sorted neighbours are both at
+    # the separation or beyond admit themselves, and the scan never sees them
+    space = generate(GeneratorSpec(kind="sequence", p=1.0, n_max=2000))
+    index = space.index
+    gap = np.diff(index.sorted)
+    for sep in (1e-5, 1e-4, 1e-3, 0.05):
+        line_scans.clear()
+        order = space.ids[::-1].copy()
+        net = index.net(order, sep)
+        far = gap * gap >= sep * sep
+        alone = np.concatenate([[True], far]) & np.concatenate([far, [True]])
+        visited = np.asarray(line_scans, dtype=np.int64)
+        assert not alone[visited].any()
+        assert visited.size <= np.count_nonzero(~alone) < space.n
+        assert np.isin(order[alone[index.rank[order]]], net).all()
 
 
 def test_ultrametric_work_about_doubles_with_the_points(tmp_path, monkeypatch):
