@@ -15,7 +15,10 @@ was forked from, so this driver imports nothing but the standard library
 and holds no large object.
 
 The record holds, per rung and op, the CPU seconds, the peak RSS, the exit
-code, and the family's K and max level from ``build``'s summary line; per
+code and the sha256 of the op's output (its stdout, then the file it
+writes: ``pts.json``, ``cubes.json``, ``box.json`` or ``assouad.json``), so
+two records show rung by rung whether two checkouts wrote the same bytes;
+and the family's K and max level from ``build``'s summary line; per
 rung, each op's cost ratio to the rung below it in its series (the line,
 the ultrametric or the 2-D grid), raw and per unit of K x (max level + 1);
 and the git commit of the checkout, with a digest of its sources. A raw
@@ -65,9 +68,11 @@ print(f"wrote {len(pts)} points to {sys.argv[1]}")
 """
 
 
-def child(argv: list, cwd: str) -> dict:
+def child(argv: list, cwd: str, writes: str | None = None) -> dict:
     """Run one op in a fresh process: its exit code, stdout, CPU seconds and
-    peak RSS, the last two read from ``os.wait4``."""
+    peak RSS, the last two read from ``os.wait4``, and the sha256 of its
+    stdout followed by the bytes of the file ``writes`` it writes in ``cwd``,
+    if it wrote one."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryFile("w+") as out:
@@ -76,25 +81,33 @@ def child(argv: list, cwd: str) -> dict:
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
         out.seek(0)
-        return {"exit": proc.returncode, "stdout": out.read(),
-                "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
-                "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1)}  # KiB on Linux
+        stdout = out.read()
+    digest = hashlib.sha256(stdout.encode())
+    written = Path(cwd, writes) if writes else None
+    if written is not None and written.exists():
+        digest.update(written.read_bytes())
+    return {"exit": proc.returncode, "stdout": stdout,
+            "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),  # KiB on Linux
+            "sha256": digest.hexdigest()}
 
 
 def run_rung(name: str, gen, build: list) -> dict:
     """Every op of one rung, in a scratch directory of its own."""
     with tempfile.TemporaryDirectory(prefix="ladder-") as work:
         made = child(["-m", "cubedim", "gen", *gen, "--out", "pts.json"] if gen
-                     else ["-c", SPHERE, "pts.json"], work)
+                     else ["-c", SPHERE, "pts.json"], work, "pts.json")
         read = ["--points", "pts.json", "--cubes", "cubes.json", "--seed", "7", "--budget", "32"]
-        argvs = {"build": ["build", "--points", "pts.json", "--out", "cubes.json",
-                           "--seed", "7", *build],
-                 "verify": ["verify", *read],
-                 "box": ["estimate", "box", *read, "--out", "box.json"],
-                 "assouad": ["estimate", "assouad", *read, "--out", "assouad.json"]}
+        # each op's argv and the file it writes
+        argvs = {"build": (["build", "--points", "pts.json", "--out", "cubes.json",
+                            "--seed", "7", *build], "cubes.json"),
+                 "verify": (["verify", *read], None),
+                 "box": (["estimate", "box", *read, "--out", "box.json"], "box.json"),
+                 "assouad": (["estimate", "assouad", *read, "--out", "assouad.json"],
+                             "assouad.json")}
         ops = {"gen": made}
-        for op, argv in argvs.items():
-            ops[op] = child(["-m", "cubedim", *argv], work)
+        for op, (argv, writes) in argvs.items():
+            ops[op] = child(["-m", "cubedim", *argv], work, writes)
     summary = re.search(r"K=(\d+) .*max_level=(\d+)", ops["build"]["stdout"])
     points = re.search(r"wrote (\d+) points", made["stdout"])
     for result in ops.values():

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (ConfigurationError, DegenerateBallError, InvalidArgumentError,
                      StaleCubesError)
 from .metric import MetricSpace
-from .nets import NetLevel, NetParams, build_net, nearest_center, nearest_center_within
+from .nets import NetLevel, NetParams, build_net, nearest_center
 
 MAX_LEVEL_CAP = 12   # default depth cap for resolution-derived levels
 HARD_LEVEL_CAP = 24  # explicit requests beyond this are configuration errors
@@ -204,7 +204,7 @@ def _check_inner_balls(system: CubeSystem) -> PropertyCheck:
         if centers.size == 1:  # every point's nearest center, and every label 0
             continue
         inner = system.params.separation(k) / 3.0 * (1.0 - 1e-9)
-        points, idx, dist = nearest_center_within(system.space, centers, inner)
+        points, idx = system.space.index.nearest_within(centers, inner)
         bad = np.flatnonzero(idx != system.labels[k][points])
         if bad.size:
             ok = False
@@ -212,7 +212,8 @@ def _check_inner_balls(system: CubeSystem) -> PropertyCheck:
             witness = {"level": k, "point": p,
                        "nearest_center": int(centers[idx[bad[0]]]),
                        "assigned_center": int(centers[system.labels[k][p]])}
-            worst = max(worst, float((dist[bad] / inner).max()))
+            dist = system.space.pair_distances(centers[idx[bad]], points[bad])
+            worst = max(worst, float((dist / inner).max()))
     return PropertyCheck("iii_inner", ok, worst=worst, witness=witness)
 
 
@@ -849,7 +850,8 @@ def load_family(path, space: MetricSpace, points_hash: str | None = None) -> Adj
     that is not one run of the index's order (``_split_cube``), or a value
     that the builder could not have
     written: a system ``seed`` not an int >= 0, a level ``k`` other than its
-    position, ``C_delta_hat`` not finite or below 1, ``C_tilde`` other than
+    position, a level whose centers are not strictly ascending,
+    ``C_delta_hat`` not finite or below 1, ``C_tilde`` other than
     its expression in ``C_delta_hat``, ``c0`` and ``C0``, ``best_effort``
     not a bool, ``scale`` other than ``_normalizing_factor`` of the points,
     ``params.seed`` not an int >= 0 or ``params.query_budget`` not an int
@@ -919,6 +921,8 @@ def _nets_from_json(sdoc, n, params):
     for k, lv in enumerate(sdoc["levels"]):
         if not (type(lv["k"]) is int and lv["k"] == k):
             raise StaleCubesError(f"cubes file level {lv['k']!r} stands at position {k}")
+        if np.any(np.diff(lv["centers"]) <= 0):  # the ties of nearest go to the lower id
+            raise StaleCubesError(f"cubes file level {k} centers are not strictly ascending")
         levels.append(NetLevel(k=k, centers=lv["centers"], params=params, seed=seed))
     centers = np.concatenate([lv.centers for lv in levels])
     pairs = sdoc["parents"]  # (child, parent) pairs, level by level from level 1

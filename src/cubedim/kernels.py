@@ -21,9 +21,10 @@ import numpy as np
 BACKEND = "pure"
 
 CHUNK = 512
-# relative slack on the binary searches of metric.LineIndex, and on the
-# radius of nearest_center_within_coords: far above the few ulps by which two
-# roundings of one distance differ
+# relative slack on the radius at which metric.LineIndex searches its sorted
+# coordinates and metric.CoordIndex.balls asks the cells for candidates, each
+# decided exactly after: far above the few ulps by which two roundings of one
+# distance differ
 TIE_RTOL = 1e-7
 
 KEY_BITS = 63  # bits of a Morton key, held in a uint64
@@ -414,29 +415,6 @@ def nearest_center_coords(query_coords: np.ndarray, center_coords: np.ndarray,
     if q.shape[0] and cc.shape[0] > 1:
         best_idx = (CellIndex(cc) if cells is None else cells).nearest(q)[0]
     return best_idx, np.sqrt(squared_distances(q, cc[best_idx]))
-
-
-def nearest_center_within_coords(cells: CellIndex, center_coords: np.ndarray,
-                                 radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest center of each point of ``cells`` that has a center near it.
-
-    The cells around each center give the points within ``radius`` widened
-    by TIE_RTOL, each pair kept when its squared distance is within that
-    radius too, and decided as in :func:`nearest_center_coords`: least
-    squared distance, ties to the earlier center row. Returns (point rows,
-    ascending; center indices; distances, each the square root of the
-    winner's squared distance). Every point with a center within ``radius``
-    is listed with its nearest center; the widened radius may list a few more.
-    """
-    cc = np.asarray(center_coords, dtype=np.float64)
-    wide = radius * (1.0 + TIE_RTOL)
-    found = list(cells.within(cc, wide))
-    centers, points, dsq = (np.concatenate(part) for part in zip(*found)) if found else (
-        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-    # per point, the least squared distance and then the lowest center row
-    order = np.lexsort((centers, dsq, points))
-    first = order[np.flatnonzero(np.diff(points[order], prepend=-1))]
-    return points[first], centers[first], np.sqrt(dsq[first])
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,7 +14,8 @@ share with it, as they share its largest squared distance),
 ``PrefixIndex`` (over the sorted strings, which the clones share too) or
 ``MatrixIndex``. They share one set of methods, so no caller tests the
 metric kind; where one index answers a question in its own way, callers
-ask for that by the method's name (``ball_run``, ``cover_runs``).
+ask for that by the method's name (``ball_run``, ``cover_runs``). Each has
+one range query, ``balls``, which single balls and ``nearest_within`` read.
 Nothing here imports SciPy.
 """
 
@@ -76,13 +77,14 @@ class MetricDescriptor:
 
     @classmethod
     def from_json(cls, m: dict) -> "MetricDescriptor":
-        """The descriptor ``to_json`` wrote; an ultrametric must give its arity and base."""
+        """The descriptor ``to_json`` wrote; an ultrametric must give its arity and
+        base. No field is converted (``_json_number``)."""
         kind = m.get("kind")
         ultra = kind == "ultrametric"
-        return cls(kind, epsilon=float(m.get("epsilon", 1.0)),
-                   arity=int(m["arity"]) if ultra else 0,
-                   base=float(m["base"]) if ultra else 0.0,
-                   scale=float(m.get("scale", 1.0)))
+        return cls(kind, epsilon=_json_number(m, "epsilon", 1.0),
+                   arity=_json_number(m, "arity", integer=True) if ultra else 0,
+                   base=_json_number(m, "base") if ultra else 0.0,
+                   scale=_json_number(m, "scale", 1.0))
 
     def transform(self, base):
         """A base distance (Euclidean, stored, or ``base ** lcp``) put through the
@@ -93,6 +95,16 @@ class MetricDescriptor:
         if self.scale != 1.0:
             base = base * self.scale
         return base
+
+
+def _json_number(m: dict, key: str, default=None, integer=False):
+    """``m[key]`` (``default`` if absent) as a float, or an int if ``integer``;
+    any other JSON value, a bool among them, raises ``InvalidArgumentError``."""
+    value = m.get(key, default) if default is not None else m[key]
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise InvalidArgumentError(f"metric {key} {value!r} is not "
+                                   f"{'an integer' if integer else 'a number'}")
+    return value if integer else float(value)
 
 
 @dataclass
@@ -115,10 +127,26 @@ class _Index:
     def row(self, p) -> np.ndarray:
         return self.pairs(p, slice(None))
 
+    def ball(self, x, r) -> np.ndarray:
+        """Ids q with d(x, q) < r, ascending: the members of ``balls([x], r)``."""
+        members = self.balls(np.array([x], dtype=np.int64), r)[1]
+        members.sort()
+        return members
+
     def nearest_within(self, centers: np.ndarray, r: float):
-        """``nearest`` for (at least) every point with a center closer than
-        ``r``, ids first and ascending; here all points."""
-        return (self.ids, *self.nearest(self.ids, centers))
+        """(ids, idx): the points in some r-ball of ``centers`` (``balls``),
+        ascending, and the index of each one's nearest center. A point in one
+        ball takes its center, as every other is r or farther; one in several,
+        which separated centers never share, is asked of ``nearest``."""
+        owner, members = self.balls(centers, r)
+        held = np.bincount(members, minlength=self.ids.size)
+        idx = np.empty(self.ids.size, dtype=np.int64)
+        idx[members] = owner
+        ids = np.flatnonzero(held)
+        several = ids[held[ids] > 1]
+        if several.size:
+            idx[several] = self.nearest(several, centers)[0]
+        return ids, idx[ids]
 
     def run_diameters(self, ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         """Here each run's ``diameter`` in turn."""
@@ -195,6 +223,12 @@ class _SortedIndex(_Index):
         lo, hi = self.ball_run(x, r)
         return np.sort(self.order[lo:hi])
 
+    def _members(self, lo: np.ndarray, hi: np.ndarray):
+        """(owner, members): the pairs (i, order[q]) for the ranks q in lo[i]..hi[i]-1."""
+        sizes = hi - lo
+        owner = np.repeat(np.arange(lo.size), sizes)
+        return owner, self.order[np.arange(owner.size) + (lo - np.cumsum(sizes) + sizes)[owner]]
+
     def closest_pair(self, ids: np.ndarray):
         """(least d over pairs i < j of ``ids``, (ids[i], ids[j])) for the first such
         pair in (i, j) order. The ranks between a pair at the least distance
@@ -255,12 +289,11 @@ class PrefixIndex(_SortedIndex):
     Since ``dist`` is non-increasing (checked here), d(p, q) < t exactly
     when p and q share a prefix of length ``level(t)``. Nets, nearest
     centers and balls are read off the sorted order with no n x n matrix
-    and no per-center scan. So are the inner-ball check's nearest centers
-    within a radius (``nearest_within``) and the greedy cover's blocks
-    (``cover_runs``): every ball is one prefix run, so both are one array
-    pass over the runs. The order, the adjacent lcps and the runs do not
-    read the descriptor, and the space's rescaled and snowflaked clones
-    share them (``_PrefixBase``).
+    and no per-center scan: every ball is one prefix run, so the balls of
+    many centers (``balls``) and the greedy cover's blocks (``cover_runs``)
+    are each one array pass over the runs. The order, the adjacent lcps and
+    the runs do not read the descriptor, and the space's rescaled and
+    snowflaked clones share them (``_PrefixBase``).
     """
 
     def __init__(self, space: "MetricSpace"):
@@ -320,13 +353,12 @@ class PrefixIndex(_SortedIndex):
             lo[at], hi[at] = np.searchsorted(runs, [run, run + 1])
         return lo.reshape(r.shape), hi.reshape(r.shape)
 
-    def ball(self, x, r) -> np.ndarray:
-        """Ids q with d(x, q) < r, ascending: the run ``ball_run`` gives, found
-        for one radius without its array handling."""
+    def balls(self, centers: np.ndarray, r: float):
+        """(owner, members): the pairs (i, q) with d(centers[i], q) < r, each
+        center's prefix run at ``level(r)``."""
         runs = self.runs(self.level(r))
-        run = runs[self.rank[x]]
-        lo, hi = np.searchsorted(runs, [run, run + 1])
-        return np.sort(self.order[lo:hi])
+        run = runs[self.rank[centers]]
+        return self._members(np.searchsorted(runs, run), np.searchsorted(runs, run + 1))
 
     def net(self, order: np.ndarray, t: float) -> np.ndarray:
         """The greedy t-separated net of the scan ``order`` (ids, each at most
@@ -370,30 +402,6 @@ class PrefixIndex(_SortedIndex):
             sel = tie_level == L
             idx[sel] = lowest[runs[query_rank[sel]]]
         return idx, dist
-
-    def nearest_within(self, centers: np.ndarray, r: float):
-        """``nearest`` for every point with a center closer than ``r``, ids
-        ascending. A center's r-ball is the run of its rank at ``level(r)``,
-        and runs with no center are left out. In a run with one center,
-        every point has that center as its strict nearest, since each other
-        center is at ``dist[lcp] >= r``, at the distance ``pairs`` gives. A
-        run with more centers, which separated centers never share, is asked
-        of ``nearest``."""
-        runs = self.runs(self.level(r))
-        center_run = runs[self.rank[centers]]
-        held = np.bincount(center_run, minlength=int(runs[-1]) + 1)
-        point_run = runs[self.rank]
-        ids = np.flatnonzero(held[point_run])
-        point_run = point_run[ids]
-        sole = np.empty(held.size, dtype=np.int64)  # a one-center run's center
-        sole[center_run] = np.arange(centers.size)
-        idx = sole[point_run]
-        one = held[point_run] == 1
-        dist = np.empty(ids.size)
-        dist[one] = self.pairs(centers[idx[one]], ids[one])
-        if not one.all():
-            idx[~one], dist[~one] = self.nearest(ids[~one], centers)
-        return ids, idx, dist
 
     def cover_runs(self, ids: np.ndarray, r: float):
         """The blocks of ``covering.greedy_cover_count`` over ``ids``, in rank
@@ -510,13 +518,17 @@ class CoordIndex(_Index):
         diff = self.coords[b] - self.coords[a]
         return self.descriptor.transform(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
 
-    def ball(self, x, r) -> np.ndarray:
-        # a superset of the ball: the base radius widened past its rounding
-        cand = np.concatenate([rows for _, rows, _ in self.cells.within(
-            self.coords[x:x + 1], self.base_radius(r) * (1.0 + 1e-9))])
-        members = cand[self.pairs(x, cand) < r]
-        members.sort()
-        return members
+    def balls(self, centers: np.ndarray, r: float):
+        """(owner, members): the pairs (i, q) with d(centers[i], q) < r: the cells'
+        pairs within the base radius widened by ``kernels.TIE_RTOL``, each kept
+        by the squared difference that ``pairs`` takes too."""
+        owner, members = [], []
+        for qi, rows, dsq in self.cells.within(
+                self.coords[centers], self.base_radius(r) * (1.0 + kernels.TIE_RTOL)):
+            near = self.descriptor.transform(np.sqrt(dsq)) < r
+            owner.append(qi[near])
+            members.append(rows[near])
+        return np.concatenate(owner), np.concatenate(members)
 
     def net(self, order: np.ndarray, t: float) -> np.ndarray:
         return kernels.greedy_net_coords(self.cells, order, self.base_radius(t))
@@ -529,15 +541,11 @@ class CoordIndex(_Index):
         return idx, self.descriptor.transform(base_d)
 
     def nearest_within(self, centers: np.ndarray, r: float):
-        """A point's nearest center is closer than ``r`` exactly when some center
-        is, so the cells around the centers find them all, and no other point
-        is visited. When every point is a center, in id order, a point's
-        nearest is the lowest id at its place, and no cell is visited."""
+        """When every point is a center, in id order, a point's nearest is the
+        lowest id at its place, and no ball is asked."""
         if self._whole(centers):
-            return self.ids, self.base.lowest_at_place, np.zeros(self.ids.size)
-        ids, idx, base_d = kernels.nearest_center_within_coords(
-            self.cells, self.coords[centers], self.base_radius(r))
-        return ids, idx, self.descriptor.transform(base_d)
+            return self.ids, self.base.lowest_at_place
+        return super().nearest_within(centers, r)
 
     def _whole(self, ids: np.ndarray) -> bool:
         """Whether ``ids`` lists every point, in order."""
@@ -608,11 +616,10 @@ class LineIndex(_SortedIndex, CoordIndex):
     search at a radius widened by ``kernels.TIE_RTOL`` and decided by the
     same expression as the cell index's kernels, so every net, nearest
     center, ball and closest pair is bit for bit that of ``CoordIndex`` on
-    the same points, at a fraction of the cost of cells. The nearest centers
-    within a radius are read off each center's window of ranks
-    (``nearest_within``), a cube's farthest member from its center is its
-    least or greatest rank (``run_farthest``), and the greedy cover's
-    blocks are runs of the ranks (``cover_runs``).
+    the same points, at a fraction of the cost of cells. ``_runs`` finds the
+    runs of ``ball_run`` and ``balls``, a cube's farthest member from its
+    center is its least or greatest rank (``run_farthest``), and the greedy
+    cover's blocks are runs of the ranks (``cover_runs``).
     """
 
     def __init__(self, space: "MetricSpace"):
@@ -631,25 +638,42 @@ class LineIndex(_SortedIndex, CoordIndex):
 
     def ball_run(self, x, r):
         """The ranks lo..hi-1 of the ids q with d(x, q) < r, for a radius r or an
-        array of them: the run within the widened radius, each end trimmed to the
-        ranks that ``pairs`` puts closer than r."""
+        array of them, from ``_runs``."""
         r = np.asarray(r, dtype=np.float64)
-        t = r.reshape(-1)
-        c = self.coords[x, 0]
-        wide = self.base_radius(t) * (1.0 + kernels.TIE_RTOL)
-        lo = np.searchsorted(self.sorted, c - wide, side="left")
-        hi = np.searchsorted(self.sorted, c + wide, side="right")
-        rx = int(self.rank[x])
-        ranks = range(self.sorted.size)
-
-        def far(rank, i):
-            return bool(self.pairs(x, self.order[rank:rank + 1])[0] >= t[i])
-
-        for i in np.flatnonzero(self.pairs(x, self.order[lo]) >= t):
-            lo[i] = bisect_left(ranks, True, lo[i], rx, key=lambda q: not far(q, i))
-        for i in np.flatnonzero(self.pairs(x, self.order[hi - 1]) >= t):
-            hi[i] = bisect_left(ranks, True, rx + 1, hi[i], key=lambda q: far(q, i))
+        lo, hi = self._runs(np.full(r.size, x, dtype=np.int64), r.reshape(-1))
         return lo.reshape(r.shape), hi.reshape(r.shape)
+
+    def balls(self, centers: np.ndarray, r: float):
+        """(owner, members): the pairs (i, q) with d(centers[i], q) < r, each
+        center's run of ranks from ``_runs``."""
+        return self._members(*self._runs(centers, np.full(centers.size, float(r))))
+
+    def _runs(self, xs: np.ndarray, t: np.ndarray):
+        """The ranks lo[i]..hi[i]-1 of the ids q with d(xs[i], q) < t[i]: the
+        ``_windows`` at the radius widened by ``kernels.TIE_RTOL``, each end that
+        ``pairs`` puts at t or beyond moved in by one binary search for all."""
+        c = self.coords[xs, 0]
+        wide = self.base_radius(t) * (1.0 + kernels.TIE_RTOL)
+        rx = self.rank[xs]
+        lo, hi = self._windows(rx, c - wide, c + wide)
+        far = (self.pairs(np.concatenate([xs, xs]), self.order[np.concatenate([lo, hi - 1])])
+               >= np.concatenate([t, t]))
+        if not far.any():
+            return lo, hi
+        # lo moves to the first rank of lo..rx closer than t, hi to the first
+        # of rx+1..hi that is not
+        for end, a, b, near, moved in ((lo, lo, rx, True, far[:xs.size]),
+                                       (hi, rx + 1, hi, False, far[xs.size:])):
+            at = np.flatnonzero(moved)
+            a, b = a[at], b[at]
+            while np.any(a < b):
+                live = np.flatnonzero(a < b)
+                mid = (a[live] + b[live]) // 2
+                hit = (self.pairs(xs[at[live]], self.order[mid]) < t[at[live]]) == near
+                b[live[hit]] = mid[hit]
+                a[live[~hit]] = mid[~hit] + 1
+            end[at] = a
+        return lo, hi
 
     def net(self, order: np.ndarray, t: float) -> np.ndarray:
         """The greedy net of ``kernels.greedy_net_coords``: a point is admitted
@@ -820,31 +844,6 @@ class LineIndex(_SortedIndex, CoordIndex):
             idx[i] = urow[diff * diff == best[i]].min()
         return idx, self.descriptor.transform(np.sqrt(best))
 
-    def nearest_within(self, centers: np.ndarray, r: float):
-        """``nearest`` for every point with a center closer than ``r``, ids
-        ascending; a few more points may be listed, each at ``r`` or beyond.
-        Each center's r-ball lies in its window of ranks within the widened
-        radius. A rank in exactly one window takes that window's center, at
-        ``nearest``'s distance expression: it is the rank's nearest center
-        whenever some center is closer than ``r``, since every such center
-        holds the rank in its window. A rank in several windows,
-        which separated centers never share, is asked of ``nearest``."""
-        cx = self.coords[centers, 0]
-        by_x = np.argsort(cx, kind="stable")  # both ends of the windows ascend in it
-        wide = self.base_radius(r) * (1.0 + kernels.TIE_RTOL)
-        lo, hi = self._windows(self.rank[centers[by_x]], cx[by_x] - wide, cx[by_x] + wide)
-        n = self.sorted.size
-        begun = np.cumsum(np.bincount(lo, minlength=n))  # windows begun by each rank
-        held = (begun - np.cumsum(np.bincount(hi, minlength=n + 1))[:n])[self.rank]
-        ids = np.flatnonzero(held)
-        idx = by_x[begun[self.rank[ids]] - 1]  # the last window begun
-        diff = self.coords[ids, 0] - cx[idx]
-        dist = self.descriptor.transform(np.sqrt(diff * diff))
-        several = held[ids] > 1
-        if several.any():
-            idx[several], dist[several] = self.nearest(ids[several], centers)
-        return ids, idx, dist
-
     def _windows(self, ranks: np.ndarray, low: np.ndarray, high: np.ndarray):
         """The ranks lo..hi-1 of the coordinates in [low, high], for intervals that
         each hold the coordinate of their rank in ``ranks``. A side is searched
@@ -887,8 +886,15 @@ class MatrixIndex(_Index):
     def pairs(self, a, b) -> np.ndarray:
         return self.matrix[a, b]
 
-    def ball(self, x, r) -> np.ndarray:
-        return np.flatnonzero(self.matrix[x] < r).astype(np.int64)
+    def balls(self, centers: np.ndarray, r: float):
+        """(owner, members): the pairs (i, q) with d(centers[i], q) < r, read
+        off the centers' rows, ``kernels.CHUNK`` rows at a time."""
+        owner, members = [], []
+        for start in range(0, centers.size, kernels.CHUNK):
+            i, q = np.nonzero(self.matrix[centers[start:start + kernels.CHUNK]] < r)
+            owner.append(i + start)
+            members.append(q)
+        return np.concatenate(owner), np.concatenate(members)
 
     def net(self, order: np.ndarray, t: float) -> np.ndarray:
         return kernels.greedy_net_matrix(self.matrix, order, t)
@@ -1162,8 +1168,10 @@ def _matrix_from_lower_triangular(tri):
     n = int((1 + np.sqrt(1 + 8 * len(tri))) / 2)
     if n * (n - 1) // 2 != len(tri):
         raise PointsFileError("field 'metric.matrix': length is not a triangular number")
-    # float() per entry refuses what a JSON number list should not hold
-    values = np.fromiter(map(float, tri), dtype=np.float64, count=len(tri))
+    if not set(map(type, tri)) <= {int, float}:  # one C-level pass; a bool is no number
+        bad = next(i for i, v in enumerate(tri) if type(v) not in (int, float))
+        raise PointsFileError(f"field 'metric.matrix': entry {bad} is not a number")
+    values = np.fromiter(tri, dtype=np.float64, count=len(tri))
     full = np.zeros((n, n), dtype=np.float64)
     lower = np.tri(n, k=-1, dtype=bool)  # (i, j) for i > j, row by row as in the file
     full[lower] = values

@@ -100,15 +100,6 @@ def nearest_center(space: MetricSpace, centers: np.ndarray, query_ids=None):
     return space.index.nearest(query_ids, np.asarray(centers, dtype=np.int64))
 
 
-def nearest_center_within(space: MetricSpace, centers: np.ndarray, radius: float):
-    """The points whose nearest center is closer than ``radius``: their ids,
-    ascending, the index into ``centers`` of that center, and its distance;
-    equal to ``nearest_center`` over all points restricted to those points."""
-    ids, idx, dist = space.index.nearest_within(np.asarray(centers, dtype=np.int64), radius)
-    close = dist < radius
-    return ids[close], idx[close], dist[close]
-
-
 VERIFY_SLACK = 1e-9  # relative float slack; admission and checks round differently
 
 

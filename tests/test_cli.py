@@ -105,6 +105,24 @@ class TestBuild:
         assert err.startswith("error:") and "axis" in err, err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("metric", [
+        pytest.param('"kind": "ultrametric", "arity": 2.9, "base": 0.5', id="arity-fraction"),
+        pytest.param('"kind": "ultrametric", "arity": true, "base": 0.5', id="arity-true"),
+        pytest.param('"kind": "ultrametric", "arity": 2, "base": "0.5"', id="base-string"),
+        pytest.param('"kind": "euclidean", "epsilon": true', id="epsilon-true"),
+        pytest.param('"kind": "euclidean", "scale": "2"', id="scale-string"),
+        pytest.param('"kind": "matrix", "matrix": [1.0, "1.0", 1.0]', id="matrix-string"),
+        pytest.param('"kind": "matrix", "matrix": [1.0, true, 1.0]', id="matrix-true"),
+    ])
+    def test_points_fields_not_numbers_exit2(self, tmp_path, capsys, metric):
+        # before, float() and int() turned each of these into a number
+        points = '["0", "1"]' if "ultrametric" in metric else "[[0.0], [1.0]]"
+        pts = tmp_path / "pts.json"
+        pts.write_text(f'{{"metric": {{{metric}}}, "points": {points}}}')
+        assert cli.main(["doubling", "--points", str(pts)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not a" in err, err
+
     @pytest.mark.parametrize("points", ["[1, 2]", '[["0"], ["1"]]'], ids=["numbers", "lists"])
     def test_ultrametric_points_not_strings_exit2(self, tmp_path, capsys, points):
         pts, out = tmp_path / "pts.json", tmp_path / "cubes.json"
@@ -521,6 +539,16 @@ def _level_out_of_place(doc):
     doc["systems"][0]["levels"][2]["k"] = 7
 
 
+def _level_centers_reversed(doc):
+    # level 2's centers and their parent pairs, both in descending id order:
+    # the nets, labels and checks are those of the file as written
+    system = doc["systems"][0]
+    start, level2 = len(system["levels"][1]["centers"]), system["levels"][2]["centers"]
+    level2.reverse()
+    system["parents"][start:start + len(level2)] = system["parents"][
+        start:start + len(level2)][::-1]
+
+
 class TextEdit:
     """A damage that edits the text of a good file."""
 
@@ -560,6 +588,7 @@ DAMAGES = {
     "centers-not-an-array": _centers_not_an_array,
     "system-seed-not-an-int": _system_seed,
     "level-k-out-of-place": _level_out_of_place,
+    "level-centers-reversed": _level_centers_reversed,
 }
 
 

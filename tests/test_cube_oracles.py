@@ -17,9 +17,10 @@ took min(R, 2 * diam) from the exact ball diameter every time.
 
 Reloading a family reads each level in one pass: ``diams_at`` takes every
 cube's diameter from one sweep of the level's grouped ids, where the old code
-called ``diameter`` per cube, and the inner-ball check pairs each level's
-centers with the points within the inner radius, where the old code ran a
-nearest-center query over every point. Both must match the old computation
+called ``diameter`` per cube, and the inner-ball check reads each level's
+nearest centers within the inner radius off its centers' balls
+(``nearest_within``), where the old code ran a nearest-center query over
+every point. Both must match the old computation
 bit for bit, on tampered systems too, and a ``cubes.json`` round trip must
 reproduce the labels, parents and checks. Each deepest center labels itself,
 where the old labels asked every point for its nearest center, and the
@@ -108,7 +109,7 @@ from cubedim.dimensions import (DimensionEstimate, _fit_line, _met_diameters,
 from cubedim.errors import (ConfigurationError, DegenerateBallError, InsufficientScalesError,
                             InvalidArgumentError, ScaleExhaustedError, StaleCubesError)
 from cubedim.metric import load_points, save_points
-from cubedim.nets import NetLevel, NetParams, nearest_center, nearest_center_within
+from cubedim.nets import NetLevel, NetParams, nearest_center
 
 SAMPLE_BUDGET = 8
 KINDS = ["euclidean", "snowflake", "ultrametric", "matrix"]
@@ -1487,10 +1488,9 @@ class TestLevelPasses:
         # radii on a nearest-center distance and one ulp either side of it
         for r in np.concatenate([values, np.nextafter(values, np.inf),
                                  np.nextafter(values, 0.0), [1.0, 3.0]]):
-            got = nearest_center_within(space, centers, float(r))
+            ids, got_idx = space.index.nearest_within(centers, float(r))
             close = dist < r
-            want = (space.ids[close], idx[close], dist[close])
-            assert all(same_bits(g, w) for g, w in zip(got, want))
+            assert same_bits(ids, space.ids[close]) and same_bits(got_idx, idx[close])
 
 
 def family_to_json(family, points_hash=""):

@@ -4,9 +4,11 @@ An op's exit code, CPU time and peak RSS come from ``os.wait4`` on its own
 process, and each rung's cost ratios to the rung below it in its series are
 raw and per unit of K x (max level + 1), with a warning for a raw ratio
 above 3 on a doubling of n. An op that exited non-zero on either rung gets
-no ratio, and a warning that names it.
+no ratio, and a warning that names it. Each op's sha256 covers its stdout
+and then the bytes of the file it writes, so two records compare outputs.
 """
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -28,6 +30,22 @@ def test_child_reports_its_own_exit_time_and_memory(ladder, tmp_path):
     got = ladder.child(["-c", busy], str(tmp_path))
     assert got["exit"] == 3 and got["cpu_s"] > 0.0
     assert got["peak_rss_mb"] >= 96.0
+
+
+def test_child_digests_its_stdout_and_the_file_it_writes(ladder, tmp_path):
+    # the digest covers the stdout, then the written file's bytes
+    write = "import sys; print('hi'); open(sys.argv[1], 'wb').write(b'xyz')"
+    got = ladder.child(["-c", write, "out.bin"], str(tmp_path), "out.bin")
+    assert got["exit"] == 0 and got["stdout"] == "hi\n"
+    assert got["sha256"] == hashlib.sha256(b"hi\nxyz").hexdigest()
+    # no file named, or none written: the stdout alone
+    for writes in (None, "absent.bin"):
+        got = ladder.child(["-c", "print('hi')"], str(tmp_path), writes)
+        assert got["sha256"] == hashlib.sha256(b"hi\n").hexdigest()
+    # another file's bytes give another digest
+    (tmp_path / "out.bin").write_bytes(b"xyw")
+    got = ladder.child(["-c", "print('hi')"], str(tmp_path), "out.bin")
+    assert got["sha256"] == hashlib.sha256(b"hi\nxyw").hexdigest()
 
 
 def rung(name, n, K, L, cpu):

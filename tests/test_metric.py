@@ -336,6 +336,37 @@ class TestPointsFiles:
         with pytest.raises(PointsFileError):
             load_points(path)
 
+    @pytest.mark.parametrize("entry", ["1.0", True], ids=["string", "true"])
+    def test_matrix_entry_not_a_number_rejected(self, tmp_path, entry):
+        # float() reads both as 1.0
+        doc = {"metric": {"kind": "matrix", "matrix": [1.0, entry, 1.5]}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PointsFileError, match="entry 1 .* not a number"):
+            load_points(path)
+
+    @pytest.mark.parametrize("field,value,due", [
+        ("arity", 2.9, "an integer"), ("arity", 2.0, "an integer"), ("arity", True, "an integer"),
+        ("arity", "2", "an integer"), ("base", "0.5", "a number"), ("base", False, "a number"),
+        ("epsilon", True, "a number"), ("epsilon", "0.5", "a number"),
+        ("scale", "2", "a number"), ("scale", None, "a number"),
+    ])
+    def test_metric_field_not_a_number_rejected(self, tmp_path, field, value, due):
+        # int() and float() read each of these as a number
+        metric = {"kind": "ultrametric", "arity": 2, "base": 0.5, field: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"metric": metric, "points": ["0", "1"]}))
+        with pytest.raises(PointsFileError, match=f"metric {field} .* is not {due}"):
+            load_points(path)
+        with pytest.raises(InvalidArgumentError):
+            MetricDescriptor.from_json(metric)
+
+    def test_metric_fields_round_trip(self):
+        for desc in (MetricDescriptor("ultrametric", epsilon=0.5, arity=3, base=0.25,
+                                      scale=2.0),
+                     MetricDescriptor("euclidean", scale=3), MetricDescriptor("matrix")):
+            assert MetricDescriptor.from_json(json.loads(json.dumps(desc.to_json()))) == desc
+
     def test_matrix_triangle_violation_rejected(self, tmp_path):
         doc = {"metric": {"kind": "matrix", "matrix": [1.0, 10.0, 1.0]}}
         path = tmp_path / "bad.json"

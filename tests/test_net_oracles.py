@@ -25,13 +25,17 @@ On a line and in an ultrametric, the rank run that ``ball_run`` gives for
 a radius, alone or in an array of radii, must hold exactly the ball's
 members.
 
-In an ultrametric, the nearest centers within a radius and the greedy
-cover's blocks are read off prefix runs, and on a line those nearest
-centers are read off each center's window of ranks. The all-points
-nearest-center query (``_Index.nearest_within``) and the ball-by-ball
-greedy loop they replaced are their oracles, with centers repeated or
-sharing a run or a window, radii one ulp either side of a distance, and
-targets that repeat an id. A
+Every index answers one range query, ``balls``: each pair of a center and
+a point closer to it than a radius. A brute-force scan of ``pairs`` over
+every such pair is its oracle on all four kinds, with radii on pair
+distances and one ulp either side, repeated points, unsorted and repeated
+centers, every point a center, and rescaled and snowflaked clones. The
+nearest centers within a radius (``nearest_within``) are read off the
+balls; the nearest centers of all points, restricted to those closer than
+the radius, are their oracle, with the tree query at a widened radius in
+two or more dimensions. In an ultrametric the greedy cover's blocks are
+read off prefix runs; the ball-by-ball greedy loop they replaced is their
+oracle, with targets that repeat an id. A
 rescaled or snowflaked clone shares its source's sorted order and answers
 as a space built afresh under the clone's descriptor.
 
@@ -56,8 +60,7 @@ from scipy.spatial import cKDTree
 from hypothesis import strategies as st
 from conftest import write_cubes_doc
 
-from cubedim import (GeneratorSpec, MetricDescriptor, MetricSpace, covering, generate, kernels,
-                     metric)
+from cubedim import GeneratorSpec, MetricDescriptor, MetricSpace, covering, generate, kernels
 from cubedim.covering import greedy_cover_count
 from cubedim.cubes import build_adjacent_family, build_system, load_family, save_family
 from cubedim.errors import StaleCubesError
@@ -490,14 +493,9 @@ class TestUltrametric:
         values = values[values > 0]
         for r in np.concatenate([values, np.nextafter(values, np.inf),
                                  np.nextafter(values, 0.0), [values.max() * 2]]):
-            ids, got_idx, got_dist = index.nearest_within(centers, r)
-            assert same_bits(ids, space.ids[dist < r]) and np.all(got_dist < r)
-            assert np.array_equal(got_idx, idx[dist < r])
-            assert same_bits(got_dist, dist[dist < r])
-            # the all-points form it replaced, restricted to the same points
-            old_ids, old_idx, old_dist = metric._Index.nearest_within(index, centers, r)
-            close = old_dist < r
-            assert same_bits(ids, old_ids[close]) and np.array_equal(got_idx, old_idx[close])
+            # the nearest centers of all points, restricted to those closer than r
+            ids, got_idx = index.nearest_within(centers, r)
+            assert same_bits(ids, space.ids[dist < r]) and same_bits(got_idx, idx[dist < r])
 
     @given(space=ultra_spaces(TINY_BASES), data=st.data())
     @settings(max_examples=EXAMPLES, deadline=None)
@@ -620,14 +618,22 @@ class TestCoordinates:
     @given(space=lattices(), data=st.data())
     @settings(max_examples=EXAMPLES, deadline=None)
     def test_nearest_within_matches_tree(self, space, data):
-        coords, index = space.coords, CoordIndex(space)
-        centers = _subset(data, space.n)
+        # radii in the base metric, which the tree measures: the points' own
+        # Euclidean space answers them; the space itself answers its own radii
+        coords, centers = space.coords, _subset(data, space.n)
+        if data.draw(st.booleans()):  # every point a center
+            centers = space.ids
+        plain = MetricSpace(MetricDescriptor("euclidean"), coords=coords)
         base = np.unique(kernels.pairwise_distances(coords))
         for r in _near_values(base, 3, data) + [0.125, 1.0]:
-            got = kernels.nearest_center_within_coords(index.cells, coords[centers], r)
+            got = CoordIndex(plain).nearest_within(centers, r)
             want = tree_nearest_within_coords(coords, coords[centers], r)
-            close, wclose = got[2] < r, want[2] < r  # the slack may list a few more
-            assert all(g[close].tobytes() == w[wclose].tobytes() for g, w in zip(got, want))
+            close = want[2] < r  # the tree's widened radius lists a few more
+            assert same_bits(got[0], want[0][close]) and same_bits(got[1], want[1][close])
+        idx, dist = space.index.nearest(space.ids, centers)
+        for r in _near_values(np.unique(dist), 3, data) + [space.diameter() + 1.0]:
+            ids, got_idx = CoordIndex(space).nearest_within(centers, r)
+            assert same_bits(ids, space.ids[dist < r]) and same_bits(got_idx, idx[dist < r])
 
     @given(space=lattices(), data=st.data())
     @settings(max_examples=EXAMPLES, deadline=None)
@@ -815,15 +821,9 @@ class TestLine:
         radii = _near_values(np.unique(dist), 6, data)
         for r in radii + _near_values(np.unique(space.distance_matrix()), 3, data) + [
                 2.0 * space.diameter() + 1.0]:
-            ids, got_idx, got_dist = index.nearest_within(centers, r)
-            assert np.all(ids[1:] > ids[:-1])
-            close = got_dist < r
-            # the all-points form it replaced, restricted to the same points
-            old_ids, old_idx, old_dist = metric._Index.nearest_within(index, centers, r)
-            want = old_dist < r
-            assert same_bits(ids[close], old_ids[want])
-            assert same_bits(got_idx[close], old_idx[want])
-            assert same_bits(got_dist[close], old_dist[want])
+            # the nearest centers of all points, restricted to those closer than r
+            ids, got_idx = index.nearest_within(centers, r)
+            assert same_bits(ids, space.ids[dist < r]) and same_bits(got_idx, idx[dist < r])
 
 
     @given(space=lines(), data=st.data())
@@ -893,6 +893,46 @@ def matrix_spaces(draw):
         space = space.snowflaked(epsilon)
     scale = draw(st.sampled_from([1.0, 0.37, 3.0]))
     return space.rescaled(scale) if scale != 1.0 else space
+
+
+def oracle_balls(space, centers, r):
+    """(owner, members): every pair (i, q) with ``pairs(centers[i], q) < r``, by a
+    scan over every center and point, by center and then point."""
+    owner, q = np.divmod(np.arange(centers.size * space.n), space.n)
+    near = space.index.pairs(centers[owner], q) < r
+    return owner[near], q[near]
+
+
+class TestBalls:
+    """``balls`` on every kind against the scan over every center and point."""
+
+    @pytest.mark.parametrize("kind", ["ultrametric", "matrix", "line", "coordinates"])
+    @given(data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_balls_match_the_pair_scan(self, kind, data):
+        space = data.draw({"ultrametric": ultra_spaces(TINY_BASES), "matrix": matrix_spaces(),
+                           "line": lines(), "coordinates": lattices(dims=(2, 3, 5))}[kind])
+        clone = data.draw(st.sampled_from([None, 0.3, 0.5]))
+        if clone is not None:  # the clone shares its source's order or cells
+            space.index.balls(space.ids, space.diameter())
+            space = space.snowflaked(clone).rescaled(1.0 / clone)
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        shape = data.draw(st.sampled_from(["subset", "repeated", "every"]))
+        if shape == "every":
+            centers = space.ids
+        else:  # unsorted, and with repeated ids at random
+            centers = rng.choice(space.n, size=int(rng.integers(1, space.n + 1)),
+                                 replace=shape == "repeated")
+        owner, q = np.divmod(np.arange(centers.size * space.n), space.n)
+        values = np.unique(space.pair_distances(centers[owner], q))
+        for r in _near_values(values, 6, data) + [2.0 * space.diameter() + 1.0]:
+            got_owner, got_members = space.index.balls(centers, r)
+            by_pair = np.lexsort((got_members, got_owner))
+            want_owner, want_members = oracle_balls(space, centers, r)
+            assert same_bits(got_owner[by_pair], want_owner)
+            assert same_bits(got_members[by_pair], want_members)
+            x = int(centers[0])
+            assert same_bits(space.ball_members(x, r), want_members[want_owner == 0])
 
 
 class TestDiametersAreDistances:

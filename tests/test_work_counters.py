@@ -44,6 +44,7 @@ None of these changes an output, so losing one shows only in the work done
 or the memory held; these counts make that fail the test suite.
 """
 
+import functools
 import hashlib
 import json
 import subprocess
@@ -894,3 +895,101 @@ def test_cubes_file_moves_ids_as_arrays(tmp_path, monkeypatch):
             tracemalloc.stop()
         assert handed and max(handed) < 4096, (n_max, handed)
     assert peaks[1] <= 2.5 * peaks[0], peaks
+
+
+@pytest.fixture
+def index_nearest_calls(monkeypatch):
+    """The query ids of each ``nearest`` call of a cell or matrix index."""
+    calls = []
+    for index in (metric.CoordIndex, metric.MatrixIndex):
+        def counting(self, query_ids, centers, nearest=index.nearest):
+            calls.append(query_ids)
+            return nearest(self, query_ids, centers)
+
+        monkeypatch.setattr(index, "nearest", counting)
+    return calls
+
+
+def test_plane_and_matrix_inner_checks_ask_no_nearest(graph40, index_nearest_calls):
+    # separated centers share no inner ball, so every point of a ball takes its
+    # center and none is asked of nearest
+    plane = MetricSpace(MetricDescriptor("euclidean"),
+                        coords=np.random.default_rng(6).uniform(size=(300, 2)))
+    for space in (plane, plane.snowflaked(0.5), graph40):
+        family = build_adjacent_family(space, NetParams(), K_max=2, query_budget=20,
+                                       target_ratio=0.0, seed=3, max_level=2)
+        assert all(s.levels[-1].centers.size > 1 for s in family.systems)
+        index_nearest_calls.clear()
+        for system in family.systems:
+            check = cubes._check_inner_balls(system)
+            assert check.ok and check.worst == 0.0
+        assert index_nearest_calls == []
+
+
+def test_plane_level_of_every_point_asks_no_cells(tmp_path, monkeypatch):
+    # at level 2 of a 289-point grid every point is a center: its inner balls
+    # are the points at each place, with no look in the cells
+    space = generate(GeneratorSpec(kind="grid", ambient_dim=2, resolution=1 / 16))
+    family = build_adjacent_family(space, NetParams(delta=1 / 12), K_max=2, query_budget=20,
+                                   target_ratio=0.0, seed=7, max_level=2)
+    looks = []
+    within = kernels.CellIndex.within
+
+    def counting(self, query, r):
+        looks.append(len(query))
+        return within(self, query, r)
+
+    monkeypatch.setattr(kernels.CellIndex, "within", counting)
+    for system in family.systems:
+        sizes = [lv.centers.size for lv in system.levels]
+        assert sizes[-1] == space.n
+        looks.clear()
+        assert cubes._check_inner_balls(system).ok
+        # one look per level of several centers, short of every point
+        assert looks == [size for size in sizes if 1 < size < space.n]
+
+
+def test_matrix_work_about_doubles_with_the_points(tmp_path, monkeypatch):
+    # build, save and reload, one window table and one sandwich check on matrix
+    # spaces of the sequences {1/k} of 201 and 401 points, K and the max level held:
+    # the matrix elements that nets, nearest centers, balls, diameters and
+    # least positive distances read grow at most 4.5x, as the matrix grows 4x
+    reads = {}
+
+    class Counted(np.ndarray):
+        """The index's matrix, counting the elements each indexing reads."""
+
+        def __getitem__(self, key):
+            out = np.asarray(super().__getitem__(key))
+            reads[stage] = reads.get(stage, 0) + out.size
+            return out
+
+    matrix = metric.MatrixIndex.matrix
+
+    def counted(self):
+        return matrix.func(self).view(Counted)
+
+    counted_matrix = functools.cached_property(counted)
+    counted_matrix.__set_name__(metric.MatrixIndex, "matrix")
+    monkeypatch.setattr(metric.MatrixIndex, "matrix", counted_matrix)
+    counts = []
+    for n_max in (200, 400):
+        reads = {}
+        x = generate(GeneratorSpec(kind="sequence", p=1.0, n_max=n_max)).coords[:, 0]
+        space = MetricSpace(MetricDescriptor("matrix"), matrix=np.abs(np.subtract.outer(x, x)))
+        stage = "build"
+        family = build_adjacent_family(space, NetParams(), K_max=2, query_budget=40,
+                                       target_ratio=0.0, seed=7, max_level=4)
+        assert family.K == 2 and family.max_level == 4
+        stage = "reload"
+        path = tmp_path / f"cubes-{n_max}.json"
+        save_family(family, path)
+        loaded = load_family(path, space)
+        stage = "windows"
+        local_windows(loaded, loaded.space.ids, sample_budget=16, seed=7)
+        stage = "sandwich"
+        covering.sandwich_check(loaded, loaded.space.ids, 0, r_grid(loaded.params.delta, 4)[2], 1)
+        counts.append(reads)
+    assert counts[1].keys() == counts[0].keys() == {"build", "reload", "windows", "sandwich"}
+    for stage in counts[0]:
+        assert counts[1][stage] <= 4.5 * counts[0][stage], (stage, counts)
