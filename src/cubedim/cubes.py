@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, DegenerateBallError, InvalidArgumentError,
                      StaleCubesError)
+from .kernels import distinct
 from .metric import MetricSpace
 from .nets import NetLevel, NetParams, build_net, nearest_center
 
@@ -591,42 +592,69 @@ class RunWindowTable:
                                               np.concatenate([*diams, [0.0]]))
         return self._levels[system.system_id]
 
-    def windows(self, x: int, radii: np.ndarray, seen: set) -> list:
-        """``local_window`` of each ball B(x, R), R in ``radii``, whose run is not
-        in ``seen``, in the order of the radii; the runs are added to ``seen``.
-        A ball of fewer than two distinct points, or that E misses, has none."""
-        lo, hi = self.index.ball_run(x, radii)
-        new = []
-        for i, run in enumerate(zip(lo.tolist(), hi.tolist())):
-            if run not in seen:
-                seen.add(run)
-                new.append(i)
-        lo, hi, radii = lo[new], hi[new], radii[new]
+    def windows(self, xs: np.ndarray, radii: np.ndarray) -> list:
+        """``local_window`` of each ball B(x, R), x in ``xs`` and then R in
+        ``radii``, whose run of ranks no earlier ball had. A ball of fewer than
+        two distinct points, or that E misses, has none. Each step runs over
+        all the balls at once; the winning system is the first of least
+        diameter, as ``_smallest_cube`` picks it."""
+        x, R = np.repeat(xs, radii.size), np.tile(radii, xs.size)
+        lo, hi = self.index.ball_run(x, R)
+        run = lo * (self.index.order.size + 1) + hi
+        by_run = np.argsort(run, kind="stable")
+        new = np.sort(by_run[np.diff(run[by_run], prepend=-1) != 0])  # first occurrences
+        x, R, lo, hi = x[new], R[new], lo[new], hi[new]
         first, last = self.index.order[lo], self.index.order[hi - 1]
         # min(R, 2 * diam) as _effective_radius takes it; 0.0 for one distinct point
-        R_eff = np.minimum(radii, 2.0 * self.index.pairs(first, last))
+        R_eff = np.minimum(R, 2.0 * self.index.pairs(first, last))
         a, b = self.before[lo], self.before[hi]
-        ends = np.stack([a, b - 1], axis=1)  # the first and last position in E of each ball
+        kept = (R_eff != 0.0) & (a < b)
+        x, R, R_eff, first, last, a, b = (v[kept] for v in (x, R, R_eff, first, last, a, b))
         systems = self.family.systems
-        out = []
-        for i in np.flatnonzero((R_eff != 0.0) & (a < b)).tolist():
-            cc = _smallest_cube(self.family, (_cube_of(s, first[i], last[i]) for s in systems),
-                                float(R_eff[i]))
-            system = systems[cc.system_id]
+        cubes = [_cubes_of(system, first, last) for system in systems]
+        won = np.argmin(np.stack([diam for _, diam in cubes]), axis=0)
+        x, R, R_eff, size = x.tolist(), R.tolist(), R_eff.tolist(), (b - a).tolist()
+        out = [None] * won.size
+        for sid in distinct(won).tolist():
+            system = systems[sid]
+            at = np.flatnonzero(won == sid)
+            level, diam = (v[at] for v in cubes[sid])
+            depth = system.max_level - level
             starts, diams = self.level_tables(system)
-            # at each level below the cube, the run holding the first position
-            # and one past the run holding the last
-            runs = starts.searchsorted((self.shift[cc.level:system.max_level, None]
-                                        + ends[i]).ravel(), side="right")
+            # for each window and level below its cube, the run holding the first
+            # position and one past the run holding the last, window by window
+            stops = np.cumsum(depth)
+            ends = np.repeat(np.stack([a[at], b[at] - 1], axis=1), depth, axis=0)
+            below = np.arange(stops[-1]) + np.repeat(level - stops + depth, depth)
+            runs = starts.searchsorted((self.shift[below, None] + ends).ravel(), side="right")
             runs[::2] -= 1
-            out.append(LocalWindow(x=x, R=float(radii[i]), R_eff=cc.R_eff, level=cc.level,
-                                   system_id=cc.system_id,
-                                   depth=system.max_level - cc.level,
-                                   counts=[1, *(runs[1::2] - runs[::2]).tolist()],
-                                   max_diams=[cc.diameter,
-                                              *np.maximum.reduceat(diams, runs)[::2].tolist()],
-                                   target_size=int(b[i] - a[i])))
+            counts = (runs[1::2] - runs[::2]).tolist()
+            largest = np.maximum.reduceat(diams, runs)[::2].tolist()
+            for i, k, d, stop, top in zip(at.tolist(), level.tolist(), depth.tolist(),
+                                          stops.tolist(), diam.tolist()):
+                out[i] = LocalWindow(x=x[i], R=R[i], R_eff=R_eff[i], level=k, system_id=sid,
+                                     depth=d, counts=[1, *counts[stop - d:stop]],
+                                     max_diams=[top, *largest[stop - d:stop]],
+                                     target_size=size[i])
         return out
+
+
+def _cubes_of(system: CubeSystem, first: np.ndarray, last: np.ndarray):
+    """``_cube_of`` of each pair (first[i], last[i]), as arrays: the level of
+    the deepest cube holding both, and its diameter."""
+    level = np.zeros(first.size, dtype=np.int64)
+    index = np.zeros(first.size, dtype=np.int64)
+    for k in range(1, system.max_level + 1):
+        labels = system.labels[k]
+        held = labels[first]
+        same = held == labels[last]
+        level[same] = k
+        index[same] = held[same]
+    diam = np.empty(first.size)
+    for k in distinct(level).tolist():
+        at = level == k
+        diam[at] = system.diams_at(k)[index[at]]
+    return level, diam
 
 
 def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,

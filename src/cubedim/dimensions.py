@@ -8,9 +8,11 @@ admissible zoom windows. All estimators are deterministic given seeds.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -27,6 +29,9 @@ from .kernels import distinct
 HAUSDORFF_SLOPE_TOL = 0.005
 BISECTION_STEPS = 20
 BISECTION_TOL = 1e-3
+# a window's slope is fitted exactly when its screened slope is within
+# SCREEN_RTOL * max(1, |greatest|) of the greatest screened slope
+SCREEN_RTOL = 1e-9
 
 
 @dataclass
@@ -334,68 +339,85 @@ def local_windows(family: AdjacentFamily, E, sample_budget: int = 512,
         # which pins the small-theta end of the spectrum to the global counts
         radii.insert(0, 1.0 - 1e-10)
     xs = sample_points(space, E, sample_budget, seed)
+    if hasattr(space.index, "ball_run"):
+        windows = RunWindowTable(family, E).windows(xs, np.asarray(radii, dtype=np.float64))
+        return [w for w in windows if w.depth >= 2]
     windows = []
     seen = set()
-    if hasattr(space.index, "ball_run"):
-        table = RunWindowTable(family, E)
-        radii = np.asarray(radii, dtype=np.float64)
-        for x in xs:
-            windows.extend(w for w in table.windows(int(x), radii, seen) if w.depth >= 2)
-    else:
-        for x in xs:
-            windows.extend(_windows_for_point(family, E, int(x), radii, seen))
+    for x in xs:
+        windows.extend(_windows_for_point(family, E, int(x), radii, seen))
     return windows
 
 
-def _window_slope(window: LocalWindow, bound: float, log_inv_delta: float):
-    """LSQ slope of log counts over the levels whose cube diameters fit the bound.
-
-    Counted-cube max diameters decrease with depth, so the admissible set is
-    a contiguous range [m_lo, depth]; the fit absorbs the uniform constant
-    into the intercept.
-    """
-    ms = [m for m in range(1, window.depth + 1) if window.max_diams[m] <= bound]
-    if len(ms) < 2:
-        return None, len(ms), False
-    xs = [m * log_inv_delta for m in ms]
-    ys = [math.log(window.counts[m]) for m in ms]
-    slope, _, _ = _fit_line(xs, ys)
-    hits_depth = ms[-1] == window.depth
-    return slope, len(ms), hits_depth
+def _fit_input(window: LocalWindow, bound: float):
+    """The levels m >= 1 whose counted cubes all have diameter at most the
+    bound, and the window's counts at them: the points of its local fit."""
+    levels = tuple(m for m in range(1, window.depth + 1) if window.max_diams[m] <= bound)
+    return levels, tuple(window.counts[m] for m in levels)
 
 
 def _sweep_max_slope(family, windows, bound_fn, kind, theta, seed):
+    """The greatest local slope over the windows: the least-squares slope of
+    log counts against m * log(1/delta) over each window's ``_fit_input``,
+    for every window with two levels or more; the first window in order to
+    reach it is the witness.
+
+    The levels, counts and largest diameters of all windows are laid out in
+    flat arrays, window after window, and each window's admissible levels and
+    slope are found for all at once. That slope, from NumPy's ``log``, only
+    screens: ``np.polyfit`` over ``math.log`` counts gives the exact slope, and
+    it is taken only for the windows screened within ``SCREEN_RTOL`` of the
+    greatest, once per distinct fit input. Any other window's slope falls short
+    of theirs by far more than either computation's rounding.
+    """
     log_inv_delta = math.log(1.0 / family.params.delta)
-    best = None
-    witness = None
-    truncated = False
-    usable = 0
-    singleton_only = 0
-    for w in windows:
-        slope, n_adm, hits_depth = _window_slope(w, bound_fn(w), log_inv_delta)
-        truncated = truncated or hits_depth
-        if slope is None:
-            if n_adm == 1:
-                singleton_only += 1
-            continue
-        usable += 1
-        if best is None or slope > best:
-            best = slope
-            witness = {"x": w.x, "R": w.R, "system_id": w.system_id}
-    if best is None:
+    size = np.fromiter((w.depth + 1 for w in windows), dtype=np.int64, count=len(windows))
+    ends = np.cumsum(size)
+    of = np.repeat(np.arange(size.size), size)  # the window of each entry
+    level = np.arange(of.size) - np.repeat(ends - size, size)
+    diams = np.fromiter(chain.from_iterable(w.max_diams for w in windows), dtype=np.float64,
+                        count=of.size)
+    counts = np.fromiter(chain.from_iterable(w.counts for w in windows), dtype=np.float64,
+                         count=of.size)
+    bounds = [bound_fn(w) for w in windows]
+    admitted = (level >= 1) & (diams <= np.asarray(bounds, dtype=np.float64)[of])
+    sums = functools.partial(np.bincount, of, minlength=size.size)  # a sum per window
+    n_admitted = sums(weights=admitted)
+    usable = n_admitted >= 2
+    if not usable.any():
         reason = ("depth too small for the admissible windows"
-                  if singleton_only else
+                  if np.any(n_admitted == 1) else
                   f"cube-diameter bound too tight (C_delta_hat={family.C_delta_hat:g}, "
                   f"C_tilde={family.C_tilde:g})")
         raise InsufficientScalesError(
             f"{kind}: no (x, R) window with >= 2 admissible levels; {reason}")
+    # the slope over the admitted levels, centred on their mean level
+    centred = (level - (sums(weights=level * admitted) / np.maximum(n_admitted, 1))[of]) * admitted
+    screened = np.full(size.size, -np.inf)
+    screened[usable] = (sums(weights=centred * np.log(counts))[usable]
+                        / (sums(weights=centred * centred)[usable] * log_inv_delta))
+    top = float(screened.max())
+    best = witness = None
+    fitted = {}
+    for i in np.flatnonzero(screened >= top - SCREEN_RTOL * max(1.0, abs(top))).tolist():
+        w = windows[i]
+        fit = _fit_input(w, bounds[i])
+        if fit not in fitted:
+            levels, window_counts = fit
+            fitted[fit] = _fit_line([m * log_inv_delta for m in levels],
+                                    [math.log(c) for c in window_counts])[0]
+        if best is None or fitted[fit] > best:
+            best = fitted[fit]
+            witness = {"x": w.x, "R": w.R, "system_id": w.system_id}
     flags = family.flags()
-    if truncated:
+    # a usable window whose deepest level is admitted
+    if np.any(usable & admitted[ends - 1]):
         flags.append("depth-limited")
     return DimensionEstimate(kind=kind, value=float(best), theta=theta,
                              window=[0, family.max_level], slope=float(best),
                              seed=seed, flags=flags,
-                             diagnostics={"windows_used": usable, "witness": witness})
+                             diagnostics={"windows_used": int(usable.sum()),
+                                          "witness": witness})
 
 
 def assouad_spectrum_estimate(family: AdjacentFamily, E, theta: float,

@@ -26,6 +26,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -342,14 +343,16 @@ class PrefixIndex(_SortedIndex):
 
     def ball_run(self, x, r):
         """The ranks lo..hi-1 of the ids q with d(x, q) < r, for a radius r or an
-        array of them: the run of x's prefix of length ``level(r)``."""
+        array of them, and an id x or an array of as many: the run of x's
+        prefix of length ``level(r)``."""
         r = np.asarray(r, dtype=np.float64)
         levels = np.searchsorted(self._neg_dist, -r.reshape(-1), side="right")  # level()
+        rx = self.rank[x]
         lo, hi = np.empty_like(levels), np.empty_like(levels)
         for L in kernels.distinct(levels).tolist():
             runs = self.runs(L)
-            run = runs[self.rank[x]]
             at = levels == L
+            run = runs[rx] if np.ndim(rx) == 0 else runs[rx[at]]
             lo[at], hi[at] = np.searchsorted(runs, [run, run + 1])
         return lo.reshape(r.shape), hi.reshape(r.shape)
 
@@ -638,7 +641,7 @@ class LineIndex(_SortedIndex, CoordIndex):
 
     def ball_run(self, x, r):
         """The ranks lo..hi-1 of the ids q with d(x, q) < r, for a radius r or an
-        array of them, from ``_runs``."""
+        array of them, and an id x or an array of as many, from ``_runs``."""
         r = np.asarray(r, dtype=np.float64)
         lo, hi = self._runs(np.full(r.size, x, dtype=np.int64), r.reshape(-1))
         return lo.reshape(r.shape), hi.reshape(r.shape)
@@ -1156,11 +1159,29 @@ def space_from_json(doc) -> MetricSpace:
                 raise PointsFileError(f"field 'points': entry {bad} of an ultrametric "
                                       f"space is not a string")
             return MetricSpace(desc, strings=pts)
+        _check_coordinates(pts)
         return MetricSpace(desc, coords=np.asarray(pts, dtype=np.float64))
     except KeyError as exc:
         raise PointsFileError(f"field 'metric.{exc.args[0]}': missing") from exc
     except (TypeError, ValueError, InvalidArgumentError) as exc:
         raise PointsFileError(f"invalid points document: {exc}") from exc
+
+
+def _check_coordinates(pts):
+    """Refuse a coordinate that is not a JSON number, which ``np.asarray`` would
+    read as one from a string or a bool: one C-level pass over the types of
+    the points' coordinates, or of the points when they are bare numbers."""
+    try:
+        types = set(map(type, chain.from_iterable(pts)))
+    except TypeError:  # a point that is a bare number
+        types = set(map(type, pts))
+    if types <= {int, float}:
+        return
+    for i, point in enumerate(pts):
+        for j, v in enumerate(point if type(point) is list else [point]):
+            if type(v) not in (int, float):
+                raise PointsFileError(f"field 'points': coordinate {j} of point {i} "
+                                      f"is not a number")
 
 
 def _matrix_from_lower_triangular(tri):

@@ -123,6 +123,21 @@ class TestBuild:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not a" in err, err
 
+    @pytest.mark.parametrize("points", [
+        pytest.param('[["0.5"], [true], [0]]', id="string-and-true"),
+        pytest.param("[[0.5], [1.0], [false]]", id="false"),
+        pytest.param('[[0.5, 1.0], [2.0, "3"]]', id="string-in-2d"),
+        pytest.param('[0.5, "1.0"]', id="bare-string"),
+        pytest.param("[[0.5], [null]]", id="null"),
+    ])
+    def test_coordinates_not_numbers_exit2(self, tmp_path, capsys, points):
+        # np.asarray read each string and bool as a number before
+        pts = tmp_path / "pts.json"
+        pts.write_text(f'{{"metric": {{"kind": "euclidean"}}, "points": {points}}}')
+        assert cli.main(["doubling", "--points", str(pts)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is not a number" in err, err
+
     @pytest.mark.parametrize("points", ["[1, 2]", '[["0"], ["1"]]'], ids=["numbers", "lists"])
     def test_ultrametric_points_not_strings_exit2(self, tmp_path, capsys, points):
         pts, out = tmp_path / "pts.json", tmp_path / "cubes.json"

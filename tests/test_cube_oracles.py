@@ -43,7 +43,11 @@ containing cube off the ball's two end ids, and the family build keeps
 each query ball as those two ids; the table that reduced over every
 position of a ball (``PositionWindowTable``) and the member-based build
 (``oracle_family``) are their oracles, on lines with ties at midpoints and
-repeated points and on ultrametrics of arity 3 with tiny bases.
+repeated points and on ultrametrics of arity 3 with tiny bases. The table
+now reads all sampled balls in one pass, and a sweep fits exactly only
+the windows whose screened slopes are near the greatest; the table that
+read one sample point at a time (``per_sample_windows``) and the sweep that
+fitted every window (``oracle_sweep_max_slope``) are their oracles.
 
 Every local window counts from m = 0, its containing cube, where the count
 is 1. The box fit reads the window of the one ball around E's first id that
@@ -92,7 +96,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from conftest import write_cubes_doc
 
@@ -507,6 +511,151 @@ def position_windows(family, E, radii):
     for x in sample_points(family.space, E, SAMPLE_BUDGET, 0):
         out.extend(w for w in table.windows(int(x), radii, seen) if w.depth >= 2)
     return out
+
+
+def per_sample_windows(family, E, radii):
+    """``local_windows`` on a sorted index as it was before it read every
+    sampled ball in one pass: ``RunWindowTable.windows`` of one sample point
+    at a time, the runs already seen kept in a set, each ball's containing
+    cube found system by system (``_cube_of``, ``_smallest_cube``) and its
+    counts by one search of the level tables per window."""
+    table, seen, out = cubes.RunWindowTable(family, E), set(), []
+    index, systems = table.index, family.systems
+    for x in sample_points(family.space, E, SAMPLE_BUDGET, 0).tolist():
+        lo, hi = index.ball_run(x, radii)
+        new = []
+        for i, run in enumerate(zip(lo.tolist(), hi.tolist())):
+            if run not in seen:
+                seen.add(run)
+                new.append(i)
+        lo, hi, R = lo[new], hi[new], radii[new]
+        first, last = index.order[lo], index.order[hi - 1]
+        R_eff = np.minimum(R, 2.0 * index.pairs(first, last))
+        a, b = table.before[lo], table.before[hi]
+        ends = np.stack([a, b - 1], axis=1)
+        for i in np.flatnonzero((R_eff != 0.0) & (a < b)).tolist():
+            cc = cubes._smallest_cube(family, (cubes._cube_of(s, first[i], last[i])
+                                               for s in systems), float(R_eff[i]))
+            system = systems[cc.system_id]
+            starts, diams = table.level_tables(system)
+            runs = starts.searchsorted((table.shift[cc.level:system.max_level, None]
+                                        + ends[i]).ravel(), side="right")
+            runs[::2] -= 1
+            if system.max_level - cc.level >= 2:
+                out.append(cubes.LocalWindow(
+                    x=x, R=float(R[i]), R_eff=cc.R_eff, level=cc.level,
+                    system_id=cc.system_id, depth=system.max_level - cc.level,
+                    counts=[1, *(runs[1::2] - runs[::2]).tolist()],
+                    max_diams=[cc.diameter, *np.maximum.reduceat(diams, runs)[::2].tolist()],
+                    target_size=int(b[i] - a[i])))
+    return out
+
+
+def oracle_window_slope(window, bound, log_inv_delta):
+    """``dimensions._window_slope`` as it was: the window's slope over its
+    levels whose counted cubes fit the bound, from ``np.polyfit``; the number
+    of those levels; and whether the deepest is one of them."""
+    ms = [m for m in range(1, window.depth + 1) if window.max_diams[m] <= bound]
+    if len(ms) < 2:
+        return None, len(ms), False
+    xs = [m * log_inv_delta for m in ms]
+    ys = [math.log(window.counts[m]) for m in ms]
+    slope, _, _ = _fit_line(xs, ys)
+    return slope, len(ms), ms[-1] == window.depth
+
+
+def oracle_sweep_max_slope(family, windows, bound_fn, kind, theta, seed):
+    """``dimensions._sweep_max_slope`` as it was: one exact fit per window, in order."""
+    log_inv_delta = math.log(1.0 / family.params.delta)
+    best = witness = None
+    truncated = False
+    usable = singleton_only = 0
+    for w in windows:
+        slope, n_adm, hits_depth = oracle_window_slope(w, bound_fn(w), log_inv_delta)
+        truncated = truncated or hits_depth
+        if slope is None:
+            if n_adm == 1:
+                singleton_only += 1
+            continue
+        usable += 1
+        if best is None or slope > best:
+            best = slope
+            witness = {"x": w.x, "R": w.R, "system_id": w.system_id}
+    if best is None:
+        reason = ("depth too small for the admissible windows"
+                  if singleton_only else
+                  f"cube-diameter bound too tight (C_delta_hat={family.C_delta_hat:g}, "
+                  f"C_tilde={family.C_tilde:g})")
+        raise InsufficientScalesError(
+            f"{kind}: no (x, R) window with >= 2 admissible levels; {reason}")
+    flags = family.flags()
+    if truncated:
+        flags.append("depth-limited")
+    return DimensionEstimate(kind=kind, value=float(best), theta=theta,
+                             window=[0, family.max_level], slope=float(best),
+                             seed=seed, flags=flags,
+                             diagnostics={"windows_used": usable, "witness": witness})
+
+
+def sweep_outcome(sweep, family, windows, bound_fn, kind, theta):
+    """What a sweep gives: its estimate's fields, the value's bits and its
+    diagnostics, or the message of its ``InsufficientScalesError``."""
+    try:
+        est = sweep(family, windows, bound_fn, kind, theta, 5)
+    except InsufficientScalesError as exc:
+        return str(exc)
+    return est.to_json(), est.flags, float(est.value).hex(), est.diagnostics
+
+
+class TestWindowsAndSweepsAsArrays:
+    """On a line and in an ultrametric, ``RunWindowTable.windows`` reads every
+    sampled ball in one pass, where the old table read one sample point at a
+    time (``per_sample_windows``); a sweep screens every window's slope as
+    arrays and fits exactly only the windows near the greatest, where the old
+    sweep fitted each in turn (``oracle_sweep_max_slope``). Window lists here
+    repeat windows, so that slopes tie at the maximum, and move a window's
+    bound onto one of its largest diameters or one ulp to either side, so
+    that one level is admitted or not."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_windows_match_the_per_sample_table(self, data):
+        drawn = data.draw(run_families())
+        if drawn is None:
+            return
+        fam, E, radii = drawn
+        assert [window_bits(w) for w in local_windows(fam, E, SAMPLE_BUDGET, radii=radii)] == [
+            window_bits(w) for w in per_sample_windows(fam, E, radii)]
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sweeps_match_the_window_loop(self, data):
+        drawn = data.draw(run_families())
+        if drawn is None:
+            return
+        fam, E, radii = drawn
+        windows = local_windows(fam, E, SAMPLE_BUDGET, radii=radii)
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        # ties: copies of windows among them, at random places
+        tied = list(windows)
+        for w in rng.choice(len(windows), size=min(len(windows), 4)).tolist() if windows else []:
+            tied.insert(int(rng.integers(len(tied) + 1)), dataclasses.replace(windows[w]))
+        # edges: each bound on one of its window's largest diameters, or one ulp
+        # either side of it
+        edges = []
+        for w in windows:
+            diam = w.max_diams[int(rng.integers(1, w.depth + 1))]
+            edges.append(dataclasses.replace(w, R_eff=float(
+                [np.nextafter(diam, 0.0), diam, np.nextafter(diam, np.inf)][rng.integers(3)])))
+        theta = data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+        for listed in (windows, tied, edges, tied[::-1]):
+            for bound_fn, kind, th in ((lambda w: w.R_eff, "assouad", None),
+                                       (lambda w: w.R_eff ** (1.0 / theta), "assouad_theta",
+                                        theta)):
+                got = sweep_outcome(dimensions._sweep_max_slope, fam, listed, bound_fn, kind, th)
+                assert got == sweep_outcome(oracle_sweep_max_slope, fam, listed, bound_fn,
+                                            kind, th)
+                event(got.split("; ")[1].split(" (")[0] if isinstance(got, str) else "an estimate")
 
 
 class TestCubesAreRuns:

@@ -345,6 +345,26 @@ class TestPointsFiles:
         with pytest.raises(PointsFileError, match="entry 1 .* not a number"):
             load_points(path)
 
+    @pytest.mark.parametrize("points,where", [
+        ([["0.5"], [True], [0]], "coordinate 0 of point 0"),
+        ([[0.5], [1], [True]], "coordinate 0 of point 2"),
+        ([[0.5, 1.0], [2.0, "3"]], "coordinate 1 of point 1"),
+        ([0.5, False], "coordinate 0 of point 1"),
+        ([[[0.5]], [[1.0]]], "coordinate 0 of point 0"),
+    ])
+    def test_coordinate_not_a_number_rejected(self, tmp_path, points, where):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"metric": {"kind": "euclidean"}, "points": points}))
+        with pytest.raises(PointsFileError, match=f"{where} is not a number"):
+            load_points(path)
+
+    def test_integer_and_bare_coordinates_load(self, tmp_path):
+        for points, want in (([[0, 1.5], [2, 3]], [[0.0, 1.5], [2.0, 3.0]]),
+                             ([0, 0.5, 2], [[0.0], [0.5], [2.0]])):
+            path = tmp_path / "pts.json"
+            path.write_text(json.dumps({"metric": {"kind": "euclidean"}, "points": points}))
+            assert load_points(path).coords.tolist() == want
+
     @pytest.mark.parametrize("field,value,due", [
         ("arity", 2.9, "an integer"), ("arity", 2.0, "an integer"), ("arity", True, "an integer"),
         ("arity", "2", "an integer"), ("base", "0.5", "a number"), ("base", False, "a number"),

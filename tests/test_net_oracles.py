@@ -404,11 +404,16 @@ def assert_ball_run(space, x, r, want):
 
 
 def assert_ball_runs_of_radii(space, x, radii):
-    """An array of radii gives the runs of its radii, one by one."""
+    """An array of radii gives the runs of its radii, one by one, and so does
+    each radius paired with an id of an array of as many, x and its
+    neighbours in id."""
     radii = np.asarray(radii, dtype=np.float64)
     lo, hi = space.index.ball_run(x, radii)
     assert lo.shape == hi.shape == radii.shape
     assert list(zip(lo, hi)) == [space.index.ball_run(x, r) for r in radii]
+    xs = (x + np.arange(radii.size)) % space.n
+    lo, hi = space.index.ball_run(xs, radii)
+    assert list(zip(lo, hi)) == [space.index.ball_run(int(p), r) for p, r in zip(xs, radii)]
 
 
 def _subset(data, n):

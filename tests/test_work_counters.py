@@ -22,7 +22,9 @@ window table, built once per call with each system's level tables built at
 most once: it asks for no row, no ``ball_members`` and no digest of a
 ball's members. A plane's windows still take their digests. There, a
 family's build keeps each certificate query's ball as its two end ids and
-asks for no ``ball_members`` either; a plane's build asks one per query. On a plane,
+asks for no ``ball_members`` either; a plane's build asks one per query. A
+sweep takes ``np.polyfit`` only for the windows whose slopes tie with the
+greatest, once per distinct fit input. On a plane,
 the rows whose squared distances a build, a reload and a window table take
 grow at most 2.5x as the points double. In an ultrametric, a reload's
 inner-ball check and a greedy cover read prefix runs, with no nearest-center
@@ -47,6 +49,7 @@ or the memory held; these counts make that fail the test suite.
 import functools
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -60,7 +63,8 @@ from cubedim.covering import greedy_cover_count
 from cubedim.cubes import (CubeSystem, build_adjacent_family, build_system,
                            circumscribed_cube, load_family, r_grid, save_family,
                            verify_system)
-from cubedim.dimensions import hausdorff_dim_estimate, local_windows
+from cubedim.dimensions import (_fit_line, assouad_dim_estimate, hausdorff_dim_estimate,
+                                local_windows)
 from cubedim.metric import save_points
 from cubedim.nets import NetParams
 
@@ -213,6 +217,43 @@ def test_line_and_ultrametric_sweeps_read_rank_runs(request, fixture, sweep_work
         assert len(new) == len(set(new)) <= family.K
     assert sweep_work["rows"] == []
     assert (sweep_work["digests"], sweep_work["balls"]) == (0, 0)
+
+
+@pytest.fixture
+def polyfit_inputs(monkeypatch):
+    """The (xs, ys) of each ``np.polyfit`` call during a test."""
+    calls = []
+    polyfit = np.polyfit
+
+    def counting(x, y, deg, *args, **kwargs):
+        calls.append((tuple(x), tuple(y)))
+        return polyfit(x, y, deg, *args, **kwargs)
+
+    monkeypatch.setattr(np, "polyfit", counting)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", ["cantor10_family", "ultra6_family"])
+def test_sweep_fits_only_the_windows_that_can_hold_the_maximum(request, fixture,
+                                                              polyfit_inputs):
+    family = request.getfixturevalue(fixture)
+    windows = local_windows(family, family.space.ids, sample_budget=64, seed=0)
+    log_inv_delta = math.log(1.0 / family.params.delta)
+    # each window's levels whose counted cubes fit R_eff, with their counts, and
+    # the exact slope of every usable window, fitted here one at a time
+    fits = [tuple((m, w.counts[m]) for m in range(1, w.depth + 1) if w.max_diams[m] <= w.R_eff)
+            for w in windows]
+    slopes = {fit: _fit_line([m * log_inv_delta for m, _ in fit],
+                             [math.log(c) for _, c in fit])[0]
+              for fit in fits if len(fit) >= 2}
+    used = sum(len(fit) >= 2 for fit in fits)
+    best = max(slopes.values())
+    # the fit inputs whose slopes tie with the greatest, up to its rounding
+    tied = {fit for fit, slope in slopes.items() if slope >= best - 1e-9 * max(1.0, abs(best))}
+    polyfit_inputs.clear()
+    est = assouad_dim_estimate(family, family.space.ids, windows=windows)
+    assert est.value == best and est.diagnostics["windows_used"] == used
+    assert len(set(polyfit_inputs)) == len(polyfit_inputs) <= len(tied) < used
 
 
 @pytest.mark.parametrize("fixture", ["line", "ultra6"])
