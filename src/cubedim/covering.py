@@ -12,10 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# circumscribed_cube is not called here; perfbench's self-test patches it by name
-# in this module, so the name stays
-from .cubes import (AdjacentFamily, circumscribed_cube, local_window,  # noqa: F401
-                    target_in_ball)
+from .cubes import AdjacentFamily, circumscribed_cube, target_in_ball
 from .errors import InvalidArgumentError, ScaleExhaustedError
 from .kernels import distinct
 from .metric import MetricSpace
@@ -47,23 +44,29 @@ def dyadic_cover_count(family: AdjacentFamily, E, x: int, R: float, m: int) -> C
 
 
 def _dyadic_cover(family: AdjacentFamily, E, x: int, R: float, m: int):
-    """The dyadic count's report, read off entry m of the ball's local window,
-    and E inside B(x, R), the set it covers."""
+    """The dyadic count's report and E inside B(x, R), the set it covers.
+
+    The ball's circumscribed cube sits at level L_R, and only level L_R + m is
+    counted, along the depth-first-sorted target (``cubes_along``); at m = 0
+    that is the cube itself, of count 1. A ball that E misses, and an m past
+    the system's deepest level, raise before anything is counted."""
     if m < 0:
         raise InvalidArgumentError("m must be >= 0")
     E = np.asarray(E, dtype=np.int64)
     members = family.space.ball_members(x, R)
-    window = local_window(family, E, x, R, members)
-    if window is None:
+    cc = circumscribed_cube(family, x, R, members)
+    target = target_in_ball(family.space, E, members)
+    if target.size == 0:
         raise InvalidArgumentError("E does not meet the ball")
-    if m > window.depth:
-        raise ScaleExhaustedError(
-            f"level {window.level + m} exceeds max level {window.level + window.depth}",
-            deepest_available=window.depth)
+    system = family.systems[cc.system_id]
+    level = cc.level + m
+    if level > system.max_level:
+        raise ScaleExhaustedError(f"level {level} exceeds max level {system.max_level}",
+                                  deepest_available=system.max_level - cc.level)
+    D, labels = system.cubes_along(level, system.dfs_sorted(target))
     return CoverReport(
-        D=window.counts[m], m=m, x=x, R=R, R_eff=window.R_eff,
-        system_id=window.system_id, level=window.level,
-        max_cube_diameter=window.max_diams[m]), target_in_ball(family.space, E, members)
+        D=D, m=m, x=x, R=R, R_eff=cc.R_eff, system_id=cc.system_id, level=cc.level,
+        max_cube_diameter=float(system.diams_at(level)[labels].max())), target
 
 
 def _grow_set(space: MetricSpace, start, candidates, r):

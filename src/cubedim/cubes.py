@@ -127,6 +127,12 @@ class CubeSystem:
         hit = np.bincount(self.labels[k][ids], minlength=self.levels[k].centers.size)
         return np.flatnonzero(hit)
 
+    def cubes_along(self, k, dfs: np.ndarray):
+        """(count, labels) of level k along the depth-first-sorted ids ``dfs``:
+        each cube is one run of them, so it meets one plus the label changes."""
+        labels = self.labels[k][dfs]
+        return 1 + int(np.count_nonzero(labels[1:] != labels[:-1])), labels
+
 
 def _group_by_label(labels: np.ndarray, n_cubes: int):
     """Point ids ordered by cube, and each cube's slice bounds in that order.
@@ -356,35 +362,52 @@ def r_grid(delta: float, max_level: int) -> list:
     return [float(delta ** (j / 8)) for j in range(1, 8 * max_level + 1)]
 
 
-def _cert_terms(params, R_eff, level, diam):
-    up = diam / R_eff
-    down = R_eff / diam
-    scale = params.c0 * params.delta ** level
-    lvl_up = 3.0 * R_eff / scale
-    lvl_down = scale / (3.0 * R_eff)
-    return max(up, down, lvl_up, lvl_down)
+def _cert_terms(params: NetParams, R_eff, level, diam) -> np.ndarray:
+    """Each ball's certificate: the largest of diam / R_eff, 3 * R_eff / scale
+    and their inverses, for its cube's diameter and scale c0 * delta^level."""
+    scale = np.array([params.c0 * params.delta ** k
+                      for k in range(int(level.max(initial=0)) + 1)])[level]
+    return np.maximum.reduce([diam / R_eff, R_eff / diam, 3.0 * R_eff / scale,
+                              scale / (3.0 * R_eff)])
 
 
-def _circumscribed_in_system(system: CubeSystem, members: np.ndarray):
-    """(level, index) of the deepest cube containing every id of ``members``.
-
-    Cubes are contiguous runs of the depth-first order, so a cube holds all
-    members once it holds the two of least and greatest rank.
-    """
+def _extremes(system: CubeSystem, members: np.ndarray, starts: np.ndarray):
+    """(first, last): the ids of least and greatest depth-first rank in each
+    run of ``members``, run i starting at ``starts[i]``. Cubes are runs of
+    that order, so a cube holds a run once it holds those two ids."""
     ranks = system.rank[members]
-    return _cube_of(system, system.order[ranks.min()], system.order[ranks.max()])
+    return (system.order[np.minimum.reduceat(ranks, starts)],
+            system.order[np.maximum.reduceat(ranks, starts)])
 
 
-def _cube_of(system: CubeSystem, first: int, last: int):
-    """(level, index) of the deepest cube holding the ids first and last, the
-    ends of a run of some order in which every cube is a run. Nested cubes
-    that hold both at level k hold both at every shallower level, down to the
-    single root cube at level 0."""
-    for k in range(system.max_level, 0, -1):
+def _cubes_of(system: CubeSystem, first: np.ndarray, last: np.ndarray):
+    """(level, index, diameter) of the deepest cube of ``system`` holding both
+    ids first[i] and last[i], the ends of a run of some order in which every
+    cube is a run. Nested cubes that hold both at level k hold both at every
+    shallower level, down to the single root cube at level 0."""
+    level = np.zeros(first.size, dtype=np.int64)
+    for k in range(1, system.max_level + 1):
         labels = system.labels[k]
-        if labels[first] == labels[last]:
-            return k, int(labels[first])
-    return 0, 0
+        level[labels[first] == labels[last]] = k
+    index = np.empty_like(level)
+    diam = np.empty(first.size)
+    for k in np.flatnonzero(np.bincount(level)).tolist():
+        at = level == k
+        index[at] = held = system.labels[k][first[at]]
+        diam[at] = system.diams_at(k)[held]
+    return level, index, diam
+
+
+def _smallest_cubes(family: AdjacentFamily, members: np.ndarray, starts: np.ndarray):
+    """(system, level, index, diameter) of the circumscribed cube of each run
+    of ``members``, run i from ``starts[i]``: of the systems' deepest cubes
+    holding it (``_cubes_of``), the least in diameter, the first on a tie."""
+    # (system, field, run), the levels and indices exact as floats
+    found = np.array([_cubes_of(system, *_extremes(system, members, starts))
+                      for system in family.systems])
+    won = found[:, 2].argmin(axis=0)
+    level, index, diam = found[won, :, np.arange(won.size)].T
+    return won, level.astype(np.int64), index.astype(np.int64), diam
 
 
 def _split_cube(system: CubeSystem):
@@ -407,19 +430,24 @@ def _split_cube(system: CubeSystem):
     return None
 
 
-def _query_ball(space: MetricSpace, x: int, R: float):
-    """(R_eff, ids) of the query B(x, R): the ball's members or, on a sorted
-    index, its two end ids in the index's order. Every cube is a run of that
-    order too, so the cubes holding both ends hold the ball, and the ends'
-    distance is its diameter: R_eff = min(R, 2 * diam) is
-    ``_effective_radius`` bit for bit."""
+def _query_balls(space: MetricSpace, xs: np.ndarray, Rs: np.ndarray):
+    """(R_eff, ids, starts) of the balls B(xs[i], Rs[i]), ball i's ids from
+    ``starts[i]``: its members, one ``ball_members`` call each, or on a
+    sorted index its two end ids, from one ``ball_run`` call. Cubes are runs
+    of that order too, so the cubes holding both ends hold the ball, and
+    R_eff = min(R, 2 * their distance) is ``_effective_radius`` bit for bit."""
     index = space.index
-    if not hasattr(index, "ball_run"):
-        members = space.ball_members(x, R)
-        return _effective_radius(space, x, R, members), members
-    lo, hi = index.ball_run(x, R)
-    ends = index.order[[lo, hi - 1]]  # x twice when the ball holds x alone: R_eff is 0.0
-    return min(R, 2.0 * float(index.pairs(ends[:1], ends[1:])[0])), ends
+    if hasattr(index, "ball_run"):
+        lo, hi = index.ball_run(xs, Rs)
+        # x twice when the ball holds x alone: R_eff is 0.0
+        first, last = index.order[lo], index.order[hi - 1]
+        return (np.minimum(Rs, 2.0 * index.pairs(first, last)),
+                np.stack([first, last], axis=1).ravel(), np.arange(0, 2 * xs.size, 2))
+    balls = [space.ball_members(x, R) for x, R in zip(xs.tolist(), Rs.tolist())]
+    R_eff = [_effective_radius(space, x, R, members)
+             for x, R, members in zip(xs.tolist(), Rs.tolist(), balls)]
+    sizes = np.array([members.size for members in balls])
+    return np.array(R_eff), np.concatenate(balls), np.cumsum(sizes) - sizes
 
 
 def _effective_radius(space: MetricSpace, x: int, R: float, members: np.ndarray,
@@ -454,19 +482,8 @@ def circumscribed_cube(family: AdjacentFamily, x: int, R: float,
     R_eff = _effective_radius(family.space, x, R, members, row)
     if R_eff == 0.0:
         raise DegenerateBallError(f"ball B({x}, {R:g}) holds fewer than two distinct points")
-    return _smallest_cube(family, (_circumscribed_in_system(system, members)
-                                   for system in family.systems), R_eff)
-
-
-def _smallest_cube(family: AdjacentFamily, cubes, R_eff: float) -> CircumscribedCube:
-    """Of the cubes (level, index), one per system in turn, the one of least
-    diameter: a later system wins only with a strictly smaller one."""
-    best = None
-    for system, (level, index) in zip(family.systems, cubes):
-        diam = float(system.diams_at(level)[index])
-        if best is None or diam < best.diameter:
-            best = CircumscribedCube(system.system_id, level, index, diam, R_eff)
-    return best
+    won, level, index, diam = _smallest_cubes(family, members, [0])
+    return CircumscribedCube(int(won[0]), int(level[0]), int(index[0]), float(diam[0]), R_eff)
 
 
 @dataclass
@@ -505,45 +522,58 @@ def target_in_ball(space: MetricSpace, E: np.ndarray, members: np.ndarray) -> np
     return members[inside[members]]
 
 
-def local_window(family: AdjacentFamily, E: np.ndarray, x: int, R: float,
-                 members: np.ndarray, row: np.ndarray | None = None) -> LocalWindow | None:
-    """The local window of E in B(x, R), or None when E misses the ball.
-
-    ``members`` are the ball's ascending ids and ``row``, when given, the
-    distances from x to every point. R_eff and the containing cube come from
-    ``circumscribed_cube``, which raises ``DegenerateBallError`` for a ball of
-    fewer than two distinct points. Each level below the cube is counted
-    along the depth-first-sorted target: one plus its label changes.
-    """
-    return _counted_window(family, E, x, R, members, row, diameters=True)
+def _counted_below(system: CubeSystem, x: int, R: float, R_eff: float, level: int,
+                   top: float, target: np.ndarray, diameters: bool) -> LocalWindow:
+    """The window of the ids ``target`` of B(x, R) in their cube at ``level``
+    of ``system``, of diameter ``top``: each level below counted (``cubes_along``)
+    and, if ``diameters``, its largest diameter met; else ``max_diams`` is None."""
+    dfs = system.dfs_sorted(target)
+    counts, max_diams = [1], [top] if diameters else None
+    for k in range(level + 1, system.max_level + 1):
+        count, labels = system.cubes_along(k, dfs)
+        counts.append(count)
+        if diameters:
+            max_diams.append(float(system.diams_at(k)[labels].max()))
+    return LocalWindow(x=x, R=R, R_eff=R_eff, level=level, system_id=system.system_id,
+                       depth=system.max_level - level, counts=counts, max_diams=max_diams,
+                       target_size=int(target.size))
 
 
 def local_counts(family: AdjacentFamily, E: np.ndarray, x: int, R: float,
                  members: np.ndarray, row: np.ndarray | None = None) -> LocalWindow | None:
-    """``local_window`` with its counts alone: ``max_diams`` is None, and no
-    level's cube diameters are read."""
-    return _counted_window(family, E, x, R, members, row, diameters=False)
-
-
-def _counted_window(family: AdjacentFamily, E: np.ndarray, x: int, R: float,
-                    members: np.ndarray, row: np.ndarray | None,
-                    diameters: bool) -> LocalWindow | None:
-    """``local_window``, with ``max_diams`` None unless ``diameters``."""
+    """The local window of E in B(x, R), of ascending ids ``members``, with
+    its counts alone (``max_diams`` None), or None when E misses the ball.
+    The cube comes from ``circumscribed_cube``, with ``row``, when given, the
+    distances from x to every point; it raises ``DegenerateBallError``."""
     cc = circumscribed_cube(family, x, R, members, row)
     target = target_in_ball(family.space, E, members)
     if target.size == 0:
         return None
-    system = family.systems[cc.system_id]
-    dfs = system.dfs_sorted(target)
-    counts, max_diams = [1], [cc.diameter] if diameters else None
-    for level in range(cc.level + 1, system.max_level + 1):
-        labels = system.labels[level][dfs]
-        counts.append(1 + int(np.count_nonzero(labels[1:] != labels[:-1])))
-        if diameters:
-            max_diams.append(float(system.diams_at(level)[labels].max()))
-    return LocalWindow(x=x, R=R, R_eff=cc.R_eff, level=cc.level, system_id=cc.system_id,
-                       depth=system.max_level - cc.level, counts=counts,
-                       max_diams=max_diams, target_size=int(target.size))
+    return _counted_below(family.systems[cc.system_id], x, R, cc.R_eff, cc.level,
+                          cc.diameter, target, diameters=False)
+
+
+def point_windows(family: AdjacentFamily, E: np.ndarray, x: int, balls: list,
+                  row: np.ndarray) -> list:
+    """The local window of E in each ball B(x, R) of ``balls``, pairs (R,
+    ascending members), with ``row`` x's distances; none for a ball of one
+    distinct point or that E misses. All the cubes come from one
+    ``_smallest_cubes`` call, and each window is counted below its cube."""
+    space = family.space
+    kept = []
+    for R, members in balls:
+        R_eff = _effective_radius(space, x, R, members, row)
+        target = target_in_ball(space, E, members)
+        if R_eff != 0.0 and target.size:
+            kept.append((R, R_eff, members, target))
+    if not kept:
+        return []
+    sizes = np.array([members.size for _, _, members, _ in kept])
+    won, level, _, diam = _smallest_cubes(family, np.concatenate([m for _, _, m, _ in kept]),
+                                          np.cumsum(sizes) - sizes)
+    return [_counted_below(family.systems[sid], x, R, R_eff, k, top, target, diameters=True)
+            for (R, R_eff, _, target), sid, k, top
+            in zip(kept, won.tolist(), level.tolist(), diam.tolist())]
 
 
 class RunWindowTable:
@@ -554,12 +584,12 @@ class RunWindowTable:
     run ``before[lo]..before[hi]-1`` of ``ids``, E's ids in rank order, each
     once. Every cube is a run of those ranks too (``_split_cube``), and so is
     its part of ``ids``. A window reads off the runs, bit for bit, what
-    ``local_window`` computes from the ball's members: R_eff = min(R, 2 *
-    diam), from the distance of the ball's two end ids; each system's
-    containing cube, the deepest one that holds both ends; and at each level
-    below it the runs from the one holding the ball's first position in E
-    to the one holding its last, which are the cubes meeting E in the ball,
-    their number and largest diameter read off the system's level tables.
+    ``point_windows`` computes from the ball's members: R_eff = min(R, 2 *
+    diam), from the distance of the ball's two end ids; the containing cube,
+    from those two ids (``_smallest_cubes``); and at each level below it the
+    runs from the one holding the ball's first position in E to the one
+    holding its last, which are the cubes meeting E in the ball, their
+    number and largest diameter read off the system's level tables.
     A system's level tables are built the first time one of its cubes
     contains a window.
     """
@@ -593,11 +623,11 @@ class RunWindowTable:
         return self._levels[system.system_id]
 
     def windows(self, xs: np.ndarray, radii: np.ndarray) -> list:
-        """``local_window`` of each ball B(x, R), x in ``xs`` and then R in
+        """The local window of E in each ball B(x, R), x in ``xs`` and then R in
         ``radii``, whose run of ranks no earlier ball had. A ball of fewer than
         two distinct points, or that E misses, has none. Each step runs over
-        all the balls at once; the winning system is the first of least
-        diameter, as ``_smallest_cube`` picks it."""
+        all the balls at once; the containing cubes come from one
+        ``_smallest_cubes`` call over the balls' two end ids."""
         x, R = np.repeat(xs, radii.size), np.tile(radii, xs.size)
         lo, hi = self.index.ball_run(x, R)
         run = lo * (self.index.order.size + 1) + hi
@@ -610,15 +640,14 @@ class RunWindowTable:
         a, b = self.before[lo], self.before[hi]
         kept = (R_eff != 0.0) & (a < b)
         x, R, R_eff, first, last, a, b = (v[kept] for v in (x, R, R_eff, first, last, a, b))
-        systems = self.family.systems
-        cubes = [_cubes_of(system, first, last) for system in systems]
-        won = np.argmin(np.stack([diam for _, diam in cubes]), axis=0)
+        won, cube_level, _, cube_diam = _smallest_cubes(
+            self.family, np.stack([first, last], axis=1).ravel(), np.arange(0, 2 * first.size, 2))
         x, R, R_eff, size = x.tolist(), R.tolist(), R_eff.tolist(), (b - a).tolist()
         out = [None] * won.size
         for sid in distinct(won).tolist():
-            system = systems[sid]
+            system = self.family.systems[sid]
             at = np.flatnonzero(won == sid)
-            level, diam = (v[at] for v in cubes[sid])
+            level, diam = cube_level[at], cube_diam[at]
             depth = system.max_level - level
             starts, diams = self.level_tables(system)
             # for each window and level below its cube, the run holding the first
@@ -639,24 +668,6 @@ class RunWindowTable:
         return out
 
 
-def _cubes_of(system: CubeSystem, first: np.ndarray, last: np.ndarray):
-    """``_cube_of`` of each pair (first[i], last[i]), as arrays: the level of
-    the deepest cube holding both, and its diameter."""
-    level = np.zeros(first.size, dtype=np.int64)
-    index = np.zeros(first.size, dtype=np.int64)
-    for k in range(1, system.max_level + 1):
-        labels = system.labels[k]
-        held = labels[first]
-        same = held == labels[last]
-        level[same] = k
-        index[same] = held[same]
-    diam = np.empty(first.size)
-    for k in distinct(level).tolist():
-        at = level == k
-        diam[at] = system.diams_at(k)[index[at]]
-    return level, diam
-
-
 def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
                           query_budget: int = 500, target_ratio: float = 64.0,
                           seed: int = 0, max_level: int | None = None) -> AdjacentFamily:
@@ -666,7 +677,8 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
     The query sample and each query's ball are fixed up front, so the stop
     rule and the recorded certificate are pure functions of (space, params,
     budgets, seed). A degenerate ball (fewer than two distinct points) has
-    certificate 1 by convention and is not evaluated.
+    certificate 1 by convention and is not evaluated. A later system wins a
+    query only with a strictly smaller cube; the log names each winner.
     """
     if K_max < 1:
         raise ConfigurationError("K_max must be >= 1")
@@ -690,12 +702,14 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
         x = int(rng.integers(norm.n))
         R = radii[int(rng.integers(len(radii)))]
         queries.append((x, R))
-    balls = [_query_ball(norm, x, R) for x, R in queries]
-    degenerate = np.array([R_eff == 0.0 for R_eff, _ in balls])
+    xs, Rs = (np.array(v) for v in zip(*queries))
+    R_eff, ids, starts = _query_balls(norm, xs, Rs)
+    degenerate = R_eff == 0.0
 
     # per-query best (smallest-diameter) containing cube across systems so far
     best_cert = np.where(degenerate, 1.0, np.inf)
     best_diam = np.full(len(queries), np.inf)
+    best_system = np.full(len(queries), -1)
     systems = []
     for t in range(K_max):
         system = probe if t == 0 else build_system(norm, params, seed=seed + t, max_level=L,
@@ -703,13 +717,11 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
         if (split := _split_cube(system)) is not None:
             raise RuntimeError(f"built system {t} has a cube that is not one run: {split}")
         systems.append(system)
-        for qi in np.flatnonzero(~degenerate):
-            R_eff, ids = balls[qi]
-            level, index = _circumscribed_in_system(system, ids)
-            diam = system.diams_at(level)[index]
-            if diam < best_diam[qi]:
-                best_diam[qi] = diam
-                best_cert[qi] = _cert_terms(params, R_eff, level, diam)
+        level, _, diam = _cubes_of(system, *_extremes(system, ids, starts))
+        better = ~degenerate & (diam < best_diam)
+        best_diam[better] = diam[better]
+        best_cert[better] = _cert_terms(params, R_eff[better], level[better], diam[better])
+        best_system[better] = t
         worst = float(best_cert.max())  # finite: the root holds every ball
         if worst <= target_ratio:
             break
@@ -718,7 +730,9 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
     best_effort = worst > target_ratio
 
     query_log = [{"x": x, "R": R, "degenerate": bool(degenerate[qi]),
-                  "cert": float(best_cert[qi])} for qi, (x, R) in enumerate(queries)]
+                  "cert": float(best_cert[qi]),
+                  "system_id": None if degenerate[qi] else int(best_system[qi])}
+                 for qi, (x, R) in enumerate(queries)]
 
     return AdjacentFamily(norm, params, systems, C_delta_hat, _C_tilde(params, C_delta_hat),
                           best_effort, target_ratio, query_budget, seed, query_log, scale)

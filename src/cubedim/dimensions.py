@@ -20,10 +20,9 @@ from .covering import greedy_cover_count
 # circumscribed_cube is not called here; perfbench's self-test patches it by name
 # in this module, so the name stays
 from .cubes import (DIAMETER_SLACK, AdjacentFamily, CubeSystem, LocalWindow,  # noqa: F401
-                    RunWindowTable, circumscribed_cube, local_counts, local_window,
+                    RunWindowTable, circumscribed_cube, local_counts, point_windows,
                     r_grid)
-from .errors import (DegenerateBallError, InsufficientScalesError, InvalidArgumentError,
-                     ScaleExhaustedError)
+from .errors import InsufficientScalesError, InvalidArgumentError, ScaleExhaustedError
 from .kernels import distinct
 
 HAUSDORFF_SLOPE_TOL = 0.005
@@ -299,7 +298,7 @@ def _windows_for_point(family, E, x, radii, seen):
     """The new windows of B(x, R) over the radii, keyed on a digest of each ball's
     members; a ball whose key is in ``seen`` adds none."""
     row = family.space.row(x)
-    out = []
+    balls = []
     for R in radii:
         members = np.flatnonzero(row < R)
         # the minimal containing cube depends only on the member set
@@ -309,13 +308,8 @@ def _windows_for_point(family, E, x, radii, seen):
         if key in seen:
             continue
         seen.add(key)
-        try:
-            window = local_window(family, E, x, float(R), members, row)
-        except DegenerateBallError:
-            continue
-        if window is not None and window.depth >= 2:
-            out.append(window)
-    return out
+        balls.append((float(R), members))
+    return [w for w in point_windows(family, E, x, balls, row) if w.depth >= 2]
 
 
 def local_windows(family: AdjacentFamily, E, sample_budget: int = 512,

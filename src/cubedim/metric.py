@@ -219,11 +219,6 @@ class _SortedIndex(_Index):
         out[filled] = np.maximum(self.pairs(c, least), self.pairs(c, greatest))
         return out
 
-    def ball(self, x, r) -> np.ndarray:
-        """Ids q with d(x, q) < r, ascending: the run ``ball_run`` gives."""
-        lo, hi = self.ball_run(x, r)
-        return np.sort(self.order[lo:hi])
-
     def _members(self, lo: np.ndarray, hi: np.ndarray):
         """(owner, members): the pairs (i, order[q]) for the ranks q in lo[i]..hi[i]-1."""
         sizes = hi - lo
@@ -341,20 +336,18 @@ class PrefixIndex(_SortedIndex):
     def pairs(self, a, b) -> np.ndarray:
         return self.dist[self.lcp(a, b)]
 
-    def ball_run(self, x, r):
-        """The ranks lo..hi-1 of the ids q with d(x, q) < r, for a radius r or an
-        array of them, and an id x or an array of as many: the run of x's
-        prefix of length ``level(r)``."""
-        r = np.asarray(r, dtype=np.float64)
-        levels = np.searchsorted(self._neg_dist, -r.reshape(-1), side="right")  # level()
-        rx = self.rank[x]
+    def ball_run(self, xs: np.ndarray, r: np.ndarray):
+        """The ranks lo[i]..hi[i]-1 of the ids q with d(xs[i], q) < r[i]: the run
+        of xs[i]'s prefix of length ``level(r[i])``."""
+        levels = np.searchsorted(self._neg_dist, -r, side="right")  # level()
+        rx = self.rank[xs]
         lo, hi = np.empty_like(levels), np.empty_like(levels)
         for L in kernels.distinct(levels).tolist():
             runs = self.runs(L)
             at = levels == L
-            run = runs[rx] if np.ndim(rx) == 0 else runs[rx[at]]
+            run = runs[rx[at]]
             lo[at], hi[at] = np.searchsorted(runs, [run, run + 1])
-        return lo.reshape(r.shape), hi.reshape(r.shape)
+        return lo, hi
 
     def balls(self, centers: np.ndarray, r: float):
         """(owner, members): the pairs (i, q) with d(centers[i], q) < r, each
@@ -619,10 +612,10 @@ class LineIndex(_SortedIndex, CoordIndex):
     search at a radius widened by ``kernels.TIE_RTOL`` and decided by the
     same expression as the cell index's kernels, so every net, nearest
     center, ball and closest pair is bit for bit that of ``CoordIndex`` on
-    the same points, at a fraction of the cost of cells. ``_runs`` finds the
-    runs of ``ball_run`` and ``balls``, a cube's farthest member from its
-    center is its least or greatest rank (``run_farthest``), and the greedy
-    cover's blocks are runs of the ranks (``cover_runs``).
+    the same points, at a fraction of the cost of cells. ``ball_run`` finds
+    each ball's run, a cube's farthest member from its center is its least
+    or greatest rank (``run_farthest``), and the greedy cover's blocks are
+    runs of the ranks (``cover_runs``).
     """
 
     def __init__(self, space: "MetricSpace"):
@@ -639,22 +632,16 @@ class LineIndex(_SortedIndex, CoordIndex):
         cover's blocks read it one element at a time."""
         return self.sorted.tolist()
 
-    def ball_run(self, x, r):
-        """The ranks lo..hi-1 of the ids q with d(x, q) < r, for a radius r or an
-        array of them, and an id x or an array of as many, from ``_runs``."""
-        r = np.asarray(r, dtype=np.float64)
-        lo, hi = self._runs(np.full(r.size, x, dtype=np.int64), r.reshape(-1))
-        return lo.reshape(r.shape), hi.reshape(r.shape)
-
     def balls(self, centers: np.ndarray, r: float):
         """(owner, members): the pairs (i, q) with d(centers[i], q) < r, each
-        center's run of ranks from ``_runs``."""
-        return self._members(*self._runs(centers, np.full(centers.size, float(r))))
+        center's run of ranks from ``ball_run``."""
+        return self._members(*self.ball_run(centers, np.full(centers.size, float(r))))
 
-    def _runs(self, xs: np.ndarray, t: np.ndarray):
-        """The ranks lo[i]..hi[i]-1 of the ids q with d(xs[i], q) < t[i]: the
-        ``_windows`` at the radius widened by ``kernels.TIE_RTOL``, each end that
-        ``pairs`` puts at t or beyond moved in by one binary search for all."""
+    def ball_run(self, xs: np.ndarray, t: np.ndarray):
+        """The ranks lo[i]..hi[i]-1 of the ids q with d(xs[i], q) < t[i], for
+        arrays of ids and radii: the ``_windows`` at the radius widened by
+        ``kernels.TIE_RTOL``, each end that ``pairs`` puts at t or beyond moved
+        in by one binary search for all."""
         c = self.coords[xs, 0]
         wide = self.base_radius(t) * (1.0 + kernels.TIE_RTOL)
         rx = self.rank[xs]

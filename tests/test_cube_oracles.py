@@ -82,6 +82,18 @@ A cubes file is written from the id arrays' text and read with NumPy, with
 ``json`` only for the small rest, where the old writer made one
 ``json.dumps`` of nested lists and the old reader one ``json.load``; both
 are oracles here, for the file's bytes and the arrays read from it.
+
+One rule now finds every ball's containing cube and one picks the winning
+system: ``_cubes_of`` over arrays of ball ends, and the first system of
+least diameter by ``np.argmin`` (``_smallest_cubes``); a family build keeps
+each query's running best as arrays. The rules they replaced are kept here
+as oracles: the walk from the deepest level per ball and system
+(``oracle_cube_of``, ``oracle_circumscribed_in_system``), the pick that let
+a later system win only with a strictly smaller diameter
+(``oracle_smallest_cube``), the scalar certificate (``oracle_cert_terms``)
+and the single-ball window (``oracle_local_window``). A family whose
+systems all come from one seed ties every diameter, and its first system
+must win every tie.
 """
 
 import dataclasses
@@ -98,15 +110,15 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from conftest import write_cubes_doc
+from conftest import random_graph_matrix, write_cubes_doc
 
 from cubedim import MetricDescriptor, MetricSpace, cli, cubes, dimensions, metric
 from cubedim.covering import dyadic_cover_count, greedy_cover_count, sandwich_check
-from cubedim.cubes import (NORMALIZED_DIAMETER, AdjacentFamily, BuildReport, CubeSystem,
-                           _cert_terms, _check_inner_balls, _circumscribed_in_system,
+from cubedim.cubes import (NORMALIZED_DIAMETER, AdjacentFamily, BuildReport,
+                           CircumscribedCube, CubeSystem, _check_inner_balls,
                            _effective_radius, build_adjacent_family, build_system,
                            _read_doc, circumscribed_cube, file_hash, load_family,
-                           local_window, r_grid, save_family, verify_system)
+                           r_grid, save_family, target_in_ball, verify_system)
 from cubedim.dimensions import (DimensionEstimate, _fit_line, _met_diameters,
                                 box_dim_estimate, hausdorff_dim_estimate,
                                 least_admissible_level, local_windows, sample_points)
@@ -171,6 +183,69 @@ def spaces(draw, kind, repeats=False):
     w = np.minimum(w, w.T)
     np.fill_diagonal(w, 0.0)
     return MetricSpace(MetricDescriptor("matrix"), matrix=_shortest_paths(w))
+
+
+def oracle_cube_of(system, first, last):
+    """``cubes._cube_of`` as it was: (level, index) of the deepest cube holding
+    the ids first and last, walked from the deepest level up."""
+    for k in range(system.max_level, 0, -1):
+        labels = system.labels[k]
+        if labels[first] == labels[last]:
+            return k, int(labels[first])
+    return 0, 0
+
+
+def oracle_circumscribed_in_system(system, members):
+    """``cubes._circumscribed_in_system`` as it was: the deepest cube holding
+    the members of least and greatest depth-first rank."""
+    ranks = system.rank[members]
+    return oracle_cube_of(system, system.order[ranks.min()], system.order[ranks.max()])
+
+
+def oracle_smallest_cube(family, cubes_found, R_eff):
+    """``cubes._smallest_cube`` as it was: of the cubes (level, index), one per
+    system in turn, the one of least diameter; a later system wins only with
+    a strictly smaller one."""
+    best = None
+    for system, (level, index) in zip(family.systems, cubes_found):
+        diam = float(system.diams_at(level)[index])
+        if best is None or diam < best.diameter:
+            best = CircumscribedCube(system.system_id, level, index, diam, R_eff)
+    return best
+
+
+def oracle_cert_terms(params, R_eff, level, diam):
+    """``cubes._cert_terms`` as it was, for one ball."""
+    up = diam / R_eff
+    down = R_eff / diam
+    scale = params.c0 * params.delta ** level
+    lvl_up = 3.0 * R_eff / scale
+    lvl_down = scale / (3.0 * R_eff)
+    return max(up, down, lvl_up, lvl_down)
+
+
+def oracle_local_window(family, E, x, R, members, row=None):
+    """``cubes.local_window`` as it was: the containing cube from the rules
+    above, then each level below it counted along the depth-first-sorted
+    target; None when E misses the ball."""
+    R_eff = _effective_radius(family.space, x, R, members, row)
+    if R_eff == 0.0:
+        raise DegenerateBallError(f"ball B({x}, {R:g}) holds fewer than two distinct points")
+    cc = oracle_smallest_cube(family, (oracle_circumscribed_in_system(system, members)
+                                       for system in family.systems), R_eff)
+    target = target_in_ball(family.space, E, members)
+    if target.size == 0:
+        return None
+    system = family.systems[cc.system_id]
+    dfs = system.dfs_sorted(target)
+    counts, max_diams = [1], [cc.diameter]
+    for level in range(cc.level + 1, system.max_level + 1):
+        labels = system.labels[level][dfs]
+        counts.append(1 + int(np.count_nonzero(labels[1:] != labels[:-1])))
+        max_diams.append(float(system.diams_at(level)[labels].max()))
+    return cubes.LocalWindow(x=x, R=R, R_eff=cc.R_eff, level=cc.level,
+                             system_id=cc.system_id, depth=system.max_level - cc.level,
+                             counts=counts, max_diams=max_diams, target_size=int(target.size))
 
 
 def oracle_diams(system, k):
@@ -254,7 +329,7 @@ def oracle_windows_for_point(family, E, x, radii, seen):
             continue
         seen.add(key)
         try:
-            window = local_window(family, E, x, float(R), members, row)
+            window = oracle_local_window(family, E, x, float(R), members, row)
         except DegenerateBallError:
             continue
         if window is not None and window.depth >= 2:
@@ -344,7 +419,10 @@ class TestDepthFirstArrays:
             for R in radii:
                 members = space.ball_members(int(x), R)
                 for system in fam.systems:
-                    assert (_circumscribed_in_system(system, members)
+                    level, index, _ = cubes._cubes_of(
+                        system, *cubes._extremes(system, members, np.zeros(1, dtype=np.int64)))
+                    assert ((int(level[0]), int(index[0]))
+                            == oracle_circumscribed_in_system(system, members)
                             == oracle_in_system(system, int(x), members))
                 try:
                     cc = circumscribed_cube(fam, int(x), R)
@@ -474,7 +552,7 @@ class PositionWindowTable:
         return 0, 0
 
     def windows(self, x, radii, seen):
-        lo, hi = self.index.ball_run(x, radii)
+        lo, hi = self.index.ball_run(np.full(radii.size, x), radii)
         new = []
         for i, run in enumerate(zip(lo.tolist(), hi.tolist())):
             if run not in seen:
@@ -488,7 +566,7 @@ class PositionWindowTable:
         out = []
         for i in np.flatnonzero((R_eff != 0.0) & (a < b)).tolist():
             run = self.ranks[:, lo[i]:hi[i]]
-            cc = cubes._smallest_cube(self.family, map(self.cube_of_ranks, systems,
+            cc = oracle_smallest_cube(self.family, map(self.cube_of_ranks, systems,
                                                        run.min(axis=1), run.max(axis=1)),
                                       float(R_eff[i]))
             system = systems[cc.system_id]
@@ -517,12 +595,12 @@ def per_sample_windows(family, E, radii):
     """``local_windows`` on a sorted index as it was before it read every
     sampled ball in one pass: ``RunWindowTable.windows`` of one sample point
     at a time, the runs already seen kept in a set, each ball's containing
-    cube found system by system (``_cube_of``, ``_smallest_cube``) and its
+    cube found system by system (``oracle_cube_of``, ``oracle_smallest_cube``) and its
     counts by one search of the level tables per window."""
     table, seen, out = cubes.RunWindowTable(family, E), set(), []
     index, systems = table.index, family.systems
     for x in sample_points(family.space, E, SAMPLE_BUDGET, 0).tolist():
-        lo, hi = index.ball_run(x, radii)
+        lo, hi = index.ball_run(np.full(radii.size, x), radii)
         new = []
         for i, run in enumerate(zip(lo.tolist(), hi.tolist())):
             if run not in seen:
@@ -534,7 +612,7 @@ def per_sample_windows(family, E, radii):
         a, b = table.before[lo], table.before[hi]
         ends = np.stack([a, b - 1], axis=1)
         for i in np.flatnonzero((R_eff != 0.0) & (a < b)).tolist():
-            cc = cubes._smallest_cube(family, (cubes._cube_of(s, first[i], last[i])
+            cc = oracle_smallest_cube(family, (oracle_cube_of(s, first[i], last[i])
                                                for s in systems), float(R_eff[i]))
             system = systems[cc.system_id]
             starts, diams = table.level_tables(system)
@@ -716,6 +794,54 @@ class TestCubesAreRuns:
         got = build_adjacent_family(space, NetParams(), **args)
         assert family_to_json(got) == family_to_json(want)
         assert got.query_log == want.query_log
+
+
+def tie_space(kind):
+    """A small space of each metric kind, and a line: 60 points."""
+    rng = np.random.default_rng(17)
+    if kind == "line":
+        return MetricSpace(MetricDescriptor("euclidean"), coords=rng.uniform(size=60))
+    if kind in ("euclidean", "snowflake"):
+        space = MetricSpace(MetricDescriptor("euclidean"), coords=rng.uniform(size=(60, 2)))
+        return space if kind == "euclidean" else space.snowflaked(0.5)
+    if kind == "ultrametric":
+        words = np.unique(rng.integers(0, 3, size=(60, 5)), axis=0)
+        return MetricSpace(MetricDescriptor("ultrametric", arity=3, base=0.25),
+                           strings=["".join(map(str, w)) for w in words])
+    return MetricSpace(MetricDescriptor("matrix"), matrix=random_graph_matrix(60, 17))
+
+
+class TestTies:
+    """A family whose systems all come from one seed has identical systems, so
+    every ball's containing cubes tie in diameter across them; the first
+    system wins each tie in ``circumscribed_cube``, in ``local_windows`` and
+    in the build's query log."""
+
+    @pytest.mark.parametrize("kind", ["line", *KINDS])
+    def test_first_system_wins_every_tie(self, kind):
+        build = cubes.build_system
+
+        def one_seed(*args, seed, **kwargs):
+            return build(*args, seed=3, **kwargs)
+
+        with mock.patch.object(cubes, "build_system", one_seed):
+            fam = build_adjacent_family(tie_space(kind), NetParams(), K_max=3,
+                                        query_budget=40, target_ratio=1.0, seed=3,
+                                        max_level=3)
+        assert fam.K == 3 and fam.systems[2].seed == 3
+        live = [q for q in fam.query_log if not q["degenerate"]]
+        assert live and {q["system_id"] for q in live} == {0}
+        windows = local_windows(fam, fam.space.ids, sample_budget=SAMPLE_BUDGET)
+        assert windows and {w.system_id for w in windows} == {0}
+        asked = 0
+        for x in range(0, fam.space.n, 7):
+            for R in r_grid(fam.params.delta, fam.max_level):
+                try:
+                    assert circumscribed_cube(fam, x, R).system_id == 0
+                except DegenerateBallError:
+                    continue
+                asked += 1
+        assert asked
 
 
 class TestSamplePoints:
@@ -987,7 +1113,9 @@ def oracle_hausdorff(system, E):
 
 def oracle_family(space, params, K_max, query_budget, target_ratio, seed, max_level):
     """The family build with each query's ball computed lazily, into a cache,
-    while the first system is evaluated."""
+    while the first system is evaluated, and each query evaluated in each
+    system in turn by the rules as they were; the log names the system that
+    gave each query's certificate."""
     scale = space.normalizing_factor(NORMALIZED_DIAMETER * min(1.0, params.c0))
     norm = space.rescaled(scale)
     probe = build_system(norm, params, seed=seed, max_level=max_level, system_id=0,
@@ -1002,6 +1130,7 @@ def oracle_family(space, params, K_max, query_budget, target_ratio, seed, max_le
     systems = [probe]
     best_cert = np.full(len(queries), np.inf)
     best_diam = np.full(len(queries), np.inf)
+    best_system = {}
     ball_cache = {}
 
     def eval_system(system):
@@ -1018,14 +1147,12 @@ def oracle_family(space, params, K_max, query_budget, target_ratio, seed, max_le
             if ball_cache[qi] is None:
                 continue
             members, R_eff = ball_cache[qi]
-            found = _circumscribed_in_system(system, members)
-            if found is None:
-                continue
-            level, index = found
+            level, index = oracle_circumscribed_in_system(system, members)
             diam = system.diams_at(level)[index]
             if diam < best_diam[qi]:
                 best_diam[qi] = diam
-                best_cert[qi] = _cert_terms(params, R_eff, level, diam)
+                best_cert[qi] = oracle_cert_terms(params, R_eff, level, diam)
+                best_system[qi] = system.system_id
 
     eval_system(probe)
     while float(np.max(best_cert, initial=1.0)) > target_ratio and len(systems) < K_max:
@@ -1037,7 +1164,8 @@ def oracle_family(space, params, K_max, query_budget, target_ratio, seed, max_le
     worst = float(finite.max()) if finite.size else 1.0
     C_delta_hat = max(1.0, worst)
     query_log = [{"x": x, "R": R, "degenerate": ball_cache.get(qi) is None,
-                  "cert": float(best_cert[qi]) if np.isfinite(best_cert[qi]) else None}
+                  "cert": float(best_cert[qi]) if np.isfinite(best_cert[qi]) else None,
+                  "system_id": best_system.get(qi)}
                  for qi, (x, R) in enumerate(queries)]
     return AdjacentFamily(norm, params, systems, C_delta_hat,
                           12.0 * params.C0 * C_delta_hat / params.c0, worst > target_ratio,

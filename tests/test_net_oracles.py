@@ -396,24 +396,31 @@ def old_line_net(index, order, t):
     return np.asarray(chosen, dtype=np.int64)
 
 
+def one_run(space, x, r):
+    """(lo, hi) of ``ball_run`` asked for one ball, as one-element arrays."""
+    lo, hi = space.index.ball_run(np.array([x], dtype=np.int64), np.array([r], dtype=np.float64))
+    return int(lo[0]), int(hi[0])
+
+
 def assert_ball_run(space, x, r, want):
     """``ball_run`` gives the ranks of the ball's members ``want``, x's among them."""
-    lo, hi = space.index.ball_run(x, r)
+    lo, hi = one_run(space, x, r)
     assert lo <= space.index.rank[x] < hi
     assert np.array_equal(np.sort(space.index.order[lo:hi]), want)
 
 
 def assert_ball_runs_of_radii(space, x, radii):
-    """An array of radii gives the runs of its radii, one by one, and so does
-    each radius paired with an id of an array of as many, x and its
-    neighbours in id."""
+    """An array of radii, each with x, gives the runs of its radii, one by one,
+    and so does each radius paired with an id of an array of as many, x and
+    its neighbours in id."""
     radii = np.asarray(radii, dtype=np.float64)
-    lo, hi = space.index.ball_run(x, radii)
+    lo, hi = space.index.ball_run(np.full(radii.size, x), radii)
     assert lo.shape == hi.shape == radii.shape
-    assert list(zip(lo, hi)) == [space.index.ball_run(x, r) for r in radii]
+    assert list(zip(lo.tolist(), hi.tolist())) == [one_run(space, x, r) for r in radii]
     xs = (x + np.arange(radii.size)) % space.n
     lo, hi = space.index.ball_run(xs, radii)
-    assert list(zip(lo, hi)) == [space.index.ball_run(int(p), r) for p, r in zip(xs, radii)]
+    assert list(zip(lo.tolist(), hi.tolist())) == [one_run(space, int(p), r)
+                                                   for p, r in zip(xs, radii)]
 
 
 def _subset(data, n):
@@ -541,7 +548,8 @@ class TestUltrametric:
         radii = np.concatenate([values, np.nextafter(values, np.inf)])
         radii = radii[radii > 0]
         for x in range(0, space.n, 5):
-            for got, want in zip(clone.index.ball_run(x, radii), fresh.index.ball_run(x, radii)):
+            xs = np.full(radii.size, x)
+            for got, want in zip(clone.index.ball_run(xs, radii), fresh.index.ball_run(xs, radii)):
                 assert same_bits(got, want)
         ids = np.random.default_rng(space.n).permutation(space.n)
         bounds = np.unique(np.concatenate([[0, space.n], ids[:3]]))  # some runs of one id

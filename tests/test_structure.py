@@ -1,5 +1,6 @@
 """No module of the package reaches into another module's private names,
-none imports SciPy, and no module-level constant goes unread.
+none imports SciPy, no module-level constant goes unread, and no function,
+method or class goes unnamed.
 
 A name that starts with an underscore belongs to its module. Every module
 of ``src/cubedim`` is parsed with ``ast``, and a ``from`` import of such a
@@ -12,17 +13,24 @@ uppercase name, with or without a leading underscore) must be read
 somewhere in the package, its tests or ``perfbench``, outside its own
 assignment. No module but ``metric.py`` names an index class in an
 ``isinstance`` or ``issubclass`` call: callers ask an index for what it
-can do (``hasattr``), never which kind it is.
+can do (``hasattr``), never which kind it is. Every function, method and
+class defined in the package must be named somewhere in the package outside
+its own definition, by a bare name, an attribute or an import; the
+package's public names (``cubedim.__all__``) and the functions that
+``perfbench``'s tracer wraps (its ``TRACED``) are exempt, and so are the
+dunder methods that Python itself calls.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import cubedim
 
 SRC = Path(cubedim.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 INDEX_CLASSES = {"_Index", "_SortedIndex", "LineIndex", "CoordIndex", "PrefixIndex",
                  "MatrixIndex"}
@@ -167,3 +175,64 @@ def test_the_check_sees_a_kind_test(tmp_path):
                       "c = issubclass(type(i), metric._SortedIndex)\n"
                       "d = isinstance(i, dict) or hasattr(i, 'ball_run')\n")
     assert kind_tests(source) == [(3, "PrefixIndex"), (4, "LineIndex"), (5, "_SortedIndex")]
+
+
+def names_used(tree):
+    """How often each name is used in ``tree``: a bare name, an attribute or an
+    imported name (or its alias)."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                used[alias.name.split(".")[-1]] += 1
+                if alias.asname:
+                    used[alias.asname] += 1
+    return used
+
+
+def unnamed(paths, exempt=frozenset()):
+    """(file, line, name) of each function, method or class in ``paths`` that no
+    code of ``paths`` names outside its own definition."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    used = sum((names_used(tree) for tree in trees.values()), Counter())
+    found = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, DEFINITIONS) and node.name not in exempt
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and used[node.name] <= names_used(node)[node.name]):
+                found.append((path.name, node.lineno, node.name))
+    return sorted(found)
+
+
+def traced_names():
+    """The last part of each attribute path that ``perfbench/tracer.py`` wraps."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED"
+                                                for t in node.targets):
+            return {entry[2].split(".")[-1] for entry in ast.literal_eval(node.value)}
+    raise AssertionError("perfbench/tracer.py assigns no TRACED")
+
+
+def test_every_definition_is_named():
+    assert unnamed(sorted(SRC.glob("*.py")), set(cubedim.__all__) | traced_names()) == []
+
+
+def test_the_check_sees_an_unnamed_definition(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("import numpy as np\nfrom .cubes import used as alias\n"
+                      "def dead(n):\n    return dead(n - 1) if n else np.zeros(1)\n"
+                      "def called():\n    return 1\nclass Shape:\n"
+                      "    def __init__(self):\n        self.area = called()\n"
+                      "    def unread(self):\n        return Shape()\n"
+                      "    def read(self):\n        return self.read\n"
+                      "value = Shape().area + alias\n")
+    assert unnamed([source]) == [("probe.py", 3, "dead"), ("probe.py", 10, "unread"),
+                                 ("probe.py", 12, "read")]
+    assert unnamed([source], {"dead", "unread"}) == [("probe.py", 12, "read")]

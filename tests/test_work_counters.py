@@ -20,9 +20,12 @@ computes one whole-space farthest pair. On a line and in an ultrametric,
 ``local_windows`` reads every ball as a run of the index's ranks off one
 window table, built once per call with each system's level tables built at
 most once: it asks for no row, no ``ball_members`` and no digest of a
-ball's members. A plane's windows still take their digests. There, a
-family's build keeps each certificate query's ball as its two end ids and
-asks for no ``ball_members`` either; a plane's build asks one per query. A
+ball's members. A plane's windows still take their digests, and find the
+containing cubes of all the new balls of a sample point in one
+``_smallest_cubes`` call. On a line and in an ultrametric, a family's build
+keeps each certificate query's ball as its two end ids, from one
+``ball_run`` call for all queries, and asks for no ``ball_members``; a
+plane's build asks one per query. A
 sweep takes ``np.polyfit`` only for the windows whose slopes tie with the
 greatest, once per distinct fit input. On a plane,
 the rows whose squared distances a build, a reload and a window table take
@@ -64,7 +67,7 @@ from cubedim.cubes import (CubeSystem, build_adjacent_family, build_system,
                            circumscribed_cube, load_family, r_grid, save_family,
                            verify_system)
 from cubedim.dimensions import (_fit_line, assouad_dim_estimate, hausdorff_dim_estimate,
-                                local_windows)
+                                local_windows, sample_points)
 from cubedim.metric import save_points
 from cubedim.nets import NetParams
 
@@ -270,6 +273,42 @@ def test_line_and_ultrametric_builds_ask_no_ball(request, fixture, sweep_work):
     assert sweep_work["balls"] == 50
 
 
+@pytest.mark.parametrize("fixture", ["line", "ultra6"])
+def test_line_and_ultrametric_builds_ask_one_ball_run(request, fixture, monkeypatch):
+    calls = []
+    for cls in (metric.LineIndex, metric.PrefixIndex):
+        def counting(self, xs, r, ball_run=cls.ball_run):
+            calls.append(xs.size)
+            return ball_run(self, xs, r)
+
+        monkeypatch.setattr(cls, "ball_run", counting)
+    family = build_adjacent_family(request.getfixturevalue(fixture), NetParams(), K_max=3,
+                                   query_budget=50, target_ratio=1.0, seed=3)
+    assert family.K == 3
+    assert calls == [50]
+
+
+def test_plane_and_matrix_windows_ask_one_cube_query_per_point(graph40, monkeypatch):
+    plane = MetricSpace(MetricDescriptor("euclidean"),
+                        coords=np.random.default_rng(4).uniform(size=(200, 2)))
+    calls = []
+    smallest = cubes._smallest_cubes
+
+    def counting(family, members, starts):
+        calls.append(starts.size)
+        return smallest(family, members, starts)
+
+    monkeypatch.setattr(cubes, "_smallest_cubes", counting)
+    for space in (plane, graph40):
+        family = build_adjacent_family(space, NetParams(), K_max=2, query_budget=50, seed=3,
+                                       max_level=3)
+        calls.clear()
+        windows = local_windows(family, family.space.ids, sample_budget=16, seed=0)
+        points = sample_points(family.space, family.space.ids, 16, 0)
+        # the new balls of a point asked at once: no more calls than points, more balls
+        assert windows and 0 < len(calls) <= points.size < sum(calls)
+
+
 def test_plane_sweep_still_digests_members(sweep_work):
     rng = np.random.default_rng(4)
     plane = MetricSpace(MetricDescriptor("euclidean"), coords=rng.uniform(size=(200, 2)))
@@ -353,7 +392,8 @@ def test_hausdorff_fit_reads_each_level_once(request, fixture, cubes_meeting_cal
 @pytest.mark.parametrize("name", ["ultra6", "cantor10"])
 def test_verify_counts_off_the_local_window(request, name, tmp_path, cubes_meeting_calls,
                                             capsys):
-    # the sandwich check reads D from the estimators' window, not from its own count
+    # the sandwich check counts its one level along the depth-first-sorted
+    # target, and asks which cubes meet it of no level
     pts, cubes_file = str(tmp_path / "pts.json"), str(tmp_path / "cubes.json")
     save_points(request.getfixturevalue(name), pts)
     save_family(request.getfixturevalue(name + "_family"), cubes_file)
