@@ -557,8 +557,9 @@ def point_windows(family: AdjacentFamily, E: np.ndarray, x: int, balls: list,
                   row: np.ndarray) -> list:
     """The local window of E in each ball B(x, R) of ``balls``, pairs (R,
     ascending members), with ``row`` x's distances; none for a ball of one
-    distinct point or that E misses. All the cubes come from one
-    ``_smallest_cubes`` call, and each window is counted below its cube."""
+    distinct point or that E misses, or whose cube is less than two levels
+    above its system's deepest. All the cubes come from one
+    ``_smallest_cubes`` call, and each window kept is counted below its cube."""
     space = family.space
     kept = []
     for R, members in balls:
@@ -573,7 +574,8 @@ def point_windows(family: AdjacentFamily, E: np.ndarray, x: int, balls: list,
                                           np.cumsum(sizes) - sizes)
     return [_counted_below(family.systems[sid], x, R, R_eff, k, top, target, diameters=True)
             for (R, R_eff, _, target), sid, k, top
-            in zip(kept, won.tolist(), level.tolist(), diam.tolist())]
+            in zip(kept, won.tolist(), level.tolist(), diam.tolist())
+            if family.systems[sid].max_level - k >= 2]
 
 
 class RunWindowTable:
@@ -625,8 +627,9 @@ class RunWindowTable:
     def windows(self, xs: np.ndarray, radii: np.ndarray) -> list:
         """The local window of E in each ball B(x, R), x in ``xs`` and then R in
         ``radii``, whose run of ranks no earlier ball had. A ball of fewer than
-        two distinct points, or that E misses, has none. Each step runs over
-        all the balls at once; the containing cubes come from one
+        two distinct points, or that E misses, or whose cube is less than two
+        levels above its system's deepest, has none. Each step runs over all
+        the balls at once; the containing cubes come from one
         ``_smallest_cubes`` call over the balls' two end ids."""
         x, R = np.repeat(xs, radii.size), np.tile(radii, xs.size)
         lo, hi = self.index.ball_run(x, R)
@@ -642,6 +645,9 @@ class RunWindowTable:
         x, R, R_eff, first, last, a, b = (v[kept] for v in (x, R, R_eff, first, last, a, b))
         won, cube_level, _, cube_diam = _smallest_cubes(
             self.family, np.stack([first, last], axis=1).ravel(), np.arange(0, 2 * first.size, 2))
+        deep = np.array([s.max_level for s in self.family.systems])[won] - cube_level >= 2
+        x, R, R_eff, a, b, won, cube_level, cube_diam = (
+            v[deep] for v in (x, R, R_eff, a, b, won, cube_level, cube_diam))
         x, R, R_eff, size = x.tolist(), R.tolist(), R_eff.tolist(), (b - a).tolist()
         out = [None] * won.size
         for sid in distinct(won).tolist():

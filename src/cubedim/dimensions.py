@@ -295,8 +295,8 @@ def sample_points(space, E, budget: int, seed: int) -> np.ndarray:
 
 
 def _windows_for_point(family, E, x, radii, seen):
-    """The new windows of B(x, R) over the radii, keyed on a digest of each ball's
-    members; a ball whose key is in ``seen`` adds none."""
+    """The new windows of B(x, R) over the radii (``point_windows``), keyed on a
+    digest of each ball's members; a ball whose key is in ``seen`` adds none."""
     row = family.space.row(x)
     balls = []
     for R in radii:
@@ -309,7 +309,7 @@ def _windows_for_point(family, E, x, radii, seen):
             continue
         seen.add(key)
         balls.append((float(R), members))
-    return [w for w in point_windows(family, E, x, balls, row) if w.depth >= 2]
+    return point_windows(family, E, x, balls, row)
 
 
 def local_windows(family: AdjacentFamily, E, sample_budget: int = 512,
@@ -317,25 +317,23 @@ def local_windows(family: AdjacentFamily, E, sample_budget: int = 512,
     """Precompute per-(x, R) dyadic counts and cube diameters for the sweeps.
 
     The same table serves every theta and the Assouad sweep; admissibility
-    filters are applied afterwards. Sampled points are visited in ascending
-    id order, and a ball whose member set was already seen adds no window.
-    On a line or in an ultrametric, where every ball is a run of the index's
-    ranks, the windows are read off one ``RunWindowTable``.
+    filters are applied afterwards. The radii are ``r_grid``'s, after one just
+    below 1; a ball below the least gap between distinct points holds one
+    distinct point and gives no window, so no radius is dropped beforehand.
+    Sampled points are visited in ascending id order, and a ball whose member
+    set was already seen adds no window; only windows of depth 2 or more are
+    counted. On a line or in an ultrametric, where every ball is a run of the
+    index's ranks, the windows are read off one ``RunWindowTable``.
     """
     E = np.asarray(E, dtype=np.int64)
     space = family.space
-    max_level = family.max_level
     if radii is None:
-        gap = space.min_positive_distance()
-        radii = [R for R in r_grid(family.params.delta, max_level)
-                 if not math.isfinite(gap) or R >= gap]
         # a radius just below 1 keeps whole-space windows in every sweep,
         # which pins the small-theta end of the spectrum to the global counts
-        radii.insert(0, 1.0 - 1e-10)
+        radii = [1.0 - 1e-10, *r_grid(family.params.delta, family.max_level)]
     xs = sample_points(space, E, sample_budget, seed)
     if hasattr(space.index, "ball_run"):
-        windows = RunWindowTable(family, E).windows(xs, np.asarray(radii, dtype=np.float64))
-        return [w for w in windows if w.depth >= 2]
+        return RunWindowTable(family, E).windows(xs, np.asarray(radii, dtype=np.float64))
     windows = []
     seen = set()
     for x in xs:

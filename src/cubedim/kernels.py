@@ -10,7 +10,9 @@ quantized points, and decide every candidate exactly, by squared
 distances; the matrix kernels are NumPy scans. 1-D coordinates and
 ultrametric spaces need neither: ``metric.LineIndex`` and
 ``metric.PrefixIndex`` read nets and nearest centers off their sorted
-coordinates or strings. All functions are deterministic given their inputs.
+coordinates or strings. Every squared distance in the package, here and in
+``metric``, is ``square_sums``. All functions are deterministic given their
+inputs.
 """
 
 from __future__ import annotations
@@ -323,8 +325,7 @@ def pairwise_distances(coords: np.ndarray) -> np.ndarray:
     out = np.empty((n, n), dtype=np.float64)
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
-        diff = coords[start:stop, None, :] - coords[None, :, :]
-        np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=out[start:stop])
+        np.sqrt(square_sums(coords[start:stop, None, :], coords), out=out[start:stop])
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -417,10 +418,31 @@ def nearest_center_coords(query_coords: np.ndarray, center_coords: np.ndarray,
     return best_idx, np.sqrt(squared_distances(q, cc[best_idx]))
 
 
+def square_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum of ``(a - b) ** 2`` over the last axis, ``a`` and ``b`` broadcast
+    against each other.
+
+    One or two coordinates are taken one at a time, each difference squared
+    and added in place: a sum of two terms rounds once in either order, so
+    this is ``np.einsum``'s bits without its array of differences. Three or
+    more go through ``np.einsum``, whose SIMD lanes fix the order of the sum
+    (three terms as (p0 + p2) + p1), which a sequential sum would not keep.
+    """
+    if a.shape[-1] > 2:
+        diff = a - b
+        return np.einsum("...k,...k->...", diff, diff)
+    out = a[..., 0] - b[..., 0]
+    out *= out
+    if a.shape[-1] == 2:
+        term = a[..., 1] - b[..., 1]
+        term *= term
+        out += term
+    return out
+
+
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance between paired rows of ``a`` and ``b``."""
-    diff = a - b
-    return np.einsum("ij,ij->i", diff, diff)
+    return square_sums(a, b)
 
 
 def nearest_center_matrix(dmat: np.ndarray, query_ids: np.ndarray,

@@ -35,6 +35,7 @@ from .errors import InvalidArgumentError, PointsFileError
 
 _KINDS = ("euclidean", "matrix", "snowflake", "ultrametric")
 _BLOCK = 128  # rows of differences held at once: 128 x m x dim floats, not m x m x dim
+_PAIRS = 1 << 16  # pairs of a level's small cubes whose squared distances are held at once
 _CHUNK = 1 << 10  # scan positions of a line net whose blocked marks one gather reads
 
 
@@ -148,13 +149,6 @@ class _Index:
         if several.size:
             idx[several] = self.nearest(several, centers)[0]
         return ids, idx[ids]
-
-    def run_diameters(self, ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-        """Here each run's ``diameter`` in turn."""
-        out = np.zeros(bounds.size - 1)
-        for i in np.flatnonzero(np.diff(bounds) > 1):
-            out[i] = self.diameter(ids[bounds[i]:bounds[i + 1]])
-        return out
 
     def run_farthest(self, ids: np.ndarray, bounds: np.ndarray,
                      centers: np.ndarray) -> np.ndarray:
@@ -420,8 +414,26 @@ class PrefixIndex(_SortedIndex):
 
 def _farthest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Each row of ``a``'s largest squared distance to a row of ``b``, by blocks of rows."""
-    blocks = (a[start:start + _BLOCK, None, :] - b for start in range(0, len(a), _BLOCK))
-    return np.concatenate([np.einsum("ijk,ijk->ij", d, d).max(axis=1) for d in blocks])
+    return np.concatenate([kernels.square_sums(a[start:start + _BLOCK, None, :], b).max(axis=1)
+                           for start in range(0, len(a), _BLOCK)])
+
+
+def _grouped_diameters(ids: np.ndarray, bounds: np.ndarray, blocks, diameter) -> np.ndarray:
+    """Each run ``ids[bounds[i]:bounds[i + 1]]``'s diameter, 0.0 below two ids.
+    The runs of 2 to ``_BLOCK`` ids go by size, ``_PAIRS`` pairs or so at a
+    time: ``blocks`` takes an (runs, s) array of their ids and gives each row's
+    diameter. A larger run is asked of ``diameter`` alone."""
+    sizes = np.diff(bounds)
+    out = np.zeros(sizes.size)
+    for s in kernels.distinct(sizes[(sizes > 1) & (sizes <= _BLOCK)]).tolist():
+        runs = np.flatnonzero(sizes == s)
+        step = max(1, _PAIRS // (s * s))
+        for start in range(0, runs.size, step):
+            at = runs[start:start + step]
+            out[at] = blocks(ids[bounds[at, None] + np.arange(s)])
+    for i in np.flatnonzero(sizes > _BLOCK).tolist():
+        out[i] = diameter(ids[bounds[i]:bounds[i + 1]])
+    return out
 
 
 def _reaching(pts: np.ndarray, block: np.ndarray, low: float) -> np.ndarray:
@@ -511,8 +523,8 @@ class CoordIndex(_Index):
 
     def pairs(self, a, b) -> np.ndarray:
         """d(a, b) over ids or id arrays; ``b`` may be ``slice(None)``, every point."""
-        diff = self.coords[b] - self.coords[a]
-        return self.descriptor.transform(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+        return self.descriptor.transform(np.sqrt(kernels.square_sums(self.coords[b],
+                                                                     self.coords[a])))
 
     def balls(self, centers: np.ndarray, r: float):
         """(owner, members): the pairs (i, q) with d(centers[i], q) < r: the cells'
@@ -592,6 +604,16 @@ class CoordIndex(_Index):
         else:
             best = _farthest_pair_sq(self.coords[ids], self.cells.key[ids])
         return float(self.descriptor.transform(np.sqrt(best)))
+
+    def run_diameters(self, ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """``_grouped_diameters``: a group of runs of s ids takes its largest
+        squared differences over (runs, s, s) blocks, as ``diameter`` takes a
+        block's, then ``sqrt`` and ``transform``."""
+        def blocks(members):
+            pts = self.coords[members]
+            sq = kernels.square_sums(pts[:, :, None], pts[:, None]).max(axis=(1, 2))
+            return self.descriptor.transform(np.sqrt(sq))
+        return _grouped_diameters(ids, bounds, blocks, self.diameter)
 
     def min_gap(self) -> float:
         # one id per distinct point: repeated points are not distinct
@@ -904,6 +926,13 @@ class MatrixIndex(_Index):
 
     def diameter(self, ids: np.ndarray) -> float:
         return float(self.matrix[np.ix_(ids, ids)].max())
+
+    def run_diameters(self, ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """``_grouped_diameters``: a group of runs of s ids reads its (runs, s, s)
+        blocks of the matrix."""
+        return _grouped_diameters(
+            ids, bounds, lambda m: self.matrix[m[:, :, None], m[:, None]].max(axis=(1, 2)),
+            self.diameter)
 
     def min_gap(self) -> float:
         return float((self.matrix + np.diag(np.full(self.ids.size, np.inf))).min())

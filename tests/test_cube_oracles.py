@@ -65,7 +65,14 @@ Above one block of 128 points, a >= 2-D diameter keeps only the points
 that pass a centre bound, and scans each block of them against the points
 that may reach it; the full block scan it replaced is its oracle, on sets
 whose convex hull's vertices miss an end of the farthest pair and on
-rounded points of a sphere.
+rounded points of a sphere. A >= 2-D or matrix space takes the diameters
+of its runs of at most 128 ids by groups of one size, where the old code
+called ``diameter`` per run; that loop is their oracle.
+
+``local_windows`` no longer drops the radii below the least gap between
+distinct points: such a ball holds one distinct point and gives no window.
+Its output with the old filtered radii passed in is the oracle, on random
+families of every kind with repeated points.
 
 The greedy cover reads its near sets as closed balls of the index, and the
 doubling estimate counts each sample as a greedy net of the index; the
@@ -683,6 +690,21 @@ def sweep_outcome(sweep, family, windows, bound_fn, kind, theta):
     except InsufficientScalesError as exc:
         return str(exc)
     return est.to_json(), est.flags, float(est.value).hex(), est.diagnostics
+
+
+class TestWindowRadii:
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_radii_below_the_least_gap_add_no_window(self, kind, data):
+        fam, E, _ = data.draw(families(kind, repeats=True))
+        gap = fam.space.min_positive_distance()
+        filtered = [1.0 - 1e-10] + [R for R in r_grid(fam.params.delta, fam.max_level)
+                                    if not math.isfinite(gap) or R >= gap]
+        for seed in (0, 1):
+            assert [window_bits(w) for w in local_windows(fam, E, SAMPLE_BUDGET, seed)] == [
+                window_bits(w) for w in local_windows(fam, E, SAMPLE_BUDGET, seed,
+                                                      radii=filtered)]
 
 
 class TestWindowsAndSweepsAsArrays:
@@ -1658,6 +1680,52 @@ class TestHullDiameter:
                             lambda a, b: calls.append((len(a), len(b))) or farthest_sq(a, b))
         assert space.diameter() == oracle_scan_diameter(space, space.ids)
         assert sum(rows * cols for rows, cols in calls) < space.n ** 2 / 2
+
+
+def oracle_run_diameters(space, ids, bounds):
+    """``run_diameters`` of a >= 2-D or matrix space as it was: each run's
+    ``diameter`` in turn, 0.0 below two ids."""
+    out = np.zeros(bounds.size - 1)
+    for i in np.flatnonzero(np.diff(bounds) > 1):
+        out[i] = space.index.diameter(ids[bounds[i]:bounds[i + 1]])
+    return out
+
+
+def sized_runs(rng, n):
+    """(ids, bounds): runs of ids drawn with repeats, of sizes from 0 to 200,
+    around one block of 128 among them, often several runs of one size."""
+    sizes = rng.choice([0, 1, 2, 3, 5, 16, 64, 127, 128, 129, 200],
+                       size=int(rng.integers(1, 12)))
+    sizes = np.repeat(sizes, rng.integers(1, 4, size=sizes.size))
+    return rng.integers(n, size=int(sizes.sum())), np.concatenate([[0], np.cumsum(sizes)])
+
+
+class TestGroupedDiameters:
+    """A >= 2-D or matrix space takes the diameters of its runs of 2 to 128
+    ids a group of one size at a time, over (runs, s, s) blocks, and a larger
+    run's alone. Every one must be the run's ``diameter``, as the per-run loop
+    took it (``oracle_run_diameters``), bit for bit: on the sets of
+    ``hull_sets``, in 2 to 6 dimensions, snowflaked and rescaled, and on
+    random matrix spaces."""
+
+    @given(space=hull_sets(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_coordinates_match_the_per_run_loop(self, space, data):
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        ids, bounds = sized_runs(rng, space.n)
+        assert same_bits(space.run_diameters(ids, bounds),
+                         oracle_run_diameters(space, ids, bounds))
+
+    @given(n=st.integers(min_value=2, max_value=300),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           epsilon=st.sampled_from([1.0, 0.5]), scale=st.sampled_from([1.0, 0.37]))
+    @settings(max_examples=30, deadline=None)
+    def test_matrix_matches_the_per_run_loop(self, n, seed, epsilon, scale):
+        space = MetricSpace(MetricDescriptor("matrix"), matrix=random_graph_matrix(n, seed))
+        space = space.snowflaked(epsilon).rescaled(scale)
+        ids, bounds = sized_runs(np.random.default_rng(seed), n)
+        assert same_bits(space.run_diameters(ids, bounds),
+                         oracle_run_diameters(space, ids, bounds))
 
 
 class TestLevelPasses:

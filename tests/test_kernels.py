@@ -8,6 +8,11 @@ centers and decides every candidate exactly; it is checked bit for bit
 against a brute-force scan kept here as the oracle, and so is
 ``CellIndex.nearest`` itself, with and without ``positive``, on repeated
 points and on queries off the index; each of its calls makes one look.
+Every squared distance is ``square_sums``, which takes one or two
+coordinates one at a time; it is held bit for bit to the ``np.einsum`` over
+an array of differences that it replaced, on random sets of one to five
+coordinates with repeated points, points 1e8 from the origin and scales
+near 1e-8.
 Dyadic-rational inputs make every distance comparison exact in float64, so
 separation, maximality and ties can be checked exactly there, with no
 tolerance.
@@ -107,6 +112,66 @@ class TestPairwise:
         m = kernels.pairwise_distances(coords)
         assert np.array_equal(m, m.T)
         assert np.all(np.diag(m) == 0.0)
+
+
+@st.composite
+def coordinate_sets(draw):
+    """2 to 300 rows of 1 to 5 coordinates: normal or lattice points at a
+    scale of 1 or near 1e-8, perhaps moved 1e8 from the origin, and perhaps
+    drawn with repeats."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    n = draw(st.integers(min_value=2, max_value=300))
+    dim = draw(st.integers(min_value=1, max_value=5))
+    scale = draw(st.sampled_from([1.0, 1e-8, 3e-9]))
+    if draw(st.booleans()):
+        pts = rng.integers(0, 5, size=(n, dim)) * scale
+    else:
+        pts = rng.normal(size=(n, dim)) * scale
+    if draw(st.booleans()):
+        pts = pts + rng.choice([-1e8, 1e8], size=dim)
+    if draw(st.booleans()):
+        pts = pts[rng.integers(n, size=n)]
+    return pts, rng
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestSquareSums:
+    """``square_sums`` against the ``np.einsum`` expressions it replaced: over
+    paired rows, over a block of rows against every row, and over the pairs of
+    each group of s rows as one group at a time took them."""
+
+    @given(coordinate_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_einsum_bitwise(self, drawn):
+        pts, rng = drawn
+        other = pts[rng.permutation(len(pts))]
+        diff = pts - other
+        assert same_bits(kernels.square_sums(pts, other), np.einsum("ij,ij->i", diff, diff))
+        assert same_bits(kernels.squared_distances(pts, other),
+                         np.einsum("ij,ij->i", diff, diff))
+        diff = pts[:128, None, :] - pts
+        assert same_bits(kernels.square_sums(pts[:128, None, :], pts),
+                         np.einsum("ijk,ijk->ij", diff, diff))
+        assert same_bits(kernels.squared_distances(pts, pts[0]),
+                         np.einsum("ij,ij->i", pts - pts[0], pts - pts[0]))
+        for s in (2, 3, 7, 128):
+            groups = pts[:len(pts) // s * s].reshape(-1, s, pts.shape[1])
+            want = [np.einsum("ijk,ijk->ij", g[:, None, :] - g, g[:, None, :] - g)
+                    for g in groups]
+            assert same_bits(kernels.square_sums(groups[:, :, None], groups[:, None]),
+                             np.array(want).reshape(-1, s, s))
+
+    @given(coordinate_sets())
+    @settings(max_examples=50, deadline=None)
+    def test_pairwise_distances_match_einsum_bitwise(self, drawn):
+        pts, _ = drawn
+        diff = pts[:, None, :] - pts
+        want = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        np.fill_diagonal(want, 0.0)
+        assert same_bits(kernels.pairwise_distances(pts), want)
 
 
 class TestNearest:

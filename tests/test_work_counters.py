@@ -22,7 +22,10 @@ window table, built once per call with each system's level tables built at
 most once: it asks for no row, no ``ball_members`` and no digest of a
 ball's members. A plane's windows still take their digests, and find the
 containing cubes of all the new balls of a sample point in one
-``_smallest_cubes`` call. On a line and in an ultrametric, a family's build
+``_smallest_cubes`` call; they ask for no least gap, and count no window
+they do not return. On a plane and in a matrix space a level measures each
+cube of at most 128 points with the others of its size, and only a larger
+cube takes a ``diameter`` call. On a line and in an ultrametric, a family's build
 keeps each certificate query's ball as its two end ids, from one
 ``ball_run`` call for all queries, and asks for no ``ball_members``; a
 plane's build asks one per query. A
@@ -70,6 +73,7 @@ from cubedim.dimensions import (_fit_line, assouad_dim_estimate, hausdorff_dim_e
                                 local_windows, sample_points)
 from cubedim.metric import save_points
 from cubedim.nets import NetParams
+from conftest import random_graph_matrix
 
 
 @pytest.fixture
@@ -307,6 +311,90 @@ def test_plane_and_matrix_windows_ask_one_cube_query_per_point(graph40, monkeypa
         points = sample_points(family.space, family.space.ids, 16, 0)
         # the new balls of a point asked at once: no more calls than points, more balls
         assert windows and 0 < len(calls) <= points.size < sum(calls)
+
+
+def test_plane_and_matrix_windows_count_only_the_windows_they_return(graph40, monkeypatch):
+    # a ball whose cube is less than two levels above the deepest gives no
+    # window, and its levels below the cube are not counted
+    plane = MetricSpace(MetricDescriptor("euclidean"),
+                        coords=np.random.default_rng(4).uniform(size=(200, 2)))
+    calls = []
+    counted_below = cubes._counted_below
+
+    def counting(*args, **kwargs):
+        calls.append(args[4])
+        return counted_below(*args, **kwargs)
+
+    monkeypatch.setattr(cubes, "_counted_below", counting)
+    for space in (plane, graph40):
+        family = build_adjacent_family(space, NetParams(), K_max=2, query_budget=50, seed=3,
+                                       max_level=3)
+        calls.clear()
+        windows = local_windows(family, family.space.ids, sample_budget=16, seed=0)
+        assert windows and calls == [w.level for w in windows]
+
+
+def test_plane_and_matrix_windows_ask_no_least_gap(graph40, tmp_path, monkeypatch):
+    # no radius is dropped below the least gap, which a plane finds from its
+    # closest pair: a ball below it holds one distinct point and gives no window
+    plane = MetricSpace(MetricDescriptor("euclidean"),
+                        coords=np.random.default_rng(4).uniform(size=(200, 2)))
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(MetricSpace, "min_positive_distance",
+                        counting("min_positive_distance", MetricSpace.min_positive_distance))
+    for cls in (metric.CoordIndex, metric.MatrixIndex):
+        monkeypatch.setattr(cls, "closest_pair", counting("closest_pair", cls.closest_pair))
+    for space in (plane, graph40):
+        family = build_adjacent_family(space, NetParams(), K_max=2, query_budget=50, seed=3,
+                                       max_level=3)
+        path = tmp_path / "cubes.json"
+        save_family(family, path)
+        loaded = load_family(path, space)  # a new normalized space, which knows no gap
+        calls.clear()
+        assert local_windows(loaded, loaded.space.ids, sample_budget=16, seed=0)
+        assert calls == []
+
+
+@pytest.fixture
+def index_diameter_sizes(monkeypatch):
+    """The number of ids of each ``diameter`` asked of a >= 2-D or matrix index."""
+    sizes = []
+
+    def counting(fn):
+        def wrapped(self, ids):
+            sizes.append(ids.size)
+            return fn(self, ids)
+        return wrapped
+
+    for cls in (metric.CoordIndex, metric.MatrixIndex):
+        monkeypatch.setattr(cls, "diameter", counting(cls.diameter))
+    return sizes
+
+
+def test_plane_and_matrix_levels_measure_small_cubes_in_groups(index_diameter_sizes):
+    # every cube of at most 128 points is measured with the others of its size;
+    # only a larger cube, here the level-1 cube of a dense cluster, takes a
+    # diameter call of its own
+    rng = np.random.default_rng(5)
+    plane = MetricSpace(MetricDescriptor("euclidean"), coords=np.concatenate(
+        [rng.uniform(size=(1200, 2)), 0.5 + 1e-3 * rng.uniform(size=(300, 2))]))
+    matrix = MetricSpace(MetricDescriptor("matrix"), matrix=random_graph_matrix(300, 2))
+    for space in (plane, plane.snowflaked(0.5), matrix):
+        system = build_system(space, NetParams(), seed=3, max_level=3)
+        index_diameter_sizes.clear()
+        for k in range(1, system.max_level + 1):
+            system.diams_at(k)
+        sizes = np.concatenate([np.diff(system._grouped(k)[1])
+                                for k in range(1, system.max_level + 1)])
+        assert np.any((sizes > 1) & (sizes <= 128)) and np.any(sizes > 128)
+        assert sorted(index_diameter_sizes) == sorted(sizes[sizes > 128].tolist())
 
 
 def test_plane_sweep_still_digests_members(sweep_work):
