@@ -2,8 +2,10 @@
 
 The dyadic count D is exact by construction (same-level cubes partition the
 space, so the minimal subcover is the set of intersecting cubes). The greedy
-count upper-bounds the true N(E, r); the exact oracle solves small instances
-by branch and bound over maximal diameter-<=r subsets.
+count upper-bounds the true N(E, r); its blocks are the space index's to
+take (``cover_runs``), and this module checks the input and counts or
+returns them. The exact oracle solves small instances by branch and bound
+over maximal diameter-<=r subsets.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import numpy as np
 
 from .cubes import AdjacentFamily, circumscribed_cube, target_in_ball
 from .errors import InvalidArgumentError, ScaleExhaustedError
-from .kernels import distinct
 from .metric import MetricSpace
 
 EXACT_SIZE_CAP = 25
@@ -69,68 +70,30 @@ def _dyadic_cover(family: AdjacentFamily, E, x: int, R: float, m: int):
         max_cube_diameter=float(system.diams_at(level)[labels].max())), target
 
 
-def _grow_set(space: MetricSpace, start, candidates, r):
-    """Grow a diameter-<=r set from ``start`` by ascending (distance, id)."""
-    row_start = space.pair_distances(start, candidates)
-    order = np.lexsort((candidates, row_start))
-    maxd = row_start.copy()  # running max distance from each candidate to the set
-    chosen = [int(start)]
-    for pos in order:
-        cand = int(candidates[pos])
-        if cand == start:
-            continue
-        if maxd[pos] <= r:
-            chosen.append(cand)
-            np.maximum(maxd, space.pair_distances(cand, candidates), out=maxd)
-    return np.asarray(sorted(chosen), dtype=np.int64)
-
-
 def greedy_cover_count(space: MetricSpace, E, r: float, return_sets: bool = False):
     """Greedy upper bound for N(E, r): sets of diameter <= r covering E.
 
-    Picks the first uncovered id, grows a maximal diameter-<=r set around
-    it by ascending distance, and repeats. If diam(E) <= r the answer is 1.
-    The near set of a start, its uncovered points within r, is the index's
-    closed ball at ``nextafter(r)``, taken whole at diameter <= r as growing
-    would admit all of it. Each id of E is covered once, however often E lists it.
-    An index that has ``cover_runs`` gives the blocks as runs of its sorted
-    order, and the count is the number of runs. In an ultrametric every
-    closed ball is a prefix run of diameter at most r, so the blocks are the
-    distinct runs among E's ids, read in one pass. On a line every block is
-    the uncovered ids of one interval, so the blocks are runs of E's ranks,
-    and each block's ends are found by binary search, with no ball or
-    diameter asked.
+    Picks the least uncovered id, grows a maximal diameter-<=r set around
+    it by ascending distance, and repeats; if diam(E) <= r the answer is 1.
+    Each id of E is covered once, however often E lists it. The space's
+    index gives the blocks (``cover_runs``) and the count is their number;
+    with ``return_sets`` they are returned, each ascending, in the order of
+    their least ids. In an ultrametric every closed ball is a prefix run of
+    diameter at most r, so the blocks are the distinct runs among E's ids,
+    read in one pass. On a line every block is the uncovered ids of one
+    interval, so the blocks are runs of E's ranks, and each block's ends are
+    found by binary search, with no ball or diameter asked.
     """
     E = np.asarray(E, dtype=np.int64)
     if E.size == 0:
         raise InvalidArgumentError("E must be non-empty")
-    if r <= 0:
+    if not r > 0:
         raise InvalidArgumentError("r must be positive")
-    if hasattr(space.index, "cover_runs"):
-        members, bounds = space.index.cover_runs(E, r)
-        if not return_sets:
-            return bounds.size - 1
-        # in the loop's order: by start, the least uncovered id, each ascending
-        blocks = [np.sort(block) for block in np.split(members, bounds[1:-1])]
-        return sorted(blocks, key=lambda block: block[0])
-    if E.size == 1 or space.diameter(E) <= r:
-        return [distinct(E)] if return_sets else 1
-    live = np.zeros(space.n, dtype=bool)
-    live[E] = True
-    closed = np.nextafter(r, np.inf)
-    sets = []
-    for start in np.flatnonzero(live):
-        if not live[start]:
-            continue
-        ball = space.index.ball(start, closed)
-        near = ball[live[ball]]
-        if near.size == 1 or space.diameter(near) <= r:
-            block = near
-        else:
-            block = _grow_set(space, start, near, r)
-        live[block] = False
-        sets.append(block)
-    return sets if return_sets else len(sets)
+    members, bounds = space.index.cover_runs(E, r)
+    if not return_sets:
+        return bounds.size - 1
+    blocks = [np.sort(block) for block in np.split(members, bounds[1:-1])]
+    return sorted(blocks, key=lambda block: block[0])
 
 
 def _maximal_cliques(adj: np.ndarray):
@@ -165,7 +128,7 @@ def exact_cover_count(space: MetricSpace, E, r: float):
     E = np.asarray(E, dtype=np.int64)
     if E.size == 0:
         raise InvalidArgumentError("E must be non-empty")
-    if r <= 0:
+    if not r > 0:
         raise InvalidArgumentError("r must be positive")
     if E.size > EXACT_SIZE_CAP:
         return None

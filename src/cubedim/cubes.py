@@ -398,13 +398,20 @@ def _cubes_of(system: CubeSystem, first: np.ndarray, last: np.ndarray):
     return level, index, diam
 
 
-def _smallest_cubes(family: AdjacentFamily, members: np.ndarray, starts: np.ndarray):
+def _smallest_cubes(systems: list, members: np.ndarray, starts: np.ndarray):
     """(system, level, index, diameter) of the circumscribed cube of each run
-    of ``members``, run i from ``starts[i]``: of the systems' deepest cubes
-    holding it (``_cubes_of``), the least in diameter, the first on a tie."""
+    of ``members``, run i from ``starts[i]``: of the deepest cubes of the
+    ``systems`` holding it (``_cubes_of``), the one ``_first_least`` picks."""
+    return _first_least([_cubes_of(system, *_extremes(system, members, starts))
+                         for system in systems])
+
+
+def _first_least(found: list):
+    """(system, level, index, diameter) of each run's cube of least diameter,
+    the first system's on a tie, of the ``_cubes_of`` results ``found``, one
+    per system in order."""
     # (system, field, run), the levels and indices exact as floats
-    found = np.array([_cubes_of(system, *_extremes(system, members, starts))
-                      for system in family.systems])
+    found = np.array(found)
     won = found[:, 2].argmin(axis=0)
     level, index, diam = found[won, :, np.arange(won.size)].T
     return won, level.astype(np.int64), index.astype(np.int64), diam
@@ -482,7 +489,7 @@ def circumscribed_cube(family: AdjacentFamily, x: int, R: float,
     R_eff = _effective_radius(family.space, x, R, members, row)
     if R_eff == 0.0:
         raise DegenerateBallError(f"ball B({x}, {R:g}) holds fewer than two distinct points")
-    won, level, index, diam = _smallest_cubes(family, members, [0])
+    won, level, index, diam = _smallest_cubes(family.systems, members, [0])
     return CircumscribedCube(int(won[0]), int(level[0]), int(index[0]), float(diam[0]), R_eff)
 
 
@@ -553,29 +560,46 @@ def local_counts(family: AdjacentFamily, E: np.ndarray, x: int, R: float,
                           cc.diameter, target, diameters=False)
 
 
-def point_windows(family: AdjacentFamily, E: np.ndarray, x: int, balls: list,
-                  row: np.ndarray) -> list:
-    """The local window of E in each ball B(x, R) of ``balls``, pairs (R,
-    ascending members), with ``row`` x's distances; none for a ball of one
+def point_windows(family: AdjacentFamily, E: np.ndarray, xs: np.ndarray,
+                  radii: np.ndarray) -> list:
+    """The local window of E in each ball B(x, R), x in ``xs`` and then R in
+    ``radii``, whose member set no earlier ball had; none for a ball of one
     distinct point or that E misses, or whose cube is less than two levels
-    above its system's deepest. All the cubes come from one
-    ``_smallest_cubes`` call, and each window kept is counted below its cube."""
-    space = family.space
-    kept = []
-    for R, members in balls:
-        R_eff = _effective_radius(space, x, R, members, row)
-        target = target_in_ball(space, E, members)
-        if R_eff != 0.0 and target.size:
-            kept.append((R, R_eff, members, target))
-    if not kept:
-        return []
-    sizes = np.array([members.size for _, _, members, _ in kept])
-    won, level, _, diam = _smallest_cubes(family, np.concatenate([m for _, _, m, _ in kept]),
-                                          np.cumsum(sizes) - sizes)
-    return [_counted_below(family.systems[sid], x, R, R_eff, k, top, target, diameters=True)
-            for (R, R_eff, _, target), sid, k, top
-            in zip(kept, won.tolist(), level.tolist(), diam.tolist())
-            if family.systems[sid].max_level - k >= 2]
+    above its system's deepest. On a sorted index (one with ``ball_run``)
+    they are read off one ``RunWindowTable``. Elsewhere each point's balls
+    come from its row, keyed on a digest of their members: the minimal
+    containing cube depends only on the member set (cube families are
+    laminar), so identical balls are one window, and the digest keys the set
+    without holding every array. All the cubes of a point's new balls come
+    from one ``_smallest_cubes`` call, and each window kept is counted below
+    its cube."""
+    if hasattr(family.space.index, "ball_run"):
+        return RunWindowTable(family, E).windows(xs, radii)
+    space, windows, seen = family.space, [], set()
+    for x in xs.tolist():
+        row = space.row(x)
+        kept = []
+        for R in radii.tolist():
+            members = np.flatnonzero(row < R)
+            key = (members.size, hashlib.sha256(members.tobytes()).digest())
+            if key in seen:
+                continue
+            seen.add(key)
+            R_eff = _effective_radius(space, x, R, members, row)
+            target = target_in_ball(space, E, members)
+            if R_eff != 0.0 and target.size:
+                kept.append((R, R_eff, members, target))
+        if not kept:
+            continue
+        sizes = np.array([members.size for _, _, members, _ in kept])
+        won, level, _, diam = _smallest_cubes(
+            family.systems, np.concatenate([m for _, _, m, _ in kept]), np.cumsum(sizes) - sizes)
+        windows += [_counted_below(family.systems[sid], x, R, R_eff, k, top, target,
+                                   diameters=True)
+                    for (R, R_eff, _, target), sid, k, top
+                    in zip(kept, won.tolist(), level.tolist(), diam.tolist())
+                    if family.systems[sid].max_level - k >= 2]
+    return windows
 
 
 class RunWindowTable:
@@ -586,12 +610,13 @@ class RunWindowTable:
     run ``before[lo]..before[hi]-1`` of ``ids``, E's ids in rank order, each
     once. Every cube is a run of those ranks too (``_split_cube``), and so is
     its part of ``ids``. A window reads off the runs, bit for bit, what
-    ``point_windows`` computes from the ball's members: R_eff = min(R, 2 *
-    diam), from the distance of the ball's two end ids; the containing cube,
-    from those two ids (``_smallest_cubes``); and at each level below it the
-    runs from the one holding the ball's first position in E to the one
-    holding its last, which are the cubes meeting E in the ball, their
-    number and largest diameter read off the system's level tables.
+    ``point_windows`` computes from a ball's members on the other indexes:
+    R_eff = min(R, 2 * diam), from the distance of the ball's two end ids;
+    the containing cube, from those two ids (``_smallest_cubes``); and at
+    each level below it the runs from the one holding the ball's first
+    position in E to the one holding its last, which are the cubes meeting
+    E in the ball, their number and largest diameter read off the system's
+    level tables.
     A system's level tables are built the first time one of its cubes
     contains a window.
     """
@@ -644,7 +669,8 @@ class RunWindowTable:
         kept = (R_eff != 0.0) & (a < b)
         x, R, R_eff, first, last, a, b = (v[kept] for v in (x, R, R_eff, first, last, a, b))
         won, cube_level, _, cube_diam = _smallest_cubes(
-            self.family, np.stack([first, last], axis=1).ravel(), np.arange(0, 2 * first.size, 2))
+            self.family.systems, np.stack([first, last], axis=1).ravel(),
+            np.arange(0, 2 * first.size, 2))
         deep = np.array([s.max_level for s in self.family.systems])[won] - cube_level >= 2
         x, R, R_eff, a, b, won, cube_level, cube_diam = (
             v[deep] for v in (x, R, R_eff, a, b, won, cube_level, cube_diam))
@@ -712,23 +738,20 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
     R_eff, ids, starts = _query_balls(norm, xs, Rs)
     degenerate = R_eff == 0.0
 
-    # per-query best (smallest-diameter) containing cube across systems so far
-    best_cert = np.where(degenerate, 1.0, np.inf)
-    best_diam = np.full(len(queries), np.inf)
-    best_system = np.full(len(queries), -1)
-    systems = []
+    live = ~degenerate
+    cert = np.ones(len(queries))
+    systems, found = [], []
     for t in range(K_max):
         system = probe if t == 0 else build_system(norm, params, seed=seed + t, max_level=L,
                                                    system_id=t, pre_normalized=True)
         if (split := _split_cube(system)) is not None:
             raise RuntimeError(f"built system {t} has a cube that is not one run: {split}")
         systems.append(system)
-        level, _, diam = _cubes_of(system, *_extremes(system, ids, starts))
-        better = ~degenerate & (diam < best_diam)
-        best_diam[better] = diam[better]
-        best_cert[better] = _cert_terms(params, R_eff[better], level[better], diam[better])
-        best_system[better] = t
-        worst = float(best_cert.max())  # finite: the root holds every ball
+        found.append(_cubes_of(system, *_extremes(system, ids, starts)))
+        # each query's smallest containing cube across the systems so far
+        won, level, _, diam = _first_least(found)
+        cert[live] = _cert_terms(params, R_eff[live], level[live], diam[live])
+        worst = float(cert.max())  # finite: the root holds every ball
         if worst <= target_ratio:
             break
 
@@ -736,8 +759,8 @@ def build_adjacent_family(space: MetricSpace, params: NetParams, K_max: int = 8,
     best_effort = worst > target_ratio
 
     query_log = [{"x": x, "R": R, "degenerate": bool(degenerate[qi]),
-                  "cert": float(best_cert[qi]),
-                  "system_id": None if degenerate[qi] else int(best_system[qi])}
+                  "cert": float(cert[qi]),
+                  "system_id": None if degenerate[qi] else int(won[qi])}
                  for qi, (x, R) in enumerate(queries)]
 
     return AdjacentFamily(norm, params, systems, C_delta_hat, _C_tilde(params, C_delta_hat),

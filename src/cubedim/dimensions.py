@@ -9,7 +9,6 @@ admissible zoom windows. All estimators are deterministic given seeds.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -20,8 +19,7 @@ from .covering import greedy_cover_count
 # circumscribed_cube is not called here; perfbench's self-test patches it by name
 # in this module, so the name stays
 from .cubes import (DIAMETER_SLACK, AdjacentFamily, CubeSystem, LocalWindow,  # noqa: F401
-                    RunWindowTable, circumscribed_cube, local_counts, point_windows,
-                    r_grid)
+                    circumscribed_cube, local_counts, point_windows, r_grid)
 from .errors import InsufficientScalesError, InvalidArgumentError, ScaleExhaustedError
 from .kernels import distinct
 
@@ -294,24 +292,6 @@ def sample_points(space, E, budget: int, seed: int) -> np.ndarray:
     return distinct(np.concatenate([chosen, np.asarray(extremal, dtype=np.int64)]))
 
 
-def _windows_for_point(family, E, x, radii, seen):
-    """The new windows of B(x, R) over the radii (``point_windows``), keyed on a
-    digest of each ball's members; a ball whose key is in ``seen`` adds none."""
-    row = family.space.row(x)
-    balls = []
-    for R in radii:
-        members = np.flatnonzero(row < R)
-        # the minimal containing cube depends only on the member set
-        # (cube families are laminar), so identical balls are one window; a
-        # digest of the member ids keys the set without holding every array
-        key = (int(members.size), hashlib.sha256(members.tobytes()).digest())
-        if key in seen:
-            continue
-        seen.add(key)
-        balls.append((float(R), members))
-    return point_windows(family, E, x, balls, row)
-
-
 def local_windows(family: AdjacentFamily, E, sample_budget: int = 512,
                   seed: int = 0, radii=None) -> list:
     """Precompute per-(x, R) dyadic counts and cube diameters for the sweeps.
@@ -322,23 +302,15 @@ def local_windows(family: AdjacentFamily, E, sample_budget: int = 512,
     distinct point and gives no window, so no radius is dropped beforehand.
     Sampled points are visited in ascending id order, and a ball whose member
     set was already seen adds no window; only windows of depth 2 or more are
-    counted. On a line or in an ultrametric, where every ball is a run of the
-    index's ranks, the windows are read off one ``RunWindowTable``.
+    counted (``point_windows``).
     """
     E = np.asarray(E, dtype=np.int64)
-    space = family.space
     if radii is None:
         # a radius just below 1 keeps whole-space windows in every sweep,
         # which pins the small-theta end of the spectrum to the global counts
         radii = [1.0 - 1e-10, *r_grid(family.params.delta, family.max_level)]
-    xs = sample_points(space, E, sample_budget, seed)
-    if hasattr(space.index, "ball_run"):
-        return RunWindowTable(family, E).windows(xs, np.asarray(radii, dtype=np.float64))
-    windows = []
-    seen = set()
-    for x in xs:
-        windows.extend(_windows_for_point(family, E, int(x), radii, seen))
-    return windows
+    return point_windows(family, E, sample_points(family.space, E, sample_budget, seed),
+                         np.asarray(radii, dtype=np.float64))
 
 
 def _fit_input(window: LocalWindow, bound: float):

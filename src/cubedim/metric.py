@@ -14,9 +14,11 @@ share with it, as they share its largest squared distance),
 ``PrefixIndex`` (over the sorted strings, which the clones share too) or
 ``MatrixIndex``. They share one set of methods, so no caller tests the
 metric kind; where one index answers a question in its own way, callers
-ask for that by the method's name (``ball_run``, ``cover_runs``). Each has
-one range query, ``balls``, which single balls and ``nearest_within`` read.
-Nothing here imports SciPy.
+ask for that by the method's name (``ball_run``). Each has one range query,
+``balls``, which single balls and ``nearest_within`` read, and one greedy
+cover, ``cover_runs``: the shared ball loop, which the line and the
+ultrametric read as runs of their ranks instead. A block that must grow
+grows by the one rule, ``grow``. Nothing here imports SciPy.
 """
 
 from __future__ import annotations
@@ -129,6 +131,10 @@ class _Index:
     def row(self, p) -> np.ndarray:
         return self.pairs(p, slice(None))
 
+    def _whole(self, ids: np.ndarray) -> bool:
+        """Whether ``ids`` lists every point, in order."""
+        return ids.size == self.ids.size and np.array_equal(ids, self.ids)
+
     def ball(self, x, r) -> np.ndarray:
         """Ids q with d(x, q) < r, ascending: the members of ``balls([x], r)``."""
         members = self.balls(np.array([x], dtype=np.int64), r)[1]
@@ -161,6 +167,49 @@ class _Index:
         d = self.pairs(np.repeat(centers, sizes), ids[:bounds[-1]])
         out[filled] = np.maximum.reduceat(d, bounds[filled])
         return out
+
+    def cover_runs(self, ids: np.ndarray, r: float):
+        """The blocks of ``covering.greedy_cover_count`` over ``ids`` as (members,
+        bounds), block i being ``members[bounds[i]:bounds[i + 1]]``, ascending and
+        in the order taken. Each start is the least uncovered id. Its near set,
+        its uncovered ids within r, is its closed ball at ``nextafter(r)``, taken
+        whole at diameter <= r, as growing would admit all of it, and grown
+        (``grow``) otherwise. If diam(ids) <= r there is one block."""
+        if ids.size == 1 or self.diameter(ids) <= r:
+            members = kernels.distinct(ids)
+            return members, np.array([0, members.size])
+        live = np.zeros(self.ids.size, dtype=bool)
+        live[ids] = True
+        closed = np.nextafter(r, np.inf)
+        blocks = []
+        for start in np.flatnonzero(live):
+            if not live[start]:
+                continue
+            ball = self.ball(start, closed)
+            near = ball[live[ball]]
+            block = (near if near.size == 1 or self.diameter(near) <= r
+                     else self.grow(start, near, r))
+            live[block] = False
+            blocks.append(block)
+        sizes = [block.size for block in blocks]
+        return np.concatenate(blocks), np.cumsum([0, *sizes])
+
+    def grow(self, start, candidates: np.ndarray, r: float) -> np.ndarray:
+        """The diameter-<=r set grown from ``start`` over ``candidates``, ascending:
+        candidates come by ascending (distance from start, id), and each is taken
+        iff it is within r of every one taken before it."""
+        row_start = self.pairs(start, candidates)
+        order = np.lexsort((candidates, row_start))
+        maxd = row_start.copy()  # running max distance from each candidate to the set
+        chosen = [int(start)]
+        for pos in order:
+            cand = int(candidates[pos])
+            if cand == start:
+                continue
+            if maxd[pos] <= r:
+                chosen.append(cand)
+                np.maximum(maxd, self.pairs(cand, candidates), out=maxd)
+        return np.asarray(sorted(chosen), dtype=np.int64)
 
     def least_positive(self, ids: np.ndarray, among: np.ndarray) -> np.ndarray:
         """Each id's least positive distance to the ids ``among``, NaN where it has
@@ -555,10 +604,6 @@ class CoordIndex(_Index):
             return self.ids, self.base.lowest_at_place
         return super().nearest_within(centers, r)
 
-    def _whole(self, ids: np.ndarray) -> bool:
-        """Whether ``ids`` lists every point, in order."""
-        return ids.size == self.ids.size and np.array_equal(ids, self.ids)
-
     def _cells_of(self, ids: np.ndarray) -> kernels.CellIndex:
         """A cell index over the points ``ids``, its row i the point ids[i]: the
         shared one when ``ids`` lists every point."""
@@ -755,7 +800,7 @@ class LineIndex(_SortedIndex, CoordIndex):
         search over the sorted coordinates as in ``ball_run``; an end that
         ``pairs`` puts beyond r is moved in by binary search. The near set
         is taken whole when its ends are within r of each other, and grown
-        (``_grown``) otherwise.
+        (``grow``) otherwise; a grown block is a run of the near set's ranks.
         """
         n = self.sorted.size
         state = bytearray(n)  # by rank: 1 uncovered id, 2 taken in a block
@@ -788,39 +833,14 @@ class LineIndex(_SortedIndex, CoordIndex):
                 if d[0] > r or d[1] > r:
                     d[2] = self.pairs(order[f:f + 1], order[g:g + 1])[0]
                 if d[2] > r:
-                    f, g = self._grown(s, order[f:g + 1][marks[f:g + 1] == 1], r)
+                    block = self.rank[self.grow(s, order[f:g + 1][marks[f:g + 1] == 1], r)]
+                    f, g = int(block.min()), int(block.max())
             state[f:g + 1] = b"\x02" * (g + 1 - f)
             uncovered[order[f:g + 1]] = False
             firsts.append(f)
             s = live.find(1, s + 1)
         bounds = np.searchsorted(ranks, np.sort(np.asarray(firsts, dtype=np.int64)))
         return order[ranks], np.append(bounds, ranks.size)
-
-    def _grown(self, s, near: np.ndarray, r: float):
-        """The least and greatest rank of the block that ``covering._grow_set``
-        grows from ``s`` over ``near``, its near set by rank. Candidates come
-        by ascending (distance from s, id); one is taken iff it is within r of
-        both ends of the block so far, which holds for every candidate up to
-        the first that widens the block's span past r. That one is refused,
-        and so is every later candidate on its side at or beyond its
-        coordinate; the rest go on from the block as it stands."""
-        seq = np.lexsort((near, self.pairs(s, near)))
-        u = v = int(np.flatnonzero(near == s)[0])
-        seq = seq[seq != u]
-        x = self.coords[near, 0]
-        while seq.size:
-            lo = np.minimum(np.minimum.accumulate(seq), u)
-            hi = np.maximum(np.maximum.accumulate(seq), v)
-            over = np.flatnonzero(self.pairs(near[lo], near[hi]) > r)
-            if not over.size:
-                u, v = int(lo[-1]), int(hi[-1])
-                break
-            k = over[0]
-            if k:
-                u, v = int(lo[k - 1]), int(hi[k - 1])
-            q, seq = seq[k], seq[k + 1:]
-            seq = seq[x[seq] > x[q]] if q < u else seq[x[seq] < x[q]]
-        return int(self.rank[near[u]]), int(self.rank[near[v]])
 
     def nearest(self, query_ids: np.ndarray, centers: np.ndarray):
         """``kernels.nearest_center_coords``: the least ``(x - c)**2``, ties to the
@@ -881,7 +901,8 @@ class MatrixIndex(_Index):
 
     ``matrix``, the stored one put through the descriptor's power and scale,
     is computed once per space on first use; rows are read-only views of it.
-    Distances, diameters and the least gap are all read from it.
+    Distances, diameters and the least gap are all read from it, the whole
+    space's diameter once.
     """
 
     def __init__(self, space: "MetricSpace"):
@@ -924,7 +945,13 @@ class MatrixIndex(_Index):
                 witness = (int(c), int(ids[i + 1 + j]))
         return best, witness
 
+    @cached_property
+    def _farthest(self) -> float:
+        return float(self.matrix.max())
+
     def diameter(self, ids: np.ndarray) -> float:
+        if self._whole(ids):
+            return self._farthest
         return float(self.matrix[np.ix_(ids, ids)].max())
 
     def run_diameters(self, ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -1039,7 +1066,7 @@ class MetricSpace:
     def ball_members(self, x, r) -> np.ndarray:
         """Ids q with d(x, q) < r (strict), ascending. Includes x for r > 0."""
         self._check_id(x)
-        if r <= 0:
+        if not r > 0:
             raise InvalidArgumentError("ball radius must be positive")
         return self.index.ball(x, r)
 

@@ -11,6 +11,9 @@ from cubedim.covering import (dyadic_cover_count, exact_cover_count,
                               greedy_cover_count, sandwich_check)
 from cubedim.cubes import build_adjacent_family
 from cubedim.nets import NetParams
+from test_metric import paired_spaces
+
+KINDS = ["euclidean", "snowflake", "ultrametric", "matrix"]
 
 
 def euclid(coords):
@@ -60,6 +63,14 @@ class TestGreedyCover:
         with pytest.raises(InvalidArgumentError):
             greedy_cover_count(sp, [], 0.5)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("r", [np.nan, 0.0, -1.0])
+    def test_radius_not_positive_rejected(self, kind, r):
+        # a NaN radius fails every comparison, so it is refused as 0 is
+        sp = paired_spaces()[kind]
+        with pytest.raises(InvalidArgumentError, match="r must be positive"):
+            greedy_cover_count(sp, sp.ids[:20], r)
+
     def test_repeated_ids_cover_each_point_once(self):
         # the grown block {0, 1, 2} covers both copies of id 0
         sp = euclid([0.0, 1.0, 2.0, 3.0])
@@ -85,6 +96,13 @@ class TestExactCover:
     def test_singleton(self):
         sp = euclid([0.7])
         assert exact_cover_count(sp, [0], 0.2) == 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("r", [np.nan, 0.0, -1.0])
+    def test_radius_not_positive_rejected(self, kind, r):
+        sp = paired_spaces()[kind]
+        with pytest.raises(InvalidArgumentError, match="r must be positive"):
+            exact_cover_count(sp, sp.ids[:20], r)
 
     def test_three_collinear(self):
         sp = euclid([0.0, 0.5, 1.0])
@@ -147,6 +165,11 @@ class TestDyadicCount:
         for m in (1, 2, 3, 4):
             rep = dyadic_cover_count(ultra6_family, E, 0, 0.9999999999, m)
             assert rep.D == 2 ** m
+
+    def test_nan_radius_rejected(self, ultra6_family):
+        # refused by the ball before any cube is asked
+        with pytest.raises(InvalidArgumentError, match="ball radius must be positive"):
+            dyadic_cover_count(ultra6_family, ultra6_family.space.ids, 0, np.nan, 0)
 
     def test_monotone_in_m(self, cantor10_family):
         E = cantor10_family.space.ids

@@ -135,6 +135,13 @@ class TestBallMembers:
         sp = euclid([0.0, 1.0])
         assert list(sp.ball_members(0, 1.0)) == [0]
 
+    @pytest.mark.parametrize("kind", ["euclidean", "snowflake", "ultrametric", "matrix"])
+    @pytest.mark.parametrize("r", [np.nan, 0.0, -1.0])
+    def test_radius_not_positive_rejected(self, kind, r):
+        # d(0, 0) < nan is false: a NaN radius holds no point, and is refused as 0 is
+        with pytest.raises(InvalidArgumentError, match="ball radius must be positive"):
+            paired_spaces()[kind].ball_members(0, r)
+
     def test_monotone_in_radius(self):
         rng = np.random.default_rng(1)
         sp = euclid(rng.uniform(size=(60, 2)))

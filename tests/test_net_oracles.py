@@ -59,8 +59,9 @@ from hypothesis import given, settings
 from scipy.spatial import cKDTree
 from hypothesis import strategies as st
 from conftest import write_cubes_doc
+from test_cube_oracles import oracle_grow_set
 
-from cubedim import GeneratorSpec, MetricDescriptor, MetricSpace, covering, generate, kernels
+from cubedim import GeneratorSpec, MetricDescriptor, MetricSpace, generate, kernels
 from cubedim.covering import greedy_cover_count
 from cubedim.cubes import build_adjacent_family, build_system, load_family, save_family
 from cubedim.errors import StaleCubesError
@@ -359,7 +360,7 @@ def oracle_ball_greedy(space, E, r):
         if near.size == 1 or space.diameter(near) <= r:
             block = near
         else:
-            block = covering._grow_set(space, start, near, r)
+            block = oracle_grow_set(space, start, near, r)
         live[block] = False
         sets.append(block)
     return sets

@@ -13,7 +13,10 @@ uppercase name, with or without a leading underscore) must be read
 somewhere in the package, its tests or ``perfbench``, outside its own
 assignment. No module but ``metric.py`` names an index class in an
 ``isinstance`` or ``issubclass`` call: callers ask an index for what it
-can do (``hasattr``), never which kind it is. Every function, method and
+can do (``hasattr``), never which kind it is, and each such ``hasattr``
+names, as a string, a method that an index class of ``metric.py`` defines,
+so that renaming the method cannot quietly turn every caller away from its
+path. Every function, method and
 class defined in the package must be named somewhere in the package outside
 its own definition, by a bare name, an attribute or an import; the
 package's public names (``cubedim.__all__``) and the functions that
@@ -175,6 +178,48 @@ def test_the_check_sees_a_kind_test(tmp_path):
                       "c = issubclass(type(i), metric._SortedIndex)\n"
                       "d = isinstance(i, dict) or hasattr(i, 'ball_run')\n")
     assert kind_tests(source) == [(3, "PrefixIndex"), (4, "LineIndex"), (5, "_SortedIndex")]
+
+
+def capability_names(path):
+    """(line, name) of each ``hasattr`` call in ``path``, the name None where it
+    is not a string literal."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "hasattr"):
+            name = node.args[1] if len(node.args) == 2 else None
+            found.append((node.lineno, name.value if isinstance(name, ast.Constant)
+                          and isinstance(name.value, str) else None))
+    return sorted(found)
+
+
+def index_methods(path):
+    """The names of the methods that the index classes of ``path`` define."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {item.name for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name in INDEX_CLASSES
+            for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_every_capability_asked_is_an_index_method():
+    methods = index_methods(SRC / "metric.py")
+    offenders = [f"{path.name}:{line}: {name}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for line, name in capability_names(path) if name not in methods]
+    assert offenders == []
+
+
+def test_the_check_sees_an_unknown_capability(tmp_path):
+    index = tmp_path / "metric.py"
+    index.write_text("class LineIndex:\n    def ball_run(self):\n        pass\n"
+                     "class Shape:\n    def cover_sets(self):\n        pass\n")
+    source = tmp_path / "probe.py"
+    source.write_text("a = hasattr(i, 'ball_run')\nb = hasattr(i, 'ball_runs')\n"
+                      "c = hasattr(i, 'cover_sets')\nd = hasattr(i, name)\n")
+    assert index_methods(index) == {"ball_run"}
+    assert capability_names(source) == [(1, "ball_run"), (2, "ball_runs"),
+                                        (3, "cover_sets"), (4, None)]
 
 
 def names_used(tree):

@@ -40,9 +40,11 @@ a build, a reload, a window table and a sandwich check take grow at most
 each center's window of ranks, with no nearest-center query beyond the
 labels'; the rows that the line's distances and nearest-center queries
 take in a build, a reload, a window table and a sandwich check grow at most
-2.5x as the points double. A line's greedy cover reads its blocks' ends
-off the sorted coordinates, with no ball, diameter or grown set, and a
-line net's Python scan never visits a point whose sorted neighbours are
+2.5x as the points double. A greedy cover is one ``cover_runs`` call to
+the space's index on every kind. A line's greedy cover reads its blocks'
+ends off the sorted coordinates, with no ball or diameter, and grows only
+a block that must grow, by the shared rule (``_Index.grow``); a line
+net's Python scan never visits a point whose sorted neighbours are
 both at the separation or beyond. A cubes file's id arrays are written and read as
 arrays: a reload hands ``json.loads`` only the small rest of the document,
 and the memory a save and a reload hold grows at most 2.5x as the points
@@ -76,31 +78,31 @@ from cubedim.nets import NetParams
 from conftest import random_graph_matrix
 
 
+def _grow_starts(monkeypatch, on_line):
+    """The start of each block that ``_Index.grow`` grows on a line's index
+    (``on_line``) or on any other."""
+    calls = []
+    grow = metric._Index.grow
+
+    def counting(self, start, candidates, r):
+        if isinstance(self, metric.LineIndex) == on_line:
+            calls.append(start)
+        return grow(self, start, candidates, r)
+
+    monkeypatch.setattr(metric._Index, "grow", counting)
+    return calls
+
+
 @pytest.fixture
 def grow_calls(monkeypatch):
-    calls = []
-    grow_set = covering._grow_set
-
-    def counting(*args):
-        calls.append(args[1])
-        return grow_set(*args)
-
-    monkeypatch.setattr(covering, "_grow_set", counting)
-    return calls
+    """The start of each block that the shared ball loop grows."""
+    return _grow_starts(monkeypatch, on_line=False)
 
 
 @pytest.fixture
 def line_grown(monkeypatch):
     """The start of each block that a line's greedy cover grows."""
-    calls = []
-    grown = metric.LineIndex._grown
-
-    def counting(self, s, near, r):
-        calls.append(s)
-        return grown(self, s, near, r)
-
-    monkeypatch.setattr(metric.LineIndex, "_grown", counting)
-    return calls
+    return _grow_starts(monkeypatch, on_line=True)
 
 
 @pytest.fixture
@@ -298,9 +300,9 @@ def test_plane_and_matrix_windows_ask_one_cube_query_per_point(graph40, monkeypa
     calls = []
     smallest = cubes._smallest_cubes
 
-    def counting(family, members, starts):
+    def counting(systems, members, starts):
         calls.append(starts.size)
-        return smallest(family, members, starts)
+        return smallest(systems, members, starts)
 
     monkeypatch.setattr(cubes, "_smallest_cubes", counting)
     for space in (plane, graph40):
@@ -904,15 +906,20 @@ def test_line_greedy_cover_asks_no_ball_diameter_or_growth(grow_calls, diameter_
                                                           line_grown, monkeypatch):
     # blocks taken whole, grown (r on the distance 1 of id 0 to its neighbours)
     # and over repeated and strict-subset targets: every block's ends come
-    # off the sorted coordinates, with no ball, diameter or grown set asked
-    balls = []
-    ball = metric.LineIndex.ball
+    # off the sorted coordinates, with no ball or diameter asked of the space
+    # or its index, and only the one block that must grow grown
+    asked = []
 
-    def counting_ball(self, x, r):
-        balls.append(x)
-        return ball(self, x, r)
+    def counting(name):
+        method = getattr(metric.LineIndex, name)
 
-    monkeypatch.setattr(metric.LineIndex, "ball", counting_ball)
+        def wrapped(self, *args):
+            asked.append(name)
+            return method(self, *args)
+        return wrapped
+
+    for name in ("ball", "diameter"):
+        monkeypatch.setattr(metric.LineIndex, name, counting(name))
     grown = MetricSpace(MetricDescriptor("euclidean"), coords=[1.0, 0.0, 2.0, 1.0, 2.5])
     assert greedy_cover_count(grown, grown.ids, 1.0) == 2
     assert line_grown == [0]
@@ -921,7 +928,31 @@ def test_line_greedy_cover_asks_no_ball_diameter_or_growth(grow_calls, diameter_
     for r in (1e-4, 1e-3, 0.01, 0.1, 1.0):
         greedy_cover_count(space, space.ids, r)
         greedy_cover_count(space, rng.choice(space.n, size=200), r, return_sets=True)
-    assert balls == [] and grow_calls == [] and diameter_calls == []
+    assert line_grown == [0]
+    assert asked == [] and grow_calls == [] and diameter_calls == []
+
+
+def test_greedy_cover_asks_its_index_once(grid257, graph40, ultra6, monkeypatch):
+    # on a line, a plane, an ultrametric and a matrix space, one greedy cover
+    # is one cover_runs call, with the sets asked for or not
+    plane = MetricSpace(MetricDescriptor("euclidean"),
+                        coords=np.random.default_rng(4).uniform(size=(200, 2)))
+    calls = []
+
+    def counting(cover_runs):
+        def wrapped(self, ids, r):
+            calls.append(type(self).__name__)
+            return cover_runs(self, ids, r)
+        return wrapped
+
+    for space in (grid257, plane, ultra6, graph40):
+        kind = type(space.index)
+        monkeypatch.setattr(kind, "cover_runs", counting(kind.cover_runs))
+        calls.clear()
+        r = space.diameter() / 7
+        assert greedy_cover_count(space, space.ids, r) > 1
+        greedy_cover_count(space, space.ids[::3], r, return_sets=True)
+        assert calls == [kind.__name__] * 2
 
 
 @pytest.fixture
