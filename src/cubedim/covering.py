@@ -51,9 +51,9 @@ def _dyadic_cover(family: AdjacentFamily, E, x: int, R: float, m: int):
     counted, along the depth-first-sorted target (``cubes_along``); at m = 0
     that is the cube itself, of count 1. A ball that E misses, and an m past
     the system's deepest level, raise before anything is counted."""
+    E = family.space.subset(E)
     if m < 0:
         raise InvalidArgumentError("m must be >= 0")
-    E = np.asarray(E, dtype=np.int64)
     members = family.space.ball_members(x, R)
     cc = circumscribed_cube(family, x, R, members)
     target = target_in_ball(family.space, E, members)
@@ -84,9 +84,7 @@ def greedy_cover_count(space: MetricSpace, E, r: float, return_sets: bool = Fals
     interval, so the blocks are runs of E's ranks, and each block's ends are
     found by binary search, with no ball or diameter asked.
     """
-    E = np.asarray(E, dtype=np.int64)
-    if E.size == 0:
-        raise InvalidArgumentError("E must be non-empty")
+    E = space.subset(E)
     if not r > 0:
         raise InvalidArgumentError("r must be positive")
     members, bounds = space.index.cover_runs(E, r)
@@ -125,9 +123,7 @@ def exact_cover_count(space: MetricSpace, E, r: float):
     optimal cover can be enlarged to maximal sets, so the restriction is
     lossless); solved by branch and bound with the greedy value as incumbent.
     """
-    E = np.asarray(E, dtype=np.int64)
-    if E.size == 0:
-        raise InvalidArgumentError("E must be non-empty")
+    E = space.subset(E)
     if not r > 0:
         raise InvalidArgumentError("r must be positive")
     if E.size > EXACT_SIZE_CAP:

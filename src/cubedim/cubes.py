@@ -202,26 +202,28 @@ def build_system(space: MetricSpace, params: NetParams, seed: int = 0,
 
 
 def _check_inner_balls(system: CubeSystem) -> PropertyCheck:
-    """B(center, c0 d^k / 3) must lie inside the center's cube, every level."""
+    """B(center, c0 d^k / 3) must lie inside the center's cube, every level:
+    each point of center i's inner ball (``inner_balls``) carries label i. The
+    witness is the deepest failing level's least point in another cube's
+    center's ball, with the least such center."""
     worst = 0.0
     witness = None
-    ok = True
     for k in range(system.max_level + 1):
         centers = system.levels[k].centers
-        if centers.size == 1:  # every point's nearest center, and every label 0
+        if centers.size == 1:  # every label 0
             continue
         inner = system.params.separation(k) / 3.0 * (1.0 - 1e-9)
-        points, idx = system.space.index.nearest_within(centers, inner)
-        bad = np.flatnonzero(idx != system.labels[k][points])
-        if bad.size:
-            ok = False
-            p = int(points[bad[0]])
-            witness = {"level": k, "point": p,
-                       "nearest_center": int(centers[idx[bad[0]]]),
+        owner, members = system.space.index.inner_balls(centers, inner)
+        bad = system.labels[k][members] != owner
+        if bad.any():
+            owner, members = owner[bad], members[bad]
+            first = np.lexsort((owner, members))[0]
+            p = int(members[first])
+            witness = {"level": k, "point": p, "ball_center": int(centers[owner[first]]),
                        "assigned_center": int(centers[system.labels[k][p]])}
-            dist = system.space.pair_distances(centers[idx[bad]], points[bad])
+            dist = system.space.pair_distances(centers[owner], members)
             worst = max(worst, float((dist / inner).max()))
-    return PropertyCheck("iii_inner", ok, worst=worst, witness=witness)
+    return PropertyCheck("iii_inner", witness is None, worst=worst, witness=witness)
 
 
 def _check_outer_balls(system: CubeSystem) -> PropertyCheck:
@@ -274,47 +276,51 @@ def _check_ball_monotone(system: CubeSystem) -> PropertyCheck:
     return PropertyCheck("iv_ball_monotone", witness is None, worst=worst, witness=witness)
 
 
+def _check_nesting(system: CubeSystem) -> PropertyCheck:
+    """Each point's level-k label is the parent of its level-(k+1) label."""
+    if system.max_level == 0:
+        return PropertyCheck("i_nesting", True, applicable=False)
+    for k in range(system.max_level):
+        expect = system.parent_idx[k + 1][system.labels[k + 1]]
+        bad = np.flatnonzero(expect != system.labels[k])
+        if bad.size:
+            return PropertyCheck("i_nesting", False,
+                                 witness={"level_pair": (k, k + 1), "point": int(bad[0])})
+    return PropertyCheck("i_nesting", True)
+
+
+def _check_partition(system: CubeSystem) -> PropertyCheck:
+    """Every label names one of its level's cubes, so each point lies in
+    exactly one, and no cube is empty; the first failing level's witness."""
+    for k in range(system.max_level + 1):
+        labels, n_cubes = system.labels[k], system.levels[k].centers.size
+        if labels.min() < 0 or labels.max() >= n_cubes:
+            point = int(np.flatnonzero((labels < 0) | (labels >= n_cubes))[0])
+            return PropertyCheck("ii_partition", False, witness={"level": k, "point": point})
+        sizes = np.bincount(labels, minlength=n_cubes)
+        if not sizes.all():  # argmin: the first empty cube
+            return PropertyCheck("ii_partition", False,
+                                 witness={"level": k, "empty_cube": int(np.argmin(sizes))})
+    return PropertyCheck("ii_partition", True)
+
+
 def verify_system(system: CubeSystem) -> dict:
     """Exhaustive re-check of all four structural properties.
 
     Recomputes every check from the system's current labels and parents on
-    each call, and also leaves the result on ``system.report.checks``.
+    each call, and also leaves the result on ``system.report.checks``. Where
+    a label names no cube of its level, partition fails and the checks that
+    read cubes through the labels stand failed and not applicable.
     """
-    checks = {}
-
-    # (i) nesting across consecutive level pairs via label/parent consistency
-    if system.max_level == 0:
-        checks["i_nesting"] = PropertyCheck("i_nesting", True, applicable=False)
+    partition = _check_partition(system)
+    if partition.ok or "empty_cube" in partition.witness:
+        nesting, inner, outer = (_check_nesting(system), _check_inner_balls(system),
+                                 _check_outer_balls(system))
     else:
-        ok = True
-        witness = None
-        for k in range(system.max_level):
-            expect = system.parent_idx[k + 1][system.labels[k + 1]]
-            bad = np.flatnonzero(expect != system.labels[k])
-            if bad.size:
-                ok = False
-                witness = {"level_pair": (k, k + 1), "point": int(bad[0])}
-                break
-        checks["i_nesting"] = PropertyCheck("i_nesting", ok, witness=witness)
-
-    # (ii) partition per level: every point labeled, cubes disjoint, union = X
-    ok = True
-    witness = None
-    for k in range(system.max_level + 1):
-        sizes = np.bincount(system.labels[k], minlength=system.levels[k].centers.size)
-        if int(sizes.sum()) != system.space.n:
-            ok = False
-            witness = {"level": k}
-            break
-        if np.any(sizes == 0):
-            ok = False
-            witness = {"level": k, "empty_cube": int(np.flatnonzero(sizes == 0)[0])}
-            break
-    checks["ii_partition"] = PropertyCheck("ii_partition", ok, witness=witness)
-
-    checks["iii_inner"] = _check_inner_balls(system)
-    checks["iii_outer"] = _check_outer_balls(system)
-    checks["iv_ball_monotone"] = _check_ball_monotone(system)
+        nesting, inner, outer = (PropertyCheck(name, False, applicable=False)
+                                 for name in ("i_nesting", "iii_inner", "iii_outer"))
+    checks = {"i_nesting": nesting, "ii_partition": partition, "iii_inner": inner,
+              "iii_outer": outer, "iv_ball_monotone": _check_ball_monotone(system)}
     system.report.checks = checks
     return checks
 
@@ -462,31 +468,28 @@ def _effective_radius(space: MetricSpace, x: int, R: float, members: np.ndarray,
     """min(R, 2 * diam(members)) for the members of B(x, R), x among them: 0.0
     exactly when fewer than two points are distinct, and R with no diameter once
     twice the eccentricity max d(x, q), which the diameter is at least, reaches R.
-    ``row``, the distances from x to every point, spares recomputing them."""
+    ``row``, the distances from x to every point, gives the eccentricity when
+    given, and the index (``run_farthest``) otherwise."""
     if members.size < 2:
         return 0.0
-    if row is None:
-        ecc = space.pair_distances(np.full(members.size, x), members).max()
-    else:
-        ecc = row[members].max()
+    ecc = (row[members].max() if row is not None else
+           space.index.run_farthest(members, np.array([0, members.size]), np.array([x]))[0])
     if 2.0 * ecc >= R:
         return R
     return min(R, 2.0 * space.diameter(members))
 
 
 def circumscribed_cube(family: AdjacentFamily, x: int, R: float,
-                       members: np.ndarray | None = None,
-                       row: np.ndarray | None = None) -> CircumscribedCube:
+                       members: np.ndarray | None = None) -> CircumscribedCube:
     """Minimal-diameter cube across systems containing B(x, R).
 
     The radius is first clamped into the two-sided ball convention
-    (R <= 2 * diam of the members). ``members`` may be passed to avoid
-    recomputing the ball, and ``row``, the distances from x to every point,
-    to spare recomputing the member distances.
+    (R <= 2 * diam of the members). ``members``, the ball's ascending ids,
+    may be passed to avoid recomputing the ball.
     """
     if members is None:
         members = family.space.ball_members(x, R)
-    R_eff = _effective_radius(family.space, x, R, members, row)
+    R_eff = _effective_radius(family.space, x, R, members)
     if R_eff == 0.0:
         raise DegenerateBallError(f"ball B({x}, {R:g}) holds fewer than two distinct points")
     won, level, index, diam = _smallest_cubes(family.systems, members, [0])
@@ -547,12 +550,12 @@ def _counted_below(system: CubeSystem, x: int, R: float, R_eff: float, level: in
 
 
 def local_counts(family: AdjacentFamily, E: np.ndarray, x: int, R: float,
-                 members: np.ndarray, row: np.ndarray | None = None) -> LocalWindow | None:
+                 members: np.ndarray) -> LocalWindow | None:
     """The local window of E in B(x, R), of ascending ids ``members``, with
     its counts alone (``max_diams`` None), or None when E misses the ball.
-    The cube comes from ``circumscribed_cube``, with ``row``, when given, the
-    distances from x to every point; it raises ``DegenerateBallError``."""
-    cc = circumscribed_cube(family, x, R, members, row)
+    The cube comes from ``circumscribed_cube``, which raises
+    ``DegenerateBallError``."""
+    cc = circumscribed_cube(family, x, R, members)
     target = target_in_ball(family.space, E, members)
     if target.size == 0:
         return None

@@ -93,9 +93,7 @@ def _met_diameters(system: CubeSystem, E: np.ndarray) -> list:
 
 def cubic_measure(system: CubeSystem, E, s: float, r: float) -> MeasureValue:
     """min over levels m with 4*C0*delta^m <= r of the |Q|^s sum over cubes meeting E."""
-    E = np.asarray(E, dtype=np.int64)
-    if E.size == 0:
-        raise InvalidArgumentError("E must be non-empty")
+    E = system.space.subset(E)
     if s < 0:
         raise InvalidArgumentError("exponent s must be >= 0")
     p = system.params
@@ -114,7 +112,7 @@ def cubic_measure(system: CubeSystem, E, s: float, r: float) -> MeasureValue:
 
 def h_greedy_sum(space, E, s: float, r: float) -> float:
     """Greedy arbitrary-set comparison value for the Hausdorff pre-measure."""
-    sets = greedy_cover_count(space, E, r, return_sets=True)
+    sets = greedy_cover_count(space, E, r, return_sets=True)  # which checks E
     return float(sum(space.diameter(block) ** s for block in sets))
 
 
@@ -147,14 +145,12 @@ def hausdorff_dim_estimate(system: CubeSystem, E) -> DimensionEstimate:
     log2 of a 16-sample doubling estimate (seed 7). The cubes meeting E are
     found once per level, for every exponent the bisection tries.
     """
-    E = np.asarray(E, dtype=np.int64)
+    E = system.space.subset(E)
     p = system.params
     L = system.max_level
     if L < 3:
         raise InsufficientScalesError(
             f"hausdorff fit needs >= 3 resolvable scales, got {L} (max_level={L})")
-    if E.size == 0:
-        raise InvalidArgumentError("E must be non-empty")
     radii = [4.0 * p.C0 * p.delta ** j for j in range(1, L + 1)]
     log_inv_r = [math.log(1.0 / r) for r in radii]
 
@@ -223,18 +219,15 @@ def box_dim_estimate(family: AdjacentFamily, E, m_window=None) -> DimensionEstim
     the first id of E, whose radius R just exceeds x's farthest distance in
     E, so the ball holds E. At m = 0 the window's one cube holds E.
     """
-    E = np.asarray(E, dtype=np.int64)
-    if E.size == 0:
-        raise InvalidArgumentError("E must be non-empty")
     space = family.space
+    E = space.subset(E)
     diam_E = space.diameter(E)
     if diam_E == 0.0:  # one point, perhaps repeated
         return DimensionEstimate(kind="box", value=0.0, window=[0, 0],
                                  flags=family.flags())
     x = int(E[0])
-    row = space.row(x)
-    R = float(row[E].max()) * (1.0 + 1e-9)
-    window = local_counts(family, E, x, R, space.ball_members(x, R), row)
+    R = float(space.row(x)[E].max()) * (1.0 + 1e-9)
+    window = local_counts(family, E, x, R, space.ball_members(x, R))
 
     m_E = least_admissible_level(family.params.delta, diam_E)
     if m_window is None:
@@ -270,7 +263,7 @@ def sample_points(space, E, budget: int, seed: int) -> np.ndarray:
     Extremal = lexicographic extremes plus the points with the smallest and
     largest nearest-neighbor gap inside E; zoom behavior concentrates there.
     """
-    E = np.asarray(E, dtype=np.int64)
+    E = space.subset(E)
     extremal = [int(E[0]), int(E[-1])]
     if E.size > 2:
         sub = E
@@ -304,7 +297,7 @@ def local_windows(family: AdjacentFamily, E, sample_budget: int = 512,
     set was already seen adds no window; only windows of depth 2 or more are
     counted (``point_windows``).
     """
-    E = np.asarray(E, dtype=np.int64)
+    E = family.space.subset(E)
     if radii is None:
         # a radius just below 1 keeps whole-space windows in every sweep,
         # which pins the small-theta end of the spectrum to the global counts
@@ -393,6 +386,7 @@ def assouad_spectrum_estimate(family: AdjacentFamily, E, theta: float,
     has diameter at most R_eff^(1/theta); admissible sets grow with theta,
     so the estimate is monotone up to fit noise.
     """
+    E = family.space.subset(E)
     if not (0.0 < theta < 1.0):
         raise InvalidArgumentError("theta must be in (0, 1)")
     if windows is None:
@@ -406,6 +400,7 @@ def assouad_spectrum_estimate(family: AdjacentFamily, E, theta: float,
 def assouad_dim_estimate(family: AdjacentFamily, E, sample_budget: int = 512,
                          seed: int = 0, windows=None) -> DimensionEstimate:
     """Same sweep with the zoom constraint relaxed to diameters <= R_eff."""
+    E = family.space.subset(E)
     if windows is None:
         windows = local_windows(family, E, sample_budget, seed)
     return _sweep_max_slope(family, windows, lambda w: w.R_eff,

@@ -15,10 +15,11 @@ share with it, as they share its largest squared distance),
 ``MatrixIndex``. They share one set of methods, so no caller tests the
 metric kind; where one index answers a question in its own way, callers
 ask for that by the method's name (``ball_run``). Each has one range query,
-``balls``, which single balls and ``nearest_within`` read, and one greedy
-cover, ``cover_runs``: the shared ball loop, which the line and the
-ultrametric read as runs of their ranks instead. A block that must grow
-grows by the one rule, ``grow``. Nothing here imports SciPy.
+``balls``, which single balls and the inner-ball check (``inner_balls``)
+read, and one greedy cover, ``cover_runs``: the shared ball loop, which the
+line and the ultrametric read as runs of their ranks instead. A block that
+must grow grows by the one rule, ``grow``. ``MetricSpace.subset`` checks
+every id set handed to the package. Nothing here imports SciPy.
 """
 
 from __future__ import annotations
@@ -141,20 +142,9 @@ class _Index:
         members.sort()
         return members
 
-    def nearest_within(self, centers: np.ndarray, r: float):
-        """(ids, idx): the points in some r-ball of ``centers`` (``balls``),
-        ascending, and the index of each one's nearest center. A point in one
-        ball takes its center, as every other is r or farther; one in several,
-        which separated centers never share, is asked of ``nearest``."""
-        owner, members = self.balls(centers, r)
-        held = np.bincount(members, minlength=self.ids.size)
-        idx = np.empty(self.ids.size, dtype=np.int64)
-        idx[members] = owner
-        ids = np.flatnonzero(held)
-        several = ids[held[ids] > 1]
-        if several.size:
-            idx[several] = self.nearest(several, centers)[0]
-        return ids, idx[ids]
+    def inner_balls(self, centers: np.ndarray, r: float):
+        """``balls``: the pairs (i, q) with d(centers[i], q) < r, for the inner-ball check."""
+        return self.balls(centers, r)
 
     def run_farthest(self, ids: np.ndarray, bounds: np.ndarray,
                      centers: np.ndarray) -> np.ndarray:
@@ -597,12 +587,16 @@ class CoordIndex(_Index):
             self.cells if self._whole(centers) else None)
         return idx, self.descriptor.transform(base_d)
 
-    def nearest_within(self, centers: np.ndarray, r: float):
-        """When every point is a center, in id order, a point's nearest is the
-        lowest id at its place, and no ball is asked."""
-        if self._whole(centers):
-            return self.ids, self.base.lowest_at_place
-        return super().nearest_within(centers, r)
+    def inner_balls(self, centers: np.ndarray, r: float):
+        """``balls``, but where every point is a center, in id order, no ball is
+        asked: center p's is taken to hold p and the lowest id at p's place. That
+        decides the inner-ball check as the balls do unless two points at
+        distinct places lie nearer than r, as the centers of a net never do."""
+        if not self._whole(centers):
+            return self.balls(centers, r)
+        lowest = self.base.lowest_at_place
+        moved = np.flatnonzero(lowest != self.ids)
+        return np.concatenate([self.ids, moved]), np.concatenate([self.ids, lowest[moved]])
 
     def _cells_of(self, ids: np.ndarray) -> kernels.CellIndex:
         """A cell index over the points ``ids``, its row i the point ids[i]: the
@@ -1035,6 +1029,17 @@ class MetricSpace:
         if not (0 <= p < self.n):
             raise InvalidArgumentError(f"unknown point id {p} (n={self.n})")
 
+    def subset(self, ids) -> np.ndarray:
+        """``ids`` as an int64 array, once checked: a 1-D array of integers, at
+        least one, each a point id in 0..n-1. Anything else, a boolean mask
+        among them, raises ``InvalidArgumentError``."""
+        a = np.asarray(ids)
+        if (a.ndim != 1 or a.size == 0 or a.dtype.kind not in "iu"
+                or a.min() < 0 or a.max() >= self.n):
+            raise InvalidArgumentError(f"a subset must be a 1-D array of point ids, at least "
+                                       f"one, each in 0..{self.n - 1}")
+        return a.astype(np.int64, copy=False)
+
     # -- distances ----------------------------------------------------------
 
     def row(self, p) -> np.ndarray:
@@ -1077,9 +1082,7 @@ class MetricSpace:
             if self._diam is None:
                 self._diam = self.diameter(self.ids)
             return self._diam
-        ids = np.asarray(subset, dtype=np.int64)
-        if ids.size == 0:
-            raise InvalidArgumentError("diameter of an empty subset")
+        ids = self.subset(subset)
         if ids.size == 1:
             return 0.0
         if self._diam is not None and ids.size == self.n and np.array_equal(ids, self.ids):
@@ -1263,7 +1266,7 @@ def save_points(space: MetricSpace, path) -> None:
     doc = {"metric": space.descriptor.to_json()}
     kind = space.descriptor.kind
     if kind in ("euclidean", "snowflake"):
-        doc["points"] = [[float(v) for v in row] for row in space.coords]
+        doc["points"] = space.coords.tolist()
     elif kind == "ultrametric":
         doc["points"] = list(space.strings)
     else:

@@ -459,6 +459,37 @@ class TestVerify:
         assert "fails property" in r.stderr
 
 
+    def test_two_centers_in_one_inner_ball_refused(self, run, tmp_path):
+        # a point in a deepest center's inner ball made a deepest center too:
+        # each of the two labels itself on reload, so the ball holds a point of
+        # another cube
+        r = run("gen", "sequence", "--p", "1", "--nmax", "300", "--out", "pts.json",
+                cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run("build", "--points", "pts.json", "--out", "cubes.json", "--levels", "2",
+                cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        family = cubes.load_family(tmp_path / "cubes.json", load_points(tmp_path / "pts.json"))
+        system = family.systems[0]
+        centers = system.levels[-1].centers
+        inner = system.params.separation(system.max_level) / 3.0 * (1.0 - 1e-9)
+        c, q = next((int(c), int(q)) for c in centers
+                    for q in family.space.ball_members(int(c), inner)
+                    if q not in centers and family.space.distance(int(c), int(q)) > 0.0)
+        doc = json.loads((tmp_path / "cubes.json").read_text())
+        sdoc = doc["systems"][0]
+        deepest = sdoc["levels"][-1]["centers"]
+        first = len(sdoc["parents"]) - len(deepest)
+        parent = dict(sdoc["parents"][first:])[c]
+        pos = sum(center < q for center in deepest)
+        deepest.insert(pos, q)
+        sdoc["parents"].insert(first + pos, [q, parent])
+        write_cubes_doc(tmp_path / "tampered.json", doc)
+        r = run("verify", "--points", "pts.json", "--cubes", "tampered.json", cwd=tmp_path)
+        assert r.returncode == 2
+        assert "fails property iii_inner on reload" in r.stderr, r.stderr
+
+
 def _drop_key(doc):
     del doc["C_tilde"]
 

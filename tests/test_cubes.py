@@ -94,6 +94,26 @@ class TestVerifySystem:
         assert not checks["iii_inner"].ok
         assert checks["iii_inner"].witness is not None
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("level, label", [("deepest", "past"), (2, "past"),
+                                              ("deepest", -1)])
+    def test_label_naming_no_cube_fails_partition(self, dim, level, label, params):
+        # the label-reading checks would index with it, so partition decides
+        # it first, and they stand failed and not applicable
+        space = MetricSpace(MetricDescriptor("euclidean"),
+                            coords=np.random.default_rng(4).uniform(size=(300, dim)))
+        system = build_system(space, params, seed=0, max_level=3)
+        k = system.max_level if level == "deepest" else level
+        labels = system.labels[k].copy()
+        labels[17] = system.levels[k].centers.size if label == "past" else label
+        system.labels[k] = labels
+        checks = verify_system(system)
+        assert not checks["ii_partition"].ok
+        assert checks["ii_partition"].witness == {"level": k, "point": 17}
+        for name in ("i_nesting", "iii_inner", "iii_outer"):
+            assert not checks[name].ok and not checks[name].applicable
+        assert checks["iv_ball_monotone"].ok
+
     def test_tampered_parent_fails_ball_monotonicity(self, ultra6, params):
         system = build_system(ultra6, params, seed=0)
         k = 3

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from cubedim import (DegenerateBallError, GeneratorSpec, MetricDescriptor, MetricSpace,
-                     ScaleExhaustedError, generate)
+from cubedim import (DegenerateBallError, GeneratorSpec, InvalidArgumentError,
+                     MetricDescriptor, MetricSpace, ScaleExhaustedError, generate)
+from cubedim.covering import (dyadic_cover_count, exact_cover_count, greedy_cover_count,
+                              sandwich_check)
 from cubedim.cubes import (build_adjacent_family, build_system, circumscribed_cube,
                            target_in_ball)
 from cubedim.dimensions import (assouad_dim_estimate, assouad_spectrum_estimate,
                                 box_dim_estimate, cubic_measure, h_greedy_sum,
-                                hausdorff_dim_estimate, local_windows)
+                                hausdorff_dim_estimate, local_windows, sample_points)
 from cubedim.nets import NetParams
 
 LOG2_16 = math.log(2) / math.log(16)  # 0.25
@@ -245,3 +247,50 @@ def test_estimate_json_round_trip(ultra6_family):
     est = box_dim_estimate(ultra6_family, ultra6_family.space.ids)
     doc = json.loads(json.dumps(est.to_json()))
     assert doc["kind"] == "box" and doc["value"] == pytest.approx(0.25, abs=0.01)
+
+
+ID_SET_CALLS = {
+    "greedy_cover_count": lambda fam, E: greedy_cover_count(fam.space, E, 0.5),
+    "exact_cover_count": lambda fam, E: exact_cover_count(fam.space, E, 0.05),
+    "dyadic_cover_count": lambda fam, E: dyadic_cover_count(fam, E, 3, 0.5, 1),
+    "sandwich_check": lambda fam, E: sandwich_check(fam, E, 3, 0.5, 1),
+    "cubic_measure": lambda fam, E: cubic_measure(fam.systems[0], E, 1.0, 1.0),
+    "h_greedy_sum": lambda fam, E: h_greedy_sum(fam.space, E, 1.0, 0.5),
+    "hausdorff_dim_estimate": lambda fam, E: hausdorff_dim_estimate(fam.systems[0], E),
+    "box_dim_estimate": box_dim_estimate,
+    "local_windows": local_windows,
+    "assouad_spectrum_estimate": lambda fam, E: assouad_spectrum_estimate(fam, E, 0.5),
+    "assouad_dim_estimate": assouad_dim_estimate,
+    "sample_points": lambda fam, E: sample_points(fam.space, E, 8, 0),
+    "diameter": lambda fam, E: fam.space.diameter(E),
+}
+
+
+@pytest.fixture(scope="module")
+def id_set_families():
+    rng = np.random.default_rng(8)
+    spaces = {"line": MetricSpace(MetricDescriptor("euclidean"), coords=rng.uniform(size=10)),
+              "plane": MetricSpace(MetricDescriptor("euclidean"),
+                                   coords=rng.uniform(size=(10, 2))),
+              "ultrametric": MetricSpace(MetricDescriptor("ultrametric", arity=2, base=0.25),
+                                         strings=[format(i, "04b") for i in range(10)]),
+              "matrix": MetricSpace(MetricDescriptor("matrix"),
+                                    matrix=rng.uniform(0.5, 1.0) * (1.0 - np.eye(10)))}
+    return {name: build_adjacent_family(space, NetParams(), K_max=1, query_budget=4,
+                                        seed=0, max_level=2)
+            for name, space in spaces.items()}
+
+
+@pytest.mark.parametrize("kind", ["line", "plane", "ultrametric", "matrix"])
+@pytest.mark.parametrize("call", sorted(ID_SET_CALLS))
+def test_every_id_set_is_checked(id_set_families, kind, call):
+    # an empty set, an id below 0 (which NumPy would wrap to the last point) or
+    # past the last point, a boolean mask (which NumPy would read as ids 0 and
+    # 1) and a fraction are refused, each with the one check's error
+    family = id_set_families[kind]
+    n = family.space.n
+    mask = np.zeros(n, dtype=bool)
+    mask[[3, 7]] = True
+    for E in ([], [-1], [n], [0, -1], [-1, 3], mask, [0.5]):
+        with pytest.raises(InvalidArgumentError, match="subset"):
+            ID_SET_CALLS[call](family, E)

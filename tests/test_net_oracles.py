@@ -30,10 +30,11 @@ a point closer to it than a radius. A brute-force scan of ``pairs`` over
 every such pair is its oracle on all four kinds, with radii on pair
 distances and one ulp either side, repeated points, unsorted and repeated
 centers, every point a center, and rescaled and snowflaked clones. The
-nearest centers within a radius (``nearest_within``) are read off the
-balls; the nearest centers of all points, restricted to those closer than
-the radius, are their oracle, with the tree query at a widened radius in
-two or more dimensions. In an ultrametric the greedy cover's blocks are
+inner-ball check's pairs (``inner_balls``) are the balls, and on
+coordinates the tree's pair query at a widened radius is their oracle too;
+where every point is a center, in id order, each center's ball is taken to
+hold itself and the lowest id at its place, with no look in the cells. In
+an ultrametric the greedy cover's blocks are
 read off prefix runs; the ball-by-ball greedy loop they replaced is their
 oracle, with targets that repeat an id. A
 rescaled or snowflaked clone shares its source's sorted order and answers
@@ -140,19 +141,15 @@ def tree_nearest_coords(query_coords, center_coords):
     return best_idx, np.sqrt(kernels.squared_distances(q, cc[best_idx]))
 
 
-def tree_nearest_within_coords(coords, center_coords, radius):
-    """(point rows, center indices, distances): one pair query between trees over
-    the centers and the points, each point's least squared distance and then
-    lowest center row among the centers within the widened radius."""
+def tree_balls_coords(coords, center_coords, radius):
+    """(center rows, point rows, distances): one pair query between trees over
+    the centers and the points at the widened radius."""
     cc = np.asarray(center_coords, dtype=np.float64)
     pairs = cKDTree(cc).sparse_distance_matrix(cKDTree(coords), radius * (1.0 + TIE_RTOL),
                                                output_type="ndarray")
     centers = pairs["i"].astype(np.int64)
     points = pairs["j"].astype(np.int64)
-    dsq = kernels.squared_distances(coords[points], cc[centers])
-    order = np.lexsort((centers, dsq, points))
-    first = order[np.flatnonzero(np.diff(points[order], prepend=-1))]
-    return points[first], centers[first], np.sqrt(dsq[first])
+    return centers, points, np.sqrt(kernels.squared_distances(coords[points], cc[centers]))
 
 
 def tree_ball(space, x, r):
@@ -489,29 +486,6 @@ class TestUltrametric:
 
     @given(space=ultra_spaces(TINY_BASES), data=st.data())
     @settings(max_examples=EXAMPLES, deadline=None)
-    def test_nearest_within_reads_prefix_runs(self, space, data):
-        # any centers: ids repeated, unsorted, several in one run
-        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
-        replace = data.draw(st.booleans())
-        centers = rng.choice(space.n, size=int(rng.integers(1, space.n + 1 + 2 * replace)),
-                             replace=replace)
-        if data.draw(st.booleans()):
-            centers = np.sort(centers)
-        index = space.index
-        idx, dist = index.nearest(space.ids, centers)
-        want_idx, want_dist = kernels.nearest_center_matrix(old_ultra_matrix(space),
-                                                            space.ids, centers)
-        assert np.array_equal(idx, want_idx) and same_bits(dist, want_dist)
-        values = np.unique(np.concatenate([dist, index.dist]))
-        values = values[values > 0]
-        for r in np.concatenate([values, np.nextafter(values, np.inf),
-                                 np.nextafter(values, 0.0), [values.max() * 2]]):
-            # the nearest centers of all points, restricted to those closer than r
-            ids, got_idx = index.nearest_within(centers, r)
-            assert same_bits(ids, space.ids[dist < r]) and same_bits(got_idx, idx[dist < r])
-
-    @given(space=ultra_spaces(TINY_BASES), data=st.data())
-    @settings(max_examples=EXAMPLES, deadline=None)
     def test_greedy_cover_takes_each_run_whole(self, space, data):
         rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
         E = np.sort(rng.choice(space.n, size=int(rng.integers(1, space.n + 1)), replace=False))
@@ -631,23 +605,31 @@ class TestCoordinates:
 
     @given(space=lattices(), data=st.data())
     @settings(max_examples=EXAMPLES, deadline=None)
-    def test_nearest_within_matches_tree(self, space, data):
+    def test_inner_balls_match_tree(self, space, data):
         # radii in the base metric, which the tree measures: the points' own
-        # Euclidean space answers them; the space itself answers its own radii
+        # Euclidean space answers them. Where every point is a center, in id
+        # order, center p's ball is taken to hold p and the lowest id at its
+        # place, and no cell is looked in
         coords, centers = space.coords, _subset(data, space.n)
-        if data.draw(st.booleans()):  # every point a center
+        if data.draw(st.booleans()):  # every point a center, some repeated
             centers = space.ids
+        whole = np.array_equal(centers, space.ids)
+        _, first, place = np.unique(coords, axis=0, return_index=True, return_inverse=True)
+        lowest = first[place.ravel()]
         plain = MetricSpace(MetricDescriptor("euclidean"), coords=coords)
         base = np.unique(kernels.pairwise_distances(coords))
         for r in _near_values(base, 3, data) + [0.125, 1.0]:
-            got = CoordIndex(plain).nearest_within(centers, r)
-            want = tree_nearest_within_coords(coords, coords[centers], r)
-            close = want[2] < r  # the tree's widened radius lists a few more
-            assert same_bits(got[0], want[0][close]) and same_bits(got[1], want[1][close])
-        idx, dist = space.index.nearest(space.ids, centers)
-        for r in _near_values(np.unique(dist), 3, data) + [space.diameter() + 1.0]:
-            ids, got_idx = CoordIndex(space).nearest_within(centers, r)
-            assert same_bits(ids, space.ids[dist < r]) and same_bits(got_idx, idx[dist < r])
+            got = CoordIndex(plain).inner_balls(centers, r)
+            got = {(int(i), int(p)) for i, p in zip(*got)}
+            owner, points, d = tree_balls_coords(coords, coords[centers], r)
+            # the tree's widened radius lists a few more
+            want = {(int(i), int(p)) for i, p in zip(owner[d < r], points[d < r])}
+            if whole:
+                assert got == {(p, p) for p in range(space.n)} | {
+                    (p, int(lowest[p])) for p in range(space.n)}
+                assert got <= want
+            else:
+                assert got == want
 
     @given(space=lattices(), data=st.data())
     @settings(max_examples=EXAMPLES, deadline=None)
@@ -817,27 +799,6 @@ class TestLine:
         want = [oracle_diameter(dmat, run) for run in np.split(ids, bounds[1:-1])]
         assert space.run_diameters(ids, bounds).tobytes() == np.asarray(want).tobytes()
         assert space.diameter(ids) == oracle_diameter(dmat, ids)
-
-
-    @given(space=lattices(dims=(1,)), data=st.data())
-    @settings(max_examples=EXAMPLES, deadline=None)
-    def test_nearest_within_reads_windows_of_ranks(self, space, data):
-        # any centers: ids repeated, unsorted, some at one coordinate, windows
-        # overlapping at the larger radii
-        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
-        replace = data.draw(st.booleans())
-        centers = rng.choice(space.n, size=int(rng.integers(1, space.n + 1 + 2 * replace)),
-                             replace=replace)
-        if data.draw(st.booleans()):
-            centers = np.sort(centers)
-        index = space.index
-        idx, dist = index.nearest(space.ids, centers)
-        radii = _near_values(np.unique(dist), 6, data)
-        for r in radii + _near_values(np.unique(space.distance_matrix()), 3, data) + [
-                2.0 * space.diameter() + 1.0]:
-            # the nearest centers of all points, restricted to those closer than r
-            ids, got_idx = index.nearest_within(centers, r)
-            assert same_bits(ids, space.ids[dist < r]) and same_bits(got_idx, idx[dist < r])
 
 
     @given(space=lines(), data=st.data())

@@ -2,8 +2,12 @@
 
 ``greedy_cover_count`` takes a near set whole when its diameter is at most
 r, and ``circumscribed_cube`` takes R_eff = R when twice the ball's
-eccentricity reaches R. Ultrametric spaces read nets, nearest centers and
-balls off their sorted strings and never fill an n x n matrix; a matrix
+eccentricity reaches R; on a line and in an ultrametric that eccentricity
+comes from two distances, however many members the ball has. The
+inner-ball check holds each point of a center's inner ball to that center,
+and asks no index for a nearest center, on a damaged system too.
+Ultrametric spaces read nets, nearest centers and balls off their sorted
+strings and never fill an n x n matrix; a matrix
 space transforms its matrix once. Reloading a family queries nearest
 centers once per system, for the points that are no deepest center, and
 not at all on a plane whose every point is one; ``diams_at`` reads a 1-D
@@ -76,6 +80,7 @@ from cubedim.dimensions import (_fit_line, assouad_dim_estimate, hausdorff_dim_e
 from cubedim.metric import save_points
 from cubedim.nets import NetParams
 from conftest import random_graph_matrix
+from test_cube_oracles import with_near_center
 
 
 def _grow_starts(monkeypatch, on_line):
@@ -1111,8 +1116,7 @@ def index_nearest_calls(monkeypatch):
 
 
 def test_plane_and_matrix_inner_checks_ask_no_nearest(graph40, index_nearest_calls):
-    # separated centers share no inner ball, so every point of a ball takes its
-    # center and none is asked of nearest
+    # every point of an inner ball is held to the ball's own center
     plane = MetricSpace(MetricDescriptor("euclidean"),
                         coords=np.random.default_rng(6).uniform(size=(300, 2)))
     for space in (plane, plane.snowflaked(0.5), graph40):
@@ -1124,6 +1128,50 @@ def test_plane_and_matrix_inner_checks_ask_no_nearest(graph40, index_nearest_cal
             check = cubes._check_inner_balls(system)
             assert check.ok and check.worst == 0.0
         assert index_nearest_calls == []
+
+
+@pytest.mark.parametrize("kind", ["line", "plane", "ultrametric", "matrix"])
+def test_inner_ball_check_asks_no_nearest(kind, graph40, ultra6, monkeypatch):
+    # a point in two inner balls, as two centers nearer than the inner radius
+    # make one, fails by its label, with no nearest-center query
+    rng = np.random.default_rng(5)
+    space = {"line": MetricSpace(MetricDescriptor("euclidean"), coords=rng.uniform(size=60)),
+             "plane": MetricSpace(MetricDescriptor("euclidean"),
+                                  coords=rng.uniform(size=(100, 2))),
+             "ultrametric": ultra6, "matrix": graph40}[kind]
+    system = build_system(space, NetParams(), seed=1, max_level=1)
+    tampered = with_near_center(system, rng)
+    calls = []
+    for index in (metric.LineIndex, metric.CoordIndex, metric.PrefixIndex, metric.MatrixIndex):
+        monkeypatch.setattr(index, "nearest", lambda self, *args: calls.append(args))
+    assert cubes._check_inner_balls(system).ok
+    assert not cubes._check_inner_balls(tampered).ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["line", "ultrametric"])
+def test_effective_radius_reads_the_ball_ends(kind, monkeypatch):
+    # a ball of thousands of members: its eccentricity comes from the members
+    # of least and greatest rank, and so does its diameter when R needs one
+    space = {"line": MetricSpace(MetricDescriptor("euclidean"),
+                                 coords=np.random.default_rng(2).uniform(size=5000)),
+             "ultrametric": generate(GeneratorSpec(kind="ultrametric_cantor", arity=2,
+                                                   base=1 / 16, depth=12))}[kind]
+    index_type = type(space.index)
+    pairs = index_type.pairs
+    handed = []
+
+    def counting(self, a, b):
+        handed.append(np.size(a) + np.size(b))
+        return pairs(self, a, b)
+
+    balls = [(R, space.ball_members(7, R)) for R in (0.5, 2.0 * space.diameter())]
+    monkeypatch.setattr(index_type, "pairs", counting)
+    for R, members in balls:
+        assert members.size > 2000
+        handed.clear()
+        cubes._effective_radius(space, 7, R, members)
+        assert 1 <= len(handed) <= 3 and max(handed) == 2, handed
 
 
 def test_plane_level_of_every_point_asks_no_cells(tmp_path, monkeypatch):
