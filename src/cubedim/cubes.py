@@ -30,6 +30,7 @@ MAX_LEVEL_CAP = 12   # default depth cap for resolution-derived levels
 HARD_LEVEL_CAP = 24  # explicit requests beyond this are configuration errors
 NORMALIZED_DIAMETER = 1.0 - 1e-9
 DIAMETER_SLACK = 1.0 + 1e-6
+_BALL_PAIRS = 1 << 14  # (ball, member) pairs of a family build's query balls asked at once
 
 
 @dataclass
@@ -445,10 +446,18 @@ def _split_cube(system: CubeSystem):
 
 def _query_balls(space: MetricSpace, xs: np.ndarray, Rs: np.ndarray):
     """(R_eff, ids, starts) of the balls B(xs[i], Rs[i]), ball i's ids from
-    ``starts[i]``: its members, one ``ball_members`` call each, or on a
-    sorted index its two end ids, from one ``ball_run`` call. Cubes are runs
-    of that order too, so the cubes holding both ends hold the ball, and
-    R_eff = min(R, 2 * their distance) is ``_effective_radius`` bit for bit."""
+    ``starts[i]``, each R_eff ``_effective_radius``'s bit for bit.
+
+    On a sorted index (one with ``ball_run``) a ball keeps its two end ids,
+    from one ``ball_run`` call for all: cubes are runs of that order too, so
+    the cubes holding both ends hold the ball, and R_eff = min(R, 2 * their
+    distance). Elsewhere a ball keeps its members, in the order ``balls``
+    gives them. The queries of one radius are asked of ``balls`` a slice at
+    a time, each slice about _BALL_PAIRS (ball, member) pairs: the first of
+    at most _BALL_PAIRS // n balls, each later one as many balls as that
+    many pairs hold at the mean size of the balls the last slice took. One
+    ``run_farthest`` call gives a slice's eccentricities, and only a ball
+    whose eccentricity is under R / 2 asks for its diameter."""
     index = space.index
     if hasattr(index, "ball_run"):
         lo, hi = index.ball_run(xs, Rs)
@@ -456,11 +465,34 @@ def _query_balls(space: MetricSpace, xs: np.ndarray, Rs: np.ndarray):
         first, last = index.order[lo], index.order[hi - 1]
         return (np.minimum(Rs, 2.0 * index.pairs(first, last)),
                 np.stack([first, last], axis=1).ravel(), np.arange(0, 2 * xs.size, 2))
-    balls = [space.ball_members(x, R) for x, R in zip(xs.tolist(), Rs.tolist())]
-    R_eff = [_effective_radius(space, x, R, members)
-             for x, R, members in zip(xs.tolist(), Rs.tolist(), balls)]
-    sizes = np.array([members.size for members in balls])
-    return np.array(R_eff), np.concatenate(balls), np.cumsum(sizes) - sizes
+    R_eff, sizes = np.empty(xs.size), np.empty(xs.size, dtype=np.int64)
+    # the slices' members wait for their query-order copy in ids: in 32 bits
+    # while ids fit, the two copies take 1.5 times one copy's memory, not twice
+    dtype = np.int32 if space.n <= 2 ** 31 else np.int64
+    taken = []  # (queries, members, bounds) of each slice
+    for R in distinct(Rs).tolist():
+        at = np.flatnonzero(Rs == R)
+        pos, step = 0, max(1, _BALL_PAIRS // space.n)
+        while pos < at.size:
+            sel = at[pos:pos + step]
+            pos += sel.size
+            owner, members = index.balls(xs[sel], R)  # grouped by ascending owner
+            sizes[sel] = counts = np.bincount(owner, minlength=sel.size)
+            bounds = np.concatenate([[0], np.cumsum(counts)])
+            ecc = index.run_farthest(members, bounds, xs[sel])
+            # _effective_radius's rule: 0.0 below two members, R once 2 * ecc reaches R
+            R_eff[sel] = np.where(counts < 2, 0.0, R)
+            for i in np.flatnonzero((counts > 1) & (2.0 * ecc < R)).tolist():
+                ball = np.sort(members[bounds[i]:bounds[i + 1]])  # as ball_members gave it
+                R_eff[sel[i]] = min(R, 2.0 * space.diameter(ball))
+            taken.append((sel, members.astype(dtype), bounds))
+            step = max(1, _BALL_PAIRS * sel.size // members.size)  # each ball holds its x
+    starts = np.cumsum(sizes) - sizes
+    ids = np.empty(int(sizes.sum()), dtype=np.int64)
+    for sel, members, bounds in taken:
+        shift = np.repeat(starts[sel] - bounds[:-1], np.diff(bounds))
+        ids[np.arange(members.size) + shift] = members
+    return R_eff, ids, starts
 
 
 def _effective_radius(space: MetricSpace, x: int, R: float, members: np.ndarray,

@@ -226,7 +226,8 @@ def box_dim_estimate(family: AdjacentFamily, E, m_window=None) -> DimensionEstim
         return DimensionEstimate(kind="box", value=0.0, window=[0, 0],
                                  flags=family.flags())
     x = int(E[0])
-    R = float(space.row(x)[E].max()) * (1.0 + 1e-9)
+    R = float(space.index.run_farthest(E, np.array([0, E.size]),
+                                       np.array([x]))[0]) * (1.0 + 1e-9)
     window = local_counts(family, E, x, R, space.ball_members(x, R))
 
     m_E = least_admissible_level(family.params.delta, diam_E)

@@ -122,7 +122,10 @@ class DoublingEstimate:
 
 class _Index:
     """What the indexes of the metric kinds share. Ids arrive checked,
-    as int64 arrays; a subset handed to ``diameter`` has two ids or more."""
+    as int64 arrays; a subset handed to ``diameter`` has two ids or more.
+    Every index's ``balls(centers, r)`` gives the pairs (i, q) with
+    d(centers[i], q) < r as (owner, members), grouped by ascending owner i:
+    a family build reads each ball's members off its group."""
 
     def __init__(self, space: "MetricSpace"):
         # parts of the space, not the space: it holds this index, and a cycle delays freeing both

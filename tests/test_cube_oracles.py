@@ -91,6 +91,18 @@ ball cache lazily while evaluating its first system. Both old computations
 are kept here as oracles, on spaces with repeated points, so that degenerate
 balls occur.
 
+A family build on a plane or in a matrix space asks each radius' query
+balls of ``balls`` a slice at a time and reads each slice's eccentricities
+from one ``run_farthest`` call, where it asked ``ball_members`` and
+``_effective_radius`` once per query; that loop (``oracle_query_balls``)
+is its oracle, for the R_eff bits and each ball's member set, on planes
+in 2, 3 and 5 dimensions, snowflaked ones, matrix spaces and repeated
+points, at radii on attained distances and with slices of one ball. Every
+index's ``balls`` groups its pairs by ascending owner, as the build reads
+them, held to each center's distance row. The box fit reads the farthest
+distance of E from its first id off ``run_farthest``, where it read that
+id's distance row; the row is its oracle, for the estimate's bytes.
+
 A cubes file is written from the id arrays' text and read with NumPy, with
 ``json`` only for the small rest, where the old writer made one
 ``json.dumps`` of nested lists and the old reader one ``json.load``; both
@@ -1057,7 +1069,9 @@ class TestDecidedByBound:
             return family_to_json(fam), fam.query_log
 
         got = build()
-        with mock.patch.object(cubes, "_effective_radius", oracle_R_eff):
+        # the balls asked one at a time, each R_eff the clamp by the diameter
+        with mock.patch.object(cubes, "_effective_radius", oracle_R_eff), \
+                mock.patch.object(cubes, "_query_balls", oracle_query_balls):
             assert got == build()
 
 
@@ -1240,6 +1254,159 @@ class TestReadOnce:
         want = oracle_family(space, NetParams(), **args)
         assert family_to_json(got) == family_to_json(want)
         assert got.query_log == want.query_log
+
+
+def oracle_query_balls(space, xs, Rs):
+    """The family build's query balls asked one at a time: each ball's
+    ascending members from ``ball_members`` and its R_eff from
+    ``_effective_radius``, as (R_eff, ids, starts)."""
+    balls = [space.ball_members(x, R) for x, R in zip(xs.tolist(), Rs.tolist())]
+    R_eff = [cubes._effective_radius(space, x, R, members)
+             for x, R, members in zip(xs.tolist(), Rs.tolist(), balls)]
+    sizes = np.array([members.size for members in balls])
+    return np.array(R_eff), np.concatenate(balls), np.cumsum(sizes) - sizes
+
+
+def same_query_balls(got, want):
+    """The same R_eff bits, ball sizes and member set per ball."""
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[2], want[2])
+    assert all(np.array_equal(np.sort(a), b)
+               for a, b in zip(np.split(got[1], got[2][1:]), np.split(want[1], want[2][1:])))
+
+
+@st.composite
+def ball_spaces(draw, kind):
+    """A space whose index has no ``ball_run`` (``kind`` "plane", "snowflake"
+    or "matrix") or one whose index has (``kind`` "line" or "ultrametric"):
+    coordinates in 2, 3 or 5 dimensions (in 1 on a line), on a lattice or
+    uniform, perhaps listing a point more than once; or the shortest paths
+    of a random graph."""
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(min_value=2, max_value=80))
+    if kind == "ultrametric":
+        return draw(spaces(kind, repeats=True))
+    if kind == "matrix":
+        return MetricSpace(MetricDescriptor("matrix"), matrix=random_graph_matrix(n, seed))
+    dim = 1 if kind == "line" else draw(st.sampled_from([2, 3, 5]))
+    if draw(st.booleans()):
+        pts = rng.integers(0, 4, size=(n, dim)).astype(np.float64)
+    else:
+        pts = rng.uniform(size=(n, dim))
+    if draw(st.booleans()):
+        pts = pts[rng.integers(n, size=n)]
+    space = MetricSpace(MetricDescriptor("euclidean"), coords=pts)
+    if kind == "snowflake":
+        space = space.snowflaked(draw(st.sampled_from([0.3, 0.5, 0.8])))
+    return space
+
+
+def ball_radii(space, rng):
+    """Distances the space attains, where the strict < of a ball decides,
+    one a relative 1e-12 either side of one, and radii past the diameter,
+    where a ball holds every point and may need its diameter."""
+    a, b = rng.integers(space.n, size=(2, 8))
+    d = np.unique(space.pair_distances(a[a != b], b[a != b]))
+    d = d[d > 0]
+    diam = space.diameter()
+    if diam == 0.0:  # every point at one place
+        return []
+    return [float(v) for v in d] + boundary(d[:1], (-1e-12, 1e-12)) + [
+        1.5 * diam, 2.5 * diam]
+
+
+class TestQueryBalls:
+    @pytest.mark.parametrize("kind", ["plane", "snowflake", "matrix"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_radius_slices_match_one_query_at_a_time(self, kind, data):
+        space = data.draw(ball_spaces(kind))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        radii = ball_radii(space, rng)
+        if not radii:
+            return
+        size = data.draw(st.integers(min_value=1, max_value=60))
+        xs = rng.integers(space.n, size=size)
+        Rs = np.array(radii)[rng.integers(len(radii), size=size)]
+        # a bound of 1 pair makes every ball a slice of its own
+        bound = data.draw(st.sampled_from([1, 7, 64, cubes._BALL_PAIRS]))
+        with mock.patch.object(cubes, "_BALL_PAIRS", bound):
+            got = cubes._query_balls(space, xs, Rs)
+        same_query_balls(got, oracle_query_balls(space, xs, Rs))
+
+    def test_large_radius_groups_take_several_slices(self):
+        # 400 points in the unit cube, 300 queries at two radii: the first slice
+        # of each takes 2**14 // 400 = 40 balls; a ball at 0.05 holds a point
+        # or two, so one more slice takes the rest, and one at 0.8 holds most
+        # of the points, so a slice takes some 50
+        rng = np.random.default_rng(11)
+        space = MetricSpace(MetricDescriptor("euclidean"), coords=rng.uniform(size=(400, 3)))
+        xs = rng.integers(400, size=300)
+        Rs = np.where(rng.random(300) < 0.5, 0.8, 0.05)
+        calls = []
+        balls = metric.CoordIndex.balls
+
+        def counting(self, centers, r):
+            calls.append(r)
+            return balls(self, centers, r)
+
+        with mock.patch.object(metric.CoordIndex, "balls", counting):
+            got = cubes._query_balls(space, xs, Rs)
+        assert calls.count(0.8) > 2 and calls.count(0.05) == 2
+        same_query_balls(got, oracle_query_balls(space, xs, Rs))
+
+    @pytest.mark.parametrize("kind, index", [("line", metric.LineIndex),
+                                             ("plane", metric.CoordIndex),
+                                             ("ultrametric", metric.PrefixIndex),
+                                             ("matrix", metric.MatrixIndex)])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_balls_come_grouped_by_ascending_owner(self, kind, index, data):
+        space = data.draw(ball_spaces(kind))
+        assert type(space.index) is index
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        centers = rng.integers(space.n, size=data.draw(st.integers(min_value=1, max_value=40)))
+        for r in ball_radii(space, rng)[::3]:
+            owner, members = space.index.balls(centers, r)
+            assert np.all(np.diff(owner) >= 0)
+            bounds = np.searchsorted(owner, np.arange(centers.size + 1))
+            for i, c in enumerate(centers.tolist()):
+                assert np.array_equal(np.sort(members[bounds[i]:bounds[i + 1]]),
+                                      np.flatnonzero(space.row(c) < r))
+
+
+def oracle_run_farthest(index, ids, bounds, centers):
+    """Each run's largest distance from its center read off the center's
+    distance row, as the box fit read its radius; 0.0 for an empty run."""
+    return np.array([index.row(c)[ids[a:b]].max() if b > a else 0.0
+                     for c, a, b in zip(centers.tolist(), bounds[:-1].tolist(),
+                                        bounds[1:].tolist())])
+
+
+class TestBoxRadius:
+    @pytest.mark.parametrize("kind", ["line", "plane", "ultrametric", "matrix"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_box_estimate_matches_the_row_radius(self, kind, data):
+        space = data.draw(ball_spaces(kind))
+        fam = build_adjacent_family(space, NetParams(), K_max=2, query_budget=12,
+                                    seed=data.draw(st.integers(min_value=0, max_value=50)),
+                                    max_level=data.draw(st.integers(min_value=1, max_value=4)))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        E = fam.space.ids if data.draw(st.booleans()) else np.sort(
+            rng.choice(space.n, size=int(rng.integers(1, space.n + 1)), replace=False))
+
+        def estimate():
+            try:
+                return estimate_bytes(box_dim_estimate(fam, E))
+            except InsufficientScalesError as exc:
+                return str(exc)
+
+        got = estimate()
+        event("fitted" if got.startswith("{") else "refused")
+        with mock.patch.object(type(fam.space.index), "run_farthest", oracle_run_farthest):
+            assert estimate() == got
 
 
 def oracle_row_greedy(space, E, r, return_sets=False):

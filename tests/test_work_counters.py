@@ -32,9 +32,11 @@ cube of at most 128 points with the others of its size, and only a larger
 cube takes a ``diameter`` call. On a line and in an ultrametric, a family's build
 keeps each certificate query's ball as its two end ids, from one
 ``ball_run`` call for all queries, and asks for no ``ball_members``; a
-plane's build asks one per query. A
-sweep takes ``np.polyfit`` only for the windows whose slopes tie with the
-greatest, once per distinct fit input. On a plane,
+plane's or a matrix space's build asks none either, and takes the balls of
+each radius from ``balls`` in slices of about ``_BALL_PAIRS`` pairs. The
+box fit reads its ball's radius off one ``run_farthest`` call, with no
+row. A sweep takes ``np.polyfit`` only for the windows whose slopes tie
+with the greatest, once per distinct fit input. On a plane,
 the rows whose squared distances a build, a reload and a window table take
 grow at most 2.5x as the points double. In an ultrametric, a reload's
 inner-ball check and a greedy cover read prefix runs, with no nearest-center
@@ -75,8 +77,9 @@ from cubedim.covering import greedy_cover_count
 from cubedim.cubes import (CubeSystem, build_adjacent_family, build_system,
                            circumscribed_cube, load_family, r_grid, save_family,
                            verify_system)
-from cubedim.dimensions import (_fit_line, assouad_dim_estimate, hausdorff_dim_estimate,
-                                local_windows, sample_points)
+from cubedim.dimensions import (_fit_line, assouad_dim_estimate, box_dim_estimate,
+                                hausdorff_dim_estimate, local_windows, sample_points)
+from cubedim.errors import InsufficientScalesError
 from cubedim.metric import save_points
 from cubedim.nets import NetParams
 from conftest import random_graph_matrix
@@ -187,6 +190,23 @@ def test_covers_and_doubling_read_no_row(ultra6, graph40, row_calls):
     assert row_calls == []
 
 
+def test_box_fit_reads_no_row(line_family, cantor10_family, ultra6_family, graph40, row_calls):
+    # the box ball's radius is E's farthest distance from its first id, one
+    # run_farthest call, where it read that id's whole distance row
+    plane = MetricSpace(MetricDescriptor("euclidean"),
+                        coords=np.random.default_rng(4).uniform(size=(200, 2)))
+    families = [line_family, cantor10_family, ultra6_family,
+                *(build_adjacent_family(space, NetParams(), K_max=2, query_budget=50, seed=3,
+                                        max_level=3) for space in (plane, graph40))]
+    for family in families:
+        E = family.space.ids[1::2]
+        try:
+            box_dim_estimate(family, E)
+        except InsufficientScalesError:
+            pass
+    assert row_calls == []
+
+
 @pytest.fixture
 def sweep_work(monkeypatch, row_calls):
     """Rows, member digests, ball queries, window tables and the systems whose
@@ -273,15 +293,66 @@ def test_sweep_fits_only_the_windows_that_can_hold_the_maximum(request, fixture,
 @pytest.mark.parametrize("fixture", ["line", "ultra6"])
 def test_line_and_ultrametric_builds_ask_no_ball(request, fixture, sweep_work):
     # each certificate query keeps its ball's two end ids, from the index's
-    # ball_run, where it kept the ball's members; a plane still asks for them
+    # ball_run, where it kept the ball's members; a plane and a matrix space
+    # take theirs from balls by radius slices, and ask no ball_members either
     family = build_adjacent_family(request.getfixturevalue(fixture), NetParams(), K_max=3,
                                    query_budget=50, target_ratio=1.0, seed=3)
     assert family.K == 3 and not all(q["degenerate"] for q in family.query_log)
     assert sweep_work["balls"] == 0
     plane = MetricSpace(MetricDescriptor("euclidean"),
                         coords=np.random.default_rng(4).uniform(size=(200, 2)))
-    build_adjacent_family(plane, NetParams(), K_max=1, query_budget=50, seed=3, max_level=3)
-    assert sweep_work["balls"] == 50
+    for space in (plane, request.getfixturevalue("graph40")):
+        build_adjacent_family(space, NetParams(), K_max=1, query_budget=50, seed=3,
+                              max_level=3)
+    assert sweep_work["balls"] == 0
+
+
+@pytest.mark.parametrize("budget, slice_pairs", [(50, None), (400, 1 << 8)])
+def test_plane_and_matrix_builds_ask_balls_by_radius_slices(graph40, budget, slice_pairs,
+                                                            monkeypatch):
+    # the certificate balls of one radius come from balls a slice at a time,
+    # each slice about _BALL_PAIRS (ball, member) pairs once its first has
+    # given the balls' mean size; 50 queries fit one slice per radius, and
+    # 400 take several at a bound of 256 pairs
+    plane = MetricSpace(MetricDescriptor("euclidean"),
+                        coords=np.random.default_rng(4).uniform(size=(200, 2)))
+    calls, asking = [], []
+    query_balls = cubes._query_balls
+
+    def tracked(space, xs, Rs):
+        asking.append(True)
+        try:
+            return query_balls(space, xs, Rs)
+        finally:
+            asking.pop()
+
+    monkeypatch.setattr(cubes, "_query_balls", tracked)
+    slice_pairs = slice_pairs or cubes._BALL_PAIRS
+    monkeypatch.setattr(cubes, "_BALL_PAIRS", slice_pairs)
+    for cls in (metric.CoordIndex, metric.MatrixIndex):
+        def counting(self, centers, r, balls=cls.balls):
+            owner, members = balls(self, centers, r)
+            if asking:
+                calls.append((r, centers.size, members.size))
+            return owner, members
+
+        monkeypatch.setattr(cls, "balls", counting)
+    for space in (plane, graph40):
+        calls.clear()
+        family = build_adjacent_family(space, NetParams(), K_max=1, query_budget=budget,
+                                       seed=3, max_level=3)
+        radii = [q["R"] for q in family.query_log]
+        assert sum(n for _, n, _ in calls) == budget
+        per_radius = {R: [c for c in calls if c[0] == R] for R in set(radii)}
+        if budget == 50:
+            assert len(calls) == len(per_radius)
+        else:
+            assert any(len(slices) > 1 for slices in per_radius.values())
+        for slices in per_radius.values():
+            # after the first, a slice of two balls or more holds at most about
+            # slice_pairs pairs, and a radius takes few slices
+            assert all(n == 1 or pairs <= 2 * slice_pairs for _, n, pairs in slices[1:])
+            assert len(slices) <= 2 + 2 * sum(p for _, _, p in slices) // slice_pairs
 
 
 @pytest.mark.parametrize("fixture", ["line", "ultra6"])
