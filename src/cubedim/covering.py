@@ -52,8 +52,8 @@ def _dyadic_cover(family: AdjacentFamily, E, x: int, R: float, m: int):
     that is the cube itself, of count 1. A ball that E misses, and an m past
     the system's deepest level, raise before anything is counted."""
     E = family.space.subset(E)
-    if m < 0:
-        raise InvalidArgumentError("m must be >= 0")
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
+        raise InvalidArgumentError(f"m must be an integer >= 0, got {m!r}")
     members = family.space.ball_members(x, R)
     cc = circumscribed_cube(family, x, R, members)
     target = target_in_ball(family.space, E, members)

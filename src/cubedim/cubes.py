@@ -111,12 +111,11 @@ class CubeSystem:
     def diams_at(self, k) -> np.ndarray:
         """Cube diameters at level k, indexed like the level's center list.
 
-        One pass over the level's cubes; an empty cube has diameter 0. The
-        root cube is the space, whose diameter the space keeps.
+        One ``run_diameters`` pass over the level's cubes, the root's included;
+        an empty cube has diameter 0.
         """
         if k not in self._diams:
-            self._diams[k] = (np.array([self.space.diameter()]) if k == 0
-                              else self.space.run_diameters(*self._grouped(k)))
+            self._diams[k] = self.space.run_diameters(*self._grouped(k))
         return self._diams[k]
 
     def dfs_sorted(self, ids) -> np.ndarray:
@@ -456,8 +455,8 @@ def _query_balls(space: MetricSpace, xs: np.ndarray, Rs: np.ndarray):
     a time, each slice about _BALL_PAIRS (ball, member) pairs: the first of
     at most _BALL_PAIRS // n balls, each later one as many balls as that
     many pairs hold at the mean size of the balls the last slice took. One
-    ``run_farthest`` call gives a slice's eccentricities, and only a ball
-    whose eccentricity is under R / 2 asks for its diameter."""
+    ``run_farthest`` call gives a slice's eccentricities, and only a ball whose
+    eccentricity is under R / 2 asks the index for its members' diameter."""
     index = space.index
     if hasattr(index, "ball_run"):
         lo, hi = index.ball_run(xs, Rs)
@@ -483,8 +482,7 @@ def _query_balls(space: MetricSpace, xs: np.ndarray, Rs: np.ndarray):
             # _effective_radius's rule: 0.0 below two members, R once 2 * ecc reaches R
             R_eff[sel] = np.where(counts < 2, 0.0, R)
             for i in np.flatnonzero((counts > 1) & (2.0 * ecc < R)).tolist():
-                ball = np.sort(members[bounds[i]:bounds[i + 1]])  # as ball_members gave it
-                R_eff[sel[i]] = min(R, 2.0 * space.diameter(ball))
+                R_eff[sel[i]] = min(R, 2.0 * index.diameter(members[bounds[i]:bounds[i + 1]]))
             taken.append((sel, members.astype(dtype), bounds))
             step = max(1, _BALL_PAIRS * sel.size // members.size)  # each ball holds its x
     starts = np.cumsum(sizes) - sizes

@@ -94,8 +94,8 @@ def _met_diameters(system: CubeSystem, E: np.ndarray) -> list:
 def cubic_measure(system: CubeSystem, E, s: float, r: float) -> MeasureValue:
     """min over levels m with 4*C0*delta^m <= r of the |Q|^s sum over cubes meeting E."""
     E = system.space.subset(E)
-    if s < 0:
-        raise InvalidArgumentError("exponent s must be >= 0")
+    if not (s >= 0 and r > 0):
+        raise InvalidArgumentError(f"cubic_measure needs s >= 0 and r > 0, got s={s!r}, r={r!r}")
     p = system.params
     admissible = [m for m in range(system.max_level + 1)
                   if 4.0 * p.C0 * p.delta ** m <= r * (1 + 1e-12)]
@@ -265,6 +265,8 @@ def sample_points(space, E, budget: int, seed: int) -> np.ndarray:
     largest nearest-neighbor gap inside E; zoom behavior concentrates there.
     """
     E = space.subset(E)
+    if not budget >= 1:
+        raise InvalidArgumentError(f"sample budget must be >= 1, got {budget!r}")
     extremal = [int(E[0]), int(E[-1])]
     if E.size > 2:
         sub = E

@@ -36,6 +36,8 @@ class GeneratorSpec:
             raise InvalidArgumentError("grid resolution must be finite and positive")
         if self.ambient_dim < 1:
             raise InvalidArgumentError("grid dimension must be >= 1")
+        if not 2 <= self.arity <= 36:  # one symbol per base-36 digit
+            raise InvalidArgumentError("ultrametric arity must be in 2..36")
         if self.maps and {len(m) for m in self.maps} not in ({2}, {3}):
             raise InvalidArgumentError("ifs maps must all be (ratio, offset) "
                                        "or all (ratio, ox, oy)")

@@ -137,7 +137,12 @@ class _Index:
 
     def _whole(self, ids: np.ndarray) -> bool:
         """Whether ``ids`` lists every point, in order."""
-        return ids.size == self.ids.size and np.array_equal(ids, self.ids)
+        return ids is self.ids or (ids.size == self.ids.size and np.array_equal(ids, self.ids))
+
+    @cached_property
+    def least_gap(self) -> float:
+        """``min_gap``: the least distance between distinct points, inf with none."""
+        return self.min_gap()
 
     def ball(self, x, r) -> np.ndarray:
         """Ids q with d(x, q) < r, ascending: the members of ``balls([x], r)``."""
@@ -227,6 +232,9 @@ class _SortedIndex(_Index):
     """
 
     def diameter(self, ids: np.ndarray) -> float:
+        """The distance between the least and greatest rank; the ends of ``order`` for all ids."""
+        if self._whole(ids):
+            return float(self.pairs(self.order[:1], self.order[-1:])[0])
         return float(self.run_diameters(ids, np.array([0, ids.size]))[0])
 
     def _run_ends(self, ids: np.ndarray, bounds: np.ndarray):
@@ -972,8 +980,6 @@ class MetricSpace:
         self.strings = None
         self._matrix = None
         self._base = None
-        self._diam = None
-        self._min_gap = None
 
         kind = descriptor.kind
         if kind in ("euclidean", "snowflake"):
@@ -1029,8 +1035,8 @@ class MetricSpace:
         return self._index_type(self)
 
     def _check_id(self, p):
-        if not (0 <= p < self.n):
-            raise InvalidArgumentError(f"unknown point id {p} (n={self.n})")
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not 0 <= p < self.n:
+            raise InvalidArgumentError(f"unknown point id {p!r} (n={self.n})")
 
     def subset(self, ids) -> np.ndarray:
         """``ids`` as an int64 array, once checked: a 1-D array of integers, at
@@ -1079,18 +1085,10 @@ class MetricSpace:
         return self.index.ball(x, r)
 
     def diameter(self, subset=None) -> float:
-        """Max pairwise distance over the subset (whole space by default); the
-        whole space's is computed once and kept."""
-        if subset is None:
-            if self._diam is None:
-                self._diam = self.diameter(self.ids)
-            return self._diam
-        ids = self.subset(subset)
-        if ids.size == 1:
-            return 0.0
-        if self._diam is not None and ids.size == self.n and np.array_equal(ids, self.ids):
-            return self._diam
-        return self.index.diameter(ids)
+        """Max pairwise distance over the subset (whole space by default), asked of
+        the index, which keeps the whole space's or reads it in O(1)."""
+        ids = self.ids if subset is None else self.subset(subset)
+        return 0.0 if ids.size == 1 else self.index.diameter(ids)
 
     def run_diameters(self, ids, bounds) -> np.ndarray:
         """Diameter of each run ``ids[bounds[i]:bounds[i + 1]]``, bit for bit that of
@@ -1104,9 +1102,7 @@ class MetricSpace:
         Repeated points are not distinct. The result is 0.0 only when the
         least gap underflows.
         """
-        if self._min_gap is None:
-            self._min_gap = float("inf") if self.n == 1 else self.index.min_gap()
-        return self._min_gap
+        return self.index.least_gap
 
     # -- derived spaces -------------------------------------------------------
 
@@ -1136,10 +1132,9 @@ class MetricSpace:
     def _clone(self, desc) -> "MetricSpace":
         # the same checked payload under desc, which keeps the kind's family: a
         # clone shares the base-metric state of its source (``_CoordBase``,
-        # ``_PrefixBase``) and computes its own index and cached distances
+        # ``_PrefixBase``) and builds its own index
         clone = copy.copy(self)
         clone.descriptor = desc
-        clone._diam = clone._min_gap = None
         clone.__dict__.pop("index", None)
         return clone
 

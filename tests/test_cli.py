@@ -53,6 +53,8 @@ class TestGen:
         pytest.param(("grid", "--dim", "0"), id="grid-dim-0"),
         pytest.param(("grid", "--dim", "2", "--res", "nan"), id="grid-res-nan"),
         pytest.param(("ultrametric_cantor", "--depth", "-1"), id="ultrametric-depth-neg"),
+        pytest.param(("ultrametric_cantor", "--arity", "37", "--depth", "2"),
+                     id="ultrametric-arity-37"),
         pytest.param(("ifs", "--maps", "[[0.5,0.1],[0.5,0.2,0.3]]"), id="ifs-mixed-maps"),
         pytest.param(("cantor", "--depth", "-2"), id="cantor-depth-neg"),
         pytest.param(("ifs", "--maps", "[[0.5]]"), id="ifs-map-without-offset"),

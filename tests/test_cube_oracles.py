@@ -84,6 +84,15 @@ The greedy cover reads its near sets as closed balls of the index, and the
 doubling estimate counts each sample as a greedy net of the index; the
 row-based computations they replaced are kept here as their oracles.
 
+The whole space's diameter and least gap are kept by its index alone, and
+``diams_at`` reads the root cube through ``run_diameters`` like every level;
+every pair's largest and least distance (``oracle_whole_values``) is their
+oracle, on coordinates in 1 to 6 dimensions (repeated points, points 1e8
+from the origin), strings, matrix spaces, one point, and the rescaled and
+snowflaked clones of each. A family build asks the index for an undecided
+ball's diameter over its members in the order ``balls`` gives them, so the
+diameter of a shuffled id set must be that of the sorted one.
+
 A Hausdorff fit reads every radius off one table of level sums per exponent,
 where the old fit recomputed all level sums for each radius; and a family
 build decides each query ball once, up front, where the old build filled a
@@ -1948,6 +1957,108 @@ class TestGroupedDiameters:
         ids, bounds = sized_runs(np.random.default_rng(seed), n)
         assert same_bits(space.run_diameters(ids, bounds),
                          oracle_run_diameters(space, ids, bounds))
+
+
+def oracle_whole_values(space):
+    """(diameter, least gap) of the whole space over every pair's distance, as
+    the space kept them: the largest distance, 0.0 below two points, and the
+    least between distinct points, inf with none. Points are distinct when
+    their coordinates or strings differ; a matrix space's ids all are."""
+    if space.n == 1:
+        return 0.0, float("inf")
+    a, b = np.triu_indices(space.n, 1)
+    d = space.pair_distances(a, b)
+    if space.coords is not None:
+        distinct = np.any(space.coords[a] != space.coords[b], axis=1)
+    elif space.strings is not None:
+        strings = np.array(space.strings)
+        distinct = strings[a] != strings[b]
+    else:
+        distinct = np.ones(a.size, dtype=bool)
+    return float(d.max()), float(d[distinct].min()) if distinct.any() else float("inf")
+
+
+def root_system(space):
+    """A system of one level over ``space``: the root cube, as every system's level 0."""
+    params = NetParams()
+    return CubeSystem(0, space, params, 0, [NetLevel(0, np.array([0]), params, 0)],
+                      [np.zeros(space.n, dtype=np.int64)], [np.array([-1])], BuildReport())
+
+
+def same_float(got, want):
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@st.composite
+def whole_spaces(draw):
+    """A space of every kind, of 1 to 300 points: coordinates in 1 to 5
+    dimensions, uniform or on a lattice of spacing 1/8 with repeated points and
+    coordinates an ulp up, either of them moved 1e8 from the origin; the sets
+    of ``hull_sets``; strings with repeats; or a random matrix space."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    n = draw(st.sampled_from([1, 2, 3]) | st.integers(min_value=4, max_value=300))
+    kind = draw(st.sampled_from(["coordinates", "far", "hull", "ultrametric", "matrix"]))
+    if kind == "hull":
+        return draw(hull_sets())
+    if kind == "ultrametric":
+        arity = draw(st.integers(min_value=2, max_value=3))
+        words = rng.integers(0, arity, size=(n, draw(st.integers(min_value=1, max_value=8))))
+        desc = MetricDescriptor("ultrametric", arity=arity,
+                                base=draw(st.sampled_from([1 / 16, 0.25, 0.5])))
+        return MetricSpace(desc, strings=["".join(map(str, w)) for w in words])
+    if kind == "matrix":
+        return MetricSpace(MetricDescriptor("matrix"),
+                           matrix=random_graph_matrix(min(n, 200), int(rng.integers(2 ** 32))))
+    dim = draw(st.integers(min_value=1, max_value=5))
+    if draw(st.booleans()):
+        pts = rng.uniform(size=(n, dim))
+    else:
+        pts = rng.integers(0, 6, size=(n, dim)) / 8.0
+        bump = (rng.random(pts.shape) < 0.3) & (pts > 0)
+        pts[bump] = np.nextafter(pts[bump], np.inf)
+    if kind == "far":
+        pts += 1e8
+    return MetricSpace(MetricDescriptor("euclidean"), coords=pts)
+
+
+class TestWholeSpaceValues:
+    """The whole space's diameter and least gap are its index's alone: a
+    coordinate space's farthest pair is kept by the base its clones share, a
+    matrix index keeps its matrix's largest entry, a line or an ultrametric
+    reads the two ends of its order, and the least gap is each index's
+    ``least_gap``. ``space.diameter()``, the root cube's ``diams_at(0)``, and
+    ``min_positive_distance()`` must be every pair's largest and least
+    distance (``oracle_whole_values``), bit for bit, on the space and on
+    clones made after its values were read; ``index.diameter`` of an id set
+    must not depend on the order of the ids."""
+
+    @given(space=whole_spaces(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_match_every_pair_on_the_space_and_its_clones(self, space, data):
+        epsilon = data.draw(st.sampled_from([0.5, 0.8]))
+        scale = data.draw(st.sampled_from([0.37, 3.0, 1e-3]))
+        for step in ("raw", "rescaled", "snowflaked", "rescaled"):
+            if step == "rescaled":
+                space = space.rescaled(scale)
+            elif step == "snowflaked":
+                space = space.snowflaked(epsilon)
+            diam, gap = oracle_whole_values(space)
+            assert same_float(space.diameter(), diam)
+            assert same_float(root_system(space).diams_at(0)[0], diam)
+            assert same_float(space.min_positive_distance(), gap)
+            assert same_float(space.diameter(space.ids.copy()), diam)
+
+    @given(space=whole_spaces(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_index_diameter_ignores_the_order_of_ids(self, space, data):
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        subset = np.sort(rng.choice(space.n, size=int(rng.integers(1, space.n + 1)),
+                                    replace=False))
+        for ids in (space.ids, space.ids.copy(), subset):
+            if ids.size > 1:
+                want = space.index.diameter(ids)
+                assert same_float(space.index.diameter(rng.permutation(ids)), want)
+                assert same_float(space.diameter(rng.permutation(ids)), want)
 
 
 class TestLevelPasses:

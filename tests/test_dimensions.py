@@ -48,6 +48,13 @@ class TestCubicMeasure:
         with pytest.raises(ScaleExhaustedError):
             cubic_measure(ultra6_system, [0], 0.5, 1e-12)
 
+    @pytest.mark.parametrize("s, r", [(np.nan, 0.5), (-1.0, 0.5), (0.5, np.nan), (0.5, 0.0),
+                                      (0.5, -0.2)])
+    def test_nan_or_out_of_range_s_and_r_rejected(self, ultra6_system, s, r):
+        # a NaN s gave a NaN value with no flag, and a NaN r ran out of levels
+        with pytest.raises(InvalidArgumentError, match="s >= 0 and r > 0"):
+            cubic_measure(ultra6_system, ultra6_system.space.ids, s, r)
+
 
 class TestHausdorff:
     def test_ultrametric_quarter(self, ultra6_family):
@@ -266,6 +273,17 @@ ID_SET_CALLS = {
 }
 
 
+POINT_ID_CALLS = {
+    "row": lambda fam, x: fam.space.row(x),
+    "distance": lambda fam, x: fam.space.distance(x, 0),
+    "distance_second": lambda fam, x: fam.space.distance(0, x),
+    "ball_members": lambda fam, x: fam.space.ball_members(x, 0.5),
+    "circumscribed_cube": lambda fam, x: circumscribed_cube(fam, x, 0.5),
+    "dyadic_cover_count": lambda fam, x: dyadic_cover_count(fam, fam.space.ids, x, 0.5, 1),
+    "sandwich_check": lambda fam, x: sandwich_check(fam, fam.space.ids, x, 0.5, 1),
+}
+
+
 @pytest.fixture(scope="module")
 def id_set_families():
     rng = np.random.default_rng(8)
@@ -294,3 +312,40 @@ def test_every_id_set_is_checked(id_set_families, kind, call):
     for E in ([], [-1], [n], [0, -1], [-1, 3], mask, [0.5]):
         with pytest.raises(InvalidArgumentError, match="subset"):
             ID_SET_CALLS[call](family, E)
+
+
+@pytest.mark.parametrize("kind", ["line", "plane", "ultrametric", "matrix"])
+@pytest.mark.parametrize("call", sorted(POINT_ID_CALLS))
+def test_every_point_id_is_checked(id_set_families, kind, call):
+    # a fraction (which NumPy would refuse as an index, or take whole), a float,
+    # a bool (which would be point 0 or 1) and an id out of range are refused,
+    # each with the id check's error
+    family = id_set_families[kind]
+    for x in (1.5, 2.0, np.float64(2.0), True, np.True_, -1, family.space.n):
+        with pytest.raises(InvalidArgumentError, match="unknown point id"):
+            POINT_ID_CALLS[call](family, x)
+
+
+@pytest.mark.parametrize("call", [dyadic_cover_count, sandwich_check])
+@pytest.mark.parametrize("m", [1.5, np.nan, 2.0, True, -1])
+def test_m_must_be_an_integer_at_least_0(ultra6_family, call, m):
+    with pytest.raises(InvalidArgumentError, match="m must be an integer >= 0"):
+        call(ultra6_family, ultra6_family.space.ids, 0, 0.5, m)
+
+
+SAMPLED_CALLS = {
+    "sample_points": lambda fam, budget: sample_points(fam.space, fam.space.ids, budget, 0),
+    "local_windows": lambda fam, budget: local_windows(fam, fam.space.ids, budget),
+    "assouad_spectrum_estimate": lambda fam, budget: assouad_spectrum_estimate(
+        fam, fam.space.ids, 0.5, sample_budget=budget),
+    "assouad_dim_estimate": lambda fam, budget: assouad_dim_estimate(
+        fam, fam.space.ids, sample_budget=budget),
+}
+
+
+@pytest.mark.parametrize("call", sorted(SAMPLED_CALLS))
+@pytest.mark.parametrize("budget", [0, -3, np.nan])
+def test_sample_budget_below_1_rejected(id_set_families, call, budget):
+    # a budget of 0 would sample the extremal points alone, and -3 fail in NumPy
+    with pytest.raises(InvalidArgumentError, match="sample budget must be >= 1"):
+        SAMPLED_CALLS[call](id_set_families["plane"], budget)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cubedim import GeneratorSpec, SizeCapError, generate, snowflake_wrap
+from cubedim import GeneratorSpec, InvalidArgumentError, SizeCapError, generate, snowflake_wrap
 
 
 def test_cantor_depth2_exact():
@@ -36,6 +36,19 @@ def test_ultrametric_counts_and_distances():
     assert sp.n == 8
     dists = {round(sp.distance(i, j), 10) for i in range(8) for j in range(i + 1, 8)}
     assert dists == {1.0, 1 / 16, 1 / 256}
+
+
+@pytest.mark.parametrize("arity", [0, 1, 37, 100])
+def test_arity_outside_the_base_36_digits_rejected(arity):
+    # 37 would write strings over the 36 digits and label the space arity 37
+    with pytest.raises(InvalidArgumentError, match="arity"):
+        GeneratorSpec(kind="ultrametric_cantor", arity=arity, depth=2)
+
+
+def test_arity_36_takes_every_digit():
+    space = generate(GeneratorSpec(kind="ultrametric_cantor", arity=36, depth=2))
+    assert space.n == 36 ** 2 and space.descriptor.arity == 36
+    assert len(set("".join(space.strings))) == 36
 
 
 def test_ifs_orbit_matches_cantor():

@@ -21,7 +21,10 @@ class defined in the package must be named somewhere in the package outside
 its own definition, by a bare name, an attribute or an import; the
 package's public names (``cubedim.__all__``) and the functions that
 ``perfbench``'s tracer wraps (its ``TRACED``) are exempt, and so are the
-dunder methods that Python itself calls.
+dunder methods that Python itself calls. No method of ``MetricSpace`` but
+``__init__`` sets an attribute of the space: the one thing a space keeps is
+its ``index``, which ``cached_property`` sets, and the index keeps the
+whole space's diameter and least gap.
 """
 
 import ast
@@ -281,3 +284,59 @@ def test_the_check_sees_an_unnamed_definition(tmp_path):
     assert unnamed([source]) == [("probe.py", 3, "dead"), ("probe.py", 10, "unread"),
                                  ("probe.py", 12, "read")]
     assert unnamed([source], {"dead", "unread"}) == [("probe.py", 12, "read")]
+
+
+def self_stores(path, cls):
+    """(line, method, attribute) of each attribute of the instance that a method
+    of class ``cls`` in ``path``, other than ``__init__``, assigns or deletes,
+    directly, by ``setattr`` or ``delattr``, or through ``__dict__``; the
+    attribute is None where it is not a string literal."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and node.name == cls):
+            continue
+        for method in node.body:
+            if (not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or method.name == "__init__" or not method.args.args):
+                continue
+            me = method.args.args[0].arg
+
+            def mine(expr):
+                return isinstance(expr, ast.Name) and expr.id == me
+
+            for sub in ast.walk(method):
+                stored = isinstance(getattr(sub, "ctx", None), (ast.Store, ast.Del))
+                if stored and isinstance(sub, ast.Attribute) and mine(sub.value):
+                    found.append((sub.lineno, method.name, sub.attr))
+                elif (stored and isinstance(sub, ast.Subscript)
+                      and isinstance(sub.value, ast.Attribute) and mine(sub.value.value)
+                      and sub.value.attr == "__dict__"):
+                    key = sub.slice
+                    found.append((sub.lineno, method.name,
+                                  key.value if isinstance(key, ast.Constant) else None))
+                elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                      and sub.func.id in ("setattr", "delattr") and len(sub.args) > 1
+                      and mine(sub.args[0])):
+                    key = sub.args[1]
+                    found.append((sub.lineno, method.name,
+                                  key.value if isinstance(key, ast.Constant) else None))
+    return sorted(found, key=lambda entry: entry[0])
+
+
+def test_the_space_keeps_nothing_but_its_index():
+    assert self_stores(SRC / "metric.py", "MetricSpace") == []
+
+
+def test_the_check_sees_an_attribute_set_on_the_space(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("class MetricSpace:\n    def __init__(self):\n        self.n = 1\n"
+                      "    def diameter(self, subset=None):\n        self._diam = 2\n"
+                      "    def gap(this):\n        this.a, this.b = 1, 2\n"
+                      "        setattr(this, 'c', 3)\n        this.__dict__['d'] = 4\n"
+                      "        del this.e\n        clone = this\n        clone.f = 5\n"
+                      "        return this.g\n"
+                      "class Other:\n    def f(self):\n        self.x = 1\n")
+    assert self_stores(source, "MetricSpace") == [
+        (5, "diameter", "_diam"), (7, "gap", "a"), (7, "gap", "b"), (8, "gap", "c"),
+        (9, "gap", "d"), (10, "gap", "e")]

@@ -11,8 +11,11 @@ strings and never fill an n x n matrix; a matrix
 space transforms its matrix once. Reloading a family queries nearest
 centers once per system, for the points that are no deepest center, and
 not at all on a plane whose every point is one; ``diams_at`` reads a 1-D
-or ultrametric level in one pass with no per-cube ``diameter`` call; the
-root cubes of a family's systems read one cached whole-space diameter. A
+or ultrametric level, the root's too, in one pass with no per-cube
+``diameter`` call. The whole space's diameter is its index's: a coordinate
+space and its clones take one farthest pair, a matrix index reduces its
+matrix once, and a line or an ultrametric reads the two ends of its order,
+with no pass over its ids. A
 Hausdorff fit finds the cubes meeting E once per level, not once per radius
 and exponent, and ``verify`` reads each sandwich check's count off the
 ball's local window, with no count of its own.
@@ -583,9 +586,40 @@ def nearest_center_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def whole_space_work(monkeypatch):
+    """Each kind's passes over every point, one entry per pass: ("pairs", n) for
+    a ``_farthest_pair_sq`` over n points, ("max", index) for a matrix index's
+    ``matrix.max()``, and ("ranks", index) for a sorted index's reduction over
+    the ranks of all its ids (``_run_ends``)."""
+    work = []
+    farthest_pair_sq, run_ends = metric._farthest_pair_sq, metric._SortedIndex._run_ends
+    farthest = metric.MatrixIndex._farthest.func
+
+    def scanning(pts, keys):
+        work.append(("pairs", len(pts)))
+        return farthest_pair_sq(pts, keys)
+
+    def reducing(self):
+        work.append(("max", self))
+        return farthest(self)
+
+    def ranking(self, ids, bounds):
+        if bounds[-1] == self.ids.size:
+            work.append(("ranks", self))
+        return run_ends(self, ids, bounds)
+
+    cached = functools.cached_property(reducing)
+    cached.__set_name__(metric.MatrixIndex, "_farthest")
+    monkeypatch.setattr(metric, "_farthest_pair_sq", scanning)
+    monkeypatch.setattr(metric.MatrixIndex, "_farthest", cached)
+    monkeypatch.setattr(metric._SortedIndex, "_run_ends", ranking)
+    return work
+
+
 @pytest.mark.parametrize("fixture", ["line_family", "ultra6_family"])
-def test_reload_reads_each_level_in_one_pass(request, fixture, tmp_path,
-                                             nearest_center_calls, diameter_calls):
+def test_reload_reads_each_level_in_one_pass(request, fixture, tmp_path, monkeypatch,
+                                             nearest_center_calls, whole_space_work):
     family = request.getfixturevalue(fixture)
     points = request.getfixturevalue(fixture.removesuffix("_family"))
     nearest_center_calls.clear()  # a family built for this test alone queried them too
@@ -595,43 +629,39 @@ def test_reload_reads_each_level_in_one_pass(request, fixture, tmp_path,
     if family.space.descriptor.kind == "euclidean":
         # the labels' query; the inner-ball check pairs centers and points instead
         assert len(nearest_center_calls) == family.K
-    diameter_calls.clear()
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(self, *args):
+            calls.append(name)
+            return fn(self, *args)
+        return wrapped
+
+    for name in ("diameter", "run_diameters"):
+        monkeypatch.setattr(metric._SortedIndex, name,
+                            counting(name, getattr(metric._SortedIndex, name)))
+    whole_space_work.clear()
     for system in loaded.systems:
         for k in range(system.max_level + 1):
             system.diams_at(k)
-    # each root cube reads the space's diameter, computed once over the whole
-    # space; no other cube takes a call
-    computed = [s for s in diameter_calls if s is not None]
-    assert len(diameter_calls) - len(computed) == loaded.K
-    assert len(computed) == 1 and np.array_equal(computed[0], loaded.space.ids)
-
-
-@pytest.fixture
-def whole_space_diameters(monkeypatch):
-    """The spaces of the ``diameter`` and ``run_diameters`` calls, one entry per call,
-    that take a diameter over all of the space's points."""
-    calls = []
-    diameter, run_diameters = MetricSpace.diameter, MetricSpace.run_diameters
-
-    def counting_diameter(self, subset=None):
-        if subset is not None and np.size(subset) == self.n:
-            calls.append(self)
-        return diameter(self, subset)
-
-    def counting_runs(self, ids, bounds):
-        if np.any(np.diff(bounds) == self.n):
-            calls.append(self)
-        return run_diameters(self, ids, bounds)
-
-    monkeypatch.setattr(MetricSpace, "diameter", counting_diameter)
-    monkeypatch.setattr(MetricSpace, "run_diameters", counting_runs)
-    return calls
+    # one pass over the ranks of every id per level, the root's too; no cube
+    # takes a diameter call
+    levels = sum(system.max_level + 1 for system in loaded.systems)
+    assert calls == ["run_diameters"] * levels
+    assert whole_space_work == [("ranks", loaded.space.index)] * levels
+    calls.clear()
+    whole_space_work.clear()
+    # the whole space's diameter reads the two ends of the order, and is the root's
+    assert [loaded.space.diameter() for _ in loaded.systems] == \
+        [system.diams_at(0)[0] for system in loaded.systems]
+    assert calls == ["diameter"] * loaded.K and whole_space_work == []
 
 
 @pytest.mark.parametrize("kind", ["line", "plane", "snowflake", "ultrametric", "matrix"])
 def test_root_cubes_share_one_whole_space_diameter(request, kind, tmp_path,
-                                                   whole_space_diameters):
-    # a family's systems share one normalized space, whose diameter is the root cube's
+                                                   whole_space_work):
+    # a family's systems share one normalized space, whose diameter is the root
+    # cube's; each kind's index takes at most one pass over every point for it
     plane = MetricSpace(MetricDescriptor("euclidean"),
                         coords=np.random.default_rng(6).uniform(size=(200, 2)))
     space = {"plane": plane, "snowflake": plane.snowflaked(0.5)}.get(kind)
@@ -644,10 +674,30 @@ def test_root_cubes_share_one_whole_space_diameter(request, kind, tmp_path,
     path = tmp_path / "cubes.json"
     save_family(family, path)
     loaded = load_family(path, space)
-    whole_space_diameters.clear()
-    for system in loaded.systems:
-        system.diams_at(0)
-    assert whole_space_diameters == [loaded.space]
+    built = list(whole_space_work)
+    whole_space_work.clear()
+    roots = [system.diams_at(0)[0] for system in loaded.systems]
+    levels = list(whole_space_work)
+    whole_space_work.clear()
+    assert [loaded.space.diameter() for _ in loaded.systems] == roots
+    index = loaded.space.index
+    if kind in ("plane", "snowflake"):
+        # the raw space and its normalized clones share one farthest pair,
+        # taken once, before the build
+        assert built.count(("pairs", space.n)) == 1
+        assert levels == whole_space_work == []
+    elif kind == "matrix":
+        # each index reduces its matrix at most once; at 40 points the root is
+        # measured in its level's blocks, and the whole space's diameter keeps
+        # one reduction
+        assert len({id(owner) for what, owner in built if what == "max"}) == \
+            sum(what == "max" for what, _ in built)
+        assert levels == [] and whole_space_work == [("max", index)]
+    else:
+        # no farthest pair: each root is one run of ranks, read in its level's
+        # one pass, and the whole space's diameter reads the order's two ends
+        assert not any(what == "pairs" for what, _ in built)
+        assert levels == [("ranks", index)] * loaded.K and whole_space_work == []
 
 
 @pytest.fixture
