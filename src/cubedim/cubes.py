@@ -140,6 +140,8 @@ def _group_by_label(labels: np.ndarray, n_cubes: int):
     Cube i holds ``order[bounds[i]:bounds[i + 1]]``; the stable sort keeps
     those ids ascending.
     """
+    if n_cubes == 1:  # the root: what the sort gives, without it
+        return np.arange(labels.size), np.array([0, labels.size])
     order = np.argsort(labels, kind="stable")
     return order, np.searchsorted(labels[order], np.arange(n_cubes + 1))
 
@@ -493,17 +495,14 @@ def _query_balls(space: MetricSpace, xs: np.ndarray, Rs: np.ndarray):
     return R_eff, ids, starts
 
 
-def _effective_radius(space: MetricSpace, x: int, R: float, members: np.ndarray,
-                      row: np.ndarray | None = None) -> float:
+def _effective_radius(space: MetricSpace, x: int, R: float, members: np.ndarray) -> float:
     """min(R, 2 * diam(members)) for the members of B(x, R), x among them: 0.0
     exactly when fewer than two points are distinct, and R with no diameter once
     twice the eccentricity max d(x, q), which the diameter is at least, reaches R.
-    ``row``, the distances from x to every point, gives the eccentricity when
-    given, and the index (``run_farthest``) otherwise."""
+    The index gives the eccentricity (``run_farthest``)."""
     if members.size < 2:
         return 0.0
-    ecc = (row[members].max() if row is not None else
-           space.index.run_farthest(members, np.array([0, members.size]), np.array([x]))[0])
+    ecc = space.index.run_farthest(members, np.array([0, members.size]), np.array([x]))[0]
     if 2.0 * ecc >= R:
         return R
     return min(R, 2.0 * space.diameter(members))
@@ -562,35 +561,159 @@ def target_in_ball(space: MetricSpace, E: np.ndarray, members: np.ndarray) -> np
     return members[inside[members]]
 
 
-def _counted_below(system: CubeSystem, x: int, R: float, R_eff: float, level: int,
-                   top: float, target: np.ndarray, diameters: bool) -> LocalWindow:
-    """The window of the ids ``target`` of B(x, R) in their cube at ``level``
-    of ``system``, of diameter ``top``: each level below counted (``cubes_along``)
-    and, if ``diameters``, its largest diameter met; else ``max_diams`` is None."""
-    dfs = system.dfs_sorted(target)
-    counts, max_diams = [1], [top] if diameters else None
-    for k in range(level + 1, system.max_level + 1):
-        count, labels = system.cubes_along(k, dfs)
-        counts.append(count)
-        if diameters:
-            max_diams.append(float(system.diams_at(k)[labels].max()))
-    return LocalWindow(x=x, R=R, R_eff=R_eff, level=level, system_id=system.system_id,
-                       depth=system.max_level - level, counts=counts, max_diams=max_diams,
-                       target_size=int(target.size))
-
-
 def local_counts(family: AdjacentFamily, E: np.ndarray, x: int, R: float,
                  members: np.ndarray) -> LocalWindow | None:
     """The local window of E in B(x, R), of ascending ids ``members``, with
     its counts alone (``max_diams`` None), or None when E misses the ball.
     The cube comes from ``circumscribed_cube``, which raises
-    ``DegenerateBallError``."""
+    ``DegenerateBallError``; each level below it is counted along the
+    depth-first-sorted target (``cubes_along``)."""
     cc = circumscribed_cube(family, x, R, members)
     target = target_in_ball(family.space, E, members)
     if target.size == 0:
         return None
-    return _counted_below(family.systems[cc.system_id], x, R, cc.R_eff, cc.level,
-                          cc.diameter, target, diameters=False)
+    system = family.systems[cc.system_id]
+    dfs = system.dfs_sorted(target)
+    counts = [1, *(system.cubes_along(k, dfs)[0]
+                   for k in range(cc.level + 1, system.max_level + 1))]
+    return LocalWindow(x=x, R=R, R_eff=cc.R_eff, level=cc.level, system_id=system.system_id,
+                       depth=system.max_level - cc.level, counts=counts, max_diams=None,
+                       target_size=int(target.size))
+
+
+def _digest_weights(n: int) -> np.ndarray:
+    """One fixed 64-bit weight per point id. A ball's digest is the sum of its
+    members' weights modulo 2**64, the same in any order of the members."""
+    return np.random.default_rng(0).integers(0, 2 ** 64, size=n, dtype=np.uint64)
+
+
+def _runs_of(sizes: np.ndarray):
+    """(starts, last) of ids ordered by bucket, bucket j holding ``sizes[j]``
+    of them: the start of each non-empty bucket's run, and for each bucket j
+    the last of those runs at or before it. Ball j, the buckets 0..j, holds
+    the runs up to last[j]."""
+    filled = np.flatnonzero(sizes)
+    return np.cumsum(sizes)[filled] - sizes[filled], np.cumsum(sizes > 0) - 1
+
+
+def _running(ufunc, values: np.ndarray, starts: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """``ufunc`` (``np.minimum`` or ``np.maximum``) over the ``values`` of each
+    ball, ball i holding the runs ``values[starts[r]:starts[r + 1]]`` for r up
+    to last[i]: each run reduced (``reduceat``), then a running ``accumulate``."""
+    return ufunc.accumulate(ufunc.reduceat(values, starts))[last]
+
+
+def _met_by_balls(system: CubeSystem, k: int, target: np.ndarray, bucket: np.ndarray,
+                  starts: np.ndarray, balls: np.ndarray, last: np.ndarray):
+    """(count, largest): for each ball j of ``balls``, the number of level-k
+    cubes of ``system`` meeting the ids ``target`` in buckets 0..j and the
+    largest of their diameters. The ids come ordered by their ``bucket``, in
+    runs from ``starts``, ball i holding the runs up to last[i]. A cube is
+    met from the first bucket holding one of its ids on."""
+    labels = system.labels[k][target]
+    beyond = balls.max() + 1  # the first bucket of a cube that no ball meets
+    first = np.full(system.levels[k].centers.size, beyond, dtype=bucket.dtype)
+    np.minimum.at(first, labels, bucket)
+    return (np.cumsum(np.bincount(first, minlength=beyond))[balls],
+            _running(np.maximum, system.diams_at(k)[labels], starts, last))
+
+
+def _row_windows(family: AdjacentFamily, E: np.ndarray, xs: np.ndarray,
+                 radii: np.ndarray) -> list:
+    """``point_windows`` off one distance row per point of ``xs``.
+
+    The row is bucketed once by the sorted distinct radii: point q's bucket is
+    the number of them at or below d(x, q), so q lies in the ball of the j-th
+    one exactly when its bucket is at most j. Ordered by bucket (a radix sort
+    of small ints), every ball of x is a prefix, and each ball's size, digest,
+    eccentricity, target size, depth-first extremes per system and cubes met
+    per level are running reductions over the buckets. Within a point, balls
+    of one size are one set. Across points, a ball is keyed on its size and
+    digest (``_digest_weights``), and a key met before is confirmed member by
+    member: an earlier ball B(x0, R0) of that size is the same set when every
+    member is nearer x0 than R0."""
+    space, systems = family.space, family.systems
+    index, n = space.index, space.n
+    cuts = distinct(radii)
+    at = np.searchsorted(cuts, radii)  # each radius' ball: the buckets 0..at[i]
+    small = np.min_scalar_type(cuts.size)  # buckets 0..cuts.size, which a stable sort radix-sorts
+    E = distinct(E)
+    in_E = None
+    if E.size < n:
+        in_E = np.zeros(n, dtype=bool)
+        in_E[E] = True
+    weights = _digest_weights(n)
+    deepest = np.array([system.max_level for system in systems])
+    seen = {}  # (size, digest) -> [(x, R)] of the first ball of each set with that key
+    windows = []
+    for x in xs.tolist():
+        row = space.row(x)
+        bucket = np.less_equal.outer(cuts, row).sum(axis=0, dtype=small)
+        sizes = np.bincount(bucket, minlength=cuts.size)[:cuts.size]
+        E_sizes = sizes if in_E is None else np.bincount(bucket[E],
+                                                         minlength=cuts.size)[:cuts.size]
+        ends, E_ends = np.cumsum(sizes), np.cumsum(E_sizes)
+        order = np.argsort(bucket, kind="stable")
+        digest = np.cumsum(weights[order], dtype=np.uint64)
+        # the first radius of each ball in the order given, with two members
+        # or more and meeting E, whose member set no earlier ball had
+        new, taken = [], set()
+        for i, (size, met) in enumerate(zip(ends[at].tolist(), E_ends[at].tolist())):
+            if size < 2 or not met or size in taken:
+                continue
+            taken.add(size)
+            earlier = seen.setdefault((size, int(digest[size - 1])), [])
+            if not any(size == n or np.all(index.pairs(x0, order[:size]) < R0)
+                       for x0, R0 in earlier):
+                earlier.append((x, radii[i]))
+                new.append(i)
+        if not new:
+            continue
+        R, j = radii[new], at[new]
+        top = int(j.max())
+        span = order[:ends[top]]
+        runs, last = _runs_of(sizes)
+        runs = runs[:last[top] + 1]
+        # _effective_radius's rule: R once 2 * ecc reaches R, else the clamp by the diameter
+        ecc = _running(np.maximum, row[span], runs, last[j])
+        R_eff = R.copy()
+        for t in np.flatnonzero(2.0 * ecc < R).tolist():
+            R_eff[t] = min(R[t], 2.0 * index.diameter(np.sort(order[:ends[j[t]]])))
+        found = []
+        for system in systems:
+            rank = system.rank[span]
+            found.append(_cubes_of(system,
+                                   system.order[_running(np.minimum, rank, runs, last[j])],
+                                   system.order[_running(np.maximum, rank, runs, last[j])]))
+        won, level, _, diam = _first_least(found)
+        kept = np.flatnonzero((R_eff != 0.0) & (deepest[won] - level >= 2))
+        if in_E is None:
+            target = span
+        else:  # the levels count E's part of each ball, in runs of its own
+            target = span[in_E[span]]
+            runs, last = _runs_of(E_sizes)
+        counts = {t: [1] for t in kept.tolist()}
+        max_diams = {t: [d] for t, d in zip(kept.tolist(), diam[kept].tolist())}
+        for sid in distinct(won[kept]).tolist():
+            system = systems[sid]
+            ours = kept[won[kept] == sid]
+            for k in range(int(level[ours].min()) + 1, system.max_level + 1):
+                below = ours[level[ours] < k]
+                reach = int(j[below].max())
+                met = target[:E_ends[reach]]
+                count, largest = _met_by_balls(system, k, met, bucket[met],
+                                               runs[:last[reach] + 1], j[below], last[j[below]])
+                for t, c, d in zip(below.tolist(), count.tolist(), largest.tolist()):
+                    counts[t].append(c)
+                    max_diams[t].append(d)
+        R, R_eff, level, won, size = (R.tolist(), R_eff.tolist(), level.tolist(), won.tolist(),
+                                      E_ends[j].tolist())
+        windows += [LocalWindow(x=x, R=R[t], R_eff=R_eff[t], level=level[t],
+                                system_id=systems[won[t]].system_id,
+                                depth=systems[won[t]].max_level - level[t], counts=counts[t],
+                                max_diams=max_diams[t], target_size=size[t])
+                    for t in kept.tolist()]
+    return windows
 
 
 def point_windows(family: AdjacentFamily, E: np.ndarray, xs: np.ndarray,
@@ -598,41 +721,14 @@ def point_windows(family: AdjacentFamily, E: np.ndarray, xs: np.ndarray,
     """The local window of E in each ball B(x, R), x in ``xs`` and then R in
     ``radii``, whose member set no earlier ball had; none for a ball of one
     distinct point or that E misses, or whose cube is less than two levels
-    above its system's deepest. On a sorted index (one with ``ball_run``)
-    they are read off one ``RunWindowTable``. Elsewhere each point's balls
-    come from its row, keyed on a digest of their members: the minimal
-    containing cube depends only on the member set (cube families are
-    laminar), so identical balls are one window, and the digest keys the set
-    without holding every array. All the cubes of a point's new balls come
-    from one ``_smallest_cubes`` call, and each window kept is counted below
-    its cube."""
+    above its system's deepest. The minimal containing cube depends only on
+    the member set (cube families are laminar), so identical balls are one
+    window. On a sorted index (one with ``ball_run``) the windows are read off
+    one ``RunWindowTable``; elsewhere all the balls of a point are read at
+    once off its distance row (``_row_windows``)."""
     if hasattr(family.space.index, "ball_run"):
         return RunWindowTable(family, E).windows(xs, radii)
-    space, windows, seen = family.space, [], set()
-    for x in xs.tolist():
-        row = space.row(x)
-        kept = []
-        for R in radii.tolist():
-            members = np.flatnonzero(row < R)
-            key = (members.size, hashlib.sha256(members.tobytes()).digest())
-            if key in seen:
-                continue
-            seen.add(key)
-            R_eff = _effective_radius(space, x, R, members, row)
-            target = target_in_ball(space, E, members)
-            if R_eff != 0.0 and target.size:
-                kept.append((R, R_eff, members, target))
-        if not kept:
-            continue
-        sizes = np.array([members.size for _, _, members, _ in kept])
-        won, level, _, diam = _smallest_cubes(
-            family.systems, np.concatenate([m for _, _, m, _ in kept]), np.cumsum(sizes) - sizes)
-        windows += [_counted_below(family.systems[sid], x, R, R_eff, k, top, target,
-                                   diameters=True)
-                    for (R, R_eff, _, target), sid, k, top
-                    in zip(kept, won.tolist(), level.tolist(), diam.tolist())
-                    if family.systems[sid].max_level - k >= 2]
-    return windows
+    return _row_windows(family, E, xs, radii)
 
 
 class RunWindowTable:

@@ -298,15 +298,18 @@ def local_windows(family: AdjacentFamily, E, sample_budget: int = 512,
     distinct point and gives no window, so no radius is dropped beforehand.
     Sampled points are visited in ascending id order, and a ball whose member
     set was already seen adds no window; only windows of depth 2 or more are
-    counted (``point_windows``).
+    counted (``point_windows``). A NaN radius, which no ball order can place,
+    raises ``InvalidArgumentError``.
     """
     E = family.space.subset(E)
     if radii is None:
         # a radius just below 1 keeps whole-space windows in every sweep,
         # which pins the small-theta end of the spectrum to the global counts
         radii = [1.0 - 1e-10, *r_grid(family.params.delta, family.max_level)]
-    return point_windows(family, E, sample_points(family.space, E, sample_budget, seed),
-                         np.asarray(radii, dtype=np.float64))
+    radii = np.asarray(radii, dtype=np.float64)
+    if np.isnan(radii).any():
+        raise InvalidArgumentError("window radii must be numbers, got nan")
+    return point_windows(family, E, sample_points(family.space, E, sample_budget, seed), radii)
 
 
 def _fit_input(window: LocalWindow, bound: float):

@@ -128,6 +128,18 @@ a later system win only with a strictly smaller diameter
 and the single-ball window (``oracle_local_window``). A family whose
 systems all come from one seed ties every diameter, and its first system
 must win every tie.
+
+On a plane and in a matrix space, the windows of a sample point are read
+at once off one bucketing of its distance row, each ball keyed on its size
+and an order-free digest of its ids and confirmed member by member. The
+per-ball loop it replaced, one ball and one sha256 of its ids per radius
+(``oracle_local_windows``), is its oracle, bit for bit: on planes in 2, 3
+and 5 dimensions, snowflaked ones and matrix spaces, with repeated points,
+at radii in no order, repeated, on attained distances and one ulp either
+side, past the diameter and inf, for E whole, strided and repeating an id,
+and with every digest weight 0, so that all balls of one size share a key.
+A level of one cube is grouped without a sort; the stable sort's grouping
+is its oracle.
 """
 
 import dataclasses
@@ -258,11 +270,13 @@ def oracle_cert_terms(params, R_eff, level, diam):
     return max(up, down, lvl_up, lvl_down)
 
 
-def oracle_local_window(family, E, x, R, members, row=None):
-    """``cubes.local_window`` as it was: the containing cube from the rules
-    above, then each level below it counted along the depth-first-sorted
-    target; None when E misses the ball."""
-    R_eff = _effective_radius(family.space, x, R, members, row)
+def oracle_local_window(family, E, x, R, members, row):
+    """``cubes.local_window`` as it was: R_eff by ``_effective_radius``'s rule
+    with the eccentricity off x's distance ``row``, the containing cube from
+    the rules above, then each level below it counted along the
+    depth-first-sorted target; None when E misses the ball."""
+    R_eff = (0.0 if members.size < 2 else R if 2.0 * row[members].max() >= R
+             else min(R, 2.0 * family.space.diameter(members)))
     if R_eff == 0.0:
         raise DegenerateBallError(f"ball B({x}, {R:g}) holds fewer than two distinct points")
     cc = oracle_smallest_cube(family, (oracle_circumscribed_in_system(system, members)
@@ -487,6 +501,50 @@ class TestDepthFirstArrays:
         E_rep = np.sort(np.concatenate([E, E[-1:]]))
         assert ([window_bits(w) for w in local_windows(fam, E_rep, SAMPLE_BUDGET, radii=radii)]
                 == [window_bits(w) for w in oracle_local_windows(fam, E_rep, radii)])
+
+
+def row_window_radii(space, rng):
+    """Radii in no order, some twice: attained distances from a few points,
+    one ulp either side of each, the radii of a sweep, one past the diameter
+    and inf."""
+    d = np.unique(np.concatenate([space.row(int(p)) for p in rng.integers(space.n, size=3)]))
+    d = rng.choice(d[d > 0], size=min(4, int(np.count_nonzero(d))), replace=False)
+    radii = [*d, *np.nextafter(d, 0.0), *np.nextafter(d, np.inf), 1.0 - 1e-10,
+             *r_grid(NetParams().delta, 4), 1.5 * space.diameter(), np.inf]
+    radii += [radii[i] for i in rng.integers(len(radii), size=3)]
+    return [float(R) for R in rng.permutation(radii)]
+
+
+class TestRowWindows:
+    """On a plane and in a matrix space, ``point_windows`` reads all the balls
+    of a sample point off one bucketing of its row and keys a ball on its size
+    and an order-free digest of its ids, confirmed member by member. The
+    per-ball loop it replaced, a row, a ball and a sha256 of its ids per
+    radius (``oracle_local_windows``), is its oracle, bit for bit; with every
+    digest weight 0, so that all balls of one size share a key, too."""
+
+    @pytest.mark.parametrize("kind", ["plane", "snowflake", "matrix"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_per_ball_oracle_bitwise(self, kind, data):
+        space = data.draw(ball_spaces(kind))
+        fam = build_adjacent_family(space, NetParams(), K_max=3, query_budget=12,
+                                    target_ratio=data.draw(st.sampled_from([2.0, 64.0])),
+                                    seed=data.draw(st.integers(min_value=0, max_value=50)),
+                                    max_level=data.draw(st.integers(min_value=2, max_value=4)))
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+        radii = row_window_radii(fam.space, rng)
+        ids = fam.space.ids
+        stride = data.draw(st.integers(min_value=2, max_value=4))
+        for E in (ids, ids[::stride], np.sort(np.concatenate([ids, ids[-1:]]))):
+            want = [window_bits(w) for w in oracle_local_windows(fam, E, radii)]
+            event(f"windows: {'some' if want else 'none'}")
+            assert [window_bits(w) for w in local_windows(fam, E, SAMPLE_BUDGET,
+                                                          radii=radii)] == want
+            with mock.patch.object(cubes, "_digest_weights",
+                                   lambda n: np.zeros(n, dtype=np.uint64)):
+                assert [window_bits(w) for w in local_windows(fam, E, SAMPLE_BUDGET,
+                                                              radii=radii)] == want
 
 
 @st.composite
@@ -1010,7 +1068,7 @@ def oracle_greedy_sets(space, E, r):
     return sets
 
 
-def oracle_R_eff(space, x, R, members, row=None):
+def oracle_R_eff(space, x, R, members):
     return min(R, 2.0 * space.diameter(members))
 
 
@@ -2059,6 +2117,16 @@ class TestWholeSpaceValues:
                 want = space.index.diameter(ids)
                 assert same_float(space.index.diameter(rng.permutation(ids)), want)
                 assert same_float(space.diameter(rng.permutation(ids)), want)
+
+    @pytest.mark.parametrize("n", [1, 2, 129, 1000])
+    def test_root_grouping_is_the_sorted_one(self, n):
+        # a one-cube level is grouped without a sort; the stable sort's
+        # grouping is its oracle, dtypes too
+        labels = np.zeros(n, dtype=np.int64)
+        order = np.argsort(labels, kind="stable")
+        want = order, np.searchsorted(labels[order], np.arange(2))
+        got = cubes._group_by_label(labels, 1)
+        assert [(g.dtype, g.tolist()) for g in got] == [(w.dtype, w.tolist()) for w in want]
 
 
 class TestLevelPasses:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cubedim import (DegenerateBallError, GeneratorSpec, InvalidArgumentError,
-                     MetricDescriptor, MetricSpace, ScaleExhaustedError, generate)
+                     MetricDescriptor, MetricSpace, ScaleExhaustedError, cubes, generate)
 from cubedim.covering import (dyadic_cover_count, exact_cover_count, greedy_cover_count,
                               sandwich_check)
 from cubedim.cubes import (build_adjacent_family, build_system, circumscribed_cube,
@@ -144,7 +144,7 @@ class TestLocalSweeps:
 
 
 class TestWindowDedup:
-    def test_distinct_balls_with_equal_id_statistics_get_one_window_each(self):
+    def test_distinct_balls_with_equal_id_statistics_get_one_window_each(self, monkeypatch):
         # B(1, R) = {0, 1, 4, 5} and B(2, R) = {0, 2, 3, 5} share their first and
         # last id, size and id sum; only a key on the member set tells them apart
         d = np.full((6, 6), 1.5)
@@ -161,6 +161,25 @@ class TestWindowDedup:
         windows = local_windows(fam, fam.space.ids, radii=[R])
         assert [w.x for w in windows] == list(range(6))
         assert windows[2].target_size == 4
+        # with every digest weight 0, all balls of one size share a key, and
+        # only the member-by-member check tells these two apart
+        monkeypatch.setattr(cubes, "_digest_weights", lambda n: np.zeros(n, dtype=np.uint64))
+        assert local_windows(fam, fam.space.ids, radii=[R]) == windows
+
+
+class TestWindowRadiusCheck:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nan_radius_is_refused(self, dim):
+        # a NaN has no place among the sorted radii that balls are bucketed by;
+        # it once gave no window, or was dropped beside a number
+        coords = np.random.default_rng(4).uniform(size=(200, dim) if dim > 1 else 200)
+        space = MetricSpace(MetricDescriptor("euclidean"), coords=coords)
+        fam = build_adjacent_family(space, NetParams(), K_max=2, query_budget=50, seed=3,
+                                    max_level=3)
+        assert local_windows(fam, fam.space.ids, sample_budget=16, radii=[0.5])
+        for radii in ([math.nan], [0.5, math.nan]):
+            with pytest.raises(InvalidArgumentError):
+                local_windows(fam, fam.space.ids, sample_budget=16, radii=radii)
 
 
 class TestWholeSpaceTarget:

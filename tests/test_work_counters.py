@@ -27,10 +27,11 @@ computes one whole-space farthest pair. On a line and in an ultrametric,
 ``local_windows`` reads every ball as a run of the index's ranks off one
 window table, built once per call with each system's level tables built at
 most once: it asks for no row, no ``ball_members`` and no digest of a
-ball's members. A plane's windows still take their digests, and find the
-containing cubes of all the new balls of a sample point in one
-``_smallest_cubes`` call; they ask for no least gap, and count no window
-they do not return. On a plane and in a matrix space a level measures each
+ball's members. A plane's or a matrix space's windows read one row per
+sample point and take no sha256 of a ball's members; each system finds the
+containing cubes of all the new balls of a point in one ``_cubes_of`` call,
+and levels are counted only for the windows returned; they ask for no least
+gap. On a plane and in a matrix space a level measures each
 cube of at most 128 points with the others of its size, and only a larger
 cube takes a ``diameter`` call. On a line and in an ultrametric, a family's build
 keeps each certificate query's ball as its two end ids, from one
@@ -374,45 +375,58 @@ def test_line_and_ultrametric_builds_ask_one_ball_run(request, fixture, monkeypa
 
 
 def test_plane_and_matrix_windows_ask_one_cube_query_per_point(graph40, monkeypatch):
+    # each system finds the containing cubes of all the new balls of a sample
+    # point in one _cubes_of call, from their depth-first extremes, with no
+    # _smallest_cubes over their members
     plane = MetricSpace(MetricDescriptor("euclidean"),
                         coords=np.random.default_rng(4).uniform(size=(200, 2)))
-    calls = []
-    smallest = cubes._smallest_cubes
+    calls, smallest = [], []
+    cubes_of = cubes._cubes_of
 
-    def counting(systems, members, starts):
-        calls.append(starts.size)
-        return smallest(systems, members, starts)
+    def counting(system, first, last):
+        calls.append(first.size)
+        return cubes_of(system, first, last)
 
-    monkeypatch.setattr(cubes, "_smallest_cubes", counting)
+    monkeypatch.setattr(cubes, "_cubes_of", counting)
+    monkeypatch.setattr(cubes, "_smallest_cubes", lambda *args: smallest.append(args))
     for space in (plane, graph40):
         family = build_adjacent_family(space, NetParams(), K_max=2, query_budget=50, seed=3,
                                        max_level=3)
         calls.clear()
         windows = local_windows(family, family.space.ids, sample_budget=16, seed=0)
         points = sample_points(family.space, family.space.ids, 16, 0)
-        # the new balls of a point asked at once: no more calls than points, more balls
-        assert windows and 0 < len(calls) <= points.size < sum(calls)
+        # no more calls than points times systems, more balls than calls
+        assert windows and 0 < len(calls) <= points.size * family.K < sum(calls)
+        assert smallest == []
 
 
 def test_plane_and_matrix_windows_count_only_the_windows_they_return(graph40, monkeypatch):
     # a ball whose cube is less than two levels above the deepest gives no
-    # window, and its levels below the cube are not counted
+    # window, and no level is counted for it: for each sample point, winning
+    # system and level below the shallowest of its cubes, one count over the
+    # windows whose cubes lie above that level
     plane = MetricSpace(MetricDescriptor("euclidean"),
                         coords=np.random.default_rng(4).uniform(size=(200, 2)))
     calls = []
-    counted_below = cubes._counted_below
+    met_by_balls = cubes._met_by_balls
 
-    def counting(*args, **kwargs):
-        calls.append(args[4])
-        return counted_below(*args, **kwargs)
+    def counting(system, k, *args):
+        calls.append((system.system_id, k, args[-2].size))
+        return met_by_balls(system, k, *args)
 
-    monkeypatch.setattr(cubes, "_counted_below", counting)
+    monkeypatch.setattr(cubes, "_met_by_balls", counting)
     for space in (plane, graph40):
         family = build_adjacent_family(space, NetParams(), K_max=2, query_budget=50, seed=3,
                                        max_level=3)
         calls.clear()
         windows = local_windows(family, family.space.ids, sample_budget=16, seed=0)
-        assert windows and calls == [w.level for w in windows]
+        expect = []
+        for x in sorted({w.x for w in windows}):
+            for sid in sorted({w.system_id for w in windows if w.x == x}):
+                levels = [w.level for w in windows if (w.x, w.system_id) == (x, sid)]
+                expect += [(sid, k, sum(level < k for level in levels))
+                           for k in range(min(levels) + 1, family.systems[sid].max_level + 1)]
+        assert windows and calls == expect
 
 
 def test_plane_and_matrix_windows_ask_no_least_gap(graph40, tmp_path, monkeypatch):
@@ -478,14 +492,22 @@ def test_plane_and_matrix_levels_measure_small_cubes_in_groups(index_diameter_si
         assert sorted(index_diameter_sizes) == sorted(sizes[sizes > 128].tolist())
 
 
-def test_plane_sweep_still_digests_members(sweep_work):
-    rng = np.random.default_rng(4)
-    plane = MetricSpace(MetricDescriptor("euclidean"), coords=rng.uniform(size=(200, 2)))
-    family = build_adjacent_family(plane, NetParams(), K_max=2, query_budget=50, seed=3,
-                                   max_level=3)
-    assert local_windows(family, family.space.ids, sample_budget=16, seed=0)
-    assert sweep_work["tables"] == 0
-    assert sweep_work["digests"] > 0 and sweep_work["rows"]
+def test_plane_and_matrix_sweeps_read_one_row_per_point_and_no_digest(graph40, sweep_work):
+    # all the balls of a sample point come from one row, and a ball is keyed
+    # on its size and digest of its ids, with no sha256 of its members
+    plane = MetricSpace(MetricDescriptor("euclidean"),
+                        coords=np.random.default_rng(4).uniform(size=(200, 2)))
+    for space in (plane, graph40):
+        family = build_adjacent_family(space, NetParams(), K_max=2, query_budget=50, seed=3,
+                                       max_level=3)
+        xs = sample_points(family.space, family.space.ids, 16, 0)
+        radii = np.array([1.0 - 1e-10, *r_grid(family.params.delta, family.max_level)])
+        sweep_work["rows"].clear()
+        sweep_work["balls"] = 0
+        assert cubes.point_windows(family, family.space.ids, xs, radii)
+        # each row asked of the space, then of its index
+        assert sweep_work["rows"][::2] == sweep_work["rows"][1::2] == xs.tolist()
+        assert sweep_work["tables"] == sweep_work["digests"] == sweep_work["balls"] == 0
 
 
 def test_circumscribed_cube_skips_decided_diameters(line_family, diameter_calls):
@@ -699,6 +721,25 @@ def test_root_cubes_share_one_whole_space_diameter(request, kind, tmp_path,
         assert not any(what == "pairs" for what, _ in built)
         assert levels == [("ranks", index)] * loaded.K and whole_space_work == []
 
+
+
+def test_root_level_is_grouped_without_a_sort(line_family, monkeypatch):
+    # every point sits in the one root cube: its grouping is the ids in order,
+    # where a stable sort of n zero labels gives the same
+    sorted_sizes = []
+    argsort = np.argsort
+
+    def counting(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    for system in line_family.systems:
+        system._grouped(0)
+        assert sorted_sizes == []
+        system._grouped(1)
+        assert sorted_sizes == [system.space.n]
+        sorted_sizes.clear()
 
 @pytest.fixture
 def matrix_kernel_calls(monkeypatch):
