@@ -7,7 +7,13 @@ matrix kernels ``metric.MatrixIndex``. The coordinate kernels take their
 candidates from a ``CellIndex``, the fixed-radius cells of Bentley, Stanat
 and Williams (Inf. Process. Lett. 1977) read off one Morton order of the
 quantized points, and decide every candidate exactly, by squared
-distances; the matrix kernels are NumPy scans. 1-D coordinates and
+distances. The greedy net on coordinates first goes by rows instead: each
+admitted point blocks the rest of the scan from one row of squared
+distances, which costs one distance per point left where a look in the
+cells costs about a hundred NumPy calls per batch, so rows win while each
+blocks a fair share of the scan (a plane's coarse levels), and the cells
+take the rest (fine levels, where a point blocks few others). The matrix
+kernels are NumPy scans. 1-D coordinates and
 ultrametric spaces need neither: ``metric.LineIndex`` and
 ``metric.PrefixIndex`` read nets and nearest centers off their sorted
 coordinates or strings. Every squared distance in the package, here and in
@@ -33,6 +39,8 @@ KEY_BITS = 63  # bits of a Morton key, held in a uint64
 AXIS_BITS = 30  # grid bits per axis at most
 CANDIDATES = 1 << 16  # candidates decided at once, at most: the arrays stay in cache
 ROUND = 1 << 10  # blocked points worth one batch of a greedy net
+ROW_SHARE = 64  # distances a greedy net's rows may measure per point they block
+ROW_PAIRS = 1 << 12  # distances a greedy net's rows may measure beyond that share
 CELLS = 1 << 20  # cells whose runs are looked up at once, at most
 TABLE_BITS = 20  # a level with at most 2**TABLE_BITS cells keeps a table of their runs
 LOOKUP = 4.0  # the cost of looking up one cell, in candidates decided
@@ -336,19 +344,45 @@ def greedy_net_coords(cells: CellIndex, order: np.ndarray, threshold: float) -> 
 
     A point is admitted iff its distance to every previously admitted point
     is >= threshold (compared in the squared domain). Returns admitted point
-    indices in admission order. The scan takes the next points of ``order``
-    that no admitted point blocks, a batch at a time, finds each one's points
-    within the threshold in the cells around it, decided by squared
-    distance, and admits them in order unless an earlier one of the batch
-    blocks them. The next batch is twice as large as the number admitted, or
-    large enough to block about ROUND points.
+    indices in admission order.
+
+    The scan first goes by rows: it admits the next point of ``order`` that
+    no row has blocked and blocks the later points of the scan that one row
+    of squared distances over ``coords[order]`` puts within the threshold.
+    A row costs a distance per point left in the scan, and a look in the
+    cells a fixed cost per batch and a few candidates per point it blocks,
+    so rows pay while each blocks a fair share of the scan: they go on while
+    they have measured at most ROW_SHARE distances per point they block,
+    plus ROW_PAIRS, and the rest of the scan goes by cells, with the blocked
+    points carried over. It takes the next points of ``order`` that no
+    admitted point blocks, a batch at a time, finds each one's points within
+    the threshold in the cells around it, decided by squared distance, and
+    admits them in order unless an earlier one of the batch blocks them. The
+    next batch is twice as large as the number admitted, or large enough to
+    block about ROUND points.
     """
     coords = cells.coords
     thr2 = threshold * threshold
+    pts = coords[order]
+    taken = np.zeros(order.size, dtype=bool)  # blocked by a row, by position in order
+    first, pos, credit = [], 0, ROW_PAIRS
+    while pos < order.size and credit > 0:
+        if taken[pos]:
+            pos += int(np.argmin(taken[pos:]))
+            if taken[pos]:  # every position left is blocked
+                pos = order.size
+                break
+        row = square_sums(pts[pos:], pts[pos]) < thr2
+        later = taken[pos:]
+        later |= row
+        credit += ROW_SHARE * int(np.count_nonzero(row)) - row.size
+        first.append(pos)
+        pos += 1
+    chosen = [order[first]]
     blocked = np.zeros(coords.shape[0], dtype=bool)
+    blocked[order[taken]] = True
     slot = np.full(coords.shape[0], -1, dtype=np.int64)  # a point's place in its batch
-    chosen = []
-    pos, want, reach = 0, 1, 64
+    want, reach = 1, 64
     while pos < order.size:
         window = order[pos:pos + reach]
         free = np.flatnonzero(~blocked[window])[:want]
@@ -381,11 +415,11 @@ def greedy_net_coords(cells: CellIndex, order: np.ndarray, threshold: float) -> 
         each = max(1, qi.size // batch.size)  # points blocked per query
         want = max(1, min(max(2 * int(np.count_nonzero(keep)), ROUND // each),
                           CANDIDATES // each))
-    return np.concatenate(chosen) if chosen else np.zeros(0, dtype=np.int64)
+    return np.concatenate(chosen)
 
 
 def greedy_net_matrix(dmat: np.ndarray, order: np.ndarray, threshold: float) -> np.ndarray:
-    """Matrix-metric variant of :func:`greedy_net_coords`.
+    """Matrix-metric variant of :func:`greedy_net_coords`, by rows alone.
 
     Each admitted point blocks the points closer than ``threshold``, read off
     its row; ``dmat`` is symmetric, so its row holds every point's distance to it.

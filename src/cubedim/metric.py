@@ -589,7 +589,34 @@ class CoordIndex(_Index):
         return np.concatenate(owner), np.concatenate(members)
 
     def net(self, order: np.ndarray, t: float) -> np.ndarray:
-        return kernels.greedy_net_coords(self.cells, order, self.base_radius(t))
+        """``kernels.greedy_net_coords`` at the base radius of ``t`` (rows while
+        each admitted point blocks a fair share of the scan, then cells), unless
+        no two distinct places are nearer than ``t``. The kernel blocks a point
+        iff its squared distance to an admitted one is below the squared base
+        radius, so a separation below the least gap (``least_gap``, less
+        ``kernels.TIE_RTOL`` for the roundings between the two domains) blocks
+        only the points at an admitted point's place: the net is each place's
+        first point in scan order, in scan order, with no kernel call. The gap
+        is read only once known (``build_system`` and ``estimate_doubling`` ask
+        for it before any net): on a 5-D lattice it costs more than the nets.
+        At a squared base radius of 0 nothing is blocked and every point is
+        admitted."""
+        sep = self.base_radius(t)
+        thr2 = sep * sep
+        if thr2 == 0.0:
+            return order.copy()
+        gap = self.__dict__.get("least_gap", 0.0)  # the cached_property's value, once asked
+        room = self.base_radius(gap / (1.0 + kernels.TIE_RTOL))
+        if not thr2 < room * room:
+            return kernels.greedy_net_coords(self.cells, order, sep)
+        lowest = self.base.lowest_at_place
+        if np.array_equal(lowest, self.ids):  # every place holds one point
+            return order.copy()
+        place = lowest[order]
+        by_place = np.argsort(place, kind="stable")
+        ranked = place[by_place]
+        first = by_place[np.concatenate([[True], ranked[1:] != ranked[:-1]])[:place.size]]
+        return order[np.sort(first)]
 
     def nearest(self, query_ids: np.ndarray, centers: np.ndarray):
         # every point a center: the shared cells are the centers' cells

@@ -82,9 +82,11 @@ def scan_order(n, seed, k) -> np.ndarray:
 
 
 def build_net(space: MetricSpace, k: int, params: NetParams, seed: int = 0) -> NetLevel:
-    """Greedy maximal separated set at level k. Deterministic given seed."""
-    if k < 0:
-        raise InvalidArgumentError("level k must be non-negative")
+    """Greedy maximal separated set at level k. Deterministic given seed.
+    The level and the seed must be integers >= 0; a bool is neither."""
+    for name, value in (("level k", k), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise InvalidArgumentError(f"{name} must be an integer >= 0, got {value!r}")
     order = scan_order(space.n, seed, k)
     centers = np.sort(space.index.net(order, params.separation(k)))
     return NetLevel(k=k, centers=centers, params=params, seed=seed)

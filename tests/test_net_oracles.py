@@ -552,22 +552,61 @@ class TestCoordinates:
     radii sit on the lattice spacings, on pair distances and one ulp to either
     side of them."""
 
-    @given(space=lattices(), data=st.data())
+    @given(space=lattices(dims=(1, 2, 3, 4, 5)), data=st.data())
     @settings(max_examples=EXAMPLES, deadline=None)
     def test_net_matches_scan(self, space, data):
         coords = space.coords
         cells = kernels.CellIndex(coords)
         seed = data.draw(st.integers(min_value=0, max_value=50))
+        # the kernel's own turn from rows to cells, or the turn forced before the
+        # first row, after it, or a few rows in
+        rows = data.draw(st.sampled_from([kernels.ROW_PAIRS, 0, 1, 3 * space.n]))
+        share = kernels.ROW_SHARE if rows == kernels.ROW_PAIRS else 0
         # lattice spacings and pair distances: many pairs lie exactly at the separation
         ticks = [j / 8.0 for j in range(1, 6)] + [float(np.sqrt(2.0) / 8.0), 2.0]
         ticks += _near_values(np.unique(kernels.pairwise_distances(coords)), 3, data)
-        for k, t in enumerate(ticks):
+
+        def scan(k):
             order = scan_order(space.n, seed, k)
             if k % 2:  # a partial scan, as the doubling estimate makes
                 order = order[:data.draw(st.integers(min_value=0, max_value=space.n))]
-            net = kernels.greedy_net_coords(cells, order, t)
-            assert np.array_equal(net, scan_net_coords(coords, order, t))
-            assert np.array_equal(net, tree_net_coords(coords, order, t))
+            return order
+
+        with mock.patch.object(kernels, "ROW_PAIRS", rows), \
+                mock.patch.object(kernels, "ROW_SHARE", share):
+            for k, t in enumerate(ticks):
+                order = scan(k)
+                net = kernels.greedy_net_coords(cells, order, t)
+                assert np.array_equal(net, scan_net_coords(coords, order, t))
+                assert np.array_equal(net, tree_net_coords(coords, order, t))
+            # the index's nets, in the space and a rescaled and snowflaked clone:
+            # below, at and an ulp either side of the least gap, where a level is
+            # taken whole, and at 0, where every point is admitted
+            for sp in (space, space.rescaled(2.0).snowflaked(0.5)):
+                index = CoordIndex(sp)
+                gap = index.least_gap  # known: the index may take a level whole
+                seps = [0.0, *(sp.descriptor.transform(t) for t in ticks)]
+                if np.isfinite(gap):
+                    seps += [gap / 2.0, np.nextafter(gap, 0.0), gap, np.nextafter(gap, np.inf)]
+                for k, t in enumerate(seps):
+                    order = scan(k)
+                    assert np.array_equal(index.net(order, t),
+                                          scan_net_coords(coords, order, index.base_radius(t)))
+
+    def test_a_separation_below_the_least_gap_may_still_block(self):
+        # the separation is below the least gap, yet its squared base radius rounds
+        # past the pair's squared distance: the kernel blocks the pair, so the level
+        # is not taken whole (the least gap's TIE_RTOL margin)
+        coords = np.array([[0.0, 0.0], [0.0033582862360620716, 0.0]])
+        space = MetricSpace(MetricDescriptor("euclidean"), coords=coords)
+        index = CoordIndex(space.snowflaked(0.7).rescaled(1.0999753003745467))
+        t = 0.020401651747504437
+        assert t < index.least_gap
+        sep = index.base_radius(t)
+        assert sep * sep > float(kernels.square_sums(coords[1], coords[0]))
+        order = np.array([0, 1])
+        assert np.array_equal(index.net(order, t), scan_net_coords(coords, order, sep))
+        assert index.net(order, t).size == 1
 
     @given(space=lattices(), data=st.data())
     @settings(max_examples=EXAMPLES, deadline=None)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cubedim import ConfigurationError, MetricDescriptor, MetricSpace
+from cubedim import ConfigurationError, InvalidArgumentError, MetricDescriptor, MetricSpace
 from cubedim.nets import NetLevel, NetParams, build_net, nearest_center, verify_net
 
 
@@ -69,6 +69,17 @@ class TestBuildNet:
     def test_constraint_checked(self, grid257):
         with pytest.raises(ConfigurationError):
             build_net(grid257, 1, NetParams(delta=0.5), seed=0)
+
+    @pytest.mark.parametrize("k, seed", [(-1, 0), (1.5, 0), (True, 0), (False, 0), (1.0, 0),
+                                         ("1", 0), (None, 0), (1, -1), (1, 1.5), (1, True),
+                                         (np.int64(-1), 0), (1, np.float64(2.0))])
+    def test_level_and_seed_must_be_integers_at_least_zero(self, grid257, k, seed):
+        with pytest.raises(InvalidArgumentError, match="must be an integer >= 0"):
+            build_net(grid257, k, NetParams(), seed=seed)
+
+    def test_numpy_integers_are_integers(self, grid257):
+        net = build_net(grid257, np.int64(1), NetParams(), seed=np.int32(3))
+        assert np.array_equal(net.centers, build_net(grid257, 1, NetParams(), seed=3).centers)
 
 
 class TestVerifyNet:

@@ -1403,3 +1403,108 @@ def test_matrix_work_about_doubles_with_the_points(tmp_path, monkeypatch):
     assert counts[1].keys() == counts[0].keys() == {"build", "reload", "windows", "sandwich"}
     for stage in counts[0]:
         assert counts[1][stage] <= 4.5 * counts[0][stage], (stage, counts)
+
+
+@pytest.fixture
+def plane65():
+    """The 65 x 65 grid of grid2d, rescaled as a build with delta = 1/12 rescales it."""
+    space = generate(GeneratorSpec(kind="grid", ambient_dim=2, resolution=1 / 64))
+    params = NetParams(delta=1 / 12)
+    return space.rescaled(cubes._normalizing_factor(space, params)), params
+
+
+def _counting(monkeypatch, owner, name):
+    """The calls to ``owner.name``, each as its positional arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_plane_level_one_net_takes_rows_and_no_cells(plane65, monkeypatch):
+    # a row blocks about 90 of the scan's 4,225 points, more than 4,225 / ROW_SHARE: the
+    # rows pay to the end
+    norm, params = plane65
+    looks = _counting(monkeypatch, kernels.CellIndex, "within")
+    for seed in range(8):
+        assert 70 <= nets.build_net(norm, 1, params, seed).centers.size <= 90
+    assert looks == []
+
+
+def test_level_below_the_least_gap_asks_no_kernel(plane65, monkeypatch):
+    # each place's first point in scan order is the net, with no kernel call
+    norm, params = plane65
+    repeated = MetricSpace(norm.descriptor, coords=np.concatenate([norm.coords,
+                                                                   norm.coords[::7]]))
+    kernel = _counting(monkeypatch, kernels, "greedy_net_coords")
+    for space in (norm, repeated):
+        gap = space.min_positive_distance()
+        assert params.separation(2) < gap < params.separation(1)
+        place = space.index.base.lowest_at_place.tolist()
+        for seed in (0, 7):
+            order = nets.scan_order(space.n, seed, 2)
+            seen, first = set(), []  # each place's first point in scan order
+            for q in order.tolist():
+                if place[q] not in seen:
+                    seen.add(place[q])
+                    first.append(q)
+            assert np.array_equal(nets.build_net(space, 2, params, seed).centers, np.sort(first))
+            # within kernels.TIE_RTOL of the gap the kernel decides, as the squared base
+            # radius may round past the least squared distance; below that, no kernel
+            assert np.array_equal(space.index.net(order, np.nextafter(gap, 0.0) / 2.0), first)
+            assert np.array_equal(space.index.net(order, 0.0), order)
+    assert kernel == []
+    nets.build_net(norm, 1, params, 0)
+    assert len(kernel) == 1
+
+
+def test_a_net_asked_before_the_least_gap_does_not_compute_it(plane65, monkeypatch):
+    # on a 5-D lattice the exact gap costs more than the nets; the build asks for it anyway
+    norm, params = plane65
+    gaps = _counting(monkeypatch, metric.CoordIndex, "closest_pair")
+    before = [nets.build_net(norm, k, params, 7).centers for k in range(3)]
+    assert gaps == []
+    norm.min_positive_distance()
+    assert len(gaps) == 1
+    for k in range(3):
+        assert np.array_equal(nets.build_net(norm, k, params, 7).centers, before[k])
+
+
+def test_plane_doubling_nets_measure_rows_over_the_ball_only(plane65, monkeypatch):
+    norm, _ = plane65
+    scans, measured, looks = [], [], []  # per net: its scan's size, rows measured, cell looks
+    net = metric.CoordIndex.net
+    square_sums = kernels.square_sums
+    within = kernels.CellIndex.within
+
+    def scanning(self, order, t):
+        scans.append(order.size)
+        try:
+            return net(self, order, t)
+        finally:
+            scans.append(None)
+
+    def measuring(a, b):
+        if scans and scans[-1] is not None:
+            measured.append((scans[-1], a.shape[0] if a.ndim > 1 else 1))
+        return square_sums(a, b)
+
+    def looking(self, query, r):
+        if scans and scans[-1] is not None:
+            looks.append(len(query))
+        return within(self, query, r)
+
+    monkeypatch.setattr(metric.CoordIndex, "net", scanning)
+    monkeypatch.setattr(kernels, "square_sums", measuring)
+    monkeypatch.setattr(kernels.CellIndex, "within", looking)
+    norm.estimate_doubling(sample_count=24, rng_seed=3)
+    sizes = scans[::2]
+    assert len(sizes) == 24 and min(sizes) < norm.n and measured
+    assert looks == []
+    # every row of a net's scan is over the ball's members, never all n points
+    assert all(rows <= size for size, rows in measured)
