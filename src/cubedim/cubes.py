@@ -30,7 +30,6 @@ MAX_LEVEL_CAP = 12   # default depth cap for resolution-derived levels
 HARD_LEVEL_CAP = 24  # explicit requests beyond this are configuration errors
 NORMALIZED_DIAMETER = 1.0 - 1e-9
 DIAMETER_SLACK = 1.0 + 1e-6
-_BALL_PAIRS = 1 << 14  # (ball, member) pairs of a family build's query balls asked at once
 
 
 @dataclass
@@ -452,13 +451,9 @@ def _query_balls(space: MetricSpace, xs: np.ndarray, Rs: np.ndarray):
     On a sorted index (one with ``ball_run``) a ball keeps its two end ids,
     from one ``ball_run`` call for all: cubes are runs of that order too, so
     the cubes holding both ends hold the ball, and R_eff = min(R, 2 * their
-    distance). Elsewhere a ball keeps its members, in the order ``balls``
-    gives them. The queries of one radius are asked of ``balls`` a slice at
-    a time, each slice about _BALL_PAIRS (ball, member) pairs: the first of
-    at most _BALL_PAIRS // n balls, each later one as many balls as that
-    many pairs hold at the mean size of the balls the last slice took. One
-    ``run_farthest`` call gives a slice's eccentricities, and only a ball whose
-    eccentricity is under R / 2 asks the index for its members' diameter."""
+    distance). Elsewhere a ball keeps its ascending members (32-bit while ids
+    fit), read off x's distance row, which gives its eccentricity too; only a
+    ball whose eccentricity is under R / 2 asks the index for its diameter."""
     index = space.index
     if hasattr(index, "ball_run"):
         lo, hi = index.ball_run(xs, Rs)
@@ -466,33 +461,18 @@ def _query_balls(space: MetricSpace, xs: np.ndarray, Rs: np.ndarray):
         first, last = index.order[lo], index.order[hi - 1]
         return (np.minimum(Rs, 2.0 * index.pairs(first, last)),
                 np.stack([first, last], axis=1).ravel(), np.arange(0, 2 * xs.size, 2))
-    R_eff, sizes = np.empty(xs.size), np.empty(xs.size, dtype=np.int64)
-    # the slices' members wait for their query-order copy in ids: in 32 bits
-    # while ids fit, the two copies take 1.5 times one copy's memory, not twice
     dtype = np.int32 if space.n <= 2 ** 31 else np.int64
-    taken = []  # (queries, members, bounds) of each slice
-    for R in distinct(Rs).tolist():
-        at = np.flatnonzero(Rs == R)
-        pos, step = 0, max(1, _BALL_PAIRS // space.n)
-        while pos < at.size:
-            sel = at[pos:pos + step]
-            pos += sel.size
-            owner, members = index.balls(xs[sel], R)  # grouped by ascending owner
-            sizes[sel] = counts = np.bincount(owner, minlength=sel.size)
-            bounds = np.concatenate([[0], np.cumsum(counts)])
-            ecc = index.run_farthest(members, bounds, xs[sel])
-            # _effective_radius's rule: 0.0 below two members, R once 2 * ecc reaches R
-            R_eff[sel] = np.where(counts < 2, 0.0, R)
-            for i in np.flatnonzero((counts > 1) & (2.0 * ecc < R)).tolist():
-                R_eff[sel[i]] = min(R, 2.0 * index.diameter(members[bounds[i]:bounds[i + 1]]))
-            taken.append((sel, members.astype(dtype), bounds))
-            step = max(1, _BALL_PAIRS * sel.size // members.size)  # each ball holds its x
-    starts = np.cumsum(sizes) - sizes
-    ids = np.empty(int(sizes.sum()), dtype=np.int64)
-    for sel, members, bounds in taken:
-        shift = np.repeat(starts[sel] - bounds[:-1], np.diff(bounds))
-        ids[np.arange(members.size) + shift] = members
-    return R_eff, ids, starts
+    R_eff, balls = np.zeros(xs.size), []
+    for i, (x, R) in enumerate(zip(xs.tolist(), Rs.tolist())):
+        row = index.row(x)
+        members = np.flatnonzero(row < R)
+        balls.append(members.astype(dtype))
+        # _effective_radius's rule: 0.0 below two members, R once 2 * ecc reaches R
+        if members.size > 1:
+            R_eff[i] = R if 2.0 * row[members].max() >= R else min(
+                R, 2.0 * index.diameter(members))
+    sizes = np.array([members.size for members in balls])
+    return R_eff, np.concatenate(balls), np.cumsum(sizes) - sizes
 
 
 def _effective_radius(space: MetricSpace, x: int, R: float, members: np.ndarray) -> float:

@@ -42,7 +42,9 @@ ROUND = 1 << 10  # blocked points worth one batch of a greedy net
 ROW_SHARE = 64  # distances a greedy net's rows may measure per point they block
 ROW_PAIRS = 1 << 12  # distances a greedy net's rows may measure beyond that share
 CELLS = 1 << 20  # cells whose runs are looked up at once, at most
-TABLE_BITS = 20  # a level with at most 2**TABLE_BITS cells keeps a table of their runs
+PAIR_POINTS = 1 << 14  # points whose boxes pairs_within finds at once, at most
+TABLE_BITS = 20  # a level with at most 2**TABLE_BITS cells keeps a table of their runs,
+TABLE_FILL = 4  # if it has at most TABLE_FILL cells per point: a sparser table is mostly empty
 LOOKUP = 4.0  # the cost of looking up one cell, in candidates decided
 
 
@@ -147,14 +149,16 @@ class CellIndex:
     def _cell_runs(self, cell: np.ndarray, level: int, since=None):
         """The runs ``order[start:stop]`` of the level-``level`` cells ``cell``:
         read off a table of every cell's first position when the level has at
-        most 2**TABLE_BITS cells, else found by binary search. A cell before
-        the cell of the key ``since`` (one per cell, when given) is empty."""
+        most 2**TABLE_BITS cells and TABLE_FILL per point, else found by binary
+        search. A cell before the cell of the key ``since`` (one per cell, when
+        given) is empty."""
         code = self._encode(cell, self.bits - level)
         shift = np.uint64(level * self.axes)
-        if (self.bits - level) * self.axes <= TABLE_BITS:
+        cell_bits = (self.bits - level) * self.axes
+        if cell_bits <= TABLE_BITS and 1 << cell_bits <= TABLE_FILL * self.key.size:
             if level not in self._tables:
                 counts = np.bincount((self.sorted_key >> shift).astype(np.int64),
-                                     minlength=1 << ((self.bits - level) * self.axes))
+                                     minlength=1 << cell_bits)
                 self._tables[level] = np.concatenate([[0], np.cumsum(counts)])
             table = self._tables[level]
             start, stop = table[code], table[code + np.uint64(1)]
@@ -262,8 +266,8 @@ class CellIndex:
         row whose squared distance ``dsq`` is at most ``r * r``."""
         query = np.asarray(query, dtype=np.float64)
         for first, stop, count, at in self.blocks(self.grid(query), self.grid_radius(r)):
-            dsq = squared_distances(np.repeat(query[first:stop], count, axis=0),
-                                    self.sorted_coords[at])
+            dsq = square_sums(np.repeat(query[first:stop], count, axis=0),
+                              self.sorted_coords[at])
             near = np.flatnonzero(dsq <= r * r)
             qi = first + np.searchsorted(np.cumsum(count), near, side="right")
             yield qi, self.order[at[near]], dsq[near]
@@ -272,16 +276,18 @@ class CellIndex:
         """Blocks (a, b, dsq) of the pairs of indexed rows, each pair once,
         whose squared distance ``dsq`` is at most ``r * r``: every point asks
         the cells around it, from its own on, for the points after it in the
-        sorted order."""
-        g = self.grid(self.sorted_coords)
-        for first, stop, count, at in self.blocks(g, self.grid_radius(r),
-                                                  since=self.sorted_key):
-            pos = np.repeat(np.arange(first, stop), count)
-            later = np.flatnonzero(at > pos)
-            pos, at = pos[later], at[later]
-            dsq = squared_distances(self.sorted_coords[pos], self.sorted_coords[at])
-            near = dsq <= r * r
-            yield self.order[pos[near]], self.order[at[near]], dsq[near]
+        sorted order, PAIR_POINTS points at a time."""
+        for s in range(0, self.key.size, PAIR_POINTS):
+            part = slice(s, s + PAIR_POINTS)
+            g = self.grid(self.sorted_coords[part])
+            for first, stop, count, at in self.blocks(g, self.grid_radius(r),
+                                                      since=self.sorted_key[part]):
+                pos = np.repeat(np.arange(s + first, s + stop), count)
+                later = np.flatnonzero(at > pos)
+                pos, at = pos[later], at[later]
+                dsq = square_sums(self.sorted_coords[pos], self.sorted_coords[at])
+                near = dsq <= r * r
+                yield self.order[pos[near]], self.order[at[near]], dsq[near]
 
     def nearest(self, query: np.ndarray, positive=False):
         """Per query row: the nearest indexed row, by least squared distance with
@@ -303,8 +309,8 @@ class CellIndex:
         right = np.searchsorted(self.sorted_key, key, side="right")
         probe = np.clip(np.column_stack([left - 2, left - 1, left, right, right + 1]),
                         0, self.key.size - 1)
-        dsq = squared_distances(np.repeat(query, probe.shape[1], axis=0),
-                                self.sorted_coords[probe.ravel()])
+        dsq = square_sums(np.repeat(query, probe.shape[1], axis=0),
+                          self.sorted_coords[probe.ravel()])
         if positive:
             dsq = np.where(dsq > 0.0, dsq, np.inf)
         bound = dsq.reshape(probe.shape).min(axis=1)
@@ -314,8 +320,8 @@ class CellIndex:
         for first, stop, count, at in self.blocks(g, w):
             # no count is 0: a box holds the probed point that set it, or every point
             starts = np.cumsum(count) - count
-            dsq = squared_distances(np.repeat(query[first:stop], count, axis=0),
-                                    self.sorted_coords[at])
+            dsq = square_sums(np.repeat(query[first:stop], count, axis=0),
+                              self.sorted_coords[at])
             if positive:
                 dsq = np.where(dsq > 0.0, dsq, np.inf)
             best[first:stop] = np.minimum.reduceat(dsq, starts)
@@ -449,7 +455,7 @@ def nearest_center_coords(query_coords: np.ndarray, center_coords: np.ndarray,
     best_idx = np.zeros(q.shape[0], dtype=np.int64)
     if q.shape[0] and cc.shape[0] > 1:
         best_idx = (CellIndex(cc) if cells is None else cells).nearest(q)[0]
-    return best_idx, np.sqrt(squared_distances(q, cc[best_idx]))
+    return best_idx, np.sqrt(square_sums(q, cc[best_idx]))
 
 
 def square_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -472,11 +478,6 @@ def square_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         term *= term
         out += term
     return out
-
-
-def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance between paired rows of ``a`` and ``b``."""
-    return square_sums(a, b)
 
 
 def nearest_center_matrix(dmat: np.ndarray, query_ids: np.ndarray,

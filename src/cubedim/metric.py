@@ -491,8 +491,8 @@ def _reaching(pts: np.ndarray, block: np.ndarray, low: float) -> np.ndarray:
     plus the largest such distance in ``block``, reaches ``low`` up to a relative 1e-9,
     far above rounding: by the triangle inequality, no other is ``low`` from ``block``."""
     mid = block.min(axis=0) / 2.0 + block.max(axis=0) / 2.0
-    span = np.sqrt(kernels.squared_distances(block, mid).max())
-    return pts[np.sqrt(kernels.squared_distances(pts, mid)) + span >= low * (1.0 - 1e-9)]
+    span = np.sqrt(kernels.square_sums(block, mid).max())
+    return pts[np.sqrt(kernels.square_sums(pts, mid)) + span >= low * (1.0 - 1e-9)]
 
 
 def _farthest_pair_sq(pts: np.ndarray, keys: np.ndarray) -> float:
@@ -502,8 +502,8 @@ def _farthest_pair_sq(pts: np.ndarray, keys: np.ndarray) -> float:
     scanned against the points ``_reaching`` the largest distance so far."""
     if len(pts) <= _BLOCK:
         return float(_farthest_sq(pts, pts).max())
-    end = pts[kernels.squared_distances(pts, pts[0]).argmax()]
-    low = np.sqrt(kernels.squared_distances(pts, end).max())
+    end = pts[kernels.square_sums(pts, pts[0]).argmax()]
+    low = np.sqrt(kernels.square_sums(pts, end).max())
     pts = _reaching(pts[np.argsort(keys, kind="stable")], pts, low)
     best = 0.0
     for start in range(0, len(pts), _BLOCK):
@@ -558,6 +558,7 @@ class CoordIndex(_Index):
         super().__init__(space)
         self.coords = space.coords
         self.base = space._base
+        self._near = {}  # near_pair's answer per radius
 
     @property
     def cells(self) -> kernels.CellIndex:
@@ -625,12 +626,24 @@ class CoordIndex(_Index):
             self.cells if self._whole(centers) else None)
         return idx, self.descriptor.transform(base_d)
 
+    def near_pair(self, r: float) -> bool:
+        """Whether two points at distinct places have a ``pairs`` distance below r:
+        the cells' pairs within the base radius widened by ``kernels.TIE_RTOL``,
+        each decided as ``balls`` decides it, up to the first such pair."""
+        if r not in self._near:
+            lowest = self.base.lowest_at_place
+            self._near[r] = any(
+                np.any((self.descriptor.transform(np.sqrt(dsq)) < r) & (lowest[a] != lowest[b]))
+                for a, b, dsq in self.cells.pairs_within(
+                    self.base_radius(r) * (1.0 + kernels.TIE_RTOL)))
+        return self._near[r]
+
     def inner_balls(self, centers: np.ndarray, r: float):
         """``balls``, but where every point is a center, in id order, no ball is
-        asked: center p's is taken to hold p and the lowest id at p's place. That
-        decides the inner-ball check as the balls do unless two points at
-        distinct places lie nearer than r, as the centers of a net never do."""
-        if not self._whole(centers):
+        asked unless two points at distinct places lie nearer than r
+        (``near_pair``): center p's is taken to hold p and the lowest id at p's
+        place, which decides the inner-ball check as the balls do."""
+        if not self._whole(centers) or self.near_pair(r):
             return self.balls(centers, r)
         lowest = self.base.lowest_at_place
         moved = np.flatnonzero(lowest != self.ids)
@@ -649,7 +662,7 @@ class CoordIndex(_Index):
         least distance wins, with its first partner at it (which comes after i)."""
         cells = self._cells_of(ids)
         pts = cells.sorted_coords
-        bound = float(kernels.squared_distances(pts[:-1], pts[1:]).min())
+        bound = float(kernels.square_sums(pts[:-1], pts[1:]).min())
         a, b = (np.concatenate(side) for side in zip(
             *((a, b) for a, b, _ in cells.pairs_within(np.sqrt(bound) * (1.0 + 1e-9)))))
         first = np.minimum(a, b)
@@ -919,6 +932,10 @@ class LineIndex(_SortedIndex, CoordIndex):
         out = np.flatnonzero(self.sorted[np.minimum(ranks + 1, last)] <= high)
         hi[out] = np.searchsorted(self.sorted, high[out], side="right")
         return lo, hi
+
+    def near_pair(self, r: float) -> bool:
+        """``CoordIndex.near_pair``: the nearest distinct places are sorted neighbours."""
+        return self.least_gap < r
 
     def min_gap(self) -> float:
         # between sorted neighbours, skipping repeated points

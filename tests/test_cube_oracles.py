@@ -25,9 +25,9 @@ tampered systems too: a point moved out of its cube, a point made a center
 with no point moved, and two centers nearer than the inner radius, which the
 old check, asking a point in two balls for its nearest center, passed. Where
 every point of a coordinate space is a center, in id order, the check takes
-each point's ball as the points at its place; two points at distinct places
-nearer than the inner radius then go unseen, a known defect that a strict
-xfail test pins and the oracle comparison leaves out. A ``cubes.json``
+each point's ball as the points at its place unless two points at distinct
+places lie nearer than the inner radius; the old check took it so always,
+and missed such a pair. A ``cubes.json``
 round trip must reproduce the labels, parents and checks. Each deepest
 center labels itself, where the old labels asked every point for its
 nearest center, and the outer-ball check takes each cube's farthest member
@@ -100,13 +100,12 @@ ball cache lazily while evaluating its first system. Both old computations
 are kept here as oracles, on spaces with repeated points, so that degenerate
 balls occur.
 
-A family build on a plane or in a matrix space asks each radius' query
-balls of ``balls`` a slice at a time and reads each slice's eccentricities
-from one ``run_farthest`` call, where it asked ``ball_members`` and
-``_effective_radius`` once per query; that loop (``oracle_query_balls``)
-is its oracle, for the R_eff bits and each ball's member set, on planes
-in 2, 3 and 5 dimensions, snowflaked ones, matrix spaces and repeated
-points, at radii on attained distances and with slices of one ball. Every
+A family build on a plane or in a matrix space reads each query ball's
+members and eccentricity off one distance row, where it asked
+``ball_members`` and ``_effective_radius`` once per query; that loop
+(``oracle_query_balls``) is its oracle, for the R_eff bits and each ball's
+member set, on planes in 2, 3 and 5 dimensions, snowflaked ones, matrix
+spaces and repeated points, at radii on attained distances. Every
 index's ``balls`` groups its pairs by ascending owner, as the build reads
 them, held to each center's distance row. The box fit reads the farthest
 distance of E from its first id off ``run_farthest``, where it read that
@@ -1387,7 +1386,7 @@ class TestQueryBalls:
     @pytest.mark.parametrize("kind", ["plane", "snowflake", "matrix"])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_radius_slices_match_one_query_at_a_time(self, kind, data):
+    def test_row_balls_match_one_query_at_a_time(self, kind, data):
         space = data.draw(ball_spaces(kind))
         rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
         radii = ball_radii(space, rng)
@@ -1396,32 +1395,7 @@ class TestQueryBalls:
         size = data.draw(st.integers(min_value=1, max_value=60))
         xs = rng.integers(space.n, size=size)
         Rs = np.array(radii)[rng.integers(len(radii), size=size)]
-        # a bound of 1 pair makes every ball a slice of its own
-        bound = data.draw(st.sampled_from([1, 7, 64, cubes._BALL_PAIRS]))
-        with mock.patch.object(cubes, "_BALL_PAIRS", bound):
-            got = cubes._query_balls(space, xs, Rs)
-        same_query_balls(got, oracle_query_balls(space, xs, Rs))
-
-    def test_large_radius_groups_take_several_slices(self):
-        # 400 points in the unit cube, 300 queries at two radii: the first slice
-        # of each takes 2**14 // 400 = 40 balls; a ball at 0.05 holds a point
-        # or two, so one more slice takes the rest, and one at 0.8 holds most
-        # of the points, so a slice takes some 50
-        rng = np.random.default_rng(11)
-        space = MetricSpace(MetricDescriptor("euclidean"), coords=rng.uniform(size=(400, 3)))
-        xs = rng.integers(400, size=300)
-        Rs = np.where(rng.random(300) < 0.5, 0.8, 0.05)
-        calls = []
-        balls = metric.CoordIndex.balls
-
-        def counting(self, centers, r):
-            calls.append(r)
-            return balls(self, centers, r)
-
-        with mock.patch.object(metric.CoordIndex, "balls", counting):
-            got = cubes._query_balls(space, xs, Rs)
-        assert calls.count(0.8) > 2 and calls.count(0.05) == 2
-        same_query_balls(got, oracle_query_balls(space, xs, Rs))
+        same_query_balls(cubes._query_balls(space, xs, Rs), oracle_query_balls(space, xs, Rs))
 
     @pytest.mark.parametrize("kind, index", [("line", metric.LineIndex),
                                              ("plane", metric.CoordIndex),
@@ -1645,12 +1619,12 @@ def oracle_inner_balls(system):
     return witness is None, worst, witness
 
 
-def whole_level_blind_spot(system):
+def whole_level_near_pair(system):
     """Whether the system has a level whose centers are every point, in id
-    order, on coordinates, with two points at distinct places
-    nearer than the level's inner radius. There the check takes each point's
-    inner ball as the points at its place and misses the pair, a known
-    defect (``test_whole_level_pair_nearer_than_the_inner_radius_fails``)."""
+    order, on coordinates, with two points at distinct places nearer than
+    the level's inner radius. There the old check took each point's inner
+    ball as the points at its place and missed the pair
+    (``test_whole_level_pair_nearer_than_the_inner_radius_fails``)."""
     space = system.space
     if not isinstance(space.index, metric.CoordIndex):
         return False
@@ -2166,13 +2140,12 @@ class TestLevelPasses:
             for s in tampered:
                 if s is None:
                     continue
-                if whole_level_blind_spot(s):
-                    event("whole-level blind spot")
-                    continue
+                if whole_level_near_pair(s):
+                    event("whole level with a near pair")
                 check = _check_inner_balls(s)
                 assert (check.ok, check.worst, check.witness) == oracle_inner_balls(s)
             for s in (tampered[1], tampered[3]):  # each holds a point in another cube's ball
-                if s is not None and not whole_level_blind_spot(s):
+                if s is not None:
                     assert not _check_inner_balls(s).ok
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -2232,9 +2205,6 @@ class TestLevelPasses:
         assert (check.ok, check.worst, check.witness) == oracle_inner_balls(s)
         assert not verify_system(s)["iii_inner"].ok
 
-    @pytest.mark.xfail(strict=True, reason="known defect: where every point is a center, "
-                       "the inner-ball check compares each point only with the points "
-                       "at its place")
     @pytest.mark.parametrize("dim", [1, 2])
     def test_whole_level_pair_nearer_than_the_inner_radius_fails(self, dim):
         # 30 points far apart at level 2 and one 1e-6 from the first: made a
@@ -2247,7 +2217,7 @@ class TestLevelPasses:
         system = build_system(space, NetParams(), seed=0, max_level=2)
         assert system.levels[-1].centers.size == space.n - 1
         s = with_near_center(system, rng)
-        assert np.array_equal(s.levels[-1].centers, s.space.ids) and whole_level_blind_spot(s)
+        assert np.array_equal(s.levels[-1].centers, s.space.ids) and whole_level_near_pair(s)
         assert not oracle_inner_balls(s)[0]
         assert not _check_inner_balls(s).ok
 
@@ -2274,7 +2244,8 @@ class TestLevelPasses:
         # the inner balls are every pair of a center and a point nearer than the
         # radius, so each point's nearest center within the radius (the full
         # query) owns a pair of it; where every point of a coordinate space is
-        # a center, in id order, center p's ball is taken to hold p and the
+        # a center, in id order, and no two points at distinct places are
+        # nearer than the radius, center p's ball is taken to hold p and the
         # lowest id at its place, pairs of the full scan
         space = data.draw(spaces(kind, repeats=data.draw(st.booleans())))
         scale = data.draw(st.sampled_from([1.0, 0.37, 3.0]))
@@ -2298,7 +2269,8 @@ class TestLevelPasses:
             got = space.index.inner_balls(centers, float(r))
             got = {(int(i), int(p)) for i, p in zip(*got)}
             full = {(int(i), int(p)) for i, p in zip(owner[scan < r], q[scan < r])}
-            if shortcut:
+            if shortcut and all(np.array_equal(space.coords[i], space.coords[p])
+                                for i, p in full):
                 _, first, place = np.unique(space.coords, axis=0, return_index=True,
                                             return_inverse=True)
                 lowest = first[place.ravel()]

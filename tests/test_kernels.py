@@ -150,12 +150,10 @@ class TestSquareSums:
         other = pts[rng.permutation(len(pts))]
         diff = pts - other
         assert same_bits(kernels.square_sums(pts, other), np.einsum("ij,ij->i", diff, diff))
-        assert same_bits(kernels.squared_distances(pts, other),
-                         np.einsum("ij,ij->i", diff, diff))
         diff = pts[:128, None, :] - pts
         assert same_bits(kernels.square_sums(pts[:128, None, :], pts),
                          np.einsum("ijk,ijk->ij", diff, diff))
-        assert same_bits(kernels.squared_distances(pts, pts[0]),
+        assert same_bits(kernels.square_sums(pts, pts[0]),
                          np.einsum("ij,ij->i", pts - pts[0], pts - pts[0]))
         for s in (2, 3, 7, 128):
             groups = pts[:len(pts) // s * s].reshape(-1, s, pts.shape[1])
@@ -312,17 +310,20 @@ class TestCellIndex:
                         assert looks == [pts.shape[0]]
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
-    def test_pairs_within_lists_each_close_pair_once(self, dim):
-        for pts in awkward_lattices(dim):
-            cells = kernels.CellIndex(pts)
-            diff = pts[:, None, :] - pts[None, :, :]
-            dsq = np.einsum("ijk,ijk->ij", diff, diff)
-            for t in np.unique(np.sqrt(dsq))[:4]:
-                r = np.nextafter(t, np.inf)
-                seen = np.zeros(dsq.shape, dtype=np.int64)
-                for a, b, near in cells.pairs_within(r):
-                    np.add.at(seen, (a, b), 1)
-                    np.add.at(seen, (b, a), 1)
-                    assert near.tobytes() == dsq[a, b].tobytes()
-                want = (dsq <= r * r) & ~np.eye(len(pts), dtype=bool)
-                assert np.array_equal(seen, want.astype(np.int64))
+    def test_pairs_within_lists_each_close_pair_once(self, dim, monkeypatch):
+        # at 7 points at a time, a pair may have its points in two parts
+        for points in (kernels.PAIR_POINTS, 7):
+            monkeypatch.setattr(kernels, "PAIR_POINTS", points)
+            for pts in awkward_lattices(dim):
+                cells = kernels.CellIndex(pts)
+                diff = pts[:, None, :] - pts[None, :, :]
+                dsq = np.einsum("ijk,ijk->ij", diff, diff)
+                for t in np.unique(np.sqrt(dsq))[:4]:
+                    r = np.nextafter(t, np.inf)
+                    seen = np.zeros(dsq.shape, dtype=np.int64)
+                    for a, b, near in cells.pairs_within(r):
+                        np.add.at(seen, (a, b), 1)
+                        np.add.at(seen, (b, a), 1)
+                        assert near.tobytes() == dsq[a, b].tobytes()
+                    want = (dsq <= r * r) & ~np.eye(len(pts), dtype=bool)
+                    assert np.array_equal(seen, want.astype(np.int64))

@@ -115,7 +115,7 @@ def tree_net_coords(coords, order, threshold):
                                      return_sorted=False)
         if len(near) > 1:
             near = np.asarray(near, dtype=np.int64)
-            blocked[near[kernels.squared_distances(coords[near], coords[cand]) < thr2]] = True
+            blocked[near[kernels.square_sums(coords[near], coords[cand]) < thr2]] = True
     return np.asarray(chosen, dtype=np.int64)
 
 
@@ -135,10 +135,10 @@ def tree_nearest_coords(query_coords, center_coords):
             counts = np.fromiter(map(len, cand), dtype=np.int64, count=close.size)
             cols = np.concatenate(cand).astype(np.int64)
             starts = np.cumsum(counts) - counts
-            dsq = kernels.squared_distances(q[np.repeat(close, counts)], cc[cols])
+            dsq = kernels.square_sums(q[np.repeat(close, counts)], cc[cols])
             tied = dsq == np.repeat(np.minimum.reduceat(dsq, starts), counts)
             best_idx[close] = np.minimum.reduceat(np.where(tied, cols, cc.shape[0]), starts)
-    return best_idx, np.sqrt(kernels.squared_distances(q, cc[best_idx]))
+    return best_idx, np.sqrt(kernels.square_sums(q, cc[best_idx]))
 
 
 def tree_balls_coords(coords, center_coords, radius):
@@ -149,7 +149,7 @@ def tree_balls_coords(coords, center_coords, radius):
                                                output_type="ndarray")
     centers = pairs["i"].astype(np.int64)
     points = pairs["j"].astype(np.int64)
-    return centers, points, np.sqrt(kernels.squared_distances(coords[points], cc[centers]))
+    return centers, points, np.sqrt(kernels.square_sums(coords[points], cc[centers]))
 
 
 def tree_ball(space, x, r):
@@ -647,7 +647,8 @@ class TestCoordinates:
     def test_inner_balls_match_tree(self, space, data):
         # radii in the base metric, which the tree measures: the points' own
         # Euclidean space answers them. Where every point is a center, in id
-        # order, center p's ball is taken to hold p and the lowest id at its
+        # order, and no two points at distinct places are nearer than the
+        # radius, center p's ball is taken to hold p and the lowest id at its
         # place, and no cell is looked in
         coords, centers = space.coords, _subset(data, space.n)
         if data.draw(st.booleans()):  # every point a center, some repeated
@@ -663,7 +664,7 @@ class TestCoordinates:
             owner, points, d = tree_balls_coords(coords, coords[centers], r)
             # the tree's widened radius lists a few more
             want = {(int(i), int(p)) for i, p in zip(owner[d < r], points[d < r])}
-            if whole:
+            if whole and all(np.array_equal(coords[i], coords[p]) for i, p in want):
                 assert got == {(p, p) for p in range(space.n)} | {
                     (p, int(lowest[p])) for p in range(space.n)}
                 assert got <= want
@@ -947,6 +948,22 @@ class TestBalls:
             assert same_bits(got_members[by_pair], want_members)
             x = int(centers[0])
             assert same_bits(space.ball_members(x, r), want_members[want_owner == 0])
+
+
+    @pytest.mark.parametrize("kind", ["line", "coordinates"])
+    @given(data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_near_pair_matches_the_pair_scan(self, kind, data):
+        # whether two points at distinct places lie nearer than r, by the scan
+        # over every pair, asked twice (the second time from the cache)
+        space = data.draw({"line": lines(), "coordinates": lattices(dims=(2, 3, 5))}[kind])
+        a, b = np.divmod(np.arange(space.n * space.n), space.n)
+        d = space.index.pairs(a, b)
+        apart = d[np.any(space.coords[a] != space.coords[b], axis=1)]
+        for r in _near_values(np.unique(d), 6, data) + [2.0 * space.diameter() + 1.0]:
+            want = bool(np.any(apart < r))
+            assert space.index.near_pair(r) == want
+            assert space.index.near_pair(r) == want
 
 
 class TestDiametersAreDistances:

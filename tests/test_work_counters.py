@@ -36,8 +36,8 @@ cube of at most 128 points with the others of its size, and only a larger
 cube takes a ``diameter`` call. On a line and in an ultrametric, a family's build
 keeps each certificate query's ball as its two end ids, from one
 ``ball_run`` call for all queries, and asks for no ``ball_members``; a
-plane's or a matrix space's build asks none either, and takes the balls of
-each radius from ``balls`` in slices of about ``_BALL_PAIRS`` pairs. The
+plane's or a matrix space's build asks none either, and reads each query's
+ball off one distance row, with no ``balls`` call. The
 box fit reads its ball's radius off one ``run_farthest`` call, with no
 row. A sweep takes ``np.polyfit`` only for the windows whose slopes tie
 with the greatest, once per distinct fit input. On a plane,
@@ -202,6 +202,7 @@ def test_box_fit_reads_no_row(line_family, cantor10_family, ultra6_family, graph
     families = [line_family, cantor10_family, ultra6_family,
                 *(build_adjacent_family(space, NetParams(), K_max=2, query_budget=50, seed=3,
                                         max_level=3) for space in (plane, graph40))]
+    row_calls.clear()  # those of the plane's and the matrix space's builds
     for family in families:
         E = family.space.ids[1::2]
         try:
@@ -298,7 +299,7 @@ def test_sweep_fits_only_the_windows_that_can_hold_the_maximum(request, fixture,
 def test_line_and_ultrametric_builds_ask_no_ball(request, fixture, sweep_work):
     # each certificate query keeps its ball's two end ids, from the index's
     # ball_run, where it kept the ball's members; a plane and a matrix space
-    # take theirs from balls by radius slices, and ask no ball_members either
+    # read theirs off distance rows, and ask no ball_members either
     family = build_adjacent_family(request.getfixturevalue(fixture), NetParams(), K_max=3,
                                    query_budget=50, target_ratio=1.0, seed=3)
     assert family.K == 3 and not all(q["degenerate"] for q in family.query_log)
@@ -311,16 +312,15 @@ def test_line_and_ultrametric_builds_ask_no_ball(request, fixture, sweep_work):
     assert sweep_work["balls"] == 0
 
 
-@pytest.mark.parametrize("budget, slice_pairs", [(50, None), (400, 1 << 8)])
-def test_plane_and_matrix_builds_ask_balls_by_radius_slices(graph40, budget, slice_pairs,
-                                                            monkeypatch):
-    # the certificate balls of one radius come from balls a slice at a time,
-    # each slice about _BALL_PAIRS (ball, member) pairs once its first has
-    # given the balls' mean size; 50 queries fit one slice per radius, and
-    # 400 take several at a bound of 256 pairs
+@pytest.mark.parametrize("budget", [50, 400])
+def test_plane_and_matrix_builds_read_one_row_per_query_ball(graph40, row_calls, budget,
+                                                             monkeypatch):
+    # each certificate query's ball and eccentricity come off its center's
+    # distance row, where the balls of one radius were asked of balls in
+    # slices of (ball, member) pairs; 400 queries repeat centers and radii
     plane = MetricSpace(MetricDescriptor("euclidean"),
                         coords=np.random.default_rng(4).uniform(size=(200, 2)))
-    calls, asking = [], []
+    asked, asking = [], []
     query_balls = cubes._query_balls
 
     def tracked(space, xs, Rs):
@@ -331,32 +331,19 @@ def test_plane_and_matrix_builds_ask_balls_by_radius_slices(graph40, budget, sli
             asking.pop()
 
     monkeypatch.setattr(cubes, "_query_balls", tracked)
-    slice_pairs = slice_pairs or cubes._BALL_PAIRS
-    monkeypatch.setattr(cubes, "_BALL_PAIRS", slice_pairs)
     for cls in (metric.CoordIndex, metric.MatrixIndex):
         def counting(self, centers, r, balls=cls.balls):
-            owner, members = balls(self, centers, r)
             if asking:
-                calls.append((r, centers.size, members.size))
-            return owner, members
+                asked.append(r)
+            return balls(self, centers, r)
 
         monkeypatch.setattr(cls, "balls", counting)
     for space in (plane, graph40):
-        calls.clear()
+        row_calls.clear()
         family = build_adjacent_family(space, NetParams(), K_max=1, query_budget=budget,
                                        seed=3, max_level=3)
-        radii = [q["R"] for q in family.query_log]
-        assert sum(n for _, n, _ in calls) == budget
-        per_radius = {R: [c for c in calls if c[0] == R] for R in set(radii)}
-        if budget == 50:
-            assert len(calls) == len(per_radius)
-        else:
-            assert any(len(slices) > 1 for slices in per_radius.values())
-        for slices in per_radius.values():
-            # after the first, a slice of two balls or more holds at most about
-            # slice_pairs pairs, and a radius takes few slices
-            assert all(n == 1 or pairs <= 2 * slice_pairs for _, n, pairs in slices[1:])
-            assert len(slices) <= 2 + 2 * sum(p for _, _, p in slices) // slice_pairs
+        assert row_calls == [q["x"] for q in family.query_log]
+    assert asked == []
 
 
 @pytest.mark.parametrize("fixture", ["line", "ultra6"])
@@ -950,13 +937,13 @@ def test_plane_work_about_doubles_with_the_points(tmp_path, monkeypatch):
     # build, reload and one window table on grids of 1,024 and 2,025 points:
     # the rows whose squared distances are taken grow at most 2.5x, stage by stage
     rows = {}
-    squared_distances = kernels.squared_distances
+    square_sums = kernels.square_sums
 
     def counting(a, b):
         rows[stage] = rows.get(stage, 0) + len(a)
-        return squared_distances(a, b)
+        return square_sums(a, b)
 
-    monkeypatch.setattr(kernels, "squared_distances", counting)
+    monkeypatch.setattr(kernels, "square_sums", counting)
     counts = []
     for steps in (31, 44):
         rows = {}
